@@ -1,9 +1,28 @@
 """Component-wise L2 gradient boosting for density responses.
 
-The production loop runs in clr coordinates, where the model is linear and
-least squares applies directly; the density-space formulation with
-perturbation and powering is provided as an independent second path that must
-reproduce the same coefficient trajectories. Norms everywhere are
+The model is linear in clr coordinates, where every base-learner is a
+penalized least-squares fit of the clr residuals. All base-learners of one
+component share its density basis B (P x K_Y), and the measure-weighted
+inner product meets the residual Y - F only through its projection onto that
+basis, R = (Y - F) W B (N x K_Y instead of N x P). One kernel,
+:func:`_boost_path`, runs the loop on R, in the array arithmetic of row-tensor
+designs (Currie, Durbán & Eilers 2006) that FDboost uses for functional
+linear array models (Brockhaus, Scheipl, Hothorn & Greven 2015):
+
+* the base-learners are stacked into one column block X = [X_1 ... X_J]; for
+  its training rows the kernel precomputes the smoother
+  S = blockdiag(G_j^-1), with G_j = kron(X_j'X_j, C) + penalty_j and
+  C = B'WB, and the Gram blocks X_j'X_j;
+* each iteration forms rhs = X' 2R once and gamma = S rhs; up to a constant
+  shared by all learners, learner j's weighted residual sum of squares is the
+  segment sum of gamma * (Q gamma - 2 rhs) with Q = blockdiag(kron(X_j'X_j, C)),
+  so every learner is scored at once;
+* the selected learner updates R, the in-bag risk and, for resampled
+  stopping, the held-out residual and risk in closed form; the fitted N x P
+  surfaces are built once, at the end.
+
+In-bag fits (:func:`boost_from_clr`) and every cross-validation or bootstrap
+resample (:func:`early_stop_from_clr`) run this kernel. Norms everywhere are
 measure-weighted, which is where discrete, continuous, and mixed supports
 differ.
 """
@@ -11,25 +30,19 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .basis import EffectDesign
 from .bayes import (
     ClrElement,
     DensityElement,
     clr,
-    clr_inv,
     decompose_clr,
     embed_clr_continuous,
     embed_clr_discrete,
-    inner,
-    norm,
-    perturb,
-    power,
-    subtract,
 )
 from .measure import ReferenceMeasure
 
@@ -38,14 +51,10 @@ __all__ = [
     "FitState",
     "MixedFit",
     "EarlyStopResult",
-    "offset",
-    "negative_gradient",
-    "fit_base_learner",
-    "select_base_learner",
     "boost",
     "boost_from_clr",
-    "boost_density_space",
     "early_stop",
+    "early_stop_from_clr",
     "boost_mixed",
 ]
 
@@ -126,78 +135,128 @@ class EarlyStopResult:
     method: str
 
 
-def offset(responses: list[DensityElement]) -> DensityElement:
-    """Mean of the responses in the density space (mean of clr images)."""
-    if not responses:
-        raise ValueError("offset needs at least one response")
-    zs = np.stack([clr(f).values for f in responses])
-    return clr_inv(ClrElement(responses[0].measure, zs.mean(axis=0)))
-
-
-def negative_gradient(y: DensityElement, h_current: DensityElement) -> DensityElement:
-    """Steepest-descent direction of the squared-distance loss: 2 (y - h)."""
-    return power(2.0, subtract(y, h_current))
-
-
-_warned_singular = False
-
-
-def _penalized_factor(gram: np.ndarray):
-    """Cholesky factor of the penalized normal matrix, with a one-time warned
-    ridge jitter for degenerate designs (e.g. empty categories in small folds)."""
-    global _warned_singular
+def _penalized_inverse(gram: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Inverse of one penalized normal matrix, and whether it needed ridge
+    jitter (degenerate designs, e.g. empty categories in small folds)."""
+    eye = np.eye(gram.shape[0])
     try:
-        return cho_factor(gram)
+        return cho_solve(cho_factor(gram), eye, check_finite=False), False
     except np.linalg.LinAlgError:
-        if not _warned_singular:
-            warnings.warn(
-                "singular base-learner system, adding ridge jitter", RuntimeWarning
+        jittered = cho_factor(gram + 1e-10 * eye)
+        return cho_solve(jittered, eye, check_finite=False), True
+
+
+def _warn_jitter(jittered: bool) -> None:
+    if jittered:
+        warnings.warn(
+            "singular base-learner system, adding ridge jitter", RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+@dataclass
+class _Path:
+    """What one run of the kernel produced."""
+
+    offset_clr: np.ndarray            # (P,) clr mean of the training rows
+    coefficients: np.ndarray          # (sum K_j, K_Y) stacked theta_j
+    selections: list                  # chosen effect index per iteration
+    increments: list | None           # (j, gamma) per iteration when tracked
+    risk: np.ndarray                  # in-bag risk, index 0 .. n_iter
+    heldout: np.ndarray | None        # summed held-out risk, index 0 .. n_iter
+    jittered: bool
+
+
+def _boost_path(
+    y_clr: np.ndarray,
+    weights: np.ndarray,
+    designs: list[EffectDesign],
+    kappa: float,
+    n_iter: int,
+    train: np.ndarray | None = None,
+    test: np.ndarray | None = None,
+    track: bool = False,
+) -> _Path:
+    """The boosting loop in density-basis coordinates.
+
+    Fits on the rows ``train`` (all rows when None; repeats allowed) and, when
+    ``test`` is given, tracks the risk of the held-out rows alongside.
+    ``track`` keeps every unscaled increment.
+    """
+    basis = designs[0].density_basis.clr_matrix
+    weighted_basis = basis * weights[:, None]
+    c = basis.T @ weighted_basis
+    k_y = basis.shape[1]
+    sizes = np.array([d.n_cov for d in designs])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    segments = starts * k_y
+
+    x = np.hstack([d.X for d in designs])
+    x_in = x if train is None else x[train]
+    y_in = y_clr if train is None else y_clr[train]
+    offset_clr = y_in.mean(axis=0)
+    smoothers, grams, jittered = [], [], False
+    for d, a, b in zip(designs, starts, ends):
+        gram = x_in[:, a:b].T @ x_in[:, a:b]
+        smoother, jit = _penalized_inverse(np.kron(gram, c) + d.penalty())
+        smoothers.append(smoother)
+        grams.append(gram)
+        jittered |= jit
+    smoother = block_diag(*smoothers)
+    gram = block_diag(*grams)
+
+    e_in = y_in - offset_clr
+    resid = e_in @ weighted_basis
+    risk = np.empty(n_iter + 1)
+    risk[0] = float(((e_in ** 2) * weights).sum())
+    heldout = None
+    if test is not None:
+        x_out = x[test]
+        e_out = y_clr[test] - offset_clr
+        resid_out = e_out @ weighted_basis
+        heldout = np.empty(n_iter + 1)
+        heldout[0] = float(((e_out ** 2) * weights).sum())
+
+    coefficients = np.zeros((x.shape[1], k_y))
+    selections = []
+    increments = [] if track else None
+    for m in range(1, n_iter + 1):
+        rhs = x_in.T @ (2.0 * resid)
+        gamma = (smoother @ rhs.ravel()).reshape(rhs.shape)
+        fit_part = np.add.reduceat((gamma * rhs).ravel(), segments)
+        size_part = np.add.reduceat((gamma * (gram @ gamma @ c)).ravel(), segments)
+        j = int(np.argmin(size_part - 2.0 * fit_part))
+        a, b = starts[j], ends[j]
+        g = gamma[a:b]
+        coefficients[a:b] += kappa * g
+        selections.append(j)
+        if track:
+            increments.append((j, g.ravel().copy()))
+        resid -= kappa * (x_in[:, a:b] @ g @ c)
+        risk[m] = risk[m - 1] - kappa * fit_part[j] + kappa ** 2 * size_part[j]
+        if heldout is not None:
+            h = x_out[:, a:b] @ g
+            hc = h @ c
+            heldout[m] = (
+                heldout[m - 1] - 2.0 * kappa * float((h * resid_out).sum())
+                + kappa ** 2 * float((h * hc).sum())
             )
-            _warned_singular = True
-        return cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
+            resid_out -= kappa * hc
+    return _Path(offset_clr, coefficients, selections, increments, risk, heldout, jittered)
 
 
-class _EffectSolver:
-    """Per-effect precomputation: Gram matrices and penalized Cholesky factor."""
-
-    def __init__(self, effect: EffectDesign, weights: np.ndarray, rows: np.ndarray | None = None):
-        self.effect = effect
-        x = effect.X if rows is None else effect.X[rows]
-        self.x = x
-        self.basis = effect.density_basis.clr_matrix
-        self.weighted_basis = self.basis * weights[:, None]
-        gram = np.kron(x.T @ x, self.basis.T @ self.weighted_basis) + effect.penalty()
-        self.factor = _penalized_factor(gram)
-
-    def fit(self, u: np.ndarray) -> np.ndarray:
-        rhs = (self.x.T @ u @ self.weighted_basis).ravel()
-        return cho_solve(self.factor, rhs)
-
-    def surface(self, gamma: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        x = self.x if x is None else x
-        coef = gamma.reshape(self.x.shape[1], self.basis.shape[1])
-        return x @ coef @ self.basis.T
-
-
-def fit_base_learner(effect: EffectDesign, u: np.ndarray) -> np.ndarray:
-    """Penalized least-squares coefficients for one effect against the
-    stacked clr gradients ``u`` of shape (N, P)."""
-    weights = effect.density_basis.measure.weights
-    return _EffectSolver(effect, weights).fit(np.asarray(u, dtype=float))
-
-
-def select_base_learner(
-    effects: list[EffectDesign], gammas: list[np.ndarray], u: np.ndarray
-) -> int:
-    """Index of the base-learner with the smallest weighted residual sum of
-    squares; ties break toward the lowest index."""
-    weights = effects[0].density_basis.measure.weights
-    rss = []
-    for effect, gamma in zip(effects, gammas):
-        solver = _EffectSolver(effect, weights)
-        resid = u - solver.surface(gamma)
-        rss.append(float(((resid ** 2) * weights).sum()))
-    return int(np.argmin(rss))
+def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign]) -> None:
+    if not designs:
+        raise ValueError("no effects given")
+    n = y_clr.shape[0]
+    if any(d.X.shape[0] != n for d in designs):
+        raise ValueError("design rows must match the number of responses")
+    if y_clr.shape[1] != measure.size:
+        raise ValueError("response columns must match the measure layout")
+    basis = designs[0].density_basis.clr_matrix
+    if any(not np.array_equal(d.density_basis.clr_matrix, basis) for d in designs):
+        raise ValueError("all effects must share one density basis")
 
 
 def boost_from_clr(
@@ -209,73 +268,34 @@ def boost_from_clr(
 ) -> FitState:
     """Run the boosting loop on a matrix of clr-transformed responses."""
     y_clr = np.asarray(y_clr, dtype=float)
-    n = y_clr.shape[0]
-    if any(d.X.shape[0] != n for d in designs):
-        raise ValueError("design rows must match the number of responses")
-    if y_clr.shape[1] != measure.size:
-        raise ValueError("response columns must match the measure layout")
-    weights = measure.weights
+    _check_inputs(y_clr, measure, designs)
     m_stop = config.max_iterations if m_stop is None else m_stop
-    solvers = [_EffectSolver(d, weights) for d in designs]
-
-    offset_clr = y_clr.mean(axis=0)
-    fitted = np.tile(offset_clr, (n, 1))
-    theta = [np.zeros(d.n_cov * d.density_basis.n_basis) for d in designs]
-    kappa = config.step_length
-
-    selections: list[int] = []
-    increments: list | None = [] if config.track_increments else None
-    risk = [float((((y_clr - fitted) ** 2) * weights).sum())]
-
-    for _ in range(m_stop):
-        u = 2.0 * (y_clr - fitted)
-        best_j, best_rss, best_gamma, best_surface = -1, np.inf, None, None
-        for j, solver in enumerate(solvers):
-            gamma = solver.fit(u)
-            surface = solver.surface(gamma)
-            rss = float((((u - surface) ** 2) * weights).sum())
-            if rss < best_rss:
-                best_j, best_rss, best_gamma, best_surface = j, rss, gamma, surface
-        theta[best_j] = theta[best_j] + kappa * best_gamma
-        fitted = fitted + kappa * best_surface
-        selections.append(best_j)
-        if increments is not None:
-            increments.append((best_j, best_gamma))
-        risk.append(float((((y_clr - fitted) ** 2) * weights).sum()))
-
-    risk_path = np.asarray(risk)
-    drops = np.diff(risk_path)
-    assert np.all(drops <= _RISK_SLACK * max(1.0, risk_path[0])), (
-        "in-bag risk increased during boosting"
+    path = _boost_path(
+        y_clr, measure.weights, designs, config.step_length, m_stop,
+        track=config.track_increments,
     )
+    _warn_jitter(path.jittered)
+
+    drops = np.diff(path.risk)
+    bad = np.flatnonzero(drops > _RISK_SLACK * max(1.0, path.risk[0]))
+    if bad.size:
+        raise FloatingPointError(
+            f"in-bag risk increased during boosting at iteration {bad[0] + 1}"
+        )
+
+    ends = np.cumsum([d.n_cov for d in designs])
+    x = np.hstack([d.X for d in designs])
+    fitted = path.offset_clr + x @ path.coefficients @ designs[0].density_basis.clr_matrix.T
     return FitState(
         measure=measure,
-        offset_clr=offset_clr,
-        coefficients=theta,
+        offset_clr=path.offset_clr,
+        coefficients=[c.ravel() for c in np.split(path.coefficients, ends[:-1])],
         fitted_clr=fitted,
-        selections=selections,
-        risk_path=risk_path,
+        selections=path.selections,
+        risk_path=path.risk,
         m_stop=m_stop,
-        increments=increments,
+        increments=path.increments,
     )
-
-
-def boost(
-    responses: list[DensityElement],
-    designs: list[EffectDesign],
-    config: BoostConfig,
-) -> FitState:
-    """Fit the additive model to density responses sharing one measure.
-
-    Resolves the stopping iteration first (resampling methods re-run the loop
-    on subsets at the density level), then fits on the full data.
-    """
-    measure = _common_measure(responses)
-    y_clr = np.stack([clr(f).values for f in responses])
-    m_stop = _resolve_m_stop(y_clr, measure, designs, config)
-    state = boost_from_clr(y_clr, measure, designs, config, m_stop=m_stop.m_stop)
-    state.stop_curve = m_stop.risk_curve
-    return state
 
 
 def _common_measure(responses: list[DensityElement]) -> ReferenceMeasure:
@@ -288,52 +308,34 @@ def _common_measure(responses: list[DensityElement]) -> ReferenceMeasure:
     return measure
 
 
-def _resolve_m_stop(y_clr, measure, designs, config: BoostConfig) -> EarlyStopResult:
+def _stop_then_fit(y_clr, measure, designs, config: BoostConfig) -> FitState:
+    """Resolve the stopping iteration, then fit on all responses."""
     if config.stopping == "fixed":
-        m = config.m_stop if config.m_stop is not None else config.max_iterations
-        if m > config.max_iterations:
+        m_stop = config.m_stop if config.m_stop is not None else config.max_iterations
+        if m_stop > config.max_iterations:
             raise ValueError("m_stop exceeds max_iterations")
-        return EarlyStopResult(m, None, "fixed")
-    return early_stop_from_clr(y_clr, measure, designs, config)
+        curve = None
+    else:
+        stop = early_stop_from_clr(y_clr, measure, designs, config)
+        m_stop, curve = stop.m_stop, stop.risk_curve
+    state = boost_from_clr(y_clr, measure, designs, config, m_stop=m_stop)
+    state.stop_curve = curve
+    return state
 
 
-def _heldout_curve(
-    y_clr: np.ndarray,
-    weights: np.ndarray,
+def boost(
+    responses: list[DensityElement],
     designs: list[EffectDesign],
     config: BoostConfig,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-) -> np.ndarray:
-    """Out-of-sample risk after each iteration of a fit on ``train_idx``.
+) -> FitState:
+    """Fit the additive model to density responses sharing one measure.
 
-    ``train_idx`` may contain repeats (bootstrap resampling); the returned
-    curve has length max_iterations + 1 with entry 0 for the offset-only fit.
+    Resolves the stopping iteration first (resampling methods re-run the loop
+    on subsets of the densities), then fits on the full data.
     """
-    y_train, y_test = y_clr[train_idx], y_clr[test_idx]
-    solvers = [
-        _EffectSolver(d, weights, rows=train_idx) for d in designs
-    ]
-    x_test = [d.X[test_idx] for d in designs]
-    offset_clr = y_train.mean(axis=0)
-    fit_train = np.tile(offset_clr, (len(train_idx), 1))
-    fit_test = np.tile(offset_clr, (len(test_idx), 1))
-    kappa = config.step_length
-    curve = np.empty(config.max_iterations + 1)
-    curve[0] = float((((y_test - fit_test) ** 2) * weights).sum()) / len(test_idx)
-    for m in range(1, config.max_iterations + 1):
-        u = 2.0 * (y_train - fit_train)
-        best_j, best_rss, best_gamma, best_surface = -1, np.inf, None, None
-        for j, solver in enumerate(solvers):
-            gamma = solver.fit(u)
-            surface = solver.surface(gamma)
-            rss = float((((u - surface) ** 2) * weights).sum())
-            if rss < best_rss:
-                best_j, best_rss, best_gamma, best_surface = j, rss, gamma, surface
-        fit_train = fit_train + kappa * best_surface
-        fit_test = fit_test + kappa * solvers[best_j].surface(best_gamma, x_test[best_j])
-        curve[m] = float((((y_test - fit_test) ** 2) * weights).sum()) / len(test_idx)
-    return curve
+    measure = _common_measure(responses)
+    y_clr = np.stack([clr(f).values for f in responses])
+    return _stop_then_fit(y_clr, measure, designs, config)
 
 
 def early_stop_from_clr(
@@ -349,8 +351,9 @@ def early_stop_from_clr(
     resample's per-density risk curve is averaged first within, then across
     resamples, and the minimizer over m = 1 .. max_iterations is returned.
     """
+    y_clr = np.asarray(y_clr, dtype=float)
+    _check_inputs(y_clr, measure, designs)
     n = y_clr.shape[0]
-    weights = measure.weights
     rng = np.random.default_rng(config.seed)
     splits: list[tuple[np.ndarray, np.ndarray]] = []
     if config.stopping == "cv":
@@ -376,13 +379,18 @@ def early_stop_from_clr(
 
     def run(split):
         train, test = split
-        return _heldout_curve(y_clr, weights, designs, config, train, test)
+        return _boost_path(
+            y_clr, measure.weights, designs, config.step_length,
+            config.max_iterations, train, test,
+        )
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            curves = list(pool.map(run, splits))
+            paths = list(pool.map(run, splits))
     else:
-        curves = [run(s) for s in splits]
+        paths = [run(s) for s in splits]
+    _warn_jitter(any(p.jittered for p in paths))
+    curves = [p.heldout / len(test) for p, (_, test) in zip(paths, splits)]
     mean_curve = np.mean(np.stack(curves), axis=0)
     m_stop = int(np.argmin(mean_curve[1:]) + 1)
     return EarlyStopResult(m_stop, mean_curve, config.stopping)
@@ -421,12 +429,8 @@ def boost_mixed(
     measure_c = designs_continuous[0].density_basis.measure
     measure_d = designs_discrete[0].density_basis.measure
 
-    stop_c = _resolve_m_stop(y_c, measure_c, designs_continuous, config)
-    fit_c = boost_from_clr(y_c, measure_c, designs_continuous, config, m_stop=stop_c.m_stop)
-    fit_c.stop_curve = stop_c.risk_curve
-    stop_d = _resolve_m_stop(y_d, measure_d, designs_discrete, config_d)
-    fit_d = boost_from_clr(y_d, measure_d, designs_discrete, config_d, m_stop=stop_d.m_stop)
-    fit_d.stop_curve = stop_d.risk_curve
+    fit_c = _stop_then_fit(y_c, measure_c, designs_continuous, config)
+    fit_d = _stop_then_fit(y_d, measure_d, designs_discrete, config_d)
 
     combined = np.empty((len(responses), measure.size))
     for i in range(len(responses)):
@@ -437,93 +441,3 @@ def boost_mixed(
             + embed_clr_discrete(zd, measure).values
         )
     return MixedFit(fit_c, fit_d, measure, combined)
-
-
-# ---------------------------------------------------------------------------
-# Density-space formulation (independent second path)
-# ---------------------------------------------------------------------------
-
-def boost_density_space(
-    responses: list[DensityElement],
-    designs: list[EffectDesign],
-    config: BoostConfig,
-    m_stop: int | None = None,
-) -> FitState:
-    """The boosting loop carried out on density representatives.
-
-    State evolves through perturbation and powering of positive densities
-    rather than linear updates of clr vectors; inner products come from the
-    density-space inner product. Serves as the equivalence check for
-    :func:`boost_from_clr`, which must produce the same selections and
-    coefficient paths.
-    """
-    measure = _common_measure(responses)
-    m_stop = config.max_iterations if m_stop is None else m_stop
-    n = len(responses)
-    kappa = config.step_length
-    weights = measure.weights
-
-    basis_densities = [
-        [clr_inv(ClrElement(measure, col)) for col in d.density_basis.clr_matrix.T]
-        for d in designs
-    ]
-    basis_clr = [
-        np.stack([clr(b).values for b in cols]) if cols else np.empty((0, measure.size))
-        for cols in basis_densities
-    ]
-    grams = []
-    for d, cols in zip(designs, basis_densities):
-        k = len(cols)
-        g = np.empty((k, k))
-        for a in range(k):
-            for b in range(a, k):
-                g[a, b] = g[b, a] = inner(cols[a], cols[b])
-        grams.append(np.kron(d.X.T @ d.X, g) + d.penalty())
-    factors = [_penalized_factor(g) for g in grams]
-
-    start = offset(responses)
-    current = [start for _ in range(n)]
-    theta = [np.zeros(d.n_cov * d.density_basis.n_basis) for d in designs]
-    selections: list[int] = []
-    increments: list | None = [] if config.track_increments else None
-    risk = [sum(norm(subtract(y, h)) ** 2 for y, h in zip(responses, current))]
-
-    def compose(cols: list[DensityElement], coef: np.ndarray) -> DensityElement:
-        out = np.ones(measure.size)
-        for c, b in zip(coef, cols):
-            out = out * (b.values ** c)
-        return DensityElement(measure, out).as_probability()
-
-    for _ in range(m_stop):
-        gradients = [negative_gradient(y, h) for y, h in zip(responses, current)]
-        grad_clr = np.stack([clr(u).values for u in gradients])
-        best = None
-        for j, d in enumerate(designs):
-            cross = grad_clr @ (basis_clr[j].T * weights[:, None])  # (N, K_Y)
-            rhs = (d.X.T @ cross).ravel()
-            gamma = cho_solve(factors[j], rhs)
-            coef = gamma.reshape(d.n_cov, -1)
-            fits = [compose(basis_densities[j], coef.T @ d.X[i]) for i in range(n)]
-            rss = sum(
-                norm(subtract(u, fit)) ** 2 for u, fit in zip(gradients, fits)
-            )
-            if best is None or rss < best[1]:
-                best = (j, rss, gamma, fits)
-        j_star, _, gamma, fits = best
-        theta[j_star] = theta[j_star] + kappa * gamma
-        current = [perturb(h, power(kappa, fit)) for h, fit in zip(current, fits)]
-        selections.append(j_star)
-        if increments is not None:
-            increments.append((j_star, gamma))
-        risk.append(sum(norm(subtract(y, h)) ** 2 for y, h in zip(responses, current)))
-
-    return FitState(
-        measure=measure,
-        offset_clr=clr(start).values,
-        coefficients=theta,
-        fitted_clr=np.stack([clr(h).values for h in current]),
-        selections=selections,
-        risk_path=np.asarray(risk),
-        m_stop=m_stop,
-        increments=increments,
-    )

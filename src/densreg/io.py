@@ -384,6 +384,8 @@ def model_from_dict(d: dict):
 # ---------------------------------------------------------------------------
 
 def _check_keys(d: dict, allowed: set, path: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
@@ -532,24 +534,40 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(
             "config.boosting.stopping.method: expected 'fixed', 'cv', or 'bootstrap'"
         )
+    path = "config.boosting"
+    step_length = float(
+        _typed(boosting.get("step_length", 0.1), (int, float), f"{path}.step_length", "a number")
+    )
+    if not 0.0 < step_length < 1.0:
+        raise ConfigError(f"{path}.step_length: must lie in (0, 1)")
+    max_iterations = _typed(
+        boosting.get("max_iterations", 250), (int,), f"{path}.max_iterations", "an integer"
+    )
+    if max_iterations < 1:
+        raise ConfigError(f"{path}.max_iterations: must be at least 1")
+    m_stop = stopping.get("m_stop")
+    if m_stop is not None:
+        _typed(m_stop, (int,), f"{path}.stopping.m_stop", "an integer or null")
+        if not 0 <= m_stop <= max_iterations:
+            raise ConfigError(f"{path}.stopping.m_stop: must lie in [0, max_iterations]")
+    folds = _typed(stopping.get("folds", 10), (int,), f"{path}.stopping.folds", "an integer")
+    if folds < 2:
+        raise ConfigError(f"{path}.stopping.folds: must be at least 2")
+    replicates = _typed(
+        stopping.get("replicates", 25), (int,), f"{path}.stopping.replicates", "an integer"
+    )
+    if replicates < 1:
+        raise ConfigError(f"{path}.stopping.replicates: must be at least 1")
     cfg["boosting"] = {
-        "step_length": float(boosting.get("step_length", 0.1)),
-        "max_iterations": int(boosting.get("max_iterations", 250)),
+        "step_length": step_length,
+        "max_iterations": max_iterations,
         "stopping": {
             "method": method,
-            "m_stop": stopping.get("m_stop"),
-            "folds": int(stopping.get("folds", 10)),
-            "replicates": int(stopping.get("replicates", 25)),
+            "m_stop": m_stop,
+            "folds": folds,
+            "replicates": replicates,
         },
     }
-    if not 0.0 < cfg["boosting"]["step_length"] < 1.0:
-        raise ConfigError("config.boosting.step_length: must lie in (0, 1)")
-    if cfg["boosting"]["max_iterations"] < 1:
-        raise ConfigError("config.boosting.max_iterations: must be at least 1")
-    if cfg["boosting"]["stopping"]["folds"] < 2:
-        raise ConfigError("config.boosting.stopping.folds: must be at least 2")
-    if cfg["boosting"]["stopping"]["replicates"] < 1:
-        raise ConfigError("config.boosting.stopping.replicates: must be at least 1")
 
     simulation = raw.get("simulation", {})
     _check_keys(

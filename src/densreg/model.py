@@ -29,7 +29,6 @@ from .basis import (
 from .bayes import (
     ClrElement,
     DensityElement,
-    clr,
     clr_inv,
     continuous_submeasure,
     decompose_clr,
@@ -37,7 +36,7 @@ from .bayes import (
     embed_clr_continuous,
     embed_clr_discrete,
 )
-from .boosting import BoostConfig, FitState, MixedFit, boost_from_clr, boost_mixed, _resolve_m_stop
+from .boosting import BoostConfig, FitState, MixedFit, boost, boost_mixed
 from .measure import ReferenceMeasure
 
 __all__ = [
@@ -489,12 +488,7 @@ def fit(
             responses, designs["continuous"], designs["discrete"], config
         )
     else:
-        y_clr = np.stack([clr(f).values for f in responses])
-        stop = _resolve_m_stop(y_clr, measure, designs["single"], config)
-        fits = boost_from_clr(
-            y_clr, measure, designs["single"], config, m_stop=stop.m_stop
-        )
-        fits.stop_curve = stop.risk_curve
+        fits = boost(responses, designs["single"], config)
     density_options = {
         "density_knots": design_options.get("density_knots", 10),
         "density_degree": design_options.get("density_degree", 3),

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +22,7 @@ from densreg.bayes import (
     clr,
     clr_inv,
     constant_density,
+    decompose_clr,
     density,
     equal_b,
     norm,
@@ -24,18 +32,27 @@ from densreg.bayes import (
 )
 from densreg.boosting import (
     BoostConfig,
+    _stop_then_fit,
     boost,
-    boost_density_space,
     boost_from_clr,
     boost_mixed,
     early_stop,
+    early_stop_from_clr,
+)
+from densreg.measure import make_continuous, make_discrete, make_mixed
+from densreg.model import EffectTerm, ModelSpec, build_designs
+from densreg.synth import planted_problem
+
+from boosting_oracle import (
+    boost_density_space,
+    brute_force_boost,
+    brute_force_early_stop,
     fit_base_learner,
     negative_gradient,
     offset,
+    resample_splits,
     select_base_learner,
 )
-from densreg.measure import make_continuous, make_discrete, make_mixed
-
 from conftest import random_clr_direction, random_density
 
 
@@ -413,23 +430,166 @@ class TestBoostMixed:
         assert fit.continuous.m_stop >= 1 and fit.discrete.m_stop >= 1
 
 
+def rank_deficient_effect(measure, rng, n):
+    """Effect whose penalized normal matrix is singular: plain column-mean
+    centering keeps a linear dependency among the partition-of-unity columns."""
+    basis = bspline_density_basis(measure, 4)
+    bx = bspline_eval(bspline_knots(0, 1, 2, 2), 2, rng.uniform(size=n))
+    bx = bx - bx.mean(axis=0)
+    return assemble_effect("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0)
+
+
 class TestSingularFallback:
     def test_rank_deficient_design_warns_and_solves(self, continuous_measure):
-        import densreg.boosting as bst
-
         rng = np.random.default_rng(26)
-        basis = bspline_density_basis(continuous_measure, 4)
         n = 8
-        bx = bspline_eval(bspline_knots(0, 1, 2, 2), 2, rng.uniform(size=n))
-        # plain column-mean centering keeps a linear dependency among the
-        # partition-of-unity columns, leaving the normal matrix singular
-        bx = bx - bx.mean(axis=0)
-        eff = assemble_effect("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0)
-        u = rng.normal(size=(n, continuous_measure.size))
-        bst._warned_singular = False
+        eff = rank_deficient_effect(continuous_measure, rng, n)
+        y = rng.normal(size=(n, continuous_measure.size))
         with pytest.warns(RuntimeWarning, match="ridge jitter"):
-            gamma = fit_base_learner(eff, u)
-        assert np.all(np.isfinite(gamma))
+            state = boost_from_clr(y, continuous_measure, [eff], BoostConfig(max_iterations=5))
+        assert all(np.all(np.isfinite(c)) for c in state.coefficients)
+        assert np.all(np.isfinite(state.fitted_clr))
+
+    def test_one_warning_per_call_from_calling_thread(self, continuous_measure, monkeypatch):
+        rng = np.random.default_rng(27)
+        n = 12
+        eff = rank_deficient_effect(continuous_measure, rng, n)
+        y = rng.normal(size=(n, continuous_measure.size))
+        seen = []
+        monkeypatch.setattr(
+            warnings, "warn",
+            lambda message, *a, **k: seen.append((str(message), threading.get_ident())),
+        )
+        fixed = BoostConfig(max_iterations=5)
+        boost_from_clr(y, continuous_measure, [eff], fixed)
+        boost_from_clr(y, continuous_measure, [eff], fixed)
+        # every fold's system is singular, and the folds run on two workers
+        cv = BoostConfig(max_iterations=5, stopping="cv", folds=4, threads=2)
+        early_stop_from_clr(y, continuous_measure, [eff], cv)
+        assert len(seen) == 3
+        assert all("ridge jitter" in msg for msg, _ in seen)
+        assert {tid for _, tid in seen} == {threading.get_ident()}
+
+
+class TestRiskCheck:
+    SCRIPT = textwrap.dedent(
+        """
+        import numpy as np
+        from densreg.basis import assemble_effect, indicator_density_basis
+        from densreg.boosting import BoostConfig, boost_from_clr
+        from densreg.measure import make_discrete
+
+        assert not __debug__
+        m = make_discrete([(0, 1), (0.5, 1), (1, 1)])
+        basis = indicator_density_basis(m)
+        y = np.random.default_rng(0).normal(size=(6, m.size))
+        x = np.linspace(-1.0, 1.0, 6)[:, None]
+        # a negative penalty keeps the system positive definite but lets each
+        # step overshoot, so the in-bag risk rises
+        eff = assemble_effect("slope", x, np.array([[-1.0]]), basis, 2.0)
+        try:
+            boost_from_clr(y, m, [eff], BoostConfig(step_length=0.5, max_iterations=3))
+        except Exception as exc:
+            print(type(exc).__name__, isinstance(exc, ValueError), exc)
+        """
+    )
+
+    def test_fires_under_optimize_flag(self):
+        import densreg
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(densreg.__file__)))
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("FloatingPointError False in-bag risk increased")
+
+    def test_cli_maps_it_to_numeric_exit(self, tmp_path, monkeypatch):
+        import densreg.cli as cli
+
+        def failing_fit(*args, **kwargs):
+            raise FloatingPointError("in-bag risk increased during boosting at iteration 1")
+
+        monkeypatch.setattr(cli, "fit_model", failing_fit)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        monkeypatch.setattr(cli, "_densities_and_table", lambda cfg, cmd: (None,) * 5)
+        monkeypatch.setattr(cli, "_model_spec_from_config", lambda cfg: None)
+        assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+
+
+PAPER_TERMS = (
+    EffectTerm("intercept", "intercept"),
+    EffectTerm("region", "group_intercept", ("region",)),
+    EffectTerm("c_age", "group_intercept", ("c_age",)),
+    EffectTerm("year", "flexible", ("year",)),
+    EffectTerm("region_year", "group_flexible", ("region", "year"),
+               orthogonal_to=("region", "year")),
+)
+
+
+@pytest.fixture(scope="module")
+def paper_components():
+    """clr responses, measure and designs per component of a small planted
+    problem with the paper's model terms."""
+    measure, data, truths, _ = planted_problem(seed=3, grid_size=30, n_years=5, noise_scale=0.5)
+    spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
+    _, bases, designs = build_designs(spec, data, measure, density_knots=6)
+    parts = [decompose_clr(clr(f)) for f in truths]
+    return {
+        comp: (np.stack([p[k].values for p in parts]), bases[comp].measure, designs[comp])
+        for k, comp in enumerate(("continuous", "discrete"))
+    }
+
+
+class TestKernelMatchesBruteForce:
+    """The coefficient-space kernel against the brute-force N x P clr loop."""
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    def test_in_bag_fit(self, paper_components, component):
+        y, m, designs = paper_components[component]
+        cfg = BoostConfig(max_iterations=60)
+        got = boost_from_clr(y, m, designs, cfg)
+        want = brute_force_boost(y, m, designs, cfg)
+        assert got.selections == want.selections
+        scale = max(np.abs(c).max() for c in want.coefficients)
+        for a, b in zip(got.coefficients, want.coefficients):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.risk_path, want.risk_path, rtol=1e-10)
+        np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    @pytest.mark.parametrize("method", ["cv", "bootstrap"])
+    def test_resampled_stopping(self, paper_components, component, method):
+        y, m, designs = paper_components[component]
+        cfg = BoostConfig(max_iterations=40, stopping=method, folds=5, replicates=4, seed=11)
+        got = early_stop_from_clr(y, m, designs, cfg)
+        want, curves = brute_force_early_stop(y, m, designs, cfg)
+        if method == "bootstrap":
+            # bootstrap training sets repeat rows
+            train, _ = resample_splits(y.shape[0], cfg)[0]
+            assert np.unique(train).size < train.size
+        assert got.m_stop == want.m_stop
+        np.testing.assert_allclose(got.risk_curve, want.risk_curve, rtol=1e-12, atol=0)
+
+
+class TestThreadDeterminism:
+    @pytest.mark.parametrize("method", ["cv", "bootstrap"])
+    def test_bit_identical_across_thread_counts(self, paper_components, method):
+        y, m, designs = paper_components["continuous"]
+        runs = []
+        for threads in (1, 2):
+            cfg = BoostConfig(
+                max_iterations=40, stopping=method, folds=5, replicates=4, seed=2,
+                threads=threads,
+            )
+            runs.append(_stop_then_fit(y, m, designs, cfg))
+        one, two = runs
+        assert one.m_stop == two.m_stop
+        np.testing.assert_array_equal(one.stop_curve, two.stop_curve)
+        for a, b in zip(one.coefficients, two.coefficients):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestConfigValidation:

@@ -245,6 +245,34 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "boosting, field",
+        [
+            ({"stopping": {"m_stop": "x"}}, "stopping.m_stop"),
+            ({"stopping": {"m_stop": 2.5}}, "stopping.m_stop"),
+            ({"stopping": {"m_stop": 300}}, "stopping.m_stop"),
+            ({"stopping": {"m_stop": -1}}, "stopping.m_stop"),
+            ({"step_length": "x"}, "step_length"),
+            ({"step_length": True}, "step_length"),
+            ({"max_iterations": "many"}, "max_iterations"),
+            ({"max_iterations": 10, "stopping": {"m_stop": 11}}, "stopping.m_stop"),
+            ({"stopping": {"folds": "ten"}}, "stopping.folds"),
+            ({"stopping": {"replicates": 2.5}}, "stopping.replicates"),
+            ({"stopping": []}, "stopping"),
+            ([], ""),
+        ],
+    )
+    def test_boosting_section_errors_exit_config(self, tmp_path, capsys, densities_file, boosting, field):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": densities_file},
+            model=MODEL,
+            boosting=boosting,
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.boosting{'.' + field if field else ''}:")
+
     def test_missing_densities_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
