@@ -113,13 +113,36 @@ class DensityBasis:
 
     measure: ReferenceMeasure
     clr_matrix: np.ndarray      # (size, K_Y), columns integrate to zero
-    penalty: np.ndarray         # (K_Y, K_Y) transformed roughness penalty
+    penalty: np.ndarray | None  # (K_Y, K_Y) transformed roughness penalty
     transform: np.ndarray       # (K_Y+1 or more, K_Y) constraint transform
     kind: str
 
     @property
     def n_basis(self) -> int:
         return self.clr_matrix.shape[1]
+
+    def to_dict(self) -> dict:
+        """Model-file fields: kind, constraint transform, and measure."""
+        return {
+            "kind": self.kind,
+            "transform": self.transform.tolist(),
+            "measure": self.measure.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict, n_interior: int, degree: int) -> "DensityBasis":
+        """Rebuild a basis around its stored constraint transform. Only
+        fitting uses the roughness penalty, so it is not rebuilt (None)."""
+        m = ReferenceMeasure.from_dict(d["measure"])
+        if d["kind"] == "bspline":
+            a, b = m.interval
+            raw = bspline_eval(bspline_knots(a, b, n_interior, degree), degree, m.grid)
+        elif d["kind"] == "indicator":
+            raw = np.eye(m.n_atoms)
+        else:
+            raise ValueError(f"unknown density basis kind {d['kind']!r}")
+        z = np.asarray(d["transform"], dtype=float)
+        return cls(m, raw @ z, None, z, d["kind"])
 
 
 def bspline_density_basis(

@@ -42,6 +42,9 @@ __all__ = [
     "decompose_clr",
     "embed_clr_continuous",
     "embed_clr_discrete",
+    "decompose_clr_rows",
+    "embed_clr_continuous_rows",
+    "embed_clr_discrete_rows",
     "continuous_submeasure",
     "discrete_star_measure",
     "project_subspace",
@@ -189,6 +192,11 @@ def equal_b(f: DensityElement, g: DensityElement, tol: float = 1e-10) -> bool:
 # Mixed-case orthogonal decomposition
 # ---------------------------------------------------------------------------
 
+def _require_mixed(m: ReferenceMeasure) -> None:
+    if m.n_atoms == 0 or m.n_grid == 0:
+        raise ValueError("decomposition requires a mixed measure")
+
+
 def continuous_submeasure(m: ReferenceMeasure) -> ReferenceMeasure:
     """The Lebesgue part of a mixed measure as a measure in its own right."""
     if m.n_grid == 0:
@@ -208,8 +216,7 @@ def discrete_star_measure(m: ReferenceMeasure) -> ReferenceMeasure:
     The extra point sits at the interval midpoint (a label only, never used
     in arithmetic) and carries the Lebesgue length as weight.
     """
-    if m.n_atoms == 0 or m.n_grid == 0:
-        raise ValueError("decomposition requires a mixed measure")
+    _require_mixed(m)
     a, b = m.interval
     label = 0.5 * (a + b)
     if np.any(np.abs(m.atom_locations - label) < 1e-12):
@@ -228,8 +235,7 @@ def decompose_mixed(f: DensityElement) -> tuple[DensityElement, DensityElement]:
     components whose embeddings perturb back to f.
     """
     m = f.measure
-    if m.n_atoms == 0 or m.n_grid == 0:
-        raise ValueError("decomposition requires a mixed measure")
+    _require_mixed(m)
     gm = geometric_mean_continuous(f)
     f_c = DensityElement(continuous_submeasure(m), f.values[m.n_atoms:])
     d_values = np.concatenate([f.values[: m.n_atoms] / gm, [1.0]])
@@ -265,6 +271,32 @@ def embed_discrete(f_d: DensityElement, target: ReferenceMeasure) -> DensityElem
     return density(target, values)
 
 
+def decompose_clr_rows(z: np.ndarray, m: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`decompose_clr` for the N x P rows ``z`` on ``m``:
+    returns the N x P_c continuous and N x (A + 1) discrete parts."""
+    _require_mixed(m)
+    if z.ndim != 2 or z.shape[1] != m.size:
+        raise ValueError(f"clr rows have shape {z.shape}, expected (N, {m.size})")
+    grid_vals = z[:, m.n_atoms:]
+    grid_mean = (grid_vals @ m.grid_weights) / m.lebesgue_length
+    z_d = np.concatenate([z[:, : m.n_atoms], grid_mean[:, None]], axis=1)
+    return grid_vals - grid_mean[:, None], z_d
+
+
+def embed_clr_continuous_rows(z_c: np.ndarray, target: ReferenceMeasure) -> np.ndarray:
+    """Array form of :func:`embed_clr_continuous` for N x P_c rows."""
+    if z_c.shape[1] != target.n_grid:
+        raise ValueError("continuous component does not match the target grid")
+    return np.concatenate([np.zeros((z_c.shape[0], target.n_atoms)), z_c], axis=1)
+
+
+def embed_clr_discrete_rows(z_d: np.ndarray, target: ReferenceMeasure) -> np.ndarray:
+    """Array form of :func:`embed_clr_discrete` for N x (A + 1) rows."""
+    if z_d.shape[1] != target.n_atoms + 1:
+        raise ValueError("discrete component does not match the target atoms")
+    return np.concatenate([z_d[:, :-1], np.repeat(z_d[:, -1:], target.n_grid, axis=1)], axis=1)
+
+
 def decompose_clr(z: ClrElement) -> tuple[ClrElement, ClrElement]:
     """Decompose a clr element over a mixed measure into component clr parts.
 
@@ -272,31 +304,21 @@ def decompose_clr(z: ClrElement) -> tuple[ClrElement, ClrElement]:
     recentered by its Lebesgue mean, which becomes the stand-in value of the
     discrete part. The decomposition commutes with the clr transform.
     """
-    m = z.measure
-    if m.n_atoms == 0 or m.n_grid == 0:
-        raise ValueError("decomposition requires a mixed measure")
-    grid_vals = z.values[m.n_atoms:]
-    grid_mean = float(grid_vals @ m.grid_weights) / m.lebesgue_length
-    z_c = ClrElement(continuous_submeasure(m), grid_vals - grid_mean)
-    z_d = ClrElement(
-        discrete_star_measure(m),
-        np.concatenate([z.values[: m.n_atoms], [grid_mean]]),
+    z_c, z_d = decompose_clr_rows(z.values[None, :], z.measure)
+    return (
+        ClrElement(continuous_submeasure(z.measure), z_c[0]),
+        ClrElement(discrete_star_measure(z.measure), z_d[0]),
     )
-    return z_c, z_d
 
 
 def embed_clr_continuous(z_c: ClrElement, target: ReferenceMeasure) -> ClrElement:
     """clr-level embedding of the continuous part: zero on the atoms."""
-    values = np.concatenate([np.zeros(target.n_atoms), z_c.values])
-    return ClrElement(target, values)
+    return ClrElement(target, embed_clr_continuous_rows(z_c.values[None, :], target)[0])
 
 
 def embed_clr_discrete(z_d: ClrElement, target: ReferenceMeasure) -> ClrElement:
     """clr-level embedding of the discrete part: stand-in value on the grid."""
-    values = np.concatenate(
-        [z_d.values[:-1], np.full(target.n_grid, z_d.values[-1])]
-    )
-    return ClrElement(target, values)
+    return ClrElement(target, embed_clr_discrete_rows(z_d.values[None, :], target)[0])
 
 
 def project_subspace(f: DensityElement, mask) -> DensityElement:

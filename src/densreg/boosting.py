@@ -37,12 +37,11 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .basis import EffectDesign
 from .bayes import (
-    ClrElement,
     DensityElement,
     clr,
-    decompose_clr,
-    embed_clr_continuous,
-    embed_clr_discrete,
+    decompose_clr_rows,
+    embed_clr_continuous_rows,
+    embed_clr_discrete_rows,
 )
 from .measure import ReferenceMeasure
 
@@ -99,7 +98,7 @@ class FitState:
     measure: ReferenceMeasure
     offset_clr: np.ndarray            # (P,)
     coefficients: list                # theta_j, each (K_j * K_Y,)
-    fitted_clr: np.ndarray            # (N, P) final fitted surfaces incl. offset
+    fitted_clr: np.ndarray | None     # (N, P) final fitted surfaces incl. offset
     selections: list                  # chosen effect index per iteration
     risk_path: np.ndarray             # in-bag SSE, index m = 0 .. m_stop
     m_stop: int
@@ -113,6 +112,30 @@ class FitState:
             mask[j] = True
         return mask
 
+    def to_dict(self) -> dict:
+        """Model-file fields; the training surfaces and increments are not kept."""
+        return {
+            "offset": self.offset_clr.tolist(),
+            "coefficients": [c.tolist() for c in self.coefficients],
+            "selections": list(map(int, self.selections)),
+            "risk_path": self.risk_path.tolist(),
+            "m_stop": int(self.m_stop),
+            "stop_curve": None if self.stop_curve is None else self.stop_curve.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict, measure: ReferenceMeasure) -> "FitState":
+        """A fit read from a model file, without training surfaces."""
+        offset = np.asarray(d["offset"], dtype=float)
+        if offset.shape != (measure.size,):
+            raise ValueError(f"offset has shape {offset.shape}, expected ({measure.size},)")
+        curve = None if d["stop_curve"] is None else np.asarray(d["stop_curve"], dtype=float)
+        return cls(
+            measure, offset, [np.asarray(c, dtype=float) for c in d["coefficients"]], None,
+            list(map(int, d["selections"])), np.asarray(d["risk_path"], dtype=float),
+            int(d["m_stop"]), stop_curve=curve,
+        )
+
 
 @dataclass
 class MixedFit:
@@ -121,7 +144,7 @@ class MixedFit:
     continuous: FitState
     discrete: FitState
     measure: ReferenceMeasure
-    fitted_clr: np.ndarray            # (N, P) on the mixed measure
+    fitted_clr: np.ndarray | None     # (N, P) on the mixed measure
 
     @property
     def m_stop(self) -> tuple[int, int]:
@@ -411,33 +434,26 @@ def boost_mixed(
     designs_continuous: list[EffectDesign],
     designs_discrete: list[EffectDesign],
     config: BoostConfig,
-    config_discrete: BoostConfig | None = None,
 ) -> MixedFit:
     """Fit a mixed-measure model as two independent component fits.
 
     Every response splits orthogonally into a continuous and a discrete
     component; each component is boosted on its own measure with its own
-    stopping iteration, and predictions recombine through the embeddings.
+    stopping iteration (the discrete one resamples with seed + 1), and
+    predictions recombine through the embeddings.
     """
     measure = _common_measure(responses)
     if not measure.is_mixed:
         raise ValueError("boost_mixed requires a mixed reference measure")
-    config_d = config_discrete if config_discrete is not None else replace(config, seed=config.seed + 1)
-    parts = [decompose_clr(clr(f)) for f in responses]
-    y_c = np.stack([zc.values for zc, _ in parts])
-    y_d = np.stack([zd.values for _, zd in parts])
-    measure_c = designs_continuous[0].density_basis.measure
-    measure_d = designs_discrete[0].density_basis.measure
-
-    fit_c = _stop_then_fit(y_c, measure_c, designs_continuous, config)
-    fit_d = _stop_then_fit(y_d, measure_d, designs_discrete, config_d)
-
-    combined = np.empty((len(responses), measure.size))
-    for i in range(len(responses)):
-        zc = ClrElement(measure_c, fit_c.fitted_clr[i])
-        zd = ClrElement(measure_d, fit_d.fitted_clr[i])
-        combined[i] = (
-            embed_clr_continuous(zc, measure).values
-            + embed_clr_discrete(zd, measure).values
-        )
+    y_c, y_d = decompose_clr_rows(np.stack([clr(f).values for f in responses]), measure)
+    fit_c = _stop_then_fit(
+        y_c, designs_continuous[0].density_basis.measure, designs_continuous, config
+    )
+    fit_d = _stop_then_fit(
+        y_d, designs_discrete[0].density_basis.measure, designs_discrete,
+        replace(config, seed=config.seed + 1),
+    )
+    combined = embed_clr_continuous_rows(fit_c.fitted_clr, measure) + embed_clr_discrete_rows(
+        fit_d.fitted_clr, measure
+    )
     return MixedFit(fit_c, fit_d, measure, combined)

@@ -20,8 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .basis import EffectDesign  # noqa: F401  (re-exported for config docs)
-from .bayes import ClrElement, DensityElement, clr, clr_inv, subtract
+from .bayes import ClrElement, clr, clr_inv
 from .boosting import BoostConfig
 from .ingest import DEFAULT_BANDWIDTH, KdeConfig, assemble_mixed, group_table, select_bandwidth
 from .io import (
@@ -38,7 +37,7 @@ from .io import (
     write_table,
 )
 from .interpret import heatmap as build_heatmap
-from .interpret import did_effect, log_odds, odds_ratio
+from .interpret import did_effect, log_odds
 from .measure import make_discrete, make_mixed
 from .model import (
     EffectTerm,
@@ -47,7 +46,6 @@ from .model import (
     extract_effect,
     fit as fit_model,
     predict,
-    predict_clr,
 )
 from .render import curve_svg, heatmap_svg
 from .simulate import fpca, rel_mse, selection_table, simulate_responses
@@ -69,19 +67,7 @@ def _model_spec_from_config(cfg):
     model = cfg.get("model")
     if model is None:
         raise ConfigError("config.model: required for this command")
-    terms = tuple(
-        EffectTerm(
-            t["name"],
-            t["kind"],
-            tuple(t["covariates"]),
-            t["df"],
-            t["knots"],
-            t["degree"],
-            t["penalty_order"],
-            tuple(t["orthogonal_to"]),
-        )
-        for t in model["terms"]
-    )
+    terms = tuple(EffectTerm(**t) for t in model["terms"])
     return ModelSpec(terms, model["coding"], model["references"])
 
 
@@ -204,7 +190,7 @@ def _write_fit_outputs(out, model, prefix=""):
     with open(os.path.join(out, prefix + "model.json"), "w") as fh:
         json.dump(model_to_dict(model), fh)
         fh.write("\n")
-    term_names = [b.term.name for b in model.frame.built]
+    term_names = [t.name for t in model.spec.terms]
     for comp, state in model.component_states().items():
         write_table(
             os.path.join(out, f"{prefix}risk_{comp}.tsv"),
@@ -463,12 +449,13 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    # before ValueError: numpy's LinAlgError subclasses it
     except (np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return DATA_ERROR
 
 
 if __name__ == "__main__":

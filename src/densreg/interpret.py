@@ -23,7 +23,7 @@ from .bayes import (
     perturb,
     subtract,
 )
-from .measure import ReferenceMeasure, integrate
+from .measure import ReferenceMeasure
 from .model import FittedModel, predict
 
 __all__ = [
@@ -130,16 +130,12 @@ def did_effect(
     """
     a1, a0 = levels_a
     b1, b0 = levels_b
-
-    def at(a, b):
-        row = dict(fixed)
-        row[factor_a] = a
-        row[factor_b] = b
-        return predict(model, {k: [v] for k, v in row.items()})[0]
-
-    upper = subtract(at(a1, b1), at(a0, b1))
-    lower = subtract(at(a1, b0), at(a0, b0))
-    return subtract(upper, lower)
+    cells = [(a1, b1), (a0, b1), (a1, b0), (a0, b0)]
+    table = {k: [v] * len(cells) for k, v in fixed.items()}
+    table[factor_a] = [a for a, _ in cells]
+    table[factor_b] = [b for _, b in cells]
+    f11, f01, f10, f00 = predict(model, table)
+    return subtract(subtract(f11, f01), subtract(f10, f00))
 
 
 @dataclass

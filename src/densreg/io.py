@@ -7,6 +7,25 @@ context. Floats are written with ``repr``, which round-trips exactly.
 
 Run configurations are JSON with strict validation: unknown keys are
 rejected and every diagnostic carries the path of the offending field.
+
+Model files are JSON objects with ``"format": "densreg-model"`` and
+``"version": 1``; anything else is a :class:`DataError`. Version-1 fields:
+
+* ``measure``: ``interval`` (or null), ``atoms`` ([location, weight] pairs),
+  ``grid_size``; then ``coding`` and ``references``;
+* ``covariates``: by name, ``kind`` "categorical" with sorted ``levels`` or
+  "numeric" with the training range ``lo``, ``hi``; each with ``reference``;
+* ``terms``: in order, the effect-term fields (``name``, ``kind``,
+  ``covariates``, ``df``, ``knots``, ``degree``, ``penalty_order``,
+  ``orthogonal_to``), then ``transform`` (raw to constrained columns, or
+  null), ``lambda_cov``, ``target_df`` (absent in files of earlier writers,
+  read as ``df``), ``achieved_df`` and ``knot_vectors``;
+* ``density_basis``: ``knots``, ``degree``, ``penalty_order``, ``lambda_density``;
+* ``bases``: per component ("single", or "continuous" and "discrete"),
+  ``kind`` ("bspline" or "indicator"), sum-to-zero ``transform``, ``measure``;
+* ``fits``: per component, the clr ``offset``, one flat ``coefficients``
+  vector per term (covariate columns x density basis), ``selections``,
+  ``risk_path``, ``m_stop`` and ``stop_curve`` (or null).
 """
 from __future__ import annotations
 
@@ -16,6 +35,7 @@ import numpy as np
 
 from .bayes import DensityElement
 from .measure import ReferenceMeasure, make_discrete, make_mixed
+from .model import FittedModel
 
 __all__ = [
     "ConfigError",
@@ -163,220 +183,27 @@ def read_density_file(path):
 # Model files
 # ---------------------------------------------------------------------------
 
-def _measure_dict(m: ReferenceMeasure) -> dict:
-    return {
-        "interval": None if m.interval is None else [m.interval[0], m.interval[1]],
-        "atoms": [[float(l), float(w)] for l, w in zip(m.atom_locations, m.atom_weights)],
-        "grid_size": int(m.n_grid),
-    }
-
-
-def _measure_from_dict(d: dict) -> ReferenceMeasure:
-    atoms = [tuple(a) for a in d["atoms"]]
-    if d["interval"] is None:
-        return make_discrete(atoms)
-    a, b = d["interval"]
-    return make_mixed(a, b, atoms, d["grid_size"])
-
-
 def model_to_dict(model) -> dict:
     """Serialize a fitted model with everything prediction needs."""
-    from .model import FittedModel  # deferred to avoid a cycle
-
-    assert isinstance(model, FittedModel)
-    covariates = {}
-    for name, cov in model.frame.covariates.items():
-        if cov.kind == "categorical":
-            covariates[name] = {
-                "kind": "categorical",
-                "levels": list(cov.levels),
-                "reference": cov.reference,
-            }
-        else:
-            covariates[name] = {
-                "kind": "numeric",
-                "lo": cov.lo,
-                "hi": cov.hi,
-                "reference": cov.reference,
-            }
-    terms = []
-    for built in model.frame.built:
-        t = built.term
-        terms.append(
-            {
-                "name": t.name,
-                "kind": t.kind,
-                "covariates": list(t.covariates),
-                "df": t.df,
-                "knots": t.knots,
-                "degree": t.degree,
-                "penalty_order": t.penalty_order,
-                "orthogonal_to": list(t.orthogonal_to),
-                "transform": None if built.transform is None else built.transform.tolist(),
-                "lambda_cov": built.lambda_cov,
-                "achieved_df": built.achieved_df,
-                "knot_vectors": {
-                    k: v.tolist() for k, v in built.encoder.knot_vectors.items()
-                },
-            }
-        )
-    bases = {}
-    for comp, basis in model.bases.items():
-        bases[comp] = {
-            "kind": basis.kind,
-            "transform": basis.transform.tolist(),
-            "measure": _measure_dict(basis.measure),
-        }
-    fits = {}
-    for comp, state in model.component_states().items():
-        fits[comp] = {
-            "offset": state.offset_clr.tolist(),
-            "coefficients": [c.tolist() for c in state.coefficients],
-            "selections": list(map(int, state.selections)),
-            "risk_path": state.risk_path.tolist(),
-            "m_stop": int(state.m_stop),
-            "stop_curve": None if state.stop_curve is None else state.stop_curve.tolist(),
-        }
-    return {
-        "format": "densreg-model",
-        "version": 1,
-        "measure": _measure_dict(model.measure),
-        "coding": model.spec.coding,
-        "references": model.spec.references,
-        "covariates": covariates,
-        "terms": terms,
-        "density_basis": {
-            "knots": model.density_options.get("density_knots", 10),
-            "degree": model.density_options.get("density_degree", 3),
-            "penalty_order": model.density_options.get("density_penalty_order", 2),
-            "lambda_density": model.lambda_density,
-        },
-        "bases": bases,
-        "fits": fits,
-    }
+    return {"format": "densreg-model", "version": 1, **model.to_dict()}
 
 
-def model_from_dict(d: dict):
-    """Rebuild a fitted model from its serialized form."""
-    from .basis import DensityBasis, bspline_eval, bspline_knots
-    from .boosting import FitState, MixedFit
-    from .bayes import ClrElement, embed_clr_continuous, embed_clr_discrete
-    from .model import (
-        EffectTerm,
-        FittedModel,
-        ModelSpec,
-        _BuiltTerm,
-        _Covariate,
-        _ModelFrame,
-        _TermEncoder,
-    )
-
+def model_from_dict(d) -> FittedModel:
+    """Rebuild a fitted model from its serialized form; raises DataError on a
+    file that is not a version-1 model file or does not hold a valid model."""
+    if not isinstance(d, dict):
+        raise DataError("model file: expected a JSON object")
     if d.get("format") != "densreg-model":
         raise DataError("not a model file")
-    measure = _measure_from_dict(d["measure"])
-    covariates = {}
-    for name, cd in d["covariates"].items():
-        cov = _Covariate.__new__(_Covariate)
-        cov.name = name
-        cov.kind = cd["kind"]
-        if cd["kind"] == "categorical":
-            cov.levels = tuple(cd["levels"])
-            cov.reference = cd["reference"]
-        else:
-            cov.lo, cov.hi = cd["lo"], cd["hi"]
-            cov.reference = cd["reference"]
-        covariates[name] = cov
-
-    terms = []
-    built_terms = []
-    for td in d["terms"]:
-        term = EffectTerm(
-            td["name"],
-            td["kind"],
-            tuple(td["covariates"]),
-            td["df"],
-            td["knots"],
-            td["degree"],
-            td["penalty_order"],
-            tuple(td["orthogonal_to"]),
-        )
-        terms.append(term)
-        encoder = _TermEncoder.__new__(_TermEncoder)
-        encoder.term = term
-        encoder.covariates = [covariates[c] for c in term.covariates]
-        encoder.coding = d["coding"]
-        encoder.full_rank = bool(term.orthogonal_to)
-        encoder.knot_vectors = {
-            k: np.asarray(v) for k, v in td["knot_vectors"].items()
-        }
-        transform = None if td["transform"] is None else np.asarray(td["transform"])
-        built = _BuiltTerm(
-            term=term,
-            encoder=encoder,
-            transform=transform,
-            X=np.empty((0, 0)),
-            penalty=np.empty((0, 0)),
-            lambda_cov=td["lambda_cov"],
-            target_df=td["df"],
-            achieved_df=td["achieved_df"],
-        )
-        built_terms.append(built)
-
-    spec = ModelSpec(tuple(terms), d["coding"], dict(d["references"]))
-    frame = _ModelFrame.__new__(_ModelFrame)
-    frame.spec = spec
-    frame.covariates = covariates
-    frame.n = 0
-    frame.built = built_terms
-
-    bases = {}
-    for comp, bd in d["bases"].items():
-        bm = _measure_from_dict(bd["measure"])
-        transform = np.asarray(bd["transform"])
-        if bd["kind"] == "indicator":
-            raw = np.eye(bm.n_atoms)
-        elif bd["kind"] == "bspline":
-            db = d["density_basis"]
-            knots = bspline_knots(bm.interval[0], bm.interval[1], db["knots"], db["degree"])
-            raw = bspline_eval(knots, db["degree"], bm.grid)
-        else:
-            raise DataError(f"unknown density basis kind {bd['kind']!r}")
-        bases[comp] = DensityBasis(bm, raw @ transform, np.empty((0, 0)), transform, bd["kind"])
-
-    def state_from(comp):
-        fd = d["fits"][comp]
-        return FitState(
-            measure=bases[comp].measure,
-            offset_clr=np.asarray(fd["offset"]),
-            coefficients=[np.asarray(c) for c in fd["coefficients"]],
-            fitted_clr=np.empty((0, 0)),
-            selections=fd["selections"],
-            risk_path=np.asarray(fd["risk_path"]),
-            m_stop=fd["m_stop"],
-            stop_curve=None if fd["stop_curve"] is None else np.asarray(fd["stop_curve"]),
-        )
-
-    if set(d["fits"]) == {"continuous", "discrete"}:
-        fits = MixedFit(
-            state_from("continuous"), state_from("discrete"), measure, np.empty((0, 0))
-        )
-    else:
-        fits = state_from("single")
-    model = FittedModel(
-        spec=spec,
-        measure=measure,
-        frame=frame,
-        fits=fits,
-        bases=bases,
-        lambda_density=d["density_basis"]["lambda_density"],
-        config=None,
-    )
-    model.density_options = {
-        "density_knots": d["density_basis"]["knots"],
-        "density_degree": d["density_basis"]["degree"],
-        "density_penalty_order": d["density_basis"]["penalty_order"],
-    }
-    return model
+    version = d.get("version")
+    if type(version) is not int or version != 1:
+        raise DataError(f"model file: unsupported version {version!r}")
+    try:
+        return FittedModel.from_dict(d)
+    except KeyError as exc:
+        raise DataError(f"model file: missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise DataError(f"model file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +230,16 @@ def _typed(value, types, path, type_name):
     ):
         raise ConfigError(f"{path}: expected {type_name}")
     return value
+
+
+def _integer(section: dict, key: str, default: int, path: str) -> int:
+    return _typed(section.get(key, default), (int,), f"{path}.{key}", "an integer")
+
+
+def _strings(value, path: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{path}: expected a list of strings")
+    return list(value)
 
 
 def validate_config(raw: dict) -> dict:
@@ -496,27 +333,42 @@ def validate_config(raw: dict) -> dict:
                  "penalty_order", "orthogonal_to"},
                 path,
             )
+            df = term.get("df")
+            if df is not None:
+                _typed(df, (int, float), f"{path}.df", "a number or null")
             parsed_terms.append(
                 {
                     "name": str(_require(term, "name", path)),
                     "kind": str(_require(term, "kind", path)),
-                    "covariates": list(term.get("covariates", [])),
-                    "df": term.get("df"),
-                    "knots": int(term.get("knots", 8)),
-                    "degree": int(term.get("degree", 3)),
-                    "penalty_order": int(term.get("penalty_order", 2)),
-                    "orthogonal_to": list(term.get("orthogonal_to", [])),
+                    "covariates": _strings(term.get("covariates", []), f"{path}.covariates"),
+                    "df": df,
+                    "knots": _integer(term, "knots", 8, path),
+                    "degree": _integer(term, "degree", 3, path),
+                    "penalty_order": _integer(term, "penalty_order", 2, path),
+                    "orthogonal_to": _strings(
+                        term.get("orthogonal_to", []), f"{path}.orthogonal_to"
+                    ),
                 }
             )
+        references = model.get("references", {})
+        if not isinstance(references, dict):
+            raise ConfigError("config.model.references: expected an object")
+        path = "config.model.density_basis"
         cfg["model"] = {
             "coding": coding,
-            "references": dict(model.get("references", {})),
-            "default_df": float(model.get("default_df", 2.0)),
+            "references": dict(references),
+            "default_df": float(
+                _typed(model.get("default_df", 2.0), (int, float), "config.model.default_df",
+                       "a number")
+            ),
             "density_basis": {
-                "knots": int(db.get("knots", 10)),
-                "degree": int(db.get("degree", 3)),
-                "penalty_order": int(db.get("penalty_order", 2)),
-                "lambda_density": float(db.get("lambda_density", 0.0)),
+                "knots": _integer(db, "knots", 10, path),
+                "degree": _integer(db, "degree", 3, path),
+                "penalty_order": _integer(db, "penalty_order", 2, path),
+                "lambda_density": float(
+                    _typed(db.get("lambda_density", 0.0), (int, float),
+                           f"{path}.lambda_density", "a number")
+                ),
             },
             "terms": parsed_terms,
         }
@@ -540,9 +392,7 @@ def validate_config(raw: dict) -> dict:
     )
     if not 0.0 < step_length < 1.0:
         raise ConfigError(f"{path}.step_length: must lie in (0, 1)")
-    max_iterations = _typed(
-        boosting.get("max_iterations", 250), (int,), f"{path}.max_iterations", "an integer"
-    )
+    max_iterations = _integer(boosting, "max_iterations", 250, path)
     if max_iterations < 1:
         raise ConfigError(f"{path}.max_iterations: must be at least 1")
     m_stop = stopping.get("m_stop")
@@ -550,12 +400,10 @@ def validate_config(raw: dict) -> dict:
         _typed(m_stop, (int,), f"{path}.stopping.m_stop", "an integer or null")
         if not 0 <= m_stop <= max_iterations:
             raise ConfigError(f"{path}.stopping.m_stop: must lie in [0, max_iterations]")
-    folds = _typed(stopping.get("folds", 10), (int,), f"{path}.stopping.folds", "an integer")
+    folds = _integer(stopping, "folds", 10, f"{path}.stopping")
     if folds < 2:
         raise ConfigError(f"{path}.stopping.folds: must be at least 2")
-    replicates = _typed(
-        stopping.get("replicates", 25), (int,), f"{path}.stopping.replicates", "an integer"
-    )
+    replicates = _integer(stopping, "replicates", 25, f"{path}.stopping")
     if replicates < 1:
         raise ConfigError(f"{path}.stopping.replicates: must be at least 1")
     cfg["boosting"] = {

@@ -102,6 +102,23 @@ class ReferenceMeasure:
             )
         return values
 
+    def to_dict(self) -> dict:
+        """Model-file fields: interval (or None), atoms as [location, weight]
+        pairs, and grid size."""
+        return {
+            "interval": None if self.interval is None else [self.interval[0], self.interval[1]],
+            "atoms": [[float(l), float(w)] for l, w in zip(self.atom_locations, self.atom_weights)],
+            "grid_size": int(self.n_grid),
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "ReferenceMeasure":
+        atoms = [tuple(a) for a in d["atoms"]]
+        if d["interval"] is None:
+            return make_discrete(atoms)
+        a, b = d["interval"]
+        return make_mixed(a, b, atoms, d["grid_size"])
+
     def same_support(self, other: "ReferenceMeasure") -> bool:
         if self.interval != other.interval:
             return False

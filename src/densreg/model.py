@@ -6,16 +6,23 @@ default) and made identifiable by sum-to-zero centering over the observations
 plus, for interaction-style terms, orthogonality to the named main effects.
 Reported effects are always converted to reference coding: a term evaluated
 with any of its covariates at the reference contributes the neutral density.
+
+A fitted model keeps one predictor state, which is also what a model file
+holds (see :mod:`densreg.io`): a ``_Covariate`` per covariate and a
+``_TermEncoder`` per term, which turns covariate values into constrained
+design rows and records the term's smoothing parameter and degrees of
+freedom. The training designs live only in the boosting inputs
+(:class:`~densreg.basis.EffectDesign`). Between the density or clr elements
+that enter and leave, the layer works on N x P clr arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .basis import (
     DensityBasis,
-    EffectDesign,
     assemble_effect,
     bspline_density_basis,
     bspline_eval,
@@ -31,10 +38,9 @@ from .bayes import (
     DensityElement,
     clr_inv,
     continuous_submeasure,
-    decompose_clr,
     discrete_star_measure,
-    embed_clr_continuous,
-    embed_clr_discrete,
+    embed_clr_continuous_rows,
+    embed_clr_discrete_rows,
 )
 from .boosting import BoostConfig, FitState, MixedFit, boost, boost_mixed
 from .measure import ReferenceMeasure
@@ -133,49 +139,67 @@ class ModelSpec:
         return any(t.kind == "intercept" for t in self.terms)
 
 
+@dataclass(frozen=True)
 class _Covariate:
     """Per-covariate metadata inferred from the training table."""
 
-    def __init__(self, name, kind, values, reference=None):
-        self.name = name
-        self.kind = kind  # "categorical" | "numeric"
+    name: str
+    kind: str                   # "categorical" | "numeric"
+    reference: str | float
+    levels: tuple = ()          # categorical: sorted level labels
+    lo: float = 0.0             # numeric: training range
+    hi: float = 0.0
+
+    @classmethod
+    def infer(cls, name: str, kind: str, values, reference=None) -> "_Covariate":
         if kind == "categorical":
-            self.levels = tuple(sorted({str(v) for v in values}))
-            if len(self.levels) < 2:
+            levels = tuple(sorted({str(v) for v in values}))
+            if len(levels) < 2:
                 raise ValueError(f"covariate {name!r} needs at least two levels")
-            ref = str(reference) if reference is not None else self.levels[0]
-            if ref not in self.levels:
+            ref = str(reference) if reference is not None else levels[0]
+            if ref not in levels:
                 raise ValueError(f"reference {ref!r} not a level of {name!r}")
-            self.reference = ref
-        else:
-            vals = np.asarray(values, dtype=float)
-            if np.ptp(vals) == 0.0:
-                raise ValueError(f"covariate {name!r} is constant")
-            self.lo, self.hi = float(vals.min()), float(vals.max())
-            self.reference = float(reference) if reference is not None else self.lo
+            return cls(name, kind, ref, levels=levels)
+        vals = np.asarray(values, dtype=float)
+        if np.ptp(vals) == 0.0:
+            raise ValueError(f"covariate {name!r} is constant")
+        lo, hi = float(vals.min()), float(vals.max())
+        return cls(name, kind, float(reference) if reference is not None else lo, lo=lo, hi=hi)
+
+    def to_dict(self) -> dict:
+        keys = ("levels",) if self.kind == "categorical" else ("lo", "hi")
+        return {"kind": self.kind, **{k: getattr(self, k) for k in keys},
+                "reference": self.reference}
+
+    @classmethod
+    def from_dict(cls, name: str, d: dict) -> "_Covariate":
+        if d["kind"] == "categorical":
+            return cls(name, "categorical", d["reference"], levels=tuple(d["levels"]))
+        if d["kind"] == "numeric":
+            return cls(name, "numeric", d["reference"], lo=d["lo"], hi=d["hi"])
+        raise ValueError(f"covariate {name!r}: unknown kind {d['kind']!r}")
 
 
+@dataclass(frozen=True)
 class _TermEncoder:
-    """Builds the raw (unconstrained) design block for one term."""
+    """Everything that turns covariate values into design rows of one term.
 
-    def __init__(self, term: EffectTerm, covariates: dict, coding: str, full_rank: bool):
-        self.term = term
-        self.covariates = [covariates[c] for c in term.covariates]
-        self.coding = coding
-        # interaction-style terms orthogonalized against main effects use the
-        # full tensor basis; the constraints remove the redundant directions
-        self.full_rank = full_rank
-        self.knot_vectors = {}
-        for cov in self.covariates:
-            if cov.kind == "numeric" and term.kind in (
-                "flexible",
-                "group_flexible",
-                "varying_coefficient",
-                "interaction",
-            ):
-                self.knot_vectors[cov.name] = bspline_knots(
-                    cov.lo, cov.hi, term.knots, term.degree
-                )
+    Interaction-style terms orthogonalized against main effects
+    (``full_rank``) use the full tensor basis, and the constraints remove the
+    redundant directions. ``transform`` maps raw to constrained columns (None
+    when the term is unconstrained); ``lambda_cov``, ``target_df`` and
+    ``achieved_df`` record the degree-of-freedom calibration.
+    """
+
+    term: EffectTerm
+    covariates: tuple
+    coding: str
+    full_rank: bool
+    knot_vectors: dict
+    transform: np.ndarray | None = None
+    lambda_cov: float = 0.0
+    target_df: float | None = None
+    achieved_df: float = 0.0
 
     def _categorical_block(self, cov, column):
         labels = [str(v) for v in column]
@@ -197,11 +221,6 @@ class _TermEncoder:
                 block[i, non_ref.index(lab)] = 1.0
         return block
 
-    def _numeric_spline(self, cov, column):
-        x = np.asarray(column, dtype=float)
-        knots = self.knot_vectors[cov.name]
-        return bspline_eval(knots, self.term.degree, x)
-
     def raw_design(self, data) -> np.ndarray:
         term = self.term
         n = _table_length(data)
@@ -218,15 +237,28 @@ class _TermEncoder:
             ):
                 blocks.append(np.asarray(column, dtype=float)[:, None])
             else:
-                blocks.append(self._numeric_spline(cov, column))
+                x = np.asarray(column, dtype=float)
+                blocks.append(bspline_eval(self.knot_vectors[cov.name], term.degree, x))
         if term.kind == "linear":
-            x = blocks[0]
-            return np.hstack([np.ones((n, 1)), x])
+            return np.hstack([np.ones((n, 1)), blocks[0]])
         out = blocks[0]
         for block in blocks[1:]:
             # row-wise tensor product of the design blocks
             out = (out[:, :, None] * block[:, None, :]).reshape(n, -1)
         return out
+
+    def design(self, data) -> np.ndarray:
+        """Constrained design rows for a covariate table."""
+        raw = self.raw_design(data)
+        return raw @ self.transform if self.transform is not None else raw
+
+    @property
+    def n_columns(self) -> int:
+        """Number of constrained design columns, from one in-range row."""
+        if not self.covariates:
+            return 1
+        row = {c.name: [c.levels[0] if c.levels else c.lo] for c in self.covariates}
+        return self.design(row).shape[1]
 
     def raw_penalty(self, n_cols: int) -> np.ndarray:
         term = self.term
@@ -254,21 +286,30 @@ class _TermEncoder:
             1.0,
         )
 
+    def to_dict(self) -> dict:
+        return {
+            **asdict(self.term),
+            "transform": None if self.transform is None else self.transform.tolist(),
+            "lambda_cov": self.lambda_cov,
+            "target_df": self.target_df,
+            "achieved_df": self.achieved_df,
+            "knot_vectors": {k: v.tolist() for k, v in self.knot_vectors.items()},
+        }
 
-@dataclass
-class _BuiltTerm:
-    term: EffectTerm
-    encoder: _TermEncoder
-    transform: np.ndarray | None      # raw -> constrained columns
-    X: np.ndarray                     # constrained training design
-    penalty: np.ndarray
-    lambda_cov: float
-    target_df: float | None
-    achieved_df: float
-
-    def design_row(self, data) -> np.ndarray:
-        raw = self.encoder.raw_design(data)
-        return raw @ self.transform if self.transform is not None else raw
+    @classmethod
+    def from_dict(cls, d: dict, covariates: dict, coding: str) -> "_TermEncoder":
+        term = EffectTerm(**{f.name: d[f.name] for f in fields(EffectTerm)})
+        return cls(
+            term,
+            tuple(covariates[c] for c in term.covariates),
+            coding,
+            bool(term.orthogonal_to),
+            {k: np.asarray(v, dtype=float) for k, v in d["knot_vectors"].items()},
+            None if d["transform"] is None else np.asarray(d["transform"], dtype=float),
+            d["lambda_cov"],
+            d.get("target_df", d["df"]),
+            d["achieved_df"],
+        )
 
 
 def _table_length(data) -> int:
@@ -312,73 +353,77 @@ def _infer_covariates(spec: ModelSpec, data) -> dict:
                     raise ValueError(f"covariate {cname!r} used with conflicting types")
                 continue
             column = _column(data, cname, _table_length(data))
-            covs[cname] = _Covariate(cname, ckind, column, spec.references.get(cname))
+            covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
     return covs
 
 
-class _ModelFrame:
-    """Everything derived from spec plus training data, before fitting."""
+def _calibrate(x, pen, target):
+    if np.abs(pen).max() < 1e-14:
+        return 0.0, float(np.linalg.matrix_rank(x))
+    gram = x.T @ x
+    df_max = effective_df(gram, pen, 1e-8)
+    df_min = effective_df(gram, pen, 1e12)
+    capped = float(np.clip(target, df_min + 1e-9, df_max))
+    if capped >= df_max - 1e-9:
+        return 0.0, df_max
+    lam = calibrate_df(x, pen, capped)
+    return lam, effective_df(gram, pen, lam)
 
-    def __init__(self, spec: ModelSpec, data, default_df: float = 2.0):
-        self.spec = spec
-        self.covariates = _infer_covariates(spec, data)
-        self.n = _table_length(data)
-        self.built: list[_BuiltTerm] = []
-        by_name = {}
-        for term in spec.terms:
-            encoder = _TermEncoder(
-                term, self.covariates, spec.coding, full_rank=bool(term.orthogonal_to)
-            )
-            raw = encoder.raw_design(data)
-            pen = encoder.raw_penalty(raw.shape[1])
-            rows = []
-            # categorical terms under reference coding are identified by their
-            # zero reference rows instead of sum-to-zero centering
-            has_categorical = any(c.kind == "categorical" for c in encoder.covariates)
-            skip_center = (
-                spec.coding == "reference" and has_categorical and not term.orthogonal_to
-            )
-            if term.kind != "intercept" and spec.has_intercept and not skip_center:
-                rows.append(raw.mean(axis=0)[None, :])
-            for other in term.orthogonal_to:
-                if other not in by_name:
-                    raise ValueError(
-                        f"term {term.name!r} is constrained against {other!r}, "
-                        "which must be declared earlier"
-                    )
-                rows.append(by_name[other].X.T @ raw)
-            transform = _nullspace_transform(np.vstack(rows)) if rows else None
-            if transform is not None:
-                x = raw @ transform
-                pen = transform.T @ pen @ transform
-            else:
-                x = raw
-            target = term.df if term.df is not None else default_df
-            lam, achieved = self._calibrate(term, x, pen, target)
-            built = _BuiltTerm(term, encoder, transform, x, pen, lam, target, achieved)
-            self.built.append(built)
-            by_name[term.name] = built
 
-    @staticmethod
-    def _calibrate(term, x, pen, target):
-        if np.abs(pen).max() < 1e-14:
-            return 0.0, float(np.linalg.matrix_rank(x))
-        gram = x.T @ x
-        df_max = effective_df(gram, pen, 1e-8)
-        df_min = effective_df(gram, pen, 1e12)
-        capped = float(np.clip(target, df_min + 1e-9, df_max))
-        if capped >= df_max - 1e-9:
-            return 0.0, df_max
-        lam = calibrate_df(x, pen, capped)
-        return lam, effective_df(gram, pen, lam)
+@dataclass(frozen=True)
+class _PredictorState:
+    """Covariates by name and one encoder per term, in term order."""
 
-    def effect_designs(self, basis: DensityBasis, lambda_density: float) -> list[EffectDesign]:
-        return [
-            assemble_effect(
-                b.term.name, b.X, b.penalty, basis, b.lambda_cov, lambda_density
-            )
-            for b in self.built
-        ]
+    covariates: dict
+    encoders: tuple
+
+
+def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, list]:
+    """Predictor state plus, per term, the constrained training design and
+    covariate penalty."""
+    covariates = _infer_covariates(spec, data)
+    encoders, blocks, designs_by_name = [], [], {}
+    splines = ("flexible", "group_flexible", "varying_coefficient", "interaction")
+    for term in spec.terms:
+        covs = tuple(covariates[c] for c in term.covariates)
+        knots = {
+            c.name: bspline_knots(c.lo, c.hi, term.knots, term.degree)
+            for c in covs if c.kind == "numeric" and term.kind in splines
+        }
+        encoder = _TermEncoder(term, covs, spec.coding, bool(term.orthogonal_to), knots)
+        raw = encoder.raw_design(data)
+        pen = encoder.raw_penalty(raw.shape[1])
+        rows = []
+        # categorical terms under reference coding are identified by their
+        # zero reference rows instead of sum-to-zero centering
+        has_categorical = any(c.kind == "categorical" for c in covs)
+        skip_center = (
+            spec.coding == "reference" and has_categorical and not term.orthogonal_to
+        )
+        if term.kind != "intercept" and spec.has_intercept and not skip_center:
+            rows.append(raw.mean(axis=0)[None, :])
+        for other in term.orthogonal_to:
+            if other not in designs_by_name:
+                raise ValueError(
+                    f"term {term.name!r} is constrained against {other!r}, "
+                    "which must be declared earlier"
+                )
+            rows.append(designs_by_name[other].T @ raw)
+        transform = _nullspace_transform(np.vstack(rows)) if rows else None
+        if transform is not None:
+            x = raw @ transform
+            pen = transform.T @ pen @ transform
+        else:
+            x = raw
+        target = term.df if term.df is not None else default_df
+        lam, achieved = _calibrate(x, pen, target)
+        encoders.append(
+            replace(encoder, transform=transform, lambda_cov=lam, target_df=target,
+                    achieved_df=achieved)
+        )
+        blocks.append((x, pen))
+        designs_by_name[term.name] = x
+    return _PredictorState(covariates, tuple(encoders)), blocks
 
 
 @dataclass
@@ -387,7 +432,7 @@ class FittedModel:
 
     spec: ModelSpec
     measure: ReferenceMeasure
-    frame: _ModelFrame
+    frame: _PredictorState
     fits: FitState | MixedFit
     bases: dict
     lambda_density: float
@@ -411,11 +456,70 @@ class FittedModel:
         """Per-term selection indicator, per component and combined."""
         out = {}
         states = self.component_states()
-        for j, built in enumerate(self.frame.built):
+        for j, term in enumerate(self.spec.terms):
             per = {name: bool(state.selected_mask[j]) for name, state in states.items()}
             per["combined"] = any(per.values())
-            out[built.term.name] = per
+            out[term.name] = per
         return out
+
+    def to_dict(self) -> dict:
+        """The model-file fields that follow ``format`` and ``version``
+        (see :mod:`densreg.io`)."""
+        options = self.density_options
+        return {
+            "measure": self.measure.to_dict(),
+            "coding": self.spec.coding,
+            "references": self.spec.references,
+            "covariates": {name: c.to_dict() for name, c in self.frame.covariates.items()},
+            "terms": [e.to_dict() for e in self.frame.encoders],
+            "density_basis": {
+                "knots": options.get("density_knots", 10),
+                "degree": options.get("density_degree", 3),
+                "penalty_order": options.get("density_penalty_order", 2),
+                "lambda_density": self.lambda_density,
+            },
+            "bases": {comp: basis.to_dict() for comp, basis in self.bases.items()},
+            "fits": {comp: state.to_dict() for comp, state in self.component_states().items()},
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FittedModel":
+        """Rebuild a model from its model-file fields.
+
+        The result predicts and interprets like the fitted model. The file
+        keeps neither the training surfaces nor the boosting settings, so
+        ``fitted_clr`` and ``config`` are None.
+        """
+        measure = ReferenceMeasure.from_dict(d["measure"])
+        covariates = {
+            name: _Covariate.from_dict(name, cd) for name, cd in d["covariates"].items()
+        }
+        encoders = tuple(
+            _TermEncoder.from_dict(td, covariates, d["coding"]) for td in d["terms"]
+        )
+        spec = ModelSpec(tuple(e.term for e in encoders), d["coding"], dict(d["references"]))
+        db = d["density_basis"]
+        bases = {
+            comp: DensityBasis.from_dict(bd, db["knots"], db["degree"])
+            for comp, bd in d["bases"].items()
+        }
+        columns = [e.n_columns for e in encoders]
+        states = {}
+        for comp, fd in d["fits"].items():
+            states[comp] = state = FitState.from_dict(fd, bases[comp].measure)
+            widths = [k * bases[comp].n_basis for k in columns]
+            if [c.size for c in state.coefficients] != widths:
+                raise ValueError(f"fits.{comp}: coefficient lengths differ from {widths}")
+        if set(states) == {"continuous", "discrete"}:
+            fits = MixedFit(states["continuous"], states["discrete"], measure, None)
+        else:
+            fits = states["single"]
+        return cls(
+            spec, measure, _PredictorState(covariates, encoders), fits, bases,
+            db["lambda_density"], None,
+            {"density_knots": db["knots"], "density_degree": db["degree"],
+             "density_penalty_order": db["penalty_order"]},
+        )
 
 
 def build_designs(
@@ -430,11 +534,11 @@ def build_designs(
 ):
     """Build the constrained effect designs for each component of the measure.
 
-    Returns (frame, bases, designs) where ``bases`` and ``designs`` are dicts
-    keyed by component name: "single" for pure measures, "continuous" and
-    "discrete" for mixed ones.
+    Returns (frame, bases, designs): ``frame`` is the predictor state, and
+    ``bases`` and ``designs`` are dicts keyed by component name: "single" for
+    pure measures, "continuous" and "discrete" for mixed ones.
     """
-    frame = _ModelFrame(spec, data, default_df)
+    frame, blocks = _encode(spec, data, default_df)
     bases: dict[str, DensityBasis] = {}
     if measure.is_mixed:
         bases["continuous"] = bspline_density_basis(
@@ -449,7 +553,11 @@ def build_designs(
     else:
         bases["single"] = indicator_density_basis(measure)
     designs = {
-        key: frame.effect_designs(basis, lambda_density) for key, basis in bases.items()
+        key: [
+            assemble_effect(e.term.name, x, pen, basis, e.lambda_cov, lambda_density)
+            for e, (x, pen) in zip(frame.encoders, blocks)
+        ]
+        for key, basis in bases.items()
     }
     return frame, bases, designs
 
@@ -499,38 +607,25 @@ def fit(
     )
 
 
-def _component_term_surface(model: FittedModel, component: str, j: int, data) -> np.ndarray:
-    state = model.component_states()[component]
-    built = model.frame.built[j]
-    basis = model.bases[component]
-    x = built.design_row(data)
-    coef = state.coefficients[j].reshape(x.shape[1], basis.n_basis)
-    return x @ coef @ basis.clr_matrix.T
-
-
-def _raw_clr_rows(model: FittedModel, data, include_offset=True, only_terms=None) -> np.ndarray:
-    """Stacked clr predictions on the response measure for the given rows."""
+def _raw_clr_rows(model: FittedModel, data, include_offset=True) -> np.ndarray:
+    """N x P clr predictions on the response measure for the rows of ``data``."""
     n = _table_length(data)
+    designs = [e.design(data) for e in model.frame.encoders]
     out = np.zeros((n, model.measure.size))
-    term_indices = (
-        range(len(model.frame.built))
-        if only_terms is None
-        else [i for i, b in enumerate(model.frame.built) if b.term.name in only_terms]
-    )
     for component, state in model.component_states().items():
+        basis = model.bases[component]
         comp = np.zeros((n, state.offset_clr.size))
         if include_offset:
             comp += state.offset_clr
-        for j in term_indices:
-            comp += _component_term_surface(model, component, j, data)
+        for x, coef in zip(designs, state.coefficients):
+            comp += x @ coef.reshape(x.shape[1], basis.n_basis) @ basis.clr_matrix.T
         if model.is_mixed:
-            embed = embed_clr_continuous if component == "continuous" else embed_clr_discrete
-            for i in range(n):
-                out[i] += embed(
-                    ClrElement(model.bases[component].measure, comp[i]), model.measure
-                ).values
-        else:
-            out += comp
+            embed = (
+                embed_clr_continuous_rows if component == "continuous"
+                else embed_clr_discrete_rows
+            )
+            comp = embed(comp, model.measure)
+        out += comp
     return out
 
 
@@ -544,20 +639,15 @@ def predict(model: FittedModel, newdata) -> list[DensityElement]:
     return [clr_inv(z) for z in predict_clr(model, newdata)]
 
 
-def _single_row(model: FittedModel, values: dict) -> dict:
-    row = {}
+def _reference_table(model: FittedModel, values: dict, at_reference: list) -> dict:
+    """Covariate table with one row per entry of ``at_reference``: the
+    covariates named there sit at their reference, the others at ``values``."""
+    table = {}
     for name, cov in model.frame.covariates.items():
-        if name not in values:
+        if name not in values and not all(name in off for off in at_reference):
             raise ValueError(f"missing covariate {name!r}")
-        row[name] = [values[name]]
-    return row
-
-
-def _reference_row(model: FittedModel, values: dict, at_reference) -> dict:
-    merged = dict(values)
-    for name in at_reference:
-        merged[name] = model.frame.covariates[name].reference
-    return _single_row(model, merged)
+        table[name] = [cov.reference if name in off else values[name] for off in at_reference]
+    return table
 
 
 def extract_effect(
@@ -573,16 +663,17 @@ def extract_effect(
     """
     term = model.spec.term(term_name)
     if term.kind == "intercept":
-        row = _reference_row(model, values, model.frame.covariates.keys())
-        z = _raw_clr_rows(model, row)[0]
+        table = _reference_table(model, values, [tuple(model.frame.covariates)])
+        z = _raw_clr_rows(model, table)[0]
     else:
         covs = term.covariates
-        z = np.zeros(model.measure.size)
-        for bits in range(2 ** len(covs)):
-            off = [c for k, c in enumerate(covs) if not (bits >> k) & 1]
-            sign = (-1.0) ** len(off)
-            row = _reference_row(model, values, off)
-            z += sign * _raw_clr_rows(model, row, include_offset=False)[0]
+        offs = [
+            [c for k, c in enumerate(covs) if not (bits >> k) & 1]
+            for bits in range(2 ** len(covs))
+        ]
+        signs = np.array([(-1.0) ** len(off) for off in offs])
+        table = _reference_table(model, values, offs)
+        z = signs @ _raw_clr_rows(model, table, include_offset=False)
     z_el = ClrElement(model.measure, z)
     return clr_inv(z_el), z_el
 
@@ -593,16 +684,14 @@ def design_report(model: FittedModel) -> list[dict]:
     Lets users check how comparable the base-learners are when equal degrees
     of freedom cannot be imposed (single-column terms cap at one).
     """
-    rows = []
-    for built in model.frame.built:
-        rows.append(
-            {
-                "term": built.term.name,
-                "kind": built.term.kind,
-                "columns": built.X.shape[1],
-                "lambda": built.lambda_cov,
-                "target_df": built.target_df,
-                "achieved_df": built.achieved_df,
-            }
-        )
-    return rows
+    return [
+        {
+            "term": e.term.name,
+            "kind": e.term.kind,
+            "columns": e.n_columns,
+            "lambda": e.lambda_cov,
+            "target_df": e.target_df,
+            "achieved_df": e.achieved_df,
+        }
+        for e in model.frame.encoders
+    ]

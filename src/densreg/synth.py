@@ -8,11 +8,9 @@ directly in clr coordinates so recovery can be measured exactly.
 """
 from __future__ import annotations
 
-import argparse
-
 import numpy as np
 
-from .bayes import ClrElement, DensityElement, clr_inv
+from .bayes import ClrElement, clr_inv
 from .measure import ReferenceMeasure, make_mixed
 
 __all__ = [
@@ -152,26 +150,3 @@ def synthetic_observations(
         "value": values,
         "weight": weights,
     }
-
-
-def main(argv=None) -> int:
-    """Write a synthetic observation table for the command-line walkthrough."""
-    parser = argparse.ArgumentParser(
-        prog="densreg-synth", description=synthetic_observations.__doc__
-    )
-    parser.add_argument("--out", required=True, help="output TSV path")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--groups", type=int, default=6)
-    parser.add_argument("--n-per-group", type=int, default=400)
-    args = parser.parse_args(argv)
-    table = synthetic_observations(args.seed, args.groups, args.n_per_group)
-    keys = list(table.keys())
-    with open(args.out, "w") as fh:
-        fh.write("\t".join(keys) + "\n")
-        for i in range(len(table["value"])):
-            fh.write("\t".join(repr(table[k][i]) if not isinstance(table[k][i], str) else table[k][i] for k in keys) + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,10 +7,13 @@ from densreg.bayes import (
     clr_inv,
     constant_density,
     decompose_clr,
+    decompose_clr_rows,
     decompose_mixed,
     density,
     embed_clr_continuous,
+    embed_clr_continuous_rows,
     embed_clr_discrete,
+    embed_clr_discrete_rows,
     embed_continuous,
     embed_discrete,
     equal_b,
@@ -282,6 +285,55 @@ class TestClrDecomposition:
             lhs = clr(embed_discrete(f_d, mixed_measure)).values
             rhs = embed_clr_discrete(clr(f_d), mixed_measure).values
             assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+class TestClrRowForms:
+    """The N x P array forms against the per-row arithmetic they replace."""
+
+    def test_decompose_rows_match_per_row(self, mixed_measure):
+        m = mixed_measure
+        rng = np.random.default_rng(16)
+        z = np.stack([clr(random_density(m, rng)).values for _ in range(30)])
+        z_c, z_d = decompose_clr_rows(z, m)
+        for row, row_c, row_d in zip(z, z_c, z_d):
+            # the element form before batching: one dot product per row
+            grid_mean = float(row[m.n_atoms:] @ m.grid_weights) / m.lebesgue_length
+            np.testing.assert_allclose(row_c, row[m.n_atoms:] - grid_mean, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                row_d, np.concatenate([row[: m.n_atoms], [grid_mean]]), rtol=0, atol=1e-14
+            )
+
+    def test_embed_rows_match_per_row_exactly(self, mixed_measure):
+        m = mixed_measure
+        rng = np.random.default_rng(17)
+        z_c = rng.normal(size=(5, m.n_grid))
+        z_d = rng.normal(size=(5, m.n_atoms + 1))
+        cont = embed_clr_continuous_rows(z_c, m)
+        disc = embed_clr_discrete_rows(z_d, m)
+        for i in range(5):
+            np.testing.assert_array_equal(cont[i], np.concatenate([np.zeros(m.n_atoms), z_c[i]]))
+            np.testing.assert_array_equal(
+                disc[i], np.concatenate([z_d[i, :-1], np.full(m.n_grid, z_d[i, -1])])
+            )
+
+    def test_decompose_embed_round_trip(self, mixed_measure):
+        m = mixed_measure
+        rng = np.random.default_rng(18)
+        z = np.stack([clr(random_density(m, rng)).values for _ in range(20)])
+        z_c, z_d = decompose_clr_rows(z, m)
+        back = embed_clr_continuous_rows(z_c, m) + embed_clr_discrete_rows(z_d, m)
+        np.testing.assert_allclose(back, z, rtol=0, atol=1e-12)
+
+    def test_shape_and_measure_checks(self, mixed_measure, continuous_measure):
+        m = mixed_measure
+        with pytest.raises(ValueError, match="mixed"):
+            decompose_clr_rows(np.zeros((2, continuous_measure.size)), continuous_measure)
+        with pytest.raises(ValueError, match="shape"):
+            decompose_clr_rows(np.zeros((2, m.size - 1)), m)
+        with pytest.raises(ValueError, match="grid"):
+            embed_clr_continuous_rows(np.zeros((2, m.n_grid + 1)), m)
+        with pytest.raises(ValueError, match="atoms"):
+            embed_clr_discrete_rows(np.zeros((2, m.n_atoms)), m)
 
 
 class TestVectorSpaceAxioms:

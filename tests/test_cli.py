@@ -1,13 +1,17 @@
+import copy
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from densreg import cli
 from densreg.cli import main
 from densreg.io import (
     ConfigError,
     load_config,
+    model_from_dict,
     read_density_file,
     validate_config,
     write_density_file,
@@ -37,6 +41,8 @@ def write_observations(path, table):
             )
     return str(path)
 
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 MEASURE = {
     "interval": [0.0, 1.0],
@@ -273,6 +279,39 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config.boosting{'.' + field if field else ''}:")
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"terms": {3: {"knots": [1]}}}, "terms[3].knots"),
+            ({"terms": {3: {"knots": "x"}}}, "terms[3].knots"),
+            ({"terms": {3: {"degree": 2.5}}}, "terms[3].degree"),
+            ({"terms": {3: {"df": "x"}}}, "terms[3].df"),
+            ({"terms": {1: {"covariates": "region"}}}, "terms[1].covariates"),
+            ({"terms": {1: {"orthogonal_to": [1]}}}, "terms[1].orthogonal_to"),
+            ({"references": [1]}, "references"),
+            ({"default_df": "x"}, "default_df"),
+            ({"density_basis": {"knots": "x"}}, "density_basis.knots"),
+            ({"density_basis": {"lambda_density": "x"}}, "density_basis.lambda_density"),
+        ],
+    )
+    def test_model_section_errors_exit_config(self, tmp_path, capsys, densities_file, changes, field):
+        model = copy.deepcopy(MODEL)
+        for key, value in changes.items():
+            if key == "terms":
+                for i, term_changes in value.items():
+                    model["terms"][i].update(term_changes)
+            else:
+                model[key] = value
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": densities_file},
+            model=model,
+            boosting={"max_iterations": 5},
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.model.{field}:")
+
     def test_missing_densities_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -454,3 +493,112 @@ class TestModelRoundTrip:
         a = np.stack([z.values for z in predict_clr(model, data)])
         b = np.stack([z.values for z in predict_clr(loaded, data)])
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_design_report_survives_round_trip(self, tmp_path, densities_file):
+        from densreg.io import model_to_dict
+        from densreg.model import design_report, fit as fit_model
+        from densreg.boosting import BoostConfig
+        from densreg.cli import _model_spec_from_config
+
+        cfg = validate_config({"model": MODEL})
+        measure, cols, keys, densities = read_density_file(densities_file)
+        data = {c: [k[i] for k in keys] for i, c in enumerate(cols)}
+        model = fit_model(
+            _model_spec_from_config(cfg), data, densities, BoostConfig(max_iterations=10),
+            density_knots=6,
+        )
+        blob = model_to_dict(model)
+        loaded = model_from_dict(json.loads(json.dumps(blob)))
+        assert design_report(loaded) == design_report(model)
+        assert [r["columns"] for r in design_report(loaded)] == [1, 1, 2, 7]
+        # re-serializing a loaded model writes the same file
+        assert json.dumps(model_to_dict(loaded)) == json.dumps(blob)
+
+
+def _model_file_with(path, value):
+    """Mutation of a model file: set the field at ``path`` (None deletes it)."""
+    def mutate(doc):
+        doc = copy.deepcopy(doc)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return doc
+    return mutate
+
+
+class TestModelFiles:
+    """Model files: the version-1 layout written by earlier releases, and
+    malformed files, which must end as data errors (exit 3)."""
+
+    def _config(self, tmp_path, model_path):
+        return write_config(
+            tmp_path / "cfg.json",
+            data={"model": str(model_path), "newdata": str(DATA / "model_v1_newdata.tsv")},
+        )
+
+    def test_v1_file_reproduces_its_predictions(self, tmp_path):
+        # model_v1.json and model_v1_predictions.tsv were written by the
+        # fit and predict commands of an earlier release
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, DATA / "model_v1.json")
+        assert main(["predict", "--config", cfg, "--out", str(out)]) == 0
+        _, _, keys, got = read_density_file(out / "predictions.tsv")
+        _, _, ref_keys, expected = read_density_file(DATA / "model_v1_predictions.tsv")
+        assert keys == ref_keys
+        for g, e in zip(got, expected):
+            np.testing.assert_allclose(g.values, e.values, rtol=1e-12, atol=0)
+
+    def test_v1_file_design_columns(self):
+        from densreg.model import design_report
+
+        with open(DATA / "model_v1.json") as fh:
+            model = model_from_dict(json.load(fh))
+        # the columns the fit command reported for this model
+        assert [r["columns"] for r in design_report(model)] == [1, 1, 2, 5, 6]
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: [d], "expected a JSON object"),
+            (_model_file_with(("format",), "other-model"), "not a model file"),
+            (_model_file_with(("version",), 99), "unsupported version 99"),
+            (_model_file_with(("version",), "1"), "unsupported version '1'"),
+            (_model_file_with(("terms",), None), "missing field 'terms'"),
+            (_model_file_with(("terms",), 5), "model file:"),
+            (_model_file_with(("covariates", "year", "kind"), "bogus"), "unknown kind 'bogus'"),
+            (_model_file_with(("terms", 4, "transform"), [[1.0]]), "model file: matmul"),
+            (_model_file_with(("bases", "discrete", "kind"), "bogus"), "density basis kind"),
+            (_model_file_with(("fits", "continuous", "coefficients", 1), [0.0]), "coefficient lengths"),
+            (_model_file_with(("fits", "discrete", "offset"), [0.0]), "offset has shape"),
+        ],
+        ids=[
+            "json_list", "format", "version_99", "version_string", "missing_terms",
+            "terms_not_list", "covariate_kind", "term_transform", "basis_kind",
+            "coefficient_length", "offset_length",
+        ],
+    )
+    def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):
+        with open(DATA / "model_v1.json") as fh:
+            doc = mutate(json.load(fh))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        cfg = self._config(tmp_path, path)
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert "Traceback" not in err
+
+
+class TestExitCodes:
+    def test_linalg_error_exits_numeric(self, tmp_path, capsys, monkeypatch):
+        def singular(cfg, args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setitem(cli._COMMANDS, "fit", singular)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["fit", "--config", cfg]) == 4
+        assert capsys.readouterr().err.startswith("numeric failure: singular matrix")

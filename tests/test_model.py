@@ -88,14 +88,14 @@ class TestBuildDesigns:
         m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
         spec = income_spec()
         frame, bases, designs = build_designs(spec, data, m)
-        for built in frame.built[1:]:
-            np.testing.assert_allclose(built.X.mean(axis=0), 0.0, atol=1e-9)
+        for design in designs["continuous"][1:]:
+            np.testing.assert_allclose(design.X.mean(axis=0), 0.0, atol=1e-9)
 
     def test_interaction_orthogonal_to_mains(self):
         m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
         spec = income_spec()
-        frame, _, _ = build_designs(spec, data, m)
-        by_name = {b.term.name: b for b in frame.built}
+        _, _, designs = build_designs(spec, data, m)
+        by_name = {d.name: d for d in designs["continuous"]}
         inter = by_name["region_x_c_age"].X
         for main in ("region", "c_age"):
             cross = by_name[main].X.T @ inter
@@ -104,8 +104,8 @@ class TestBuildDesigns:
     def test_reference_coding_zero_rows(self):
         m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
         spec = income_spec(coding="reference")
-        frame, _, _ = build_designs(spec, data, m)
-        by_name = {b.term.name: b for b in frame.built}
+        _, _, designs = build_designs(spec, data, m)
+        by_name = {d.name: d for d in designs["continuous"]}
         region = np.asarray(data["region"])
         rows = by_name["region"].X[region == "west"]
         np.testing.assert_allclose(rows, 0.0, atol=1e-12)

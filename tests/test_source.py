@@ -1,0 +1,64 @@
+"""Source hygiene of the package, checked with ``ast`` (no linter needed).
+
+Invariant checks must survive ``python -O``, so the package holds no
+``assert`` statement; and every name a module imports at module level is
+used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
+its imports are the re-exports).
+"""
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "densreg"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _module_imports(tree) -> dict:
+    """Name bound by each module-level import, with its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def test_package_modules_found():
+    assert {p.name for p in MODULES} >= {"model.py", "io.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [n.lineno for n in ast.walk(_parse(path)) if isinstance(n, ast.Assert)]
+    assert not lines, f"{path.name}: assert statement(s) at line(s) {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_module_imports(path):
+    tree = _parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = {
+        name: line
+        for name, line in _module_imports(tree).items()
+        if name not in used and name not in _exported(tree)
+    }
+    assert not unused, f"{path.name}: unused import(s) {unused}"
