@@ -21,8 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .bayes import ClrElement, clr, clr_inv
-from .boosting import BoostConfig
-from .ingest import DEFAULT_BANDWIDTH, KdeConfig, assemble_mixed, group_table, select_bandwidth
+from .ingest import DEFAULT_BANDWIDTH, assemble_mixed, group_table, select_bandwidth
 from .io import (
     ConfigError,
     DataError,
@@ -33,81 +32,21 @@ from .io import (
     model_to_dict,
     read_density_file,
     read_table,
+    run_objects,
     write_density_file,
     write_table,
 )
 from .interpret import heatmap as build_heatmap
 from .interpret import did_effect, log_odds
-from .measure import make_discrete, make_mixed
-from .model import (
-    EffectTerm,
-    ModelSpec,
-    design_report,
-    extract_effect,
-    fit as fit_model,
-    predict,
-)
+from .model import design_report, extract_effect, fit as fit_model, predict
 from .render import curve_svg, heatmap_svg
 from .simulate import fpca, rel_mse, selection_table, simulate_responses
 
 OK, CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 0, 2, 3, 4
 
 
-def _measure_from_config(cfg):
-    spec = cfg.get("measure")
-    if spec is None:
-        raise ConfigError("config.measure: required for this command")
-    if spec["interval"] is None:
-        return make_discrete(spec["atoms"])
-    a, b = spec["interval"]
-    return make_mixed(a, b, spec["atoms"], spec["grid_size"])
-
-
-def _model_spec_from_config(cfg):
-    model = cfg.get("model")
-    if model is None:
-        raise ConfigError("config.model: required for this command")
-    terms = tuple(EffectTerm(**t) for t in model["terms"])
-    return ModelSpec(terms, model["coding"], model["references"])
-
-
-def _boost_config(cfg):
-    b = cfg["boosting"]
-    return BoostConfig(
-        step_length=b["step_length"],
-        max_iterations=b["max_iterations"],
-        stopping=b["stopping"]["method"],
-        m_stop=b["stopping"]["m_stop"],
-        folds=b["stopping"]["folds"],
-        replicates=b["stopping"]["replicates"],
-        target_df=cfg.get("model", {}).get("default_df", 2.0),
-        seed=cfg["seed"],
-        threads=cfg["threads"],
-    )
-
-
-def _design_options(cfg):
-    model = cfg.get("model", {})
-    db = model.get("density_basis", {"knots": 10, "degree": 3, "penalty_order": 2, "lambda_density": 0.0})
-    return {
-        "default_df": model.get("default_df", 2.0),
-        "density_knots": db["knots"],
-        "density_degree": db["degree"],
-        "density_penalty_order": db["penalty_order"],
-        "lambda_density": db["lambda_density"],
-    }
-
-
-def _kde_config(cfg):
-    kde = cfg["kde"]
-    kwargs = {"bandwidth": kde["bandwidth"], "floor": kde["floor"]}
-    if kde["bandwidth_grid"] is not None:
-        kwargs["bandwidth_grid"] = np.asarray(kde["bandwidth_grid"], dtype=float)
-    return KdeConfig(**kwargs)
-
-
 def _out_dir(cfg, args):
-    out = args.out or cfg.get("out") or "."
+    out = args.out or cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -123,21 +62,14 @@ def _read_observations(path):
     return table, key_columns
 
 
-def _require_path(cfg, key, command):
-    path = cfg["data"].get(key)
-    if not path:
-        raise ConfigError(f"config.data.{key}: required for {command}")
-    return path
-
-
 def cmd_estimate(cfg, args) -> int:
+    run = run_objects(cfg, "estimate")
+    measure, kde_cfg = run.measure, run.kde
     out = _out_dir(cfg, args)
-    obs_path = _require_path(cfg, "observations", "estimate")
+    obs_path = cfg["data"]["observations"]
     table, key_columns = _read_observations(obs_path)
     if not key_columns:
         raise DataError(f"{obs_path}: no grouping columns found")
-    measure = _measure_from_config(cfg)
-    kde_cfg = _kde_config(cfg)
     groups, skipped = group_table(table, key_columns)
     if not groups:
         raise DataError("no usable observation groups")
@@ -177,8 +109,7 @@ def cmd_estimate(cfg, args) -> int:
     return OK
 
 
-def _densities_and_table(cfg, command):
-    path = _require_path(cfg, "densities", command)
+def _densities_and_table(path):
     measure, key_columns, keys, densities = read_density_file(path)
     data = {
         col: [key[i] for key in keys] for i, col in enumerate(key_columns)
@@ -220,18 +151,17 @@ def _write_fit_outputs(out, model, prefix=""):
 
 
 def cmd_fit(cfg, args) -> int:
+    run = run_objects(cfg, "fit")
     out = _out_dir(cfg, args)
-    measure, key_columns, keys, densities, data = _densities_and_table(cfg, "fit")
-    spec = _model_spec_from_config(cfg)
-    model = fit_model(spec, data, densities, _boost_config(cfg), **_design_options(cfg))
+    measure, key_columns, keys, densities, data = _densities_and_table(cfg["data"]["densities"])
+    model = fit_model(run.spec, data, densities, run.boost, **run.fit_options)
     _write_fit_outputs(out, model)
     if args.verbose:
         print(f"fitted model, stopping at {model.m_stop}", file=sys.stderr)
     return OK
 
 
-def _load_model(cfg, command):
-    path = _require_path(cfg, "model", command)
+def _load_model(path):
     try:
         with open(path) as fh:
             return model_from_dict(json.load(fh))
@@ -240,10 +170,10 @@ def _load_model(cfg, command):
 
 
 def cmd_predict(cfg, args) -> int:
+    run_objects(cfg, "predict")
     out = _out_dir(cfg, args)
-    model = _load_model(cfg, "predict")
-    newdata_path = _require_path(cfg, "newdata", "predict")
-    header, rows = read_table(newdata_path)
+    model = _load_model(cfg["data"]["model"])
+    header, rows = read_table(cfg["data"]["newdata"])
     data = {col: [row[i] for row in rows] for i, col in enumerate(header)}
     preds = predict(model, data)
     write_density_file(
@@ -254,17 +184,16 @@ def cmd_predict(cfg, args) -> int:
 
 
 def cmd_interpret(cfg, args) -> int:
+    run = run_objects(cfg, "interpret")
     out = _out_dir(cfg, args)
-    model = _load_model(cfg, "interpret")
+    model = _load_model(cfg["data"]["model"])
     icfg = cfg["interpret"]
     m = model.measure
     want_svg = icfg["svg"]
 
-    for spec in icfg["effects"]:
-        term = spec["term"]
-        at = spec["at"]
-        dens, z = extract_effect(model, term, at)
-        name = spec.get("name", term)
+    for spec in run.effects:
+        name = spec["name"]
+        dens, z = extract_effect(model, spec["term"], spec["at"])
         write_table(
             os.path.join(out, f"effect_{name}.tsv"),
             ["point", "is_atom", "clr", "density"],
@@ -298,14 +227,14 @@ def cmd_interpret(cfg, args) -> int:
             odds_rows,
         )
 
-    for i, q in enumerate(icfg["did"]):
+    for q in run.did:
         did = did_effect(
             model,
             q["factor_a"], tuple(q["levels_a"]),
             q["factor_b"], tuple(q["levels_b"]),
-            q.get("fixed", {}),
+            q["fixed"],
         )
-        name = q.get("name", f"did_{i}")
+        name = q["name"]
         grid = build_heatmap(did, icfg["heatmap_resolution"])
         write_table(
             os.path.join(out, f"{name}_heatmap.tsv"),
@@ -335,11 +264,10 @@ def cmd_interpret(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
+    run = run_objects(cfg, "simulate")
+    spec, boost_cfg, options = run.spec, run.boost, run.fit_options
     out = _out_dir(cfg, args)
-    measure, key_columns, keys, densities, data = _densities_and_table(cfg, "simulate")
-    spec = _model_spec_from_config(cfg)
-    boost_cfg = _boost_config(cfg)
-    options = _design_options(cfg)
+    measure, key_columns, keys, densities, data = _densities_and_table(cfg["data"]["densities"])
     base = fit_model(spec, data, densities, boost_cfg, **options)
     fitted = [clr_inv(ClrElement(measure, row)) for row in base.fits.fitted_clr]
     residuals = [
@@ -434,14 +362,9 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, help="worker cap override")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
+    overrides = {"seed": args.seed, "threads": args.threads}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
-            cfg["threads"] = args.threads
+        cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

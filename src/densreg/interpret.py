@@ -155,6 +155,8 @@ def heatmap(effect, resolution: int = 25) -> HeatmapGrid:
     whole (geometric-mean odds of the discrete part), matching the band
     layout used for mixed densities.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     m, z = _clr_values(effect)
     idx = list(range(m.n_atoms))
     if m.n_grid:

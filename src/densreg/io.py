@@ -5,8 +5,20 @@ files are self-describing: the first line carries the reference measure
 (interval, atoms, grid size), so a file can be read back without external
 context. Floats are written with ``repr``, which round-trips exactly.
 
-Run configurations are JSON with strict validation: unknown keys are
-rejected and every diagnostic carries the path of the offending field.
+Run configurations are JSON objects checked in one place. The table
+``_CONFIG`` is the reference: it gives every key its JSON type, its default,
+and its allowed strings or numeric bound; unknown keys are rejected.
+:func:`validate_config` walks a config against it, then builds the run
+objects (:func:`run_objects`), so the library constructors check the rules
+that span several keys: ``a < b`` and atoms inside the interval (measure),
+the term kind and its covariate count (``EffectTerm``), unique term names
+(``ModelSpec``), an ascending bandwidth grid (``KdeConfig``). Every problem
+is a :class:`ConfigError` whose message starts with the path of the field,
+such as ``config.model.terms[2].knots``, or of its section. A command that
+needs more than the defaults (data paths, a measure, a model) checks that in
+:func:`run_objects`. The command-line front-end exits with 0 on success,
+2 on a config error, 3 on a data error (:class:`DataError` or another
+``ValueError`` from the input files) and 4 on a numeric failure.
 
 Model files are JSON objects with ``"format": "densreg-model"`` and
 ``"version": 1``; anything else is a :class:`DataError`. Version-1 fields:
@@ -29,13 +41,19 @@ Model files are JSON objects with ``"format": "densreg-model"`` and
 """
 from __future__ import annotations
 
+import copy
 import json
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bayes import DensityElement
+from .boosting import BoostConfig
+from .ingest import KdeConfig
 from .measure import ReferenceMeasure, make_discrete, make_mixed
-from .model import FittedModel
+from .model import EffectTerm, FittedModel, ModelSpec
 
 __all__ = [
     "ConfigError",
@@ -51,6 +69,8 @@ __all__ = [
     "model_from_dict",
     "load_config",
     "validate_config",
+    "RunObjects",
+    "run_objects",
 ]
 
 
@@ -210,244 +230,266 @@ def model_from_dict(d) -> FittedModel:
 # Run configuration
 # ---------------------------------------------------------------------------
 
-def _check_keys(d: dict, allowed: set, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+_REQUIRED = object()    # the key must be given
+_OPTIONAL = object()    # no default: an absent (or null) key stays absent
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return d[key]
+class _Key(NamedTuple):
+    """One row of the config table.
 
-
-def _typed(value, types, path, type_name):
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ConfigError(f"{path}: expected {type_name}")
-    return value
-
-
-def _integer(section: dict, key: str, default: int, path: str) -> int:
-    return _typed(section.get(key, default), (int,), f"{path}.{key}", "an integer")
-
-
-def _strings(value, path: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{path}: expected a list of strings")
-    return list(value)
-
-
-def validate_config(raw: dict) -> dict:
-    """Validate and normalize a run configuration.
-
-    Returns a new dict with defaults filled in; raises ConfigError with a
-    field path on the first problem found.
+    ``type`` joins JSON types with "|": "integer", "number" (kept as given),
+    "float" (a number, normalized to float), "string", "boolean", "array",
+    "object", "null". ``bound`` is an interval such as "[1, inf)" on a number,
+    or on the length of an array; a limit may name an earlier key of the same
+    or an enclosing section. ``choices`` lists the allowed strings. ``items``
+    is the type of the items of an array, or of the values of an object whose
+    keys are free (covariate names).
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(
-        raw,
-        {"seed", "threads", "data", "measure", "kde", "model", "boosting",
-         "simulation", "interpret", "out"},
-        "config",
-    )
-    cfg = {
-        "seed": int(_typed(raw.get("seed", 0), (int,), "config.seed", "an integer")),
-        "threads": int(_typed(raw.get("threads", 1), (int,), "config.threads", "an integer")),
-        "out": raw.get("out"),
-    }
-    if cfg["threads"] < 1:
-        raise ConfigError("config.threads: must be at least 1")
 
-    data = raw.get("data", {})
-    _check_keys(data, {"observations", "densities", "newdata", "model"}, "config.data")
-    cfg["data"] = {
-        k: data.get(k) for k in ("observations", "densities", "newdata", "model")
-    }
+    type: str
+    default: object = _REQUIRED
+    bound: str | None = None
+    choices: tuple = ()
+    items: str | None = None
 
-    measure = raw.get("measure")
-    if measure is not None:
-        _check_keys(measure, {"interval", "atoms", "grid_size"}, "config.measure")
-        interval = measure.get("interval")
-        if interval is not None:
-            if (not isinstance(interval, list) or len(interval) != 2):
-                raise ConfigError("config.measure.interval: expected [a, b]")
-        atoms = measure.get("atoms", [])
-        if not isinstance(atoms, list):
-            raise ConfigError("config.measure.atoms: expected a list")
-        parsed_atoms = []
-        for i, atom in enumerate(atoms):
-            _check_keys(atom, {"location", "weight"}, f"config.measure.atoms[{i}]")
-            parsed_atoms.append(
-                (
-                    float(_require(atom, "location", f"config.measure.atoms[{i}]")),
-                    float(atom.get("weight", 1.0)),
-                )
-            )
-        cfg["measure"] = {
-            "interval": interval,
-            "atoms": parsed_atoms,
-            "grid_size": int(measure.get("grid_size", 100)),
+
+# Paths name the key ``b`` of section ``a`` as "a.b", and the key ``b`` of
+# the objects in array ``a`` as "a[].b". Sections are walked in table order.
+_CONFIG = {
+    "seed": _Key("integer", 0, "[0, inf)"),
+    "threads": _Key("integer", 1, "[1, inf)"),
+    "out": _Key("string|null", None),
+    "data": _Key("object", {}),
+    "data.observations": _Key("string|null", None),
+    "data.densities": _Key("string|null", None),
+    "data.newdata": _Key("string|null", None),
+    "data.model": _Key("string|null", None),
+    "measure": _Key("object|null", _OPTIONAL),
+    "measure.interval": _Key("array|null", None, "[2, 2]", items="number"),
+    "measure.atoms": _Key("array", [], items="object"),
+    "measure.atoms[].location": _Key("float"),
+    "measure.atoms[].weight": _Key("float", 1.0, "(0, inf)"),
+    "measure.grid_size": _Key("integer", 100),
+    "kde": _Key("object", {}),
+    "kde.bandwidth": _Key("string|number", "auto", "(0, inf)", ("auto",)),
+    "kde.bandwidth_grid": _Key("array|null", None, "[1, inf)", items="number"),
+    "kde.floor": _Key("float", 1e-6, "(0, inf)"),
+    "model": _Key("object|null", _OPTIONAL),
+    "model.coding": _Key("string", "effect", choices=("effect", "reference")),
+    "model.references": _Key("object", {}, items="string|number"),
+    "model.default_df": _Key("float", 2.0, "[0, inf)"),
+    "model.density_basis": _Key("object", {}),
+    "model.density_basis.knots": _Key("integer", 10, "[0, inf)"),
+    "model.density_basis.degree": _Key("integer", 3, "[0, inf)"),
+    "model.density_basis.penalty_order": _Key("integer", 2, "[0, inf)"),
+    "model.density_basis.lambda_density": _Key("float", 0.0, "[0, inf)"),
+    "model.terms": _Key("array", bound="[1, inf)", items="object"),
+    "model.terms[].name": _Key("string"),
+    "model.terms[].kind": _Key("string"),
+    "model.terms[].covariates": _Key("array", [], items="string"),
+    "model.terms[].df": _Key("number|null", None, "[0, inf)"),
+    "model.terms[].knots": _Key("integer", 8, "[0, inf)"),
+    "model.terms[].degree": _Key("integer", 3, "[0, inf)"),
+    "model.terms[].penalty_order": _Key("integer", 2, "[0, inf)"),
+    "model.terms[].orthogonal_to": _Key("array", [], items="string"),
+    "boosting": _Key("object", {}),
+    "boosting.step_length": _Key("float", 0.1, "(0, 1)"),
+    "boosting.max_iterations": _Key("integer", 250, "[1, inf)"),
+    "boosting.stopping": _Key("object", {}),
+    "boosting.stopping.method": _Key("string", "fixed", choices=("fixed", "cv", "bootstrap")),
+    "boosting.stopping.m_stop": _Key("integer|null", None, "[0, max_iterations]"),
+    "boosting.stopping.folds": _Key("integer", 10, "[2, inf)"),
+    "boosting.stopping.replicates": _Key("integer", 25, "[1, inf)"),
+    "simulation": _Key("object", {}),
+    "simulation.replicates": _Key("integer", 20, "[1, inf)"),
+    "simulation.truncation": _Key("integer|null", None, "[1, inf)"),
+    "simulation.noise_scale": _Key("float", 1.0, "[0, inf)"),
+    "interpret": _Key("object", {}),
+    "interpret.effects": _Key("array", [], items="object"),
+    "interpret.effects[].term": _Key("string"),
+    "interpret.effects[].at": _Key("object", items="string|number"),
+    "interpret.effects[].name": _Key("string", _OPTIONAL),
+    "interpret.odds": _Key("array", [], items="object"),
+    "interpret.odds[].term": _Key("string"),
+    "interpret.odds[].at": _Key("object", items="string|number"),
+    "interpret.odds[].t": _Key("number"),
+    "interpret.odds[].s": _Key("number"),
+    "interpret.did": _Key("array", [], items="object"),
+    "interpret.did[].factor_a": _Key("string"),
+    "interpret.did[].levels_a": _Key("array", bound="[2, 2]", items="string|number"),
+    "interpret.did[].factor_b": _Key("string"),
+    "interpret.did[].levels_b": _Key("array", bound="[2, 2]", items="string|number"),
+    "interpret.did[].fixed": _Key("object", _OPTIONAL, items="string|number"),
+    "interpret.did[].name": _Key("string", _OPTIONAL),
+    "interpret.heatmap_resolution": _Key("integer", 25, "[1, inf)"),
+    "interpret.svg": _Key("boolean", False),
+}
+
+_MAX = sys.float_info.max
+_TYPES = {
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    # finite: NaN, infinities and integers beyond the float range fail the range test
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+               and -_MAX <= v <= _MAX),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
+    "array": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "null": ("null", lambda v: v is None),
+}
+_TYPES["float"] = _TYPES["number"]
+
+
+def _within(x, bound: str, scopes: tuple) -> bool:
+    def limit(token):
+        try:
+            return float(token)
+        except ValueError:
+            return next(s[token] for s in reversed(scopes) if token in s)
+
+    lo, hi = (limit(t.strip()) for t in bound[1:-1].split(","))
+    return (lo < x if bound[0] == "(" else lo <= x) and (x < hi if bound[-1] == ")" else x <= hi)
+
+
+def _walk(value, key: _Key, path: str, row: str, scopes: tuple = ()):
+    """Check ``value`` against table row ``row`` and return it normalized,
+    with defaults filled in; raises ConfigError at ``path``."""
+    types = key.type.split("|")
+    if not any(_TYPES[t][1](value) for t in types):
+        raise ConfigError(f"{path}: expected {' or '.join(_TYPES[t][0] for t in types)}")
+    if isinstance(value, str) and key.choices and value not in key.choices:
+        raise ConfigError(f"{path}: expected one of {list(key.choices)}")
+    if key.bound and isinstance(value, (int, float, list)) and not isinstance(value, bool):
+        if not _within(len(value) if isinstance(value, list) else value, key.bound, scopes):
+            what = "length " if isinstance(value, list) else ""
+            raise ConfigError(f"{path}: {what}must lie in {key.bound}")
+    if isinstance(value, list):
+        # objects get their own path; a plain item is reported at the list's
+        at = (lambda i: f"{path}[{i}]") if key.items == "object" else (lambda i: f"{path}: item {i}")
+        return [_walk(v, _Key(key.items), at(i), row + "[]", scopes) for i, v in enumerate(value)]
+    if isinstance(value, dict) and key.items:
+        return {k: _walk(v, _Key(key.items), f"{path}.{k}", row) for k, v in value.items()}
+    if isinstance(value, dict):
+        prefix = row + "." if row else ""
+        rows = {
+            r[len(prefix):]: k for r, k in _CONFIG.items()
+            if r.startswith(prefix) and not any(c in r[len(prefix):] for c in ".[")
         }
+        unknown = set(value) - set(rows)
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+        out = {}
+        for name, k in rows.items():
+            given = value.get(name)
+            if given is None and (name not in value or k.default is _OPTIONAL):
+                if k.default is _REQUIRED:
+                    raise ConfigError(f"{path}: missing required key {name!r}")
+                if k.default is _OPTIONAL:
+                    continue
+                given = copy.deepcopy(k.default)
+            out[name] = _walk(given, k, f"{path}.{name}", prefix + name, scopes + (out,))
+        return out
+    return float(value) if key.type == "float" else value
 
-    kde = raw.get("kde", {})
-    _check_keys(kde, {"bandwidth", "bandwidth_grid", "floor"}, "config.kde")
-    bandwidth = kde.get("bandwidth", "auto")
-    if isinstance(bandwidth, str) and bandwidth != "auto":
-        raise ConfigError("config.kde.bandwidth: expected 'auto' or a number")
-    cfg["kde"] = {
-        "bandwidth": bandwidth,
-        "bandwidth_grid": kde.get("bandwidth_grid"),
-        "floor": float(kde.get("floor", 1e-6)),
-    }
 
-    model = raw.get("model")
+@dataclass(frozen=True)
+class RunObjects:
+    """The library objects a validated config describes. ``measure`` and
+    ``spec`` are None when the config has no such section; ``fit_options``
+    are the keyword options of :func:`densreg.model.fit`; ``effects`` and
+    ``did`` are the interpret items with their output names filled in."""
+
+    measure: ReferenceMeasure | None
+    kde: KdeConfig
+    spec: ModelSpec | None
+    boost: BoostConfig
+    fit_options: dict
+    effects: list
+    did: list
+
+
+# what each command needs from the config beyond its defaults
+_NEEDS = {
+    "estimate": ("data.observations", "measure"),
+    "fit": ("data.densities", "model"),
+    "predict": ("data.model", "data.newdata"),
+    "interpret": ("data.model",),
+    "simulate": ("data.densities", "model"),
+}
+
+
+def _built(path: str, make, *args, **kwargs):
+    """Call a library constructor; its ValueError becomes a ConfigError at
+    ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
+    """Build the run objects from a normalized config (see
+    :func:`validate_config`); with ``command``, first check that the config
+    gives what that command needs."""
+    for need in _NEEDS.get(command, ()):
+        section, _, key = need.partition(".")
+        if not (cfg[section][key] if key else cfg.get(section)):
+            raise ConfigError(f"config.{need}: required for {command}")
+    measure = cfg.get("measure") and _built(
+        "config.measure", ReferenceMeasure.from_dict, cfg["measure"]
+    )
+    if command == "estimate" and not (measure.is_mixed and measure.n_atoms == 2):
+        raise ConfigError("config.measure: estimate needs a mixed measure with two atoms")
+    k = cfg["kde"]
+    grid = {} if k["bandwidth_grid"] is None else {"bandwidth_grid": np.asarray(k["bandwidth_grid"], dtype=float)}
+    kde = _built("config.kde", KdeConfig, bandwidth=k["bandwidth"], floor=k["floor"], **grid)
+    spec, fit_options = None, {}
+    model = cfg.get("model")
     if model is not None:
-        _check_keys(
-            model,
-            {"coding", "references", "default_df", "density_basis", "terms"},
-            "config.model",
-        )
-        coding = model.get("coding", "effect")
-        if coding not in ("effect", "reference"):
-            raise ConfigError("config.model.coding: expected 'effect' or 'reference'")
-        db = model.get("density_basis", {})
-        _check_keys(
-            db, {"knots", "degree", "penalty_order", "lambda_density"},
-            "config.model.density_basis",
-        )
-        terms = _require(model, "terms", "config.model")
-        if not isinstance(terms, list) or not terms:
-            raise ConfigError("config.model.terms: expected a nonempty list")
-        parsed_terms = []
-        for i, term in enumerate(terms):
-            path = f"config.model.terms[{i}]"
-            _check_keys(
-                term,
-                {"name", "kind", "covariates", "df", "knots", "degree",
-                 "penalty_order", "orthogonal_to"},
-                path,
-            )
-            df = term.get("df")
-            if df is not None:
-                _typed(df, (int, float), f"{path}.df", "a number or null")
-            parsed_terms.append(
-                {
-                    "name": str(_require(term, "name", path)),
-                    "kind": str(_require(term, "kind", path)),
-                    "covariates": _strings(term.get("covariates", []), f"{path}.covariates"),
-                    "df": df,
-                    "knots": _integer(term, "knots", 8, path),
-                    "degree": _integer(term, "degree", 3, path),
-                    "penalty_order": _integer(term, "penalty_order", 2, path),
-                    "orthogonal_to": _strings(
-                        term.get("orthogonal_to", []), f"{path}.orthogonal_to"
-                    ),
-                }
-            )
-        references = model.get("references", {})
-        if not isinstance(references, dict):
-            raise ConfigError("config.model.references: expected an object")
-        path = "config.model.density_basis"
-        cfg["model"] = {
-            "coding": coding,
-            "references": dict(references),
-            "default_df": float(
-                _typed(model.get("default_df", 2.0), (int, float), "config.model.default_df",
-                       "a number")
-            ),
-            "density_basis": {
-                "knots": _integer(db, "knots", 10, path),
-                "degree": _integer(db, "degree", 3, path),
-                "penalty_order": _integer(db, "penalty_order", 2, path),
-                "lambda_density": float(
-                    _typed(db.get("lambda_density", 0.0), (int, float),
-                           f"{path}.lambda_density", "a number")
-                ),
-            },
-            "terms": parsed_terms,
+        terms = [
+            _built(f"config.model.terms[{i}]", EffectTerm, **t)
+            for i, t in enumerate(model["terms"])
+        ]
+        spec = _built("config.model", ModelSpec, terms, model["coding"], model["references"])
+        db = model["density_basis"]
+        fit_options = {
+            "default_df": model["default_df"], "lambda_density": db["lambda_density"],
+            **{f"density_{k}": db[k] for k in ("knots", "degree", "penalty_order")},
         }
+    b, stop = cfg["boosting"], cfg["boosting"]["stopping"]
+    boost = _built(
+        "config.boosting", BoostConfig,
+        step_length=b["step_length"], max_iterations=b["max_iterations"],
+        stopping=stop["method"], m_stop=stop["m_stop"], folds=stop["folds"],
+        replicates=stop["replicates"], seed=cfg["seed"], threads=cfg["threads"],
+    )
+    icfg = cfg["interpret"]
+    return RunObjects(
+        measure, kde, spec, boost, fit_options,
+        [{"name": e["term"], **e} for e in icfg["effects"]],
+        [{"name": f"did_{i}", "fixed": {}, **q} for i, q in enumerate(icfg["did"])],
+    )
 
-    boosting = raw.get("boosting", {})
-    _check_keys(
-        boosting, {"step_length", "max_iterations", "stopping"}, "config.boosting"
-    )
-    stopping = boosting.get("stopping", {})
-    _check_keys(
-        stopping, {"method", "m_stop", "folds", "replicates"}, "config.boosting.stopping"
-    )
-    method = stopping.get("method", "fixed")
-    if method not in ("fixed", "cv", "bootstrap"):
-        raise ConfigError(
-            "config.boosting.stopping.method: expected 'fixed', 'cv', or 'bootstrap'"
-        )
-    path = "config.boosting"
-    step_length = float(
-        _typed(boosting.get("step_length", 0.1), (int, float), f"{path}.step_length", "a number")
-    )
-    if not 0.0 < step_length < 1.0:
-        raise ConfigError(f"{path}.step_length: must lie in (0, 1)")
-    max_iterations = _integer(boosting, "max_iterations", 250, path)
-    if max_iterations < 1:
-        raise ConfigError(f"{path}.max_iterations: must be at least 1")
-    m_stop = stopping.get("m_stop")
-    if m_stop is not None:
-        _typed(m_stop, (int,), f"{path}.stopping.m_stop", "an integer or null")
-        if not 0 <= m_stop <= max_iterations:
-            raise ConfigError(f"{path}.stopping.m_stop: must lie in [0, max_iterations]")
-    folds = _integer(stopping, "folds", 10, f"{path}.stopping")
-    if folds < 2:
-        raise ConfigError(f"{path}.stopping.folds: must be at least 2")
-    replicates = _integer(stopping, "replicates", 25, f"{path}.stopping")
-    if replicates < 1:
-        raise ConfigError(f"{path}.stopping.replicates: must be at least 1")
-    cfg["boosting"] = {
-        "step_length": step_length,
-        "max_iterations": max_iterations,
-        "stopping": {
-            "method": method,
-            "m_stop": m_stop,
-            "folds": folds,
-            "replicates": replicates,
-        },
-    }
 
-    simulation = raw.get("simulation", {})
-    _check_keys(
-        simulation, {"replicates", "truncation", "noise_scale"}, "config.simulation"
-    )
-    cfg["simulation"] = {
-        "replicates": int(simulation.get("replicates", 20)),
-        "truncation": simulation.get("truncation"),
-        "noise_scale": float(simulation.get("noise_scale", 1.0)),
-    }
-    if cfg["simulation"]["replicates"] < 1:
-        raise ConfigError("config.simulation.replicates: must be at least 1")
-    if cfg["simulation"]["noise_scale"] < 0:
-        raise ConfigError("config.simulation.noise_scale: must be nonnegative")
+def validate_config(raw) -> dict:
+    """Validate and normalize a run configuration against ``_CONFIG``.
 
-    interpret = raw.get("interpret", {})
-    _check_keys(
-        interpret,
-        {"effects", "odds", "did", "heatmap_resolution", "svg"},
-        "config.interpret",
-    )
-    cfg["interpret"] = {
-        "effects": interpret.get("effects", []),
-        "odds": interpret.get("odds", []),
-        "did": interpret.get("did", []),
-        "heatmap_resolution": int(interpret.get("heatmap_resolution", 25)),
-        "svg": bool(interpret.get("svg", False)),
-    }
+    Returns a new dict with defaults filled in, after building the run
+    objects once so that the library constructors check the rules that span
+    several keys; raises ConfigError with a field path on the first problem.
+    """
+    cfg = _walk(raw, _Key("object"), "config", "")
+    if "measure" in cfg:
+        # (location, weight) pairs, as the measure constructors take them
+        cfg["measure"]["atoms"] = [(a["location"], a["weight"]) for a in cfg["measure"]["atoms"]]
+    run_objects(cfg)
     return cfg
 
 
-def load_config(path) -> dict:
+def load_config(path, overrides: dict | None = None) -> dict:
+    """Read and validate a JSON run configuration; ``overrides`` (such as
+    the CLI's ``--seed`` and ``--threads``) replace top-level keys before
+    validation."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -455,4 +497,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return validate_config(raw)

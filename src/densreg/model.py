@@ -97,6 +97,9 @@ class EffectTerm:
     def __post_init__(self):
         if self.kind not in _TERM_KINDS:
             raise ValueError(f"unknown effect kind {self.kind!r}")
+        for name in ("knots", "degree", "penalty_order"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"term {self.name!r}: {name} must be nonnegative")
         object.__setattr__(self, "covariates", tuple(self.covariates))
         object.__setattr__(self, "orthogonal_to", tuple(self.orthogonal_to))
         slots = _KIND_SLOTS[self.kind]
@@ -473,9 +476,9 @@ class FittedModel:
             "covariates": {name: c.to_dict() for name, c in self.frame.covariates.items()},
             "terms": [e.to_dict() for e in self.frame.encoders],
             "density_basis": {
-                "knots": options.get("density_knots", 10),
-                "degree": options.get("density_degree", 3),
-                "penalty_order": options.get("density_penalty_order", 2),
+                "knots": options["density_knots"],
+                "degree": options["density_degree"],
+                "penalty_order": options["density_penalty_order"],
                 "lambda_density": self.lambda_density,
             },
             "bases": {comp: basis.to_dict() for comp, basis in self.bases.items()},
@@ -567,13 +570,18 @@ def fit(
     data,
     responses: list[DensityElement],
     config: BoostConfig | None = None,
-    **design_options,
+    *,
+    default_df: float = 2.0,
+    density_knots: int = 10,
+    density_degree: int = 3,
+    density_penalty_order: int = 2,
+    lambda_density: float = 0.0,
 ) -> FittedModel:
     """Fit the model, dispatching on the response measure.
 
     Mixed measures are fitted as two independent component models with their
     own stopping iterations; pure discrete or continuous measures get a
-    single fit.
+    single fit. The keyword options are those of :func:`build_designs`.
     """
     config = config or BoostConfig()
     if not responses:
@@ -584,24 +592,20 @@ def fit(
             raise ValueError("responses live on different reference measures")
     if len(responses) != _table_length(data):
         raise ValueError("data rows and responses differ in length")
-    fallback = config.target_df if isinstance(config.target_df, (int, float)) else 2.0
-    design_options = dict(design_options)
-    default_df = design_options.pop("default_df", fallback)
+    density_options = {
+        "density_knots": density_knots,
+        "density_degree": density_degree,
+        "density_penalty_order": density_penalty_order,
+    }
     frame, bases, designs = build_designs(
-        spec, data, measure, default_df=default_df, **design_options
+        spec, data, measure, default_df, lambda_density=lambda_density, **density_options
     )
-    lambda_density = design_options.get("lambda_density", 0.0)
     if measure.is_mixed:
         fits = boost_mixed(
             responses, designs["continuous"], designs["discrete"], config
         )
     else:
         fits = boost(responses, designs["single"], config)
-    density_options = {
-        "density_knots": design_options.get("density_knots", 10),
-        "density_degree": design_options.get("density_degree", 3),
-        "density_penalty_order": design_options.get("density_penalty_order", 2),
-    }
     return FittedModel(
         spec, measure, frame, fits, bases, lambda_density, config, density_options
     )

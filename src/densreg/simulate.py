@@ -63,6 +63,8 @@ def fpca(residuals: list[ClrElement], truncation: int | None = None) -> FpcaResu
     cap = min(n, p)
     if truncation is None:
         truncation = max(1, min(n, p) - 1)
+    if truncation < 1:
+        raise ValueError(f"truncation must be at least 1, got {truncation}")
     if truncation > cap:
         raise ValueError(
             f"truncation {truncation} exceeds the rank bound {cap}"

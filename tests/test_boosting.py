@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -513,9 +514,11 @@ class TestRiskCheck:
 
         monkeypatch.setattr(cli, "fit_model", failing_fit)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{}")
-        monkeypatch.setattr(cli, "_densities_and_table", lambda cfg, cmd: (None,) * 5)
-        monkeypatch.setattr(cli, "_model_spec_from_config", lambda cfg: None)
+        cfg.write_text(json.dumps({
+            "data": {"densities": "unread.tsv"},
+            "model": {"terms": [{"name": "intercept", "kind": "intercept"}]},
+        }))
+        monkeypatch.setattr(cli, "_densities_and_table", lambda path: (None,) * 5)
         assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 

@@ -13,6 +13,7 @@ from densreg.io import (
     load_config,
     model_from_dict,
     read_density_file,
+    run_objects,
     validate_config,
     write_density_file,
 )
@@ -98,6 +99,134 @@ class TestConfigValidation:
         assert cfg["seed"] == 0
         assert cfg["boosting"]["step_length"] == 0.1
         assert cfg["kde"]["bandwidth"] == "auto"
+
+    def test_full_config_sets_every_table_row(self):
+        from densreg.io import _CONFIG
+
+        def rows(value, row=""):
+            key = _CONFIG.get(row)
+            found = {row} if key else set()
+            if isinstance(value, dict) and not (key and key.items):
+                for key, v in value.items():
+                    found |= rows(v, f"{row}.{key}" if row else key)
+            elif isinstance(value, list) and _CONFIG[row].items == "object":
+                for v in value:
+                    found |= rows(v, row + "[]")
+            return found
+
+        with open(DATA / "config_full.json") as fh:
+            assert rows(json.load(fh)) == set(_CONFIG)
+
+    def test_earlier_normalization_reproduced(self):
+        # config_full_normalized.json holds what the earlier, hand-written
+        # validator returned for config_full.json and for {}, after a JSON
+        # round trip
+        with open(DATA / "config_full.json") as fh:
+            full = json.load(fh)
+        with open(DATA / "config_full_normalized.json") as fh:
+            expected = json.load(fh)
+        for name, raw in (("full", full), ("empty", {})):
+            got = json.loads(json.dumps(validate_config(raw)))
+            assert got == expected[name]
+            # also tells 1 from 1.0
+            assert json.dumps(got, sort_keys=True) == json.dumps(expected[name], sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"measure": {"interval": [1.0, 0.0]}}, "config.measure: interval"),
+            ({"kde": {"bandwidth_grid": [0.2, 0.1]}}, "config.kde: bandwidth grid"),
+            ({"model": {"terms": [{"name": "a", "kind": "bogus"}]}}, "config.model.terms[0]: unknown"),
+            ({"model": {"terms": [{"name": "a", "kind": "intercept"}] * 2}}, "config.model: term names"),
+        ],
+    )
+    def test_constructor_rules_reported_at_section_path(self, raw, path):
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        assert str(info.value).startswith(path)
+
+    def test_normalized_config_is_not_shared(self):
+        first = validate_config({})
+        first["interpret"]["effects"].append("changed")
+        assert validate_config({})["interpret"]["effects"] == []
+
+    def test_load_config_overrides(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", seed=3)
+        assert load_config(path)["seed"] == 3
+        cfg = load_config(path, {"seed": 5, "threads": 2})
+        assert (cfg["seed"], cfg["threads"]) == (5, 2)
+
+    @pytest.mark.parametrize(
+        "flag, value, field", [("--threads", "0", "threads"), ("--seed", "-1", "seed")]
+    )
+    def test_cli_overrides_checked_by_table(self, tmp_path, capsys, flag, value, field):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["fit", "--config", cfg, flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config.{field}: ")
+
+
+# Malformed configs that once ended with a traceback (exit 1), as a data
+# error (exit 3), as a numeric failure (exit 4), or were silently coerced
+# (exit 0): command, field (dotted, list indices as numbers), value
+PROBES = [
+    ("simulate", "simulation.truncation", "x"),
+    ("simulate", "simulation.truncation", 0),
+    ("interpret", "interpret.effects", "x"),
+    ("estimate", "measure.interval", ["a", "b"]),
+    ("interpret", "interpret.heatmap_resolution", 0),
+    ("fit", "model.density_basis.lambda_density", -1),
+    ("fit", "data.densities", 5),
+    ("estimate", "kde.floor", "x"),
+    ("estimate", "kde.floor", -1),
+    ("estimate", "kde.bandwidth", -1),
+    ("estimate", "kde.bandwidth_grid", [0.2, 0.1]),
+    ("simulate", "simulation.replicates", "x"),
+    ("simulate", "simulation.noise_scale", "x"),
+    ("interpret", "interpret.effects", [{"at": {}}]),
+    ("interpret", "interpret.did", [{"factor_a": "region"}]),
+    ("interpret", "interpret.odds", [{"term": "year"}]),
+    ("fit", "model.terms.1.kind", "bogus"),
+    ("fit", "model.terms.3.knots", -2),
+    ("fit", "model.terms.3.degree", -1),
+    ("fit", "model.terms.1.covariates", []),
+    ("estimate", "measure.interval", [1, 0]),
+    ("estimate", "measure.atoms.0.weight", "x"),
+    ("estimate", "measure.atoms", [{"location": 0.0}]),
+    ("estimate", "kde.bandwidth", True),
+    ("fit", "model.default_df", -3),
+    ("simulate", "simulation.replicates", 2.5),
+    ("interpret", "interpret.svg", "no"),
+    ("fit", "model.terms.1.name", 5),
+]
+
+
+@pytest.mark.parametrize(
+    "command, field, value", PROBES, ids=[f"{c}-{f}={json.dumps(v)}" for c, f, v in PROBES]
+)
+def test_malformed_config_exits_config_error(tmp_path, capsys, densities_file, command, field, value):
+    obs = write_observations(tmp_path / "obs.tsv", synthetic_observations(0, groups=2, n_per_group=40))
+    sections = {
+        "data": {
+            "observations": obs, "densities": densities_file,
+            "model": str(DATA / "model_v1.json"), "newdata": str(DATA / "model_v1_newdata.tsv"),
+        },
+        "measure": copy.deepcopy(MEASURE),
+        "kde": {"bandwidth": 0.05},
+        "model": copy.deepcopy(MODEL),
+        "boosting": {"max_iterations": 5},
+        "simulation": {"replicates": 2},
+        "interpret": {},
+    }
+    *head, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+    target = sections
+    for key in head:
+        target = target[key]
+    target[last] = value
+    cfg = write_config(tmp_path / "cfg.json", **sections)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{field.split('.')[0]}")
+    assert "Traceback" not in err
 
 
 class TestDensityFileRoundTrip:
@@ -472,7 +601,6 @@ class TestModelRoundTrip:
         from densreg.io import model_from_dict, model_to_dict
         from densreg.model import fit as fit_model, predict_clr
         from densreg.boosting import BoostConfig
-        from densreg.cli import _model_spec_from_config
         import json as _json
 
         cfg = validate_config(
@@ -484,7 +612,7 @@ class TestModelRoundTrip:
         )
         measure, cols, keys, densities = read_density_file(densities_file)
         data = {c: [k[i] for k in keys] for i, c in enumerate(cols)}
-        spec = _model_spec_from_config(cfg)
+        spec = run_objects(cfg).spec
         model = fit_model(
             spec, data, densities, BoostConfig(max_iterations=30), density_knots=6
         )
@@ -498,13 +626,12 @@ class TestModelRoundTrip:
         from densreg.io import model_to_dict
         from densreg.model import design_report, fit as fit_model
         from densreg.boosting import BoostConfig
-        from densreg.cli import _model_spec_from_config
 
         cfg = validate_config({"model": MODEL})
         measure, cols, keys, densities = read_density_file(densities_file)
         data = {c: [k[i] for k in keys] for i, c in enumerate(cols)}
         model = fit_model(
-            _model_spec_from_config(cfg), data, densities, BoostConfig(max_iterations=10),
+            run_objects(cfg).spec, data, densities, BoostConfig(max_iterations=10),
             density_knots=6,
         )
         blob = model_to_dict(model)

@@ -249,6 +249,10 @@ class TestHeatmap:
         assert grid.points[grid.is_atom][0] == 0.0
         assert grid.points[grid.is_atom][-1] == 1.0
 
+    def test_resolution_below_one(self, mixed_measure):
+        with pytest.raises(ValueError, match="resolution must be at least 1"):
+            heatmap(constant_density(mixed_measure), resolution=0)
+
 
 class TestThresholdSplit:
     def test_constant_effect_at_threshold(self, mixed_measure):

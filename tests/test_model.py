@@ -82,6 +82,12 @@ class TestBuildDesigns:
         with pytest.raises(ValueError, match="two levels"):
             build_designs(spec, data, m)
 
+    @pytest.mark.parametrize("size", ["knots", "degree", "penalty_order"])
+    def test_negative_term_sizes_rejected(self, size):
+        # rejected when the term is declared, not when its design is built
+        with pytest.raises(ValueError, match=f"{size} must be nonnegative"):
+            EffectTerm("year", "flexible", ("year",), **{size: -1})
+
     def test_observation_centering(self):
         # under effect coding every non-intercept design is mean-centered, so
         # the average fitted partial effect is the zero function exactly

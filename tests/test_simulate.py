@@ -54,6 +54,11 @@ class TestFpca:
         with pytest.raises(ValueError, match="rank bound"):
             fpca(residuals_from(mixed_measure, rng, 5), truncation=50)
 
+    def test_truncation_below_one(self, mixed_measure):
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="truncation must be at least 1"):
+            fpca(residuals_from(mixed_measure, rng, 5), truncation=0)
+
 
 class TestSimulateResponses:
     def test_zero_eigenvalues_reproduce_means(self, mixed_measure):
