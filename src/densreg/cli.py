@@ -361,7 +361,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="seed override")
     parser.add_argument("--threads", type=int, help="worker cap override")
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    # intermixed, so the check target may also follow the options
+    args = parser.parse_intermixed_args(argv)
     overrides = {"seed": args.seed, "threads": args.threads}
     try:
         cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})

@@ -222,7 +222,7 @@ def model_from_dict(d) -> FittedModel:
         return FittedModel.from_dict(d)
     except KeyError as exc:
         raise DataError(f"model file: missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise DataError(f"model file: {exc}") from exc
 
 

@@ -36,6 +36,9 @@ class ReferenceMeasure:
         Atom positions (sorted, distinct) and their positive weights.
     grid, grid_weights : ndarray
         Interior quadrature nodes and weights; empty iff interval is None.
+    weights, locations : ndarray
+        Atom and quadrature weights, atom locations and grid nodes, in the
+        layout of a value sequence (atoms first); read-only.
     """
 
     interval: tuple[float, float] | None
@@ -43,8 +46,10 @@ class ReferenceMeasure:
     atom_weights: np.ndarray
     grid: np.ndarray
     grid_weights: np.ndarray
-    # cached totals, filled in __post_init__
+    # derived once in __post_init__
     total_mass: float = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    locations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("atom_locations", "atom_weights", "grid", "grid_weights"):
@@ -59,6 +64,11 @@ class ReferenceMeasure:
         if not np.isfinite(mass) or mass <= 0:
             raise ValueError("total mass must be finite and positive")
         object.__setattr__(self, "total_mass", mass)
+        for name, parts in (("weights", (self.atom_weights, self.grid_weights)),
+                            ("locations", (self.atom_locations, self.grid))):
+            arr = np.concatenate(parts)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_atoms(self) -> int:
@@ -72,16 +82,6 @@ class ReferenceMeasure:
     def size(self) -> int:
         """Length of a value sequence aligned to this measure."""
         return self.n_atoms + self.n_grid
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Concatenated atom and quadrature weights (atoms first)."""
-        return np.concatenate([self.atom_weights, self.grid_weights])
-
-    @property
-    def locations(self) -> np.ndarray:
-        """Concatenated atom locations and grid nodes (atoms first)."""
-        return np.concatenate([self.atom_locations, self.grid])
 
     @property
     def lebesgue_length(self) -> float:

@@ -1,11 +1,22 @@
 """User-facing model layer: declare partial effects, build constrained
 designs, fit by boosting, predict, and extract interpretable effect views.
 
-Terms are encoded internally with the requested coding (effect coding by
-default) and made identifiable by sum-to-zero centering over the observations
-plus, for interaction-style terms, orthogonality to the named main effects.
-Reported effects are always converted to reference coding: a term evaluated
-with any of its covariates at the reference contributes the neutral density.
+Each term kind is a string of covariate blocks (``_KINDS``)::
+
+    intercept  ""     group_intercept  "c+"   varying_coefficient  "xs"
+    linear     "a"    group_linear     "cx"   interaction          "ss"
+    flexible   "s"    group_flexible   "cs"
+
+c is a categorical covariate, x a linear column, a the pair [1, x], s a
+B-spline basis, and "c+" one or more categorical covariates. A term's raw
+design is the row-wise tensor product of its blocks; its penalty is the
+Kronecker sum of the difference penalties of its s blocks.
+
+Categorical terms are identified by their coding (effect coding by default);
+numeric and orthogonalized terms are centered over the training rows, and
+``orthogonal_to`` adds orthogonality to the named earlier terms. Reported
+effects are always converted to reference coding: a term evaluated with any
+of its covariates at the reference contributes the neutral density.
 
 A fitted model keeps one predictor state, which is also what a model file
 holds (see :mod:`densreg.io`): a ``_Covariate`` per covariate and a
@@ -17,6 +28,7 @@ that enter and leave, the layer works on N x P clr arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -31,7 +43,6 @@ from .basis import (
     difference_penalty,
     effective_df,
     indicator_density_basis,
-    kron_penalty,
 )
 from .bayes import (
     ClrElement,
@@ -57,27 +68,15 @@ __all__ = [
     "design_report",
 ]
 
-_TERM_KINDS = (
-    "intercept",
-    "linear",
-    "flexible",
-    "group_intercept",
-    "group_linear",
-    "group_flexible",
-    "varying_coefficient",
-    "interaction",
-)
-
-# which covariate slots a kind expects: c = categorical, x = numeric
-_KIND_SLOTS = {
+_KINDS = {
     "intercept": "",
-    "linear": "x",
-    "flexible": "x",
+    "linear": "a",
+    "flexible": "s",
     "group_intercept": "c+",
     "group_linear": "cx",
-    "group_flexible": "cx",
-    "varying_coefficient": "xx",
-    "interaction": "xx",
+    "group_flexible": "cs",
+    "varying_coefficient": "xs",
+    "interaction": "ss",
 }
 
 
@@ -95,22 +94,26 @@ class EffectTerm:
     orthogonal_to: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _TERM_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown effect kind {self.kind!r}")
         for name in ("knots", "degree", "penalty_order"):
             if getattr(self, name) < 0:
                 raise ValueError(f"term {self.name!r}: {name} must be nonnegative")
         object.__setattr__(self, "covariates", tuple(self.covariates))
         object.__setattr__(self, "orthogonal_to", tuple(self.orthogonal_to))
-        slots = _KIND_SLOTS[self.kind]
-        if slots.endswith("+"):
-            if len(self.covariates) < 1:
-                raise ValueError(f"term {self.name!r} needs at least one covariate")
-        elif len(self.covariates) != len(slots):
+        if _KINDS[self.kind] == "c+" and not self.covariates:
+            raise ValueError(f"term {self.name!r} needs at least one covariate")
+        if len(self.covariates) != len(self.blocks):
             raise ValueError(
                 f"term {self.name!r} of kind {self.kind!r} needs "
-                f"{len(slots)} covariate(s)"
+                f"{len(self.blocks)} covariate(s)"
             )
+
+    @property
+    def blocks(self) -> str:
+        """One block letter per covariate slot (see ``_KINDS``)."""
+        blocks = _KINDS[self.kind]
+        return "c" * len(self.covariates) if blocks == "c+" else blocks
 
 
 @dataclass(frozen=True)
@@ -187,66 +190,63 @@ class _Covariate:
 class _TermEncoder:
     """Everything that turns covariate values into design rows of one term.
 
-    Interaction-style terms orthogonalized against main effects
-    (``full_rank``) use the full tensor basis, and the constraints remove the
-    redundant directions. ``transform`` maps raw to constrained columns (None
-    when the term is unconstrained); ``lambda_cov``, ``target_df`` and
-    ``achieved_df`` record the degree-of-freedom calibration.
+    ``transform`` maps raw to constrained columns (None when the term is
+    unconstrained); ``lambda_cov``, ``target_df`` and ``achieved_df`` record
+    the degree-of-freedom calibration.
     """
 
     term: EffectTerm
     covariates: tuple
     coding: str
-    full_rank: bool
     knot_vectors: dict
     transform: np.ndarray | None = None
     lambda_cov: float = 0.0
     target_df: float | None = None
     achieved_df: float = 0.0
 
-    def _categorical_block(self, cov, column):
-        labels = [str(v) for v in column]
-        unknown = set(labels) - set(cov.levels)
-        if unknown:
-            raise ValueError(f"unknown level(s) {sorted(unknown)} for {cov.name!r}")
-        if self.full_rank:
-            block = np.zeros((len(labels), len(cov.levels)))
-            for i, lab in enumerate(labels):
-                block[i, cov.levels.index(lab)] = 1.0
-            return block
-        non_ref = [l for l in cov.levels if l != cov.reference]
-        block = np.zeros((len(labels), len(non_ref)))
-        for i, lab in enumerate(labels):
-            if lab == cov.reference:
-                if self.coding == "effect":
-                    block[i, :] = -1.0
-            else:
-                block[i, non_ref.index(lab)] = 1.0
-        return block
+    def _contrast(self, cov) -> np.ndarray:
+        """Level-by-column contrast of a categorical block: full dummies for an
+        orthogonalized term, otherwise the coding without the reference column."""
+        eye = np.eye(len(cov.levels))
+        if self.term.orthogonal_to:
+            return eye
+        ref = cov.levels.index(cov.reference)
+        contrast = np.delete(eye, ref, axis=1)
+        contrast[ref] = -1.0 if self.coding == "effect" else 0.0
+        return contrast
+
+    def _widths(self) -> list:
+        """Column count of each block."""
+        def width(letter, cov):
+            if letter == "c":
+                return self._contrast(cov).shape[1]
+            if letter == "s":
+                return len(self.knot_vectors[cov.name]) - self.term.degree - 1
+            return {"x": 1, "a": 2}[letter]
+        return [width(letter, cov) for letter, cov in zip(self.term.blocks, self.covariates)]
+
+    def _block(self, letter, cov, column) -> np.ndarray:
+        if letter == "c":
+            index = {level: i for i, level in enumerate(cov.levels)}
+            labels = [str(v) for v in column]
+            unknown = set(labels) - set(index)
+            if unknown:
+                raise ValueError(f"unknown level(s) {sorted(unknown)} for {cov.name!r}")
+            # the one-hot rows of the levels times the contrast
+            return self._contrast(cov)[[index[lab] for lab in labels]]
+        x = np.asarray(column, dtype=float)
+        if letter == "s":
+            return bspline_eval(self.knot_vectors[cov.name], self.term.degree, x)
+        if letter == "x":
+            return x[:, None]
+        return np.column_stack([np.ones_like(x), x])
 
     def raw_design(self, data) -> np.ndarray:
-        term = self.term
+        """Row-wise tensor product of the blocks, from a column of ones."""
         n = _table_length(data)
-        if term.kind == "intercept":
-            return np.ones((n, 1))
-        blocks = []
-        for cov in self.covariates:
-            column = _column(data, cov.name, n)
-            if cov.kind == "categorical":
-                blocks.append(self._categorical_block(cov, column))
-            elif term.kind == "linear" or (
-                term.kind in ("group_linear", "varying_coefficient")
-                and cov is self.covariates[-1 if term.kind == "group_linear" else 0]
-            ):
-                blocks.append(np.asarray(column, dtype=float)[:, None])
-            else:
-                x = np.asarray(column, dtype=float)
-                blocks.append(bspline_eval(self.knot_vectors[cov.name], term.degree, x))
-        if term.kind == "linear":
-            return np.hstack([np.ones((n, 1)), blocks[0]])
-        out = blocks[0]
-        for block in blocks[1:]:
-            # row-wise tensor product of the design blocks
+        out = np.ones((n, 1))
+        for letter, cov in zip(self.term.blocks, self.covariates):
+            block = self._block(letter, cov, _column(data, cov.name, n))
             out = (out[:, :, None] * block[:, None, :]).reshape(n, -1)
         return out
 
@@ -257,37 +257,27 @@ class _TermEncoder:
 
     @property
     def n_columns(self) -> int:
-        """Number of constrained design columns, from one in-range row."""
-        if not self.covariates:
-            return 1
-        row = {c.name: [c.levels[0] if c.levels else c.lo] for c in self.covariates}
-        return self.design(row).shape[1]
+        """Number of constrained design columns."""
+        if self.transform is not None:
+            return self.transform.shape[1]
+        return math.prod(self._widths())
 
-    def raw_penalty(self, n_cols: int) -> np.ndarray:
-        term = self.term
-        if term.kind == "intercept":
+    def raw_penalty(self) -> np.ndarray:
+        """Kronecker sum, over the spline blocks, of I x D x I with D the
+        difference penalty of the term's order; the identity for a term
+        without spline blocks, zero for the intercept."""
+        if not self.term.blocks:
             return np.zeros((1, 1))
-        if term.kind == "linear":
-            return np.eye(2)
-        if term.kind in ("group_intercept", "group_linear"):
-            return np.eye(n_cols)
-        if term.kind in ("flexible", "varying_coefficient"):
-            return difference_penalty(n_cols, term.penalty_order)
-        if term.kind == "group_flexible":
-            k_spline = len(self.knot_vectors[self.covariates[1].name]) - term.degree - 1
-            n_groups = n_cols // k_spline
-            return np.kron(
-                np.eye(n_groups), difference_penalty(k_spline, term.penalty_order)
+        widths = self._widths()
+        parts = [
+            np.kron(
+                np.kron(np.eye(math.prod(widths[:j])),
+                        difference_penalty(k, self.term.penalty_order)),
+                np.eye(math.prod(widths[j + 1:])),
             )
-        # flexible interaction of two numeric covariates
-        k1 = len(self.knot_vectors[self.covariates[0].name]) - term.degree - 1
-        k2 = len(self.knot_vectors[self.covariates[1].name]) - term.degree - 1
-        return kron_penalty(
-            difference_penalty(k1, term.penalty_order),
-            difference_penalty(k2, term.penalty_order),
-            1.0,
-            1.0,
-        )
+            for j, (letter, k) in enumerate(zip(self.term.blocks, widths)) if letter == "s"
+        ]
+        return sum(parts[1:], parts[0]) if parts else np.eye(math.prod(widths))
 
     def to_dict(self) -> dict:
         return {
@@ -302,17 +292,22 @@ class _TermEncoder:
     @classmethod
     def from_dict(cls, d: dict, covariates: dict, coding: str) -> "_TermEncoder":
         term = EffectTerm(**{f.name: d[f.name] for f in fields(EffectTerm)})
-        return cls(
+        encoder = cls(
             term,
             tuple(covariates[c] for c in term.covariates),
             coding,
-            bool(term.orthogonal_to),
             {k: np.asarray(v, dtype=float) for k, v in d["knot_vectors"].items()},
             None if d["transform"] is None else np.asarray(d["transform"], dtype=float),
             d["lambda_cov"],
             d.get("target_df", d["df"]),
             d["achieved_df"],
         )
+        transform, width = encoder.transform, math.prod(encoder._widths())
+        if transform is not None and (transform.ndim != 2 or len(transform) != width):
+            raise ValueError(
+                f"term {term.name!r}: transform must have {width} rows, one per raw column"
+            )
+        return encoder
 
 
 def _table_length(data) -> int:
@@ -333,8 +328,6 @@ def _column(data, name, n):
 
 def _nullspace_transform(constraints: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the nullspace of the stacked constraint rows."""
-    if constraints.size == 0:
-        return None
     u, s, vt = np.linalg.svd(constraints, full_matrices=True)
     tol = max(constraints.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
     rank = int((s > tol).sum())
@@ -346,11 +339,8 @@ def _nullspace_transform(constraints: np.ndarray) -> np.ndarray:
 def _infer_covariates(spec: ModelSpec, data) -> dict:
     covs = {}
     for term in spec.terms:
-        slots = _KIND_SLOTS[term.kind]
-        kinds = ("categorical",) * len(term.covariates) if slots.endswith("+") else tuple(
-            {"c": "categorical", "x": "numeric"}[s] for s in slots
-        )
-        for cname, ckind in zip(term.covariates, kinds):
+        for cname, letter in zip(term.covariates, term.blocks):
+            ckind = "categorical" if letter == "c" else "numeric"
             if cname in covs:
                 if covs[cname].kind != ckind:
                     raise ValueError(f"covariate {cname!r} used with conflicting types")
@@ -386,23 +376,19 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
     covariate penalty."""
     covariates = _infer_covariates(spec, data)
     encoders, blocks, designs_by_name = [], [], {}
-    splines = ("flexible", "group_flexible", "varying_coefficient", "interaction")
     for term in spec.terms:
         covs = tuple(covariates[c] for c in term.covariates)
         knots = {
             c.name: bspline_knots(c.lo, c.hi, term.knots, term.degree)
-            for c in covs if c.kind == "numeric" and term.kind in splines
+            for c, letter in zip(covs, term.blocks) if letter == "s"
         }
-        encoder = _TermEncoder(term, covs, spec.coding, bool(term.orthogonal_to), knots)
+        encoder = _TermEncoder(term, covs, spec.coding, knots)
         raw = encoder.raw_design(data)
-        pen = encoder.raw_penalty(raw.shape[1])
+        pen = encoder.raw_penalty()
         rows = []
-        # categorical terms under reference coding are identified by their
-        # zero reference rows instead of sum-to-zero centering
-        has_categorical = any(c.kind == "categorical" for c in covs)
-        skip_center = (
-            spec.coding == "reference" and has_categorical and not term.orthogonal_to
-        )
+        # categorical terms are identified by their coding; numeric and
+        # orthogonalized terms by centering over the training rows
+        skip_center = "c" in term.blocks and not term.orthogonal_to
         if term.kind != "intercept" and spec.has_intercept and not skip_center:
             rows.append(raw.mean(axis=0)[None, :])
         for other in term.orthogonal_to:

@@ -308,6 +308,32 @@ class TestEstimateCommand:
         )
         assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_skipped_group_then_fit(self, tmp_path):
+        # a group of zero total weight is skipped, which leaves the estimated
+        # densities unbalanced over region x c_age
+        table = synthetic_observations(2, groups=6, n_per_group=60)
+        table["weight"] = [
+            0.0 if (r, c) == ("east", "kids7_18") else w
+            for r, c, w in zip(table["region"], table["c_age"], table["weight"])
+        ]
+        obs = write_observations(tmp_path / "obs.tsv", table)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"observations": obs, "densities": str(out / "densities.tsv")},
+            measure=MEASURE,
+            kde={"bandwidth": 0.05},
+            model=dict(MODEL, terms=MODEL["terms"][:3]),
+            boosting={"max_iterations": 20},
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        skipped = (out / "skipped_groups.tsv").read_text().splitlines()
+        assert skipped[1:] == ["east\tkids7_18"]
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        report = [ln.split("\t") for ln in (out / "design_report.tsv").read_text().splitlines()]
+        columns = {row[0]: row[report[0].index("columns")] for row in report[1:]}
+        assert (columns["region"], columns["c_age"]) == ("1", "2")
+
     def test_estimate_roundtrips_through_check(self, tmp_path):
         obs = write_observations(tmp_path / "obs.tsv", synthetic_observations(1, groups=2, n_per_group=150))
         cfg = write_config(
@@ -575,6 +601,12 @@ class TestCheckCommand:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["check", densities_file, "--config", cfg]) == 0
 
+    def test_target_before_or_after_options(self, tmp_path, densities_file):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["check", densities_file, "--config", cfg]) == 0
+        assert main(["check", "--config", cfg, densities_file]) == 0
+        assert main(["check", "--config", cfg, densities_file, "--threads", "1"]) == 0
+
     def test_corrupted_file_fails(self, tmp_path, densities_file):
         cfg = write_config(tmp_path / "cfg.json")
         lines = open(densities_file).read().splitlines()
@@ -697,15 +729,17 @@ class TestModelFiles:
             (_model_file_with(("terms",), None), "missing field 'terms'"),
             (_model_file_with(("terms",), 5), "model file:"),
             (_model_file_with(("covariates", "year", "kind"), "bogus"), "unknown kind 'bogus'"),
-            (_model_file_with(("terms", 4, "transform"), [[1.0]]), "model file: matmul"),
+            (_model_file_with(("terms", 4, "transform"), [[1.0]]),
+             "model file: term 'region_year': transform must have 12 rows"),
             (_model_file_with(("bases", "discrete", "kind"), "bogus"), "density basis kind"),
             (_model_file_with(("fits", "continuous", "coefficients", 1), [0.0]), "coefficient lengths"),
             (_model_file_with(("fits", "discrete", "offset"), [0.0]), "offset has shape"),
+            (_model_file_with(("fits", "discrete", "m_stop"), 1e400), "float infinity"),
         ],
         ids=[
             "json_list", "format", "version_99", "version_string", "missing_terms",
             "terms_not_list", "covariate_kind", "term_transform", "basis_kind",
-            "coefficient_length", "offset_length",
+            "coefficient_length", "offset_length", "m_stop_infinite",
         ],
     )
     def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):

@@ -117,6 +117,45 @@ class TestBuildDesigns:
         np.testing.assert_allclose(rows, 0.0, atol=1e-12)
 
 
+class TestCategoricalIdentification:
+    """Categorical terms without ``orthogonal_to`` are identified by their
+    coding under both codings; centering them as well removes a real contrast
+    as soon as the rows are unbalanced."""
+
+    @pytest.mark.parametrize("coding", ["effect", "reference"])
+    def test_unbalanced_paper_model_fits(self, coding):
+        m, data, truths, _ = planted_problem(seed=0, grid_size=100, n_years=30, noise_scale=0.5)
+        keep = np.setdiff1d(np.arange(len(truths)), [3, 50, 51])
+        data = {k: np.asarray(v)[keep] for k, v in data.items()}
+        spec = ModelSpec(
+            terms=income_spec(coding).terms[:4] + (
+                EffectTerm("region_year", "group_flexible", ("region", "year"),
+                           orthogonal_to=("region", "year")),
+            ),
+            coding=coding,
+            references={"region": "west", "c_age": "other", "year": 0.0},
+        )
+        model = fit(spec, data, [truths[i] for i in keep],
+                    BoostConfig(max_iterations=20), density_knots=6)
+        columns = {r["term"]: r["columns"] for r in design_report(model)}
+        assert (columns["region"], columns["c_age"]) == (1, 2)
+        assert len(predict(model, {k: v[:3] for k, v in data.items()})) == 3
+
+    def test_balanced_group_flexible_keeps_every_contrast(self):
+        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
+        spec = ModelSpec(
+            terms=(
+                EffectTerm("intercept", "intercept"),
+                EffectTerm("c_age_year", "group_flexible", ("c_age", "year"), knots=4),
+            ),
+            references={"c_age": "other"},
+        )
+        frame, _, designs = build_designs(spec, data, m)
+        # (levels - 1) x splines: 2 x 8
+        assert designs["continuous"][1].n_cov == 16
+        assert frame.encoders[1].transform is None
+
+
 class TestFitAndPredict:
     def test_zero_noise_recovery(self, planted_fit):
         m, data, truths, effects, model = planted_fit
