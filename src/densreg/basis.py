@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .measure import ReferenceMeasure
 
@@ -66,7 +65,28 @@ def bspline_eval(knots: np.ndarray, degree: int, points) -> np.ndarray:
     interior = knots[degree + 1 : -degree - 1]
     if interior.size and np.any(np.diff(interior) <= 0):
         raise ValueError("interior knots must be strictly increasing")
-    return BSpline.design_matrix(points, knots, degree).toarray()
+    if not (np.isfinite(knots).all() and np.isfinite(points).all()):
+        raise ValueError("knots and evaluation points must be finite")
+    if knots.size < 2 * degree + 2 or np.any(np.diff(knots) < 0):
+        raise ValueError(f"knots must be nondecreasing, at least {2 * degree + 2} of them")
+    # Cox-de Boor recursion (de Boor 1978), all points at once: on the span
+    # knots[i] <= x < knots[i+1] the degree+1 nonzero values are built up one
+    # degree at a time; the right end of the span falls in the last interval
+    n_basis = knots.size - degree - 1
+    span = np.clip(np.searchsorted(knots, points, side="right") - 1, degree, n_basis - 1)
+    h = np.zeros((points.size, degree + 1))
+    h[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            right, left = knots[span + n], knots[span + n - j]
+            w = prev[:, n - 1] / (right - left)
+            h[:, n - 1] += w * (right - points)
+            h[:, n] = w * (points - left)
+    out = np.zeros((points.size, n_basis))
+    out[np.arange(points.size)[:, None], span[:, None] + np.arange(-degree, 1)] = h
+    return out
 
 
 def difference_penalty(size: int, order: int) -> np.ndarray:

@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .basis import EffectDesign
 from .bayes import (
@@ -163,10 +162,22 @@ def _penalized_inverse(gram: np.ndarray) -> tuple[np.ndarray, bool]:
     jitter (degenerate designs, e.g. empty categories in small folds)."""
     eye = np.eye(gram.shape[0])
     try:
-        return cho_solve(cho_factor(gram), eye, check_finite=False), False
+        lower = np.linalg.cholesky(gram)
+        jittered = False
     except np.linalg.LinAlgError:
-        jittered = cho_factor(gram + 1e-10 * eye)
-        return cho_solve(jittered, eye, check_finite=False), True
+        lower = np.linalg.cholesky(gram + 1e-10 * eye)
+        jittered = True
+    inv_lower = np.linalg.solve(lower, eye)
+    return inv_lower.T @ inv_lower, jittered
+
+
+def _block_diag(blocks: list) -> np.ndarray:
+    """Square blocks placed along the diagonal of one zero matrix."""
+    ends = np.cumsum([len(b) for b in blocks])
+    out = np.zeros((ends[-1], ends[-1]))
+    for b, end in zip(blocks, ends):
+        out[end - len(b):end, end - len(b):end] = b
+    return out
 
 
 def _warn_jitter(jittered: bool) -> None:
@@ -226,8 +237,8 @@ def _boost_path(
         smoothers.append(smoother)
         grams.append(gram)
         jittered |= jit
-    smoother = block_diag(*smoothers)
-    gram = block_diag(*grams)
+    smoother = _block_diag(smoothers)
+    gram = _block_diag(grams)
 
     e_in = y_in - offset_clr
     resid = e_in @ weighted_basis

@@ -8,10 +8,10 @@ positive so the result is a valid element of the density space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .bayes import DensityElement
 from .measure import ReferenceMeasure, integrate
@@ -105,12 +105,32 @@ def _rho(t: np.ndarray, b: float) -> np.ndarray:
     )
 
 
+def _shape_parameters(t: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Beta parameters (p, q) at each evaluation point: Beta(t/b, (1-t)/b) in
+    the middle, rho(t) for p within 2b of 0 and rho(1-t) for q within 2b of 1
+    (Chen 1999). Where both boundary ranges hold (b > 0.5), the right one wins."""
+    p = t / b
+    q = (1.0 - t) / b
+    left = t < 2.0 * b
+    right = t > 1.0 - 2.0 * b
+    p[left & ~right] = _rho(t[left & ~right], b)
+    q[right] = _rho(1.0 - t[right], b)
+    return p, q
+
+
+def _times_log(a: np.ndarray, log_v: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a * log_v`` broadcast to ``shape``, with 0 * log 0 taken as 0."""
+    return np.multiply(a, log_v, out=np.zeros(shape), where=a != 0)
+
+
 def beta_kernel(t, b: float, x) -> np.ndarray:
     """Boundary-adapted beta kernel evaluated at data point(s) ``x``.
 
     The kernel is a beta density in ``x`` whose parameters depend on the
     evaluation point ``t``: plain Beta(t/b, (1-t)/b) in the middle of the
     interval and a bias-reducing modification within 2b of either boundary.
+    It is computed in log space, (p-1) log x + (q-1) log(1-x) - log B(p, q),
+    with one log B per evaluation point; a zero shape parameter gives NaN.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -118,23 +138,39 @@ def beta_kernel(t, b: float, x) -> np.ndarray:
         raise ValueError("bandwidth must be positive")
     if np.any((t < 0) | (t > 1)) or np.any((x < 0) | (x > 1)):
         raise ValueError("kernel arguments must lie in [0, 1]")
-    t_b, x_b = np.broadcast_arrays(t, x)
-    out = np.empty(t_b.shape)
-    left = t_b < 2.0 * b
-    right = t_b > 1.0 - 2.0 * b
-    mid = ~(left | right)
-    if np.any(left):
-        out[left] = stats.beta.pdf(x_b[left], _rho(t_b[left], b), (1.0 - t_b[left]) / b)
-    if np.any(mid):
-        out[mid] = stats.beta.pdf(x_b[mid], t_b[mid] / b, (1.0 - t_b[mid]) / b)
-    if np.any(right):
-        out[right] = stats.beta.pdf(x_b[right], t_b[right] / b, _rho(1.0 - t_b[right], b))
+    p, q = _shape_parameters(t.reshape(-1), b)
+    log_beta = np.array([
+        math.lgamma(pi) + math.lgamma(qi) - math.lgamma(pi + qi) if pi > 0 and qi > 0 else np.nan
+        for pi, qi in zip(p.tolist(), q.tolist())
+    ]).reshape(t.shape)
+    p, q = p.reshape(t.shape), q.reshape(t.shape)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    with np.errstate(divide="ignore"):
+        log_x, log_1mx = np.log(x), np.log1p(-x)
+    out = _times_log(p - 1.0, log_x, shape)
+    out += _times_log(q - 1.0, log_1mx, shape)
+    out -= log_beta
+    np.exp(out, out=out)
     return out if out.shape else float(out)
 
 
 def _raw_kde_matrix(grid: np.ndarray, data: np.ndarray, b: float) -> np.ndarray:
     """Kernel values K[t_g, x_l] on the evaluation grid."""
     return beta_kernel(grid[:, None], b, data[None, :])
+
+
+def _interior(group: ObservationGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Interior values and their weights, renormalized to sum to one."""
+    interior = group.interior
+    w = group.weights[interior]
+    return group.values[interior], w / w.sum()
+
+
+def _normalized(raw: np.ndarray, measure: ReferenceMeasure) -> np.ndarray:
+    total = float(raw @ measure.grid_weights)
+    if total <= 0:
+        raise ValueError("kernel estimate vanished on the grid")
+    return raw / total
 
 
 def kde(
@@ -145,17 +181,31 @@ def kde(
     Uses only the interior observations; the returned values integrate to
     one against the grid quadrature.
     """
-    interior = group.interior
-    if not interior.any():
+    if not group.interior.any():
         raise ValueError("no interior observations to smooth")
-    data = group.values[interior]
-    w = group.weights[interior]
-    w = w / w.sum()
-    raw = _raw_kde_matrix(measure.grid, data, b) @ w
-    total = float(raw @ measure.grid_weights)
-    if total <= 0:
-        raise ValueError("kernel estimate vanished on the grid")
-    return raw / total
+    data, w = _interior(group)
+    return _normalized(_raw_kde_matrix(measure.grid, data, b) @ w, measure)
+
+
+def _ucv(
+    data: np.ndarray, w: np.ndarray, measure: ReferenceMeasure, b: float
+) -> tuple[float, np.ndarray]:
+    """The cross-validation score and the grid kernel matrix it was built on."""
+    if w.size < 2:
+        raise ValueError("cross-validation needs at least two interior points")
+    if w.max() >= 1.0:
+        raise ValueError("cannot leave out an observation carrying all weight")
+    grid_mat = _raw_kde_matrix(measure.grid, data, b)     # (G, n)
+    point_mat = _raw_kde_matrix(data, data, b)            # (n, n), rows are eval pts
+    raw_full = grid_mat @ w
+    norm_full = float(raw_full @ measure.grid_weights)
+    fhat = raw_full / norm_full
+    term1 = float((fhat**2) @ measure.grid_weights)
+    # leave-one-out estimates at the left-out points, all points at once
+    raw_wo = (point_mat @ w - w * np.diagonal(point_mat)) / (1.0 - w)
+    norm_wo = (norm_full - w * (measure.grid_weights @ grid_mat)) / (1.0 - w)
+    term2 = float((w * raw_wo / norm_wo).sum())
+    return term1 - 2.0 * term2, grid_mat
 
 
 def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> float:
@@ -165,29 +215,22 @@ def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> f
     constant: the squared integral of the estimate minus twice the weighted
     average of leave-one-out estimates at the left-out points.
     """
-    interior = group.interior
-    data = group.values[interior]
-    w = group.weights[interior]
-    w = w / w.sum()
-    n = data.size
-    if n < 2:
-        raise ValueError("cross-validation needs at least two interior points")
-    grid_mat = _raw_kde_matrix(measure.grid, data, b)     # (G, n)
-    point_mat = _raw_kde_matrix(data, data, b)            # (n, n), rows are eval pts
-    raw_full = grid_mat @ w
-    norm_full = float(raw_full @ measure.grid_weights)
-    fhat = raw_full / norm_full
-    term1 = float((fhat**2) @ measure.grid_weights)
-    term2 = 0.0
-    raw_at_points = point_mat @ w
-    norms_wo = norm_full - (grid_mat * w[None, :]).T @ measure.grid_weights
-    for l in range(n):
-        if w[l] >= 1.0:
-            raise ValueError("cannot leave out an observation carrying all weight")
-        raw_wo = (raw_at_points[l] - w[l] * point_mat[l, l]) / (1.0 - w[l])
-        norm_wo = norms_wo[l] / (1.0 - w[l])
-        term2 += w[l] * raw_wo / norm_wo
-    return term1 - 2.0 * term2
+    data, w = _interior(group)
+    return _ucv(data, w, measure, b)[0]
+
+
+def _select(
+    group: ObservationGroup, measure: ReferenceMeasure, cfg: KdeConfig
+) -> tuple[float, np.ndarray | None]:
+    """The bandwidth and, when cross-validation chose it, its grid kernel matrix."""
+    if not isinstance(cfg.bandwidth, str):
+        return float(cfg.bandwidth), None
+    if int(group.interior.sum()) < 3:
+        return DEFAULT_BANDWIDTH, None
+    data, w = _interior(group)
+    scored = [_ucv(data, w, measure, b) for b in cfg.bandwidth_grid]
+    best = int(np.argmin([score for score, _ in scored]))
+    return float(cfg.bandwidth_grid[best]), scored[best][1]
 
 
 def select_bandwidth(
@@ -198,12 +241,7 @@ def select_bandwidth(
     Groups with fewer than three interior observations fall back to the
     default bandwidth of 0.02.
     """
-    if not isinstance(cfg.bandwidth, str):
-        return float(cfg.bandwidth)
-    if int(group.interior.sum()) < 3:
-        return DEFAULT_BANDWIDTH
-    scores = [ucv_score(group, measure, b) for b in cfg.bandwidth_grid]
-    return float(cfg.bandwidth_grid[int(np.argmin(scores))])
+    return _select(group, measure, cfg)[0]
 
 
 def assemble_mixed(
@@ -222,9 +260,12 @@ def assemble_mixed(
     if not measure.is_mixed or measure.n_atoms != 2:
         raise ValueError("expected a mixed measure with atoms at both boundaries")
     p0, p1, p_int = group.boundary_shares()
-    b = bandwidth if bandwidth is not None else select_bandwidth(group, measure, cfg)
+    b, grid_mat = (bandwidth, None) if bandwidth is not None else _select(group, measure, cfg)
     if group.interior.any() and p_int > 0:
-        grid_part = p_int * kde(group, measure, b)
+        data, w = _interior(group)
+        if grid_mat is None:
+            grid_mat = _raw_kde_matrix(measure.grid, data, b)
+        grid_part = p_int * _normalized(grid_mat @ w, measure)
     else:
         grid_part = np.zeros(measure.n_grid)
     values = np.concatenate(

@@ -326,10 +326,14 @@ def _column(data, name, n):
     return col
 
 
-def _nullspace_transform(constraints: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the nullspace of the stacked constraint rows."""
+def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal basis of the nullspace of the stacked constraint rows.
+
+    Rank is measured against ``scale``, the size of the designs the rows were
+    formed from, so that rows of pure rounding noise count as no constraint.
+    """
     u, s, vt = np.linalg.svd(constraints, full_matrices=True)
-    tol = max(constraints.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
+    tol = max(constraints.shape) * np.finfo(float).eps * scale
     rank = int((s > tol).sum())
     if rank == vt.shape[1]:
         raise ValueError("identifiability constraints leave no free coefficients")
@@ -398,7 +402,10 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
                     "which must be declared earlier"
                 )
             rows.append(designs_by_name[other].T @ raw)
-        transform = _nullspace_transform(np.vstack(rows)) if rows else None
+        scale = np.linalg.norm(raw) * max(
+            [1.0] + [np.linalg.norm(designs_by_name[o]) for o in term.orthogonal_to]
+        )
+        transform = _nullspace_transform(np.vstack(rows), scale) if rows else None
         if transform is not None:
             x = raw @ transform
             pen = transform.T @ pen @ transform

@@ -70,6 +70,29 @@ class TestBsplineEval:
         with pytest.raises(ValueError, match="span"):
             bspline_eval(knots, 3, [1.2])
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_interior", [0, 1, 7])
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (1990.0, 2021.0)])
+    def test_equals_scipy_design_matrix(self, degree, n_interior, span):
+        from scipy.interpolate import BSpline
+
+        knots = bspline_knots(*span, n_interior, degree)
+        pts = np.concatenate([
+            np.random.default_rng(degree).uniform(*span, size=200), knots, list(span)
+        ])
+        got = bspline_eval(knots, degree, pts)
+        expected = BSpline.design_matrix(pts, knots, degree).toarray()
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+    def test_knot_vector_checks(self):
+        knots = bspline_knots(0, 1, 2, 3)
+        for bad in (np.r_[knots[:-1], np.nan], np.r_[knots[:-1], -1.0], knots[:7]):
+            with pytest.raises(ValueError, match="knots"):
+                bspline_eval(bad, 3, [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            bspline_eval(knots, 3, [np.nan])
+
 
 class TestDifferencePenalty:
     def test_first_order_by_hand(self):

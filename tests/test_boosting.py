@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from densreg.basis import (
     assemble_effect,
@@ -33,6 +34,7 @@ from densreg.bayes import (
 )
 from densreg.boosting import (
     BoostConfig,
+    _penalized_inverse,
     _stop_then_fit,
     boost,
     boost_from_clr,
@@ -441,6 +443,46 @@ def rank_deficient_effect(measure, rng, n):
 
 
 class TestSingularFallback:
+    def test_inverse_matches_scipy_cholesky(self, continuous_measure):
+        rng = np.random.default_rng(25)
+        basis = bspline_density_basis(continuous_measure, 6)
+        c = basis.clr_matrix.T @ (basis.clr_matrix * continuous_measure.weights[:, None])
+        bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
+        eff = assemble_effect("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
+        gram = np.kron(bx.T @ bx, c) + eff.penalty()
+        inverse, jittered = _penalized_inverse(gram)
+        expected = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
+        assert not jittered
+        np.testing.assert_allclose(inverse, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_inverse_as_accurate_as_scipy_on_model_designs(self):
+        # on worse-conditioned grams (up to 1e5 here) the two inverses differ
+        # by about cond * eps, so require residuals of the same order instead
+        m, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=8)
+        spec = ModelSpec((
+            EffectTerm("intercept", "intercept"),
+            EffectTerm("region", "group_intercept", ("region",)),
+            EffectTerm("year", "flexible", ("year",), knots=4),
+            EffectTerm("region_year", "group_flexible", ("region", "year"),
+                       orthogonal_to=("region", "year")),
+        ))
+        _, _, designs = build_designs(spec, data, m, density_knots=6)
+        for d in designs["continuous"] + designs["discrete"]:
+            b, w = d.density_basis.clr_matrix, d.density_basis.measure.weights
+            gram = np.kron(d.X.T @ d.X, b.T @ (b * w[:, None])) + d.penalty()
+            eye = np.eye(gram.shape[0])
+            inverse, jittered = _penalized_inverse(gram)
+            expected = cho_solve(cho_factor(gram), eye)
+            assert not jittered
+            assert np.abs(gram @ inverse - eye).max() <= 4 * np.abs(gram @ expected - eye).max() + 1e-15
+
+    def test_singular_gram_is_jittered(self):
+        gram = np.array([[1.0, 1.0], [1.0, 1.0]])
+        inverse, jittered = _penalized_inverse(gram)
+        expected = cho_solve(cho_factor(gram + 1e-10 * np.eye(2)), np.eye(2))
+        assert jittered
+        np.testing.assert_allclose(inverse, expected, rtol=1e-6)
+
     def test_rank_deficient_design_warns_and_solves(self, continuous_measure):
         rng = np.random.default_rng(26)
         n = 8

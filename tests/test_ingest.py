@@ -57,6 +57,49 @@ class TestBetaKernel:
             right = beta_kernel(np.full_like(xs, 2 * b + abs(eps)), b, xs)
             np.testing.assert_allclose(left, right, rtol=1e-5)
 
+    @staticmethod
+    def _scipy_kernel(t, b, x):
+        """The kernel with every beta density from ``scipy.stats``, branch by
+        branch: left, then middle, then right, the right winning on overlap."""
+        from densreg.ingest import _rho
+
+        t, x = np.broadcast_arrays(t, x)
+        out = np.empty(t.shape)
+        left, right = t < 2.0 * b, t > 1.0 - 2.0 * b
+        mid = ~(left | right)
+        with np.errstate(all="ignore"):
+            out[left] = stats.beta.pdf(x[left], _rho(t[left], b), (1.0 - t[left]) / b)
+            out[mid] = stats.beta.pdf(x[mid], t[mid] / b, (1.0 - t[mid]) / b)
+            out[right] = stats.beta.pdf(x[right], t[right] / b, _rho(1.0 - t[right], b))
+        return out
+
+    @pytest.mark.parametrize("b", list(KdeConfig().bandwidth_grid) + [0.3, 0.5, 0.7])
+    def test_grid_by_data_matches_scipy(self, unit_mixed, b):
+        rng = np.random.default_rng(11)
+        data = np.concatenate([rng.beta(2, 3, size=300), [0.0, 1.0, 1e-9, 1 - 1e-9]])
+        # t = 0 and t = 1 put points in both boundary branches at every b
+        t = np.concatenate([[0.0], unit_mixed.grid, [1.0], data])
+        got = beta_kernel(t[:, None], b, data[None, :])
+        expected = self._scipy_kernel(t[:, None], b, data[None, :])
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+        # below the smallest normal double there is no relative precision
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("b", [0.02, 0.1])
+    def test_boundary_data_points(self, b):
+        # x in {0, 1} where a shape parameter is exactly one: 0 * log 0 is 0
+        assert beta_kernel(0.0, b, 0.0) == pytest.approx(stats.beta.pdf(0.0, 1.0, 1.0 / b), rel=1e-12)
+        assert beta_kernel(1.0, b, 1.0) == pytest.approx(stats.beta.pdf(1.0, 1.0 / b, 1.0), rel=1e-12)
+        assert beta_kernel(0.5, b, 0.0) == 0.0
+        assert beta_kernel(0.5, b, 1.0) == 0.0
+
+    def test_zero_shape_parameter_is_nan(self):
+        # with b > 0.5 the right branch covers t = 0, where p = t / b = 0
+        with np.errstate(all="raise"):
+            got = beta_kernel(np.array([0.0, 0.5]), 0.6, 0.3)
+        assert np.isnan(got[0]) and np.isfinite(got[1])
+        assert np.isnan(stats.beta.pdf(0.3, 0.0, 1.0))
+
     def test_domain_checks(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             beta_kernel(1.5, 0.1, 0.5)
@@ -148,6 +191,13 @@ class TestSelectBandwidth:
         g = ObservationGroup([0.2, 0.4, 0.8], [1.0, 1.0, 1.0])
         assert select_bandwidth(g, unit_mixed, KdeConfig(bandwidth=0.07)) == 0.07
 
+    def test_observation_with_all_weight_rejected(self, unit_mixed):
+        g = ObservationGroup([0.2, 0.4, 0.8], [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="all weight"):
+            ucv_score(g, unit_mixed, 0.05)
+        with pytest.raises(ValueError, match="all weight"):
+            select_bandwidth(g, unit_mixed, KdeConfig())
+
     def test_score_matches_bruteforce_double_loop(self, unit_mixed):
         rng = np.random.default_rng(3)
         n = 60
@@ -204,6 +254,15 @@ class TestAssembleMixed:
         assert atom_mass == pytest.approx(75.0 / 275.0, abs=1e-9)
         assert f.total() == pytest.approx(1.0, abs=1e-8)
         assert np.all(f.values > 0)
+
+    def test_auto_bandwidth_matches_explicit(self, unit_mixed):
+        # the automatic path reuses the kernel matrix cross-validation built
+        rng = np.random.default_rng(6)
+        g = ObservationGroup(np.concatenate([np.zeros(5), rng.beta(2, 5, size=80)]), np.ones(85))
+        cfg = KdeConfig()
+        auto = assemble_mixed(g, unit_mixed, cfg)
+        explicit = assemble_mixed(g, unit_mixed, cfg, bandwidth=select_bandwidth(g, unit_mixed, cfg))
+        np.testing.assert_array_equal(auto.values, explicit.values)
 
     def test_all_mass_at_zero(self, unit_mixed):
         g = ObservationGroup(np.zeros(10), np.ones(10))

@@ -3,10 +3,14 @@
 Invariant checks must survive ``python -O``, so the package holds no
 ``assert`` statement; and every name a module imports at module level is
 used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
-its imports are the re-exports).
+its imports are the re-exports). The runtime needs numpy only: importing the
+command-line module loads no scipy module.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +66,15 @@ def test_no_unused_module_imports(path):
         if name not in used and name not in _exported(tree)
     }
     assert not unused, f"{path.name}: unused import(s) {unused}"
+
+
+def test_cli_import_loads_no_scipy():
+    script = (
+        "import sys, densreg.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

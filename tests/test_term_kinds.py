@@ -126,3 +126,16 @@ def test_varying_coefficient_on_one_covariate():
     assert designs["continuous"][-1].n_cov == 5  # centered
     model = fit(spec, DATA, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
     assert [r["columns"] for r in design_report(model)] == [1, 5]
+
+
+@pytest.mark.parametrize("coding", ["effect", "reference"])
+def test_intercept_orthogonal_to_centered_year(coding):
+    # the constraint rows year' 1 vanish up to rounding once year is centered;
+    # rank is measured against the designs, so they remove no column
+    spec = ModelSpec(
+        (EffectTerm("year", "flexible", ("year",), df=2.0, knots=2),
+         EffectTerm("intercept", "intercept", orthogonal_to=("year",))),
+        coding, {"year": 0.0},
+    )
+    model = fit(spec, DATA, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
+    assert [r["columns"] for r in design_report(model)] == [5, 1]
