@@ -59,16 +59,16 @@ def bspline_eval(knots: np.ndarray, degree: int, points) -> np.ndarray:
     """
     knots = np.asarray(knots, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=float))
+    if knots.size < 2 * degree + 2 or np.any(np.diff(knots) < 0):
+        raise ValueError(f"knots must be nondecreasing, at least {2 * degree + 2} of them")
+    if not (np.isfinite(knots).all() and np.isfinite(points).all()):
+        raise ValueError("knots and evaluation points must be finite")
     lo, hi = knots[degree], knots[-degree - 1]
     if np.any(points < lo) or np.any(points > hi):
         raise ValueError("evaluation points must lie within the knot span")
     interior = knots[degree + 1 : -degree - 1]
     if interior.size and np.any(np.diff(interior) <= 0):
         raise ValueError("interior knots must be strictly increasing")
-    if not (np.isfinite(knots).all() and np.isfinite(points).all()):
-        raise ValueError("knots and evaluation points must be finite")
-    if knots.size < 2 * degree + 2 or np.any(np.diff(knots) < 0):
-        raise ValueError(f"knots must be nondecreasing, at least {2 * degree + 2} of them")
     # Cox-de Boor recursion (de Boor 1978), all points at once: on the span
     # knots[i] <= x < knots[i+1] the degree+1 nonzero values are built up one
     # degree at a time; the right end of the span falls in the last interval

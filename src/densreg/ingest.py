@@ -166,13 +166,6 @@ def _interior(group: ObservationGroup) -> tuple[np.ndarray, np.ndarray]:
     return group.values[interior], w / w.sum()
 
 
-def _normalized(raw: np.ndarray, measure: ReferenceMeasure) -> np.ndarray:
-    total = float(raw @ measure.grid_weights)
-    if total <= 0:
-        raise ValueError("kernel estimate vanished on the grid")
-    return raw / total
-
-
 def kde(
     group: ObservationGroup, measure: ReferenceMeasure, b: float
 ) -> np.ndarray:
@@ -184,13 +177,21 @@ def kde(
     if not group.interior.any():
         raise ValueError("no interior observations to smooth")
     data, w = _interior(group)
-    return _normalized(_raw_kde_matrix(measure.grid, data, b) @ w, measure)
+    raw = _raw_kde_matrix(measure.grid, data, b) @ w
+    total = float(raw @ measure.grid_weights)
+    if total <= 0:
+        raise ValueError("kernel estimate vanished on the grid")
+    return raw / total
 
 
-def _ucv(
-    data: np.ndarray, w: np.ndarray, measure: ReferenceMeasure, b: float
-) -> tuple[float, np.ndarray]:
-    """The cross-validation score and the grid kernel matrix it was built on."""
+def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> float:
+    """Cross-validation score for one bandwidth on the interior observations.
+
+    Estimates the integrated squared error of the normalized estimate up to a
+    constant: the squared integral of the estimate minus twice the weighted
+    average of leave-one-out estimates at the left-out points.
+    """
+    data, w = _interior(group)
     if w.size < 2:
         raise ValueError("cross-validation needs at least two interior points")
     if w.max() >= 1.0:
@@ -205,32 +206,7 @@ def _ucv(
     raw_wo = (point_mat @ w - w * np.diagonal(point_mat)) / (1.0 - w)
     norm_wo = (norm_full - w * (measure.grid_weights @ grid_mat)) / (1.0 - w)
     term2 = float((w * raw_wo / norm_wo).sum())
-    return term1 - 2.0 * term2, grid_mat
-
-
-def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> float:
-    """Cross-validation score for one bandwidth on the interior observations.
-
-    Estimates the integrated squared error of the normalized estimate up to a
-    constant: the squared integral of the estimate minus twice the weighted
-    average of leave-one-out estimates at the left-out points.
-    """
-    data, w = _interior(group)
-    return _ucv(data, w, measure, b)[0]
-
-
-def _select(
-    group: ObservationGroup, measure: ReferenceMeasure, cfg: KdeConfig
-) -> tuple[float, np.ndarray | None]:
-    """The bandwidth and, when cross-validation chose it, its grid kernel matrix."""
-    if not isinstance(cfg.bandwidth, str):
-        return float(cfg.bandwidth), None
-    if int(group.interior.sum()) < 3:
-        return DEFAULT_BANDWIDTH, None
-    data, w = _interior(group)
-    scored = [_ucv(data, w, measure, b) for b in cfg.bandwidth_grid]
-    best = int(np.argmin([score for score, _ in scored]))
-    return float(cfg.bandwidth_grid[best]), scored[best][1]
+    return term1 - 2.0 * term2
 
 
 def select_bandwidth(
@@ -241,7 +217,12 @@ def select_bandwidth(
     Groups with fewer than three interior observations fall back to the
     default bandwidth of 0.02.
     """
-    return _select(group, measure, cfg)[0]
+    if not isinstance(cfg.bandwidth, str):
+        return float(cfg.bandwidth)
+    if int(group.interior.sum()) < 3:
+        return DEFAULT_BANDWIDTH
+    scores = [ucv_score(group, measure, b) for b in cfg.bandwidth_grid]
+    return float(cfg.bandwidth_grid[int(np.argmin(scores))])
 
 
 def assemble_mixed(
@@ -260,12 +241,9 @@ def assemble_mixed(
     if not measure.is_mixed or measure.n_atoms != 2:
         raise ValueError("expected a mixed measure with atoms at both boundaries")
     p0, p1, p_int = group.boundary_shares()
-    b, grid_mat = (bandwidth, None) if bandwidth is not None else _select(group, measure, cfg)
+    b = bandwidth if bandwidth is not None else select_bandwidth(group, measure, cfg)
     if group.interior.any() and p_int > 0:
-        data, w = _interior(group)
-        if grid_mat is None:
-            grid_mat = _raw_kde_matrix(measure.grid, data, b)
-        grid_part = p_int * _normalized(grid_mat @ w, measure)
+        grid_part = p_int * kde(group, measure, b)
     else:
         grid_part = np.zeros(measure.n_grid)
     values = np.concatenate(

@@ -326,11 +326,21 @@ def _column(data, name, n):
     return col
 
 
+def _per_unit_design(norm: float) -> float:
+    """The power of two nearest 1/``norm`` (1 for a zero norm).
+
+    Constraint rows D'raw times this factor are within sqrt(2) of D'raw/||D||,
+    and scaling by a power of two is exact, so the SVD of the rows and the
+    nullspace basis keep their bits.
+    """
+    return 2.0 ** -round(math.log2(norm)) if norm > 0 else 1.0
+
+
 def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
     """Orthonormal basis of the nullspace of the stacked constraint rows.
 
-    Rank is measured against ``scale``, the size of the designs the rows were
-    formed from, so that rows of pure rounding noise count as no constraint.
+    Rank is measured against ``scale``, the largest size a row can have, so
+    that rows of pure rounding noise count as no constraint.
     """
     u, s, vt = np.linalg.svd(constraints, full_matrices=True)
     tol = max(constraints.shape) * np.finfo(float).eps * scale
@@ -391,21 +401,23 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
         pen = encoder.raw_penalty()
         rows = []
         # categorical terms are identified by their coding; numeric and
-        # orthogonalized terms by centering over the training rows
+        # orthogonalized terms by centering over the training rows. Each block
+        # of rows D'raw is brought to the scale of a unit-norm D (D = 1/N for
+        # the mean row), so rank is measured against ||raw|| alone
         skip_center = "c" in term.blocks and not term.orthogonal_to
         if term.kind != "intercept" and spec.has_intercept and not skip_center:
-            rows.append(raw.mean(axis=0)[None, :])
+            rows.append(raw.mean(axis=0)[None, :] * _per_unit_design(raw.shape[0] ** -0.5))
         for other in term.orthogonal_to:
             if other not in designs_by_name:
                 raise ValueError(
                     f"term {term.name!r} is constrained against {other!r}, "
                     "which must be declared earlier"
                 )
-            rows.append(designs_by_name[other].T @ raw)
-        scale = np.linalg.norm(raw) * max(
-            [1.0] + [np.linalg.norm(designs_by_name[o]) for o in term.orthogonal_to]
+            design = designs_by_name[other]
+            rows.append(design.T @ raw * _per_unit_design(np.linalg.norm(design)))
+        transform = (
+            _nullspace_transform(np.vstack(rows), np.linalg.norm(raw)) if rows else None
         )
-        transform = _nullspace_transform(np.vstack(rows), scale) if rows else None
         if transform is not None:
             x = raw @ transform
             pen = transform.T @ pen @ transform

@@ -87,7 +87,7 @@ class TestBsplineEval:
 
     def test_knot_vector_checks(self):
         knots = bspline_knots(0, 1, 2, 3)
-        for bad in (np.r_[knots[:-1], np.nan], np.r_[knots[:-1], -1.0], knots[:7]):
+        for bad in (np.r_[knots[:-1], np.nan], np.r_[knots[:-1], -1.0], knots[:7], knots[:3]):
             with pytest.raises(ValueError, match="knots"):
                 bspline_eval(bad, 3, [0.0])
         with pytest.raises(ValueError, match="finite"):

@@ -255,15 +255,6 @@ class TestAssembleMixed:
         assert f.total() == pytest.approx(1.0, abs=1e-8)
         assert np.all(f.values > 0)
 
-    def test_auto_bandwidth_matches_explicit(self, unit_mixed):
-        # the automatic path reuses the kernel matrix cross-validation built
-        rng = np.random.default_rng(6)
-        g = ObservationGroup(np.concatenate([np.zeros(5), rng.beta(2, 5, size=80)]), np.ones(85))
-        cfg = KdeConfig()
-        auto = assemble_mixed(g, unit_mixed, cfg)
-        explicit = assemble_mixed(g, unit_mixed, cfg, bandwidth=select_bandwidth(g, unit_mixed, cfg))
-        np.testing.assert_array_equal(auto.values, explicit.values)
-
     def test_all_mass_at_zero(self, unit_mixed):
         g = ObservationGroup(np.zeros(10), np.ones(10))
         cfg = KdeConfig(bandwidth=0.05)

@@ -139,3 +139,17 @@ def test_intercept_orthogonal_to_centered_year(coding):
     )
     model = fit(spec, DATA, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
     assert [r["columns"] for r in design_report(model)] == [5, 1]
+
+
+@pytest.mark.parametrize("unit", [1e-20, 1.0, 1e20])
+def test_orthogonalization_independent_of_units(unit):
+    # each block of constraint rows is measured against the design it comes
+    # from, so rescaling the covariate of that design removes the same columns
+    spec = ModelSpec((
+        EffectTerm("intercept", "intercept"),
+        EffectTerm("age", "group_linear", ("c_age", "age"), df=1.0),
+        EffectTerm("year", "flexible", ("year",), df=2.0, knots=2, orthogonal_to=("age",)),
+    ))
+    data = dict(DATA, age=DATA["age"] * unit)
+    model = fit(spec, data, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
+    assert [r["columns"] for r in design_report(model)] == [1, 2, 3]
