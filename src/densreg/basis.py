@@ -33,6 +33,8 @@ __all__ = [
 
 def bspline_knots(lo: float, hi: float, n_interior: int, degree: int) -> np.ndarray:
     """Clamped knot vector with uniform interior knots on [lo, hi]."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("knot span must be finite")
     if not hi > lo:
         raise ValueError("knot span must satisfy lo < hi")
     if n_interior < 0:
@@ -59,10 +61,10 @@ def bspline_eval(knots: np.ndarray, degree: int, points) -> np.ndarray:
     """
     knots = np.asarray(knots, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    if knots.size < 2 * degree + 2 or np.any(np.diff(knots) < 0):
-        raise ValueError(f"knots must be nondecreasing, at least {2 * degree + 2} of them")
     if not (np.isfinite(knots).all() and np.isfinite(points).all()):
         raise ValueError("knots and evaluation points must be finite")
+    if knots.size < 2 * degree + 2 or np.any(np.diff(knots) < 0):
+        raise ValueError(f"knots must be nondecreasing, at least {2 * degree + 2} of them")
     lo, hi = knots[degree], knots[-degree - 1]
     if np.any(points < lo) or np.any(points > hi):
         raise ValueError("evaluation points must lie within the knot span")
@@ -162,6 +164,8 @@ class DensityBasis:
         else:
             raise ValueError(f"unknown density basis kind {d['kind']!r}")
         z = np.asarray(d["transform"], dtype=float)
+        if not np.isfinite(z).all():
+            raise ValueError("density basis transform must be finite")
         return cls(m, raw @ z, None, z, d["kind"])
 
 

@@ -5,31 +5,32 @@ penalized least-squares fit of the clr residuals. All base-learners of one
 component share its density basis B (P x K_Y), and the measure-weighted
 inner product meets the residual Y - F only through its projection onto that
 basis, R = (Y - F) W B (N x K_Y instead of N x P). One kernel,
-:func:`_boost_path`, runs the loop on R, in the array arithmetic of row-tensor
-designs (Currie, Durbán & Eilers 2006) that FDboost uses for functional
-linear array models (Brockhaus, Scheipl, Hothorn & Greven 2015):
+:func:`_boost_paths`, runs the loop on R for F resamples in lockstep, in the
+array arithmetic of row-tensor designs (Currie, Durbán & Eilers 2006) that
+FDboost uses for functional linear array models (Brockhaus, Scheipl, Hothorn
+& Greven 2015). A resample weights the N densities by counts n: all ones for
+the in-bag fit, 0/1 for a cross-validation fold, draw multiplicities for a
+bootstrap replicate; its held-out rows are a 0/1 mask.
 
-* the base-learners are stacked into one column block X = [X_1 ... X_J]; for
-  its training rows the kernel precomputes the smoother
-  S = blockdiag(G_j^-1), with G_j = kron(X_j'X_j, C) + penalty_j and
-  C = B'WB, and the Gram blocks X_j'X_j;
-* each iteration forms rhs = X' 2R once and gamma = S rhs; up to a constant
-  shared by all learners, learner j's weighted residual sum of squares is the
-  segment sum of gamma * (Q gamma - 2 rhs) with Q = blockdiag(kron(X_j'X_j, C)),
-  so every learner is scored at once;
-* the selected learner updates R, the in-bag risk and, for resampled
-  stopping, the held-out residual and risk in closed form; the fitted N x P
-  surfaces are built once, at the end.
+* learner j's smoother G_j^-1, with G_j = kron(X_j' diag(n) X_j, C) +
+  penalty_j and C = B'WB, is one (F, d_j, d_j) stack, about 0.34 MB per
+  resample for the paper's model;
+* each iteration forms rhs = X' diag(n) 2R with one product and
+  gamma_j = G_j^-1 rhs_j with one batched solve per learner; up to a constant,
+  learner j's weighted residual sum of squares is gamma_j * (Q_j gamma_j -
+  2 rhs_j) with Q_j = kron(X_j' diag(n) X_j, C), and one argmin per resample
+  picks its learner;
+* a block mask applies each resample's pick to its residual, in-bag risk and
+  held-out risk in closed form; fitted N x P surfaces are built once, at the end.
 
-In-bag fits (:func:`boost_from_clr`) and every cross-validation or bootstrap
-resample (:func:`early_stop_from_clr`) run this kernel. Norms everywhere are
-measure-weighted, which is where discrete, continuous, and mixed supports
-differ.
+In-bag fits (:func:`boost_from_clr`) are the one-resample case; resampled
+stopping (:func:`early_stop_from_clr`) makes one call for all folds or
+replicates. Norms everywhere are measure-weighted, which is where discrete,
+continuous, and mixed supports differ.
 """
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,6 +67,10 @@ class BoostConfig:
     ``stopping`` selects how the number of iterations is chosen: "fixed" uses
     ``m_stop`` (default ``max_iterations``), "cv" k-fold cross-validation,
     "bootstrap" out-of-bag risk over resampled density sets.
+
+    ``threads`` and ``target_df`` are accepted but not read by the library;
+    they remain because the benchmark tracer (``perfbench/trace.py``) still
+    sets them.
     """
 
     step_length: float = 0.1
@@ -128,9 +133,12 @@ class FitState:
         offset = np.asarray(d["offset"], dtype=float)
         if offset.shape != (measure.size,):
             raise ValueError(f"offset has shape {offset.shape}, expected ({measure.size},)")
+        coefficients = [np.asarray(c, dtype=float) for c in d["coefficients"]]
+        if not all(np.isfinite(v).all() for v in [offset, *coefficients]):
+            raise ValueError("offset and coefficients must be finite")
         curve = None if d["stop_curve"] is None else np.asarray(d["stop_curve"], dtype=float)
         return cls(
-            measure, offset, [np.asarray(c, dtype=float) for c in d["coefficients"]], None,
+            measure, offset, coefficients, None,
             list(map(int, d["selections"])), np.asarray(d["risk_path"], dtype=float),
             int(d["m_stop"]), stop_curve=curve,
         )
@@ -171,113 +179,114 @@ def _penalized_inverse(gram: np.ndarray) -> tuple[np.ndarray, bool]:
     return inv_lower.T @ inv_lower, jittered
 
 
-def _block_diag(blocks: list) -> np.ndarray:
-    """Square blocks placed along the diagonal of one zero matrix."""
-    ends = np.cumsum([len(b) for b in blocks])
-    out = np.zeros((ends[-1], ends[-1]))
-    for b, end in zip(blocks, ends):
-        out[end - len(b):end, end - len(b):end] = b
-    return out
+def _boost_paths(
+    y_clr: np.ndarray,
+    weights: np.ndarray,
+    designs: list[EffectDesign],
+    kappa: float,
+    n_iter: int,
+    counts: np.ndarray,
+    test: np.ndarray | None = None,
+    track: bool = False,
+):
+    """The boosting loop in density-basis coordinates, for F resamples at once.
 
+    ``counts`` (F x N integers) gives each resample's training rows as
+    multiplicities over all N rows; ``test`` (F x N booleans), when given,
+    marks the held-out rows whose risk is tracked alongside. ``track`` keeps
+    every unscaled increment of resample 0.
 
-def _warn_jitter(jittered: bool) -> None:
+    Returns the offsets (F, P), coefficients (F, sum K_j, K_Y), selections
+    (F, n_iter), in-bag risks (F, n_iter + 1), held-out risk sums
+    (F, n_iter + 1, or None) and the increments. Raises FloatingPointError
+    when the in-bag risk of any resample increases.
+    """
+    basis = designs[0].density_basis.clr_matrix
+    weighted_basis = basis * weights[:, None]
+    c = basis.T @ weighted_basis
+    k_y = basis.shape[1]
+    sizes = [d.n_cov for d in designs]
+    ends = np.cumsum(sizes)
+    blocks = list(zip(ends - sizes, ends))
+    n_resamples, n = counts.shape
+    x = np.hstack([d.X for d in designs])
+
+    offsets = np.empty((n_resamples, y_clr.shape[1]))
+    resid = np.empty((n_resamples, n, k_y))
+    risk = np.empty((n_resamples, n_iter + 1))
+    heldout = None if test is None else np.empty((n_resamples, n_iter + 1))
+    grams = [np.empty((n_resamples, b - a, b - a)) for a, b in blocks]
+    smoothers = [np.empty((n_resamples, (b - a) * k_y, (b - a) * k_y)) for a, b in blocks]
+    penalties = [d.penalty() for d in designs]
+    jittered = False
+    for f in range(n_resamples):
+        rows = np.repeat(np.arange(n), counts[f])
+        x_in = x[rows]
+        offsets[f] = y_clr[rows].mean(axis=0)
+        e = y_clr - offsets[f]
+        resid[f] = e @ weighted_basis
+        risk[f, 0] = float(((e[rows] ** 2) * weights).sum())
+        if test is not None:
+            heldout[f, 0] = float(((e[test[f]] ** 2) * weights).sum())
+        for j, (a, b) in enumerate(blocks):
+            grams[j][f] = x_in[:, a:b].T @ x_in[:, a:b]
+            smoothers[j][f], jit = _penalized_inverse(np.kron(grams[j][f], c) + penalties[j])
+            jittered |= jit
     if jittered:
         warnings.warn(
             "singular base-learner system, adding ridge jitter", RuntimeWarning,
             stacklevel=3,
         )
 
-
-@dataclass
-class _Path:
-    """What one run of the kernel produced."""
-
-    offset_clr: np.ndarray            # (P,) clr mean of the training rows
-    coefficients: np.ndarray          # (sum K_j, K_Y) stacked theta_j
-    selections: list                  # chosen effect index per iteration
-    increments: list | None           # (j, gamma) per iteration when tracked
-    risk: np.ndarray                  # in-bag risk, index 0 .. n_iter
-    heldout: np.ndarray | None        # summed held-out risk, index 0 .. n_iter
-    jittered: bool
-
-
-def _boost_path(
-    y_clr: np.ndarray,
-    weights: np.ndarray,
-    designs: list[EffectDesign],
-    kappa: float,
-    n_iter: int,
-    train: np.ndarray | None = None,
-    test: np.ndarray | None = None,
-    track: bool = False,
-) -> _Path:
-    """The boosting loop in density-basis coordinates.
-
-    Fits on the rows ``train`` (all rows when None; repeats allowed) and, when
-    ``test`` is given, tracks the risk of the held-out rows alongside.
-    ``track`` keeps every unscaled increment.
-    """
-    basis = designs[0].density_basis.clr_matrix
-    weighted_basis = basis * weights[:, None]
-    c = basis.T @ weighted_basis
-    k_y = basis.shape[1]
-    sizes = np.array([d.n_cov for d in designs])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    segments = starts * k_y
-
-    x = np.hstack([d.X for d in designs])
-    x_in = x if train is None else x[train]
-    y_in = y_clr if train is None else y_clr[train]
-    offset_clr = y_in.mean(axis=0)
-    smoothers, grams, jittered = [], [], False
-    for d, a, b in zip(designs, starts, ends):
-        gram = x_in[:, a:b].T @ x_in[:, a:b]
-        smoother, jit = _penalized_inverse(np.kron(gram, c) + d.penalty())
-        smoothers.append(smoother)
-        grams.append(gram)
-        jittered |= jit
-    smoother = _block_diag(smoothers)
-    gram = _block_diag(grams)
-
-    e_in = y_in - offset_clr
-    resid = e_in @ weighted_basis
-    risk = np.empty(n_iter + 1)
-    risk[0] = float(((e_in ** 2) * weights).sum())
-    heldout = None
-    if test is not None:
-        x_out = x[test]
-        e_out = y_clr[test] - offset_clr
-        resid_out = e_out @ weighted_basis
-        heldout = np.empty(n_iter + 1)
-        heldout[0] = float(((e_out ** 2) * weights).sum())
-
-    coefficients = np.zeros((x.shape[1], k_y))
-    selections = []
+    # 2 x counts weights the in-bag rows of the gradient; the mask picks the
+    # selected learner's block of every resample
+    twice_counts = 2.0 * counts[:, :, None]
+    test_weight = None if test is None else test.astype(float)
+    block_mask = np.zeros((len(designs), x.shape[1], 1))
+    for j, (a, b) in enumerate(blocks):
+        block_mask[j, a:b] = 1.0
+    every = np.arange(n_resamples)
+    coefficients = np.zeros((n_resamples, x.shape[1], k_y))
+    gamma = np.empty_like(coefficients)
+    fit_part = np.empty((n_resamples, len(designs)))
+    size_part = np.empty_like(fit_part)
+    selections = np.empty((n_resamples, n_iter), dtype=int)
     increments = [] if track else None
     for m in range(1, n_iter + 1):
-        rhs = x_in.T @ (2.0 * resid)
-        gamma = (smoother @ rhs.ravel()).reshape(rhs.shape)
-        fit_part = np.add.reduceat((gamma * rhs).ravel(), segments)
-        size_part = np.add.reduceat((gamma * (gram @ gamma @ c)).ravel(), segments)
-        j = int(np.argmin(size_part - 2.0 * fit_part))
-        a, b = starts[j], ends[j]
-        g = gamma[a:b]
-        coefficients[a:b] += kappa * g
-        selections.append(j)
+        rhs = x.T @ (resid * twice_counts)
+        for j, (a, b) in enumerate(blocks):
+            r = rhs[:, a:b].reshape(n_resamples, -1)
+            g = (smoothers[j] @ r[:, :, None]).reshape(n_resamples, b - a, k_y)
+            fit_part[:, j] = (g.reshape(n_resamples, -1) * r).sum(axis=1)
+            size_part[:, j] = (g * (grams[j] @ g @ c)).sum(axis=(1, 2))
+            gamma[:, a:b] = g
+        sel = np.argmin(size_part - 2.0 * fit_part, axis=1)
+        selections[:, m - 1] = sel
+        step = gamma * block_mask[sel]
+        coefficients += kappa * step
         if track:
-            increments.append((j, g.ravel().copy()))
-        resid -= kappa * (x_in[:, a:b] @ g @ c)
-        risk[m] = risk[m - 1] - kappa * fit_part[j] + kappa ** 2 * size_part[j]
-        if heldout is not None:
-            h = x_out[:, a:b] @ g
-            hc = h @ c
-            heldout[m] = (
-                heldout[m - 1] - 2.0 * kappa * float((h * resid_out).sum())
-                + kappa ** 2 * float((h * hc).sum())
+            a, b = blocks[sel[0]]
+            increments.append((int(sel[0]), gamma[0, a:b].ravel().copy()))
+        risk[:, m] = (
+            risk[:, m - 1] - kappa * fit_part[every, sel] + kappa ** 2 * size_part[every, sel]
+        )
+        h = x @ step
+        hc = h @ c
+        if test is not None:
+            heldout[:, m] = (
+                heldout[:, m - 1]
+                - 2.0 * kappa * np.einsum("fnk,fnk,fn->f", h, resid, test_weight)
+                + kappa ** 2 * np.einsum("fnk,fnk,fn->f", h, hc, test_weight)
             )
-            resid_out -= kappa * hc
-    return _Path(offset_clr, coefficients, selections, increments, risk, heldout, jittered)
+        resid -= kappa * hc
+
+    rises = np.diff(risk, axis=1) > _RISK_SLACK * np.maximum(1.0, risk[:, :1])
+    if rises.any():
+        raise FloatingPointError(
+            "in-bag risk increased during boosting at iteration "
+            f"{np.flatnonzero(rises.any(axis=0))[0] + 1}"
+        )
+    return offsets, coefficients, selections, risk, heldout, increments
 
 
 def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign]) -> None:
@@ -304,31 +313,22 @@ def boost_from_clr(
     y_clr = np.asarray(y_clr, dtype=float)
     _check_inputs(y_clr, measure, designs)
     m_stop = config.max_iterations if m_stop is None else m_stop
-    path = _boost_path(
+    offsets, coefficients, selections, risk, _, increments = _boost_paths(
         y_clr, measure.weights, designs, config.step_length, m_stop,
-        track=config.track_increments,
+        np.ones((1, y_clr.shape[0]), dtype=int), track=config.track_increments,
     )
-    _warn_jitter(path.jittered)
-
-    drops = np.diff(path.risk)
-    bad = np.flatnonzero(drops > _RISK_SLACK * max(1.0, path.risk[0]))
-    if bad.size:
-        raise FloatingPointError(
-            f"in-bag risk increased during boosting at iteration {bad[0] + 1}"
-        )
-
     ends = np.cumsum([d.n_cov for d in designs])
     x = np.hstack([d.X for d in designs])
-    fitted = path.offset_clr + x @ path.coefficients @ designs[0].density_basis.clr_matrix.T
+    fitted = offsets[0] + x @ coefficients[0] @ designs[0].density_basis.clr_matrix.T
     return FitState(
         measure=measure,
-        offset_clr=path.offset_clr,
-        coefficients=[c.ravel() for c in np.split(path.coefficients, ends[:-1])],
+        offset_clr=offsets[0],
+        coefficients=[c.ravel() for c in np.split(coefficients[0], ends[:-1])],
         fitted_clr=fitted,
-        selections=path.selections,
-        risk_path=path.risk,
+        selections=selections[0].tolist(),
+        risk_path=risk[0],
         m_stop=m_stop,
-        increments=path.increments,
+        increments=increments,
     )
 
 
@@ -364,8 +364,8 @@ def boost(
 ) -> FitState:
     """Fit the additive model to density responses sharing one measure.
 
-    Resolves the stopping iteration first (resampling methods re-run the loop
-    on subsets of the densities), then fits on the full data.
+    Resolves the stopping iteration first (resampling methods run the loop on
+    every fold or replicate at once), then fits on the full data.
     """
     measure = _common_measure(responses)
     y_clr = np.stack([clr(f).values for f in responses])
@@ -389,43 +389,28 @@ def early_stop_from_clr(
     _check_inputs(y_clr, measure, designs)
     n = y_clr.shape[0]
     rng = np.random.default_rng(config.seed)
-    splits: list[tuple[np.ndarray, np.ndarray]] = []
     if config.stopping == "cv":
         k = min(config.folds, n)
         if k < 2:
             raise ValueError("cross-validation needs at least two folds")
-        perm = rng.permutation(n)
-        folds = np.array_split(perm, k)
-        for i in range(k):
-            test = np.sort(folds[i])
-            train = np.sort(np.concatenate([folds[j] for j in range(k) if j != i]))
-            splits.append((train, test))
+        test = np.zeros((k, n), dtype=bool)
+        for i, rows in enumerate(np.array_split(rng.permutation(n), k)):
+            test[i, rows] = True
+        counts = (~test).astype(int)
     elif config.stopping == "bootstrap":
-        for _ in range(config.replicates):
-            while True:
-                draw = rng.integers(0, n, size=n)
-                oob = np.setdiff1d(np.arange(n), draw)
-                if oob.size:
-                    break
-            splits.append((np.sort(draw), oob))
+        counts = np.ones((config.replicates, n), dtype=int)
+        for row in counts:
+            while row.all():  # redraw until some density is out of bag
+                row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        test = counts == 0
     else:
         raise ValueError(f"no resampling for stopping method {config.stopping!r}")
 
-    def run(split):
-        train, test = split
-        return _boost_path(
-            y_clr, measure.weights, designs, config.step_length,
-            config.max_iterations, train, test,
-        )
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            paths = list(pool.map(run, splits))
-    else:
-        paths = [run(s) for s in splits]
-    _warn_jitter(any(p.jittered for p in paths))
-    curves = [p.heldout / len(test) for p, (_, test) in zip(paths, splits)]
-    mean_curve = np.mean(np.stack(curves), axis=0)
+    *_, heldout, _ = _boost_paths(
+        y_clr, measure.weights, designs, config.step_length, config.max_iterations,
+        counts, test,
+    )
+    mean_curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
     m_stop = int(np.argmin(mean_curve[1:]) + 1)
     return EarlyStopResult(m_stop, mean_curve, config.stopping)
 

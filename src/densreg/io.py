@@ -461,7 +461,7 @@ def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
         "config.boosting", BoostConfig,
         step_length=b["step_length"], max_iterations=b["max_iterations"],
         stopping=stop["method"], m_stop=stop["m_stop"], folds=stop["folds"],
-        replicates=stop["replicates"], seed=cfg["seed"], threads=cfg["threads"],
+        replicates=stop["replicates"], seed=cfg["seed"],
     )
     icfg = cfg["interpret"]
     return RunObjects(

@@ -307,6 +307,11 @@ class _TermEncoder:
             raise ValueError(
                 f"term {term.name!r}: transform must have {width} rows, one per raw column"
             )
+        numbers = [encoder.lambda_cov, *encoder.knot_vectors.values()]
+        if not all(np.isfinite(v).all() for v in numbers + [transform] if v is not None):
+            raise ValueError(
+                f"term {term.name!r}: transform, knot vectors and lambda_cov must be finite"
+            )
         return encoder
 
 
@@ -507,6 +512,8 @@ class FittedModel:
         )
         spec = ModelSpec(tuple(e.term for e in encoders), d["coding"], dict(d["references"]))
         db = d["density_basis"]
+        if not np.isfinite(db["lambda_density"]):
+            raise ValueError("density_basis.lambda_density must be finite")
         bases = {
             comp: DensityBasis.from_dict(bd, db["knots"], db["degree"])
             for comp, bd in d["bases"].items()

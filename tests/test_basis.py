@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,13 @@ class TestBsplineEval:
             [[cox_de_boor(knots, 3, i, x) for i in range(n_basis)] for x in pts]
         )
         np.testing.assert_allclose(mat, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("span", [(1.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_infinite_knot_span_rejected(self, span):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="knot span must be finite"):
+                bspline_knots(*span, 2, 3)
 
     def test_outside_span_rejected(self):
         knots = bspline_knots(0, 1, 4, 3)

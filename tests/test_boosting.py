@@ -506,7 +506,7 @@ class TestSingularFallback:
         fixed = BoostConfig(max_iterations=5)
         boost_from_clr(y, continuous_measure, [eff], fixed)
         boost_from_clr(y, continuous_measure, [eff], fixed)
-        # every fold's system is singular, and the folds run on two workers
+        # every fold's system is singular; a thread count changes nothing
         cv = BoostConfig(max_iterations=5, stopping="cv", folds=4, threads=2)
         early_stop_from_clr(y, continuous_measure, [eff], cv)
         assert len(seen) == 3
@@ -519,7 +519,7 @@ class TestRiskCheck:
         """
         import numpy as np
         from densreg.basis import assemble_effect, indicator_density_basis
-        from densreg.boosting import BoostConfig, boost_from_clr
+        from densreg.boosting import BoostConfig, boost_from_clr, early_stop_from_clr
         from densreg.measure import make_discrete
 
         assert not __debug__
@@ -534,6 +534,14 @@ class TestRiskCheck:
             boost_from_clr(y, m, [eff], BoostConfig(step_length=0.5, max_iterations=3))
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
+        # every fold's system stays positive definite; the first fold's risk
+        # falls, the other two overshoot
+        eff = assemble_effect("slope", x, np.array([[-1.0]]), basis, 1.0)
+        cv = BoostConfig(step_length=0.5, max_iterations=3, stopping="cv", folds=3)
+        try:
+            early_stop_from_clr(y, m, [eff], cv)
+        except Exception as exc:
+            print(type(exc).__name__, isinstance(exc, ValueError), exc)
         """
     )
 
@@ -546,7 +554,9 @@ class TestRiskCheck:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.startswith("FloatingPointError False in-bag risk increased")
+        lines = res.stdout.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("FloatingPointError False in-bag risk increased") for line in lines)
 
     def test_cli_maps_it_to_numeric_exit(self, tmp_path, monkeypatch):
         import densreg.cli as cli
@@ -605,16 +615,23 @@ class TestKernelMatchesBruteForce:
         np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("component", ["continuous", "discrete"])
-    @pytest.mark.parametrize("method", ["cv", "bootstrap"])
-    def test_resampled_stopping(self, paper_components, component, method):
+    @pytest.mark.parametrize(
+        "method, folds", [("cv", 5), ("bootstrap", 5), ("cv", 4)],
+        ids=["cv", "bootstrap", "cv_unequal_folds"],
+    )
+    def test_resampled_stopping(self, paper_components, component, method, folds):
         y, m, designs = paper_components[component]
-        cfg = BoostConfig(max_iterations=40, stopping=method, folds=5, replicates=4, seed=11)
+        cfg = BoostConfig(max_iterations=40, stopping=method, folds=folds, replicates=4, seed=11)
         got = early_stop_from_clr(y, m, designs, cfg)
         want, curves = brute_force_early_stop(y, m, designs, cfg)
+        splits = resample_splits(y.shape[0], cfg)
         if method == "bootstrap":
             # bootstrap training sets repeat rows
-            train, _ = resample_splits(y.shape[0], cfg)[0]
+            train, _ = splits[0]
             assert np.unique(train).size < train.size
+        if folds == 4:
+            # 30 rows in folds of 8, 8, 7 and 7
+            assert sorted(test.size for _, test in splits) == [7, 7, 8, 8]
         assert got.m_stop == want.m_stop
         np.testing.assert_allclose(got.risk_curve, want.risk_curve, rtol=1e-12, atol=0)
 

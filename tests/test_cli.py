@@ -1,7 +1,9 @@
 import copy
 import json
+import math
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -735,11 +737,26 @@ class TestModelFiles:
             (_model_file_with(("fits", "continuous", "coefficients", 1), [0.0]), "coefficient lengths"),
             (_model_file_with(("fits", "discrete", "offset"), [0.0]), "offset has shape"),
             (_model_file_with(("fits", "discrete", "m_stop"), 1e400), "float infinity"),
+            (_model_file_with(("terms", 4, "transform", 0, 0), math.inf),
+             "model file: term 'region_year': transform, knot vectors and lambda_cov must be finite"),
+            (_model_file_with(("terms", 3, "knot_vectors", "year", 4), math.nan),
+             "model file: term 'year': transform"),
+            (_model_file_with(("terms", 3, "lambda_cov"), -math.inf), "model file: term 'year': transform"),
+            (_model_file_with(("density_basis", "lambda_density"), math.nan),
+             "model file: density_basis.lambda_density must be finite"),
+            (_model_file_with(("bases", "continuous", "transform", 2, 1), math.inf),
+             "model file: density basis transform must be finite"),
+            (_model_file_with(("fits", "continuous", "offset", 5), math.nan),
+             "model file: offset and coefficients must be finite"),
+            (_model_file_with(("fits", "discrete", "coefficients", 3, 0), -math.inf),
+             "model file: offset and coefficients must be finite"),
         ],
         ids=[
             "json_list", "format", "version_99", "version_string", "missing_terms",
             "terms_not_list", "covariate_kind", "term_transform", "basis_kind",
             "coefficient_length", "offset_length", "m_stop_infinite",
+            "transform_infinite", "knot_nan", "lambda_cov_infinite", "lambda_density_nan",
+            "basis_transform_infinite", "offset_nan", "coefficient_infinite",
         ],
     )
     def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):
@@ -748,10 +765,14 @@ class TestModelFiles:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         cfg = self._config(tmp_path, path)
-        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and message in err
         assert "Traceback" not in err
+        # rejected when read, before any arithmetic on the bad numbers
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestExitCodes:
