@@ -236,7 +236,6 @@ class EffectDesign:
     density_basis: DensityBasis
     lambda_cov: float
     lambda_density: float = 0.0
-    isotropic: bool = False
 
     @property
     def n_cov(self) -> int:
@@ -248,7 +247,6 @@ class EffectDesign:
             self.density_basis.penalty,
             self.lambda_cov,
             self.lambda_density,
-            self.isotropic,
         )
 
 
@@ -257,19 +255,14 @@ def kron_penalty(
     p_density: np.ndarray,
     lambda_cov: float,
     lambda_density: float,
-    isotropic: bool = False,
 ) -> np.ndarray:
-    """Combined penalty over the stacked coefficient vector.
-
-    Anisotropic form: lambda_cov (P_cov x I) + lambda_density (I x P_density).
-    Isotropic form scales the plain Kronecker sum by lambda_cov alone.
+    """Combined penalty over the stacked coefficient vector,
+    lambda_cov (P_cov x I) + lambda_density (I x P_density).
     """
     k_cov = p_cov.shape[0]
     k_den = p_density.shape[0]
     kron_cov = np.kron(p_cov, np.eye(k_den))
     kron_den = np.kron(np.eye(k_cov), p_density)
-    if isotropic:
-        return lambda_cov * (kron_cov + kron_den)
     return lambda_cov * kron_cov + lambda_density * kron_den
 
 
@@ -280,16 +273,13 @@ def assemble_effect(
     density_basis: DensityBasis,
     lambda_cov: float,
     lambda_density: float = 0.0,
-    isotropic: bool = False,
 ) -> EffectDesign:
     """Bundle covariate design, density basis, and penalties into an effect."""
     cov_design = np.asarray(cov_design, dtype=float)
     cov_penalty = np.asarray(cov_penalty, dtype=float)
     if cov_penalty.shape != (cov_design.shape[1],) * 2:
         raise ValueError("covariate penalty must match the design columns")
-    return EffectDesign(
-        name, cov_design, cov_penalty, density_basis, lambda_cov, lambda_density, isotropic
-    )
+    return EffectDesign(name, cov_design, cov_penalty, density_basis, lambda_cov, lambda_density)
 
 
 def effective_df(gram: np.ndarray, penalty: np.ndarray, lam: float) -> float:
@@ -299,14 +289,14 @@ def effective_df(gram: np.ndarray, penalty: np.ndarray, lam: float) -> float:
     return float(np.trace(np.linalg.solve(system, gram)))
 
 
-def calibrate_df(
-    design: np.ndarray,
-    penalty: np.ndarray,
-    target_df: float,
-    tol: float = 1e-4,
-    log10_bracket: tuple[float, float] = (-8.0, 12.0),
-    max_iter: int = 100,
-) -> float:
+# calibrate_df: accepted distance to the target df, log10 bracket of the
+# smoothing parameter, and bisection steps
+_DF_TOL = 1e-4
+_LOG10_BRACKET = (-8.0, 12.0)
+_MAX_BISECTIONS = 100
+
+
+def calibrate_df(design: np.ndarray, penalty: np.ndarray, target_df: float) -> float:
     """Solve for the smoothing parameter giving the requested degrees of freedom.
 
     The degrees of freedom trace((M + lam P)^-1 M), M = design' design, are
@@ -317,10 +307,10 @@ def calibrate_df(
     design = np.asarray(design, dtype=float)
     penalty = np.asarray(penalty, dtype=float)
     gram = design.T @ design
-    lo, hi = (10.0 ** log10_bracket[0]), (10.0 ** log10_bracket[1])
+    lo, hi = (10.0 ** _LOG10_BRACKET[0]), (10.0 ** _LOG10_BRACKET[1])
     df_hi = effective_df(gram, penalty, lo)   # df at nearly no penalty
     df_lo = effective_df(gram, penalty, hi)   # df with the penalty dominating
-    if not (df_lo - tol <= target_df <= df_hi + tol):
+    if not (df_lo - _DF_TOL <= target_df <= df_hi + _DF_TOL):
         raise ValueError(
             f"target df {target_df:.4f} outside attainable range "
             f"[{df_lo:.4f}, {df_hi:.4f}]"
@@ -330,10 +320,10 @@ def calibrate_df(
     if target_df <= df_lo:
         return hi
     a, b = np.log10(lo), np.log10(hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         df_mid = effective_df(gram, penalty, 10.0 ** mid)
-        if abs(df_mid - target_df) < tol:
+        if abs(df_mid - target_df) < _DF_TOL:
             return 10.0 ** mid
         if df_mid > target_df:
             a = mid

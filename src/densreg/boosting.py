@@ -23,10 +23,13 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
 * a block mask applies each resample's pick to its residual, in-bag risk and
   held-out risk in closed form; fitted N x P surfaces are built once, at the end.
 
-In-bag fits (:func:`boost_from_clr`) are the one-resample case; resampled
-stopping (:func:`early_stop_from_clr`) makes one call for all folds or
-replicates. Norms everywhere are measure-weighted, which is where discrete,
-continuous, and mixed supports differ.
+Every entry point takes the responses as N x P clr rows. In-bag fits
+(:func:`boost_from_clr`) are the one-resample case; resampled stopping
+(:func:`early_stop_from_clr`) makes one call for all folds or replicates;
+:func:`boost` resolves the stopping iteration, then fits, and
+:func:`boost_mixed` does so per component after the orthogonal decomposition.
+Norms everywhere are measure-weighted, which is where discrete, continuous,
+and mixed supports differ.
 """
 from __future__ import annotations
 
@@ -37,8 +40,6 @@ import numpy as np
 
 from .basis import EffectDesign
 from .bayes import (
-    DensityElement,
-    clr,
     decompose_clr_rows,
     embed_clr_continuous_rows,
     embed_clr_discrete_rows,
@@ -52,7 +53,6 @@ __all__ = [
     "EarlyStopResult",
     "boost",
     "boost_from_clr",
-    "early_stop",
     "early_stop_from_clr",
     "boost_mixed",
 ]
@@ -332,18 +332,17 @@ def boost_from_clr(
     )
 
 
-def _common_measure(responses: list[DensityElement]) -> ReferenceMeasure:
-    if not responses:
-        raise ValueError("no responses given")
-    measure = responses[0].measure
-    for f in responses[1:]:
-        if f.measure is not measure and not f.measure.same_support(measure):
-            raise ValueError("responses live on different reference measures")
-    return measure
+def boost(
+    y_clr: np.ndarray,
+    measure: ReferenceMeasure,
+    designs: list[EffectDesign],
+    config: BoostConfig,
+) -> FitState:
+    """Fit the additive model to N x P clr responses on one measure.
 
-
-def _stop_then_fit(y_clr, measure, designs, config: BoostConfig) -> FitState:
-    """Resolve the stopping iteration, then fit on all responses."""
+    Resolves the stopping iteration first (resampling methods run the loop on
+    every fold or replicate at once), then fits on all responses.
+    """
     if config.stopping == "fixed":
         m_stop = config.m_stop if config.m_stop is not None else config.max_iterations
         if m_stop > config.max_iterations:
@@ -355,21 +354,6 @@ def _stop_then_fit(y_clr, measure, designs, config: BoostConfig) -> FitState:
     state = boost_from_clr(y_clr, measure, designs, config, m_stop=m_stop)
     state.stop_curve = curve
     return state
-
-
-def boost(
-    responses: list[DensityElement],
-    designs: list[EffectDesign],
-    config: BoostConfig,
-) -> FitState:
-    """Fit the additive model to density responses sharing one measure.
-
-    Resolves the stopping iteration first (resampling methods run the loop on
-    every fold or replicate at once), then fits on the full data.
-    """
-    measure = _common_measure(responses)
-    y_clr = np.stack([clr(f).values for f in responses])
-    return _stop_then_fit(y_clr, measure, designs, config)
 
 
 def early_stop_from_clr(
@@ -415,37 +399,26 @@ def early_stop_from_clr(
     return EarlyStopResult(m_stop, mean_curve, config.stopping)
 
 
-def early_stop(
-    responses: list[DensityElement],
-    designs: list[EffectDesign],
-    config: BoostConfig,
-) -> EarlyStopResult:
-    measure = _common_measure(responses)
-    y_clr = np.stack([clr(f).values for f in responses])
-    return early_stop_from_clr(y_clr, measure, designs, config)
-
-
 def boost_mixed(
-    responses: list[DensityElement],
+    y_clr: np.ndarray,
+    measure: ReferenceMeasure,
     designs_continuous: list[EffectDesign],
     designs_discrete: list[EffectDesign],
     config: BoostConfig,
 ) -> MixedFit:
-    """Fit a mixed-measure model as two independent component fits.
+    """Fit a mixed-measure model to N x P clr responses as two independent
+    component fits.
 
     Every response splits orthogonally into a continuous and a discrete
     component; each component is boosted on its own measure with its own
     stopping iteration (the discrete one resamples with seed + 1), and
     predictions recombine through the embeddings.
     """
-    measure = _common_measure(responses)
     if not measure.is_mixed:
         raise ValueError("boost_mixed requires a mixed reference measure")
-    y_c, y_d = decompose_clr_rows(np.stack([clr(f).values for f in responses]), measure)
-    fit_c = _stop_then_fit(
-        y_c, designs_continuous[0].density_basis.measure, designs_continuous, config
-    )
-    fit_d = _stop_then_fit(
+    y_c, y_d = decompose_clr_rows(np.asarray(y_clr, dtype=float), measure)
+    fit_c = boost(y_c, designs_continuous[0].density_basis.measure, designs_continuous, config)
+    fit_d = boost(
         y_d, designs_discrete[0].density_basis.measure, designs_discrete,
         replace(config, seed=config.seed + 1),
     )

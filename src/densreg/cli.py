@@ -38,7 +38,7 @@ from .io import (
 )
 from .interpret import heatmap as build_heatmap
 from .interpret import did_effect, log_odds
-from .model import design_report, extract_effect, fit as fit_model, predict
+from .model import design_report, extract_effect, fit as fit_model, predict, predict_clr
 from .render import curve_svg, heatmap_svg
 from .simulate import fpca, rel_mse, selection_table, simulate_responses
 
@@ -183,6 +183,19 @@ def cmd_predict(cfg, args) -> int:
     return OK
 
 
+def _interpret_item(path, compute):
+    """Evaluate one interpret item of the config against the loaded model.
+
+    The model file is checked when it is read, so a ValueError or KeyError
+    here comes from the item not fitting the model (an unknown term, level or
+    covariate, a point off the support); it becomes a ConfigError at ``path``.
+    """
+    try:
+        return compute()
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{path}: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
+
+
 def cmd_interpret(cfg, args) -> int:
     run = run_objects(cfg, "interpret")
     out = _out_dir(cfg, args)
@@ -191,9 +204,12 @@ def cmd_interpret(cfg, args) -> int:
     m = model.measure
     want_svg = icfg["svg"]
 
-    for spec in run.effects:
+    for i, spec in enumerate(run.effects):
         name = spec["name"]
-        dens, z = extract_effect(model, spec["term"], spec["at"])
+        dens, z = _interpret_item(
+            f"config.interpret.effects[{i}]",
+            lambda: extract_effect(model, spec["term"], spec["at"]),
+        )
         write_table(
             os.path.join(out, f"effect_{name}.tsv"),
             ["point", "is_atom", "clr", "density"],
@@ -216,9 +232,11 @@ def cmd_interpret(cfg, args) -> int:
             )
 
     odds_rows = []
-    for q in icfg["odds"]:
-        dens, z = extract_effect(model, q["term"], q["at"])
-        lo = log_odds(z, q["t"], q["s"])
+    for i, q in enumerate(icfg["odds"]):
+        lo = _interpret_item(
+            f"config.interpret.odds[{i}]",
+            lambda: log_odds(extract_effect(model, q["term"], q["at"])[1], q["t"], q["s"]),
+        )
         odds_rows.append([q["term"], q["t"], q["s"], lo, float(np.exp(lo))])
     if odds_rows:
         write_table(
@@ -227,12 +245,15 @@ def cmd_interpret(cfg, args) -> int:
             odds_rows,
         )
 
-    for q in run.did:
-        did = did_effect(
-            model,
-            q["factor_a"], tuple(q["levels_a"]),
-            q["factor_b"], tuple(q["levels_b"]),
-            q["fixed"],
+    for i, q in enumerate(run.did):
+        did = _interpret_item(
+            f"config.interpret.did[{i}]",
+            lambda: did_effect(
+                model,
+                q["factor_a"], tuple(q["levels_a"]),
+                q["factor_b"], tuple(q["levels_b"]),
+                q["fixed"],
+            ),
         )
         name = q["name"]
         grid = build_heatmap(did, icfg["heatmap_resolution"])
@@ -269,25 +290,21 @@ def cmd_simulate(cfg, args) -> int:
     out = _out_dir(cfg, args)
     measure, key_columns, keys, densities, data = _densities_and_table(cfg["data"]["densities"])
     base = fit_model(spec, data, densities, boost_cfg, **options)
-    fitted = [clr_inv(ClrElement(measure, row)) for row in base.fits.fitted_clr]
-    residuals = [
-        ClrElement(measure, clr(y).values - row)
-        for y, row in zip(densities, base.fits.fitted_clr)
-    ]
+    fitted = base.fits.fitted_clr
+    y_clr = np.stack([clr(f).values for f in densities])
     sim_cfg = cfg["simulation"]
-    structure = fpca(residuals, truncation=sim_cfg["truncation"])
+    structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
     replicates = sim_cfg["replicates"]
     seeds = np.random.SeedSequence(cfg["seed"]).spawn(replicates)
 
     def run_replicate(idx):
-        rng_seed = seeds[idx]
-        rng = np.random.default_rng(rng_seed)
-        sd = sim_cfg["noise_scale"] * np.sqrt(structure.eigenvalues)
-        scores = rng.normal(size=(len(fitted), structure.truncation)) * sd
-        sim = simulate_responses(fitted, structure, scores=scores)
-        refit = fit_model(spec, data, sim, boost_cfg, **options)
-        err = rel_mse(fitted, predict(refit, data))
-        return err, refit.selected_terms()
+        sim = simulate_responses(
+            fitted, structure, seed=seeds[idx], noise_scale=sim_cfg["noise_scale"]
+        )
+        responses = [clr_inv(ClrElement(measure, row)) for row in sim]
+        refit = fit_model(spec, data, responses, boost_cfg, **options)
+        estimates = np.stack([z.values for z in predict_clr(refit, data)])
+        return rel_mse(fitted, estimates, measure), refit.selected_terms()
 
     if cfg["threads"] > 1:
         with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:

@@ -19,12 +19,12 @@ from .bayes import (
     ClrElement,
     DensityElement,
     clr,
+    clr_inv,
     geometric_mean_continuous,
     perturb,
-    subtract,
 )
 from .measure import ReferenceMeasure
-from .model import FittedModel, predict
+from .model import FittedModel, predict_clr
 
 __all__ = [
     "value_at",
@@ -125,17 +125,25 @@ def did_effect(
 ) -> DensityElement:
     """Difference-in-differences of predictions over two binary contrasts.
 
-    Computes (f[a1,b1] - f[a0,b1]) - (f[a1,b0] - f[a0,b0]) in the density
-    space, with remaining covariates held at ``fixed``.
+    The density (f[a1,b1] - f[a0,b1]) - (f[a1,b0] - f[a0,b0]), with Bayes-space
+    differences and the remaining covariates held at ``fixed``, computed as one
+    signed sum of the four clr predictions.
     """
+    covariates = model.frame.covariates
+    for factor in (factor_a, factor_b):
+        if factor not in covariates:
+            raise ValueError(f"factor {factor!r} is not a covariate of the model")
+    missing = sorted(set(covariates) - set(fixed) - {factor_a, factor_b})
+    if missing:
+        raise ValueError(f"fixed values missing for covariate(s) {missing}")
     a1, a0 = levels_a
     b1, b0 = levels_b
     cells = [(a1, b1), (a0, b1), (a1, b0), (a0, b0)]
     table = {k: [v] * len(cells) for k, v in fixed.items()}
     table[factor_a] = [a for a, _ in cells]
     table[factor_b] = [b for _, b in cells]
-    f11, f01, f10, f00 = predict(model, table)
-    return subtract(subtract(f11, f01), subtract(f10, f00))
+    rows = np.stack([z.values for z in predict_clr(model, table)])
+    return clr_inv(ClrElement(model.measure, np.array([1.0, -1.0, -1.0, 1.0]) @ rows))
 
 
 @dataclass

@@ -16,7 +16,10 @@ the term kind and its covariate count (``EffectTerm``), unique term names
 is a :class:`ConfigError` whose message starts with the path of the field,
 such as ``config.model.terms[2].knots``, or of its section. A command that
 needs more than the defaults (data paths, a measure, a model) checks that in
-:func:`run_objects`. The command-line front-end exits with 0 on success,
+:func:`run_objects`. An interpret item that does not fit the loaded model
+(an unknown term, covariate or level, a point off the support) is a config
+error at the item's path, such as ``config.interpret.did[0]``. The
+command-line front-end exits with 0 on success,
 2 on a config error, 3 on a data error (:class:`DataError` or another
 ``ValueError`` from the input files) and 4 on a numeric failure.
 

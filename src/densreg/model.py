@@ -24,7 +24,10 @@ holds (see :mod:`densreg.io`): a ``_Covariate`` per covariate and a
 design rows and records the term's smoothing parameter and degrees of
 freedom. The training designs live only in the boosting inputs
 (:class:`~densreg.basis.EffectDesign`). Between the density or clr elements
-that enter and leave, the layer works on N x P clr arrays.
+that enter and leave, the layer works on N x P clr arrays: :func:`fit` stacks
+the clr rows of its responses once and boosts them with
+:func:`~densreg.boosting.boost` or :func:`~densreg.boosting.boost_mixed`, and
+predictions and effect views are sums of clr rows.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ from .basis import (
 from .bayes import (
     ClrElement,
     DensityElement,
+    clr,
     clr_inv,
     continuous_submeasure,
     discrete_star_measure,
@@ -612,12 +616,11 @@ def fit(
     frame, bases, designs = build_designs(
         spec, data, measure, default_df, lambda_density=lambda_density, **density_options
     )
+    y_clr = np.stack([clr(f).values for f in responses])
     if measure.is_mixed:
-        fits = boost_mixed(
-            responses, designs["continuous"], designs["discrete"], config
-        )
+        fits = boost_mixed(y_clr, measure, designs["continuous"], designs["discrete"], config)
     else:
-        fits = boost(responses, designs["single"], config)
+        fits = boost(y_clr, measure, designs["single"], config)
     return FittedModel(
         spec, measure, frame, fits, bases, lambda_density, config, density_options
     )

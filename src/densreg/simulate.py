@@ -5,6 +5,10 @@ inner product yields eigenfunctions and score variances; truncated expansions
 with fresh normal scores generate realistic noise around given mean
 densities. Estimation quality is summarized by the relative mean squared
 error, and repeated fits by per-effect selection counts.
+
+Densities enter and leave as N x P clr rows on one measure: :func:`fpca`
+takes the residual rows, :func:`simulate_responses` returns the simulated
+rows, and :func:`rel_mse` compares two row arrays.
 """
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ClrElement, DensityElement, clr, clr_inv, perturb
 from .measure import ReferenceMeasure
 
 __all__ = [
@@ -45,20 +48,23 @@ class FpcaResult:
         return self.eigenvalues.size
 
 
-def fpca(residuals: list[ClrElement], truncation: int | None = None) -> FpcaResult:
+def fpca(
+    rows: np.ndarray, measure: ReferenceMeasure, truncation: int | None = None
+) -> FpcaResult:
     """Principal components of clr residuals.
 
     Parameters
     ----------
-    residuals : list of clr elements on one measure
+    rows : N x P clr residuals on ``measure``
     truncation : number of components to keep, at most min(N, P) - 1 by
         default (the empirical covariance of N centered curves has rank
         at most N - 1).
     """
-    if not residuals:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != measure.size:
+        raise ValueError(f"residuals have shape {rows.shape}, expected (N, {measure.size})")
+    if not rows.shape[0]:
         raise ValueError("no residuals given")
-    measure = residuals[0].measure
-    rows = np.stack([r.values for r in residuals])
     n, p = rows.shape
     cap = min(n, p)
     if truncation is None:
@@ -89,19 +95,22 @@ def fpca(residuals: list[ClrElement], truncation: int | None = None) -> FpcaResu
 
 
 def simulate_responses(
-    means: list[DensityElement],
+    mean_clr: np.ndarray,
     fpca_result: FpcaResult,
-    seed: int | None = None,
+    seed: int | np.random.SeedSequence | None = None,
     scores: np.ndarray | None = None,
     noise_scale: float = 1.0,
-) -> list[DensityElement]:
-    """Means perturbed by truncated expansions of the residual structure.
+) -> np.ndarray:
+    """Mean clr rows plus truncated expansions of the residual structure.
 
-    With ``scores`` given, reconstructs deterministically (the stored scores
-    reproduce the original responses); otherwise draws independent normal
-    scores with the component variances, scaled by ``noise_scale``.
+    Adding a noise row in clr perturbs the mean density by its inverse clr,
+    since every noise row integrates to zero. With ``scores`` given,
+    reconstructs deterministically (the stored scores reproduce the original
+    responses); otherwise draws independent normal scores with the component
+    variances, scaled by ``noise_scale``, from ``np.random.default_rng(seed)``.
     """
-    n = len(means)
+    mean_clr = np.asarray(mean_clr, dtype=float)
+    n = mean_clr.shape[0]
     m = fpca_result.truncation
     if scores is None:
         rng = np.random.default_rng(seed)
@@ -111,38 +120,28 @@ def simulate_responses(
         scores = np.asarray(scores, dtype=float)
         if scores.shape != (n, m):
             raise ValueError("scores must have shape (n_means, truncation)")
-    noise_rows = fpca_result.mean + scores @ fpca_result.eigenfunctions
-    out = []
-    for mean_density, row in zip(means, noise_rows):
-        eps = clr_inv(ClrElement(fpca_result.measure, row))
-        out.append(perturb(mean_density, eps))
-    return out
+    return mean_clr + (fpca_result.mean + scores @ fpca_result.eigenfunctions)
 
 
-def rel_mse(truths: list[DensityElement], estimates: list[DensityElement]) -> float:
-    """Relative mean squared error of estimates against true densities.
+def rel_mse(true_clr: np.ndarray, est_clr: np.ndarray, measure: ReferenceMeasure) -> float:
+    """Relative mean squared error of estimated against true clr rows.
 
     Sum of squared distances divided by the sum of squared norms of the
     truths; evaluation points enter with equal weight. Raises when the
     truths are identically neutral, since the ratio is then undefined and
     the error would be reported as infinitely large.
     """
-    if len(truths) != len(estimates):
+    true_clr = np.asarray(true_clr, dtype=float)
+    est_clr = np.asarray(est_clr, dtype=float)
+    if true_clr.shape != est_clr.shape:
         raise ValueError("truths and estimates differ in length")
-    num = 0.0
-    den = 0.0
-    for t, e in zip(truths, estimates):
-        zt = clr(t).values
-        ze = clr(e).values
-        w = t.measure.weights
-        num += float(((zt - ze) ** 2) @ w)
-        den += float((zt**2) @ w)
+    den = float(((true_clr ** 2) @ measure.weights).sum())
     if den < 1e-26:
         raise ZeroDivisionError(
             "all true densities are neutral; the relative error is undefined "
             "(small true effects blow up this ratio)"
         )
-    return num / den
+    return float((((true_clr - est_clr) ** 2) @ measure.weights).sum()) / den
 
 
 def selection_table(runs: list[dict]) -> dict:

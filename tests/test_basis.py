@@ -12,7 +12,6 @@ from densreg.basis import (
     difference_penalty,
     effective_df,
     indicator_density_basis,
-    kron_penalty,
     mixed_concatenated_basis,
     sum_to_zero_transform,
 )
@@ -204,13 +203,6 @@ class TestAssembleEffect:
         np.testing.assert_allclose(
             eff.penalty(), 3.0 * np.kron(p_cov, np.eye(k_y)), atol=1e-12
         )
-
-    def test_isotropic_matches_anisotropic_at_unit(self):
-        p_cov = difference_penalty(3, 1)
-        p_den = difference_penalty(4, 2)
-        iso = kron_penalty(p_cov, p_den, 1.0, 0.0, isotropic=True)
-        aniso = kron_penalty(p_cov, p_den, 1.0, 1.0, isotropic=False)
-        np.testing.assert_allclose(iso, aniso, atol=1e-12)
 
     def test_kronecker_row_matches_naive_double_sum(self):
         rng = np.random.default_rng(5)

@@ -35,11 +35,9 @@ from densreg.bayes import (
 from densreg.boosting import (
     BoostConfig,
     _penalized_inverse,
-    _stop_then_fit,
     boost,
     boost_from_clr,
     boost_mixed,
-    early_stop,
     early_stop_from_clr,
 )
 from densreg.measure import make_continuous, make_discrete, make_mixed
@@ -57,6 +55,11 @@ from boosting_oracle import (
     select_base_learner,
 )
 from conftest import random_clr_direction, random_density
+
+
+def clr_rows(responses):
+    """N x P clr rows of density responses, stacked as ``model.fit`` does."""
+    return np.stack([clr(f).values for f in responses])
 
 
 def center_columns(design, penalty):
@@ -219,7 +222,7 @@ class TestBoost:
         f = random_density(continuous_measure, rng)
         responses = [f] * 6
         designs = simple_designs(continuous_measure, 6, rng, n_effects=1)
-        state = boost(responses, designs, BoostConfig(max_iterations=20))
+        state = boost(clr_rows(responses), continuous_measure, designs, BoostConfig(max_iterations=20))
         # offset equals the common response, so risk starts and stays at zero
         assert state.risk_path[0] < 1e-16
         assert state.risk_path[-1] < 1e-16
@@ -228,7 +231,7 @@ class TestBoost:
         rng = np.random.default_rng(12)
         responses = [random_density(mixed_measure, rng) for _ in range(12)]
         designs = simple_designs(mixed_measure, 12, rng, n_effects=3)
-        state = boost(responses, designs, BoostConfig(max_iterations=60))
+        state = boost(clr_rows(responses), mixed_measure, designs, BoostConfig(max_iterations=60))
         assert np.all(np.diff(state.risk_path) <= 1e-9 * max(1.0, state.risk_path[0]))
 
     def test_single_block_update_per_iteration(self, continuous_measure):
@@ -236,7 +239,7 @@ class TestBoost:
         responses = [random_density(continuous_measure, rng) for _ in range(8)]
         designs = simple_designs(continuous_measure, 8, rng, n_effects=3)
         cfg = BoostConfig(max_iterations=10, track_increments=True)
-        state = boost(responses, designs, cfg)
+        state = boost(clr_rows(responses), continuous_measure, designs, cfg)
         theta = [np.zeros_like(c) for c in state.coefficients]
         for j, gamma in state.increments:
             before = [t.copy() for t in theta]
@@ -252,7 +255,7 @@ class TestBoost:
         f = random_density(continuous_measure, rng)
         responses = [f] * 5
         designs = simple_designs(continuous_measure, 5, rng, n_effects=3)
-        state = boost(responses, designs, BoostConfig(max_iterations=5))
+        state = boost(clr_rows(responses), continuous_measure, designs, BoostConfig(max_iterations=5))
         for j, coef in enumerate(state.coefficients):
             if j not in state.selections:
                 assert np.all(coef == 0.0)
@@ -262,7 +265,7 @@ class TestBoost:
         responses = [random_density(mixed_measure, rng) for _ in range(6)]
         designs = simple_designs(mixed_measure, 6, rng, n_effects=2)
         cfg = BoostConfig(max_iterations=15, track_increments=True)
-        state = boost(responses, designs, cfg)
+        state = boost(clr_rows(responses), mixed_measure, designs, cfg)
         w = mixed_measure.weights
         for j, gamma in state.increments:
             basis = designs[j].density_basis
@@ -274,8 +277,9 @@ class TestBoost:
         rng = np.random.default_rng(16)
         responses = [random_density(continuous_measure, rng) for _ in range(10)]
         designs = simple_designs(continuous_measure, 10, rng, n_effects=2)
-        fast = boost(responses, designs, BoostConfig(step_length=0.1, max_iterations=40))
-        slow = boost(responses, designs, BoostConfig(step_length=0.05, max_iterations=40))
+        y = clr_rows(responses)
+        fast = boost(y, continuous_measure, designs, BoostConfig(step_length=0.1, max_iterations=40))
+        slow = boost(y, continuous_measure, designs, BoostConfig(step_length=0.05, max_iterations=40))
         assert np.all(slow.risk_path >= fast.risk_path - 1e-9)
 
 
@@ -292,7 +296,7 @@ class TestDualPathEquivalence:
         responses = [random_density(m, rng) for _ in range(n)]
         designs = simple_designs(m, n, rng, n_effects=3)
         cfg = BoostConfig(max_iterations=40, track_increments=True)
-        a = boost(responses, designs, cfg)
+        a = boost(clr_rows(responses), m, designs, cfg)
         b = boost_density_space(responses, designs, cfg)
         assert a.selections == b.selections
         for (ja, ga), (jb, gb) in zip(a.increments, b.increments):
@@ -320,7 +324,7 @@ class TestEarlyStop:
             clr_inv(ClrElement(continuous_measure, row)) for row in y_clr
         ]
         cfg = BoostConfig(max_iterations=25, stopping="cv", folds=3, seed=5)
-        result = early_stop(responses, designs, cfg)
+        result = early_stop_from_clr(clr_rows(responses), continuous_measure, designs, cfg)
         # nothing to overfit, the held-out risk keeps falling
         assert result.m_stop == 25
         assert np.all(np.diff(result.risk_curve) <= 1e-15)
@@ -331,7 +335,7 @@ class TestEarlyStop:
         responses = [random_density(continuous_measure, rng) for _ in range(n)]
         designs = simple_designs(continuous_measure, n, rng, n_effects=2)
         cfg = BoostConfig(max_iterations=80, stopping="bootstrap", replicates=10, seed=3)
-        result = early_stop(responses, designs, cfg)
+        result = early_stop_from_clr(clr_rows(responses), continuous_measure, designs, cfg)
         assert result.m_stop < 80
         # held-out risk stops improving early on pure noise
         assert result.risk_curve[result.m_stop] <= result.risk_curve[-1]
@@ -345,7 +349,7 @@ class TestEarlyStop:
             assemble_effect("intercept", np.ones((4, 1)), np.zeros((1, 1)), basis, 0.0)
         ]
         cfg = BoostConfig(max_iterations=6, stopping="cv", folds=2, seed=21)
-        result = early_stop(responses, designs, cfg)
+        result = early_stop_from_clr(clr_rows(responses), m, designs, cfg)
 
         # hand-rolled two-fold computation with the same fold assignment
         y = np.stack([clr(f).values for f in responses])
@@ -406,14 +410,14 @@ class TestBoostMixed:
             gm = np.exp(np.log(grid_vals) @ m.grid_weights / 1.0)
             values = np.concatenate([[gm, gm], grid_vals])
             responses.append(density(m, values))
-        fit = boost_mixed(responses, designs_c, designs_d, BoostConfig(max_iterations=30))
+        fit = boost_mixed(clr_rows(responses), m, designs_c, designs_d, BoostConfig(max_iterations=30))
         assert fit.discrete.risk_path[0] < 1e-16
 
     def test_sse_pythagoras(self):
         rng = np.random.default_rng(23)
         m, designs_c, designs_d = self._mixed_setup(rng)
         responses = [random_density(m, rng) for _ in range(10)]
-        fit = boost_mixed(responses, designs_c, designs_d, BoostConfig(max_iterations=25))
+        fit = boost_mixed(clr_rows(responses), m, designs_c, designs_d, BoostConfig(max_iterations=25))
         y = np.stack([clr(f).values for f in responses])
         total = float((((y - fit.fitted_clr) ** 2) * m.weights).sum())
         comp = fit.continuous.risk_path[-1] + fit.discrete.risk_path[-1]
@@ -424,7 +428,8 @@ class TestBoostMixed:
         m, designs_c, designs_d = self._mixed_setup(rng)
         responses = [random_density(m, rng) for _ in range(10)]
         fit = boost_mixed(
-            responses,
+            clr_rows(responses),
+            m,
             designs_c,
             designs_d,
             BoostConfig(max_iterations=20, stopping="bootstrap", replicates=5, seed=1),
@@ -646,7 +651,7 @@ class TestThreadDeterminism:
                 max_iterations=40, stopping=method, folds=5, replicates=4, seed=2,
                 threads=threads,
             )
-            runs.append(_stop_then_fit(y, m, designs, cfg))
+            runs.append(boost(y, m, designs, cfg))
         one, two = runs
         assert one.m_stop == two.m_stop
         np.testing.assert_array_equal(one.stop_curve, two.stop_curve)
@@ -668,4 +673,4 @@ class TestConfigValidation:
         responses = [random_density(continuous_measure, rng) for _ in range(4)]
         designs = simple_designs(continuous_measure, 5, rng)
         with pytest.raises(ValueError, match="rows"):
-            boost(responses, designs, BoostConfig(max_iterations=2))
+            boost(clr_rows(responses), continuous_measure, designs, BoostConfig(max_iterations=2))

@@ -124,3 +124,32 @@ def test_cli_ends_mutated_runs_with_exit_codes(tmp_path, capsys, runnable):
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), f"{command}, {what}: exit {code}: {err}"
         assert "Traceback" not in err, f"{command}, {what}"
+
+
+# interpret items that do not fit tests/data/model_v1.json: (item path, the
+# change, the offending value the message must name)
+MISFITS = {
+    "unknown_term": ("effects[0]", lambda i: i["effects"][0].update(term="nosuch"), "nosuch"),
+    "odds_point_off_support": ("odds[0]", lambda i: i["odds"][0].update(t=2.0), "2.0"),
+    "unknown_did_level": ("did[0]", lambda i: i["did"][0].update(levels_a=["north", "west"]),
+                          "north"),
+    "unknown_did_factor": ("did[0]", lambda i: i["did"][0].update(factor_a="nation"), "nation"),
+    "effect_at_lacks_covariate": ("effects[0]", lambda i: i["effects"][0]["at"].pop("c_age"),
+                                  "c_age"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_interpret_item_that_does_not_fit_the_model_is_config_error(
+    tmp_path, capsys, runnable, case
+):
+    item, change, value = MISFITS[case]
+    cfg = copy.deepcopy(runnable)
+    change(cfg["interpret"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["interpret", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"config error: config.interpret.{item}: "), err
+    assert value in err.split(": ", 2)[2], err

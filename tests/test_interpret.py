@@ -28,7 +28,7 @@ from densreg.interpret import (
     value_at,
 )
 from densreg.measure import integrate, make_continuous, make_discrete, make_mixed
-from densreg.model import EffectTerm, ModelSpec, extract_effect, fit
+from densreg.model import EffectTerm, ModelSpec, extract_effect, fit, predict
 from densreg.synth import planted_problem
 
 from conftest import random_density
@@ -216,6 +216,44 @@ class TestDidEffect:
         # planted contrast: (+1*+1 - (-1*+1)) - (+1*-1 - (-1*-1)) = 4 units
         expected = 4 * 0.5 * contrast
         assert np.max(np.abs(clr(did).values - expected)) < 1e-6
+
+
+def did_density_space(model, factor_a, levels_a, factor_b, levels_b, fixed):
+    """The DiD as three Bayes-space differences of four predicted densities."""
+    (a1, a0), (b1, b0) = levels_a, levels_b
+    cells = [(a1, b1), (a0, b1), (a1, b0), (a0, b0)]
+    table = {k: [v] * len(cells) for k, v in fixed.items()}
+    table[factor_a] = [a for a, _ in cells]
+    table[factor_b] = [b for _, b in cells]
+    f11, f01, f10, f00 = predict(model, table)
+    return subtract(subtract(f11, f01), subtract(f10, f00))
+
+
+class TestDidMatchesDensitySpace:
+    @pytest.mark.parametrize("kind", ["discrete", "mixed"])
+    def test_clr_contrast_equals_subtract_chain(self, kind):
+        m, data, truths, _ = planted_problem(seed=4, grid_size=20, n_years=5, noise_scale=0.3)
+        if kind == "discrete":
+            m = make_discrete([(0.0, 1.0), (0.5, 1.0), (1.0, 2.0)])
+            rng = np.random.default_rng(4)
+            truths = [random_density(m, rng) for _ in truths]
+        spec = ModelSpec(
+            terms=(
+                EffectTerm("intercept", "intercept"),
+                EffectTerm("region", "group_intercept", ("region",), df=1.0),
+                EffectTerm("c_age", "group_intercept", ("c_age",), df=2.0),
+                EffectTerm("year", "flexible", ("year",), df=2.0, knots=3),
+                EffectTerm("region_x_c_age", "group_intercept", ("region", "c_age"), df=2.0,
+                           orthogonal_to=("region", "c_age")),
+            ),
+            references={"region": "west", "c_age": "other", "year": 0.0},
+        )
+        model = fit(spec, data, truths, BoostConfig(max_iterations=50), density_knots=5)
+        args = (model, "region", ("east", "west"), "c_age", ("kids0_6", "other"), {"year": 2.0})
+        did, reference = did_effect(*args), did_density_space(*args)
+        assert np.max(np.abs(clr(reference).values)) > 1e-3
+        np.testing.assert_allclose(did.values, reference.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(clr(did).values, clr(reference).values, rtol=0, atol=1e-12)
 
 
 class TestHeatmap:

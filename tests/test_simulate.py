@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densreg.bayes import ClrElement, clr, clr_inv, constant_density, subtract
+from densreg.bayes import ClrElement, clr, clr_inv, constant_density
 from densreg.measure import make_continuous, make_discrete, make_mixed
 from densreg.simulate import FpcaResult, fpca, rel_mse, selection_table, simulate_responses
 
@@ -9,8 +9,15 @@ from conftest import random_density, random_clr_direction
 
 
 def residuals_from(measure, rng, n, rank=None):
-    rows = [random_clr_direction(measure, rng) for _ in range(n)]
-    return [ClrElement(measure, r) for r in rows]
+    return np.stack([random_clr_direction(measure, rng) for _ in range(n)])
+
+
+def clr_rows(densities):
+    return np.stack([clr(f).values for f in densities])
+
+
+def densities_of(measure, rows):
+    return [clr_inv(ClrElement(measure, row)) for row in rows]
 
 
 class TestFpca:
@@ -19,14 +26,14 @@ class TestFpca:
         direction = random_clr_direction(mixed_measure, rng)
         coefs = rng.normal(size=12)
         coefs -= coefs.mean()
-        residuals = [ClrElement(mixed_measure, c * direction) for c in coefs]
-        result = fpca(residuals, truncation=5)
+        residuals = coefs[:, None] * direction
+        result = fpca(residuals, mixed_measure, truncation=5)
         assert result.eigenvalues[0] > 0
         np.testing.assert_allclose(result.eigenvalues[1:], 0.0, atol=1e-12)
 
     def test_orthonormal_eigenfunctions(self, mixed_measure):
         rng = np.random.default_rng(1)
-        result = fpca(residuals_from(mixed_measure, rng, 30), truncation=8)
+        result = fpca(residuals_from(mixed_measure, rng, 30), mixed_measure, truncation=8)
         w = mixed_measure.weights
         gram = (result.eigenfunctions * w) @ result.eigenfunctions.T
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-8)
@@ -34,9 +41,8 @@ class TestFpca:
     def test_covariance_reconstruction(self, mixed_measure):
         rng = np.random.default_rng(2)
         residuals = residuals_from(mixed_measure, rng, 40)
-        rows = np.stack([r.values for r in residuals])
-        centered = rows - rows.mean(axis=0)
-        result = fpca(residuals, truncation=None)
+        centered = residuals - residuals.mean(axis=0)
+        result = fpca(residuals, mixed_measure, truncation=None)
         # dense covariance kernel c(t, s) as the reference
         empirical = centered.T @ centered / len(residuals)
         rebuilt = np.zeros_like(empirical)
@@ -46,27 +52,27 @@ class TestFpca:
 
     def test_scores_centered(self, mixed_measure):
         rng = np.random.default_rng(3)
-        result = fpca(residuals_from(mixed_measure, rng, 25), truncation=6)
+        result = fpca(residuals_from(mixed_measure, rng, 25), mixed_measure, truncation=6)
         np.testing.assert_allclose(result.scores.mean(axis=0), 0.0, atol=1e-10)
 
     def test_truncation_bound(self, mixed_measure):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="rank bound"):
-            fpca(residuals_from(mixed_measure, rng, 5), truncation=50)
+            fpca(residuals_from(mixed_measure, rng, 5), mixed_measure, truncation=50)
 
     def test_truncation_below_one(self, mixed_measure):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="truncation must be at least 1"):
-            fpca(residuals_from(mixed_measure, rng, 5), truncation=0)
+            fpca(residuals_from(mixed_measure, rng, 5), mixed_measure, truncation=0)
 
 
 class TestSimulateResponses:
     def test_zero_eigenvalues_reproduce_means(self, mixed_measure):
         rng = np.random.default_rng(5)
         means = [random_density(mixed_measure, rng) for _ in range(6)]
-        zero = [ClrElement(mixed_measure, np.zeros(mixed_measure.size))] * 6
-        result = fpca(zero, truncation=3)
-        out = simulate_responses(means, result, seed=1)
+        zero = np.zeros((6, mixed_measure.size))
+        result = fpca(zero, mixed_measure, truncation=3)
+        out = densities_of(mixed_measure, simulate_responses(clr_rows(means), result, seed=1))
         for f, g in zip(means, out):
             np.testing.assert_allclose(
                 f.as_probability().values, g.values, atol=1e-12
@@ -76,20 +82,22 @@ class TestSimulateResponses:
         rng = np.random.default_rng(6)
         means = [random_density(mixed_measure, rng) for _ in range(10)]
         responses = [random_density(mixed_measure, rng) for _ in range(10)]
-        residuals = [clr(subtract(r, m)) for r, m in zip(responses, means)]
-        result = fpca(residuals, truncation=None)
-        rebuilt = simulate_responses(means, result, scores=result.scores)
+        residuals = clr_rows(responses) - clr_rows(means)
+        result = fpca(residuals, mixed_measure, truncation=None)
+        rebuilt = densities_of(
+            mixed_measure, simulate_responses(clr_rows(means), result, scores=result.scores)
+        )
         for orig, out in zip(responses, rebuilt):
             assert np.max(np.abs(orig.as_probability().values - out.values)) < 1e-8
 
     def test_score_variances_match_eigenvalues(self, mixed_measure):
         rng = np.random.default_rng(7)
         residuals = residuals_from(mixed_measure, rng, 20)
-        result = fpca(residuals, truncation=4)
-        means = [constant_density(mixed_measure)] * 10_000
+        result = fpca(residuals, mixed_measure, truncation=4)
+        means = np.zeros((10_000, mixed_measure.size))
         out = simulate_responses(means, result, seed=11)
         w = mixed_measure.weights
-        rows = np.stack([clr(f).values for f in out]) - result.mean
+        rows = out - result.mean
         sampled = (rows * w) @ result.eigenfunctions.T
         var = sampled.var(axis=0)
         np.testing.assert_allclose(var, result.eigenvalues, rtol=0.05)
@@ -97,34 +105,34 @@ class TestSimulateResponses:
     def test_noise_has_zero_clr_integral(self, mixed_measure):
         rng = np.random.default_rng(8)
         residuals = residuals_from(mixed_measure, rng, 15)
-        result = fpca(residuals, truncation=5)
+        result = fpca(residuals, mixed_measure, truncation=5)
         means = [random_density(mixed_measure, rng) for _ in range(5)]
-        out = simulate_responses(means, result, seed=3)
-        for f in out:
-            assert abs(clr(f).values @ mixed_measure.weights) < 1e-9
+        out = simulate_responses(clr_rows(means), result, seed=3)
+        for z in out:
+            assert abs(z @ mixed_measure.weights) < 1e-9
 
     def test_deterministic_for_seed(self, mixed_measure):
         rng = np.random.default_rng(9)
         residuals = residuals_from(mixed_measure, rng, 10)
-        result = fpca(residuals, truncation=3)
-        means = [random_density(mixed_measure, rng) for _ in range(4)]
+        result = fpca(residuals, mixed_measure, truncation=3)
+        means = clr_rows([random_density(mixed_measure, rng) for _ in range(4)])
         a = simulate_responses(means, result, seed=42)
         b = simulate_responses(means, result, seed=42)
         for f, g in zip(a, b):
-            np.testing.assert_array_equal(f.values, g.values)
+            np.testing.assert_array_equal(f, g)
 
 
 class TestRelMse:
     def test_perfect_estimate(self, mixed_measure):
         rng = np.random.default_rng(10)
-        truths = [random_density(mixed_measure, rng) for _ in range(5)]
-        assert rel_mse(truths, truths) == 0.0
+        truths = clr_rows([random_density(mixed_measure, rng) for _ in range(5)])
+        assert rel_mse(truths, truths, mixed_measure) == 0.0
 
     def test_neutral_estimate_gives_one(self, mixed_measure):
         rng = np.random.default_rng(11)
-        truths = [random_density(mixed_measure, rng) for _ in range(5)]
-        neutral = [constant_density(mixed_measure)] * 5
-        assert rel_mse(truths, neutral) == pytest.approx(1.0, abs=1e-12)
+        truths = clr_rows([random_density(mixed_measure, rng) for _ in range(5)])
+        neutral = clr_rows([constant_density(mixed_measure)] * 5)
+        assert rel_mse(truths, neutral, mixed_measure) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_hand_computation(self):
         m = make_discrete([(0.0, 1.0), (1.0, 1.0)])
@@ -132,17 +140,17 @@ class TestRelMse:
         est = clr_inv(ClrElement(m, np.array([0.1, -0.1])))
         # numerator: 2 * 0.2^2, denominator: 2 * 0.3^2
         expected = (2 * 0.2**2) / (2 * 0.3**2)
-        assert rel_mse([truth], [est]) == pytest.approx(expected, abs=1e-12)
+        assert rel_mse(clr_rows([truth]), clr_rows([est]), m) == pytest.approx(expected, abs=1e-12)
 
     def test_neutral_truth_rejected(self, mixed_measure):
-        neutral = [constant_density(mixed_measure)]
+        neutral = clr_rows([constant_density(mixed_measure)])
         with pytest.raises(ZeroDivisionError, match="neutral"):
-            rel_mse(neutral, neutral)
+            rel_mse(neutral, neutral, mixed_measure)
 
     def test_length_mismatch(self, mixed_measure):
         f = constant_density(mixed_measure)
         with pytest.raises(ValueError, match="length"):
-            rel_mse([f], [f, f])
+            rel_mse(clr_rows([f]), clr_rows([f, f]), mixed_measure)
 
 
 class TestSelectionTable:
@@ -196,9 +204,8 @@ class TestNoiseScaleMonotonicity:
         )
         cfg = BoostConfig(max_iterations=120, seed=0)
         base = fit(spec, data, truths, cfg, density_knots=6)
-        fitted = [clr_inv(ClrElement(m, row)) for row in base.fits.fitted_clr]
-        residuals = [clr(subtract(y, f)) for y, f in zip(truths, fitted)]
-        structure = fpca(residuals, truncation=10)
+        fitted = base.fits.fitted_clr
+        structure = fpca(clr_rows(truths) - fitted, m, truncation=10)
         medians = []
         for scale in (0.0, 1.0, 3.0):
             errors = []
@@ -206,7 +213,7 @@ class TestNoiseScaleMonotonicity:
                 sim = simulate_responses(
                     fitted, structure, seed=100 + rep, noise_scale=scale
                 )
-                refit = fit(spec, data, sim, cfg, density_knots=6)
-                errors.append(rel_mse(fitted, predict(refit, data)))
+                refit = fit(spec, data, densities_of(m, sim), cfg, density_knots=6)
+                errors.append(rel_mse(fitted, clr_rows(predict(refit, data)), m))
             medians.append(float(np.median(errors)))
         assert medians[0] <= medians[1] <= medians[2]

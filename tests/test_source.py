@@ -4,7 +4,8 @@ Invariant checks must survive ``python -O``, so the package holds no
 ``assert`` statement; and every name a module imports at module level is
 used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
 its imports are the re-exports). The runtime needs numpy only: importing the
-command-line module loads no scipy module.
+command-line module loads no scipy module. Boosting and simulation work on
+N x P clr arrays, so they do not use the density and clr element classes.
 """
 import ast
 import os
@@ -78,3 +79,16 @@ def test_cli_import_loads_no_scipy():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["boosting.py", "simulate.py"])
+def test_array_layers_use_no_element_class(name):
+    tree = _parse(PACKAGE / name)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {
+        alias.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+        for alias in n.names
+    }
+    found = names & {"DensityElement", "ClrElement"}
+    assert not found, f"{name}: uses {sorted(found)}"
