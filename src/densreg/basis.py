@@ -20,6 +20,7 @@ __all__ = [
     "difference_penalty",
     "sum_to_zero_transform",
     "DensityBasis",
+    "raw_density_basis",
     "bspline_density_basis",
     "indicator_density_basis",
     "mixed_concatenated_basis",
@@ -143,30 +144,14 @@ class DensityBasis:
     def n_basis(self) -> int:
         return self.clr_matrix.shape[1]
 
-    def to_dict(self) -> dict:
-        """Model-file fields: kind, constraint transform, and measure."""
-        return {
-            "kind": self.kind,
-            "transform": self.transform.tolist(),
-            "measure": self.measure.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict, n_interior: int, degree: int) -> "DensityBasis":
-        """Rebuild a basis around its stored constraint transform. Only
-        fitting uses the roughness penalty, so it is not rebuilt (None)."""
-        m = ReferenceMeasure.from_dict(d["measure"])
-        if d["kind"] == "bspline":
-            a, b = m.interval
-            raw = bspline_eval(bspline_knots(a, b, n_interior, degree), degree, m.grid)
-        elif d["kind"] == "indicator":
-            raw = np.eye(m.n_atoms)
-        else:
-            raise ValueError(f"unknown density basis kind {d['kind']!r}")
-        z = np.asarray(d["transform"], dtype=float)
-        if not np.isfinite(z).all():
-            raise ValueError("density basis transform must be finite")
-        return cls(m, raw @ z, None, z, d["kind"])
+def raw_density_basis(m: ReferenceMeasure, n_interior: int = 10, degree: int = 3) -> np.ndarray:
+    """Unconstrained basis: B-splines on the grid when the measure has one,
+    otherwise one indicator per atom."""
+    if m.n_grid:
+        a, b = m.interval
+        return bspline_eval(bspline_knots(a, b, n_interior, degree), degree, m.grid)
+    return np.eye(m.n_atoms)
 
 
 def bspline_density_basis(
@@ -177,9 +162,7 @@ def bspline_density_basis(
         raise ValueError("measure has no continuous part")
     if m.n_atoms > 0:
         raise ValueError("use the component measures or the concatenated basis for mixed measures")
-    a, b = m.interval
-    knots = bspline_knots(a, b, n_interior, degree)
-    raw = bspline_eval(knots, degree, m.grid)
+    raw = raw_density_basis(m, n_interior, degree)
     pen_raw = difference_penalty(raw.shape[1], penalty_order)
     z, constrained = sum_to_zero_transform(raw, m)
     return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "bspline")
@@ -189,7 +172,7 @@ def indicator_density_basis(m: ReferenceMeasure, penalty_order: int = 1) -> Dens
     """Constrained indicator basis over a purely discrete measure."""
     if m.n_grid > 0 or m.n_atoms == 0:
         raise ValueError("indicator basis requires a purely discrete measure")
-    raw = np.eye(m.n_atoms)
+    raw = raw_density_basis(m)
     pen_raw = difference_penalty(m.n_atoms, min(penalty_order, m.n_atoms - 1))
     z, constrained = sum_to_zero_transform(raw, m)
     return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "indicator")
@@ -205,9 +188,7 @@ def mixed_concatenated_basis(
     """
     if m.n_atoms == 0 or m.n_grid == 0:
         raise ValueError("concatenated basis requires a mixed measure")
-    a, b = m.interval
-    knots = bspline_knots(a, b, n_interior, degree)
-    spline_part = bspline_eval(knots, degree, m.grid)
+    spline_part = raw_density_basis(m, n_interior, degree)
     k_spline = spline_part.shape[1]
     raw = np.zeros((m.size, m.n_atoms + k_spline))
     raw[: m.n_atoms, : m.n_atoms] = np.eye(m.n_atoms)

@@ -112,36 +112,8 @@ class FitState:
     @property
     def selected_mask(self) -> np.ndarray:
         mask = np.zeros(len(self.coefficients), dtype=bool)
-        for j in self.selections:
-            mask[j] = True
+        mask[self.selections] = True
         return mask
-
-    def to_dict(self) -> dict:
-        """Model-file fields; the training surfaces and increments are not kept."""
-        return {
-            "offset": self.offset_clr.tolist(),
-            "coefficients": [c.tolist() for c in self.coefficients],
-            "selections": list(map(int, self.selections)),
-            "risk_path": self.risk_path.tolist(),
-            "m_stop": int(self.m_stop),
-            "stop_curve": None if self.stop_curve is None else self.stop_curve.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, measure: ReferenceMeasure) -> "FitState":
-        """A fit read from a model file, without training surfaces."""
-        offset = np.asarray(d["offset"], dtype=float)
-        if offset.shape != (measure.size,):
-            raise ValueError(f"offset has shape {offset.shape}, expected ({measure.size},)")
-        coefficients = [np.asarray(c, dtype=float) for c in d["coefficients"]]
-        if not all(np.isfinite(v).all() for v in [offset, *coefficients]):
-            raise ValueError("offset and coefficients must be finite")
-        curve = None if d["stop_curve"] is None else np.asarray(d["stop_curve"], dtype=float)
-        return cls(
-            measure, offset, coefficients, None,
-            list(map(int, d["selections"])), np.asarray(d["risk_path"], dtype=float),
-            int(d["m_stop"]), stop_curve=curve,
-        )
 
 
 @dataclass
@@ -162,7 +134,6 @@ class MixedFit:
 class EarlyStopResult:
     m_stop: int
     risk_curve: np.ndarray            # mean out-of-sample risk, index 0 .. M
-    method: str
 
 
 def _penalized_inverse(gram: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -396,7 +367,7 @@ def early_stop_from_clr(
     )
     mean_curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
     m_stop = int(np.argmin(mean_curve[1:]) + 1)
-    return EarlyStopResult(m_stop, mean_curve, config.stopping)
+    return EarlyStopResult(m_stop, mean_curve)
 
 
 def boost_mixed(

@@ -5,8 +5,9 @@ predict, interpret (effect curves, odds tables, difference-in-differences
 heatmaps), simulate (residual-driven replication study), and check (invariant
 suite for a density file). All inputs come from a JSON config plus
 tab-separated data files; all outputs are tab-separated tables, JSON model
-files, and optional SVG figures. Runs are deterministic for a fixed seed,
-also across thread counts.
+files, and optional SVG figures. Runs are deterministic for a fixed seed.
+The ``threads`` config key and ``--threads`` are accepted but not read: every
+command runs on one thread.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -295,23 +295,13 @@ def cmd_simulate(cfg, args) -> int:
     sim_cfg = cfg["simulation"]
     structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
     replicates = sim_cfg["replicates"]
-    seeds = np.random.SeedSequence(cfg["seed"]).spawn(replicates)
-
-    def run_replicate(idx):
-        sim = simulate_responses(
-            fitted, structure, seed=seeds[idx], noise_scale=sim_cfg["noise_scale"]
-        )
+    results = []
+    for seed in np.random.SeedSequence(cfg["seed"]).spawn(replicates):
+        sim = simulate_responses(fitted, structure, seed=seed, noise_scale=sim_cfg["noise_scale"])
         responses = [clr_inv(ClrElement(measure, row)) for row in sim]
         refit = fit_model(spec, data, responses, boost_cfg, **options)
         estimates = np.stack([z.values for z in predict_clr(refit, data)])
-        return rel_mse(fitted, estimates, measure), refit.selected_terms()
-
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            results = list(pool.map(run_replicate, range(replicates)))
-    else:
-        results = [run_replicate(i) for i in range(replicates)]
-
+        results.append((rel_mse(fitted, estimates, measure), refit.selected_terms()))
     write_table(
         os.path.join(out, "simulate_relmse.tsv"),
         ["replicate", "relmse_predictions"],
@@ -376,7 +366,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=int, help="worker cap override")
+    parser.add_argument("--threads", type=int, help="accepted, not read")
     parser.add_argument("--verbose", action="store_true")
     # intermixed, so the check target may also follow the options
     args = parser.parse_intermixed_args(argv)

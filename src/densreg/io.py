@@ -24,7 +24,11 @@ command-line front-end exits with 0 on success,
 ``ValueError`` from the input files) and 4 on a numeric failure.
 
 Model files are JSON objects with ``"format": "densreg-model"`` and
-``"version": 1``; anything else is a :class:`DataError`. Version-1 fields:
+``"version": 1``; anything else is a :class:`DataError`. The version-1
+fields below have one writer and one reader,
+:func:`densreg.model.dump_fields` and :func:`densreg.model.load_fields`; a
+field that does not fit the rest is a :class:`DataError` that names it,
+such as ``covariates.region.reference``:
 
 * ``measure``: ``interval`` (or null), ``atoms`` ([location, weight] pairs),
   ``grid_size``; then ``coding`` and ``references``;
@@ -56,7 +60,7 @@ from .bayes import DensityElement
 from .boosting import BoostConfig
 from .ingest import KdeConfig
 from .measure import ReferenceMeasure, make_discrete, make_mixed
-from .model import EffectTerm, FittedModel, ModelSpec
+from .model import EffectTerm, FittedModel, ModelSpec, dump_fields, load_fields
 
 __all__ = [
     "ConfigError",
@@ -208,7 +212,7 @@ def read_density_file(path):
 
 def model_to_dict(model) -> dict:
     """Serialize a fitted model with everything prediction needs."""
-    return {"format": "densreg-model", "version": 1, **model.to_dict()}
+    return {"format": "densreg-model", "version": 1, **dump_fields(model)}
 
 
 def model_from_dict(d) -> FittedModel:
@@ -222,7 +226,7 @@ def model_from_dict(d) -> FittedModel:
     if type(version) is not int or version != 1:
         raise DataError(f"model file: unsupported version {version!r}")
     try:
-        return FittedModel.from_dict(d)
+        return load_fields(d)
     except KeyError as exc:
         raise DataError(f"model file: missing field {exc}") from exc
     except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:

@@ -19,7 +19,8 @@ effects are always converted to reference coding: a term evaluated with any
 of its covariates at the reference contributes the neutral density.
 
 A fitted model keeps one predictor state, which is also what a model file
-holds (see :mod:`densreg.io`): a ``_Covariate`` per covariate and a
+holds (:func:`dump_fields` writes it, :func:`load_fields` reads it; the
+format is in :mod:`densreg.io`): a ``_Covariate`` per covariate and a
 ``_TermEncoder`` per term, which turns covariate values into constrained
 design rows and records the term's smoothing parameter and degrees of
 freedom. The training designs live only in the boosting inputs
@@ -46,6 +47,7 @@ from .basis import (
     difference_penalty,
     effective_df,
     indicator_density_basis,
+    raw_density_basis,
 )
 from .bayes import (
     ClrElement,
@@ -176,19 +178,6 @@ class _Covariate:
         lo, hi = float(vals.min()), float(vals.max())
         return cls(name, kind, float(reference) if reference is not None else lo, lo=lo, hi=hi)
 
-    def to_dict(self) -> dict:
-        keys = ("levels",) if self.kind == "categorical" else ("lo", "hi")
-        return {"kind": self.kind, **{k: getattr(self, k) for k in keys},
-                "reference": self.reference}
-
-    @classmethod
-    def from_dict(cls, name: str, d: dict) -> "_Covariate":
-        if d["kind"] == "categorical":
-            return cls(name, "categorical", d["reference"], levels=tuple(d["levels"]))
-        if d["kind"] == "numeric":
-            return cls(name, "numeric", d["reference"], lo=d["lo"], hi=d["hi"])
-        raise ValueError(f"covariate {name!r}: unknown kind {d['kind']!r}")
-
 
 @dataclass(frozen=True)
 class _TermEncoder:
@@ -240,6 +229,12 @@ class _TermEncoder:
             return self._contrast(cov)[[index[lab] for lab in labels]]
         x = np.asarray(column, dtype=float)
         if letter == "s":
+            outside = x[(x < cov.lo) | (x > cov.hi)]
+            if outside.size:
+                raise ValueError(
+                    f"covariate {cov.name!r}: {float(outside[0])!r} lies outside "
+                    f"the training range [{cov.lo!r}, {cov.hi!r}]"
+                )
             return bspline_eval(self.knot_vectors[cov.name], self.term.degree, x)
         if letter == "x":
             return x[:, None]
@@ -282,41 +277,6 @@ class _TermEncoder:
             for j, (letter, k) in enumerate(zip(self.term.blocks, widths)) if letter == "s"
         ]
         return sum(parts[1:], parts[0]) if parts else np.eye(math.prod(widths))
-
-    def to_dict(self) -> dict:
-        return {
-            **asdict(self.term),
-            "transform": None if self.transform is None else self.transform.tolist(),
-            "lambda_cov": self.lambda_cov,
-            "target_df": self.target_df,
-            "achieved_df": self.achieved_df,
-            "knot_vectors": {k: v.tolist() for k, v in self.knot_vectors.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, covariates: dict, coding: str) -> "_TermEncoder":
-        term = EffectTerm(**{f.name: d[f.name] for f in fields(EffectTerm)})
-        encoder = cls(
-            term,
-            tuple(covariates[c] for c in term.covariates),
-            coding,
-            {k: np.asarray(v, dtype=float) for k, v in d["knot_vectors"].items()},
-            None if d["transform"] is None else np.asarray(d["transform"], dtype=float),
-            d["lambda_cov"],
-            d.get("target_df", d["df"]),
-            d["achieved_df"],
-        )
-        transform, width = encoder.transform, math.prod(encoder._widths())
-        if transform is not None and (transform.ndim != 2 or len(transform) != width):
-            raise ValueError(
-                f"term {term.name!r}: transform must have {width} rows, one per raw column"
-            )
-        numbers = [encoder.lambda_cov, *encoder.knot_vectors.values()]
-        if not all(np.isfinite(v).all() for v in numbers + [transform] if v is not None):
-            raise ValueError(
-                f"term {term.name!r}: transform, knot vectors and lambda_cov must be finite"
-            )
-        return encoder
 
 
 def _table_length(data) -> int:
@@ -479,66 +439,154 @@ class FittedModel:
             out[term.name] = per
         return out
 
-    def to_dict(self) -> dict:
-        """The model-file fields that follow ``format`` and ``version``
-        (see :mod:`densreg.io`)."""
-        options = self.density_options
-        return {
-            "measure": self.measure.to_dict(),
-            "coding": self.spec.coding,
-            "references": self.spec.references,
-            "covariates": {name: c.to_dict() for name, c in self.frame.covariates.items()},
-            "terms": [e.to_dict() for e in self.frame.encoders],
-            "density_basis": {
-                "knots": options["density_knots"],
-                "degree": options["density_degree"],
-                "penalty_order": options["density_penalty_order"],
-                "lambda_density": self.lambda_density,
-            },
-            "bases": {comp: basis.to_dict() for comp, basis in self.bases.items()},
-            "fits": {comp: state.to_dict() for comp, state in self.component_states().items()},
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FittedModel":
-        """Rebuild a model from its model-file fields.
+# the density-basis options of fit, without their "density_" prefix
+_DENSITY_OPTIONS = ("knots", "degree", "penalty_order")
 
-        The result predicts and interprets like the fitted model. The file
-        keeps neither the training surfaces nor the boosting settings, so
-        ``fitted_clr`` and ``config`` are None.
-        """
-        measure = ReferenceMeasure.from_dict(d["measure"])
-        covariates = {
-            name: _Covariate.from_dict(name, cd) for name, cd in d["covariates"].items()
-        }
-        encoders = tuple(
-            _TermEncoder.from_dict(td, covariates, d["coding"]) for td in d["terms"]
+
+def _components(measure: ReferenceMeasure) -> dict:
+    """The measure of each model component: "continuous" and "discrete" for
+    a mixed measure (B-spline and indicator bases), else "single"."""
+    if measure.is_mixed:
+        return {"continuous": continuous_submeasure(measure),
+                "discrete": discrete_star_measure(measure)}
+    return {"single": measure}
+
+
+def _finite(value, what: str) -> np.ndarray:
+    """``value`` as a float array, which must hold only finite numbers."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def dump_fields(model: FittedModel) -> dict:
+    """The model-file fields that follow ``format`` and ``version`` (see
+    :mod:`densreg.io`); :func:`load_fields` reads them back."""
+    options = model.density_options
+    return {
+        "measure": model.measure.to_dict(),
+        "coding": model.spec.coding,
+        "references": model.spec.references,
+        "covariates": {
+            name: {"kind": c.kind, "levels": c.levels, "reference": c.reference}
+            if c.kind == "categorical" else
+            {"kind": c.kind, "lo": c.lo, "hi": c.hi, "reference": c.reference}
+            for name, c in model.frame.covariates.items()
+        },
+        "terms": [
+            {**asdict(e.term),
+             "transform": None if e.transform is None else e.transform.tolist(),
+             "lambda_cov": e.lambda_cov, "target_df": e.target_df, "achieved_df": e.achieved_df,
+             "knot_vectors": {k: v.tolist() for k, v in e.knot_vectors.items()}}
+            for e in model.frame.encoders
+        ],
+        "density_basis": {
+            **{k: options[f"density_{k}"] for k in _DENSITY_OPTIONS},
+            "lambda_density": model.lambda_density,
+        },
+        "bases": {
+            comp: {"kind": b.kind, "transform": b.transform.tolist(),
+                   "measure": b.measure.to_dict()}
+            for comp, b in model.bases.items()
+        },
+        "fits": {
+            comp: {"offset": s.offset_clr.tolist(),
+                   "coefficients": [c.tolist() for c in s.coefficients],
+                   "selections": list(map(int, s.selections)), "risk_path": s.risk_path.tolist(),
+                   "m_stop": int(s.m_stop),
+                   "stop_curve": None if s.stop_curve is None else s.stop_curve.tolist()}
+            for comp, s in model.component_states().items()
+        },
+    }
+
+
+def _load_covariate(name: str, d: dict) -> _Covariate:
+    path = f"covariates.{name}"
+    if d["kind"] == "categorical":
+        levels = d["levels"]
+        if not (isinstance(levels, list) and all(isinstance(v, str) for v in levels)):
+            raise ValueError(f"{path}.levels: expected a list of strings")
+        if d["reference"] not in levels:
+            raise ValueError(f"{path}.reference: {d['reference']!r} is not one of {levels}")
+        return _Covariate(name, "categorical", d["reference"], levels=tuple(levels))
+    if d["kind"] == "numeric":
+        _finite([d["lo"], d["hi"], d["reference"]], f"{path}: lo, hi and reference")
+        return _Covariate(name, "numeric", d["reference"], lo=d["lo"], hi=d["hi"])
+    raise ValueError(f"covariate {name!r}: unknown kind {d['kind']!r}")
+
+
+def _load_encoder(i: int, d: dict, covariates: dict, coding: str) -> _TermEncoder:
+    term = EffectTerm(**{f.name: d[f.name] for f in fields(EffectTerm)})
+    for name, letter in zip(term.covariates, term.blocks):
+        kind = "categorical" if letter == "c" else "numeric"
+        if name not in covariates or covariates[name].kind != kind:
+            raise ValueError(f"terms[{i}].covariates: {name!r} is not a declared {kind} covariate")
+    what = f"term {term.name!r}: transform, knot vectors and lambda_cov"
+    encoder = _TermEncoder(
+        term, tuple(covariates[c] for c in term.covariates), coding,
+        {k: _finite(v, what) for k, v in d["knot_vectors"].items()},
+        None if d["transform"] is None else _finite(d["transform"], what),
+        float(_finite(d["lambda_cov"], what)), d.get("target_df", d["df"]), d["achieved_df"],
+    )
+    transform, width = encoder.transform, math.prod(encoder._widths())
+    if transform is not None and (transform.ndim != 2 or len(transform) != width):
+        raise ValueError(f"term {term.name!r}: transform must have {width} rows, "
+                         "one per raw column")
+    return encoder
+
+
+def load_fields(d: dict) -> FittedModel:
+    """Rebuild a model from the fields :func:`dump_fields` writes; raises
+    ValueError, naming the field, on one that does not fit the rest. The model
+    predicts and interprets like the fitted one, but keeps no training
+    surfaces, boosting settings or density-basis penalty (None)."""
+    measure = ReferenceMeasure.from_dict(d["measure"])
+    covariates = {name: _load_covariate(name, cd) for name, cd in d["covariates"].items()}
+    encoders = tuple(
+        _load_encoder(i, td, covariates, d["coding"]) for i, td in enumerate(d["terms"])
+    )
+    spec = ModelSpec(tuple(e.term for e in encoders), d["coding"], dict(d["references"]))
+    db = d["density_basis"]
+    _finite(db["lambda_density"], "density_basis.lambda_density")
+    components = _components(measure)
+    for key in ("bases", "fits"):
+        if set(d[key]) != set(components):
+            raise ValueError(f"{key}: expected the component(s) {list(components)}")
+    columns = [e.n_columns for e in encoders]
+    bases, states = {}, {}
+    for comp, m in components.items():
+        bd, fd = d["bases"][comp], d["fits"][comp]
+        if not ReferenceMeasure.from_dict(bd["measure"]).same_support(m):
+            raise ValueError(f"bases.{comp}.measure: differs from the component of measure")
+        kind = "bspline" if m.n_grid else "indicator"
+        if bd["kind"] != kind:
+            raise ValueError(f"bases.{comp}.kind: density basis kind must be {kind!r}")
+        z = _finite(bd["transform"], "density basis transform")
+        raw = raw_density_basis(m, db["knots"], db["degree"])
+        bases[comp] = basis = DensityBasis(m, raw @ z, None, z, kind)
+        offset = _finite(fd["offset"], "offset and coefficients")
+        if offset.shape != (m.size,):
+            raise ValueError(f"offset has shape {offset.shape}, expected ({m.size},)")
+        coefficients = [_finite(c, "offset and coefficients") for c in fd["coefficients"]]
+        widths = [k * basis.n_basis for k in columns]
+        if [c.size for c in coefficients] != widths:
+            raise ValueError(f"fits.{comp}: coefficient lengths differ from {widths}")
+        selections = list(map(int, fd["selections"]))
+        if not all(0 <= j < len(encoders) for j in selections):
+            raise ValueError(f"fits.{comp}.selections: a term index outside [0, {len(encoders)})")
+        curve = fd["stop_curve"]
+        states[comp] = FitState(
+            m, offset, coefficients, None, selections, np.asarray(fd["risk_path"], dtype=float),
+            int(fd["m_stop"]), stop_curve=None if curve is None else np.asarray(curve, dtype=float),
         )
-        spec = ModelSpec(tuple(e.term for e in encoders), d["coding"], dict(d["references"]))
-        db = d["density_basis"]
-        if not np.isfinite(db["lambda_density"]):
-            raise ValueError("density_basis.lambda_density must be finite")
-        bases = {
-            comp: DensityBasis.from_dict(bd, db["knots"], db["degree"])
-            for comp, bd in d["bases"].items()
-        }
-        columns = [e.n_columns for e in encoders]
-        states = {}
-        for comp, fd in d["fits"].items():
-            states[comp] = state = FitState.from_dict(fd, bases[comp].measure)
-            widths = [k * bases[comp].n_basis for k in columns]
-            if [c.size for c in state.coefficients] != widths:
-                raise ValueError(f"fits.{comp}: coefficient lengths differ from {widths}")
-        if set(states) == {"continuous", "discrete"}:
-            fits = MixedFit(states["continuous"], states["discrete"], measure, None)
-        else:
-            fits = states["single"]
-        return cls(
-            spec, measure, _PredictorState(covariates, encoders), fits, bases,
-            db["lambda_density"], None,
-            {"density_knots": db["knots"], "density_degree": db["degree"],
-             "density_penalty_order": db["penalty_order"]},
-        )
+    fits = (MixedFit(**states, measure=measure, fitted_clr=None) if measure.is_mixed
+            else states["single"])
+    return FittedModel(
+        spec, measure, _PredictorState(covariates, encoders), fits, bases,
+        db["lambda_density"], None, {f"density_{k}": db[k] for k in _DENSITY_OPTIONS},
+    )
 
 
 def build_designs(
@@ -558,19 +606,11 @@ def build_designs(
     pure measures, "continuous" and "discrete" for mixed ones.
     """
     frame, blocks = _encode(spec, data, default_df)
-    bases: dict[str, DensityBasis] = {}
-    if measure.is_mixed:
-        bases["continuous"] = bspline_density_basis(
-            continuous_submeasure(measure), density_knots, density_degree,
-            density_penalty_order,
-        )
-        bases["discrete"] = indicator_density_basis(discrete_star_measure(measure))
-    elif measure.n_grid:
-        bases["single"] = bspline_density_basis(
-            measure, density_knots, density_degree, density_penalty_order
-        )
-    else:
-        bases["single"] = indicator_density_basis(measure)
+    bases = {
+        comp: bspline_density_basis(m, density_knots, density_degree, density_penalty_order)
+        if m.n_grid else indicator_density_basis(m)
+        for comp, m in _components(measure).items()
+    }
     designs = {
         key: [
             assemble_effect(e.term.name, x, pen, basis, e.lambda_cov, lambda_density)

@@ -185,7 +185,7 @@ def brute_force_early_stop(y_clr, measure, designs, config: BoostConfig):
     ]
     mean_curve = np.mean(np.stack(curves), axis=0)
     m_stop = int(np.argmin(mean_curve[1:]) + 1)
-    return EarlyStopResult(m_stop, mean_curve, config.stopping), curves
+    return EarlyStopResult(m_stop, mean_curve), curves
 
 
 # ---------------------------------------------------------------------------

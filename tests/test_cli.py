@@ -721,6 +721,18 @@ class TestModelFiles:
         # the columns the fit command reported for this model
         assert [r["columns"] for r in design_report(model)] == [1, 1, 2, 5, 6]
 
+    def test_newdata_off_spline_range_names_covariate(self, tmp_path, capsys):
+        newdata = tmp_path / "new.tsv"
+        newdata.write_text("region\tc_age\tyear\neast\tkids0_6\t99.0\n")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"model": str(DATA / "model_v1.json"), "newdata": str(newdata)},
+        )
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "data error: covariate 'year': 99.0 lies outside the training range [0.0, 4.0]\n"
+        )
+
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -750,6 +762,30 @@ class TestModelFiles:
              "model file: offset and coefficients must be finite"),
             (_model_file_with(("fits", "discrete", "coefficients", 3, 0), -math.inf),
              "model file: offset and coefficients must be finite"),
+            (_model_file_with(("covariates", "region", "reference"), "north"),
+             "model file: covariates.region.reference: 'north' is not one of ['east', 'west']"),
+            (_model_file_with(("covariates", "region", "levels"), "east"),
+             "model file: covariates.region.levels: expected a list of strings"),
+            (_model_file_with(("covariates", "year", "hi"), math.inf),
+             "model file: covariates.year: lo, hi and reference must be finite"),
+            (_model_file_with(("terms", 1, "covariates"), ["regoin"]),
+             "model file: terms[1].covariates: 'regoin' is not a declared categorical covariate"),
+            (_model_file_with(("terms", 3, "covariates"), ["region"]),
+             "model file: terms[3].covariates: 'region' is not a declared numeric covariate"),
+            (_model_file_with(("fits", "discrete"), None),
+             "model file: fits: expected the component(s) ['continuous', 'discrete']"),
+            (_model_file_with(("bases", "single"), {}),
+             "model file: bases: expected the component(s) ['continuous', 'discrete']"),
+            (_model_file_with(("bases", "discrete", "measure", "atoms", 1, 1), 2.0),
+             "model file: bases.discrete.measure: differs from the component of measure"),
+            (_model_file_with(("bases", "continuous", "measure", "grid_size"), 17),
+             "model file: bases.continuous.measure: differs from the component of measure"),
+            (_model_file_with(("bases", "continuous", "kind"), "indicator"),
+             "model file: bases.continuous.kind: density basis kind must be 'bspline'"),
+            (_model_file_with(("fits", "continuous", "selections", 0), 99),
+             "model file: fits.continuous.selections: a term index outside [0, 5)"),
+            (_model_file_with(("fits", "discrete", "selections", 2), -1),
+             "model file: fits.discrete.selections: a term index outside [0, 5)"),
         ],
         ids=[
             "json_list", "format", "version_99", "version_string", "missing_terms",
@@ -757,6 +793,10 @@ class TestModelFiles:
             "coefficient_length", "offset_length", "m_stop_infinite",
             "transform_infinite", "knot_nan", "lambda_cov_infinite", "lambda_density_nan",
             "basis_transform_infinite", "offset_nan", "coefficient_infinite",
+            "reference_not_a_level", "levels_not_a_list", "covariate_range_infinite",
+            "unknown_term_covariate", "term_covariate_wrong_kind", "missing_component_fit",
+            "extra_component_basis", "component_atoms_differ", "component_grid_differs",
+            "component_basis_kind", "selection_too_large", "selection_negative",
         ],
     )
     def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):

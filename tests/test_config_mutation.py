@@ -136,6 +136,11 @@ MISFITS = {
     "unknown_did_factor": ("did[0]", lambda i: i["did"][0].update(factor_a="nation"), "nation"),
     "effect_at_lacks_covariate": ("effects[0]", lambda i: i["effects"][0]["at"].pop("c_age"),
                                   "c_age"),
+    "did_level_off_spline_range": (
+        "did[0]",
+        lambda i: i["did"][0].update(factor_b="year", levels_b=[99.0, 1.0], fixed={"c_age": "other"}),
+        "covariate 'year': 99.0 lies outside the training range [0.0, 4.0]",
+    ),
 }
 
 

@@ -6,6 +6,9 @@ used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
 its imports are the re-exports). The runtime needs numpy only: importing the
 command-line module loads no scipy module. Boosting and simulation work on
 N x P clr arrays, so they do not use the density and clr element classes.
+The model file has one reader and one writer (``model.load_fields`` and
+``model.dump_fields``), so the basis and boosting layers hold no
+``to_dict``/``from_dict``; and no module starts a thread.
 """
 import ast
 import os
@@ -92,3 +95,25 @@ def test_array_layers_use_no_element_class(name):
     }
     found = names & {"DensityElement", "ClrElement"}
     assert not found, f"{name}: uses {sorted(found)}"
+
+
+@pytest.mark.parametrize("name", ["basis.py", "boosting.py"])
+def test_model_file_format_stays_out_of(name):
+    tree = _parse(PACKAGE / name)
+    found = {
+        n.name for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name in ("to_dict", "from_dict")
+    }
+    assert not found, f"{name}: defines {sorted(found)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_thread_imports(path):
+    imported = set()
+    for n in ast.walk(_parse(path)):
+        if isinstance(n, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            imported.add(n.module.split(".")[0])
+    found = imported & {"concurrent", "threading"}
+    assert not found, f"{path.name}: imports {sorted(found)}"
