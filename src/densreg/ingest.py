@@ -5,6 +5,13 @@ boundary values become atom probabilities; interior values feed a weighted
 kernel density estimate with boundary-respecting beta kernels, normalized on
 the evaluation grid. A positivity floor keeps every stored value strictly
 positive so the result is a valid element of the density space.
+
+The estimators build each kernel matrix as one BLAS product: the beta
+parameters and log B of every evaluation point form an (n_t x 3) matrix, the
+logs of the data a (3 x n) one, and their product is exponentiated in place.
+What remains per matrix is linear in the evaluation points: three
+``math.lgamma`` calls each, for log B. A group whose interior values all have
+zero weight is treated like one without interior values.
 """
 from __future__ import annotations
 
@@ -68,7 +75,10 @@ class ObservationGroup:
 
     @property
     def interior(self) -> np.ndarray:
-        return ~(self.at_zero | self.at_one)
+        """Values strictly inside (0, 1); none when all of them have zero
+        weight, so that such a group has no kernel part."""
+        inside = ~(self.at_zero | self.at_one)
+        return inside if self.weights[inside].sum() > 0 else np.zeros_like(inside)
 
     def boundary_shares(self) -> tuple[float, float, float]:
         """(p0, p1, p_interior), summing to one exactly."""
@@ -118,6 +128,27 @@ def _shape_parameters(t: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _log_beta(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log B(p, q) elementwise, one ``math.lgamma`` per value; NaN where a
+    shape parameter is not positive."""
+    ok = (p > 0) & (q > 0)
+    out = np.full(p.shape, np.nan)
+    p, q = p[ok], q[ok]
+
+    def lgamma(v):
+        return np.fromiter(map(math.lgamma, v.tolist()), float, v.size)
+
+    out[ok] = lgamma(p) + lgamma(q) - lgamma(p + q)
+    return out
+
+
+def _check_kernel_arguments(t: np.ndarray, b: float, x: np.ndarray) -> None:
+    if b <= 0:
+        raise ValueError("bandwidth must be positive")
+    if np.any((t < 0) | (t > 1)) or np.any((x < 0) | (x > 1)):
+        raise ValueError("kernel arguments must lie in [0, 1]")
+
+
 def _times_log(a: np.ndarray, log_v: np.ndarray, shape: tuple) -> np.ndarray:
     """``a * log_v`` broadcast to ``shape``, with 0 * log 0 taken as 0."""
     return np.multiply(a, log_v, out=np.zeros(shape), where=a != 0)
@@ -131,18 +162,14 @@ def beta_kernel(t, b: float, x) -> np.ndarray:
     interval and a bias-reducing modification within 2b of either boundary.
     It is computed in log space, (p-1) log x + (q-1) log(1-x) - log B(p, q),
     with one log B per evaluation point; a zero shape parameter gives NaN.
+    Any broadcastable ``t`` and ``x`` in [0, 1] are accepted; the estimators
+    use the faster :func:`_raw_kde_matrix`.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if b <= 0:
-        raise ValueError("bandwidth must be positive")
-    if np.any((t < 0) | (t > 1)) or np.any((x < 0) | (x > 1)):
-        raise ValueError("kernel arguments must lie in [0, 1]")
+    _check_kernel_arguments(t, b, x)
     p, q = _shape_parameters(t.reshape(-1), b)
-    log_beta = np.array([
-        math.lgamma(pi) + math.lgamma(qi) - math.lgamma(pi + qi) if pi > 0 and qi > 0 else np.nan
-        for pi, qi in zip(p.tolist(), q.tolist())
-    ]).reshape(t.shape)
+    log_beta = _log_beta(p, q).reshape(t.shape)
     p, q = p.reshape(t.shape), q.reshape(t.shape)
     shape = np.broadcast_shapes(t.shape, x.shape)
     with np.errstate(divide="ignore"):
@@ -154,9 +181,22 @@ def beta_kernel(t, b: float, x) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def _raw_kde_matrix(grid: np.ndarray, data: np.ndarray, b: float) -> np.ndarray:
-    """Kernel values K[t_g, x_l] on the evaluation grid."""
-    return beta_kernel(grid[:, None], b, data[None, :])
+def _raw_kde_matrix(points: np.ndarray, data: np.ndarray, b: float) -> np.ndarray:
+    """Kernel values K[t_i, x_l] for evaluation points ``points`` and data
+    strictly inside (0, 1).
+
+    The exponent is one (n_t x 3) @ (3 x n) product,
+    [p-1, q-1, -log B] @ [log x; log(1-x); 1], exponentiated in place.
+    """
+    _check_kernel_arguments(points, b, data)
+    if np.any((data <= 0) | (data >= 1)):
+        raise ValueError("kernel data must lie strictly inside (0, 1)")
+    p, q = _shape_parameters(points, b)
+    shapes = np.stack([p - 1.0, q - 1.0, -_log_beta(p, q)], axis=1)
+    logs = np.stack([np.log(data), np.log1p(-data), np.ones_like(data)])
+    out = shapes @ logs
+    np.exp(out, out=out)
+    return out
 
 
 def _interior(group: ObservationGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -189,15 +229,19 @@ def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> f
 
     Estimates the integrated squared error of the normalized estimate up to a
     constant: the squared integral of the estimate minus twice the weighted
-    average of leave-one-out estimates at the left-out points.
+    average of leave-one-out estimates at the left-out points. One kernel
+    matrix with the G grid points and the n data points as rows gives both
+    terms; beyond its (G + n) x n product and exponential, the cost is one
+    log B, three ``math.lgamma`` calls, per row.
     """
     data, w = _interior(group)
     if w.size < 2:
         raise ValueError("cross-validation needs at least two interior points")
     if w.max() >= 1.0:
         raise ValueError("cannot leave out an observation carrying all weight")
-    grid_mat = _raw_kde_matrix(measure.grid, data, b)     # (G, n)
-    point_mat = _raw_kde_matrix(data, data, b)            # (n, n), rows are eval pts
+    # grid rows (G, n) and data rows (n, n) in one evaluation
+    kernel = _raw_kde_matrix(np.concatenate([measure.grid, data]), data, b)
+    grid_mat, point_mat = kernel[: measure.n_grid], kernel[measure.n_grid :]
     raw_full = grid_mat @ w
     norm_full = float(raw_full @ measure.grid_weights)
     fhat = raw_full / norm_full

@@ -508,6 +508,8 @@ def _load_covariate(name: str, d: dict) -> _Covariate:
         levels = d["levels"]
         if not (isinstance(levels, list) and all(isinstance(v, str) for v in levels)):
             raise ValueError(f"{path}.levels: expected a list of strings")
+        if len(set(levels)) != len(levels):
+            raise ValueError(f"{path}.levels: a level is listed twice")
         if d["reference"] not in levels:
             raise ValueError(f"{path}.reference: {d['reference']!r} is not one of {levels}")
         return _Covariate(name, "categorical", d["reference"], levels=tuple(levels))
@@ -530,6 +532,15 @@ def _load_encoder(i: int, d: dict, covariates: dict, coding: str) -> _TermEncode
         None if d["transform"] is None else _finite(d["transform"], what),
         float(_finite(d["lambda_cov"], what)), d.get("target_df", d["df"]), d["achieved_df"],
     )
+    # bspline_knots clamps a spline's knots at its covariate's range
+    for cov in (c for c, letter in zip(encoder.covariates, term.blocks) if letter == "s"):
+        knots = encoder.knot_vectors[cov.name]
+        span = float(knots[0]), float(knots[-1])
+        if span != (cov.lo, cov.hi):
+            raise ValueError(
+                f"terms[{i}].knot_vectors.{cov.name}: spans [{span[0]!r}, {span[1]!r}], "
+                f"not the range [{cov.lo!r}, {cov.hi!r}] of covariate {cov.name!r}"
+            )
     transform, width = encoder.transform, math.prod(encoder._widths())
     if transform is not None and (transform.ndim != 2 or len(transform) != width):
         raise ValueError(f"term {term.name!r}: transform must have {width} rows, "
@@ -576,10 +587,16 @@ def load_fields(d: dict) -> FittedModel:
         selections = list(map(int, fd["selections"]))
         if not all(0 <= j < len(encoders) for j in selections):
             raise ValueError(f"fits.{comp}.selections: a term index outside [0, {len(encoders)})")
+        risk_path, m_stop = np.asarray(fd["risk_path"], dtype=float), int(fd["m_stop"])
+        if not m_stop == len(selections) == risk_path.size - 1:
+            raise ValueError(
+                f"fits.{comp}.m_stop: {m_stop} does not match {len(selections)} selections "
+                f"and {risk_path.size} risk values"
+            )
         curve = fd["stop_curve"]
         states[comp] = FitState(
-            m, offset, coefficients, None, selections, np.asarray(fd["risk_path"], dtype=float),
-            int(fd["m_stop"]), stop_curve=None if curve is None else np.asarray(curve, dtype=float),
+            m, offset, coefficients, None, selections, risk_path,
+            m_stop, stop_curve=None if curve is None else np.asarray(curve, dtype=float),
         )
     fits = (MixedFit(**states, measure=measure, fitted_clr=None) if measure.is_mixed
             else states["single"])

@@ -786,6 +786,13 @@ class TestModelFiles:
              "model file: fits.continuous.selections: a term index outside [0, 5)"),
             (_model_file_with(("fits", "discrete", "selections", 2), -1),
              "model file: fits.discrete.selections: a term index outside [0, 5)"),
+            (_model_file_with(("fits", "continuous", "m_stop"), 3),
+             "model file: fits.continuous.m_stop: 3 does not match 40 selections and 41 risk values"),
+            (_model_file_with(("covariates", "c_age", "levels"), ["kids0_6", "kids0_6", "other"]),
+             "model file: covariates.c_age.levels: a level is listed twice"),
+            (_model_file_with(("covariates", "year", "hi"), 2.0),
+             "model file: terms[3].knot_vectors.year: spans [0.0, 4.0], "
+             "not the range [0.0, 2.0] of covariate 'year'"),
         ],
         ids=[
             "json_list", "format", "version_99", "version_string", "missing_terms",
@@ -797,6 +804,7 @@ class TestModelFiles:
             "unknown_term_covariate", "term_covariate_wrong_kind", "missing_component_fit",
             "extra_component_basis", "component_atoms_differ", "component_grid_differs",
             "component_basis_kind", "selection_too_large", "selection_negative",
+            "m_stop_not_selections", "duplicate_levels", "knots_off_covariate_range",
         ],
     )
     def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):

@@ -2,7 +2,8 @@
 
 Each mutation changes one place of an input file: a line dropped,
 duplicated, truncated or made ragged, a field set to ``x``, ``nan``,
-``inf``, ``-1`` or ``1e400``, or a leaf of a model file's JSON replaced. The
+``inf``, ``-1`` or ``1e400``, or a leaf of a model file's JSON replaced; and
+one fixed change, a group whose interior rows all weigh zero. The
 files are a densities file (read by ``fit`` and ``check``), a newdata table
 (``predict``), an observations table (``estimate``) and a model file
 (``predict`` and ``interpret``). Every run must end with exit 0, 3 (data) or
@@ -14,10 +15,11 @@ import pathlib
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from densreg.cli import main
-from densreg.io import write_density_file
+from densreg.io import read_density_file, write_density_file
 from densreg.synth import planted_problem, synthetic_observations
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -167,3 +169,28 @@ def test_mutated_data_files_end_with_exit_codes(tmp_path, capsys, inputs):
         codes.add(code)
     # the mutations are not all harmless, nor all fatal
     assert {0, 3} <= codes
+
+
+def test_group_without_interior_weight(tmp_path, capsys, inputs):
+    """Zero weight on every interior row of one group: the group gets no kernel
+    part and no say in the bandwidth, like a group without interior values."""
+    config, originals, _ = inputs
+    lines = originals["observations"].splitlines()
+    rows = [line.split("\t") for line in lines[1:]]
+    first = rows[0][:2]
+    for row in rows:
+        if row[:2] == first and 0.0 < float(row[2]) < 1.0:
+            row[3] = "0.0"
+    path = tmp_path / "obs.tsv"
+    path.write_text("\n".join([lines[0]] + ["\t".join(r) for r in rows]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, kde={"bandwidth": "auto"},
+                                   data={"observations": str(path)})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0, capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    _, _, keys, densities = read_density_file(tmp_path / "o" / "densities.tsv")
+    grid_part = densities[keys.index(tuple(first))].values[2:]
+    assert np.ptp(grid_part) < 1e-15

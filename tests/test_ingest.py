@@ -100,6 +100,26 @@ class TestBetaKernel:
         assert np.isnan(got[0]) and np.isfinite(got[1])
         assert np.isnan(stats.beta.pdf(0.3, 0.0, 1.0))
 
+    @pytest.mark.parametrize("b", list(KdeConfig().bandwidth_grid) + [0.3, 0.5, 0.6, 0.9])
+    def test_matrix_matches_broadcast_kernel(self, unit_mixed, b):
+        # the estimators' one-product kernel against the broadcast reference,
+        # on the grid and at interior data points as evaluation points
+        from densreg.ingest import _raw_kde_matrix
+
+        rng = np.random.default_rng(12)
+        data = np.concatenate([rng.beta(2, 3, size=200), [1e-9, 1 - 1e-9]])
+        points = np.concatenate([unit_mixed.grid, data])
+        got = _raw_kde_matrix(points, data, b)
+        expected = beta_kernel(points[:, None], b, data[None, :])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_matrix_rejects_boundary_data(self, unit_mixed, x):
+        from densreg.ingest import _raw_kde_matrix
+
+        with pytest.raises(ValueError, match="strictly inside"):
+            _raw_kde_matrix(unit_mixed.grid, np.array([0.3, x]), 0.05)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             beta_kernel(1.5, 0.1, 0.5)
@@ -124,6 +144,11 @@ class TestObservationGroup:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ObservationGroup([], [])
+
+    def test_interior_without_weight_is_empty(self):
+        assert ObservationGroup([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 2.0, 1.0]).interior.sum() == 2
+        g = ObservationGroup([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 0.0, 1.0])
+        assert not g.interior.any()
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -204,7 +229,8 @@ class TestSelectBandwidth:
         values = rng.beta(3, 2, size=n)
         weights = rng.uniform(0.5, 1.5, size=n)
         g = ObservationGroup(values, weights)
-        for b in (0.03, 0.08):
+        # the ends of the default grid give the largest exponent terms
+        for b in (0.005, 0.03, 0.08, 0.2):
             fast = ucv_score(g, unit_mixed, b)
             slow = self._bruteforce_ucv(g, unit_mixed, b)
             assert fast == pytest.approx(slow, abs=1e-10)
