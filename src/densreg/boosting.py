@@ -5,23 +5,33 @@ penalized least-squares fit of the clr residuals. All base-learners of one
 component share its density basis B (P x K_Y), and the measure-weighted
 inner product meets the residual Y - F only through its projection onto that
 basis, R = (Y - F) W B (N x K_Y instead of N x P). One kernel,
-:func:`_boost_paths`, runs the loop on R for F resamples in lockstep, in the
+:func:`_boost_paths`, runs the loop for F resamples in lockstep, in the
 array arithmetic of row-tensor designs (Currie, Durbán & Eilers 2006) that
 FDboost uses for functional linear array models (Brockhaus, Scheipl, Hothorn
 & Greven 2015). A resample weights the N densities by counts n: all ones for
 the in-bag fit, 0/1 for a cross-validation fold, draw multiplicities for a
 bootstrap replicate; its held-out rows are a 0/1 mask.
 
+* the iterations never read the N rows. Each resample keeps its gradient in
+  coefficient space, rhs = X' diag(2n) R (D x K_Y), next to the cross-Gram
+  G = X' diag(n) X; both are formed once. This is the covariance-update form
+  of coordinate descent (Friedman, Hastie & Tibshirani 2010, JSS 33(1),
+  section 2.2) applied to the array model;
 * learner j's smoother G_j^-1, with G_j = kron(X_j' diag(n) X_j, C) +
-  penalty_j and C = B'WB, is one (F, d_j, d_j) stack, about 0.34 MB per
-  resample for the paper's model;
-* each iteration forms rhs = X' diag(n) 2R with one product and
-  gamma_j = G_j^-1 rhs_j with one batched solve per learner; up to a constant,
-  learner j's weighted residual sum of squares is gamma_j * (Q_j gamma_j -
-  2 rhs_j) with Q_j = kron(X_j' diag(n) X_j, C), and one argmin per resample
-  picks its learner;
-* a block mask applies each resample's pick to its residual, in-bag risk and
-  held-out risk in closed form; fitted N x P surfaces are built once, at the end.
+  penalty_j and C = B'WB, is factorized once per resample. Learners of one
+  block size d share one (F, L, d K_Y, d K_Y) stack, about 0.34 MB per
+  resample for the paper's model, so an iteration makes one batched solve
+  gamma_j = G_j^-1 rhs_j per block size: three for the paper's blocks of 1,
+  1, 2, 11 and 11 columns. Up to a constant, learner j's weighted residual
+  sum of squares is gamma_j * (Q_j gamma_j - 2 rhs_j) with
+  Q_j = kron(X_j' diag(n) X_j, C), and one argmin per resample picks its
+  learner, the first of equal ones;
+* the pick, step = gamma_j in block j and zero elsewhere, moves rhs by
+  2 kappa G step C and the in-bag risk in closed form. The held-out rows
+  (mask t) keep rhs_t = X' diag(t) R and G_t = X' diag(t) X, and their risk
+  moves by -2 kappa <step, rhs_t> + kappa^2 <step, G_t step C>. Fitted N x P
+  surfaces are built once, at the end, and their weighted SSE must match the
+  in-bag risk path.
 
 Every entry point takes the responses as N x P clr rows. In-bag fits
 (:func:`boost_from_clr`) are the one-resample case; resampled stopping
@@ -58,6 +68,9 @@ __all__ = [
 ]
 
 _RISK_SLACK = 1e-9
+# bound on |SSE of the fitted surfaces - risk_path[m_stop]| relative to the
+# responses' weighted sum of squares; rounding keeps it near 1e-15
+_DRIFT_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -160,12 +173,13 @@ def _boost_paths(
     test: np.ndarray | None = None,
     track: bool = False,
 ):
-    """The boosting loop in density-basis coordinates, for F resamples at once.
+    """The boosting loop in coefficient space, for F resamples at once.
 
     ``counts`` (F x N integers) gives each resample's training rows as
     multiplicities over all N rows; ``test`` (F x N booleans), when given,
     marks the held-out rows whose risk is tracked alongside. ``track`` keeps
-    every unscaled increment of resample 0.
+    every unscaled increment of resample 0. The N rows are read only while
+    setting up; the iterations update D x K_Y arrays.
 
     Returns the offsets (F, P), coefficients (F, sum K_j, K_Y), selections
     (F, n_iter), in-bag risks (F, n_iter + 1), held-out risk sums
@@ -178,59 +192,84 @@ def _boost_paths(
     k_y = basis.shape[1]
     sizes = [d.n_cov for d in designs]
     ends = np.cumsum(sizes)
-    blocks = list(zip(ends - sizes, ends))
+    starts = ends - sizes
+    blocks = list(zip(starts, ends))
     n_resamples, n = counts.shape
     x = np.hstack([d.X for d in designs])
+    n_cols = x.shape[1]
 
-    offsets = np.empty((n_resamples, y_clr.shape[1]))
-    resid = np.empty((n_resamples, n, k_y))
-    risk = np.empty((n_resamples, n_iter + 1))
-    heldout = None if test is None else np.empty((n_resamples, n_iter + 1))
-    grams = [np.empty((n_resamples, b - a, b - a)) for a, b in blocks]
-    smoothers = [np.empty((n_resamples, (b - a) * k_y, (b - a) * k_y)) for a, b in blocks]
+    # Learners of one block size d, in learner order, form a group: their
+    # indices (L,) and design columns (L, d). Per group and resample, each
+    # learner gets its smoother, gradient rows X_j' diag(2n) R, Gram rows
+    # X_j' diag(n) X and diagonal block X_j' diag(n) X_j from products of its
+    # own, so equal learners get bitwise equal values and tie exactly.
+    by_size = {}
+    for j, d in enumerate(sizes):
+        by_size.setdefault(d, []).append(j)
+    groups = [(np.array(js), starts[js][:, None] + np.arange(d)) for d, js in by_size.items()]
+    x_groups = [x.T[cols] for _, cols in groups]
+    smoothers = [
+        np.empty((n_resamples, len(js), cols.shape[1] * k_y, cols.shape[1] * k_y))
+        for js, cols in groups
+    ]
+    grads = [np.empty((n_resamples, *cols.shape, k_y)) for _, cols in groups]
+    gram_rows = [np.empty((n_resamples, *cols.shape, n_cols)) for _, cols in groups]
+    diag_grams = [np.empty((n_resamples, *cols.shape, cols.shape[1])) for _, cols in groups]
     penalties = [d.penalty() for d in designs]
     jittered = False
+
+    offsets = np.empty((n_resamples, y_clr.shape[1]))
+    risk = np.empty((n_resamples, n_iter + 1))
+    if test is None:
+        heldout = gram_t = rhs_t = None
+    else:
+        heldout = np.empty((n_resamples, n_iter + 1))
+        gram_t = np.empty((n_resamples, n_cols, n_cols))
+        rhs_t = np.empty((n_resamples, n_cols, k_y))
     for f in range(n_resamples):
         rows = np.repeat(np.arange(n), counts[f])
-        x_in = x[rows]
         offsets[f] = y_clr[rows].mean(axis=0)
         e = y_clr - offsets[f]
-        resid[f] = e @ weighted_basis
+        resid = e @ weighted_basis
         risk[f, 0] = float(((e[rows] ** 2) * weights).sum())
         if test is not None:
+            x_test = x.T * test[f]
             heldout[f, 0] = float(((e[test[f]] ** 2) * weights).sum())
-        for j, (a, b) in enumerate(blocks):
-            grams[j][f] = x_in[:, a:b].T @ x_in[:, a:b]
-            smoothers[j][f], jit = _penalized_inverse(np.kron(grams[j][f], c) + penalties[j])
-            jittered |= jit
+            gram_t[f] = x_test @ x
+            rhs_t[f] = x_test @ resid
+        for k, (js, _) in enumerate(groups):
+            counted = x_groups[k] * counts[f]
+            grads[k][f] = 2.0 * (counted @ resid)
+            gram_rows[k][f] = counted @ x
+            diag_grams[k][f] = counted @ x_groups[k].transpose(0, 2, 1)
+            for i, j in enumerate(js):
+                smoothers[k][f, i], jit = _penalized_inverse(
+                    np.kron(diag_grams[k][f, i], c) + penalties[j]
+                )
+                jittered |= jit
     if jittered:
         warnings.warn(
             "singular base-learner system, adding ridge jitter", RuntimeWarning,
             stacklevel=3,
         )
 
-    # 2 x counts weights the in-bag rows of the gradient; the mask picks the
-    # selected learner's block of every resample
-    twice_counts = 2.0 * counts[:, :, None]
-    test_weight = None if test is None else test.astype(float)
-    block_mask = np.zeros((len(designs), x.shape[1], 1))
+    # the mask picks the selected learner's block of every resample
+    block_mask = np.zeros((len(designs), n_cols, 1))
     for j, (a, b) in enumerate(blocks):
         block_mask[j, a:b] = 1.0
     every = np.arange(n_resamples)
-    coefficients = np.zeros((n_resamples, x.shape[1], k_y))
+    coefficients = np.zeros((n_resamples, n_cols, k_y))
     gamma = np.empty_like(coefficients)
     fit_part = np.empty((n_resamples, len(designs)))
     size_part = np.empty_like(fit_part)
     selections = np.empty((n_resamples, n_iter), dtype=int)
     increments = [] if track else None
     for m in range(1, n_iter + 1):
-        rhs = x.T @ (resid * twice_counts)
-        for j, (a, b) in enumerate(blocks):
-            r = rhs[:, a:b].reshape(n_resamples, -1)
-            g = (smoothers[j] @ r[:, :, None]).reshape(n_resamples, b - a, k_y)
-            fit_part[:, j] = (g.reshape(n_resamples, -1) * r).sum(axis=1)
-            size_part[:, j] = (g * (grams[j] @ g @ c)).sum(axis=(1, 2))
-            gamma[:, a:b] = g
+        for (js, cols), stack, r, diag in zip(groups, smoothers, grads, diag_grams):
+            g = (stack @ r.reshape(*stack.shape[:3], 1)).reshape(r.shape)
+            fit_part[:, js] = (g * r).sum(axis=(2, 3))
+            size_part[:, js] = (g * (diag @ g @ c)).sum(axis=(2, 3))
+            gamma[:, cols] = g
         sel = np.argmin(size_part - 2.0 * fit_part, axis=1)
         selections[:, m - 1] = sel
         step = gamma * block_mask[sel]
@@ -241,15 +280,20 @@ def _boost_paths(
         risk[:, m] = (
             risk[:, m - 1] - kappa * fit_part[every, sel] + kappa ** 2 * size_part[every, sel]
         )
-        h = x @ step
-        hc = h @ c
+        # covariance updates: the step moves the residuals by X step B', so
+        # the gradient X' diag(2n) R by 2 kappa G step C and rhs_t by
+        # kappa G_t step C
+        step_c = step @ c
+        for r, rows_x in zip(grads, gram_rows):
+            r -= 2.0 * kappa * (rows_x @ step_c[:, None])
         if test is not None:
+            moved = gram_t @ step_c
             heldout[:, m] = (
                 heldout[:, m - 1]
-                - 2.0 * kappa * np.einsum("fnk,fnk,fn->f", h, resid, test_weight)
-                + kappa ** 2 * np.einsum("fnk,fnk,fn->f", h, hc, test_weight)
+                - 2.0 * kappa * (step * rhs_t).sum(axis=(1, 2))
+                + kappa ** 2 * (step * moved).sum(axis=(1, 2))
             )
-        resid -= kappa * hc
+            rhs_t -= kappa * moved
 
     rises = np.diff(risk, axis=1) > _RISK_SLACK * np.maximum(1.0, risk[:, :1])
     if rises.any():
@@ -291,6 +335,14 @@ def boost_from_clr(
     ends = np.cumsum([d.n_cov for d in designs])
     x = np.hstack([d.X for d in designs])
     fitted = offsets[0] + x @ coefficients[0] @ designs[0].density_basis.clr_matrix.T
+    # the risk path was updated in coefficient space; the surfaces must agree
+    sse = float((((y_clr - fitted) ** 2) * measure.weights).sum())
+    scale = float(((y_clr ** 2) * measure.weights).sum())
+    if abs(sse - risk[0, m_stop]) > _DRIFT_TOLERANCE * scale:
+        raise FloatingPointError(
+            f"in-bag fit drifted from its risk path: weighted SSE {sse:.12g}, "
+            f"risk_path[{m_stop}] {risk[0, m_stop]:.12g}"
+        )
     return FitState(
         measure=measure,
         offset_clr=offsets[0],

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,6 +63,17 @@ def _read_observations(path):
     return table, key_columns
 
 
+@contextlib.contextmanager
+def _naming_group(key_columns, key):
+    """Turn a ValueError about one observation group into a DataError that
+    names the group."""
+    try:
+        yield
+    except ValueError as exc:
+        named = ", ".join(f"{c}={v}" for c, v in zip(key_columns, key))
+        raise DataError(f"group {named}: {exc}") from exc
+
+
 def cmd_estimate(cfg, args) -> int:
     run = run_objects(cfg, "estimate")
     measure, kde_cfg = run.measure, run.kde
@@ -76,11 +88,11 @@ def cmd_estimate(cfg, args) -> int:
 
     # bandwidth policy: smallest per-group optimum shared by all groups
     if isinstance(kde_cfg.bandwidth, str):
-        candidates = [
-            select_bandwidth(g, measure, kde_cfg)
-            for g in groups
-            if int(g.interior.sum()) >= 3
-        ]
+        candidates = []
+        for g in groups:
+            if int(g.interior.sum()) >= 3:
+                with _naming_group(key_columns, g.key):
+                    candidates.append(select_bandwidth(g, measure, kde_cfg))
         bandwidth = min(candidates) if candidates else DEFAULT_BANDWIDTH
     else:
         bandwidth = float(kde_cfg.bandwidth)
@@ -88,7 +100,8 @@ def cmd_estimate(cfg, args) -> int:
     densities, report = [], []
     for g in groups:
         p0, p1, _ = g.boundary_shares()
-        densities.append(assemble_mixed(g, measure, kde_cfg, bandwidth=bandwidth))
+        with _naming_group(key_columns, g.key):
+            densities.append(assemble_mixed(g, measure, kde_cfg, bandwidth=bandwidth))
         report.append(list(g.key) + [g.values.size, p0, p1, bandwidth])
     write_density_file(
         os.path.join(out, "densities.tsv"), measure, key_columns,

@@ -137,15 +137,19 @@ def brute_force_boost(y_clr, measure, designs, config: BoostConfig, m_stop=None)
                     m_stop, increments)
 
 
-def brute_force_heldout_curve(y_clr, weights, designs, config, train_idx, test_idx):
+def brute_force_heldout_curve(y_clr, weights, designs, config, train_idx, test_idx,
+                              selections=None):
     """Out-of-sample risk per test density after each iteration of a fit on
-    ``train_idx`` (which may repeat rows)."""
+    ``train_idx`` (which may repeat rows); the chosen learners are appended
+    to ``selections`` when it is given."""
     y_train, y_test = y_clr[train_idx], y_clr[test_idx]
     solvers = [_EffectSolver(d, weights, rows=train_idx) for d in designs]
     fit_test = [np.tile(y_train.mean(axis=0), (len(test_idx), 1))]
     curve = [float((((y_test - fit_test[0]) ** 2) * weights).sum()) / len(test_idx)]
 
     def on_step(j, gamma, _fitted):
+        if selections is not None:
+            selections.append(j)
         surface = solvers[j].surface(gamma, designs[j].X[test_idx])
         fit_test[0] = fit_test[0] + config.step_length * surface
         curve.append(float((((y_test - fit_test[0]) ** 2) * weights).sum()) / len(test_idx))

@@ -34,6 +34,7 @@ from densreg.bayes import (
 )
 from densreg.boosting import (
     BoostConfig,
+    _boost_paths,
     _penalized_inverse,
     boost,
     boost_from_clr,
@@ -48,6 +49,7 @@ from boosting_oracle import (
     boost_density_space,
     brute_force_boost,
     brute_force_early_stop,
+    brute_force_heldout_curve,
     fit_base_learner,
     negative_gradient,
     offset,
@@ -547,6 +549,21 @@ class TestRiskCheck:
             early_stop_from_clr(y, m, [eff], cv)
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
+        # a perturbed coefficient takes the fitted surfaces off the risk path
+        import densreg.boosting as boosting
+        kernel = boosting._boost_paths
+
+        def perturbed(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            out[1][0, 0, 0] += 1e-3
+            return out
+
+        boosting._boost_paths = perturbed
+        eff = assemble_effect("slope", x, np.array([[1.0]]), basis, 1.0)
+        try:
+            boost_from_clr(y, m, [eff], BoostConfig(max_iterations=3))
+        except Exception as exc:
+            print(type(exc).__name__, isinstance(exc, ValueError), exc)
         """
     )
 
@@ -560,8 +577,9 @@ class TestRiskCheck:
         )
         assert res.returncode == 0, res.stderr
         lines = res.stdout.splitlines()
-        assert len(lines) == 2
-        assert all(line.startswith("FloatingPointError False in-bag risk increased") for line in lines)
+        assert len(lines) == 3
+        assert all(line.startswith("FloatingPointError False in-bag risk increased") for line in lines[:2])
+        assert lines[2].startswith("FloatingPointError False in-bag fit drifted from its risk path")
 
     def test_cli_maps_it_to_numeric_exit(self, tmp_path, monkeypatch):
         import densreg.cli as cli
@@ -603,6 +621,23 @@ def paper_components():
     }
 
 
+# learner orders of the fixture's terms, whose blocks are 1, 1, 2, 11 and 18
+# columns wide: blocks 11, 1, 2, 18, 1, so that the two one-column learners
+# share a smoother stack without being adjacent; and blocks 11, 1, 2, 11, 1
+# with year at indices 0 and 3, so that two learners tie exactly and the first
+# must win
+LEARNER_ORDERS = {"noncontiguous": [3, 0, 2, 4, 1], "duplicated": [3, 0, 2, 3, 1]}
+
+
+def assert_fit_matches(got, want):
+    assert got.selections == want.selections
+    scale = max(np.abs(c).max() for c in want.coefficients)
+    for a, b in zip(got.coefficients, want.coefficients):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.risk_path, want.risk_path, rtol=1e-10)
+    np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=0, atol=1e-12)
+
+
 class TestKernelMatchesBruteForce:
     """The coefficient-space kernel against the brute-force N x P clr loop."""
 
@@ -610,14 +645,42 @@ class TestKernelMatchesBruteForce:
     def test_in_bag_fit(self, paper_components, component):
         y, m, designs = paper_components[component]
         cfg = BoostConfig(max_iterations=60)
+        assert_fit_matches(boost_from_clr(y, m, designs, cfg), brute_force_boost(y, m, designs, cfg))
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    @pytest.mark.parametrize("order", sorted(LEARNER_ORDERS))
+    def test_in_bag_fit_grouped_learners(self, paper_components, component, order):
+        y, m, designs = paper_components[component]
+        designs = [designs[j] for j in LEARNER_ORDERS[order]]
+        cfg = BoostConfig(max_iterations=60)
         got = boost_from_clr(y, m, designs, cfg)
-        want = brute_force_boost(y, m, designs, cfg)
-        assert got.selections == want.selections
-        scale = max(np.abs(c).max() for c in want.coefficients)
-        for a, b in zip(got.coefficients, want.coefficients):
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * scale)
-        np.testing.assert_allclose(got.risk_path, want.risk_path, rtol=1e-10)
-        np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=0, atol=1e-12)
+        assert_fit_matches(got, brute_force_boost(y, m, designs, cfg))
+        if order == "duplicated":
+            assert 0 in got.selections and 3 not in got.selections
+            assert np.all(got.coefficients[3] == 0.0)
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    @pytest.mark.parametrize("order", sorted(LEARNER_ORDERS))
+    @pytest.mark.parametrize("method", ["cv", "bootstrap"])
+    def test_resample_paths_grouped_learners(self, paper_components, component, order, method):
+        y, m, designs = paper_components[component]
+        designs = [designs[j] for j in LEARNER_ORDERS[order]]
+        cfg = BoostConfig(max_iterations=40, stopping=method, folds=5, replicates=4, seed=11)
+        n = y.shape[0]
+        splits = resample_splits(n, cfg)
+        counts = np.stack([np.bincount(train, minlength=n) for train, _ in splits])
+        *_, selections, _, heldout, _ = _boost_paths(
+            y, m.weights, designs, cfg.step_length, cfg.max_iterations, counts, counts == 0,
+        )
+        for f, (train, test) in enumerate(splits):
+            picks = []
+            curve = brute_force_heldout_curve(y, m.weights, designs, cfg, train, test, picks)
+            assert selections[f].tolist() == picks
+            np.testing.assert_allclose(heldout[f] / test.size, curve, rtol=1e-12, atol=0)
+        if order == "duplicated":
+            assert (selections == 0).any() and not (selections == 3).any()
+        mean_curve = np.mean(heldout / (counts == 0).sum(axis=1)[:, None], axis=0)
+        assert early_stop_from_clr(y, m, designs, cfg).m_stop == np.argmin(mean_curve[1:]) + 1
 
     @pytest.mark.parametrize("component", ["continuous", "discrete"])
     @pytest.mark.parametrize(

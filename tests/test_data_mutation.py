@@ -3,7 +3,8 @@
 Each mutation changes one place of an input file: a line dropped,
 duplicated, truncated or made ragged, a field set to ``x``, ``nan``,
 ``inf``, ``-1`` or ``1e400``, or a leaf of a model file's JSON replaced; and
-one fixed change, a group whose interior rows all weigh zero. The
+two fixed changes, a group whose interior rows all weigh zero and one whose
+interior weight sits on a single row. The
 files are a densities file (read by ``fit`` and ``check``), a newdata table
 (``predict``), an observations table (``estimate``) and a model file
 (``predict`` and ``interpret``). Every run must end with exit 0, 3 (data) or
@@ -194,3 +195,29 @@ def test_group_without_interior_weight(tmp_path, capsys, inputs):
     _, _, keys, densities = read_density_file(tmp_path / "o" / "densities.tsv")
     grid_part = densities[keys.index(tuple(first))].values[2:]
     assert np.ptp(grid_part) < 1e-15
+
+
+def test_group_with_all_interior_weight_on_one_row(tmp_path, capsys, inputs):
+    """All interior weight on one row of a group, zero on its other interior
+    rows: bandwidth selection cannot leave that row out, and ``estimate``
+    exits 3 naming the group."""
+    config, originals, _ = inputs
+    lines = originals["observations"].splitlines()
+    rows = [line.split("\t") for line in lines[1:]]
+    first = rows[0][:2]
+    interior = [row for row in rows if row[:2] == first and 0.0 < float(row[2]) < 1.0]
+    assert len(interior) >= 3
+    for k, row in enumerate(interior):
+        row[3] = "1.0" if k == 0 else "0.0"
+    path = tmp_path / "obs.tsv"
+    path.write_text("\n".join([lines[0]] + ["\t".join(r) for r in rows]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, kde={"bandwidth": "auto"},
+                                   data={"observations": str(path)})))
+    code = main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.strip() == (
+        f"data error: group region={first[0]}, c_age={first[1]}: "
+        "cannot leave out an observation carrying all weight"
+    )
