@@ -1,27 +1,7 @@
 """Additive density-on-scalar regression for discrete, continuous, and mixed
 densities, with gradient-boosting estimation and odds-ratio interpretation."""
 
-from .measure import ReferenceMeasure, integrate, make_continuous, make_discrete, make_mixed
-from .bayes import (
-    ClrElement,
-    DensityElement,
-    clr,
-    clr_inv,
-    constant_density,
-    decompose_clr,
-    decompose_mixed,
-    density,
-    embed_continuous,
-    embed_discrete,
-    equal_b,
-    geometric_mean_continuous,
-    geometric_mean_full,
-    inner,
-    inverse,
-    norm,
-    perturb,
-    power,
-    subtract,
-)
+from .measure import ReferenceMeasure, integrate, make_discrete, make_mixed
+from .bayes import ClrElement, DensityElement, clr, clr_inv, decompose_clr, density
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ __all__ = [
     "raw_density_basis",
     "bspline_density_basis",
     "indicator_density_basis",
-    "mixed_concatenated_basis",
     "EffectDesign",
     "assemble_effect",
     "kron_penalty",
@@ -161,7 +160,7 @@ def bspline_density_basis(
     if m.n_grid == 0:
         raise ValueError("measure has no continuous part")
     if m.n_atoms > 0:
-        raise ValueError("use the component measures or the concatenated basis for mixed measures")
+        raise ValueError("use the component measures for mixed measures")
     raw = raw_density_basis(m, n_interior, degree)
     pen_raw = difference_penalty(raw.shape[1], penalty_order)
     z, constrained = sum_to_zero_transform(raw, m)
@@ -176,30 +175,6 @@ def indicator_density_basis(m: ReferenceMeasure, penalty_order: int = 1) -> Dens
     pen_raw = difference_penalty(m.n_atoms, min(penalty_order, m.n_atoms - 1))
     z, constrained = sum_to_zero_transform(raw, m)
     return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "indicator")
-
-
-def mixed_concatenated_basis(
-    m: ReferenceMeasure, n_interior: int = 10, degree: int = 3, penalty_order: int = 2
-) -> DensityBasis:
-    """Atom indicators concatenated with grid B-splines, constrained jointly.
-
-    A direct basis over a mixed measure, used when fitting without the
-    orthogonal two-component split.
-    """
-    if m.n_atoms == 0 or m.n_grid == 0:
-        raise ValueError("concatenated basis requires a mixed measure")
-    spline_part = raw_density_basis(m, n_interior, degree)
-    k_spline = spline_part.shape[1]
-    raw = np.zeros((m.size, m.n_atoms + k_spline))
-    raw[: m.n_atoms, : m.n_atoms] = np.eye(m.n_atoms)
-    raw[m.n_atoms :, m.n_atoms :] = spline_part
-    pen_raw = np.zeros((raw.shape[1], raw.shape[1]))
-    pen_raw[: m.n_atoms, : m.n_atoms] = difference_penalty(
-        m.n_atoms, min(1, m.n_atoms - 1)
-    )
-    pen_raw[m.n_atoms :, m.n_atoms :] = difference_penalty(k_spline, penalty_order)
-    z, constrained = sum_to_zero_transform(raw, m)
-    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "mixed")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
-"""Vector-space arithmetic for densities relative to a finite measure.
+"""Densities relative to a finite measure and their clr coordinates.
 
 Densities are stored as strictly positive value sequences over the atoms and
-grid nodes of a :class:`~densreg.measure.ReferenceMeasure`. Addition is the
-pointwise product (perturbation), scalar multiplication the pointwise power
-(powering), and the centered log-ratio (clr) transform maps the space
-isometrically onto zero-integral sequences, where all linear algebra happens.
+grid nodes of a :class:`~densreg.measure.ReferenceMeasure`. The centered
+log-ratio (clr) transform maps the Bayes space isometrically onto
+zero-integral sequences, where all linear algebra happens: perturbation and
+powering of densities are sums and scalar multiples of clr rows.
+
+For a mixed measure, the clr rows split orthogonally into a continuous part
+on the grid and a discrete part on the atoms plus one stand-in point for the
+continuous component; embedding the two parts back and adding them recovers
+the rows. Boosting and simulation work on N x P clr arrays (the ``*_rows``
+functions); the element classes and their per-element forms are the API edge.
 
 Public constructors renormalize to the probability representative; elements
 that differ by a positive constant factor represent the same point of the
@@ -22,23 +28,8 @@ __all__ = [
     "DensityElement",
     "ClrElement",
     "density",
-    "constant_density",
-    "perturb",
-    "inverse",
-    "subtract",
-    "power",
     "clr",
     "clr_inv",
-    "inner",
-    "norm",
-    "equal_b",
-    "geometric_mean_full",
-    "geometric_mean_continuous",
-    "mean_log_full",
-    "mean_log_continuous",
-    "decompose_mixed",
-    "embed_continuous",
-    "embed_discrete",
     "decompose_clr",
     "embed_clr_continuous",
     "embed_clr_discrete",
@@ -47,7 +38,6 @@ __all__ = [
     "embed_clr_discrete_rows",
     "continuous_submeasure",
     "discrete_star_measure",
-    "project_subspace",
 ]
 
 
@@ -102,61 +92,6 @@ def density(measure: ReferenceMeasure, values, normalize: bool = True) -> Densit
     return f.as_probability() if normalize else f
 
 
-def constant_density(measure: ReferenceMeasure) -> DensityElement:
-    """The neutral element: the uniform probability density."""
-    return density(measure, np.ones(measure.size))
-
-
-def _require_same_measure(f: DensityElement, g: DensityElement):
-    if f.measure is not g.measure and not f.measure.same_support(g.measure):
-        raise ValueError("operands live on different reference measures")
-
-
-def perturb(f: DensityElement, g: DensityElement) -> DensityElement:
-    """f + g in the density space: pointwise product, renormalized."""
-    _require_same_measure(f, g)
-    return density(f.measure, f.values * g.values)
-
-
-def inverse(f: DensityElement) -> DensityElement:
-    """Additive inverse: pointwise reciprocal, renormalized."""
-    return density(f.measure, 1.0 / f.values)
-
-
-def subtract(f: DensityElement, g: DensityElement) -> DensityElement:
-    """f - g, i.e. perturbation with the inverse of g."""
-    return perturb(f, inverse(g))
-
-
-def power(alpha: float, f: DensityElement) -> DensityElement:
-    """Scalar multiple: pointwise power, renormalized."""
-    if not np.isfinite(alpha):
-        raise ValueError("powering exponent must be finite")
-    return density(f.measure, f.values ** alpha)
-
-
-def mean_log_full(f: DensityElement) -> float:
-    """Mean of log f over the whole measure."""
-    return integrate(f.measure, np.log(f.values)) / f.measure.total_mass
-
-
-def mean_log_continuous(f: DensityElement) -> float:
-    """Mean of log f over the continuous part only."""
-    m = f.measure
-    if m.n_grid == 0:
-        raise ValueError("measure has no continuous part")
-    logs = np.log(f.values[m.n_atoms:])
-    return float(logs @ m.grid_weights) / m.lebesgue_length
-
-
-def geometric_mean_full(f: DensityElement) -> float:
-    return float(np.exp(mean_log_full(f)))
-
-
-def geometric_mean_continuous(f: DensityElement) -> float:
-    return float(np.exp(mean_log_continuous(f)))
-
-
 def clr(f: DensityElement) -> ClrElement:
     """Centered log-ratio transform: log f minus its mean log."""
     logs = np.log(f.values)
@@ -167,25 +102,6 @@ def clr(f: DensityElement) -> ClrElement:
 def clr_inv(z: ClrElement) -> DensityElement:
     """Inverse clr transform: exponentiate, renormalize."""
     return density(z.measure, np.exp(z.values))
-
-
-def inner(f: DensityElement, g: DensityElement) -> float:
-    """Inner product: the weighted product integral of the clr images."""
-    _require_same_measure(f, g)
-    zf, zg = clr(f).values, clr(g).values
-    return float((zf * zg) @ f.measure.weights)
-
-
-def norm(f: DensityElement) -> float:
-    return float(np.sqrt(max(inner(f, f), 0.0)))
-
-
-def equal_b(f: DensityElement, g: DensityElement, tol: float = 1e-10) -> bool:
-    """Equality up to a positive constant factor (probability representatives)."""
-    _require_same_measure(f, g)
-    fv = f.as_probability().values
-    gv = g.as_probability().values
-    return bool(np.max(np.abs(fv - gv)) <= tol * max(1.0, float(np.max(fv))))
 
 
 # ---------------------------------------------------------------------------
@@ -226,51 +142,6 @@ def discrete_star_measure(m: ReferenceMeasure) -> ReferenceMeasure:
     return make_discrete(points)
 
 
-def decompose_mixed(f: DensityElement) -> tuple[DensityElement, DensityElement]:
-    """Split a mixed density into its continuous and discrete components.
-
-    Returns (f_c, f_d): f_c is f restricted to the grid; f_d lives on the
-    atoms plus the stand-in point, with value 1 there and atom values divided
-    by the geometric mean of the continuous part. These are the unique
-    components whose embeddings perturb back to f.
-    """
-    m = f.measure
-    _require_mixed(m)
-    gm = geometric_mean_continuous(f)
-    f_c = DensityElement(continuous_submeasure(m), f.values[m.n_atoms:])
-    d_values = np.concatenate([f.values[: m.n_atoms] / gm, [1.0]])
-    f_d = DensityElement(discrete_star_measure(m), d_values)
-    return f_c, f_d
-
-
-def embed_continuous(f_c: DensityElement, target: ReferenceMeasure) -> DensityElement:
-    """Embed a continuous-part density into the mixed space.
-
-    Atom values are filled with the geometric mean of f_c, which makes the
-    embedding linear, norm-preserving, and orthogonal to the discrete part.
-    """
-    if f_c.measure.n_grid != target.n_grid or not np.array_equal(
-        f_c.measure.grid, target.grid
-    ):
-        raise ValueError("continuous component does not match the target grid")
-    gm = geometric_mean_continuous(f_c)
-    values = np.concatenate([np.full(target.n_atoms, gm), f_c.values])
-    return density(target, values)
-
-
-def embed_discrete(f_d: DensityElement, target: ReferenceMeasure) -> DensityElement:
-    """Embed a discrete-star density into the mixed space.
-
-    Grid values are filled with the value at the stand-in point (last atom).
-    """
-    if f_d.measure.n_atoms != target.n_atoms + 1:
-        raise ValueError("discrete component does not match the target atoms")
-    values = np.concatenate(
-        [f_d.values[:-1], np.full(target.n_grid, f_d.values[-1])]
-    )
-    return density(target, values)
-
-
 def decompose_clr_rows(z: np.ndarray, m: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Array form of :func:`decompose_clr` for the N x P rows ``z`` on ``m``:
     returns the N x P_c continuous and N x (A + 1) discrete parts."""
@@ -300,9 +171,10 @@ def embed_clr_discrete_rows(z_d: np.ndarray, target: ReferenceMeasure) -> np.nda
 def decompose_clr(z: ClrElement) -> tuple[ClrElement, ClrElement]:
     """Decompose a clr element over a mixed measure into component clr parts.
 
-    Mirrors :func:`decompose_mixed` at the transformed level: the grid part is
-    recentered by its Lebesgue mean, which becomes the stand-in value of the
-    discrete part. The decomposition commutes with the clr transform.
+    The grid part is recentered by its Lebesgue mean, which becomes the
+    stand-in value of the discrete part. This is the clr image of splitting
+    the density into its restriction to the grid and its atoms relative to
+    the geometric mean of that restriction.
     """
     z_c, z_d = decompose_clr_rows(z.values[None, :], z.measure)
     return (
@@ -319,22 +191,3 @@ def embed_clr_continuous(z_c: ClrElement, target: ReferenceMeasure) -> ClrElemen
 def embed_clr_discrete(z_d: ClrElement, target: ReferenceMeasure) -> ClrElement:
     """clr-level embedding of the discrete part: stand-in value on the grid."""
     return ClrElement(target, embed_clr_discrete_rows(z_d.values[None, :], target)[0])
-
-
-def project_subspace(f: DensityElement, mask) -> DensityElement:
-    """Orthogonal projection onto the densities supported by ``mask``.
-
-    ``mask`` is a boolean sequence over atoms-then-grid selecting a
-    measurable sub-support. Off the mask the projection takes the geometric
-    mean of f over the mask, which makes the map idempotent and self-adjoint.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (f.measure.size,):
-        raise ValueError("mask must align with the measure layout")
-    if not mask.any():
-        raise ValueError("sub-support must have positive mass")
-    w = f.measure.weights
-    logs = np.log(f.values)
-    s0 = float((logs[mask] @ w[mask]) / w[mask].sum())
-    values = np.where(mask, f.values, np.exp(s0))
-    return density(f.measure, values)

@@ -71,6 +71,9 @@ _RISK_SLACK = 1e-9
 # bound on |SSE of the fitted surfaces - risk_path[m_stop]| relative to the
 # responses' weighted sum of squares; rounding keeps it near 1e-15
 _DRIFT_TOLERANCE = 1e-10
+# bound on the decompose/embed round trip of mixed responses relative to
+# max(1, max |y|); rounding keeps it near 1e-16
+_ROUND_TRIP_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,6 @@ class BoostConfig:
     target_df: float | dict | None = 2.0
     seed: int = 0
     threads: int = 1
-    track_increments: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.step_length < 1.0:
@@ -119,7 +121,6 @@ class FitState:
     selections: list                  # chosen effect index per iteration
     risk_path: np.ndarray             # in-bag SSE, index m = 0 .. m_stop
     m_stop: int
-    increments: list | None = None    # (j, gamma) per iteration when tracked
     stop_curve: np.ndarray | None = None  # resampled out-of-sample risk per m
 
     @property
@@ -171,19 +172,17 @@ def _boost_paths(
     n_iter: int,
     counts: np.ndarray,
     test: np.ndarray | None = None,
-    track: bool = False,
 ):
     """The boosting loop in coefficient space, for F resamples at once.
 
     ``counts`` (F x N integers) gives each resample's training rows as
     multiplicities over all N rows; ``test`` (F x N booleans), when given,
-    marks the held-out rows whose risk is tracked alongside. ``track`` keeps
-    every unscaled increment of resample 0. The N rows are read only while
-    setting up; the iterations update D x K_Y arrays.
+    marks the held-out rows whose risk is tracked alongside. The N rows are
+    read only while setting up; the iterations update D x K_Y arrays.
 
     Returns the offsets (F, P), coefficients (F, sum K_j, K_Y), selections
-    (F, n_iter), in-bag risks (F, n_iter + 1), held-out risk sums
-    (F, n_iter + 1, or None) and the increments. Raises FloatingPointError
+    (F, n_iter), in-bag risks (F, n_iter + 1) and held-out risk sums
+    (F, n_iter + 1, or None). Raises FloatingPointError
     when the in-bag risk of any resample increases.
     """
     basis = designs[0].density_basis.clr_matrix
@@ -193,7 +192,6 @@ def _boost_paths(
     sizes = [d.n_cov for d in designs]
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    blocks = list(zip(starts, ends))
     n_resamples, n = counts.shape
     x = np.hstack([d.X for d in designs])
     n_cols = x.shape[1]
@@ -255,7 +253,7 @@ def _boost_paths(
 
     # the mask picks the selected learner's block of every resample
     block_mask = np.zeros((len(designs), n_cols, 1))
-    for j, (a, b) in enumerate(blocks):
+    for j, (a, b) in enumerate(zip(starts, ends)):
         block_mask[j, a:b] = 1.0
     every = np.arange(n_resamples)
     coefficients = np.zeros((n_resamples, n_cols, k_y))
@@ -263,7 +261,6 @@ def _boost_paths(
     fit_part = np.empty((n_resamples, len(designs)))
     size_part = np.empty_like(fit_part)
     selections = np.empty((n_resamples, n_iter), dtype=int)
-    increments = [] if track else None
     for m in range(1, n_iter + 1):
         for (js, cols), stack, r, diag in zip(groups, smoothers, grads, diag_grams):
             g = (stack @ r.reshape(*stack.shape[:3], 1)).reshape(r.shape)
@@ -274,9 +271,6 @@ def _boost_paths(
         selections[:, m - 1] = sel
         step = gamma * block_mask[sel]
         coefficients += kappa * step
-        if track:
-            a, b = blocks[sel[0]]
-            increments.append((int(sel[0]), gamma[0, a:b].ravel().copy()))
         risk[:, m] = (
             risk[:, m - 1] - kappa * fit_part[every, sel] + kappa ** 2 * size_part[every, sel]
         )
@@ -301,7 +295,7 @@ def _boost_paths(
             "in-bag risk increased during boosting at iteration "
             f"{np.flatnonzero(rises.any(axis=0))[0] + 1}"
         )
-    return offsets, coefficients, selections, risk, heldout, increments
+    return offsets, coefficients, selections, risk, heldout
 
 
 def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign]) -> None:
@@ -328,9 +322,9 @@ def boost_from_clr(
     y_clr = np.asarray(y_clr, dtype=float)
     _check_inputs(y_clr, measure, designs)
     m_stop = config.max_iterations if m_stop is None else m_stop
-    offsets, coefficients, selections, risk, _, increments = _boost_paths(
+    offsets, coefficients, selections, risk, _ = _boost_paths(
         y_clr, measure.weights, designs, config.step_length, m_stop,
-        np.ones((1, y_clr.shape[0]), dtype=int), track=config.track_increments,
+        np.ones((1, y_clr.shape[0]), dtype=int),
     )
     ends = np.cumsum([d.n_cov for d in designs])
     x = np.hstack([d.X for d in designs])
@@ -351,7 +345,6 @@ def boost_from_clr(
         selections=selections[0].tolist(),
         risk_path=risk[0],
         m_stop=m_stop,
-        increments=increments,
     )
 
 
@@ -413,7 +406,7 @@ def early_stop_from_clr(
     else:
         raise ValueError(f"no resampling for stopping method {config.stopping!r}")
 
-    *_, heldout, _ = _boost_paths(
+    *_, heldout = _boost_paths(
         y_clr, measure.weights, designs, config.step_length, config.max_iterations,
         counts, test,
     )
@@ -435,17 +428,27 @@ def boost_mixed(
     Every response splits orthogonally into a continuous and a discrete
     component; each component is boosted on its own measure with its own
     stopping iteration (the discrete one resamples with seed + 1), and
-    predictions recombine through the embeddings.
+    predictions recombine through the embeddings. Raises FloatingPointError
+    when the two components do not embed back to the responses within
+    1e-12 of max(1, max |y|).
     """
     if not measure.is_mixed:
         raise ValueError("boost_mixed requires a mixed reference measure")
-    y_c, y_d = decompose_clr_rows(np.asarray(y_clr, dtype=float), measure)
+    y_clr = np.asarray(y_clr, dtype=float)
+    y_c, y_d = decompose_clr_rows(y_clr, measure)
+    deviation = float(np.max(np.abs(_embed(y_c, y_d, measure) - y_clr), initial=0.0))
+    if deviation > _ROUND_TRIP_TOLERANCE * max(1.0, float(np.max(np.abs(y_clr), initial=0.0))):
+        raise FloatingPointError(
+            f"mixed responses do not embed back to their clr rows: deviation {deviation:.3g}"
+        )
     fit_c = boost(y_c, designs_continuous[0].density_basis.measure, designs_continuous, config)
     fit_d = boost(
         y_d, designs_discrete[0].density_basis.measure, designs_discrete,
         replace(config, seed=config.seed + 1),
     )
-    combined = embed_clr_continuous_rows(fit_c.fitted_clr, measure) + embed_clr_discrete_rows(
-        fit_d.fitted_clr, measure
-    )
-    return MixedFit(fit_c, fit_d, measure, combined)
+    return MixedFit(fit_c, fit_d, measure, _embed(fit_c.fitted_clr, fit_d.fitted_clr, measure))
+
+
+def _embed(z_c: np.ndarray, z_d: np.ndarray, measure: ReferenceMeasure) -> np.ndarray:
+    """Mixed clr rows from their continuous and discrete parts."""
+    return embed_clr_continuous_rows(z_c, measure) + embed_clr_discrete_rows(z_d, measure)

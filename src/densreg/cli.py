@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .bayes import ClrElement, clr, clr_inv
-from .ingest import DEFAULT_BANDWIDTH, assemble_mixed, group_table, select_bandwidth
+from .ingest import DEFAULT_BANDWIDTH, assemble_mixed, group_name, group_table, select_bandwidth
 from .io import (
     ConfigError,
     DataError,
@@ -32,6 +32,7 @@ from .io import (
     model_from_dict,
     model_to_dict,
     read_density_file,
+    read_observations,
     read_table,
     run_objects,
     write_density_file,
@@ -52,17 +53,6 @@ def _out_dir(cfg, args):
     return out
 
 
-def _read_observations(path):
-    header, rows = read_table(path)
-    if "value" not in header or "weight" not in header:
-        raise DataError(f"{path}: needs 'value' and 'weight' columns")
-    table = {col: [row[i] for row in rows] for i, col in enumerate(header)}
-    table["value"] = [float(v) for v in table["value"]]
-    table["weight"] = [float(v) for v in table["weight"]]
-    key_columns = [c for c in header if c not in ("value", "weight")]
-    return table, key_columns
-
-
 @contextlib.contextmanager
 def _naming_group(key_columns, key):
     """Turn a ValueError about one observation group into a DataError that
@@ -70,8 +60,7 @@ def _naming_group(key_columns, key):
     try:
         yield
     except ValueError as exc:
-        named = ", ".join(f"{c}={v}" for c, v in zip(key_columns, key))
-        raise DataError(f"group {named}: {exc}") from exc
+        raise DataError(f"group {group_name(key_columns, key)}: {exc}") from exc
 
 
 def cmd_estimate(cfg, args) -> int:
@@ -79,7 +68,7 @@ def cmd_estimate(cfg, args) -> int:
     measure, kde_cfg = run.measure, run.kde
     out = _out_dir(cfg, args)
     obs_path = cfg["data"]["observations"]
-    table, key_columns = _read_observations(obs_path)
+    table, key_columns = read_observations(obs_path)
     if not key_columns:
         raise DataError(f"{obs_path}: no grouping columns found")
     groups, skipped = group_table(table, key_columns)

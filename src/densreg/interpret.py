@@ -2,12 +2,11 @@
 
 Every quantity here is a function of clr values, so it is invariant to the
 representative chosen for a density. Log odds compare an effect's density
-values at two support points; odds ratios compare those comparisons across
-two effects; the mixed-case variants relate a point mass to the geometric
-mean of the continuous component. The heatmap assembles pairwise log odds in
+values at two support points. The heatmap assembles pairwise log odds in
 the band layout used for mixed supports: an inner point-vs-point quadrant,
 inner bands for atom-vs-point, and outer bands for atom-vs-continuous
-aggregate.
+aggregate (a point mass against the geometric mean of the continuous
+component).
 """
 from __future__ import annotations
 
@@ -15,30 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import (
-    ClrElement,
-    DensityElement,
-    clr,
-    clr_inv,
-    geometric_mean_continuous,
-    perturb,
-)
+from .bayes import ClrElement, DensityElement, clr, clr_inv
 from .measure import ReferenceMeasure
 from .model import FittedModel, predict_clr
 
 __all__ = [
     "value_at",
     "log_odds",
-    "odds",
-    "log_odds_ratio",
-    "odds_ratio",
-    "geometric_mean_odds",
-    "mixed_discrete_odds",
     "did_effect",
     "HeatmapGrid",
     "heatmap",
-    "ThresholdSplit",
-    "threshold_split",
 ]
 
 
@@ -75,44 +60,6 @@ def value_at(effect, t: float) -> float:
 def log_odds(effect, t: float, s: float) -> float:
     """Log odds of the effect for t compared to s: clr(t) - clr(s)."""
     return value_at(effect, t) - value_at(effect, s)
-
-
-def odds(effect, t: float, s: float) -> float:
-    return float(np.exp(log_odds(effect, t, s)))
-
-
-def log_odds_ratio(effect_j, effect_k, t: float, s: float) -> float:
-    """Log odds ratio of two effects for t compared to s.
-
-    With the comparison effect at the reference (zero clr) this reduces to
-    the plain log odds of the first effect.
-    """
-    return log_odds(effect_j, t, s) - log_odds(effect_k, t, s)
-
-
-def odds_ratio(effect_j, effect_k, t: float, s: float) -> float:
-    return float(np.exp(log_odds_ratio(effect_j, effect_k, t, s)))
-
-
-def geometric_mean_odds(effect, t: float) -> float:
-    """Odds of the effect at t compared to its geometric mean: exp(clr(t))."""
-    return float(np.exp(value_at(effect, t)))
-
-
-def mixed_discrete_odds(effect: DensityElement, t: float) -> float:
-    """Odds of the point mass at t against the continuous component.
-
-    Equals the discrete component's value at t relative to the stand-in
-    point, i.e. the effect value at the atom divided by the geometric mean
-    of its continuous part.
-    """
-    m = effect.measure
-    if not m.is_mixed:
-        raise ValueError("mixed-case odds need a mixed reference measure")
-    idx = _locate(m, t)
-    if idx >= m.n_atoms:
-        raise ValueError(f"point {t!r} is not an atom of the measure")
-    return float(effect.values[idx] / geometric_mean_continuous(effect))
 
 
 def did_effect(
@@ -184,43 +131,3 @@ def heatmap(effect, resolution: int = 25) -> HeatmapGrid:
     else:
         outer = np.empty(0)
     return HeatmapGrid(pts, is_atom, grid, outer)
-
-
-@dataclass
-class ThresholdSplit:
-    """Masses before and after perturbing with a thresholded effect."""
-
-    mask: np.ndarray
-    mass_inside_before: float
-    mass_inside_after: float
-    mass_outside_before: float
-    mass_outside_after: float
-
-
-def threshold_split(f: DensityElement, g: DensityElement, alpha: float) -> ThresholdSplit:
-    """Split the support at {g >= alpha} and report how perturbation by g
-    moves probability mass: inside the split it can only grow, outside only
-    shrink.
-
-    Both inputs are taken as probability representatives; ``alpha`` must be
-    positive.
-    """
-    if alpha <= 0:
-        raise ValueError("threshold must be positive")
-    fp = f.as_probability()
-    gp = g.as_probability()
-    mask = gp.values >= alpha
-    combined = perturb(fp, gp)
-    m = f.measure
-    w = m.weights
-
-    def mass(values, where):
-        return float((values * w)[where].sum())
-
-    return ThresholdSplit(
-        mask=mask,
-        mass_inside_before=mass(fp.values, mask),
-        mass_inside_after=mass(combined.values, mask),
-        mass_outside_before=mass(fp.values, ~mask),
-        mass_outside_after=mass(combined.values, ~mask),
-    )

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,6 +69,7 @@ __all__ = [
     "fmt",
     "write_table",
     "read_table",
+    "read_observations",
     "measure_header",
     "parse_measure_header",
     "write_density_file",
@@ -106,17 +108,46 @@ def write_table(path, header: list, rows) -> None:
             fh.write("\t".join(fmt(v) for v in row) + "\n")
 
 
-def read_table(path) -> tuple[list, list]:
+def _numbered_rows(path) -> tuple[list, list]:
+    """Header and the (line number, fields) of each non-blank row."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split("\t")
-    rows = [ln.split("\t") for ln in lines[1:] if ln]
-    for i, row in enumerate(rows):
+    rows = [(i, ln.split("\t")) for i, ln in enumerate(lines[1:], start=2) if ln]
+    for i, row in rows:
         if len(row) != len(header):
-            raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {len(header)}")
+            raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
     return header, rows
+
+
+def read_table(path) -> tuple[list, list]:
+    header, rows = _numbered_rows(path)
+    return header, [row for _, row in rows]
+
+
+def read_observations(path) -> tuple[dict, list]:
+    """Observation table as columns, ``value`` and ``weight`` as finite floats, and
+    its grouping columns (all others)."""
+    header, rows = _numbered_rows(path)
+    if "value" not in header or "weight" not in header:
+        raise DataError(f"{path}: needs 'value' and 'weight' columns")
+    table = {col: [row[j] for _, row in rows] for j, col in enumerate(header)}
+    for col in ("value", "weight"):
+        j = header.index(col)
+        table[col] = [_number(path, i, row[j]) for i, row in rows]
+    return table, [c for c in header if c not in ("value", "weight")]
+
+
+def _number(path, line: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: line {line}: {exc}") from exc
+    if not math.isfinite(value):
+        raise DataError(f"{path}: line {line}: {text!r} is not a finite number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +231,8 @@ def read_density_file(path):
             values = np.array([float(v) for v in row[len(key_columns):]])
         except ValueError as exc:
             raise DataError(f"{path}: line {i}: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{path}: line {i}: density values must be finite")
         if np.any(values <= 0):
             raise DataError(f"{path}: line {i}: density values must be positive")
         densities.append(DensityElement(measure, values))

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "ReferenceMeasure",
     "make_discrete",
-    "make_continuous",
     "make_mixed",
     "integrate",
 ]
@@ -189,11 +188,6 @@ def make_mixed(a: float, b: float, atoms, grid_size: int) -> ReferenceMeasure:
         grid=grid,
         grid_weights=np.full(grid_size, h),
     )
-
-
-def make_continuous(a: float, b: float, grid_size: int) -> ReferenceMeasure:
-    """Lebesgue measure on [a, b] (no atoms)."""
-    return make_mixed(a, b, [], grid_size)
 
 
 def integrate(m: ReferenceMeasure, values) -> float:

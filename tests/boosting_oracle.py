@@ -15,18 +15,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from densreg.basis import EffectDesign
-from densreg.bayes import (
-    ClrElement,
-    DensityElement,
-    clr,
-    clr_inv,
-    inner,
-    norm,
-    perturb,
-    power,
-    subtract,
-)
+from densreg.bayes import ClrElement, DensityElement, clr, clr_inv
 from densreg.boosting import BoostConfig, EarlyStopResult, FitState
+
+from bayes_oracle import inner, norm, perturb, power, subtract
 
 
 def offset(responses: list[DensityElement]) -> DensityElement:
@@ -123,18 +115,17 @@ def brute_force_boost(y_clr, measure, designs, config: BoostConfig, m_stop=None)
     solvers = [_EffectSolver(d, weights) for d in designs]
     offset_clr = y_clr.mean(axis=0)
     theta = [np.zeros(d.n_cov * d.density_basis.n_basis) for d in designs]
-    selections, increments = [], []
+    selections = []
     risk = [float((((y_clr - offset_clr) ** 2) * weights).sum())]
 
     def on_step(j, gamma, fitted):
         theta[j] = theta[j] + config.step_length * gamma
         selections.append(j)
-        increments.append((j, gamma))
         risk.append(float((((y_clr - fitted) ** 2) * weights).sum()))
 
     fitted = _clr_loop(y_clr, weights, solvers, config.step_length, m_stop, on_step)
     return FitState(measure, offset_clr, theta, fitted, selections, np.asarray(risk),
-                    m_stop, increments)
+                    m_stop)
 
 
 def brute_force_heldout_curve(y_clr, weights, designs, config, train_idx, test_idx,
@@ -237,7 +228,6 @@ def boost_density_space(
     current = [start for _ in range(n)]
     theta = [np.zeros(d.n_cov * d.density_basis.n_basis) for d in designs]
     selections: list[int] = []
-    increments: list | None = [] if config.track_increments else None
     risk = [sum(norm(subtract(y, h)) ** 2 for y, h in zip(responses, current))]
 
     def compose(cols: list[DensityElement], coef: np.ndarray) -> DensityElement:
@@ -265,8 +255,6 @@ def boost_density_space(
         theta[j_star] = theta[j_star] + kappa * gamma
         current = [perturb(h, power(kappa, fit)) for h, fit in zip(current, fits)]
         selections.append(j_star)
-        if increments is not None:
-            increments.append((j_star, gamma))
         risk.append(sum(norm(subtract(y, h)) ** 2 for y, h in zip(responses, current)))
 
     return FitState(
@@ -277,5 +265,4 @@ def boost_density_space(
         selections=selections,
         risk_path=np.asarray(risk),
         m_stop=m_stop,
-        increments=increments,
     )

@@ -1,8 +1,38 @@
 import numpy as np
 import pytest
 
-from densreg.measure import make_continuous, make_discrete, make_mixed
+from densreg.basis import DensityBasis, difference_penalty, raw_density_basis, sum_to_zero_transform
 from densreg.bayes import density
+from densreg.measure import ReferenceMeasure, make_discrete, make_mixed
+
+
+def make_continuous(a: float, b: float, grid_size: int) -> ReferenceMeasure:
+    """Lebesgue measure on [a, b] (no atoms)."""
+    return make_mixed(a, b, [], grid_size)
+
+
+def mixed_concatenated_basis(
+    m: ReferenceMeasure, n_interior: int = 10, degree: int = 3, penalty_order: int = 2
+) -> DensityBasis:
+    """Atom indicators concatenated with grid B-splines, constrained jointly.
+
+    A direct basis over a mixed measure, used when fitting without the
+    orthogonal two-component split.
+    """
+    if m.n_atoms == 0 or m.n_grid == 0:
+        raise ValueError("concatenated basis requires a mixed measure")
+    spline_part = raw_density_basis(m, n_interior, degree)
+    k_spline = spline_part.shape[1]
+    raw = np.zeros((m.size, m.n_atoms + k_spline))
+    raw[: m.n_atoms, : m.n_atoms] = np.eye(m.n_atoms)
+    raw[m.n_atoms :, m.n_atoms :] = spline_part
+    pen_raw = np.zeros((raw.shape[1], raw.shape[1]))
+    pen_raw[: m.n_atoms, : m.n_atoms] = difference_penalty(
+        m.n_atoms, min(1, m.n_atoms - 1)
+    )
+    pen_raw[m.n_atoms :, m.n_atoms :] = difference_penalty(k_spline, penalty_order)
+    z, constrained = sum_to_zero_transform(raw, m)
+    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "mixed")
 
 
 @pytest.fixture

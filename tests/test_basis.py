@@ -12,11 +12,14 @@ from densreg.basis import (
     difference_penalty,
     effective_df,
     indicator_density_basis,
-    mixed_concatenated_basis,
     sum_to_zero_transform,
 )
-from densreg.bayes import clr_inv, ClrElement, perturb, power, constant_density
-from densreg.measure import make_continuous, make_discrete, make_mixed
+from densreg.bayes import ClrElement, clr_inv
+from densreg.measure import make_discrete, make_mixed
+
+from conftest import make_continuous, mixed_concatenated_basis
+
+from bayes_oracle import constant_density, perturb, power
 
 
 def cox_de_boor(knots, degree, i, x):

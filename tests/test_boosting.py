@@ -17,21 +17,8 @@ from densreg.basis import (
     bspline_knots,
     difference_penalty,
     indicator_density_basis,
-    mixed_concatenated_basis,
 )
-from densreg.bayes import (
-    ClrElement,
-    clr,
-    clr_inv,
-    constant_density,
-    decompose_clr,
-    density,
-    equal_b,
-    norm,
-    perturb,
-    power,
-    subtract,
-)
+from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr, density
 from densreg.boosting import (
     BoostConfig,
     _boost_paths,
@@ -41,10 +28,11 @@ from densreg.boosting import (
     boost_mixed,
     early_stop_from_clr,
 )
-from densreg.measure import make_continuous, make_discrete, make_mixed
+from densreg.measure import make_discrete, make_mixed
 from densreg.model import EffectTerm, ModelSpec, build_designs
 from densreg.synth import planted_problem
 
+from bayes_oracle import constant_density, equal_b, norm, perturb, subtract
 from boosting_oracle import (
     boost_density_space,
     brute_force_boost,
@@ -56,7 +44,7 @@ from boosting_oracle import (
     resample_splits,
     select_base_learner,
 )
-from conftest import random_clr_direction, random_density
+from conftest import mixed_concatenated_basis, random_clr_direction, random_density
 
 
 def clr_rows(responses):
@@ -240,17 +228,16 @@ class TestBoost:
         rng = np.random.default_rng(13)
         responses = [random_density(continuous_measure, rng) for _ in range(8)]
         designs = simple_designs(continuous_measure, 8, rng, n_effects=3)
-        cfg = BoostConfig(max_iterations=10, track_increments=True)
-        state = boost(clr_rows(responses), continuous_measure, designs, cfg)
-        theta = [np.zeros_like(c) for c in state.coefficients]
-        for j, gamma in state.increments:
-            before = [t.copy() for t in theta]
-            theta[j] = theta[j] + cfg.step_length * gamma
-            for k in range(len(theta)):
+        y, cfg = clr_rows(responses), BoostConfig(max_iterations=10)
+        fits = [boost_from_clr(y, continuous_measure, designs, cfg, m_stop=m) for m in range(11)]
+        # iteration m + 1 moves the selected block only
+        for m, (before, after) in enumerate(zip(fits, fits[1:])):
+            j = after.selections[m]
+            assert after.selections[:m] == before.selections
+            assert np.any(after.coefficients[j] != before.coefficients[j])
+            for k, (a, b) in enumerate(zip(after.coefficients, before.coefficients)):
                 if k != j:
-                    np.testing.assert_array_equal(theta[k], before[k])
-        for got, want in zip(theta, state.coefficients):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+                    np.testing.assert_array_equal(a, b)
 
     def test_unselected_effects_stay_exactly_zero(self, continuous_measure):
         rng = np.random.default_rng(14)
@@ -266,13 +253,16 @@ class TestBoost:
         rng = np.random.default_rng(15)
         responses = [random_density(mixed_measure, rng) for _ in range(6)]
         designs = simple_designs(mixed_measure, 6, rng, n_effects=2)
-        cfg = BoostConfig(max_iterations=15, track_increments=True)
-        state = boost(clr_rows(responses), mixed_measure, designs, cfg)
+        y, cfg = clr_rows(responses), BoostConfig(max_iterations=15)
+        fits = [boost_from_clr(y, mixed_measure, designs, cfg, m_stop=m) for m in range(16)]
         w = mixed_measure.weights
-        for j, gamma in state.increments:
+        for m, (before, after) in enumerate(zip(fits, fits[1:])):
+            j = after.selections[m]
             basis = designs[j].density_basis
-            coef = gamma.reshape(designs[j].n_cov, basis.n_basis)
+            step = after.coefficients[j] - before.coefficients[j]
+            coef = step.reshape(designs[j].n_cov, basis.n_basis) / cfg.step_length
             surfaces = designs[j].X @ coef @ basis.clr_matrix.T
+            assert np.max(np.abs(surfaces)) > 1e-6
             np.testing.assert_allclose(surfaces @ w, 0.0, atol=1e-9)
 
     def test_smaller_step_dominated_by_larger(self, continuous_measure):
@@ -297,15 +287,13 @@ class TestDualPathEquivalence:
         n = 12
         responses = [random_density(m, rng) for _ in range(n)]
         designs = simple_designs(m, n, rng, n_effects=3)
-        cfg = BoostConfig(max_iterations=40, track_increments=True)
+        cfg = BoostConfig(max_iterations=40)
         a = boost(clr_rows(responses), m, designs, cfg)
         b = boost_density_space(responses, designs, cfg)
         assert a.selections == b.selections
-        for (ja, ga), (jb, gb) in zip(a.increments, b.increments):
-            assert ja == jb
-            np.testing.assert_allclose(ga, gb, atol=1e-9)
         for ca, cb in zip(a.coefficients, b.coefficients):
             np.testing.assert_allclose(ca, cb, atol=1e-9)
+        np.testing.assert_allclose(a.risk_path, b.risk_path, rtol=1e-9, atol=1e-12)
 
 
 class TestEarlyStop:
@@ -564,6 +552,25 @@ class TestRiskCheck:
             boost_from_clr(y, m, [eff], BoostConfig(max_iterations=3))
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
+        # a discrete embedding that drops the stand-in value breaks the
+        # decompose/embed round trip of mixed responses
+        boosting._boost_paths = kernel
+        from densreg.basis import bspline_density_basis
+        from densreg.bayes import continuous_submeasure, discrete_star_measure
+        from densreg.measure import make_mixed
+        mixed = make_mixed(0, 1, [(0, 1), (1, 1)], 20)
+        designs_c = [assemble_effect("intercept", np.ones((6, 1)), np.zeros((1, 1)),
+                                     bspline_density_basis(continuous_submeasure(mixed), 4), 0.0)]
+        designs_d = [assemble_effect("intercept", np.ones((6, 1)), np.zeros((1, 1)),
+                                     indicator_density_basis(discrete_star_measure(mixed)), 0.0)]
+        y_mixed = np.random.default_rng(1).normal(size=(6, mixed.size))
+        embed = boosting.embed_clr_discrete_rows
+        boosting.embed_clr_discrete_rows = lambda z_d, target: embed(
+            np.concatenate([z_d[:, :-1], np.zeros((z_d.shape[0], 1))], axis=1), target)
+        try:
+            boosting.boost_mixed(y_mixed, mixed, designs_c, designs_d, BoostConfig(max_iterations=3))
+        except Exception as exc:
+            print(type(exc).__name__, isinstance(exc, ValueError), exc)
         """
     )
 
@@ -577,9 +584,12 @@ class TestRiskCheck:
         )
         assert res.returncode == 0, res.stderr
         lines = res.stdout.splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 4
         assert all(line.startswith("FloatingPointError False in-bag risk increased") for line in lines[:2])
         assert lines[2].startswith("FloatingPointError False in-bag fit drifted from its risk path")
+        assert lines[3].startswith(
+            "FloatingPointError False mixed responses do not embed back to their clr rows"
+        )
 
     def test_cli_maps_it_to_numeric_exit(self, tmp_path, monkeypatch):
         import densreg.cli as cli
@@ -669,7 +679,7 @@ class TestKernelMatchesBruteForce:
         n = y.shape[0]
         splits = resample_splits(n, cfg)
         counts = np.stack([np.bincount(train, minlength=n) for train, _ in splits])
-        *_, selections, _, heldout, _ = _boost_paths(
+        *_, selections, _, heldout = _boost_paths(
             y, m.weights, designs, cfg.step_length, cfg.max_iterations, counts, counts == 0,
         )
         for f, (train, test) in enumerate(splits):

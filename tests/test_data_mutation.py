@@ -3,11 +3,12 @@
 Each mutation changes one place of an input file: a line dropped,
 duplicated, truncated or made ragged, a field set to ``x``, ``nan``,
 ``inf``, ``-1`` or ``1e400``, or a leaf of a model file's JSON replaced; and
-two fixed changes, a group whose interior rows all weigh zero and one whose
-interior weight sits on a single row. The
-files are a densities file (read by ``fit`` and ``check``), a newdata table
-(``predict``), an observations table (``estimate``) and a model file
-(``predict`` and ``interpret``). Every run must end with exit 0, 3 (data) or
+fixed changes: a group whose interior rows all weigh zero, one whose
+interior weight sits on a single row, and single bad fields whose error must
+name their group or their file and line. The files are a densities file
+(read by ``fit`` and ``check``), a newdata table (``predict``), an
+observations table (``estimate``) and a model file (``predict`` and
+``interpret``). Every run must end with exit 0, 3 (data) or
 4 (numeric), never with a traceback, and without a ``RuntimeWarning`` other
 than the ridge-jitter warning.
 """
@@ -221,3 +222,38 @@ def test_group_with_all_interior_weight_on_one_row(tmp_path, capsys, inputs):
         f"data error: group region={first[0]}, c_age={first[1]}: "
         "cannot leave out an observation carrying all weight"
     )
+
+
+
+@pytest.mark.parametrize("which, column, text, where, message", [
+    ("observations", "value", "1.5", "group", "values must lie in [0, 1]"),
+    ("observations", "weight", "-0.001", "group", "weights must be nonnegative"),
+    ("observations", "value", "abc", "line", "could not convert string to float: 'abc'"),
+    ("observations", "weight", "abc", "line", "could not convert string to float: 'abc'"),
+    ("observations", "value", "nan", "line", "'nan' is not a finite number"),
+    ("observations", "weight", "inf", "line", "'inf' is not a finite number"),
+    ("densities", "atom:0.0", "nan", "line", "density values must be finite"),
+    ("densities", "g:3", "inf", "line", "density values must be finite"),
+])
+def test_bad_field_names_its_group_or_line(tmp_path, capsys, inputs, which, column, text,
+                                           where, message):
+    """A bad number exits 3 naming the file and line where it is read, and an
+    observation outside its group's rules names the group."""
+    config, originals, _ = inputs
+    lines = originals[which].splitlines()
+    first = 2 if which == "densities" else 1
+    header = lines[first - 1].split("\t")
+    row = lines[first + 1].split("\t")
+    row[header.index(column)] = text
+    # a blank line before the bad row still counts
+    lines[first: first + 2] = [lines[first], "", "\t".join(row)]
+    path = tmp_path / f"{which}.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, data={which: str(path)})))
+    command = "fit" if which == "densities" else "estimate"
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    named = f"group region={row[0]}, c_age={row[1]}" if where == "group" else f"{path}: line {first + 3}"
+    assert err.strip() == f"data error: {named}: {message}"

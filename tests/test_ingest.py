@@ -6,14 +6,48 @@ from densreg.ingest import (
     DEFAULT_BANDWIDTH,
     KdeConfig,
     ObservationGroup,
+    _check_kernel_arguments,
+    _log_beta,
+    _shape_parameters,
     assemble_mixed,
-    beta_kernel,
     group_table,
     kde,
     select_bandwidth,
     ucv_score,
 )
 from densreg.measure import integrate, make_mixed
+
+
+def _times_log(a: np.ndarray, log_v: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a * log_v`` broadcast to ``shape``, with 0 * log 0 taken as 0."""
+    return np.multiply(a, log_v, out=np.zeros(shape), where=a != 0)
+
+
+def beta_kernel(t, b: float, x) -> np.ndarray:
+    """Boundary-adapted beta kernel evaluated at data point(s) ``x``.
+
+    The kernel is a beta density in ``x`` whose parameters depend on the
+    evaluation point ``t``: plain Beta(t/b, (1-t)/b) in the middle of the
+    interval and a bias-reducing modification within 2b of either boundary.
+    It is computed in log space, (p-1) log x + (q-1) log(1-x) - log B(p, q),
+    with one log B per evaluation point; a zero shape parameter gives NaN.
+    Any broadcastable ``t`` and ``x`` in [0, 1] are accepted; the estimators
+    use the faster :func:`_raw_kde_matrix`.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    _check_kernel_arguments(t, b, x)
+    p, q = _shape_parameters(t.reshape(-1), b)
+    log_beta = _log_beta(p, q).reshape(t.shape)
+    p, q = p.reshape(t.shape), q.reshape(t.shape)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    with np.errstate(divide="ignore"):
+        log_x, log_1mx = np.log(x), np.log1p(-x)
+    out = _times_log(p - 1.0, log_x, shape)
+    out += _times_log(q - 1.0, log_1mx, shape)
+    out -= log_beta
+    np.exp(out, out=out)
+    return out if out.shape else float(out)
 
 
 @pytest.fixture

@@ -1,37 +1,23 @@
 import numpy as np
 import pytest
 
-from densreg.bayes import (
-    ClrElement,
-    DensityElement,
-    clr,
-    clr_inv,
+from densreg.bayes import ClrElement, DensityElement, clr, clr_inv, density
+from densreg.boosting import BoostConfig
+from densreg.interpret import did_effect, heatmap, log_odds, value_at
+from densreg.measure import integrate, make_discrete, make_mixed
+from densreg.model import EffectTerm, ModelSpec, extract_effect, fit, predict
+from densreg.synth import planted_problem
+
+from bayes_oracle import (
     constant_density,
-    density,
+    decompose_mixed,
     equal_b,
     geometric_mean_full,
     inverse,
     perturb,
-    power,
     subtract,
 )
-from densreg.boosting import BoostConfig
-from densreg.interpret import (
-    did_effect,
-    geometric_mean_odds,
-    heatmap,
-    log_odds,
-    log_odds_ratio,
-    mixed_discrete_odds,
-    odds_ratio,
-    threshold_split,
-    value_at,
-)
-from densreg.measure import integrate, make_continuous, make_discrete, make_mixed
-from densreg.model import EffectTerm, ModelSpec, extract_effect, fit, predict
-from densreg.synth import planted_problem
-
-from conftest import random_density
+from conftest import make_continuous, random_density
 
 
 def effect_from_clr(measure, values):
@@ -69,17 +55,20 @@ class TestLogOdds:
 
 
 class TestLogOddsRatio:
+    """The log odds ratio of two effects is the log odds of their Bayes-space
+    difference, which is how the DiD heatmap reads."""
+
     def test_same_effect_is_zero(self, mixed_measure):
         rng = np.random.default_rng(2)
         f = random_density(mixed_measure, rng)
-        assert log_odds_ratio(f, f, 0.25, 0.75) == 0.0
+        assert log_odds(subtract(f, f), 0.25, 0.75) == pytest.approx(0.0, abs=1e-14)
 
     def test_reference_reduces_to_log_odds(self, mixed_measure):
         rng = np.random.default_rng(3)
         f = random_density(mixed_measure, rng)
         ref = constant_density(mixed_measure)
         t, s = 0.305, 0.805
-        assert log_odds_ratio(f, ref, t, s) == pytest.approx(log_odds(f, t, s), abs=1e-14)
+        assert log_odds(subtract(f, ref), t, s) == pytest.approx(log_odds(f, t, s), abs=1e-12)
 
     def test_ceteris_paribus(self, mixed_measure):
         rng = np.random.default_rng(4)
@@ -87,21 +76,21 @@ class TestLogOddsRatio:
         g = random_density(mixed_measure, rng)
         common = random_density(mixed_measure, rng)
         t, s = 0.105, 0.605
-        plain = log_odds_ratio(f, g, t, s)
-        shifted = log_odds_ratio(perturb(common, f), perturb(common, g), t, s)
+        plain = log_odds(f, t, s) - log_odds(g, t, s)
+        shifted = log_odds(subtract(perturb(common, f), perturb(common, g)), t, s)
         assert abs(plain - shifted) < 1e-12
 
 
 class TestGeometricMeanOdds:
+    """The clr value at t is the log odds of t against the geometric mean."""
+
     def test_constant_effect(self, mixed_measure):
-        assert geometric_mean_odds(constant_density(mixed_measure), 0.5) == pytest.approx(1.0)
+        assert value_at(constant_density(mixed_measure), 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_log_outputs_integrate_to_zero(self, mixed_measure):
         rng = np.random.default_rng(5)
         f = random_density(mixed_measure, rng)
-        logs = np.array(
-            [np.log(geometric_mean_odds(f, t)) for t in f.measure.locations]
-        )
+        logs = np.array([value_at(f, t) for t in f.measure.locations])
         assert abs(logs @ f.measure.weights) < 1e-9
 
     def test_matches_direct_ratio(self, mixed_measure):
@@ -110,33 +99,29 @@ class TestGeometricMeanOdds:
             f = random_density(mixed_measure, rng)
             t = float(rng.choice(f.measure.grid))
             direct = f.values[np.argmin(np.abs(f.measure.locations - t))] / geometric_mean_full(f)
-            assert geometric_mean_odds(f, t) == pytest.approx(direct, abs=1e-10)
+            assert np.exp(value_at(f, t)) == pytest.approx(direct, abs=1e-10)
 
 
 class TestMixedDiscreteOdds:
+    """The heatmap's outer band: log odds of each atom against the geometric
+    mean of the continuous component."""
+
     def test_constant_effect(self, mixed_measure):
-        assert mixed_discrete_odds(constant_density(mixed_measure), 0.0) == pytest.approx(1.0)
+        outer = heatmap(constant_density(mixed_measure)).outer_band
+        np.testing.assert_allclose(outer, 0.0, atol=1e-12)
 
     def test_matches_decomposed_clr_difference(self, mixed_measure):
-        from densreg.bayes import decompose_mixed
-
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = random_density(mixed_measure, rng)
-            _, f_d = decompose_mixed(f)
-            zd = clr(f_d).values
-            expected = np.exp(zd[0] - zd[-1])
-            assert mixed_discrete_odds(f, 0.0) == pytest.approx(expected, abs=1e-10)
+            zd = clr(decompose_mixed(f)[1]).values
+            # the discrete component's clr at each atom minus its stand-in value
+            np.testing.assert_allclose(heatmap(f).outer_band, zd[:-1] - zd[-1], atol=1e-10)
 
     def test_hand_built_effect(self, mixed_measure):
         values = np.concatenate([[2.0, 1.0], np.ones(100)])
         f = density(mixed_measure, values, normalize=False)
-        assert mixed_discrete_odds(f, 0.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_interior_point_rejected(self, mixed_measure):
-        f = constant_density(mixed_measure)
-        with pytest.raises(ValueError, match="atom"):
-            mixed_discrete_odds(f, 0.5)
+        np.testing.assert_allclose(heatmap(f).outer_band, [np.log(2.0), 0.0], atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -258,9 +243,11 @@ class TestDidMatchesDensitySpace:
 
 class TestHeatmap:
     def test_constant_effect_all_zero(self, mixed_measure):
-        grid = heatmap(constant_density(mixed_measure), resolution=10)
-        np.testing.assert_allclose(grid.values, 0.0, atol=1e-12)
-        np.testing.assert_allclose(grid.outer_band, 0.0, atol=1e-12)
+        unnormalized = density(mixed_measure, np.full(mixed_measure.size, 3.0), normalize=False)
+        for f in (constant_density(mixed_measure), unnormalized):
+            grid = heatmap(f, resolution=10)
+            np.testing.assert_allclose(grid.values, 0.0, atol=1e-12)
+            np.testing.assert_allclose(grid.outer_band, 0.0, atol=1e-12)
 
     def test_diagonal_zero_antisymmetric(self, mixed_measure):
         rng = np.random.default_rng(8)
@@ -292,46 +279,6 @@ class TestHeatmap:
             heatmap(constant_density(mixed_measure), resolution=0)
 
 
-class TestThresholdSplit:
-    def test_constant_effect_at_threshold(self, mixed_measure):
-        g = constant_density(mixed_measure)
-        # a hair below the constant level to absorb renormalization rounding
-        alpha = g.values[0] * (1.0 - 1e-12)
-        split = threshold_split(constant_density(mixed_measure), g, alpha)
-        assert split.mask.all()
-        assert split.mass_inside_before == pytest.approx(1.0, abs=1e-12)
-        assert split.mass_inside_after == pytest.approx(1.0, abs=1e-12)
-
-    def test_mass_moves_toward_large_effect_region(self, mixed_measure):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            f = random_density(mixed_measure, rng)
-            g = random_density(mixed_measure, rng)
-            split = threshold_split(f, g, 1.0)
-            assert split.mass_inside_after >= split.mass_inside_before - 1e-9
-            assert split.mass_outside_after <= split.mass_outside_before + 1e-9
-
-    def test_nonpositive_threshold_rejected(self, mixed_measure):
-        f = constant_density(mixed_measure)
-        with pytest.raises(ValueError, match="positive"):
-            threshold_split(f, f, 0.0)
-
-    def test_probability_ratio_link(self):
-        # pointwise density-ratio domination carries over to probabilities
-        m = make_continuous(0, 1, 100)
-        t = m.grid
-        f_j = density(m, np.exp(-2.0 * t))
-        f_k = density(m, np.exp(2.0 * t))
-        i_t = t >= 0.8
-        i_s = t <= 0.2
-        # h_j(t)/h_j(s) < h_k(t)/h_k(s) for all t in I_t, s in I_s
-        p_j_t = float((f_j.values * m.weights)[i_t].sum())
-        p_j_s = float((f_j.values * m.weights)[i_s].sum())
-        p_k_t = float((f_k.values * m.weights)[i_t].sum())
-        p_k_s = float((f_k.values * m.weights)[i_s].sum())
-        assert p_j_t / p_j_s < p_k_t / p_k_s
-
-
 class TestRepresentativeInvariance:
     def test_all_outputs_unchanged_by_scaling(self, mixed_measure):
         rng = np.random.default_rng(11)
@@ -341,18 +288,13 @@ class TestRepresentativeInvariance:
         scaled_g = DensityElement(mixed_measure, 0.2 * g.values)
         t, s = 0.105, 0.905
         assert log_odds(f, t, s) == pytest.approx(log_odds(scaled_f, t, s), abs=1e-12)
-        assert log_odds_ratio(f, g, t, s) == pytest.approx(
-            log_odds_ratio(scaled_f, scaled_g, t, s), abs=1e-12
+        assert value_at(f, t) == pytest.approx(value_at(scaled_f, t), abs=1e-12)
+        assert log_odds(subtract(f, g), t, s) == pytest.approx(
+            log_odds(subtract(scaled_f, scaled_g), t, s), abs=1e-12
         )
-        assert geometric_mean_odds(f, t) == pytest.approx(
-            geometric_mean_odds(scaled_f, t), abs=1e-12
-        )
-        assert mixed_discrete_odds(f, 0.0) == pytest.approx(
-            mixed_discrete_odds(scaled_f, 0.0), abs=1e-12
-        )
-        a = threshold_split(f, g, 1.0)
-        b = threshold_split(scaled_f, scaled_g, 1.0)
-        assert a.mass_inside_after == pytest.approx(b.mass_inside_after, abs=1e-12)
+        a, b = heatmap(f), heatmap(scaled_f)
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.outer_band, b.outer_band, rtol=0, atol=1e-12)
 
     def test_density_odds_approximate_probability_odds(self):
         # ratio of small-interval probabilities converges to the density ratio

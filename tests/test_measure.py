@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from densreg.measure import integrate, make_continuous, make_discrete, make_mixed
+from densreg.measure import integrate, make_discrete, make_mixed
+
+from conftest import make_continuous
 
 
 class TestMakeDiscrete:

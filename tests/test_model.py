@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from densreg.bayes import ClrElement, clr, clr_inv, constant_density, equal_b, norm, subtract
+from densreg.bayes import ClrElement, clr, clr_inv
 from densreg.boosting import BoostConfig
-from densreg.measure import make_continuous, make_discrete
+from densreg.measure import make_discrete
 from densreg.model import (
     EffectTerm,
     FittedModel,
@@ -17,6 +17,7 @@ from densreg.model import (
 )
 from densreg.synth import planted_problem
 
+from bayes_oracle import constant_density, equal_b, norm, subtract
 from conftest import random_density
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from densreg.bayes import ClrElement, clr, clr_inv, constant_density
-from densreg.measure import make_continuous, make_discrete, make_mixed
+from densreg.bayes import ClrElement, clr, clr_inv
+from densreg.measure import make_discrete, make_mixed
 from densreg.simulate import FpcaResult, fpca, rel_mse, selection_table, simulate_responses
 
-from conftest import random_density, random_clr_direction
+from bayes_oracle import constant_density
+from conftest import random_clr_direction, random_density
 
 
 def residuals_from(measure, rng, n, rank=None):

@@ -9,6 +9,11 @@ N x P clr arrays, so they do not use the density and clr element classes.
 The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
 ``to_dict``/``from_dict``; and no module starts a thread.
+
+The package holds only what the program runs: every top-level ``def`` and
+``class`` is reached from ``cli.py`` or from a name that the benchmark
+(``perfbench/*.py``) imports, following names and relative-import aliases
+through the bodies of what is reached. Test oracles live in ``tests/``.
 """
 import ast
 import os
@@ -117,3 +122,72 @@ def test_no_thread_imports(path):
             imported.add(n.module.split(".")[0])
     found = imported & {"concurrent", "threading"}
     assert not found, f"{path.name}: imports {sorted(found)}"
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _top_level(tree) -> dict:
+    """Module-level defs, classes and assigned names, each with its node."""
+    nodes = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nodes[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        nodes[name.id] = node
+    return nodes
+
+
+def _relative_imports(tree) -> dict:
+    """Local name -> (module, name) for each ``from .module import name``."""
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def _unreached() -> list:
+    """Top-level defs and classes of ``src/densreg`` that neither ``cli.py``
+    nor ``perfbench/`` reaches, following names and relative-import aliases
+    through the bodies of what is reached."""
+    trees = {p.stem: _parse(p) for p in MODULES if p.name != "__init__.py"}
+    defs = {mod: _top_level(tree) for mod, tree in trees.items()}
+    aliases = {mod: _relative_imports(tree) for mod, tree in trees.items()}
+    todo = [("cli", name) for name in defs["cli"]]
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("densreg."):
+                todo += [(node.module.split(".", 1)[1], alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                todo += [(alias.name.split(".", 1)[1], name) for alias in node.names
+                         if alias.name.startswith("densreg.")
+                         for name in defs[alias.name.split(".", 1)[1]]]
+    reached = set()
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) in reached or name not in defs.get(mod, {}):
+            continue
+        reached.add((mod, name))
+        for node in ast.walk(defs[mod][name]):
+            if isinstance(node, ast.Name):
+                if node.id in aliases[mod]:
+                    todo.append(aliases[mod][node.id])
+                else:
+                    todo.append((mod, node.id))
+    return sorted(
+        f"{mod}.{name}"
+        for mod, names in defs.items()
+        for name, node in names.items()
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) and (mod, name) not in reached
+    )
+
+
+def test_every_definition_is_reached_from_cli_or_perfbench():
+    unreached = _unreached()
+    assert not unreached, f"{len(unreached)} definition(s) reached only from tests: {unreached}"
