@@ -252,37 +252,33 @@ _LOG10_BRACKET = (-8.0, 12.0)
 _MAX_BISECTIONS = 100
 
 
-def calibrate_df(design: np.ndarray, penalty: np.ndarray, target_df: float) -> float:
-    """Solve for the smoothing parameter giving the requested degrees of freedom.
+def calibrate_df(design: np.ndarray, penalty: np.ndarray, target_df: float) -> tuple[float, float]:
+    """The smoothing parameter giving the requested degrees of freedom, and
+    the degrees of freedom it gives.
 
     The degrees of freedom trace((M + lam P)^-1 M), M = design' design, are
     strictly decreasing in lam, so a bisection on log10(lam) converges. The
-    target must lie between the penalty-dominated limit and the unpenalized
-    column rank.
+    target is capped to the range the bracket attains: at or above the df of
+    the smallest lam it gives lam 0 and that df. A zero penalty gives lam 0
+    and the column rank.
     """
-    design = np.asarray(design, dtype=float)
-    penalty = np.asarray(penalty, dtype=float)
+    if np.abs(penalty).max() < 1e-14:
+        return 0.0, float(np.linalg.matrix_rank(design))
     gram = design.T @ design
-    lo, hi = (10.0 ** _LOG10_BRACKET[0]), (10.0 ** _LOG10_BRACKET[1])
-    df_hi = effective_df(gram, penalty, lo)   # df at nearly no penalty
-    df_lo = effective_df(gram, penalty, hi)   # df with the penalty dominating
-    if not (df_lo - _DF_TOL <= target_df <= df_hi + _DF_TOL):
-        raise ValueError(
-            f"target df {target_df:.4f} outside attainable range "
-            f"[{df_lo:.4f}, {df_hi:.4f}]"
-        )
-    if target_df >= df_hi:
-        return lo
-    if target_df <= df_lo:
-        return hi
-    a, b = np.log10(lo), np.log10(hi)
+    a, b = _LOG10_BRACKET
+    df_max = effective_df(gram, penalty, 10.0 ** a)   # df at nearly no penalty
+    df_min = effective_df(gram, penalty, 10.0 ** b)   # df with the penalty dominating
+    target = float(np.clip(target_df, df_min + 1e-9, df_max))
+    if target >= df_max - 1e-9:
+        return 0.0, df_max
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         df_mid = effective_df(gram, penalty, 10.0 ** mid)
-        if abs(df_mid - target_df) < _DF_TOL:
-            return 10.0 ** mid
-        if df_mid > target_df:
+        if abs(df_mid - target) < _DF_TOL:
+            return 10.0 ** mid, df_mid
+        if df_mid > target:
             a = mid
         else:
             b = mid
-    return 10.0 ** (0.5 * (a + b))
+    lam = 10.0 ** (0.5 * (a + b))
+    return lam, effective_df(gram, penalty, lam)

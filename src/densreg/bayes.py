@@ -9,12 +9,11 @@ powering of densities are sums and scalar multiples of clr rows.
 For a mixed measure, the clr rows split orthogonally into a continuous part
 on the grid and a discrete part on the atoms plus one stand-in point for the
 continuous component; embedding the two parts back and adding them recovers
-the rows. Boosting and simulation work on N x P clr arrays (the ``*_rows``
-functions); the element classes and their per-element forms are the API edge.
-
-Public constructors renormalize to the probability representative; elements
-that differ by a positive constant factor represent the same point of the
-space.
+the rows. The library works on N x P arrays of rows: each rule (clr, its
+inverse, the zero integral, the stand-in value) has one ``*_rows``
+implementation, and the element classes and their one-row forms are the API
+edge. The inverse clr returns the probability representative; elements that
+differ by a positive constant factor represent the same point of the space.
 """
 from __future__ import annotations
 
@@ -22,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import ReferenceMeasure, integrate, make_discrete
+from .measure import ReferenceMeasure, make_discrete
 
 __all__ = [
     "DensityElement",
     "ClrElement",
-    "density",
     "clr",
     "clr_inv",
+    "clr_rows",
+    "clr_inv_rows",
+    "check_clr_rows",
     "decompose_clr",
     "embed_clr_continuous",
     "embed_clr_discrete",
@@ -58,13 +59,6 @@ class DensityElement:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def total(self) -> float:
-        return integrate(self.measure, self.values)
-
-    def as_probability(self) -> "DensityElement":
-        """Representative with unit integral."""
-        return DensityElement(self.measure, self.values / self.total())
-
 
 @dataclass(frozen=True)
 class ClrElement:
@@ -75,33 +69,53 @@ class ClrElement:
 
     def __post_init__(self):
         values = self.measure.check_values(self.values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("clr values must be finite")
-        scale = max(1.0, float(np.max(np.abs(values)) if values.size else 0.0))
-        tol = 1e-10 * scale * max(1.0, self.measure.total_mass)
-        if abs(float(values @ self.measure.weights)) > tol:
-            raise ValueError("clr values must integrate to zero")
+        check_clr_rows(values[None, :], self.measure)
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
-def density(measure: ReferenceMeasure, values, normalize: bool = True) -> DensityElement:
-    """Wrap raw values as a density, by default as the probability representative."""
-    f = DensityElement(measure, np.asarray(values, dtype=float))
-    return f.as_probability() if normalize else f
+def _check_rows(z: np.ndarray, m: ReferenceMeasure, error=ValueError) -> None:
+    if z.ndim != 2 or z.shape[1] != m.size:
+        raise error(f"rows have shape {z.shape}, expected (N, {m.size})")
+
+
+def check_clr_rows(z: np.ndarray, m: ReferenceMeasure, error=ValueError) -> None:
+    """Raise ``error(message)``, listing the failing rows, unless each row of ``z``
+    is finite and integrates to zero within 1e-10 * max(1, max|row|) * max(1, mass)."""
+    _check_rows(z, m, error)
+    scale = np.maximum(1.0, np.abs(z).max(axis=1, initial=0.0))
+    tol = 1e-10 * scale * max(1.0, m.total_mass)
+    bad = np.flatnonzero(~(np.abs(z @ m.weights) <= tol) | np.isinf(scale))
+    if bad.size:
+        message = "clr values must be finite and integrate to zero"
+        if len(z) > 1:
+            message += f" (rows {', '.join(str(i + 1) for i in bad)})"
+        raise error(message)
+
+
+def clr_rows(values: np.ndarray, m: ReferenceMeasure) -> np.ndarray:
+    """clr of N x P positive rows: log values minus each row's mean log."""
+    logs = np.log(values)
+    return logs - ((logs @ m.weights) / m.total_mass)[:, None]
+
+
+def clr_inv_rows(z: np.ndarray, m: ReferenceMeasure) -> np.ndarray:
+    """Inverse clr of N x P rows: exponentiate, scale each row to unit integral."""
+    values = np.exp(z)
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("density values must be finite and strictly positive")
+    return values / (values @ m.weights)[:, None]
 
 
 def clr(f: DensityElement) -> ClrElement:
-    """Centered log-ratio transform: log f minus its mean log."""
-    logs = np.log(f.values)
-    centered = logs - integrate(f.measure, logs) / f.measure.total_mass
-    return ClrElement(f.measure, centered)
+    """One-row form of :func:`clr_rows`."""
+    return ClrElement(f.measure, clr_rows(f.values[None, :], f.measure)[0])
 
 
 def clr_inv(z: ClrElement) -> DensityElement:
-    """Inverse clr transform: exponentiate, renormalize."""
-    return density(z.measure, np.exp(z.values))
+    """One-row form of :func:`clr_inv_rows`: the probability representative."""
+    return DensityElement(z.measure, clr_inv_rows(z.values[None, :], z.measure)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +160,7 @@ def decompose_clr_rows(z: np.ndarray, m: ReferenceMeasure) -> tuple[np.ndarray, 
     """Array form of :func:`decompose_clr` for the N x P rows ``z`` on ``m``:
     returns the N x P_c continuous and N x (A + 1) discrete parts."""
     _require_mixed(m)
-    if z.ndim != 2 or z.shape[1] != m.size:
-        raise ValueError(f"clr rows have shape {z.shape}, expected (N, {m.size})")
+    _check_rows(z, m)
     grid_vals = z[:, m.n_atoms:]
     grid_mean = (grid_vals @ m.grid_weights) / m.lebesgue_length
     z_d = np.concatenate([z[:, : m.n_atoms], grid_mean[:, None]], axis=1)

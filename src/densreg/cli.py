@@ -5,24 +5,24 @@ predict, interpret (effect curves, odds tables, difference-in-differences
 heatmaps), simulate (residual-driven replication study), and check (invariant
 suite for a density file). All inputs come from a JSON config plus
 tab-separated data files; all outputs are tab-separated tables, JSON model
-files, and optional SVG figures. Runs are deterministic for a fixed seed.
-The ``threads`` config key and ``--threads`` are accepted but not read: every
-command runs on one thread.
+files, and optional SVG figures. Runs are deterministic for a fixed seed,
+and every command runs on one thread (the ``threads`` config key is accepted
+but not read). Densities are checked as elements when read; from there on
+the commands work on N x P clr or density rows.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 
 import numpy as np
 
-from .bayes import ClrElement, clr, clr_inv
-from .ingest import DEFAULT_BANDWIDTH, assemble_mixed, group_name, group_table, select_bandwidth
+from .bayes import check_clr_rows, clr, clr_rows
+from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
 from .io import (
     ConfigError,
     DataError,
@@ -40,7 +40,7 @@ from .io import (
 )
 from .interpret import heatmap as build_heatmap
 from .interpret import did_effect, log_odds
-from .model import design_report, extract_effect, fit as fit_model, predict, predict_clr
+from .model import design_report, extract_effect, fit as fit_model, predict
 from .render import curve_svg, heatmap_svg
 from .simulate import fpca, rel_mse, selection_table, simulate_responses
 
@@ -51,16 +51,6 @@ def _out_dir(cfg, args):
     out = args.out or cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-@contextlib.contextmanager
-def _naming_group(key_columns, key):
-    """Turn a ValueError about one observation group into a DataError that
-    names the group."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DataError(f"group {group_name(key_columns, key)}: {exc}") from exc
 
 
 def cmd_estimate(cfg, args) -> int:
@@ -74,22 +64,11 @@ def cmd_estimate(cfg, args) -> int:
     groups, skipped = group_table(table, key_columns)
     if not groups:
         raise DataError("no usable observation groups")
-
-    # bandwidth policy: smallest per-group optimum shared by all groups
-    if isinstance(kde_cfg.bandwidth, str):
-        candidates = []
-        for g in groups:
-            if int(g.interior.sum()) >= 3:
-                with _naming_group(key_columns, g.key):
-                    candidates.append(select_bandwidth(g, measure, kde_cfg))
-        bandwidth = min(candidates) if candidates else DEFAULT_BANDWIDTH
-    else:
-        bandwidth = float(kde_cfg.bandwidth)
-
+    bandwidth = shared_bandwidth(groups, measure, kde_cfg, key_columns)
     densities, report = [], []
     for g in groups:
         p0, p1, _ = g.boundary_shares()
-        with _naming_group(key_columns, g.key):
+        with naming_group(key_columns, g.key):
             densities.append(assemble_mixed(g, measure, kde_cfg, bandwidth=bandwidth))
         report.append(list(g.key) + [g.values.size, p0, p1, bandwidth])
     write_density_file(
@@ -111,12 +90,15 @@ def cmd_estimate(cfg, args) -> int:
     return OK
 
 
-def _densities_and_table(path):
-    measure, key_columns, keys, densities = read_density_file(path)
+def _densities_and_table(path, spec):
+    """The measure, clr rows and key columns of a density file."""
+    measure, key_columns, keys, densities = read_density_file(path, spec.numeric_covariates)
     data = {
         col: [key[i] for key in keys] for i, col in enumerate(key_columns)
     }
-    return measure, key_columns, keys, densities, data
+    # one clr per density: the rows keep the bits of the element transform
+    y_clr = np.reshape([clr(f).values for f in densities], (-1, measure.size))
+    return measure, y_clr, data
 
 
 def _write_fit_outputs(out, model, prefix=""):
@@ -155,8 +137,8 @@ def _write_fit_outputs(out, model, prefix=""):
 def cmd_fit(cfg, args) -> int:
     run = run_objects(cfg, "fit")
     out = _out_dir(cfg, args)
-    measure, key_columns, keys, densities, data = _densities_and_table(cfg["data"]["densities"])
-    model = fit_model(run.spec, data, densities, run.boost, **run.fit_options)
+    measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], run.spec)
+    model = fit_model(run.spec, data, y_clr, measure, run.boost, **run.fit_options)
     _write_fit_outputs(out, model)
     if args.verbose:
         print(f"fitted model, stopping at {model.m_stop}", file=sys.stderr)
@@ -175,7 +157,7 @@ def cmd_predict(cfg, args) -> int:
     run_objects(cfg, "predict")
     out = _out_dir(cfg, args)
     model = _load_model(cfg["data"]["model"])
-    header, rows = read_table(cfg["data"]["newdata"])
+    header, rows = read_table(cfg["data"]["newdata"], model.spec.numeric_covariates)
     data = {col: [row[i] for row in rows] for i, col in enumerate(header)}
     preds = predict(model, data)
     write_density_file(
@@ -290,20 +272,18 @@ def cmd_simulate(cfg, args) -> int:
     run = run_objects(cfg, "simulate")
     spec, boost_cfg, options = run.spec, run.boost, run.fit_options
     out = _out_dir(cfg, args)
-    measure, key_columns, keys, densities, data = _densities_and_table(cfg["data"]["densities"])
-    base = fit_model(spec, data, densities, boost_cfg, **options)
+    measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], spec)
+    base = fit_model(spec, data, y_clr, measure, boost_cfg, **options)
     fitted = base.fits.fitted_clr
-    y_clr = np.stack([clr(f).values for f in densities])
     sim_cfg = cfg["simulation"]
     structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
     replicates = sim_cfg["replicates"]
     results = []
     for seed in np.random.SeedSequence(cfg["seed"]).spawn(replicates):
         sim = simulate_responses(fitted, structure, seed=seed, noise_scale=sim_cfg["noise_scale"])
-        responses = [clr_inv(ClrElement(measure, row)) for row in sim]
-        refit = fit_model(spec, data, responses, boost_cfg, **options)
-        estimates = np.stack([z.values for z in predict_clr(refit, data)])
-        results.append((rel_mse(fitted, estimates, measure), refit.selected_terms()))
+        refit = fit_model(spec, data, sim, measure, boost_cfg, **options)
+        # the in-sample fit is the prediction at the training covariates
+        results.append((rel_mse(fitted, refit.fits.fitted_clr, measure), refit.selected_terms()))
     write_table(
         os.path.join(out, "simulate_relmse.tsv"),
         ["replicate", "relmse_predictions"],
@@ -335,13 +315,14 @@ def cmd_check(cfg, args) -> int:
         length = measure.interval[1] - measure.interval[0]
         if abs(measure.grid_weights.sum() - length) > 1e-12:
             problems.append("quadrature weights do not reproduce the interval length")
-    for i, f in enumerate(densities):
-        total = f.total()
+    values = np.reshape([f.values for f in densities], (-1, measure.size))
+    for i, total in enumerate(values @ measure.weights):
         if abs(total - 1.0) > 1e-6:
-            problems.append(f"row {i + 1}: integral {total!r} deviates from 1")
-        z = clr(f)
-        if abs(float(z.values @ measure.weights)) > 1e-8:
-            problems.append(f"row {i + 1}: clr transform does not integrate to zero")
+            problems.append(f"row {i + 1}: integral {float(total)!r} deviates from 1")
+    try:
+        check_clr_rows(clr_rows(values, measure), measure)
+    except ValueError as exc:
+        problems.append(str(exc))
     print(f"{path}: {len(densities)} densities on {measure_header(measure)[1:]}")
     if problems:
         for p in problems:
@@ -368,13 +349,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=int, help="accepted, not read")
     parser.add_argument("--verbose", action="store_true")
     # intermixed, so the check target may also follow the options
     args = parser.parse_intermixed_args(argv)
-    overrides = {"seed": args.seed, "threads": args.threads}
     try:
-        cfg = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
+        cfg = load_config(args.config, {} if args.seed is None else {"seed": args.seed})
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

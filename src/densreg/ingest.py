@@ -15,6 +15,7 @@ zero weight is treated like one without interior values.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -29,9 +30,11 @@ __all__ = [
     "kde",
     "ucv_score",
     "select_bandwidth",
+    "shared_bandwidth",
     "assemble_mixed",
     "group_table",
     "group_name",
+    "naming_group",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -237,6 +240,22 @@ def select_bandwidth(
     return float(cfg.bandwidth_grid[int(np.argmin(scores))])
 
 
+def shared_bandwidth(
+    groups: list, measure: ReferenceMeasure, cfg: KdeConfig, key_columns: list
+) -> float:
+    """The one bandwidth of all groups: the configured one, else the smallest
+    cross-validated optimum over the groups with at least three interior
+    values, else the default of 0.02. A failing group is named."""
+    if not isinstance(cfg.bandwidth, str):
+        return float(cfg.bandwidth)
+    optima = []
+    for g in groups:
+        if int(g.interior.sum()) >= 3:
+            with naming_group(key_columns, g.key):
+                optima.append(select_bandwidth(g, measure, cfg))
+    return min(optima, default=DEFAULT_BANDWIDTH)
+
+
 def assemble_mixed(
     group: ObservationGroup,
     measure: ReferenceMeasure,
@@ -287,13 +306,20 @@ def group_table(table: dict, key_columns: list, value_column="value", weight_col
         if weights.sum() <= 0:
             skipped.append(key)
             continue
-        try:
+        with naming_group(key_columns, key):
             out.append(ObservationGroup(values, weights, key))
-        except ValueError as exc:
-            raise ValueError(f"group {group_name(key_columns, key)}: {exc}") from exc
     return out, skipped
 
 
 def group_name(key_columns: list, key: tuple) -> str:
     """``col=value`` pairs naming one observation group in messages."""
     return ", ".join(f"{c}={v}" for c, v in zip(key_columns, key))
+
+
+@contextlib.contextmanager
+def naming_group(key_columns: list, key: tuple):
+    """Prefix a ValueError about one observation group with the group's name."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"group {group_name(key_columns, key)}: {exc}") from exc

@@ -1,7 +1,9 @@
 """Odds-ratio interpretation of fitted effects.
 
 Every quantity here is a function of clr values, so it is invariant to the
-representative chosen for a density. Log odds compare an effect's density
+representative chosen for a density: the functions take a
+:class:`~densreg.bayes.ClrElement`, and the difference-in-differences is
+one signed sum of clr prediction rows. Log odds compare an effect's density
 values at two support points. The heatmap assembles pairwise log odds in
 the band layout used for mixed supports: an inner point-vs-point quadrant,
 inner bands for atom-vs-point, and outer bands for atom-vs-continuous
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import ClrElement, DensityElement, clr, clr_inv
+from .bayes import ClrElement, decompose_clr_rows
 from .measure import ReferenceMeasure
-from .model import FittedModel, predict_clr
+from .model import FittedModel, _raw_clr_rows
 
 __all__ = [
     "value_at",
@@ -25,15 +27,6 @@ __all__ = [
     "HeatmapGrid",
     "heatmap",
 ]
-
-
-def _clr_values(effect) -> tuple[ReferenceMeasure, np.ndarray]:
-    if isinstance(effect, ClrElement):
-        return effect.measure, effect.values
-    if isinstance(effect, DensityElement):
-        z = clr(effect)
-        return z.measure, z.values
-    raise TypeError("expected a density or clr element")
 
 
 def _locate(m: ReferenceMeasure, t: float) -> int:
@@ -51,13 +44,12 @@ def _locate(m: ReferenceMeasure, t: float) -> int:
     raise ValueError(f"point {t!r} is not on the support of the measure")
 
 
-def value_at(effect, t: float) -> float:
+def value_at(effect: ClrElement, t: float) -> float:
     """clr value of the effect at a support point."""
-    m, z = _clr_values(effect)
-    return float(z[_locate(m, t)])
+    return float(effect.values[_locate(effect.measure, t)])
 
 
-def log_odds(effect, t: float, s: float) -> float:
+def log_odds(effect: ClrElement, t: float, s: float) -> float:
     """Log odds of the effect for t compared to s: clr(t) - clr(s)."""
     return value_at(effect, t) - value_at(effect, s)
 
@@ -69,12 +61,12 @@ def did_effect(
     factor_b: str,
     levels_b: tuple,
     fixed: dict,
-) -> DensityElement:
+) -> ClrElement:
     """Difference-in-differences of predictions over two binary contrasts.
 
-    The density (f[a1,b1] - f[a0,b1]) - (f[a1,b0] - f[a0,b0]), with Bayes-space
-    differences and the remaining covariates held at ``fixed``, computed as one
-    signed sum of the four clr predictions.
+    The clr image of (f[a1,b1] - f[a0,b1]) - (f[a1,b0] - f[a0,b0]), with
+    Bayes-space differences and the remaining covariates held at ``fixed``:
+    one signed sum of the four clr prediction rows.
     """
     covariates = model.frame.covariates
     for factor in (factor_a, factor_b):
@@ -89,8 +81,7 @@ def did_effect(
     table = {k: [v] * len(cells) for k, v in fixed.items()}
     table[factor_a] = [a for a, _ in cells]
     table[factor_b] = [b for _, b in cells]
-    rows = np.stack([z.values for z in predict_clr(model, table)])
-    return clr_inv(ClrElement(model.measure, np.array([1.0, -1.0, -1.0, 1.0]) @ rows))
+    return ClrElement(model.measure, np.array([1.0, -1.0, -1.0, 1.0]) @ _raw_clr_rows(model, table))
 
 
 @dataclass
@@ -103,16 +94,16 @@ class HeatmapGrid:
     outer_band: np.ndarray      # per-atom log odds against the continuous aggregate
 
 
-def heatmap(effect, resolution: int = 25) -> HeatmapGrid:
+def heatmap(effect: ClrElement, resolution: int = 25) -> HeatmapGrid:
     """Log-odds surface LO(t, s) over atoms plus a grid subsample.
 
     The outer band compares each atom with the continuous component as a
-    whole (geometric-mean odds of the discrete part), matching the band
-    layout used for mixed densities.
+    whole: the discrete part of :func:`~densreg.bayes.decompose_clr_rows`,
+    each atom minus the stand-in value.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-    m, z = _clr_values(effect)
+    m, z = effect.measure, effect.values
     idx = list(range(m.n_atoms))
     if m.n_grid:
         step = max(1, m.n_grid // resolution)
@@ -124,10 +115,8 @@ def heatmap(effect, resolution: int = 25) -> HeatmapGrid:
     vals = z[idx]
     grid = vals[:, None] - vals[None, :]
     is_atom = idx < m.n_atoms
+    outer = np.empty(0)
     if m.is_mixed:
-        grid_vals = z[m.n_atoms:]
-        cont_mean = float(grid_vals @ m.grid_weights) / m.lebesgue_length
-        outer = z[: m.n_atoms] - cont_mean
-    else:
-        outer = np.empty(0)
+        z_d = decompose_clr_rows(z[None, :], m)[1][0]
+        outer = z_d[:-1] - z_d[-1]
     return HeatmapGrid(pts, is_atom, grid, outer)

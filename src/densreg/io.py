@@ -122,8 +122,10 @@ def _numbered_rows(path) -> tuple[list, list]:
     return header, rows
 
 
-def read_table(path) -> tuple[list, list]:
+def read_table(path, numeric=()) -> tuple[list, list]:
+    """Header and rows of a table; the ``numeric`` columns must hold finite numbers."""
     header, rows = _numbered_rows(path)
+    _numbers(path, header, rows, numeric)
     return header, [row for _, row in rows]
 
 
@@ -134,10 +136,14 @@ def read_observations(path) -> tuple[dict, list]:
     if "value" not in header or "weight" not in header:
         raise DataError(f"{path}: needs 'value' and 'weight' columns")
     table = {col: [row[j] for _, row in rows] for j, col in enumerate(header)}
-    for col in ("value", "weight"):
-        j = header.index(col)
-        table[col] = [_number(path, i, row[j]) for i, row in rows]
+    table.update(_numbers(path, header, rows, ("value", "weight")))
     return table, [c for c in header if c not in ("value", "weight")]
+
+
+def _numbers(path, header, rows, names) -> dict:
+    """The ``names`` columns of numbered rows as finite floats, or a DataError at a line."""
+    return {col: [_number(path, i, row[j]) for i, row in rows]
+            for j, col in enumerate(header) if col in names}
 
 
 def _number(path, line: int, text: str) -> float:
@@ -207,18 +213,19 @@ def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densi
             )
 
 
-def read_density_file(path):
-    """Returns (measure, key_columns, keys, densities)."""
+def read_density_file(path, numeric=()):
+    """(measure, key_columns, keys, densities); ``numeric`` keys must be finite numbers."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if len(lines) < 2:
         raise DataError(f"{path}: missing header lines")
     measure = parse_measure_header(lines[0])
     header = lines[1].split("\t")
-    n_values = measure.size
-    if len(header) < n_values:
+    n_keys = len(header) - measure.size
+    if n_keys < 0:
         raise DataError(f"{path}: header shorter than the measure layout")
-    key_columns = header[: len(header) - n_values]
+    # one row split at a time: holding every field as a string costs a
+    # megabyte at paper scale
     keys, densities = [], []
     for i, ln in enumerate(lines[2:], start=3):
         if not ln:
@@ -226,17 +233,13 @@ def read_density_file(path):
         row = ln.split("\t")
         if len(row) != len(header):
             raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
-        keys.append(tuple(row[: len(key_columns)]))
+        keys.append((i, row[:n_keys]))
         try:
-            values = np.array([float(v) for v in row[len(key_columns):]])
+            densities.append(DensityElement(measure, np.array([float(v) for v in row[n_keys:]])))
         except ValueError as exc:
             raise DataError(f"{path}: line {i}: {exc}") from exc
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"{path}: line {i}: density values must be finite")
-        if np.any(values <= 0):
-            raise DataError(f"{path}: line {i}: density values must be positive")
-        densities.append(DensityElement(measure, values))
-    return measure, key_columns, keys, densities
+    _numbers(path, header[:n_keys], keys, numeric)
+    return measure, header[:n_keys], [tuple(key) for _, key in keys], densities
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +531,7 @@ def validate_config(raw) -> dict:
 
 def load_config(path, overrides: dict | None = None) -> dict:
     """Read and validate a JSON run configuration; ``overrides`` (such as
-    the CLI's ``--seed`` and ``--threads``) replace top-level keys before
-    validation."""
+    the CLI's ``--seed``) replace top-level keys before validation."""
     try:
         with open(path) as fh:
             raw = json.load(fh)

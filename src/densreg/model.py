@@ -24,11 +24,11 @@ format is in :mod:`densreg.io`): a ``_Covariate`` per covariate and a
 ``_TermEncoder`` per term, which turns covariate values into constrained
 design rows and records the term's smoothing parameter and degrees of
 freedom. The training designs live only in the boosting inputs
-(:class:`~densreg.basis.EffectDesign`). Between the density or clr elements
-that enter and leave, the layer works on N x P clr arrays: :func:`fit` stacks
-the clr rows of its responses once and boosts them with
+(:class:`~densreg.basis.EffectDesign`). The layer works on N x P rows:
+:func:`fit` boosts the clr rows of its responses with
 :func:`~densreg.boosting.boost` or :func:`~densreg.boosting.boost_mixed`, and
-predictions and effect views are sums of clr rows.
+:func:`predict` returns the density rows of sums of clr rows; only
+:func:`predict_clr` and :func:`extract_effect` return elements.
 """
 from __future__ import annotations
 
@@ -45,15 +45,15 @@ from .basis import (
     bspline_knots,
     calibrate_df,
     difference_penalty,
-    effective_df,
     indicator_density_basis,
     raw_density_basis,
 )
 from .bayes import (
     ClrElement,
     DensityElement,
-    clr,
+    check_clr_rows,
     clr_inv,
+    clr_inv_rows,
     continuous_submeasure,
     discrete_star_measure,
     embed_clr_continuous_rows,
@@ -149,6 +149,11 @@ class ModelSpec:
     @property
     def has_intercept(self) -> bool:
         return any(t.kind == "intercept" for t in self.terms)
+
+    @property
+    def numeric_covariates(self) -> set:
+        """Names of the covariates that some term reads as numbers."""
+        return {c for t in self.terms for c, letter in zip(t.covariates, t.blocks) if letter != "c"}
 
 
 @dataclass(frozen=True)
@@ -333,19 +338,6 @@ def _infer_covariates(spec: ModelSpec, data) -> dict:
     return covs
 
 
-def _calibrate(x, pen, target):
-    if np.abs(pen).max() < 1e-14:
-        return 0.0, float(np.linalg.matrix_rank(x))
-    gram = x.T @ x
-    df_max = effective_df(gram, pen, 1e-8)
-    df_min = effective_df(gram, pen, 1e12)
-    capped = float(np.clip(target, df_min + 1e-9, df_max))
-    if capped >= df_max - 1e-9:
-        return 0.0, df_max
-    lam = calibrate_df(x, pen, capped)
-    return lam, effective_df(gram, pen, lam)
-
-
 @dataclass(frozen=True)
 class _PredictorState:
     """Covariates by name and one encoder per term, in term order."""
@@ -393,7 +385,7 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
         else:
             x = raw
         target = term.df if term.df is not None else default_df
-        lam, achieved = _calibrate(x, pen, target)
+        lam, achieved = calibrate_df(x, pen, target)
         encoders.append(
             replace(encoder, transform=transform, lambda_cov=lam, target_df=target,
                     achieved_df=achieved)
@@ -577,9 +569,9 @@ def load_fields(d: dict) -> FittedModel:
         z = _finite(bd["transform"], "density basis transform")
         raw = raw_density_basis(m, db["knots"], db["degree"])
         bases[comp] = basis = DensityBasis(m, raw @ z, None, z, kind)
+        check_clr_rows(basis.clr_matrix.T, m, lambda e: ValueError(f"bases.{comp}.transform: {e}"))
         offset = _finite(fd["offset"], "offset and coefficients")
-        if offset.shape != (m.size,):
-            raise ValueError(f"offset has shape {offset.shape}, expected ({m.size},)")
+        check_clr_rows(offset[None], m, lambda e: ValueError(f"fits.{comp}.offset: {e}"))
         coefficients = [_finite(c, "offset and coefficients") for c in fd["coefficients"]]
         widths = [k * basis.n_basis for k in columns]
         if [c.size for c in coefficients] != widths:
@@ -641,7 +633,8 @@ def build_designs(
 def fit(
     spec: ModelSpec,
     data,
-    responses: list[DensityElement],
+    y_clr: np.ndarray,
+    measure: ReferenceMeasure,
     config: BoostConfig | None = None,
     *,
     default_df: float = 2.0,
@@ -650,20 +643,18 @@ def fit(
     density_penalty_order: int = 2,
     lambda_density: float = 0.0,
 ) -> FittedModel:
-    """Fit the model, dispatching on the response measure.
+    """Fit the model to the N x P clr rows ``y_clr`` of the responses on
+    ``measure``, dispatching on the measure.
 
     Mixed measures are fitted as two independent component models with their
     own stopping iterations; pure discrete or continuous measures get a
     single fit. The keyword options are those of :func:`build_designs`.
     """
     config = config or BoostConfig()
-    if not responses:
+    check_clr_rows(y_clr, measure)
+    if not len(y_clr):
         raise ValueError("no responses given")
-    measure = responses[0].measure
-    for f in responses[1:]:
-        if f.measure is not measure and not f.measure.same_support(measure):
-            raise ValueError("responses live on different reference measures")
-    if len(responses) != _table_length(data):
+    if len(y_clr) != _table_length(data):
         raise ValueError("data rows and responses differ in length")
     density_options = {
         "density_knots": density_knots,
@@ -673,7 +664,6 @@ def fit(
     frame, bases, designs = build_designs(
         spec, data, measure, default_df, lambda_density=lambda_density, **density_options
     )
-    y_clr = np.stack([clr(f).values for f in responses])
     if measure.is_mixed:
         fits = boost_mixed(y_clr, measure, designs["continuous"], designs["discrete"], config)
     else:
@@ -710,9 +700,12 @@ def predict_clr(model: FittedModel, newdata) -> list[ClrElement]:
     return [ClrElement(model.measure, row) for row in rows]
 
 
-def predict(model: FittedModel, newdata) -> list[DensityElement]:
-    """Predicted densities (probability representatives) for new covariates."""
-    return [clr_inv(z) for z in predict_clr(model, newdata)]
+def predict(model: FittedModel, newdata) -> np.ndarray:
+    """N x P predicted density rows (probability representatives) for new
+    covariates; a clr row off the zero integral is a FloatingPointError."""
+    z = _raw_clr_rows(model, newdata)
+    check_clr_rows(z, model.measure, FloatingPointError)
+    return clr_inv_rows(z, model.measure)
 
 
 def _reference_table(model: FittedModel, values: dict, at_reference: list) -> dict:

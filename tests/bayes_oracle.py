@@ -18,10 +18,15 @@ from densreg.bayes import (
     _require_mixed,
     clr,
     continuous_submeasure,
-    density,
     discrete_star_measure,
 )
 from densreg.measure import ReferenceMeasure, integrate
+
+
+def density(measure: ReferenceMeasure, values, normalize: bool = True) -> DensityElement:
+    """Wrap raw values as a density, by default as the probability representative."""
+    f = DensityElement(measure, np.asarray(values, dtype=float))
+    return DensityElement(measure, f.values / integrate(measure, f.values)) if normalize else f
 
 
 def constant_density(measure: ReferenceMeasure) -> DensityElement:
@@ -93,8 +98,8 @@ def norm(f: DensityElement) -> float:
 def equal_b(f: DensityElement, g: DensityElement, tol: float = 1e-10) -> bool:
     """Equality up to a positive constant factor (probability representatives)."""
     _require_same_measure(f, g)
-    fv = f.as_probability().values
-    gv = g.as_probability().values
+    fv = density(f.measure, f.values).values
+    gv = density(g.measure, g.values).values
     return bool(np.max(np.abs(fv - gv)) <= tol * max(1.0, float(np.max(fv))))
 
 

@@ -18,7 +18,7 @@ from densreg.basis import EffectDesign
 from densreg.bayes import ClrElement, DensityElement, clr, clr_inv
 from densreg.boosting import BoostConfig, EarlyStopResult, FitState
 
-from bayes_oracle import inner, norm, perturb, power, subtract
+from bayes_oracle import density, inner, norm, perturb, power, subtract
 
 
 def offset(responses: list[DensityElement]) -> DensityElement:
@@ -234,7 +234,7 @@ def boost_density_space(
         out = np.ones(measure.size)
         for c, b in zip(coef, cols):
             out = out * (b.values ** c)
-        return DensityElement(measure, out).as_probability()
+        return density(measure, out)
 
     for _ in range(m_stop):
         gradients = [negative_gradient(y, h) for y, h in zip(responses, current)]

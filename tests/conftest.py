@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from densreg.basis import DensityBasis, difference_penalty, raw_density_basis, sum_to_zero_transform
-from densreg.bayes import density
+from densreg.bayes import clr
 from densreg.measure import ReferenceMeasure, make_discrete, make_mixed
+
+from bayes_oracle import density
 
 
 def make_continuous(a: float, b: float, grid_size: int) -> ReferenceMeasure:
@@ -54,6 +56,12 @@ def random_density(measure, rng, spread=1.0):
     """Random strictly positive density on the given measure."""
     logs = rng.normal(0.0, spread, size=measure.size)
     return density(measure, np.exp(logs))
+
+
+def clr_stack(densities):
+    """N x P clr rows of density elements, one clr per element, as the
+    command-line front-end passes them to ``model.fit``."""
+    return np.stack([clr(f).values for f in densities])
 
 
 def random_clr_direction(measure, rng):

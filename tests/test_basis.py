@@ -237,16 +237,17 @@ class TestCalibrateDf:
     def test_unpenalized_full_rank_df_is_column_count(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 4))
-        lam = calibrate_df(x, np.eye(4), 4.0)
+        lam, df = calibrate_df(x, np.eye(4), 4.0)
+        assert lam == 0.0 and df == pytest.approx(4.0, abs=1e-3)
         assert effective_df(x.T @ x, np.eye(4), lam) == pytest.approx(4.0, abs=1e-3)
 
     def test_target_met_and_monotone(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(60, 8))
         pen = difference_penalty(8, 2)
-        lam = calibrate_df(x, pen, 4.0)
+        lam, df = calibrate_df(x, pen, 4.0)
         gram = x.T @ x
-        assert effective_df(gram, pen, lam) == pytest.approx(4.0, abs=2e-4)
+        assert effective_df(gram, pen, lam) == df == pytest.approx(4.0, abs=2e-4)
         # eigenvalue form of the trace as an independent check
         from scipy.linalg import eigh
 
@@ -256,11 +257,19 @@ class TestCalibrateDf:
         dfs = [effective_df(gram, pen, l) for l in lams]
         assert all(a >= b - 1e-9 for a, b in zip(dfs, dfs[1:]))
 
-    def test_out_of_range_rejected(self):
+    def test_out_of_range_capped(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 4))
-        with pytest.raises(ValueError, match="range"):
-            calibrate_df(x, np.eye(4), 5.0)
+        gram = x.T @ x
+        # above the column count: no penalty, and the df of the smallest lam
+        assert calibrate_df(x, np.eye(4), 5.0) == (0.0, effective_df(gram, np.eye(4), 1e-8))
         pen = difference_penalty(4, 1)
-        with pytest.raises(ValueError, match="range"):
-            calibrate_df(x, pen, 0.5)  # below the nullspace dimension
+        # below the nullspace dimension: the df of the penalty-dominated limit
+        lam, df = calibrate_df(x, pen, 0.5)
+        assert lam > 1.0
+        assert df == pytest.approx(effective_df(gram, pen, 1e12), abs=2e-4)
+        assert df == pytest.approx(1.0, abs=2e-4)
+
+    def test_zero_penalty_gives_column_rank(self):
+        x = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0)])
+        assert calibrate_df(x, np.zeros((3, 3)), 1.0) == (0.0, 2.0)

@@ -7,7 +7,6 @@ from densreg.bayes import (
     clr_inv,
     decompose_clr,
     decompose_clr_rows,
-    density,
     embed_clr_continuous,
     embed_clr_continuous_rows,
     embed_clr_discrete,
@@ -17,6 +16,7 @@ from densreg.measure import integrate, make_discrete, make_mixed
 
 from bayes_oracle import (
     constant_density,
+    density,
     decompose_mixed,
     embed_continuous,
     embed_discrete,
@@ -106,7 +106,7 @@ class TestClr:
             make_continuous(0, 1, 50),
             make_mixed(0, 1, [(0, 1), (1, 1)], 50),
         ):
-            f = random_density(m, rng).as_probability()
+            f = density(m, random_density(m, rng).values)
             back = clr_inv(clr(f))
             assert np.max(np.abs(back.values - f.values)) < 1e-10
 

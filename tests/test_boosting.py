@@ -18,7 +18,7 @@ from densreg.basis import (
     difference_penalty,
     indicator_density_basis,
 )
-from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr, density
+from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr
 from densreg.boosting import (
     BoostConfig,
     _boost_paths,
@@ -32,7 +32,7 @@ from densreg.measure import make_discrete, make_mixed
 from densreg.model import EffectTerm, ModelSpec, build_designs
 from densreg.synth import planted_problem
 
-from bayes_oracle import constant_density, equal_b, norm, perturb, subtract
+from bayes_oracle import constant_density, density, equal_b, norm, perturb, subtract
 from boosting_oracle import (
     boost_density_space,
     brute_force_boost,
@@ -44,12 +44,7 @@ from boosting_oracle import (
     resample_splits,
     select_base_learner,
 )
-from conftest import mixed_concatenated_basis, random_clr_direction, random_density
-
-
-def clr_rows(responses):
-    """N x P clr rows of density responses, stacked as ``model.fit`` does."""
-    return np.stack([clr(f).values for f in responses])
+from conftest import clr_stack, mixed_concatenated_basis, random_clr_direction, random_density
 
 
 def center_columns(design, penalty):
@@ -212,7 +207,7 @@ class TestBoost:
         f = random_density(continuous_measure, rng)
         responses = [f] * 6
         designs = simple_designs(continuous_measure, 6, rng, n_effects=1)
-        state = boost(clr_rows(responses), continuous_measure, designs, BoostConfig(max_iterations=20))
+        state = boost(clr_stack(responses), continuous_measure, designs, BoostConfig(max_iterations=20))
         # offset equals the common response, so risk starts and stays at zero
         assert state.risk_path[0] < 1e-16
         assert state.risk_path[-1] < 1e-16
@@ -221,14 +216,14 @@ class TestBoost:
         rng = np.random.default_rng(12)
         responses = [random_density(mixed_measure, rng) for _ in range(12)]
         designs = simple_designs(mixed_measure, 12, rng, n_effects=3)
-        state = boost(clr_rows(responses), mixed_measure, designs, BoostConfig(max_iterations=60))
+        state = boost(clr_stack(responses), mixed_measure, designs, BoostConfig(max_iterations=60))
         assert np.all(np.diff(state.risk_path) <= 1e-9 * max(1.0, state.risk_path[0]))
 
     def test_single_block_update_per_iteration(self, continuous_measure):
         rng = np.random.default_rng(13)
         responses = [random_density(continuous_measure, rng) for _ in range(8)]
         designs = simple_designs(continuous_measure, 8, rng, n_effects=3)
-        y, cfg = clr_rows(responses), BoostConfig(max_iterations=10)
+        y, cfg = clr_stack(responses), BoostConfig(max_iterations=10)
         fits = [boost_from_clr(y, continuous_measure, designs, cfg, m_stop=m) for m in range(11)]
         # iteration m + 1 moves the selected block only
         for m, (before, after) in enumerate(zip(fits, fits[1:])):
@@ -244,7 +239,7 @@ class TestBoost:
         f = random_density(continuous_measure, rng)
         responses = [f] * 5
         designs = simple_designs(continuous_measure, 5, rng, n_effects=3)
-        state = boost(clr_rows(responses), continuous_measure, designs, BoostConfig(max_iterations=5))
+        state = boost(clr_stack(responses), continuous_measure, designs, BoostConfig(max_iterations=5))
         for j, coef in enumerate(state.coefficients):
             if j not in state.selections:
                 assert np.all(coef == 0.0)
@@ -253,7 +248,7 @@ class TestBoost:
         rng = np.random.default_rng(15)
         responses = [random_density(mixed_measure, rng) for _ in range(6)]
         designs = simple_designs(mixed_measure, 6, rng, n_effects=2)
-        y, cfg = clr_rows(responses), BoostConfig(max_iterations=15)
+        y, cfg = clr_stack(responses), BoostConfig(max_iterations=15)
         fits = [boost_from_clr(y, mixed_measure, designs, cfg, m_stop=m) for m in range(16)]
         w = mixed_measure.weights
         for m, (before, after) in enumerate(zip(fits, fits[1:])):
@@ -269,7 +264,7 @@ class TestBoost:
         rng = np.random.default_rng(16)
         responses = [random_density(continuous_measure, rng) for _ in range(10)]
         designs = simple_designs(continuous_measure, 10, rng, n_effects=2)
-        y = clr_rows(responses)
+        y = clr_stack(responses)
         fast = boost(y, continuous_measure, designs, BoostConfig(step_length=0.1, max_iterations=40))
         slow = boost(y, continuous_measure, designs, BoostConfig(step_length=0.05, max_iterations=40))
         assert np.all(slow.risk_path >= fast.risk_path - 1e-9)
@@ -288,7 +283,7 @@ class TestDualPathEquivalence:
         responses = [random_density(m, rng) for _ in range(n)]
         designs = simple_designs(m, n, rng, n_effects=3)
         cfg = BoostConfig(max_iterations=40)
-        a = boost(clr_rows(responses), m, designs, cfg)
+        a = boost(clr_stack(responses), m, designs, cfg)
         b = boost_density_space(responses, designs, cfg)
         assert a.selections == b.selections
         for ca, cb in zip(a.coefficients, b.coefficients):
@@ -314,7 +309,7 @@ class TestEarlyStop:
             clr_inv(ClrElement(continuous_measure, row)) for row in y_clr
         ]
         cfg = BoostConfig(max_iterations=25, stopping="cv", folds=3, seed=5)
-        result = early_stop_from_clr(clr_rows(responses), continuous_measure, designs, cfg)
+        result = early_stop_from_clr(clr_stack(responses), continuous_measure, designs, cfg)
         # nothing to overfit, the held-out risk keeps falling
         assert result.m_stop == 25
         assert np.all(np.diff(result.risk_curve) <= 1e-15)
@@ -325,7 +320,7 @@ class TestEarlyStop:
         responses = [random_density(continuous_measure, rng) for _ in range(n)]
         designs = simple_designs(continuous_measure, n, rng, n_effects=2)
         cfg = BoostConfig(max_iterations=80, stopping="bootstrap", replicates=10, seed=3)
-        result = early_stop_from_clr(clr_rows(responses), continuous_measure, designs, cfg)
+        result = early_stop_from_clr(clr_stack(responses), continuous_measure, designs, cfg)
         assert result.m_stop < 80
         # held-out risk stops improving early on pure noise
         assert result.risk_curve[result.m_stop] <= result.risk_curve[-1]
@@ -339,7 +334,7 @@ class TestEarlyStop:
             assemble_effect("intercept", np.ones((4, 1)), np.zeros((1, 1)), basis, 0.0)
         ]
         cfg = BoostConfig(max_iterations=6, stopping="cv", folds=2, seed=21)
-        result = early_stop_from_clr(clr_rows(responses), m, designs, cfg)
+        result = early_stop_from_clr(clr_stack(responses), m, designs, cfg)
 
         # hand-rolled two-fold computation with the same fold assignment
         y = np.stack([clr(f).values for f in responses])
@@ -400,14 +395,14 @@ class TestBoostMixed:
             gm = np.exp(np.log(grid_vals) @ m.grid_weights / 1.0)
             values = np.concatenate([[gm, gm], grid_vals])
             responses.append(density(m, values))
-        fit = boost_mixed(clr_rows(responses), m, designs_c, designs_d, BoostConfig(max_iterations=30))
+        fit = boost_mixed(clr_stack(responses), m, designs_c, designs_d, BoostConfig(max_iterations=30))
         assert fit.discrete.risk_path[0] < 1e-16
 
     def test_sse_pythagoras(self):
         rng = np.random.default_rng(23)
         m, designs_c, designs_d = self._mixed_setup(rng)
         responses = [random_density(m, rng) for _ in range(10)]
-        fit = boost_mixed(clr_rows(responses), m, designs_c, designs_d, BoostConfig(max_iterations=25))
+        fit = boost_mixed(clr_stack(responses), m, designs_c, designs_d, BoostConfig(max_iterations=25))
         y = np.stack([clr(f).values for f in responses])
         total = float((((y - fit.fitted_clr) ** 2) * m.weights).sum())
         comp = fit.continuous.risk_path[-1] + fit.discrete.risk_path[-1]
@@ -418,7 +413,7 @@ class TestBoostMixed:
         m, designs_c, designs_d = self._mixed_setup(rng)
         responses = [random_density(m, rng) for _ in range(10)]
         fit = boost_mixed(
-            clr_rows(responses),
+            clr_stack(responses),
             m,
             designs_c,
             designs_d,
@@ -571,6 +566,25 @@ class TestRiskCheck:
             boosting.boost_mixed(y_mixed, mixed, designs_c, designs_d, BoostConfig(max_iterations=3))
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
+        # a clr prediction row shifted off the zero integral
+        import densreg.model as model
+        spec = model.ModelSpec((model.EffectTerm("intercept", "intercept"),
+                                model.EffectTerm("x", "linear", ("x",))))
+        data = {"x": x[:, 0]}
+        y_clr = y - (y @ m.weights)[:, None] / m.total_mass
+        fitted = model.fit(spec, data, y_clr, m, BoostConfig(max_iterations=3))
+        rows = model._raw_clr_rows
+
+        def shifted(*args, **kwargs):
+            out = rows(*args, **kwargs)
+            out[1] += 1e-3
+            return out
+
+        model._raw_clr_rows = shifted
+        try:
+            model.predict(fitted, data)
+        except Exception as exc:
+            print(type(exc).__name__, isinstance(exc, ValueError), exc)
         """
     )
 
@@ -584,12 +598,13 @@ class TestRiskCheck:
         )
         assert res.returncode == 0, res.stderr
         lines = res.stdout.splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert all(line.startswith("FloatingPointError False in-bag risk increased") for line in lines[:2])
         assert lines[2].startswith("FloatingPointError False in-bag fit drifted from its risk path")
         assert lines[3].startswith(
             "FloatingPointError False mixed responses do not embed back to their clr rows"
         )
+        assert lines[4] == "FloatingPointError False clr values must be finite and integrate to zero (rows 2)"
 
     def test_cli_maps_it_to_numeric_exit(self, tmp_path, monkeypatch):
         import densreg.cli as cli
@@ -603,7 +618,7 @@ class TestRiskCheck:
             "data": {"densities": "unread.tsv"},
             "model": {"terms": [{"name": "intercept", "kind": "intercept"}]},
         }))
-        monkeypatch.setattr(cli, "_densities_and_table", lambda path: (None,) * 5)
+        monkeypatch.setattr(cli, "_densities_and_table", lambda path, spec: (None,) * 3)
         assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 
@@ -746,4 +761,4 @@ class TestConfigValidation:
         responses = [random_density(continuous_measure, rng) for _ in range(4)]
         designs = simple_designs(continuous_measure, 5, rng)
         with pytest.raises(ValueError, match="rows"):
-            boost(clr_rows(responses), continuous_measure, designs, BoostConfig(max_iterations=2))
+            boost(clr_stack(responses), continuous_measure, designs, BoostConfig(max_iterations=2))

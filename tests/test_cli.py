@@ -19,8 +19,10 @@ from densreg.io import (
     validate_config,
     write_density_file,
 )
-from densreg.measure import make_mixed
+from densreg.measure import integrate, make_mixed
 from densreg.synth import planted_problem, synthetic_observations
+
+from conftest import clr_stack
 
 
 def write_config(path, **sections):
@@ -158,13 +160,19 @@ class TestConfigValidation:
         cfg = load_config(path, {"seed": 5, "threads": 2})
         assert (cfg["seed"], cfg["threads"]) == (5, 2)
 
-    @pytest.mark.parametrize(
-        "flag, value, field", [("--threads", "0", "threads"), ("--seed", "-1", "seed")]
-    )
+    @pytest.mark.parametrize("flag, value, field", [("--seed", "-1", "seed")])
     def test_cli_overrides_checked_by_table(self, tmp_path, capsys, flag, value, field):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["fit", "--config", cfg, flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"config error: config.{field}: ")
+
+    def test_no_threads_flag(self, tmp_path, capsys):
+        # every command runs on one thread, so there is no thread count to pass
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as info:
+            main(["fit", "--config", cfg, "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 # Malformed configs that once ended with a traceback (exit 1), as a data
@@ -236,7 +244,7 @@ class TestDensityFileRoundTrip:
         rng = np.random.default_rng(0)
         m = make_mixed(0, 1, [(0, 1), (1, 1)], 25)
         values = np.exp(rng.normal(size=(3, m.size)))
-        from densreg.bayes import density
+        from bayes_oracle import density
 
         densities = [density(m, v) for v in values]
         path = tmp_path / "d.tsv"
@@ -251,7 +259,7 @@ class TestDensityFileRoundTrip:
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         m = make_mixed(0, 1, [(0, 1), (1, 1)], 25)
-        from densreg.bayes import density
+        from bayes_oracle import density
 
         densities = [density(m, np.exp(rng.normal(size=m.size)))]
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -276,7 +284,7 @@ class TestEstimateCommand:
         assert len(densities) == 3
         assert cols == ["region", "c_age"]
         for f in densities:
-            assert f.total() == pytest.approx(1.0, abs=1e-8)
+            assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-8)
         report = (out / "estimate_report.tsv").read_text().splitlines()
         assert report[0].split("\t") == ["region", "c_age", "n", "p0", "p1", "bandwidth"]
 
@@ -523,7 +531,7 @@ class TestPredictInterpret:
         assert len(preds) == 2
         for f in preds:
             assert np.all(f.values > 0)
-            assert f.total() == pytest.approx(1.0, abs=1e-10)
+            assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-10)
 
     def test_interpret_outputs(self, fitted):
         cfg, out, tmp_path = fitted
@@ -562,9 +570,7 @@ class TestSimulateCommand:
         )
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-        assert (
-            main(["simulate", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
-        )
+        assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         for name in ("simulate_relmse.tsv", "simulate_selection.tsv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -607,7 +613,22 @@ class TestCheckCommand:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["check", densities_file, "--config", cfg]) == 0
         assert main(["check", "--config", cfg, densities_file]) == 0
-        assert main(["check", "--config", cfg, densities_file, "--threads", "1"]) == 0
+        assert main(["check", "--config", cfg, densities_file, "--seed", "1"]) == 0
+
+    def test_clr_row_off_zero_integral_is_a_fail_line(
+        self, tmp_path, densities_file, capsys, monkeypatch
+    ):
+        cfg = write_config(tmp_path / "cfg.json")
+        clr_rows = cli.clr_rows
+
+        def shifted(values, measure):
+            z = clr_rows(values, measure)
+            z[2] += 1e-3
+            return z
+
+        monkeypatch.setattr(cli, "clr_rows", shifted)
+        assert main(["check", densities_file, "--config", cfg]) == 3
+        assert "FAIL clr values must be finite and integrate to zero (rows 3)\n" in capsys.readouterr().out
 
     def test_corrupted_file_fails(self, tmp_path, densities_file):
         cfg = write_config(tmp_path / "cfg.json")
@@ -648,7 +669,8 @@ class TestModelRoundTrip:
         data = {c: [k[i] for k in keys] for i, c in enumerate(cols)}
         spec = run_objects(cfg).spec
         model = fit_model(
-            spec, data, densities, BoostConfig(max_iterations=30), density_knots=6
+            spec, data, clr_stack(densities), measure, BoostConfig(max_iterations=30),
+            density_knots=6,
         )
         blob = _json.dumps(model_to_dict(model))
         loaded = model_from_dict(_json.loads(blob))
@@ -665,8 +687,8 @@ class TestModelRoundTrip:
         measure, cols, keys, densities = read_density_file(densities_file)
         data = {c: [k[i] for k in keys] for i, c in enumerate(cols)}
         model = fit_model(
-            run_objects(cfg).spec, data, densities, BoostConfig(max_iterations=10),
-            density_knots=6,
+            run_objects(cfg).spec, data, clr_stack(densities), measure,
+            BoostConfig(max_iterations=10), density_knots=6,
         )
         blob = model_to_dict(model)
         loaded = model_from_dict(json.loads(json.dumps(blob)))
@@ -747,7 +769,8 @@ class TestModelFiles:
              "model file: term 'region_year': transform must have 12 rows"),
             (_model_file_with(("bases", "discrete", "kind"), "bogus"), "density basis kind"),
             (_model_file_with(("fits", "continuous", "coefficients", 1), [0.0]), "coefficient lengths"),
-            (_model_file_with(("fits", "discrete", "offset"), [0.0]), "offset has shape"),
+            (_model_file_with(("fits", "discrete", "offset"), [0.0]),
+             "model file: fits.discrete.offset: rows have shape (1, 1), expected (N, 3)"),
             (_model_file_with(("fits", "discrete", "m_stop"), 1e400), "float infinity"),
             (_model_file_with(("terms", 4, "transform", 0, 0), math.inf),
              "model file: term 'region_year': transform, knot vectors and lambda_cov must be finite"),
@@ -793,6 +816,11 @@ class TestModelFiles:
             (_model_file_with(("covariates", "year", "hi"), 2.0),
              "model file: terms[3].knot_vectors.year: spans [0.0, 4.0], "
              "not the range [0.0, 2.0] of covariate 'year'"),
+            (_model_file_with(("fits", "continuous", "offset", 0), 5.0),
+             "model file: fits.continuous.offset: clr values must be finite and integrate to zero"),
+            (_model_file_with(("bases", "discrete", "transform", 0, 0), 5.0),
+             "model file: bases.discrete.transform: clr values must be finite and integrate to "
+             "zero (rows 1)"),
         ],
         ids=[
             "json_list", "format", "version_99", "version_string", "missing_terms",
@@ -805,6 +833,7 @@ class TestModelFiles:
             "extra_component_basis", "component_atoms_differ", "component_grid_differs",
             "component_basis_kind", "selection_too_large", "selection_negative",
             "m_stop_not_selections", "duplicate_levels", "knots_off_covariate_range",
+            "offset_off_zero_integral", "basis_off_zero_integral",
         ],
     )
     def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):

@@ -234,11 +234,16 @@ def test_group_with_all_interior_weight_on_one_row(tmp_path, capsys, inputs):
     ("observations", "weight", "inf", "line", "'inf' is not a finite number"),
     ("densities", "atom:0.0", "nan", "line", "density values must be finite"),
     ("densities", "g:3", "inf", "line", "density values must be finite"),
+    ("densities", "year", "abc", "line", "could not convert string to float: 'abc'"),
+    ("densities", "year", "nan", "line", "'nan' is not a finite number"),
+    ("newdata", "year", "abc", "line", "could not convert string to float: 'abc'"),
+    ("newdata", "year", "nan", "line", "'nan' is not a finite number"),
 ])
 def test_bad_field_names_its_group_or_line(tmp_path, capsys, inputs, which, column, text,
                                            where, message):
-    """A bad number exits 3 naming the file and line where it is read, and an
-    observation outside its group's rules names the group."""
+    """A bad number, an observation or a numeric covariate of the model,
+    exits 3 naming the file and line where it is read, and an observation
+    outside its group's rules names the group."""
     config, originals, _ = inputs
     lines = originals[which].splitlines()
     first = 2 if which == "densities" else 1
@@ -250,8 +255,9 @@ def test_bad_field_names_its_group_or_line(tmp_path, capsys, inputs, which, colu
     path = tmp_path / f"{which}.tsv"
     path.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(config, data={which: str(path)})))
-    command = "fit" if which == "densities" else "estimate"
+    data = {which: str(path), "model": str(DATA / "model_v1.json")}
+    cfg.write_text(json.dumps(dict(config, data=data)))
+    command = {"densities": "fit", "newdata": "predict", "observations": "estimate"}[which]
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3, err

@@ -312,7 +312,7 @@ class TestAssembleMixed:
         )
         # p0 = 50/275, p1 = 25/275
         assert atom_mass == pytest.approx(75.0 / 275.0, abs=1e-9)
-        assert f.total() == pytest.approx(1.0, abs=1e-8)
+        assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-8)
         assert np.all(f.values > 0)
 
     def test_all_mass_at_zero(self, unit_mixed):
@@ -320,7 +320,7 @@ class TestAssembleMixed:
         cfg = KdeConfig(bandwidth=0.05)
         f = assemble_mixed(g, unit_mixed, cfg)
         assert np.all(f.values > 0)
-        assert f.total() == pytest.approx(1.0, abs=1e-10)
+        assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-10)
         # almost all mass stays on the zero atom after flooring
         assert f.values[0] > 0.99
 

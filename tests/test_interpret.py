@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densreg.bayes import ClrElement, DensityElement, clr, clr_inv, density
+from densreg.bayes import ClrElement, DensityElement, clr, clr_inv
 from densreg.boosting import BoostConfig
 from densreg.interpret import did_effect, heatmap, log_odds, value_at
 from densreg.measure import integrate, make_discrete, make_mixed
@@ -11,24 +11,21 @@ from densreg.synth import planted_problem
 from bayes_oracle import (
     constant_density,
     decompose_mixed,
+    density,
     equal_b,
     geometric_mean_full,
     inverse,
     perturb,
     subtract,
 )
-from conftest import make_continuous, random_density
-
-
-def effect_from_clr(measure, values):
-    return clr_inv(ClrElement(measure, values))
+from conftest import clr_stack, make_continuous, random_density
 
 
 class TestLogOdds:
     def test_same_point_is_zero(self, mixed_measure):
         rng = np.random.default_rng(0)
         f = random_density(mixed_measure, rng)
-        assert log_odds(f, 0.5, 0.5) == 0.0
+        assert log_odds(clr(f), 0.5, 0.5) == 0.0
 
     def test_worked_boundary_example(self, mixed_measure):
         # clr values -0.44 at the lower atom, 0.31 at the upper one
@@ -45,13 +42,13 @@ class TestLogOdds:
         f = random_density(mixed_measure, rng)
         for _ in range(20):
             t, s = rng.uniform(0.01, 0.99, size=2)
-            assert log_odds(f, t, s) == pytest.approx(-log_odds(f, s, t), abs=1e-14)
+            assert log_odds(clr(f), t, s) == pytest.approx(-log_odds(clr(f), s, t), abs=1e-14)
 
     def test_off_support_rejected(self):
         m = make_discrete([(0.0, 1.0), (1.0, 1.0)])
         f = density(m, [0.6, 0.4])
         with pytest.raises(ValueError, match="support"):
-            log_odds(f, 0.5, 0.0)
+            log_odds(clr(f), 0.5, 0.0)
 
 
 class TestLogOddsRatio:
@@ -61,14 +58,14 @@ class TestLogOddsRatio:
     def test_same_effect_is_zero(self, mixed_measure):
         rng = np.random.default_rng(2)
         f = random_density(mixed_measure, rng)
-        assert log_odds(subtract(f, f), 0.25, 0.75) == pytest.approx(0.0, abs=1e-14)
+        assert log_odds(clr(subtract(f, f)), 0.25, 0.75) == pytest.approx(0.0, abs=1e-14)
 
     def test_reference_reduces_to_log_odds(self, mixed_measure):
         rng = np.random.default_rng(3)
         f = random_density(mixed_measure, rng)
         ref = constant_density(mixed_measure)
         t, s = 0.305, 0.805
-        assert log_odds(subtract(f, ref), t, s) == pytest.approx(log_odds(f, t, s), abs=1e-12)
+        assert log_odds(clr(subtract(f, ref)), t, s) == pytest.approx(log_odds(clr(f), t, s), abs=1e-12)
 
     def test_ceteris_paribus(self, mixed_measure):
         rng = np.random.default_rng(4)
@@ -76,8 +73,8 @@ class TestLogOddsRatio:
         g = random_density(mixed_measure, rng)
         common = random_density(mixed_measure, rng)
         t, s = 0.105, 0.605
-        plain = log_odds(f, t, s) - log_odds(g, t, s)
-        shifted = log_odds(subtract(perturb(common, f), perturb(common, g)), t, s)
+        plain = log_odds(clr(f), t, s) - log_odds(clr(g), t, s)
+        shifted = log_odds(clr(subtract(perturb(common, f), perturb(common, g))), t, s)
         assert abs(plain - shifted) < 1e-12
 
 
@@ -85,12 +82,12 @@ class TestGeometricMeanOdds:
     """The clr value at t is the log odds of t against the geometric mean."""
 
     def test_constant_effect(self, mixed_measure):
-        assert value_at(constant_density(mixed_measure), 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert value_at(clr(constant_density(mixed_measure)), 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_log_outputs_integrate_to_zero(self, mixed_measure):
         rng = np.random.default_rng(5)
         f = random_density(mixed_measure, rng)
-        logs = np.array([value_at(f, t) for t in f.measure.locations])
+        logs = np.array([value_at(clr(f), t) for t in f.measure.locations])
         assert abs(logs @ f.measure.weights) < 1e-9
 
     def test_matches_direct_ratio(self, mixed_measure):
@@ -99,7 +96,7 @@ class TestGeometricMeanOdds:
             f = random_density(mixed_measure, rng)
             t = float(rng.choice(f.measure.grid))
             direct = f.values[np.argmin(np.abs(f.measure.locations - t))] / geometric_mean_full(f)
-            assert np.exp(value_at(f, t)) == pytest.approx(direct, abs=1e-10)
+            assert np.exp(value_at(clr(f), t)) == pytest.approx(direct, abs=1e-10)
 
 
 class TestMixedDiscreteOdds:
@@ -107,7 +104,7 @@ class TestMixedDiscreteOdds:
     mean of the continuous component."""
 
     def test_constant_effect(self, mixed_measure):
-        outer = heatmap(constant_density(mixed_measure)).outer_band
+        outer = heatmap(clr(constant_density(mixed_measure))).outer_band
         np.testing.assert_allclose(outer, 0.0, atol=1e-12)
 
     def test_matches_decomposed_clr_difference(self, mixed_measure):
@@ -116,12 +113,12 @@ class TestMixedDiscreteOdds:
             f = random_density(mixed_measure, rng)
             zd = clr(decompose_mixed(f)[1]).values
             # the discrete component's clr at each atom minus its stand-in value
-            np.testing.assert_allclose(heatmap(f).outer_band, zd[:-1] - zd[-1], atol=1e-10)
+            np.testing.assert_allclose(heatmap(clr(f)).outer_band, zd[:-1] - zd[-1], atol=1e-10)
 
     def test_hand_built_effect(self, mixed_measure):
         values = np.concatenate([[2.0, 1.0], np.ones(100)])
         f = density(mixed_measure, values, normalize=False)
-        np.testing.assert_allclose(heatmap(f).outer_band, [np.log(2.0), 0.0], atol=1e-12)
+        np.testing.assert_allclose(heatmap(clr(f)).outer_band, [np.log(2.0), 0.0], atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -159,16 +156,13 @@ def did_models():
     )
     region = np.asarray(data["region"])
     cage = np.asarray(data["c_age"])
-    z_rows = np.stack([clr(f).values for f in truths])
+    z_rows = clr_stack(truths)
     sign_a = np.where(region == "east", 1.0, -1.0)
     sign_b = np.where(cage == "kids0_6", 1.0, np.where(cage == "other", -1.0, 0.0))
-    with_inter = [
-        clr_inv(ClrElement(m, z + sa * sb * 0.5 * contrast))
-        for z, sa, sb in zip(z_rows, sign_a, sign_b)
-    ]
+    with_inter = z_rows + (sign_a * sign_b * 0.5)[:, None] * contrast
     cfg = BoostConfig(max_iterations=1500, step_length=0.5, seed=0)
-    additive = fit(spec, data, truths, cfg, density_knots=6)
-    interacted = fit(spec, data, with_inter, cfg, density_knots=6)
+    additive = fit(spec, data, z_rows, m, cfg, density_knots=6)
+    interacted = fit(spec, data, with_inter, m, cfg, density_knots=6)
     return m, contrast, additive, interacted
 
 
@@ -181,7 +175,7 @@ class TestDidEffect:
             "c_age", ("kids0_6", "other"),
             {"year": 3.0},
         )
-        assert np.max(np.abs(clr(did).values)) < 1e-8
+        assert np.max(np.abs(did.values)) < 1e-8
 
     def test_swapping_levels_inverts(self, did_models):
         m, contrast, _, interacted = did_models
@@ -191,7 +185,7 @@ class TestDidEffect:
         swapped = did_effect(
             interacted, "region", ("west", "east"), "c_age", ("kids0_6", "other"), {"year": 3.0}
         )
-        assert equal_b(swapped, inverse(did), tol=1e-9)
+        assert equal_b(clr_inv(swapped), inverse(clr_inv(did)), tol=1e-9)
 
     def test_planted_interaction_recovered(self, did_models):
         m, contrast, _, interacted = did_models
@@ -200,7 +194,7 @@ class TestDidEffect:
         )
         # planted contrast: (+1*+1 - (-1*+1)) - (+1*-1 - (-1*-1)) = 4 units
         expected = 4 * 0.5 * contrast
-        assert np.max(np.abs(clr(did).values - expected)) < 1e-6
+        assert np.max(np.abs(did.values - expected)) < 1e-6
 
 
 def did_density_space(model, factor_a, levels_a, factor_b, levels_b, fixed):
@@ -210,7 +204,7 @@ def did_density_space(model, factor_a, levels_a, factor_b, levels_b, fixed):
     table = {k: [v] * len(cells) for k, v in fixed.items()}
     table[factor_a] = [a for a, _ in cells]
     table[factor_b] = [b for _, b in cells]
-    f11, f01, f10, f00 = predict(model, table)
+    f11, f01, f10, f00 = (DensityElement(model.measure, row) for row in predict(model, table))
     return subtract(subtract(f11, f01), subtract(f10, f00))
 
 
@@ -233,34 +227,33 @@ class TestDidMatchesDensitySpace:
             ),
             references={"region": "west", "c_age": "other", "year": 0.0},
         )
-        model = fit(spec, data, truths, BoostConfig(max_iterations=50), density_knots=5)
+        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=50), density_knots=5)
         args = (model, "region", ("east", "west"), "c_age", ("kids0_6", "other"), {"year": 2.0})
         did, reference = did_effect(*args), did_density_space(*args)
         assert np.max(np.abs(clr(reference).values)) > 1e-3
-        np.testing.assert_allclose(did.values, reference.values, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(clr(did).values, clr(reference).values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(clr_inv(did).values, reference.values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(did.values, clr(reference).values, rtol=0, atol=1e-12)
 
 
 class TestHeatmap:
     def test_constant_effect_all_zero(self, mixed_measure):
         unnormalized = density(mixed_measure, np.full(mixed_measure.size, 3.0), normalize=False)
         for f in (constant_density(mixed_measure), unnormalized):
-            grid = heatmap(f, resolution=10)
+            grid = heatmap(clr(f), resolution=10)
             np.testing.assert_allclose(grid.values, 0.0, atol=1e-12)
             np.testing.assert_allclose(grid.outer_band, 0.0, atol=1e-12)
 
     def test_diagonal_zero_antisymmetric(self, mixed_measure):
         rng = np.random.default_rng(8)
         f = random_density(mixed_measure, rng)
-        grid = heatmap(f, resolution=12)
+        grid = heatmap(clr(f), resolution=12)
         np.testing.assert_allclose(np.diag(grid.values), 0.0, atol=1e-14)
         np.testing.assert_allclose(grid.values, -grid.values.T, atol=1e-14)
 
     def test_monotone_effect_is_positive_for_larger_first_point(self):
         m = make_continuous(0, 1, 50)
         z = m.grid - float(m.grid @ m.grid_weights)
-        f = effect_from_clr(m, z)
-        grid = heatmap(f, resolution=10)
+        grid = heatmap(ClrElement(m, z), resolution=10)
         # points are sorted ascending, so the lower triangle has t > s
         lower = grid.values[np.tril_indices_from(grid.values, k=-1)]
         assert np.all(lower > 0)
@@ -268,7 +261,7 @@ class TestHeatmap:
     def test_atoms_flagged(self, mixed_measure):
         rng = np.random.default_rng(9)
         f = random_density(mixed_measure, rng)
-        grid = heatmap(f, resolution=10)
+        grid = heatmap(clr(f), resolution=10)
         assert grid.is_atom.sum() == 2
         assert grid.outer_band.shape == (2,)
         assert grid.points[grid.is_atom][0] == 0.0
@@ -276,7 +269,7 @@ class TestHeatmap:
 
     def test_resolution_below_one(self, mixed_measure):
         with pytest.raises(ValueError, match="resolution must be at least 1"):
-            heatmap(constant_density(mixed_measure), resolution=0)
+            heatmap(clr(constant_density(mixed_measure)), resolution=0)
 
 
 class TestRepresentativeInvariance:
@@ -287,12 +280,12 @@ class TestRepresentativeInvariance:
         scaled_f = DensityElement(mixed_measure, 3.7 * f.values)
         scaled_g = DensityElement(mixed_measure, 0.2 * g.values)
         t, s = 0.105, 0.905
-        assert log_odds(f, t, s) == pytest.approx(log_odds(scaled_f, t, s), abs=1e-12)
-        assert value_at(f, t) == pytest.approx(value_at(scaled_f, t), abs=1e-12)
-        assert log_odds(subtract(f, g), t, s) == pytest.approx(
-            log_odds(subtract(scaled_f, scaled_g), t, s), abs=1e-12
+        assert log_odds(clr(f), t, s) == pytest.approx(log_odds(clr(scaled_f), t, s), abs=1e-12)
+        assert value_at(clr(f), t) == pytest.approx(value_at(clr(scaled_f), t), abs=1e-12)
+        assert log_odds(clr(subtract(f, g)), t, s) == pytest.approx(
+            log_odds(clr(subtract(scaled_f, scaled_g)), t, s), abs=1e-12
         )
-        a, b = heatmap(f), heatmap(scaled_f)
+        a, b = heatmap(clr(f)), heatmap(clr(scaled_f))
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.outer_band, b.outer_band, rtol=0, atol=1e-12)
 
@@ -304,7 +297,7 @@ class TestRepresentativeInvariance:
         errors = []
         m_fine = make_continuous(0, 1, 4000)
         f = density(m_fine, f_vals(m_fine.grid))
-        target = value_at(f, t) - value_at(f, s)
+        target = value_at(clr(f), t) - value_at(clr(f), s)
         for width in widths:
             sel_t = np.abs(m_fine.grid - t) <= width / 2
             sel_s = np.abs(m_fine.grid - s) <= width / 2

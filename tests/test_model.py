@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densreg.bayes import ClrElement, clr, clr_inv
+from densreg.bayes import ClrElement, DensityElement, clr, clr_inv
 from densreg.boosting import BoostConfig
 from densreg.measure import make_discrete
 from densreg.model import (
@@ -18,7 +18,7 @@ from densreg.model import (
 from densreg.synth import planted_problem
 
 from bayes_oracle import constant_density, equal_b, norm, subtract
-from conftest import random_density
+from conftest import clr_stack, random_density
 
 
 def income_spec(coding="effect"):
@@ -48,7 +48,8 @@ def planted_fit():
     model = fit(
         spec,
         data,
-        truths,
+        clr_stack(truths),
+        m,
         BoostConfig(max_iterations=400, stopping="fixed", seed=0),
         density_knots=8,
     )
@@ -136,7 +137,7 @@ class TestCategoricalIdentification:
             coding=coding,
             references={"region": "west", "c_age": "other", "year": 0.0},
         )
-        model = fit(spec, data, [truths[i] for i in keep],
+        model = fit(spec, data, clr_stack([truths[i] for i in keep]), m,
                     BoostConfig(max_iterations=20), density_knots=6)
         columns = {r["term"]: r["columns"] for r in design_report(model)}
         assert (columns["region"], columns["c_age"]) == (1, 2)
@@ -160,7 +161,7 @@ class TestCategoricalIdentification:
 class TestFitAndPredict:
     def test_zero_noise_recovery(self, planted_fit):
         m, data, truths, effects, model = planted_fit
-        preds = predict(model, data)
+        preds = [DensityElement(m, row) for row in predict(model, data)]
         num = sum(norm(subtract(t, p)) ** 2 for t, p in zip(truths, preds))
         den = sum(norm(t) ** 2 for t in truths)
         assert num / den < 1e-3
@@ -183,16 +184,16 @@ class TestFitAndPredict:
     def test_predictions_positive_and_normalized(self, planted_fit):
         m, data, *_ , model = planted_fit
         few = {k: np.asarray(v)[:5] for k, v in data.items()}
-        for f in predict(model, few):
-            assert np.all(f.values > 0)
-            assert f.total() == pytest.approx(1.0, abs=1e-10)
+        preds = predict(model, few)
+        assert preds.shape == (5, m.size) and np.all(preds > 0)
+        np.testing.assert_allclose(preds @ m.weights, 1.0, rtol=0, atol=1e-10)
 
     def test_refit_identical(self):
         m, data, truths, _ = planted_problem(seed=5, grid_size=30, n_years=6)
         spec = income_spec()
         cfg = BoostConfig(max_iterations=40, stopping="bootstrap", replicates=5, seed=9)
-        a = fit(spec, data, truths, cfg, density_knots=6)
-        b = fit(spec, data, truths, cfg, density_knots=6)
+        a = fit(spec, data, clr_stack(truths), m, cfg, density_knots=6)
+        b = fit(spec, data, clr_stack(truths), m, cfg, density_knots=6)
         for ca, cb in zip(a.fits.continuous.coefficients, b.fits.continuous.coefficients):
             np.testing.assert_array_equal(ca, cb)
         assert a.m_stop == b.m_stop
@@ -201,7 +202,7 @@ class TestFitAndPredict:
         m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4)
         spec = income_spec()
         with pytest.raises(ValueError, match="length"):
-            fit(spec, data, truths[:-1], BoostConfig(max_iterations=2))
+            fit(spec, data, clr_stack(truths[:-1]), m, BoostConfig(max_iterations=2))
 
 
 class TestExtractEffect:
@@ -244,7 +245,7 @@ class TestExtractEffect:
             ),
             references={"region": "west"},
         )
-        model = fit(spec, data, truths, BoostConfig(max_iterations=3), density_knots=6)
+        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=3), density_knots=6)
         states = model.component_states()
         for comp, state in states.items():
             if not state.selected_mask[2]:
@@ -276,8 +277,8 @@ class TestCodingInvariance:
             )
 
         cfg = BoostConfig(step_length=0.5, max_iterations=400, seed=0)
-        model_e = fit(spec("effect"), data, truths, cfg, density_knots=6)
-        model_r = fit(spec("reference"), data, truths, cfg, density_knots=6)
+        model_e = fit(spec("effect"), data, clr_stack(truths), m, cfg, density_knots=6)
+        model_r = fit(spec("reference"), data, clr_stack(truths), m, cfg, density_knots=6)
         pe = np.stack([z.values for z in predict_clr(model_e, data)])
         pr = np.stack([z.values for z in predict_clr(model_r, data)])
         assert np.max(np.abs(pe - pr)) < 1e-8
@@ -307,7 +308,7 @@ class TestSingleComponentDispatch:
                 EffectTerm("x", "flexible", ("x",), df=2.0, knots=4),
             )
         )
-        model = fit(spec, data, responses, BoostConfig(max_iterations=20))
+        model = fit(spec, data, clr_stack(responses), m, BoostConfig(max_iterations=20))
         assert not model.is_mixed
         assert isinstance(model.m_stop, int)
         preds = predict(model, data)

@@ -5,16 +5,12 @@ from densreg.bayes import ClrElement, clr, clr_inv
 from densreg.measure import make_discrete, make_mixed
 from densreg.simulate import FpcaResult, fpca, rel_mse, selection_table, simulate_responses
 
-from bayes_oracle import constant_density
-from conftest import random_clr_direction, random_density
+from bayes_oracle import constant_density, density
+from conftest import clr_stack, random_clr_direction, random_density
 
 
 def residuals_from(measure, rng, n, rank=None):
     return np.stack([random_clr_direction(measure, rng) for _ in range(n)])
-
-
-def clr_rows(densities):
-    return np.stack([clr(f).values for f in densities])
 
 
 def densities_of(measure, rows):
@@ -73,23 +69,23 @@ class TestSimulateResponses:
         means = [random_density(mixed_measure, rng) for _ in range(6)]
         zero = np.zeros((6, mixed_measure.size))
         result = fpca(zero, mixed_measure, truncation=3)
-        out = densities_of(mixed_measure, simulate_responses(clr_rows(means), result, seed=1))
+        out = densities_of(mixed_measure, simulate_responses(clr_stack(means), result, seed=1))
         for f, g in zip(means, out):
             np.testing.assert_allclose(
-                f.as_probability().values, g.values, atol=1e-12
+                density(f.measure, f.values).values, g.values, atol=1e-12
             )
 
     def test_original_scores_reproduce_responses(self, mixed_measure):
         rng = np.random.default_rng(6)
         means = [random_density(mixed_measure, rng) for _ in range(10)]
         responses = [random_density(mixed_measure, rng) for _ in range(10)]
-        residuals = clr_rows(responses) - clr_rows(means)
+        residuals = clr_stack(responses) - clr_stack(means)
         result = fpca(residuals, mixed_measure, truncation=None)
         rebuilt = densities_of(
-            mixed_measure, simulate_responses(clr_rows(means), result, scores=result.scores)
+            mixed_measure, simulate_responses(clr_stack(means), result, scores=result.scores)
         )
         for orig, out in zip(responses, rebuilt):
-            assert np.max(np.abs(orig.as_probability().values - out.values)) < 1e-8
+            assert np.max(np.abs(density(orig.measure, orig.values).values - out.values)) < 1e-8
 
     def test_score_variances_match_eigenvalues(self, mixed_measure):
         rng = np.random.default_rng(7)
@@ -108,7 +104,7 @@ class TestSimulateResponses:
         residuals = residuals_from(mixed_measure, rng, 15)
         result = fpca(residuals, mixed_measure, truncation=5)
         means = [random_density(mixed_measure, rng) for _ in range(5)]
-        out = simulate_responses(clr_rows(means), result, seed=3)
+        out = simulate_responses(clr_stack(means), result, seed=3)
         for z in out:
             assert abs(z @ mixed_measure.weights) < 1e-9
 
@@ -116,7 +112,7 @@ class TestSimulateResponses:
         rng = np.random.default_rng(9)
         residuals = residuals_from(mixed_measure, rng, 10)
         result = fpca(residuals, mixed_measure, truncation=3)
-        means = clr_rows([random_density(mixed_measure, rng) for _ in range(4)])
+        means = clr_stack([random_density(mixed_measure, rng) for _ in range(4)])
         a = simulate_responses(means, result, seed=42)
         b = simulate_responses(means, result, seed=42)
         for f, g in zip(a, b):
@@ -126,13 +122,13 @@ class TestSimulateResponses:
 class TestRelMse:
     def test_perfect_estimate(self, mixed_measure):
         rng = np.random.default_rng(10)
-        truths = clr_rows([random_density(mixed_measure, rng) for _ in range(5)])
+        truths = clr_stack([random_density(mixed_measure, rng) for _ in range(5)])
         assert rel_mse(truths, truths, mixed_measure) == 0.0
 
     def test_neutral_estimate_gives_one(self, mixed_measure):
         rng = np.random.default_rng(11)
-        truths = clr_rows([random_density(mixed_measure, rng) for _ in range(5)])
-        neutral = clr_rows([constant_density(mixed_measure)] * 5)
+        truths = clr_stack([random_density(mixed_measure, rng) for _ in range(5)])
+        neutral = clr_stack([constant_density(mixed_measure)] * 5)
         assert rel_mse(truths, neutral, mixed_measure) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_hand_computation(self):
@@ -141,17 +137,17 @@ class TestRelMse:
         est = clr_inv(ClrElement(m, np.array([0.1, -0.1])))
         # numerator: 2 * 0.2^2, denominator: 2 * 0.3^2
         expected = (2 * 0.2**2) / (2 * 0.3**2)
-        assert rel_mse(clr_rows([truth]), clr_rows([est]), m) == pytest.approx(expected, abs=1e-12)
+        assert rel_mse(clr_stack([truth]), clr_stack([est]), m) == pytest.approx(expected, abs=1e-12)
 
     def test_neutral_truth_rejected(self, mixed_measure):
-        neutral = clr_rows([constant_density(mixed_measure)])
+        neutral = clr_stack([constant_density(mixed_measure)])
         with pytest.raises(ZeroDivisionError, match="neutral"):
             rel_mse(neutral, neutral, mixed_measure)
 
     def test_length_mismatch(self, mixed_measure):
         f = constant_density(mixed_measure)
         with pytest.raises(ValueError, match="length"):
-            rel_mse(clr_rows([f]), clr_rows([f, f]), mixed_measure)
+            rel_mse(clr_stack([f]), clr_stack([f, f]), mixed_measure)
 
 
 class TestSelectionTable:
@@ -189,6 +185,7 @@ class TestSelectionTable:
 class TestNoiseScaleMonotonicity:
     def test_relmse_nondecreasing_in_noise(self):
         # end-to-end: simulate at growing noise scales, refit, compare medians
+        from densreg.bayes import clr_rows
         from densreg.boosting import BoostConfig
         from densreg.model import EffectTerm, ModelSpec, fit, predict
         from densreg.synth import planted_problem
@@ -204,9 +201,9 @@ class TestNoiseScaleMonotonicity:
             references={"region": "west", "c_age": "other", "year": 0.0},
         )
         cfg = BoostConfig(max_iterations=120, seed=0)
-        base = fit(spec, data, truths, cfg, density_knots=6)
+        base = fit(spec, data, clr_stack(truths), m, cfg, density_knots=6)
         fitted = base.fits.fitted_clr
-        structure = fpca(clr_rows(truths) - fitted, m, truncation=10)
+        structure = fpca(clr_stack(truths) - fitted, m, truncation=10)
         medians = []
         for scale in (0.0, 1.0, 3.0):
             errors = []
@@ -214,7 +211,7 @@ class TestNoiseScaleMonotonicity:
                 sim = simulate_responses(
                     fitted, structure, seed=100 + rep, noise_scale=scale
                 )
-                refit = fit(spec, data, densities_of(m, sim), cfg, density_knots=6)
-                errors.append(rel_mse(fitted, clr_rows(predict(refit, data)), m))
+                refit = fit(spec, data, sim, m, cfg, density_knots=6)
+                errors.append(rel_mse(fitted, clr_rows(predict(refit, data), m), m))
             medians.append(float(np.median(errors)))
         assert medians[0] <= medians[1] <= medians[2]

@@ -5,7 +5,10 @@ Invariant checks must survive ``python -O``, so the package holds no
 used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
 its imports are the re-exports). The runtime needs numpy only: importing the
 command-line module loads no scipy module. Boosting and simulation work on
-N x P clr arrays, so they do not use the density and clr element classes.
+N x P clr arrays, so they do not use the density and clr element classes;
+and no code turns rows into elements and back: ``predict_clr`` is called
+nowhere in the package, ``clr_inv`` only in ``bayes``, ``synth`` and the
+element edge ``model.extract_effect``.
 The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
 ``to_dict``/``from_dict``; and no module starts a thread.
@@ -191,3 +194,25 @@ def _unreached() -> list:
 def test_every_definition_is_reached_from_cli_or_perfbench():
     unreached = _unreached()
     assert not unreached, f"{len(unreached)} definition(s) reached only from tests: {unreached}"
+
+
+# where an element conversion may still be called: the inverse clr of an
+# element in bayes itself, in the element edge of the effect view, and in
+# the generator of synthetic densities; the clr predictions as elements nowhere
+ROUND_TRIP_CALLS = {"clr_inv": {"bayes", "model.extract_effect", "synth"}, "predict_clr": set()}
+
+
+def test_no_element_round_trips_inside_the_package():
+    found = set()
+    for path in MODULES:
+        mod = path.stem
+        for top in _parse(path).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                where = f"{mod}.{getattr(top, 'name', '<module>')}"
+                if name in ROUND_TRIP_CALLS and not {mod, where} & ROUND_TRIP_CALLS[name]:
+                    found.add(where)
+    assert not found, f"element round trip(s) in {sorted(found)}"

@@ -22,6 +22,8 @@ from densreg.boosting import BoostConfig
 from densreg.model import EffectTerm, ModelSpec, build_designs, design_report, fit
 from densreg.synth import planted_problem
 
+from conftest import clr_stack
+
 FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "term_kinds.json"
 with open(FIXTURE) as fh:
     EXPECTED = json.load(fh)
@@ -124,7 +126,7 @@ def test_varying_coefficient_on_one_covariate():
     np.testing.assert_array_equal(enc.raw_design(DATA), year[:, None] * splines)
     assert enc.raw_penalty().shape == (6, 6)
     assert designs["continuous"][-1].n_cov == 5  # centered
-    model = fit(spec, DATA, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
+    model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5), density_knots=4)
     assert [r["columns"] for r in design_report(model)] == [1, 5]
 
 
@@ -137,7 +139,7 @@ def test_intercept_orthogonal_to_centered_year(coding):
          EffectTerm("intercept", "intercept", orthogonal_to=("year",))),
         coding, {"year": 0.0},
     )
-    model = fit(spec, DATA, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
+    model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5), density_knots=4)
     assert [r["columns"] for r in design_report(model)] == [5, 1]
 
 
@@ -151,5 +153,5 @@ def test_orthogonalization_independent_of_units(unit):
         EffectTerm("year", "flexible", ("year",), df=2.0, knots=2, orthogonal_to=("age",)),
     ))
     data = dict(DATA, age=DATA["age"] * unit)
-    model = fit(spec, data, TRUTHS, BoostConfig(max_iterations=5), density_knots=4)
+    model = fit(spec, data, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5), density_knots=4)
     assert [r["columns"] for r in design_report(model)] == [1, 2, 3]
