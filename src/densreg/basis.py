@@ -3,8 +3,11 @@
 Covers both directions of an effect: bases over the covariates (B-splines,
 linear, indicators) and bases over the density support, which are constrained
 to zero measure-integral through a QR nullspace transform so that fitted
-surfaces stay inside the transformed density space. Penalties are difference
-or ridge matrices, combined across directions as Kronecker sums.
+surfaces stay inside the transformed density space. :func:`density_basis` is
+the one place that picks the density basis of a component measure: B-splines
+on the Lebesgue part, indicators on the atoms. Penalties are difference or
+ridge matrices, combined across directions as Kronecker sums by
+:meth:`EffectDesign.penalty`.
 """
 from __future__ import annotations
 
@@ -21,11 +24,8 @@ __all__ = [
     "sum_to_zero_transform",
     "DensityBasis",
     "raw_density_basis",
-    "bspline_density_basis",
-    "indicator_density_basis",
+    "density_basis",
     "EffectDesign",
-    "assemble_effect",
-    "kron_penalty",
     "calibrate_df",
     "effective_df",
 ]
@@ -137,14 +137,17 @@ class DensityBasis:
     clr_matrix: np.ndarray      # (size, K_Y), columns integrate to zero
     penalty: np.ndarray | None  # (K_Y, K_Y) transformed roughness penalty
     transform: np.ndarray       # (K_Y+1 or more, K_Y) constraint transform
-    kind: str
+
+    @property
+    def kind(self) -> str:
+        return "bspline" if self.measure.n_grid else "indicator"
 
     @property
     def n_basis(self) -> int:
         return self.clr_matrix.shape[1]
 
 
-def raw_density_basis(m: ReferenceMeasure, n_interior: int = 10, degree: int = 3) -> np.ndarray:
+def raw_density_basis(m: ReferenceMeasure, n_interior: int, degree: int) -> np.ndarray:
     """Unconstrained basis: B-splines on the grid when the measure has one,
     otherwise one indicator per atom."""
     if m.n_grid:
@@ -153,28 +156,18 @@ def raw_density_basis(m: ReferenceMeasure, n_interior: int = 10, degree: int = 3
     return np.eye(m.n_atoms)
 
 
-def bspline_density_basis(
-    m: ReferenceMeasure, n_interior: int = 10, degree: int = 3, penalty_order: int = 2
+def density_basis(
+    m: ReferenceMeasure, n_interior: int, degree: int, penalty_order: int
 ) -> DensityBasis:
-    """Constrained B-spline basis over the continuous support."""
-    if m.n_grid == 0:
-        raise ValueError("measure has no continuous part")
-    if m.n_atoms > 0:
+    """Constrained basis over one component measure: B-splines with
+    ``penalty_order`` differences on a measure with a grid, else indicators
+    with first differences (none for a single atom)."""
+    if m.is_mixed:
         raise ValueError("use the component measures for mixed measures")
     raw = raw_density_basis(m, n_interior, degree)
-    pen_raw = difference_penalty(raw.shape[1], penalty_order)
+    order = penalty_order if m.n_grid else min(1, m.n_atoms - 1)
     z, constrained = sum_to_zero_transform(raw, m)
-    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "bspline")
-
-
-def indicator_density_basis(m: ReferenceMeasure, penalty_order: int = 1) -> DensityBasis:
-    """Constrained indicator basis over a purely discrete measure."""
-    if m.n_grid > 0 or m.n_atoms == 0:
-        raise ValueError("indicator basis requires a purely discrete measure")
-    raw = raw_density_basis(m)
-    pen_raw = difference_penalty(m.n_atoms, min(penalty_order, m.n_atoms - 1))
-    z, constrained = sum_to_zero_transform(raw, m)
-    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "indicator")
+    return DensityBasis(m, constrained, z.T @ difference_penalty(raw.shape[1], order) @ z, z)
 
 
 @dataclass(frozen=True)
@@ -191,51 +184,23 @@ class EffectDesign:
     cov_penalty: np.ndarray        # (K_j, K_j)
     density_basis: DensityBasis
     lambda_cov: float
-    lambda_density: float = 0.0
+    lambda_density: float
+
+    def __post_init__(self):
+        if self.cov_penalty.shape != (self.n_cov,) * 2:
+            raise ValueError("covariate penalty must match the design columns")
 
     @property
     def n_cov(self) -> int:
         return self.X.shape[1]
 
     def penalty(self) -> np.ndarray:
-        return kron_penalty(
-            self.cov_penalty,
-            self.density_basis.penalty,
-            self.lambda_cov,
-            self.lambda_density,
-        )
-
-
-def kron_penalty(
-    p_cov: np.ndarray,
-    p_density: np.ndarray,
-    lambda_cov: float,
-    lambda_density: float,
-) -> np.ndarray:
-    """Combined penalty over the stacked coefficient vector,
-    lambda_cov (P_cov x I) + lambda_density (I x P_density).
-    """
-    k_cov = p_cov.shape[0]
-    k_den = p_density.shape[0]
-    kron_cov = np.kron(p_cov, np.eye(k_den))
-    kron_den = np.kron(np.eye(k_cov), p_density)
-    return lambda_cov * kron_cov + lambda_density * kron_den
-
-
-def assemble_effect(
-    name: str,
-    cov_design: np.ndarray,
-    cov_penalty: np.ndarray,
-    density_basis: DensityBasis,
-    lambda_cov: float,
-    lambda_density: float = 0.0,
-) -> EffectDesign:
-    """Bundle covariate design, density basis, and penalties into an effect."""
-    cov_design = np.asarray(cov_design, dtype=float)
-    cov_penalty = np.asarray(cov_penalty, dtype=float)
-    if cov_penalty.shape != (cov_design.shape[1],) * 2:
-        raise ValueError("covariate penalty must match the design columns")
-    return EffectDesign(name, cov_design, cov_penalty, density_basis, lambda_cov, lambda_density)
+        """Combined penalty over the stacked coefficient vector,
+        lambda_cov (P_cov x I) + lambda_density (I x P_density)."""
+        p_den = self.density_basis.penalty
+        kron_cov = np.kron(self.cov_penalty, np.eye(p_den.shape[0]))
+        kron_den = np.kron(np.eye(self.n_cov), p_den)
+        return self.lambda_cov * kron_cov + self.lambda_density * kron_den
 
 
 def effective_df(gram: np.ndarray, penalty: np.ndarray, lam: float) -> float:

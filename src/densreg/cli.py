@@ -101,30 +101,30 @@ def _densities_and_table(path, spec):
     return measure, y_clr, data
 
 
-def _write_fit_outputs(out, model, prefix=""):
-    with open(os.path.join(out, prefix + "model.json"), "w") as fh:
+def _write_fit_outputs(out, model):
+    with open(os.path.join(out, "model.json"), "w") as fh:
         json.dump(model_to_dict(model), fh)
         fh.write("\n")
     term_names = [t.name for t in model.spec.terms]
     for comp, state in model.component_states().items():
         write_table(
-            os.path.join(out, f"{prefix}risk_{comp}.tsv"),
+            os.path.join(out, f"risk_{comp}.tsv"),
             ["iteration", "sse"],
             [[i, v] for i, v in enumerate(state.risk_path)],
         )
         write_table(
-            os.path.join(out, f"{prefix}selection_{comp}.tsv"),
+            os.path.join(out, f"selection_{comp}.tsv"),
             ["iteration", "term"],
             [[i + 1, term_names[j]] for i, j in enumerate(state.selections)],
         )
         if state.stop_curve is not None:
             write_table(
-                os.path.join(out, f"{prefix}stop_curve_{comp}.tsv"),
+                os.path.join(out, f"stop_curve_{comp}.tsv"),
                 ["iteration", "out_of_sample_risk"],
                 [[i, v] for i, v in enumerate(state.stop_curve)],
             )
     write_table(
-        os.path.join(out, prefix + "design_report.tsv"),
+        os.path.join(out, "design_report.tsv"),
         ["term", "kind", "columns", "lambda", "target_df", "achieved_df"],
         [
             [r["term"], r["kind"], r["columns"], r["lambda"],

@@ -4,7 +4,9 @@ Shares live on [0, 1] with genuine point masses at the boundaries. Exact
 boundary values become atom probabilities; interior values feed a weighted
 kernel density estimate with boundary-respecting beta kernels, normalized on
 the evaluation grid. A positivity floor keeps every stored value strictly
-positive so the result is a valid element of the density space.
+positive so the result is a valid element of the density space. All groups
+of one run share the bandwidth of :func:`shared_bandwidth`, the one place
+that decides it.
 
 The estimators build each kernel matrix as one BLAS product: the beta
 parameters and log B of every evaluation point form an (n_t x 3) matrix, the
@@ -227,15 +229,7 @@ def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> f
 def select_bandwidth(
     group: ObservationGroup, measure: ReferenceMeasure, cfg: KdeConfig
 ) -> float:
-    """Bandwidth minimizing the cross-validation score over the config grid.
-
-    Groups with fewer than three interior observations fall back to the
-    default bandwidth of 0.02.
-    """
-    if not isinstance(cfg.bandwidth, str):
-        return float(cfg.bandwidth)
-    if int(group.interior.sum()) < 3:
-        return DEFAULT_BANDWIDTH
+    """Bandwidth minimizing the cross-validation score over the config grid."""
     scores = [ucv_score(group, measure, b) for b in cfg.bandwidth_grid]
     return float(cfg.bandwidth_grid[int(np.argmin(scores))])
 
@@ -260,9 +254,9 @@ def assemble_mixed(
     group: ObservationGroup,
     measure: ReferenceMeasure,
     cfg: KdeConfig,
-    bandwidth: float | None = None,
+    bandwidth: float,
 ) -> DensityElement:
-    """Build the mixed density for one group.
+    """Build the mixed density for one group with the kernel ``bandwidth``.
 
     Atom values carry the weighted boundary frequencies (scaled by the atom
     weights), the grid carries the interior share times the kernel estimate.
@@ -272,9 +266,8 @@ def assemble_mixed(
     if not measure.is_mixed or measure.n_atoms != 2:
         raise ValueError("expected a mixed measure with atoms at both boundaries")
     p0, p1, p_int = group.boundary_shares()
-    b = bandwidth if bandwidth is not None else select_bandwidth(group, measure, cfg)
     if group.interior.any() and p_int > 0:
-        grid_part = p_int * kde(group, measure, b)
+        grid_part = p_int * kde(group, measure, bandwidth)
     else:
         grid_part = np.zeros(measure.n_grid)
     values = np.concatenate(
@@ -285,14 +278,15 @@ def assemble_mixed(
     return DensityElement(measure, values / integrate(measure, values))
 
 
-def group_table(table: dict, key_columns: list, value_column="value", weight_column="weight"):
-    """Split a column table into observation groups by key columns.
+def group_table(table: dict, key_columns: list):
+    """Split a column table with "value" and "weight" columns into
+    observation groups by key columns.
 
-    Returns (keys, groups) with keys sorted for reproducibility. Groups with
-    zero total weight are skipped and reported in the second return slot of
-    each entry.
+    Returns (groups, skipped): the groups in sorted key order, for
+    reproducibility, and the keys of the groups with zero total weight,
+    which are left out.
     """
-    n = len(table[value_column])
+    n = len(table["value"])
     keys = {}
     for i in range(n):
         key = tuple(str(table[c][i]) for c in key_columns)
@@ -301,8 +295,8 @@ def group_table(table: dict, key_columns: list, value_column="value", weight_col
     skipped = []
     for key in sorted(keys):
         idx = keys[key]
-        values = np.asarray([table[value_column][i] for i in idx], dtype=float)
-        weights = np.asarray([table[weight_column][i] for i in idx], dtype=float)
+        values = np.asarray([table["value"][i] for i in idx], dtype=float)
+        weights = np.asarray([table["weight"][i] for i in idx], dtype=float)
         if weights.sum() <= 0:
             skipped.append(key)
             continue

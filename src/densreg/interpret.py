@@ -66,12 +66,19 @@ def did_effect(
 
     The clr image of (f[a1,b1] - f[a0,b1]) - (f[a1,b0] - f[a0,b0]), with
     Bayes-space differences and the remaining covariates held at ``fixed``:
-    one signed sum of the four clr prediction rows.
+    one signed sum of the four clr prediction rows. The two factors must
+    differ, and so must the two levels of each contrast; otherwise the
+    result is zero by construction.
     """
     covariates = model.frame.covariates
     for factor in (factor_a, factor_b):
         if factor not in covariates:
             raise ValueError(f"factor {factor!r} is not a covariate of the model")
+    if factor_a == factor_b:
+        raise ValueError(f"factor_a and factor_b are both {factor_a!r}")
+    for factor, levels in ((factor_a, levels_a), (factor_b, levels_b)):
+        if levels[0] == levels[1]:
+            raise ValueError(f"the contrast of {factor!r} compares {levels[0]!r} with itself")
     missing = sorted(set(covariates) - set(fixed) - {factor_a, factor_b})
     if missing:
         raise ValueError(f"fixed values missing for covariate(s) {missing}")

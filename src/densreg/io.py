@@ -60,7 +60,7 @@ import numpy as np
 from .bayes import DensityElement
 from .boosting import BoostConfig
 from .ingest import KdeConfig
-from .measure import ReferenceMeasure, make_discrete, make_mixed
+from .measure import ReferenceMeasure
 from .model import EffectTerm, FittedModel, ModelSpec, dump_fields, load_fields
 
 __all__ = [
@@ -186,12 +186,12 @@ def parse_measure_header(line: str) -> ReferenceMeasure:
                 loc, w = chunk.split(":")
                 atoms.append((float(loc), float(w)))
         grid = int(fields.get("grid", "0"))
-        if fields.get("interval", "none") == "none":
-            if grid:
-                raise DataError("a grid requires an interval")
-            return make_discrete(atoms)
-        a, b = fields["interval"].split(":")
-        return make_mixed(float(a), float(b), atoms, grid)
+        interval = None
+        if fields.get("interval", "none") != "none":
+            interval = [float(v) for v in fields["interval"].split(":")]
+        elif grid:
+            raise DataError("a grid requires an interval")
+        return ReferenceMeasure.from_dict({"interval": interval, "atoms": atoms, "grid_size": grid})
     except (KeyError, ValueError) as exc:
         if isinstance(exc, DataError):
             raise
@@ -208,9 +208,7 @@ def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densi
         fh.write("\t".join(cols) + "\n")
         for key, dens in zip(keys, densities):
             values = dens.values if isinstance(dens, DensityElement) else np.asarray(dens)
-            fh.write(
-                "\t".join(list(map(str, key)) + [fmt(v) for v in values]) + "\n"
-            )
+            fh.write("\t".join([*map(str, key), *map(repr, values.tolist())]) + "\n")
 
 
 def read_density_file(path, numeric=()):

@@ -3,7 +3,10 @@
 A measure consists of weighted Dirac atoms plus an optional Lebesgue part
 represented by a midpoint quadrature rule. Every integral in the package is
 evaluated against one of these measures, with value sequences laid out as
-atoms first (in location order), then grid nodes.
+atoms first (in location order), then grid nodes. :func:`make_discrete` and
+:func:`make_mixed` read atoms through one parser, which sorts them and
+requires distinct locations; :class:`ReferenceMeasure` checks that every
+weight is positive.
 """
 from __future__ import annotations
 
@@ -129,18 +132,23 @@ class ReferenceMeasure:
         )
 
 
-def make_discrete(points) -> ReferenceMeasure:
-    """Build a purely discrete measure from (location, weight) pairs."""
-    if not points:
-        raise ValueError("a discrete measure needs at least one atom")
+def _atoms(points) -> tuple[np.ndarray, np.ndarray]:
+    """Locations and weights of (location, weight) pairs, sorted by location,
+    which must be distinct."""
     locs = np.array([p[0] for p in points], dtype=float)
     weights = np.array([p[1] for p in points], dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("atom weights must be strictly positive")
     order = np.argsort(locs, kind="stable")
     locs, weights = locs[order], weights[order]
     if np.any(np.diff(locs) == 0):
         raise ValueError("atom locations must be distinct")
+    return locs, weights
+
+
+def make_discrete(points) -> ReferenceMeasure:
+    """Build a purely discrete measure from (location, weight) pairs."""
+    if not points:
+        raise ValueError("a discrete measure needs at least one atom")
+    locs, weights = _atoms(points)
     return ReferenceMeasure(
         interval=None,
         atom_locations=locs,
@@ -161,20 +169,9 @@ def make_mixed(a: float, b: float, atoms, grid_size: int) -> ReferenceMeasure:
         raise ValueError("interval must satisfy a < b")
     if grid_size < 4:
         raise ValueError("grid_size must be at least 4")
-    if atoms:
-        locs = np.array([p[0] for p in atoms], dtype=float)
-        weights = np.array([p[1] for p in atoms], dtype=float)
-        if np.any((locs < a) | (locs > b)):
-            raise ValueError("atom locations must lie within [a, b]")
-        if np.any(weights <= 0):
-            raise ValueError("atom weights must be strictly positive")
-        order = np.argsort(locs, kind="stable")
-        locs, weights = locs[order], weights[order]
-        if np.any(np.diff(locs) == 0):
-            raise ValueError("atom locations must be distinct")
-    else:
-        locs = np.empty(0)
-        weights = np.empty(0)
+    locs, weights = _atoms(atoms)
+    if np.any((locs < a) | (locs > b)):
+        raise ValueError("atom locations must lie within [a, b]")
     h = (b - a) / grid_size
     grid = a + h * (np.arange(grid_size) + 0.5)
     if locs.size and np.min(np.abs(grid[:, None] - locs[None, :])) < _GRID_COLLISION_TOL:

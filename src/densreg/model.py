@@ -39,13 +39,12 @@ import numpy as np
 
 from .basis import (
     DensityBasis,
-    assemble_effect,
-    bspline_density_basis,
+    EffectDesign,
     bspline_eval,
     bspline_knots,
     calibrate_df,
+    density_basis,
     difference_penalty,
-    indicator_density_basis,
     raw_density_basis,
 )
 from .bayes import (
@@ -563,12 +562,11 @@ def load_fields(d: dict) -> FittedModel:
         bd, fd = d["bases"][comp], d["fits"][comp]
         if not ReferenceMeasure.from_dict(bd["measure"]).same_support(m):
             raise ValueError(f"bases.{comp}.measure: differs from the component of measure")
-        kind = "bspline" if m.n_grid else "indicator"
-        if bd["kind"] != kind:
-            raise ValueError(f"bases.{comp}.kind: density basis kind must be {kind!r}")
         z = _finite(bd["transform"], "density basis transform")
         raw = raw_density_basis(m, db["knots"], db["degree"])
-        bases[comp] = basis = DensityBasis(m, raw @ z, None, z, kind)
+        bases[comp] = basis = DensityBasis(m, raw @ z, None, z)
+        if bd["kind"] != basis.kind:
+            raise ValueError(f"bases.{comp}.kind: density basis kind must be {basis.kind!r}")
         check_clr_rows(basis.clr_matrix.T, m, lambda e: ValueError(f"bases.{comp}.transform: {e}"))
         offset = _finite(fd["offset"], "offset and coefficients")
         check_clr_rows(offset[None], m, lambda e: ValueError(f"fits.{comp}.offset: {e}"))
@@ -616,13 +614,12 @@ def build_designs(
     """
     frame, blocks = _encode(spec, data, default_df)
     bases = {
-        comp: bspline_density_basis(m, density_knots, density_degree, density_penalty_order)
-        if m.n_grid else indicator_density_basis(m)
+        comp: density_basis(m, density_knots, density_degree, density_penalty_order)
         for comp, m in _components(measure).items()
     }
     designs = {
         key: [
-            assemble_effect(e.term.name, x, pen, basis, e.lambda_cov, lambda_density)
+            EffectDesign(e.term.name, x, pen, basis, e.lambda_cov, lambda_density)
             for e, (x, pen) in zip(frame.encoders, blocks)
         ]
         for key, basis in bases.items()

@@ -25,8 +25,8 @@ def curve_svg(
     path,
     x: np.ndarray,
     curves: dict,
-    markers: dict | None = None,
-    title: str = "",
+    markers: dict,
+    title: str,
 ) -> None:
     """Polyline plot of one or more named curves over a shared x axis.
 
@@ -35,7 +35,7 @@ def curve_svg(
     """
     x = np.asarray(x, float)
     ys = [np.asarray(v, float) for v in curves.values()]
-    all_y = np.concatenate(ys + [np.asarray([p[1] for p in (markers or {}).values()], float)]) if markers else np.concatenate(ys)
+    all_y = np.concatenate(ys + [np.asarray([p[1] for p in markers.values()], float)])
     lo_x, hi_x = float(x.min()), float(x.max())
     lo_y, hi_y = float(all_y.min()), float(all_y.max())
     if lo_y == hi_y:
@@ -65,7 +65,7 @@ def curve_svg(
             f'<text x="{_W - _PAD}" y="{_PAD + 14 * (ci + 1)}" text-anchor="end" '
             f'fill="{color}" font-size="11">{label}</text>'
         )
-    for label, (mx, my) in (markers or {}).items():
+    for label, (mx, my) in markers.items():
         px = float(_scale([mx], lo_x, hi_x, _PAD, _W - _PAD)[0])
         py = float(_scale([my], lo_y, hi_y, _H - _PAD, _PAD)[0])
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="#333"/>')
@@ -89,7 +89,7 @@ def _diverging_color(v: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def heatmap_svg(path, values: np.ndarray, is_atom=None, title: str = "") -> None:
+def heatmap_svg(path, values: np.ndarray, is_atom, title: str) -> None:
     """Cell grid of a square log-odds matrix, atoms rendered as border bands."""
     values = np.asarray(values, float)
     n = values.shape[0]
@@ -110,19 +110,18 @@ def heatmap_svg(path, values: np.ndarray, is_atom=None, title: str = "") -> None
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(size)}" '
                 f'height="{_fmt(size)}" fill="{color}"/>'
             )
-    if is_atom is not None:
-        for k, flag in enumerate(np.asarray(is_atom, bool)):
-            if flag:
-                x = _PAD + k * size
-                y = _PAD + (n - 1 - k) * size
-                parts.append(
-                    f'<rect x="{_fmt(x)}" y="{_fmt(_PAD)}" width="{_fmt(size)}" '
-                    f'height="{_fmt(n * size)}" fill="none" stroke="#444" stroke-width="0.8"/>'
-                )
-                parts.append(
-                    f'<rect x="{_fmt(_PAD)}" y="{_fmt(y)}" width="{_fmt(n * size)}" '
-                    f'height="{_fmt(size)}" fill="none" stroke="#444" stroke-width="0.8"/>'
-                )
+    for k, flag in enumerate(np.asarray(is_atom, bool)):
+        if flag:
+            x = _PAD + k * size
+            y = _PAD + (n - 1 - k) * size
+            parts.append(
+                f'<rect x="{_fmt(x)}" y="{_fmt(_PAD)}" width="{_fmt(size)}" '
+                f'height="{_fmt(n * size)}" fill="none" stroke="#444" stroke-width="0.8"/>'
+            )
+            parts.append(
+                f'<rect x="{_fmt(_PAD)}" y="{_fmt(y)}" width="{_fmt(n * size)}" '
+                f'height="{_fmt(size)}" fill="none" stroke="#444" stroke-width="0.8"/>'
+            )
     parts.append(
         f'<text x="{_PAD}" y="{_H - 12}" font-size="10">scale: +/- {_fmt(vmax)}</text>'
     )

@@ -98,28 +98,19 @@ def simulate_responses(
     mean_clr: np.ndarray,
     fpca_result: FpcaResult,
     seed: int | np.random.SeedSequence | None = None,
-    scores: np.ndarray | None = None,
     noise_scale: float = 1.0,
 ) -> np.ndarray:
     """Mean clr rows plus truncated expansions of the residual structure.
 
     Adding a noise row in clr perturbs the mean density by its inverse clr,
-    since every noise row integrates to zero. With ``scores`` given,
-    reconstructs deterministically (the stored scores reproduce the original
-    responses); otherwise draws independent normal scores with the component
-    variances, scaled by ``noise_scale``, from ``np.random.default_rng(seed)``.
+    since every noise row integrates to zero. The scores are independent
+    normal draws with the component variances, scaled by ``noise_scale``,
+    from ``np.random.default_rng(seed)``.
     """
     mean_clr = np.asarray(mean_clr, dtype=float)
-    n = mean_clr.shape[0]
-    m = fpca_result.truncation
-    if scores is None:
-        rng = np.random.default_rng(seed)
-        sd = noise_scale * np.sqrt(fpca_result.eigenvalues)
-        scores = rng.normal(size=(n, m)) * sd
-    else:
-        scores = np.asarray(scores, dtype=float)
-        if scores.shape != (n, m):
-            raise ValueError("scores must have shape (n_means, truncation)")
+    rng = np.random.default_rng(seed)
+    sd = noise_scale * np.sqrt(fpca_result.eigenvalues)
+    scores = rng.normal(size=(mean_clr.shape[0], fpca_result.truncation)) * sd
     return mean_clr + (fpca_result.mean + scores @ fpca_result.eigenfunctions)
 
 
@@ -145,32 +136,18 @@ def rel_mse(true_clr: np.ndarray, est_clr: np.ndarray, measure: ReferenceMeasure
 
 
 def selection_table(runs: list[dict]) -> dict:
-    """Aggregate per-effect selection over replicated fits.
+    """Per-effect selection counts over replicated fits.
 
-    Each run maps effect names to {component: selected} dicts as produced by
-    the fitted model's selection summary. An effect counts as selected in
-    the combined model when either component selected it; it is unselected
-    combined only if unselected in both.
+    Each run is the selection summary of one fitted model
+    (:meth:`~densreg.model.FittedModel.selected_terms`): effect names mapped
+    to {component: selected}, "combined" included. Every effect and component
+    of the first run is counted over all runs.
     """
     if not runs:
         raise ValueError("no runs given")
-    effects = list(runs[0].keys())
-    components: list[str] = []
-    for comp in runs[0][effects[0]]:
-        if comp != "combined":
-            components.append(comp)
     table: dict = {}
-    for name in effects:
-        row = {}
-        for comp in components + ["combined"]:
-            selected = 0
-            for run in runs:
-                per = run[name]
-                if comp == "combined":
-                    hit = per.get("combined", any(per[c] for c in components))
-                else:
-                    hit = per[comp]
-                selected += bool(hit)
-            row[comp] = {"selected": selected, "not_selected": len(runs) - selected}
-        table[name] = row
+    for name, per in runs[0].items():
+        counts = {comp: sum(bool(run[name][comp]) for run in runs) for comp in per}
+        table[name] = {comp: {"selected": k, "not_selected": len(runs) - k}
+                       for comp, k in counts.items()}
     return table

@@ -45,7 +45,6 @@ def planted_problem(
     grid_size: int = 100,
     n_years: int = 30,
     noise_scale: float = 0.0,
-    effect_scale: float = 1.0,
 ):
     """Planted mixed-density regression problem over region x child group x year.
 
@@ -93,10 +92,10 @@ def planted_problem(
     }
     z_rows = np.zeros((n, m.size))
     for i in range(n):
-        zr = effect_scale * region_dev[region_col[i]]
-        zc = effect_scale * cage_dev[cage_col[i]]
+        zr = region_dev[region_col[i]]
+        zc = cage_dev[cage_col[i]]
         u = year_scaled[int(year_col[i] - years[0])]
-        zy = effect_scale * (0.45 * u * shapes["wave"] + 0.3 * (u ** 2 - 1.0) * shapes["tilt"])
+        zy = 0.45 * u * shapes["wave"] + 0.3 * (u ** 2 - 1.0) * shapes["tilt"]
         effects["region"][i] = zr
         effects["c_age"][i] = zc
         effects["year"][i] = zy

@@ -34,7 +34,7 @@ def mixed_concatenated_basis(
     )
     pen_raw[m.n_atoms :, m.n_atoms :] = difference_penalty(k_spline, penalty_order)
     z, constrained = sum_to_zero_transform(raw, m)
-    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z, "mixed")
+    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z)
 
 
 @pytest.fixture

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from densreg.basis import (
-    assemble_effect,
-    bspline_density_basis,
+    EffectDesign,
     bspline_eval,
     bspline_knots,
     calibrate_df,
+    density_basis,
     difference_penalty,
     effective_df,
-    indicator_density_basis,
     sum_to_zero_transform,
 )
 from densreg.bayes import ClrElement, clr_inv
@@ -168,8 +167,8 @@ class TestDensityBases:
     @pytest.mark.parametrize(
         "maker",
         [
-            lambda: (make_continuous(0, 1, 50), lambda m: bspline_density_basis(m, 8)),
-            lambda: (make_discrete([(0, 1), (0.5, 1), (1, 1)]), indicator_density_basis),
+            lambda: (make_continuous(0, 1, 50), lambda m: density_basis(m, 8, 3, 2)),
+            lambda: (make_discrete([(0, 1), (0.5, 1), (1, 1)]), lambda m: density_basis(m, 10, 3, 2)),
             lambda: (make_mixed(0, 1, [(0, 1), (1, 1)], 50), lambda m: mixed_concatenated_basis(m, 8)),
         ],
     )
@@ -181,25 +180,50 @@ class TestDensityBases:
 
     def test_penalty_symmetric_psd(self):
         m = make_continuous(0, 1, 40)
-        basis = bspline_density_basis(m, 10)
+        basis = density_basis(m, 10, 3, 2)
         np.testing.assert_allclose(basis.penalty, basis.penalty.T, atol=1e-12)
         assert np.linalg.eigvalsh(basis.penalty).min() > -1e-10
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_continuous_kind(self, order):
+        m = make_continuous(0, 1, 40)
+        basis = density_basis(m, 6, 2, order)
+        z = basis.transform
+        assert basis.kind == "bspline" and basis.n_basis == 6 + 2
+        np.testing.assert_array_equal(basis.penalty, z.T @ difference_penalty(9, order) @ z)
+
+    @pytest.mark.parametrize("atoms", [2, 4])
+    def test_discrete_kind_ignores_penalty_order(self, atoms):
+        m = make_discrete([(float(i), 1.0 + i) for i in range(atoms)])
+        basis = density_basis(m, 6, 2, 3)
+        z = basis.transform
+        assert basis.kind == "indicator" and basis.n_basis == atoms - 1
+        np.testing.assert_array_equal(basis.penalty, z.T @ difference_penalty(atoms, 1) @ z)
+
+    def test_mixed_measure_refused(self):
+        with pytest.raises(ValueError, match="component measures"):
+            density_basis(make_mixed(0, 1, [(0, 1), (1, 1)], 50), 6, 3, 2)
 
 
 class TestAssembleEffect:
     def test_intercept_penalty_reduces_to_density_direction(self):
         m = make_continuous(0, 1, 30)
-        basis = bspline_density_basis(m, 6)
-        eff = assemble_effect(
+        basis = density_basis(m, 6, 3, 2)
+        eff = EffectDesign(
             "intercept", np.ones((10, 1)), np.zeros((1, 1)), basis, 1.7, 2.5
         )
         np.testing.assert_allclose(eff.penalty(), 2.5 * basis.penalty, atol=1e-12)
 
+    def test_penalty_shape_checked(self):
+        basis = density_basis(make_continuous(0, 1, 30), 6, 3, 2)
+        with pytest.raises(ValueError, match="covariate penalty must match"):
+            EffectDesign("flex", np.ones((10, 4)), np.eye(3), basis, 1.0, 0.0)
+
     def test_zero_density_smoothing(self):
         m = make_continuous(0, 1, 30)
-        basis = bspline_density_basis(m, 6)
+        basis = density_basis(m, 6, 3, 2)
         p_cov = difference_penalty(4, 2)
-        eff = assemble_effect(
+        eff = EffectDesign(
             "flex", np.random.default_rng(4).normal(size=(10, 4)), p_cov, basis, 3.0, 0.0
         )
         k_y = basis.n_basis

@@ -11,12 +11,11 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from densreg.basis import (
-    assemble_effect,
-    bspline_density_basis,
+    EffectDesign,
     bspline_eval,
     bspline_knots,
+    density_basis,
     difference_penalty,
-    indicator_density_basis,
 )
 from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr
 from densreg.boosting import (
@@ -58,18 +57,16 @@ def simple_designs(measure, n, rng, n_effects=2, knots=4):
     """Intercept plus random-covariate flexible designs on the measure."""
     if measure.n_atoms and measure.n_grid:
         basis = mixed_concatenated_basis(measure, knots)
-    elif measure.n_grid:
-        basis = bspline_density_basis(measure, knots)
     else:
-        basis = indicator_density_basis(measure)
+        basis = density_basis(measure, knots, 3, 2)
     designs = [
-        assemble_effect("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0)
+        EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, 0.0)
     ]
     for j in range(1, n_effects):
         x = rng.uniform(0, 1, size=n)
         bx = bspline_eval(bspline_knots(0, 1, 3, 2), 2, x)
         bx, pen = center_columns(bx, difference_penalty(bx.shape[1], 2))
-        designs.append(assemble_effect(f"flex{j}", bx, pen, basis, 1.0))
+        designs.append(EffectDesign(f"flex{j}", bx, pen, basis, 1.0, 0.0))
     return designs
 
 
@@ -134,10 +131,10 @@ class TestBaseLearner:
 
     def test_interpolates_with_square_invertible_design(self):
         m = make_discrete([(0, 1), (0.5, 1), (1, 1)])
-        basis = indicator_density_basis(m)
+        basis = density_basis(m, 10, 3, 2)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 2)) + 2 * np.eye(2)
-        eff = assemble_effect("e", x, np.zeros((2, 2)), basis, 0.0)
+        eff = EffectDesign("e", x, np.zeros((2, 2)), basis, 0.0, 0.0)
         # target surfaces built from the basis itself are recovered exactly
         coef = rng.normal(size=(2, basis.n_basis))
         u = x @ coef @ basis.clr_matrix.T
@@ -149,7 +146,7 @@ class TestBaseLearner:
         basis = mixed_concatenated_basis(mixed_measure, 4)
         x = rng.normal(size=(5, 2))
         pen = difference_penalty(2, 1)
-        eff = assemble_effect("e", x, pen, basis, 0.7, 0.3)
+        eff = EffectDesign("e", x, pen, basis, 0.7, 0.3)
         u = rng.normal(size=(5, mixed_measure.size))
         gamma = fit_base_learner(eff, u)
         # independent dense construction of the weighted least-squares system
@@ -295,13 +292,13 @@ class TestEarlyStop:
     def test_noiseless_rich_basis_runs_to_limit(self, continuous_measure):
         rng = np.random.default_rng(18)
         n = 12
-        basis = bspline_density_basis(continuous_measure, 4)
+        basis = density_basis(continuous_measure, 4, 3, 2)
         x = rng.uniform(0, 1, size=n)
         bx = bspline_eval(bspline_knots(0, 1, 1, 2), 2, x)
         bxc, pen = center_columns(bx, difference_penalty(bx.shape[1], 2))
         designs = [
-            assemble_effect("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0),
-            assemble_effect("flex", bxc, pen, basis, 1e-8),
+            EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, 0.0),
+            EffectDesign("flex", bxc, pen, basis, 1e-8, 0.0),
         ]
         coef = 0.5 * rng.normal(size=(bxc.shape[1], basis.n_basis))
         y_clr = bxc @ coef @ basis.clr_matrix.T
@@ -329,9 +326,9 @@ class TestEarlyStop:
         m = make_discrete([(0, 1), (0.5, 1), (1, 1)])
         rng = np.random.default_rng(20)
         responses = [random_density(m, rng) for _ in range(4)]
-        basis = indicator_density_basis(m)
+        basis = density_basis(m, 10, 3, 2)
         designs = [
-            assemble_effect("intercept", np.ones((4, 1)), np.zeros((1, 1)), basis, 0.0)
+            EffectDesign("intercept", np.ones((4, 1)), np.zeros((1, 1)), basis, 0.0, 0.0)
         ]
         cfg = BoostConfig(max_iterations=6, stopping="cv", folds=2, seed=21)
         result = early_stop_from_clr(clr_stack(responses), m, designs, cfg)
@@ -371,18 +368,18 @@ class TestBoostMixed:
         from densreg.bayes import continuous_submeasure, discrete_star_measure
 
         mc, md = continuous_submeasure(m), discrete_star_measure(m)
-        basis_c = bspline_density_basis(mc, 5)
-        basis_d = indicator_density_basis(md)
+        basis_c = density_basis(mc, 5, 3, 2)
+        basis_d = density_basis(md, 10, 3, 2)
         x = rng.uniform(size=n)
         bx = bspline_eval(bspline_knots(0, 1, 3, 2), 2, x)
         bx, pen = center_columns(bx, difference_penalty(bx.shape[1], 2))
         designs_c = [
-            assemble_effect("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis_c, 0.0),
-            assemble_effect("flex", bx, pen, basis_c, 1.0),
+            EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis_c, 0.0, 0.0),
+            EffectDesign("flex", bx, pen, basis_c, 1.0, 0.0),
         ]
         designs_d = [
-            assemble_effect("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis_d, 0.0),
-            assemble_effect("flex", bx, pen, basis_d, 1.0),
+            EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis_d, 0.0, 0.0),
+            EffectDesign("flex", bx, pen, basis_d, 1.0, 0.0),
         ]
         return m, designs_c, designs_d
 
@@ -426,19 +423,19 @@ class TestBoostMixed:
 def rank_deficient_effect(measure, rng, n):
     """Effect whose penalized normal matrix is singular: plain column-mean
     centering keeps a linear dependency among the partition-of-unity columns."""
-    basis = bspline_density_basis(measure, 4)
+    basis = density_basis(measure, 4, 3, 2)
     bx = bspline_eval(bspline_knots(0, 1, 2, 2), 2, rng.uniform(size=n))
     bx = bx - bx.mean(axis=0)
-    return assemble_effect("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0)
+    return EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0, 0.0)
 
 
 class TestSingularFallback:
     def test_inverse_matches_scipy_cholesky(self, continuous_measure):
         rng = np.random.default_rng(25)
-        basis = bspline_density_basis(continuous_measure, 6)
+        basis = density_basis(continuous_measure, 6, 3, 2)
         c = basis.clr_matrix.T @ (basis.clr_matrix * continuous_measure.weights[:, None])
         bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
-        eff = assemble_effect("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
+        eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
         gram = np.kron(bx.T @ bx, c) + eff.penalty()
         inverse, jittered = _penalized_inverse(gram)
         expected = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
@@ -508,25 +505,25 @@ class TestRiskCheck:
     SCRIPT = textwrap.dedent(
         """
         import numpy as np
-        from densreg.basis import assemble_effect, indicator_density_basis
+        from densreg.basis import EffectDesign, density_basis
         from densreg.boosting import BoostConfig, boost_from_clr, early_stop_from_clr
         from densreg.measure import make_discrete
 
         assert not __debug__
         m = make_discrete([(0, 1), (0.5, 1), (1, 1)])
-        basis = indicator_density_basis(m)
+        basis = density_basis(m, 10, 3, 2)
         y = np.random.default_rng(0).normal(size=(6, m.size))
         x = np.linspace(-1.0, 1.0, 6)[:, None]
         # a negative penalty keeps the system positive definite but lets each
         # step overshoot, so the in-bag risk rises
-        eff = assemble_effect("slope", x, np.array([[-1.0]]), basis, 2.0)
+        eff = EffectDesign("slope", x, np.array([[-1.0]]), basis, 2.0, 0.0)
         try:
             boost_from_clr(y, m, [eff], BoostConfig(step_length=0.5, max_iterations=3))
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
         # every fold's system stays positive definite; the first fold's risk
         # falls, the other two overshoot
-        eff = assemble_effect("slope", x, np.array([[-1.0]]), basis, 1.0)
+        eff = EffectDesign("slope", x, np.array([[-1.0]]), basis, 1.0, 0.0)
         cv = BoostConfig(step_length=0.5, max_iterations=3, stopping="cv", folds=3)
         try:
             early_stop_from_clr(y, m, [eff], cv)
@@ -542,7 +539,7 @@ class TestRiskCheck:
             return out
 
         boosting._boost_paths = perturbed
-        eff = assemble_effect("slope", x, np.array([[1.0]]), basis, 1.0)
+        eff = EffectDesign("slope", x, np.array([[1.0]]), basis, 1.0, 0.0)
         try:
             boost_from_clr(y, m, [eff], BoostConfig(max_iterations=3))
         except Exception as exc:
@@ -550,14 +547,13 @@ class TestRiskCheck:
         # a discrete embedding that drops the stand-in value breaks the
         # decompose/embed round trip of mixed responses
         boosting._boost_paths = kernel
-        from densreg.basis import bspline_density_basis
         from densreg.bayes import continuous_submeasure, discrete_star_measure
         from densreg.measure import make_mixed
         mixed = make_mixed(0, 1, [(0, 1), (1, 1)], 20)
-        designs_c = [assemble_effect("intercept", np.ones((6, 1)), np.zeros((1, 1)),
-                                     bspline_density_basis(continuous_submeasure(mixed), 4), 0.0)]
-        designs_d = [assemble_effect("intercept", np.ones((6, 1)), np.zeros((1, 1)),
-                                     indicator_density_basis(discrete_star_measure(mixed)), 0.0)]
+        designs_c = [EffectDesign("intercept", np.ones((6, 1)), np.zeros((1, 1)),
+                                  density_basis(continuous_submeasure(mixed), 4, 3, 2), 0.0, 0.0)]
+        designs_d = [EffectDesign("intercept", np.ones((6, 1)), np.zeros((1, 1)),
+                                  density_basis(discrete_star_measure(mixed), 10, 3, 2), 0.0, 0.0)]
         y_mixed = np.random.default_rng(1).normal(size=(6, mixed.size))
         embed = boosting.embed_clr_discrete_rows
         boosting.embed_clr_discrete_rows = lambda z_d, target: embed(

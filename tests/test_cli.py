@@ -550,6 +550,28 @@ class TestPredictInterpret:
         odds = (out / "odds_table.tsv").read_text().splitlines()
         assert odds[0].split("\t") == ["term", "t", "s", "log_odds", "odds"]
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"factor_b": "region", "levels_b": ["east", "west"]},
+             "factor_a and factor_b are both 'region'"),
+            ({"levels_a": ["east", "east"]}, "the contrast of 'region' compares 'east' with itself"),
+            ({"levels_b": ["other", "other"]}, "the contrast of 'c_age' compares 'other' with itself"),
+        ],
+        ids=["same_factor", "same_levels_a", "same_levels_b"],
+    )
+    def test_did_that_is_zero_by_construction_is_config_error(self, fitted, capsys, change, message):
+        cfg, out, tmp_path = fitted
+        with open(cfg) as fh:
+            config = json.load(fh)
+        config["interpret"]["did"][0].update(change)
+        path = tmp_path / "did.json"
+        path.write_text(json.dumps(config))
+        assert main(["interpret", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config.interpret.did[0]: {message}\n"
+        assert not (out / "did_0_heatmap.tsv").exists()
+
     def test_interpret_rerun_byte_identical(self, fitted):
         cfg, out, tmp_path = fitted
         assert main(["interpret", "--config", cfg, "--out", str(out)]) == 0

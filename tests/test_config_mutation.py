@@ -136,6 +136,10 @@ MISFITS = {
     "unknown_did_factor": ("did[0]", lambda i: i["did"][0].update(factor_a="nation"), "nation"),
     "effect_at_lacks_covariate": ("effects[0]", lambda i: i["effects"][0]["at"].pop("c_age"),
                                   "c_age"),
+    "did_same_factor": ("did[0]", lambda i: i["did"][0].update(factor_b="region"),
+                        "factor_a and factor_b are both 'region'"),
+    "did_level_with_itself": ("did[0]", lambda i: i["did"][0].update(levels_b=["other", "other"]),
+                              "the contrast of 'c_age' compares 'other' with itself"),
     "did_level_off_spline_range": (
         "did[0]",
         lambda i: i["did"][0].update(factor_b="year", levels_b=[99.0, 1.0], fixed={"c_age": "other"}),

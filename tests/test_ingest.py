@@ -13,6 +13,7 @@ from densreg.ingest import (
     group_table,
     kde,
     select_bandwidth,
+    shared_bandwidth,
     ucv_score,
 )
 from densreg.measure import integrate, make_mixed
@@ -244,11 +245,31 @@ class TestSelectBandwidth:
 
     def test_degenerate_group_falls_back(self, unit_mixed):
         g = ObservationGroup([0.2, 0.8], [1.0, 1.0])
-        assert select_bandwidth(g, unit_mixed, KdeConfig()) == DEFAULT_BANDWIDTH
+        assert shared_bandwidth([g], unit_mixed, KdeConfig(), ["k"]) == DEFAULT_BANDWIDTH
 
     def test_fixed_bandwidth_passthrough(self, unit_mixed):
         g = ObservationGroup([0.2, 0.4, 0.8], [1.0, 1.0, 1.0])
-        assert select_bandwidth(g, unit_mixed, KdeConfig(bandwidth=0.07)) == 0.07
+        assert shared_bandwidth([g], unit_mixed, KdeConfig(bandwidth=0.07), ["k"]) == 0.07
+
+    def test_fixed_bandwidth_without_usable_group(self, unit_mixed):
+        g = ObservationGroup([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+        assert shared_bandwidth([g], unit_mixed, KdeConfig(bandwidth=0.07), ["k"]) == 0.07
+
+    def test_minimum_over_usable_groups(self, unit_mixed):
+        rng = np.random.default_rng(7)
+        big = ObservationGroup(rng.beta(2, 2, size=500), np.ones(500), ("big",))
+        small = ObservationGroup(rng.beta(2, 2, size=50), np.ones(50), ("small",))
+        degenerate = ObservationGroup([0.2, 0.8], [1.0, 1.0], ("two",))
+        cfg = KdeConfig()
+        shared = shared_bandwidth([small, degenerate, big], unit_mixed, cfg, ["k"])
+        optima = [select_bandwidth(g, unit_mixed, cfg) for g in (small, big)]
+        assert shared == min(optima) < max(optima)
+
+    def test_failing_group_is_named(self, unit_mixed):
+        good = ObservationGroup([0.2, 0.4, 0.8], [1.0, 1.0, 1.0], ("a", "1"))
+        bad = ObservationGroup([0.2, 0.4, 0.8], [0.0, 1.0, 0.0], ("b", "2"))
+        with pytest.raises(ValueError, match=r"^group r=b, s=2: .*all weight"):
+            shared_bandwidth([good, bad], unit_mixed, KdeConfig(), ["r", "s"])
 
     def test_observation_with_all_weight_rejected(self, unit_mixed):
         g = ObservationGroup([0.2, 0.4, 0.8], [0.0, 1.0, 0.0])
@@ -306,7 +327,7 @@ class TestAssembleMixed:
         values = np.concatenate([np.zeros(50), np.ones(25), interior])
         weights = np.ones_like(values)
         g = ObservationGroup(values, weights)
-        f = assemble_mixed(g, unit_mixed, KdeConfig(bandwidth=0.05))
+        f = assemble_mixed(g, unit_mixed, KdeConfig(), 0.05)
         atom_mass = float(
             f.values[:2] @ unit_mixed.atom_weights
         )
@@ -317,8 +338,7 @@ class TestAssembleMixed:
 
     def test_all_mass_at_zero(self, unit_mixed):
         g = ObservationGroup(np.zeros(10), np.ones(10))
-        cfg = KdeConfig(bandwidth=0.05)
-        f = assemble_mixed(g, unit_mixed, cfg)
+        f = assemble_mixed(g, unit_mixed, KdeConfig(), 0.05)
         assert np.all(f.values > 0)
         assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-10)
         # almost all mass stays on the zero atom after flooring
@@ -326,7 +346,7 @@ class TestAssembleMixed:
 
     def test_no_interior_observations_flooring(self, unit_mixed):
         g = ObservationGroup([0.0, 1.0], [3.0, 1.0])
-        f = assemble_mixed(g, unit_mixed, KdeConfig(bandwidth=0.05))
+        f = assemble_mixed(g, unit_mixed, KdeConfig(), 0.05)
         grid_vals = f.values[2:]
         assert np.ptp(grid_vals) < 1e-15
         assert np.all(grid_vals > 0)

@@ -17,6 +17,10 @@ The package holds only what the program runs: every top-level ``def`` and
 ``class`` is reached from ``cli.py`` or from a name that the benchmark
 (``perfbench/*.py``) imports, following names and relative-import aliases
 through the bodies of what is reached. Test oracles live in ``tests/``.
+Every defaulted parameter of a ``def`` in the package is passed by some call
+in ``src/`` or ``perfbench/`` (by keyword, by position, or through
+``*args``/``**kwargs``, resolving ``import … as`` aliases), so no option
+exists only for tests.
 """
 import ast
 import os
@@ -216,3 +220,64 @@ def test_no_element_round_trips_inside_the_package():
                 if name in ROUND_TRIP_CALLS and not {mod, where} & ROUND_TRIP_CALLS[name]:
                     found.add(where)
     assert not found, f"element round trip(s) in {sorted(found)}"
+
+
+def _callee_aliases(tree) -> dict:
+    """Local name -> imported name for each ``import … as`` alias."""
+    return {
+        alias.asname: alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+
+
+def _passed_parameters() -> tuple[dict, dict]:
+    """Callee name -> most positional arguments, and callee name -> keyword
+    names, over the calls in ``src/`` and ``perfbench/``; a ``*args`` or
+    ``**kwargs`` call adds the keyword "*", which passes every parameter."""
+    most, keywords = {}, {}
+    for path in MODULES + sorted(PERFBENCH.glob("*.py")):
+        tree = _parse(path)
+        aliases = _callee_aliases(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = aliases.get(name, name)
+            most[name] = max(most.get(name, 0), len(node.args))
+            names = keywords.setdefault(name, set())
+            names.update(k.arg or "*" for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                names.add("*")
+    return most, keywords
+
+
+def _unset_defaults() -> list:
+    """``module.function(parameter)`` for every defaulted parameter of a
+    ``def`` in ``src/densreg`` that no call in ``src/`` or ``perfbench/``
+    passes, by keyword, by position or through ``*args``/``**kwargs``."""
+    most, keywords = _passed_parameters()
+    unset = []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            reach = most.get(node.name, 0) + bound
+            for arg in defaulted:
+                by_position = arg in positional and positional.index(arg) < reach
+                if not by_position and not {arg.arg, "*"} & keywords.get(node.name, set()):
+                    unset.append(f"{path.stem}.{node.name}({arg.arg})")
+    return sorted(unset)
+
+
+def test_every_default_is_set_by_some_caller():
+    unset = _unset_defaults()
+    assert not unset, f"{len(unset)} parameter(s) set only by tests: {unset}"
