@@ -37,6 +37,7 @@ __all__ = [
     "decompose_clr_rows",
     "embed_clr_continuous_rows",
     "embed_clr_discrete_rows",
+    "round_trip_deviation",
     "continuous_submeasure",
     "discrete_star_measure",
 ]
@@ -179,6 +180,16 @@ def embed_clr_discrete_rows(z_d: np.ndarray, target: ReferenceMeasure) -> np.nda
     if z_d.shape[1] != target.n_atoms + 1:
         raise ValueError("discrete component does not match the target atoms")
     return np.concatenate([z_d[:, :-1], np.repeat(z_d[:, -1:], target.n_grid, axis=1)], axis=1)
+
+
+def round_trip_deviation(z: np.ndarray, parts: tuple, m: ReferenceMeasure) -> tuple[float, float]:
+    """How far the mixed clr rows ``z`` lie from the sum of the embeddings of
+    their ``parts`` (see :func:`decompose_clr_rows`): the worst absolute
+    deviation, and its tolerance 1e-12 * max(1, max |z|). Rounding keeps the
+    deviation near 1e-16."""
+    back = embed_clr_continuous_rows(parts[0], m) + embed_clr_discrete_rows(parts[1], m)
+    deviation = float(np.max(np.abs(back - z), initial=0.0))
+    return deviation, 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
 
 
 def decompose_clr(z: ClrElement) -> tuple[ClrElement, ClrElement]:

@@ -36,24 +36,19 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
 Every entry point takes the responses as N x P clr rows. In-bag fits
 (:func:`boost_from_clr`) are the one-resample case; resampled stopping
 (:func:`early_stop_from_clr`) makes one call for all folds or replicates;
-:func:`boost` resolves the stopping iteration, then fits, and
-:func:`boost_mixed` does so per component after the orthogonal decomposition.
-Norms everywhere are measure-weighted, which is where discrete, continuous,
-and mixed supports differ.
+:func:`boost` resolves the stopping iteration, then fits. A fit works on
+one component measure; splitting mixed responses into their components is
+:func:`densreg.model.fit`'s. Norms everywhere are measure-weighted, which is
+where discrete, continuous, and mixed supports differ.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import EffectDesign
-from .bayes import (
-    decompose_clr_rows,
-    embed_clr_continuous_rows,
-    embed_clr_discrete_rows,
-)
 from .measure import ReferenceMeasure
 
 __all__ = [
@@ -64,16 +59,12 @@ __all__ = [
     "boost",
     "boost_from_clr",
     "early_stop_from_clr",
-    "boost_mixed",
 ]
 
 _RISK_SLACK = 1e-9
 # bound on |SSE of the fitted surfaces - risk_path[m_stop]| relative to the
 # responses' weighted sum of squares; rounding keeps it near 1e-15
 _DRIFT_TOLERANCE = 1e-10
-# bound on the decompose/embed round trip of mixed responses relative to
-# max(1, max |y|); rounding keeps it near 1e-16
-_ROUND_TRIP_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,8 +72,8 @@ class BoostConfig:
     """Settings for one boosting run.
 
     ``stopping`` selects how the number of iterations is chosen: "fixed" uses
-    ``m_stop`` (default ``max_iterations``), "cv" k-fold cross-validation,
-    "bootstrap" out-of-bag risk over resampled density sets.
+    ``m_stop`` (at most and by default ``max_iterations``), "cv" k-fold
+    cross-validation, "bootstrap" out-of-bag risk over resampled density sets.
 
     ``threads`` and ``target_df`` are accepted but not read by the library;
     they remain because the benchmark tracer (``perfbench/trace.py``) still
@@ -108,6 +99,8 @@ class BoostConfig:
             raise ValueError(f"unknown stopping method {self.stopping!r}")
         if self.m_stop is not None and self.m_stop < 0:
             raise ValueError("m_stop must be nonnegative")
+        if self.m_stop is not None and self.m_stop > self.max_iterations:
+            raise ValueError("m_stop exceeds max_iterations")
 
 
 @dataclass
@@ -316,12 +309,12 @@ def boost_from_clr(
     measure: ReferenceMeasure,
     designs: list[EffectDesign],
     config: BoostConfig,
-    m_stop: int | None = None,
+    m_stop: int,
 ) -> FitState:
-    """Run the boosting loop on a matrix of clr-transformed responses."""
+    """Run ``m_stop`` iterations of the boosting loop on a matrix of
+    clr-transformed responses."""
     y_clr = np.asarray(y_clr, dtype=float)
     _check_inputs(y_clr, measure, designs)
-    m_stop = config.max_iterations if m_stop is None else m_stop
     offsets, coefficients, selections, risk, _ = _boost_paths(
         y_clr, measure.weights, designs, config.step_length, m_stop,
         np.ones((1, y_clr.shape[0]), dtype=int),
@@ -361,8 +354,6 @@ def boost(
     """
     if config.stopping == "fixed":
         m_stop = config.m_stop if config.m_stop is not None else config.max_iterations
-        if m_stop > config.max_iterations:
-            raise ValueError("m_stop exceeds max_iterations")
         curve = None
     else:
         stop = early_stop_from_clr(y_clr, measure, designs, config)
@@ -413,42 +404,3 @@ def early_stop_from_clr(
     mean_curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
     m_stop = int(np.argmin(mean_curve[1:]) + 1)
     return EarlyStopResult(m_stop, mean_curve)
-
-
-def boost_mixed(
-    y_clr: np.ndarray,
-    measure: ReferenceMeasure,
-    designs_continuous: list[EffectDesign],
-    designs_discrete: list[EffectDesign],
-    config: BoostConfig,
-) -> MixedFit:
-    """Fit a mixed-measure model to N x P clr responses as two independent
-    component fits.
-
-    Every response splits orthogonally into a continuous and a discrete
-    component; each component is boosted on its own measure with its own
-    stopping iteration (the discrete one resamples with seed + 1), and
-    predictions recombine through the embeddings. Raises FloatingPointError
-    when the two components do not embed back to the responses within
-    1e-12 of max(1, max |y|).
-    """
-    if not measure.is_mixed:
-        raise ValueError("boost_mixed requires a mixed reference measure")
-    y_clr = np.asarray(y_clr, dtype=float)
-    y_c, y_d = decompose_clr_rows(y_clr, measure)
-    deviation = float(np.max(np.abs(_embed(y_c, y_d, measure) - y_clr), initial=0.0))
-    if deviation > _ROUND_TRIP_TOLERANCE * max(1.0, float(np.max(np.abs(y_clr), initial=0.0))):
-        raise FloatingPointError(
-            f"mixed responses do not embed back to their clr rows: deviation {deviation:.3g}"
-        )
-    fit_c = boost(y_c, designs_continuous[0].density_basis.measure, designs_continuous, config)
-    fit_d = boost(
-        y_d, designs_discrete[0].density_basis.measure, designs_discrete,
-        replace(config, seed=config.seed + 1),
-    )
-    return MixedFit(fit_c, fit_d, measure, _embed(fit_c.fitted_clr, fit_d.fitted_clr, measure))
-
-
-def _embed(z_c: np.ndarray, z_d: np.ndarray, measure: ReferenceMeasure) -> np.ndarray:
-    """Mixed clr rows from their continuous and discrete parts."""
-    return embed_clr_continuous_rows(z_c, measure) + embed_clr_discrete_rows(z_d, measure)

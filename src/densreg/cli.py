@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bayes import check_clr_rows, clr, clr_rows
+from .bayes import check_clr_rows, clr, clr_rows, decompose_clr_rows, round_trip_deviation
 from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
 from .io import (
     ConfigError,
@@ -319,11 +319,17 @@ def cmd_check(cfg, args) -> int:
     for i, total in enumerate(values @ measure.weights):
         if abs(total - 1.0) > 1e-6:
             problems.append(f"row {i + 1}: integral {float(total)!r} deviates from 1")
+    z = clr_rows(values, measure)
     try:
-        check_clr_rows(clr_rows(values, measure), measure)
+        check_clr_rows(z, measure)
     except ValueError as exc:
         problems.append(str(exc))
     print(f"{path}: {len(densities)} densities on {measure_header(measure)[1:]}")
+    if measure.is_mixed:
+        deviation, tolerance = round_trip_deviation(z, decompose_clr_rows(z, measure), measure)
+        print(f"worst decompose/embed deviation {deviation:.3g} (tolerance {tolerance:.3g})")
+        if deviation > tolerance:
+            problems.append("mixed rows do not embed back to their clr rows")
     if problems:
         for p in problems:
             print(f"FAIL {p}")

@@ -101,7 +101,7 @@ class HeatmapGrid:
     outer_band: np.ndarray      # per-atom log odds against the continuous aggregate
 
 
-def heatmap(effect: ClrElement, resolution: int = 25) -> HeatmapGrid:
+def heatmap(effect: ClrElement, resolution: int) -> HeatmapGrid:
     """Log-odds surface LO(t, s) over atoms plus a grid subsample.
 
     The outer band compares each atom with the continuous component as a

@@ -11,8 +11,10 @@ and its allowed strings or numeric bound; unknown keys are rejected.
 :func:`validate_config` walks a config against it, then builds the run
 objects (:func:`run_objects`), so the library constructors check the rules
 that span several keys: ``a < b`` and atoms inside the interval (measure),
-the term kind and its covariate count (``EffectTerm``), unique term names
-(``ModelSpec``), an ascending bandwidth grid (``KdeConfig``). Every problem
+the term kind and its covariate count (``EffectTerm``), unique term names,
+at most one intercept, one kind (categorical or numeric) per covariate and
+``orthogonal_to`` naming only earlier terms (``ModelSpec``, at
+``config.model``), an ascending bandwidth grid (``KdeConfig``). Every problem
 is a :class:`ConfigError` whose message starts with the path of the field,
 such as ``config.model.terms[2].knots``, or of its section. A command that
 needs more than the defaults (data paths, a measure, a model) checks that in

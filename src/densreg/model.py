@@ -24,11 +24,15 @@ format is in :mod:`densreg.io`): a ``_Covariate`` per covariate and a
 ``_TermEncoder`` per term, which turns covariate values into constrained
 design rows and records the term's smoothing parameter and degrees of
 freedom. The training designs live only in the boosting inputs
-(:class:`~densreg.basis.EffectDesign`). The layer works on N x P rows:
-:func:`fit` boosts the clr rows of its responses with
-:func:`~densreg.boosting.boost` or :func:`~densreg.boosting.boost_mixed`, and
-:func:`predict` returns the density rows of sums of clr rows; only
-:func:`predict_clr` and :func:`extract_effect` return elements.
+(:class:`~densreg.basis.EffectDesign`). ``_components`` is the one table of
+a measure's components, each with its measure and the embedding of its clr
+rows: "continuous" (the grid) and "discrete" (the atoms plus a stand-in
+point) for a mixed measure, else "single" (the identity). The layer works on
+N x P rows: :func:`fit` splits the clr rows of its responses into their
+components, boosts each with :func:`~densreg.boosting.boost` and sums the
+embedded fits, and :func:`predict` returns the density rows of sums of
+embedded clr rows; only :func:`predict_clr` and :func:`extract_effect`
+return elements.
 """
 from __future__ import annotations
 
@@ -54,11 +58,13 @@ from .bayes import (
     clr_inv,
     clr_inv_rows,
     continuous_submeasure,
+    decompose_clr_rows,
     discrete_star_measure,
     embed_clr_continuous_rows,
     embed_clr_discrete_rows,
+    round_trip_deviation,
 )
-from .boosting import BoostConfig, FitState, MixedFit, boost, boost_mixed
+from .boosting import BoostConfig, FitState, MixedFit, boost
 from .measure import ReferenceMeasure
 
 __all__ = [
@@ -120,10 +126,16 @@ class EffectTerm:
         blocks = _KINDS[self.kind]
         return "c" * len(self.covariates) if blocks == "c+" else blocks
 
+    @property
+    def covariate_kinds(self) -> tuple:
+        """"categorical" or "numeric" per covariate slot."""
+        return tuple("categorical" if letter == "c" else "numeric" for letter in self.blocks)
+
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered effect terms plus coding and reference declarations."""
+    """Ordered effect terms plus coding and reference declarations, checked
+    for the rules that need no data."""
 
     terms: tuple
     coding: str = "effect"
@@ -138,6 +150,17 @@ class ModelSpec:
             raise ValueError("term names must be unique")
         if sum(t.kind == "intercept" for t in self.terms) > 1:
             raise ValueError("at most one intercept term is allowed")
+        kinds = {}
+        for i, t in enumerate(self.terms):
+            for name, kind in zip(t.covariates, t.covariate_kinds):
+                if kinds.setdefault(name, kind) != kind:
+                    raise ValueError(f"covariate {name!r} used with conflicting types")
+            for other in t.orthogonal_to:
+                if other not in names[:i]:
+                    raise ValueError(
+                        f"term {t.name!r} is constrained against {other!r}, "
+                        "which must be declared earlier"
+                    )
 
     def term(self, name: str) -> EffectTerm:
         for t in self.terms:
@@ -152,7 +175,10 @@ class ModelSpec:
     @property
     def numeric_covariates(self) -> set:
         """Names of the covariates that some term reads as numbers."""
-        return {c for t in self.terms for c, letter in zip(t.covariates, t.blocks) if letter != "c"}
+        return {
+            c for t in self.terms
+            for c, kind in zip(t.covariates, t.covariate_kinds) if kind == "numeric"
+        }
 
 
 @dataclass(frozen=True)
@@ -167,7 +193,7 @@ class _Covariate:
     hi: float = 0.0
 
     @classmethod
-    def infer(cls, name: str, kind: str, values, reference=None) -> "_Covariate":
+    def infer(cls, name: str, kind: str, values, reference) -> "_Covariate":
         if kind == "categorical":
             levels = tuple(sorted({str(v) for v in values}))
             if len(levels) < 2:
@@ -326,14 +352,10 @@ def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
 def _infer_covariates(spec: ModelSpec, data) -> dict:
     covs = {}
     for term in spec.terms:
-        for cname, letter in zip(term.covariates, term.blocks):
-            ckind = "categorical" if letter == "c" else "numeric"
-            if cname in covs:
-                if covs[cname].kind != ckind:
-                    raise ValueError(f"covariate {cname!r} used with conflicting types")
-                continue
-            column = _column(data, cname, _table_length(data))
-            covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
+        for cname, ckind in zip(term.covariates, term.covariate_kinds):
+            if cname not in covs:
+                column = _column(data, cname, _table_length(data))
+                covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
     return covs
 
 
@@ -368,11 +390,6 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
         if term.kind != "intercept" and spec.has_intercept and not skip_center:
             rows.append(raw.mean(axis=0)[None, :] * _per_unit_design(raw.shape[0] ** -0.5))
         for other in term.orthogonal_to:
-            if other not in designs_by_name:
-                raise ValueError(
-                    f"term {term.name!r} is constrained against {other!r}, "
-                    "which must be declared earlier"
-                )
             design = designs_by_name[other]
             rows.append(design.T @ raw * _per_unit_design(np.linalg.norm(design)))
         transform = (
@@ -408,15 +425,11 @@ class FittedModel:
     density_options: dict = field(default_factory=dict)
 
     @property
-    def is_mixed(self) -> bool:
-        return isinstance(self.fits, MixedFit)
-
-    @property
     def m_stop(self):
         return self.fits.m_stop
 
     def component_states(self) -> dict:
-        if self.is_mixed:
+        if self.measure.is_mixed:
             return {"continuous": self.fits.continuous, "discrete": self.fits.discrete}
         return {"single": self.fits}
 
@@ -436,12 +449,20 @@ _DENSITY_OPTIONS = ("knots", "degree", "penalty_order")
 
 
 def _components(measure: ReferenceMeasure) -> dict:
-    """The measure of each model component: "continuous" and "discrete" for
-    a mixed measure (B-spline and indicator bases), else "single"."""
+    """Each model component's measure and the embedding of its clr rows into
+    ``measure``: "continuous" and "discrete" for a mixed measure (B-spline and
+    indicator bases), else "single"."""
     if measure.is_mixed:
-        return {"continuous": continuous_submeasure(measure),
-                "discrete": discrete_star_measure(measure)}
-    return {"single": measure}
+        return {"continuous": (continuous_submeasure(measure), embed_clr_continuous_rows),
+                "discrete": (discrete_star_measure(measure), embed_clr_discrete_rows)}
+    return {"single": (measure, lambda z, _: z)}
+
+
+def _fits(states: dict, measure: ReferenceMeasure, fitted_clr) -> FitState | MixedFit:
+    """The fit of a model from its component states, in ``_components`` order."""
+    if measure.is_mixed:
+        return MixedFit(*states.values(), measure, fitted_clr)
+    return states["single"]
 
 
 def _finite(value, what: str) -> np.ndarray:
@@ -558,7 +579,7 @@ def load_fields(d: dict) -> FittedModel:
             raise ValueError(f"{key}: expected the component(s) {list(components)}")
     columns = [e.n_columns for e in encoders]
     bases, states = {}, {}
-    for comp, m in components.items():
+    for comp, (m, _) in components.items():
         bd, fd = d["bases"][comp], d["fits"][comp]
         if not ReferenceMeasure.from_dict(bd["measure"]).same_support(m):
             raise ValueError(f"bases.{comp}.measure: differs from the component of measure")
@@ -588,10 +609,8 @@ def load_fields(d: dict) -> FittedModel:
             m, offset, coefficients, None, selections, risk_path,
             m_stop, stop_curve=None if curve is None else np.asarray(curve, dtype=float),
         )
-    fits = (MixedFit(**states, measure=measure, fitted_clr=None) if measure.is_mixed
-            else states["single"])
     return FittedModel(
-        spec, measure, _PredictorState(covariates, encoders), fits, bases,
+        spec, measure, _PredictorState(covariates, encoders), _fits(states, measure, None), bases,
         db["lambda_density"], None, {f"density_{k}": db[k] for k in _DENSITY_OPTIONS},
     )
 
@@ -600,11 +619,11 @@ def build_designs(
     spec: ModelSpec,
     data,
     measure: ReferenceMeasure,
-    default_df: float = 2.0,
-    density_knots: int = 10,
-    density_degree: int = 3,
-    density_penalty_order: int = 2,
-    lambda_density: float = 0.0,
+    default_df: float,
+    density_knots: int,
+    density_degree: int,
+    density_penalty_order: int,
+    lambda_density: float,
 ):
     """Build the constrained effect designs for each component of the measure.
 
@@ -615,7 +634,7 @@ def build_designs(
     frame, blocks = _encode(spec, data, default_df)
     bases = {
         comp: density_basis(m, density_knots, density_degree, density_penalty_order)
-        for comp, m in _components(measure).items()
+        for comp, (m, _) in _components(measure).items()
     }
     designs = {
         key: [
@@ -632,22 +651,23 @@ def fit(
     data,
     y_clr: np.ndarray,
     measure: ReferenceMeasure,
-    config: BoostConfig | None = None,
+    config: BoostConfig,
     *,
-    default_df: float = 2.0,
-    density_knots: int = 10,
-    density_degree: int = 3,
-    density_penalty_order: int = 2,
-    lambda_density: float = 0.0,
+    default_df: float,
+    density_knots: int,
+    density_degree: int,
+    density_penalty_order: int,
+    lambda_density: float,
 ) -> FittedModel:
     """Fit the model to the N x P clr rows ``y_clr`` of the responses on
-    ``measure``, dispatching on the measure.
+    ``measure``, one independent fit per component (see ``_components``).
 
-    Mixed measures are fitted as two independent component models with their
-    own stopping iterations; pure discrete or continuous measures get a
-    single fit. The keyword options are those of :func:`build_designs`.
+    A mixed measure's responses split by the orthogonal decomposition, which
+    must embed back to them within 1e-12 of max(1, max |y|) (else a
+    FloatingPointError). Component i is boosted with seed ``config.seed + i``
+    and its own stopping iteration. The keyword options are those of
+    :func:`build_designs`.
     """
-    config = config or BoostConfig()
     check_clr_rows(y_clr, measure)
     if not len(y_clr):
         raise ValueError("no responses given")
@@ -661,10 +681,21 @@ def fit(
     frame, bases, designs = build_designs(
         spec, data, measure, default_df, lambda_density=lambda_density, **density_options
     )
+    parts = (y_clr,)
     if measure.is_mixed:
-        fits = boost_mixed(y_clr, measure, designs["continuous"], designs["discrete"], config)
-    else:
-        fits = boost(y_clr, measure, designs["single"], config)
+        parts = decompose_clr_rows(y_clr, measure)
+        deviation, tolerance = round_trip_deviation(y_clr, parts, measure)
+        if deviation > tolerance:
+            raise FloatingPointError(
+                f"mixed responses do not embed back to their clr rows: deviation {deviation:.3g}"
+            )
+    states, embedded = {}, []
+    for i, ((comp, (_, embed)), y) in enumerate(zip(_components(measure).items(), parts)):
+        states[comp] = boost(
+            y, bases[comp].measure, designs[comp], replace(config, seed=config.seed + i)
+        )
+        embedded.append(embed(states[comp].fitted_clr, measure))
+    fits = _fits(states, measure, sum(embedded[1:], embedded[0]))
     return FittedModel(
         spec, measure, frame, fits, bases, lambda_density, config, density_options
     )
@@ -675,6 +706,7 @@ def _raw_clr_rows(model: FittedModel, data, include_offset=True) -> np.ndarray:
     n = _table_length(data)
     designs = [e.design(data) for e in model.frame.encoders]
     out = np.zeros((n, model.measure.size))
+    components = _components(model.measure)
     for component, state in model.component_states().items():
         basis = model.bases[component]
         comp = np.zeros((n, state.offset_clr.size))
@@ -682,13 +714,7 @@ def _raw_clr_rows(model: FittedModel, data, include_offset=True) -> np.ndarray:
             comp += state.offset_clr
         for x, coef in zip(designs, state.coefficients):
             comp += x @ coef.reshape(x.shape[1], basis.n_basis) @ basis.clr_matrix.T
-        if model.is_mixed:
-            embed = (
-                embed_clr_continuous_rows if component == "continuous"
-                else embed_clr_discrete_rows
-            )
-            comp = embed(comp, model.measure)
-        out += comp
+        out += components[component][1](comp, model.measure)
     return out
 
 

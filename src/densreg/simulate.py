@@ -48,17 +48,15 @@ class FpcaResult:
         return self.eigenvalues.size
 
 
-def fpca(
-    rows: np.ndarray, measure: ReferenceMeasure, truncation: int | None = None
-) -> FpcaResult:
+def fpca(rows: np.ndarray, measure: ReferenceMeasure, truncation: int | None) -> FpcaResult:
     """Principal components of clr residuals.
 
     Parameters
     ----------
     rows : N x P clr residuals on ``measure``
-    truncation : number of components to keep, at most min(N, P) - 1 by
-        default (the empirical covariance of N centered curves has rank
-        at most N - 1).
+    truncation : number of components to keep, or None for min(N, P) - 1
+        (the empirical covariance of N centered curves has rank at most
+        N - 1).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != measure.size:
@@ -97,8 +95,8 @@ def fpca(
 def simulate_responses(
     mean_clr: np.ndarray,
     fpca_result: FpcaResult,
-    seed: int | np.random.SeedSequence | None = None,
-    noise_scale: float = 1.0,
+    seed: int | np.random.SeedSequence | None,
+    noise_scale: float,
 ) -> np.ndarray:
     """Mean clr rows plus truncated expansions of the residual structure.
 

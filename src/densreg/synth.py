@@ -40,12 +40,7 @@ def planted_shapes(m: ReferenceMeasure) -> dict:
     return shapes
 
 
-def planted_problem(
-    seed: int = 0,
-    grid_size: int = 100,
-    n_years: int = 30,
-    noise_scale: float = 0.0,
-):
+def planted_problem(seed: int, grid_size: int, n_years: int, noise_scale: float):
     """Planted mixed-density regression problem over region x child group x year.
 
     Returns (measure, data, truths, effects) where ``truths`` are the
@@ -112,11 +107,7 @@ def planted_problem(
     return m, data, truths, effects
 
 
-def synthetic_observations(
-    seed: int = 0,
-    groups: int = 6,
-    n_per_group: int = 400,
-):
+def synthetic_observations(seed: int, groups: int, n_per_group: int):
     """Individual-level weighted observations of a share in [0, 1].
 
     Each group mixes exact boundary values with interior draws from a

@@ -7,6 +7,28 @@ from densreg.measure import ReferenceMeasure, make_discrete, make_mixed
 
 from bayes_oracle import density
 
+# Values for the library parameters that tests do not vary, by function.
+# Every caller in the package passes these parameters, so the library gives
+# them no default; the model options of fit and build_designs are the
+# command-line defaults.
+OPTIONS = {
+    "model": {
+        "default_df": 2.0,
+        "density_knots": 10,
+        "density_degree": 3,
+        "density_penalty_order": 2,
+        "lambda_density": 0.0,
+    },
+    "heatmap": {"resolution": 25},
+    "planted_problem": {"noise_scale": 0.0},
+    "simulate_responses": {"noise_scale": 1.0},
+}
+
+
+def options(function: str, **changes) -> dict:
+    """The keyword values of ``OPTIONS[function]`` with ``changes`` applied."""
+    return {**OPTIONS[function], **changes}
+
 
 def make_continuous(a: float, b: float, grid_size: int) -> ReferenceMeasure:
     """Lebesgue measure on [a, b] (no atoms)."""

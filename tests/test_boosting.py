@@ -24,11 +24,10 @@ from densreg.boosting import (
     _penalized_inverse,
     boost,
     boost_from_clr,
-    boost_mixed,
     early_stop_from_clr,
 )
 from densreg.measure import make_discrete, make_mixed
-from densreg.model import EffectTerm, ModelSpec, build_designs
+from densreg.model import EffectTerm, ModelSpec, build_designs, fit
 from densreg.synth import planted_problem
 
 from bayes_oracle import constant_density, density, equal_b, norm, perturb, subtract
@@ -43,7 +42,13 @@ from boosting_oracle import (
     resample_splits,
     select_base_learner,
 )
-from conftest import clr_stack, mixed_concatenated_basis, random_clr_direction, random_density
+from conftest import (
+    clr_stack,
+    mixed_concatenated_basis,
+    options,
+    random_clr_direction,
+    random_density,
+)
 
 
 def center_columns(design, penalty):
@@ -192,7 +197,7 @@ class TestSelection:
         w = continuous_measure.weights
         y_clr -= ((y_clr * w).sum(axis=1) / w.sum())[:, None]
         state = boost_from_clr(
-            y_clr, continuous_measure, designs, BoostConfig(max_iterations=50)
+            y_clr, continuous_measure, designs, BoostConfig(max_iterations=50), m_stop=50
         )
         share = np.mean(np.asarray(state.selections) == 1)
         assert share >= 0.9
@@ -363,61 +368,47 @@ class TestEarlyStop:
 
 
 class TestBoostMixed:
-    def _mixed_setup(self, rng, n=10):
-        m = make_mixed(0, 1, [(0, 1), (1, 1)], 30)
-        from densreg.bayes import continuous_submeasure, discrete_star_measure
+    """Mixed responses through the component loop of ``model.fit``."""
 
-        mc, md = continuous_submeasure(m), discrete_star_measure(m)
-        basis_c = density_basis(mc, 5, 3, 2)
-        basis_d = density_basis(md, 10, 3, 2)
-        x = rng.uniform(size=n)
-        bx = bspline_eval(bspline_knots(0, 1, 3, 2), 2, x)
-        bx, pen = center_columns(bx, difference_penalty(bx.shape[1], 2))
-        designs_c = [
-            EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis_c, 0.0, 0.0),
-            EffectDesign("flex", bx, pen, basis_c, 1.0, 0.0),
-        ]
-        designs_d = [
-            EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis_d, 0.0, 0.0),
-            EffectDesign("flex", bx, pen, basis_d, 1.0, 0.0),
-        ]
-        return m, designs_c, designs_d
+    SPEC = ModelSpec((
+        EffectTerm("intercept", "intercept"),
+        EffectTerm("flex", "flexible", ("x",), knots=3, degree=2),
+    ))
+    MEASURE = make_mixed(0, 1, [(0, 1), (1, 1)], 30)
+
+    def _fits(self, rng, y, config):
+        data = {"x": rng.uniform(size=len(y))}
+        return fit(self.SPEC, data, y, self.MEASURE, config, **options("model", density_knots=5)).fits
 
     def test_constant_discrete_part(self, ):
         rng = np.random.default_rng(22)
-        m, designs_c, designs_d = self._mixed_setup(rng)
+        m = self.MEASURE
         responses = []
         for _ in range(10):
             grid_vals = np.exp(rng.normal(size=30))
             gm = np.exp(np.log(grid_vals) @ m.grid_weights / 1.0)
             values = np.concatenate([[gm, gm], grid_vals])
             responses.append(density(m, values))
-        fit = boost_mixed(clr_stack(responses), m, designs_c, designs_d, BoostConfig(max_iterations=30))
-        assert fit.discrete.risk_path[0] < 1e-16
+        fits = self._fits(rng, clr_stack(responses), BoostConfig(max_iterations=30))
+        assert fits.discrete.risk_path[0] < 1e-16
 
     def test_sse_pythagoras(self):
         rng = np.random.default_rng(23)
-        m, designs_c, designs_d = self._mixed_setup(rng)
-        responses = [random_density(m, rng) for _ in range(10)]
-        fit = boost_mixed(clr_stack(responses), m, designs_c, designs_d, BoostConfig(max_iterations=25))
-        y = np.stack([clr(f).values for f in responses])
-        total = float((((y - fit.fitted_clr) ** 2) * m.weights).sum())
-        comp = fit.continuous.risk_path[-1] + fit.discrete.risk_path[-1]
+        m = self.MEASURE
+        y = clr_stack([random_density(m, rng) for _ in range(10)])
+        fits = self._fits(rng, y, BoostConfig(max_iterations=25))
+        total = float((((y - fits.fitted_clr) ** 2) * m.weights).sum())
+        comp = fits.continuous.risk_path[-1] + fits.discrete.risk_path[-1]
         assert abs(total - comp) < 1e-9 * max(1.0, total)
 
     def test_two_stopping_iterations_reported(self):
         rng = np.random.default_rng(24)
-        m, designs_c, designs_d = self._mixed_setup(rng)
-        responses = [random_density(m, rng) for _ in range(10)]
-        fit = boost_mixed(
-            clr_stack(responses),
-            m,
-            designs_c,
-            designs_d,
-            BoostConfig(max_iterations=20, stopping="bootstrap", replicates=5, seed=1),
+        y = clr_stack([random_density(self.MEASURE, rng) for _ in range(10)])
+        fits = self._fits(
+            rng, y, BoostConfig(max_iterations=20, stopping="bootstrap", replicates=5, seed=1)
         )
-        assert isinstance(fit.m_stop, tuple) and len(fit.m_stop) == 2
-        assert fit.continuous.m_stop >= 1 and fit.discrete.m_stop >= 1
+        assert isinstance(fits.m_stop, tuple) and len(fits.m_stop) == 2
+        assert fits.continuous.m_stop >= 1 and fits.discrete.m_stop >= 1
 
 
 def rank_deficient_effect(measure, rng, n):
@@ -445,7 +436,7 @@ class TestSingularFallback:
     def test_inverse_as_accurate_as_scipy_on_model_designs(self):
         # on worse-conditioned grams (up to 1e5 here) the two inverses differ
         # by about cond * eps, so require residuals of the same order instead
-        m, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=8)
+        m, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=8, **options("planted_problem"))
         spec = ModelSpec((
             EffectTerm("intercept", "intercept"),
             EffectTerm("region", "group_intercept", ("region",)),
@@ -453,7 +444,7 @@ class TestSingularFallback:
             EffectTerm("region_year", "group_flexible", ("region", "year"),
                        orthogonal_to=("region", "year")),
         ))
-        _, _, designs = build_designs(spec, data, m, density_knots=6)
+        _, _, designs = build_designs(spec, data, m, **options("model", density_knots=6))
         for d in designs["continuous"] + designs["discrete"]:
             b, w = d.density_basis.clr_matrix, d.density_basis.measure.weights
             gram = np.kron(d.X.T @ d.X, b.T @ (b * w[:, None])) + d.penalty()
@@ -476,7 +467,7 @@ class TestSingularFallback:
         eff = rank_deficient_effect(continuous_measure, rng, n)
         y = rng.normal(size=(n, continuous_measure.size))
         with pytest.warns(RuntimeWarning, match="ridge jitter"):
-            state = boost_from_clr(y, continuous_measure, [eff], BoostConfig(max_iterations=5))
+            state = boost_from_clr(y, continuous_measure, [eff], BoostConfig(), m_stop=5)
         assert all(np.all(np.isfinite(c)) for c in state.coefficients)
         assert np.all(np.isfinite(state.fitted_clr))
 
@@ -491,8 +482,8 @@ class TestSingularFallback:
             lambda message, *a, **k: seen.append((str(message), threading.get_ident())),
         )
         fixed = BoostConfig(max_iterations=5)
-        boost_from_clr(y, continuous_measure, [eff], fixed)
-        boost_from_clr(y, continuous_measure, [eff], fixed)
+        boost_from_clr(y, continuous_measure, [eff], fixed, m_stop=5)
+        boost_from_clr(y, continuous_measure, [eff], fixed, m_stop=5)
         # every fold's system is singular; a thread count changes nothing
         cv = BoostConfig(max_iterations=5, stopping="cv", folds=4, threads=2)
         early_stop_from_clr(y, continuous_measure, [eff], cv)
@@ -502,6 +493,7 @@ class TestSingularFallback:
 
 
 class TestRiskCheck:
+    # run after a line that binds OPTIONS to the model options of model.fit
     SCRIPT = textwrap.dedent(
         """
         import numpy as np
@@ -518,7 +510,7 @@ class TestRiskCheck:
         # step overshoot, so the in-bag risk rises
         eff = EffectDesign("slope", x, np.array([[-1.0]]), basis, 2.0, 0.0)
         try:
-            boost_from_clr(y, m, [eff], BoostConfig(step_length=0.5, max_iterations=3))
+            boost_from_clr(y, m, [eff], BoostConfig(step_length=0.5), m_stop=3)
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
         # every fold's system stays positive definite; the first fold's risk
@@ -541,34 +533,32 @@ class TestRiskCheck:
         boosting._boost_paths = perturbed
         eff = EffectDesign("slope", x, np.array([[1.0]]), basis, 1.0, 0.0)
         try:
-            boost_from_clr(y, m, [eff], BoostConfig(max_iterations=3))
+            boost_from_clr(y, m, [eff], BoostConfig(), m_stop=3)
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
         # a discrete embedding that drops the stand-in value breaks the
         # decompose/embed round trip of mixed responses
         boosting._boost_paths = kernel
-        from densreg.bayes import continuous_submeasure, discrete_star_measure
-        from densreg.measure import make_mixed
-        mixed = make_mixed(0, 1, [(0, 1), (1, 1)], 20)
-        designs_c = [EffectDesign("intercept", np.ones((6, 1)), np.zeros((1, 1)),
-                                  density_basis(continuous_submeasure(mixed), 4, 3, 2), 0.0, 0.0)]
-        designs_d = [EffectDesign("intercept", np.ones((6, 1)), np.zeros((1, 1)),
-                                  density_basis(discrete_star_measure(mixed), 10, 3, 2), 0.0, 0.0)]
-        y_mixed = np.random.default_rng(1).normal(size=(6, mixed.size))
-        embed = boosting.embed_clr_discrete_rows
-        boosting.embed_clr_discrete_rows = lambda z_d, target: embed(
-            np.concatenate([z_d[:, :-1], np.zeros((z_d.shape[0], 1))], axis=1), target)
-        try:
-            boosting.boost_mixed(y_mixed, mixed, designs_c, designs_d, BoostConfig(max_iterations=3))
-        except Exception as exc:
-            print(type(exc).__name__, isinstance(exc, ValueError), exc)
-        # a clr prediction row shifted off the zero integral
+        import densreg.bayes as bayes
         import densreg.model as model
+        from densreg.measure import make_mixed
         spec = model.ModelSpec((model.EffectTerm("intercept", "intercept"),
                                 model.EffectTerm("x", "linear", ("x",))))
         data = {"x": x[:, 0]}
+        mixed = make_mixed(0, 1, [(0, 1), (1, 1)], 20)
+        y_mixed = np.random.default_rng(1).normal(size=(6, mixed.size))
+        y_mixed -= (y_mixed @ mixed.weights)[:, None] / mixed.total_mass
+        embed = bayes.embed_clr_discrete_rows
+        bayes.embed_clr_discrete_rows = lambda z_d, target: embed(
+            np.concatenate([z_d[:, :-1], np.zeros((z_d.shape[0], 1))], axis=1), target)
+        try:
+            model.fit(spec, data, y_mixed, mixed, BoostConfig(max_iterations=3), **OPTIONS)
+        except Exception as exc:
+            print(type(exc).__name__, isinstance(exc, ValueError), exc)
+        bayes.embed_clr_discrete_rows = embed
+        # a clr prediction row shifted off the zero integral
         y_clr = y - (y @ m.weights)[:, None] / m.total_mass
-        fitted = model.fit(spec, data, y_clr, m, BoostConfig(max_iterations=3))
+        fitted = model.fit(spec, data, y_clr, m, BoostConfig(max_iterations=3), **OPTIONS)
         rows = model._raw_clr_rows
 
         def shifted(*args, **kwargs):
@@ -589,7 +579,7 @@ class TestRiskCheck:
 
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(densreg.__file__)))
         res = subprocess.run(
-            [sys.executable, "-O", "-c", self.SCRIPT],
+            [sys.executable, "-O", "-c", f"OPTIONS = {options('model')!r}\n" + self.SCRIPT],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
@@ -634,7 +624,7 @@ def paper_components():
     problem with the paper's model terms."""
     measure, data, truths, _ = planted_problem(seed=3, grid_size=30, n_years=5, noise_scale=0.5)
     spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
-    _, bases, designs = build_designs(spec, data, measure, density_knots=6)
+    _, bases, designs = build_designs(spec, data, measure, **options("model", density_knots=6))
     parts = [decompose_clr(clr(f)) for f in truths]
     return {
         comp: (np.stack([p[k].values for p in parts]), bases[comp].measure, designs[comp])
@@ -666,7 +656,8 @@ class TestKernelMatchesBruteForce:
     def test_in_bag_fit(self, paper_components, component):
         y, m, designs = paper_components[component]
         cfg = BoostConfig(max_iterations=60)
-        assert_fit_matches(boost_from_clr(y, m, designs, cfg), brute_force_boost(y, m, designs, cfg))
+        got = boost_from_clr(y, m, designs, cfg, m_stop=cfg.max_iterations)
+        assert_fit_matches(got, brute_force_boost(y, m, designs, cfg))
 
     @pytest.mark.parametrize("component", ["continuous", "discrete"])
     @pytest.mark.parametrize("order", sorted(LEARNER_ORDERS))
@@ -674,7 +665,7 @@ class TestKernelMatchesBruteForce:
         y, m, designs = paper_components[component]
         designs = [designs[j] for j in LEARNER_ORDERS[order]]
         cfg = BoostConfig(max_iterations=60)
-        got = boost_from_clr(y, m, designs, cfg)
+        got = boost_from_clr(y, m, designs, cfg, m_stop=cfg.max_iterations)
         assert_fit_matches(got, brute_force_boost(y, m, designs, cfg))
         if order == "duplicated":
             assert 0 in got.selections and 3 not in got.selections
@@ -751,6 +742,13 @@ class TestConfigValidation:
     def test_stopping_method(self):
         with pytest.raises(ValueError, match="stopping"):
             BoostConfig(stopping="magic")
+
+    @pytest.mark.parametrize("stopping", ["fixed", "cv", "bootstrap"])
+    def test_m_stop_beyond_max_iterations(self, stopping):
+        # rejected when the settings are declared, before any design is built
+        with pytest.raises(ValueError, match="^m_stop exceeds max_iterations$"):
+            BoostConfig(max_iterations=10, m_stop=11, stopping=stopping)
+        assert BoostConfig(max_iterations=10, m_stop=10, stopping=stopping).m_stop == 10
 
     def test_design_length_mismatch(self, continuous_measure):
         rng = np.random.default_rng(25)

@@ -22,7 +22,7 @@ from densreg.io import (
 from densreg.measure import integrate, make_mixed
 from densreg.synth import planted_problem, synthetic_observations
 
-from conftest import clr_stack
+from conftest import clr_stack, options
 
 
 def write_config(path, **sections):
@@ -69,7 +69,7 @@ MODEL = {
 
 @pytest.fixture
 def densities_file(tmp_path):
-    m, data, truths, _ = planted_problem(seed=21, grid_size=40, n_years=6)
+    m, data, truths, _ = planted_problem(seed=21, grid_size=40, n_years=6, **options("planted_problem"))
     path = tmp_path / "dens.tsv"
     keys = [
         (data["region"][i], data["c_age"][i], repr(float(data["year"][i])))
@@ -477,6 +477,34 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config.model.{field}:")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("orthogonal_to_later_term",
+             "term 'year' is constrained against 'region_year', which must be declared earlier"),
+            ("covariate_with_two_kinds", "covariate 'year' used with conflicting types"),
+        ],
+        ids=["orthogonal_to_later_term", "covariate_with_two_kinds"],
+    )
+    def test_spec_rules_exit_config_at_model(self, tmp_path, capsys, densities_file, change, message):
+        model = copy.deepcopy(MODEL)
+        model["terms"].append({
+            "name": "region_year", "kind": "group_flexible", "covariates": ["region", "year"],
+            "knots": 4, "orthogonal_to": ["region", "year"],
+        })
+        if change == "orthogonal_to_later_term":
+            model["terms"][3]["orthogonal_to"] = ["region_year"]
+        else:
+            model["terms"].append({"name": "yr_cat", "kind": "group_intercept", "covariates": ["year"]})
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": densities_file},
+            model=model,
+            boosting={"max_iterations": 5},
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: config.model: {message}\n"
+
     def test_missing_densities_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -652,6 +680,32 @@ class TestCheckCommand:
         assert main(["check", densities_file, "--config", cfg]) == 3
         assert "FAIL clr values must be finite and integrate to zero (rows 3)\n" in capsys.readouterr().out
 
+    def test_mixed_file_reports_round_trip(self, tmp_path, densities_file, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["check", densities_file, "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        words = lines[1].split()
+        assert words[:3] == ["worst", "decompose/embed", "deviation"]
+        assert words[4] == "(tolerance" and float(words[5].rstrip(")")) >= 1e-12
+        assert float(words[3]) <= 1e-15
+        assert lines[2].startswith("OK all invariants hold")
+
+    def test_broken_embedding_is_a_fail_line(self, tmp_path, densities_file, capsys, monkeypatch):
+        import densreg.bayes as bayes
+
+        cfg = write_config(tmp_path / "cfg.json")
+        embed = bayes.embed_clr_discrete_rows
+        # drop the stand-in value, as in a broken discrete embedding
+        monkeypatch.setattr(
+            bayes, "embed_clr_discrete_rows",
+            lambda z_d, target: embed(np.concatenate([z_d[:, :-1], 0.0 * z_d[:, -1:]], axis=1),
+                                      target),
+        )
+        assert main(["check", densities_file, "--config", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL mixed rows do not embed back to their clr rows\n" in out
+        assert "OK" not in out
+
     def test_corrupted_file_fails(self, tmp_path, densities_file):
         cfg = write_config(tmp_path / "cfg.json")
         lines = open(densities_file).read().splitlines()
@@ -692,7 +746,7 @@ class TestModelRoundTrip:
         spec = run_objects(cfg).spec
         model = fit_model(
             spec, data, clr_stack(densities), measure, BoostConfig(max_iterations=30),
-            density_knots=6,
+            **options("model", density_knots=6),
         )
         blob = _json.dumps(model_to_dict(model))
         loaded = model_from_dict(_json.loads(blob))
@@ -710,7 +764,7 @@ class TestModelRoundTrip:
         data = {c: [k[i] for k in keys] for i, c in enumerate(cols)}
         model = fit_model(
             run_objects(cfg).spec, data, clr_stack(densities), measure,
-            BoostConfig(max_iterations=10), density_knots=6,
+            BoostConfig(max_iterations=10), **options("model", density_knots=6),
         )
         blob = model_to_dict(model)
         loaded = model_from_dict(json.loads(json.dumps(blob)))
@@ -817,6 +871,9 @@ class TestModelFiles:
              "model file: terms[1].covariates: 'regoin' is not a declared categorical covariate"),
             (_model_file_with(("terms", 3, "covariates"), ["region"]),
              "model file: terms[3].covariates: 'region' is not a declared numeric covariate"),
+            (_model_file_with(("terms", 4, "orthogonal_to"), ["region", "regoin"]),
+             "model file: term 'region_year' is constrained against 'regoin', "
+             "which must be declared earlier"),
             (_model_file_with(("fits", "discrete"), None),
              "model file: fits: expected the component(s) ['continuous', 'discrete']"),
             (_model_file_with(("bases", "single"), {}),
@@ -851,7 +908,8 @@ class TestModelFiles:
             "transform_infinite", "knot_nan", "lambda_cov_infinite", "lambda_density_nan",
             "basis_transform_infinite", "offset_nan", "coefficient_infinite",
             "reference_not_a_level", "levels_not_a_list", "covariate_range_infinite",
-            "unknown_term_covariate", "term_covariate_wrong_kind", "missing_component_fit",
+            "unknown_term_covariate", "term_covariate_wrong_kind", "orthogonal_to_unknown_term",
+            "missing_component_fit",
             "extra_component_basis", "component_atoms_differ", "component_grid_differs",
             "component_basis_kind", "selection_too_large", "selection_negative",
             "m_stop_not_selections", "duplicate_levels", "knots_off_covariate_range",

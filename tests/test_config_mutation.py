@@ -17,6 +17,8 @@ from densreg.cli import main
 from densreg.io import ConfigError, validate_config, write_density_file
 from densreg.synth import planted_problem, synthetic_observations
 
+from conftest import options
+
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 with open(DATA / "config_full.json") as fh:
     FULL = json.load(fh)
@@ -90,7 +92,7 @@ READS = {
 def runnable(tmp_path_factory):
     """The full config with its data paths pointing at small input files."""
     base = tmp_path_factory.mktemp("inputs")
-    m, data, truths, _ = planted_problem(seed=21, grid_size=40, n_years=4)
+    m, data, truths, _ = planted_problem(seed=21, grid_size=40, n_years=4, **options("planted_problem"))
     keys = [
         (data["region"][i], data["c_age"][i], repr(float(data["year"][i])))
         for i in range(len(truths))

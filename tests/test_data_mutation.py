@@ -24,6 +24,8 @@ from densreg.cli import main
 from densreg.io import read_density_file, write_density_file
 from densreg.synth import planted_problem, synthetic_observations
 
+from conftest import options
+
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 FIELDS = ["x", "nan", "inf", "-1", "1e400"]
@@ -76,7 +78,7 @@ def mutate_model(doc: dict, rng: random.Random) -> tuple[str, str]:
 def inputs(tmp_path_factory):
     """Small input files of each kind and the config that reads them."""
     base = tmp_path_factory.mktemp("inputs")
-    m, data, truths, _ = planted_problem(seed=4, grid_size=12, n_years=3)
+    m, data, truths, _ = planted_problem(seed=4, grid_size=12, n_years=3, **options("planted_problem"))
     keys = [
         (data["region"][i], data["c_age"][i], repr(float(data["year"][i])))
         for i in range(len(truths))

@@ -18,7 +18,7 @@ from bayes_oracle import (
     perturb,
     subtract,
 )
-from conftest import clr_stack, make_continuous, random_density
+from conftest import clr_stack, make_continuous, options, random_density
 
 
 class TestLogOdds:
@@ -104,7 +104,7 @@ class TestMixedDiscreteOdds:
     mean of the continuous component."""
 
     def test_constant_effect(self, mixed_measure):
-        outer = heatmap(clr(constant_density(mixed_measure))).outer_band
+        outer = heatmap(clr(constant_density(mixed_measure)), **options("heatmap")).outer_band
         np.testing.assert_allclose(outer, 0.0, atol=1e-12)
 
     def test_matches_decomposed_clr_difference(self, mixed_measure):
@@ -113,12 +113,14 @@ class TestMixedDiscreteOdds:
             f = random_density(mixed_measure, rng)
             zd = clr(decompose_mixed(f)[1]).values
             # the discrete component's clr at each atom minus its stand-in value
-            np.testing.assert_allclose(heatmap(clr(f)).outer_band, zd[:-1] - zd[-1], atol=1e-10)
+            outer = heatmap(clr(f), **options("heatmap")).outer_band
+            np.testing.assert_allclose(outer, zd[:-1] - zd[-1], atol=1e-10)
 
     def test_hand_built_effect(self, mixed_measure):
         values = np.concatenate([[2.0, 1.0], np.ones(100)])
         f = density(mixed_measure, values, normalize=False)
-        np.testing.assert_allclose(heatmap(clr(f)).outer_band, [np.log(2.0), 0.0], atol=1e-12)
+        outer = heatmap(clr(f), **options("heatmap")).outer_band
+        np.testing.assert_allclose(outer, [np.log(2.0), 0.0], atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +129,7 @@ def did_models():
     from densreg.bayes import embed_clr_continuous, embed_clr_discrete
     from densreg.model import build_designs
 
-    m, data, truths, effects = planted_problem(seed=11, grid_size=40, n_years=6)
+    m, data, truths, effects = planted_problem(seed=11, grid_size=40, n_years=6, **options("planted_problem"))
     spec = ModelSpec(
         terms=(
             EffectTerm("intercept", "intercept"),
@@ -146,7 +148,7 @@ def did_models():
     )
     # plant the interaction contrast inside the model's density-basis span so
     # the fit can recover it beyond the spline approximation floor
-    _, bases, _ = build_designs(spec, data, m, density_knots=6)
+    _, bases, _ = build_designs(spec, data, m, **options("model", density_knots=6))
     rng = np.random.default_rng(1)
     zc = bases["continuous"].clr_matrix @ rng.normal(0, 0.3, size=bases["continuous"].n_basis)
     zd = bases["discrete"].clr_matrix @ rng.normal(0, 0.3, size=bases["discrete"].n_basis)
@@ -161,8 +163,8 @@ def did_models():
     sign_b = np.where(cage == "kids0_6", 1.0, np.where(cage == "other", -1.0, 0.0))
     with_inter = z_rows + (sign_a * sign_b * 0.5)[:, None] * contrast
     cfg = BoostConfig(max_iterations=1500, step_length=0.5, seed=0)
-    additive = fit(spec, data, z_rows, m, cfg, density_knots=6)
-    interacted = fit(spec, data, with_inter, m, cfg, density_knots=6)
+    additive = fit(spec, data, z_rows, m, cfg, **options("model", density_knots=6))
+    interacted = fit(spec, data, with_inter, m, cfg, **options("model", density_knots=6))
     return m, contrast, additive, interacted
 
 
@@ -227,7 +229,8 @@ class TestDidMatchesDensitySpace:
             ),
             references={"region": "west", "c_age": "other", "year": 0.0},
         )
-        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=50), density_knots=5)
+        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=50),
+                    **options("model", density_knots=5))
         args = (model, "region", ("east", "west"), "c_age", ("kids0_6", "other"), {"year": 2.0})
         did, reference = did_effect(*args), did_density_space(*args)
         assert np.max(np.abs(clr(reference).values)) > 1e-3
@@ -285,7 +288,8 @@ class TestRepresentativeInvariance:
         assert log_odds(clr(subtract(f, g)), t, s) == pytest.approx(
             log_odds(clr(subtract(scaled_f, scaled_g)), t, s), abs=1e-12
         )
-        a, b = heatmap(clr(f)), heatmap(clr(scaled_f))
+        a = heatmap(clr(f), **options("heatmap"))
+        b = heatmap(clr(scaled_f), **options("heatmap"))
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.outer_band, b.outer_band, rtol=0, atol=1e-12)
 

@@ -18,7 +18,7 @@ from densreg.model import (
 from densreg.synth import planted_problem
 
 from bayes_oracle import constant_density, equal_b, norm, subtract
-from conftest import clr_stack, random_density
+from conftest import clr_stack, options, random_density
 
 
 def income_spec(coding="effect"):
@@ -43,7 +43,7 @@ def income_spec(coding="effect"):
 
 @pytest.fixture(scope="module")
 def planted_fit():
-    m, data, truths, effects = planted_problem(seed=3, grid_size=60, n_years=12)
+    m, data, truths, effects = planted_problem(seed=3, grid_size=60, n_years=12, **options("planted_problem"))
     spec = income_spec()
     model = fit(
         spec,
@@ -51,38 +51,71 @@ def planted_fit():
         clr_stack(truths),
         m,
         BoostConfig(max_iterations=400, stopping="fixed", seed=0),
-        density_knots=8,
+        **options("model", density_knots=8),
     )
     return m, data, truths, effects, model
 
 
 class TestBuildDesigns:
     def test_intercept_only(self):
-        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4)
+        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
         spec = ModelSpec(terms=(EffectTerm("intercept", "intercept"),))
-        frame, bases, designs = build_designs(spec, data, m)
+        frame, bases, designs = build_designs(spec, data, m, **options("model"))
         assert set(designs) == {"continuous", "discrete"}
         assert designs["continuous"][0].X.shape == (len(truths), 1)
 
     def test_unknown_covariate_rejected(self):
-        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4)
+        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
         spec = ModelSpec(terms=(EffectTerm("bad", "flexible", ("elevation",)),))
         with pytest.raises(ValueError, match="elevation"):
-            build_designs(spec, data, m)
+            build_designs(spec, data, m, **options("model"))
 
     def test_constant_flexible_covariate_rejected(self):
-        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4)
+        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
         data = dict(data, year=np.zeros(len(truths)))
         spec = ModelSpec(terms=(EffectTerm("year", "flexible", ("year",)),))
         with pytest.raises(ValueError, match="constant"):
-            build_designs(spec, data, m)
+            build_designs(spec, data, m, **options("model"))
 
     def test_single_level_group_rejected(self):
-        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4)
+        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
         data = dict(data, region=["east"] * len(truths))
         spec = ModelSpec(terms=(EffectTerm("region", "group_intercept", ("region",)),))
         with pytest.raises(ValueError, match="two levels"):
-            build_designs(spec, data, m)
+            build_designs(spec, data, m, **options("model"))
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ((EffectTerm("year", "flexible", ("year",)),
+              EffectTerm("yr_cat", "group_intercept", ("year",))),
+             "covariate 'year' used with conflicting types"),
+            ((EffectTerm("region", "group_intercept", ("region",)),
+              EffectTerm("x", "varying_coefficient", ("region", "year"))),
+             "covariate 'region' used with conflicting types"),
+            ((EffectTerm("year", "flexible", ("year",), orthogonal_to=("region_year",)),
+              EffectTerm("region_year", "group_flexible", ("region", "year"))),
+             "term 'year' is constrained against 'region_year', which must be declared earlier"),
+            ((EffectTerm("year", "flexible", ("year",), orthogonal_to=("year",)),),
+             "term 'year' is constrained against 'year', which must be declared earlier"),
+            ((EffectTerm("year", "flexible", ("year",)),
+              EffectTerm("region_year", "group_flexible", ("region", "year"),
+                         orthogonal_to=("year", "regoin"))),
+             "term 'region_year' is constrained against 'regoin', which must be declared earlier"),
+        ],
+        ids=["numeric_then_categorical", "categorical_then_numeric", "later_term", "itself",
+             "unknown_term"],
+    )
+    def test_spec_rules_checked_when_declared(self, terms, message):
+        # no data needed: the spec itself is rejected
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelSpec(terms)
+
+    def test_covariate_kinds_follow_blocks(self):
+        term = EffectTerm("region_year", "group_flexible", ("region", "year"))
+        assert term.covariate_kinds == ("categorical", "numeric")
+        spec = ModelSpec((term, EffectTerm("x", "varying_coefficient", ("x", "year"))))
+        assert spec.numeric_covariates == {"x", "year"}
 
     @pytest.mark.parametrize("size", ["knots", "degree", "penalty_order"])
     def test_negative_term_sizes_rejected(self, size):
@@ -93,16 +126,16 @@ class TestBuildDesigns:
     def test_observation_centering(self):
         # under effect coding every non-intercept design is mean-centered, so
         # the average fitted partial effect is the zero function exactly
-        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6, **options("planted_problem"))
         spec = income_spec()
-        frame, bases, designs = build_designs(spec, data, m)
+        frame, bases, designs = build_designs(spec, data, m, **options("model"))
         for design in designs["continuous"][1:]:
             np.testing.assert_allclose(design.X.mean(axis=0), 0.0, atol=1e-9)
 
     def test_interaction_orthogonal_to_mains(self):
-        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6, **options("planted_problem"))
         spec = income_spec()
-        _, _, designs = build_designs(spec, data, m)
+        _, _, designs = build_designs(spec, data, m, **options("model"))
         by_name = {d.name: d for d in designs["continuous"]}
         inter = by_name["region_x_c_age"].X
         for main in ("region", "c_age"):
@@ -110,9 +143,9 @@ class TestBuildDesigns:
             np.testing.assert_allclose(cross, 0.0, atol=1e-9)
 
     def test_reference_coding_zero_rows(self):
-        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6, **options("planted_problem"))
         spec = income_spec(coding="reference")
-        _, _, designs = build_designs(spec, data, m)
+        _, _, designs = build_designs(spec, data, m, **options("model"))
         by_name = {d.name: d for d in designs["continuous"]}
         region = np.asarray(data["region"])
         rows = by_name["region"].X[region == "west"]
@@ -138,13 +171,13 @@ class TestCategoricalIdentification:
             references={"region": "west", "c_age": "other", "year": 0.0},
         )
         model = fit(spec, data, clr_stack([truths[i] for i in keep]), m,
-                    BoostConfig(max_iterations=20), density_knots=6)
+                    BoostConfig(max_iterations=20), **options("model", density_knots=6))
         columns = {r["term"]: r["columns"] for r in design_report(model)}
         assert (columns["region"], columns["c_age"]) == (1, 2)
         assert len(predict(model, {k: v[:3] for k, v in data.items()})) == 3
 
     def test_balanced_group_flexible_keeps_every_contrast(self):
-        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6, **options("planted_problem"))
         spec = ModelSpec(
             terms=(
                 EffectTerm("intercept", "intercept"),
@@ -152,7 +185,7 @@ class TestCategoricalIdentification:
             ),
             references={"c_age": "other"},
         )
-        frame, _, designs = build_designs(spec, data, m)
+        frame, _, designs = build_designs(spec, data, m, **options("model"))
         # (levels - 1) x splines: 2 x 8
         assert designs["continuous"][1].n_cov == 16
         assert frame.encoders[1].transform is None
@@ -189,20 +222,21 @@ class TestFitAndPredict:
         np.testing.assert_allclose(preds @ m.weights, 1.0, rtol=0, atol=1e-10)
 
     def test_refit_identical(self):
-        m, data, truths, _ = planted_problem(seed=5, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=5, grid_size=30, n_years=6, **options("planted_problem"))
         spec = income_spec()
         cfg = BoostConfig(max_iterations=40, stopping="bootstrap", replicates=5, seed=9)
-        a = fit(spec, data, clr_stack(truths), m, cfg, density_knots=6)
-        b = fit(spec, data, clr_stack(truths), m, cfg, density_knots=6)
+        a = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
+        b = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
         for ca, cb in zip(a.fits.continuous.coefficients, b.fits.continuous.coefficients):
             np.testing.assert_array_equal(ca, cb)
         assert a.m_stop == b.m_stop
 
     def test_length_mismatch_rejected(self):
-        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4)
+        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
         spec = income_spec()
         with pytest.raises(ValueError, match="length"):
-            fit(spec, data, clr_stack(truths[:-1]), m, BoostConfig(max_iterations=2))
+            fit(spec, data, clr_stack(truths[:-1]), m, BoostConfig(max_iterations=2),
+                **options("model"))
 
 
 class TestExtractEffect:
@@ -233,7 +267,7 @@ class TestExtractEffect:
         np.testing.assert_allclose(total, expected, atol=1e-9)
 
     def test_never_selected_term_is_exactly_neutral(self):
-        m, data, truths, _ = planted_problem(seed=6, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=6, grid_size=30, n_years=6, **options("planted_problem"))
         # nuisance column unrelated to the generator
         rng = np.random.default_rng(0)
         data = dict(data, nuisance=rng.normal(size=len(truths)))
@@ -245,7 +279,8 @@ class TestExtractEffect:
             ),
             references={"region": "west"},
         )
-        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=3), density_knots=6)
+        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=3),
+                    **options("model", density_knots=6))
         states = model.component_states()
         for comp, state in states.items():
             if not state.selected_mask[2]:
@@ -262,7 +297,7 @@ class TestCodingInvariance:
         # unpenalized learners with a half step make every update an exact
         # projection, so both parameterizations reach the shared joint
         # least-squares limit within the iteration budget
-        m, data, truths, _ = planted_problem(seed=7, grid_size=30, n_years=8)
+        m, data, truths, _ = planted_problem(seed=7, grid_size=30, n_years=8, **options("planted_problem"))
 
         def spec(coding):
             return ModelSpec(
@@ -277,8 +312,8 @@ class TestCodingInvariance:
             )
 
         cfg = BoostConfig(step_length=0.5, max_iterations=400, seed=0)
-        model_e = fit(spec("effect"), data, clr_stack(truths), m, cfg, density_knots=6)
-        model_r = fit(spec("reference"), data, clr_stack(truths), m, cfg, density_knots=6)
+        model_e = fit(spec("effect"), data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
+        model_r = fit(spec("reference"), data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
         pe = np.stack([z.values for z in predict_clr(model_e, data)])
         pr = np.stack([z.values for z in predict_clr(model_r, data)])
         assert np.max(np.abs(pe - pr)) < 1e-8
@@ -308,8 +343,10 @@ class TestSingleComponentDispatch:
                 EffectTerm("x", "flexible", ("x",), df=2.0, knots=4),
             )
         )
-        model = fit(spec, data, clr_stack(responses), m, BoostConfig(max_iterations=20))
-        assert not model.is_mixed
+        model = fit(spec, data, clr_stack(responses), m, BoostConfig(max_iterations=20),
+                    **options("model"))
+        assert list(model.component_states()) == ["single"]
+        assert model.fits is model.component_states()["single"]
         assert isinstance(model.m_stop, int)
         preds = predict(model, data)
         assert len(preds) == n

@@ -6,7 +6,7 @@ from densreg.measure import make_discrete, make_mixed
 from densreg.simulate import FpcaResult, fpca, rel_mse, selection_table, simulate_responses
 
 from bayes_oracle import constant_density, density
-from conftest import clr_stack, random_clr_direction, random_density
+from conftest import clr_stack, options, random_clr_direction, random_density
 
 
 def residuals_from(measure, rng, n, rank=None):
@@ -69,7 +69,8 @@ class TestSimulateResponses:
         means = [random_density(mixed_measure, rng) for _ in range(6)]
         zero = np.zeros((6, mixed_measure.size))
         result = fpca(zero, mixed_measure, truncation=3)
-        out = densities_of(mixed_measure, simulate_responses(clr_stack(means), result, seed=1))
+        sim = simulate_responses(clr_stack(means), result, seed=1, **options("simulate_responses"))
+        out = densities_of(mixed_measure, sim)
         for f, g in zip(means, out):
             np.testing.assert_allclose(
                 density(f.measure, f.values).values, g.values, atol=1e-12
@@ -91,7 +92,7 @@ class TestSimulateResponses:
         residuals = residuals_from(mixed_measure, rng, 20)
         result = fpca(residuals, mixed_measure, truncation=4)
         means = np.zeros((10_000, mixed_measure.size))
-        out = simulate_responses(means, result, seed=11)
+        out = simulate_responses(means, result, seed=11, **options("simulate_responses"))
         w = mixed_measure.weights
         rows = out - result.mean
         sampled = (rows * w) @ result.eigenfunctions.T
@@ -103,7 +104,7 @@ class TestSimulateResponses:
         residuals = residuals_from(mixed_measure, rng, 15)
         result = fpca(residuals, mixed_measure, truncation=5)
         means = [random_density(mixed_measure, rng) for _ in range(5)]
-        out = simulate_responses(clr_stack(means), result, seed=3)
+        out = simulate_responses(clr_stack(means), result, seed=3, **options("simulate_responses"))
         for z in out:
             assert abs(z @ mixed_measure.weights) < 1e-9
 
@@ -112,8 +113,8 @@ class TestSimulateResponses:
         residuals = residuals_from(mixed_measure, rng, 10)
         result = fpca(residuals, mixed_measure, truncation=3)
         means = clr_stack([random_density(mixed_measure, rng) for _ in range(4)])
-        a = simulate_responses(means, result, seed=42)
-        b = simulate_responses(means, result, seed=42)
+        a = simulate_responses(means, result, seed=42, **options("simulate_responses"))
+        b = simulate_responses(means, result, seed=42, **options("simulate_responses"))
         for f, g in zip(a, b):
             np.testing.assert_array_equal(f, g)
 
@@ -189,7 +190,7 @@ class TestNoiseScaleMonotonicity:
         from densreg.model import EffectTerm, ModelSpec, fit, predict
         from densreg.synth import planted_problem
 
-        m, data, truths, _ = planted_problem(seed=13, grid_size=30, n_years=6)
+        m, data, truths, _ = planted_problem(seed=13, grid_size=30, n_years=6, **options("planted_problem"))
         spec = ModelSpec(
             terms=(
                 EffectTerm("intercept", "intercept"),
@@ -200,7 +201,7 @@ class TestNoiseScaleMonotonicity:
             references={"region": "west", "c_age": "other", "year": 0.0},
         )
         cfg = BoostConfig(max_iterations=120, seed=0)
-        base = fit(spec, data, clr_stack(truths), m, cfg, density_knots=6)
+        base = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
         fitted = base.fits.fitted_clr
         structure = fpca(clr_stack(truths) - fitted, m, truncation=10)
         medians = []
@@ -210,7 +211,7 @@ class TestNoiseScaleMonotonicity:
                 sim = simulate_responses(
                     fitted, structure, seed=100 + rep, noise_scale=scale
                 )
-                refit = fit(spec, data, sim, m, cfg, density_knots=6)
+                refit = fit(spec, data, sim, m, cfg, **options("model", density_knots=6))
                 errors.append(rel_mse(fitted, clr_rows(predict(refit, data), m), m))
             medians.append(float(np.median(errors)))
         assert medians[0] <= medians[1] <= medians[2]

@@ -11,7 +11,9 @@ nowhere in the package, ``clr_inv`` only in ``bayes``, ``synth`` and the
 element edge ``model.extract_effect``.
 The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
-``to_dict``/``from_dict``; and no module starts a thread.
+``to_dict``/``from_dict``; ``model`` alone splits responses into the
+components of their measure, so boosting imports no decompose or embed
+function and reads no ``is_mixed``; and no module starts a thread.
 
 The package holds only what the program runs: every top-level ``def`` and
 ``class`` is reached from ``cli.py`` or from a name that the benchmark
@@ -20,6 +22,7 @@ through the bodies of what is reached. Test oracles live in ``tests/``.
 Every defaulted parameter of a ``def`` in the package is passed by some call
 in ``src/`` or ``perfbench/`` (by keyword, by position, or through
 ``*args``/``**kwargs``, resolving ``import … as`` aliases), so no option
+exists only for tests; and left out by some such call, so no default
 exists only for tests.
 """
 import ast
@@ -131,6 +134,19 @@ def test_no_thread_imports(path):
     assert not found, f"{path.name}: imports {sorted(found)}"
 
 
+def test_boosting_leaves_the_components_to_model():
+    """Splitting responses into measure components and embedding the fits
+    back is ``model.fit``'s: boosting fits one component measure."""
+    tree = _parse(PACKAGE / "boosting.py")
+    imported = {
+        alias.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+        for alias in n.names
+    }
+    found = {name for name in imported if "decompose" in name or "embed" in name}
+    found |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "is_mixed"}
+    assert not found, f"boosting.py: uses {sorted(found)}"
+
+
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
@@ -233,11 +249,11 @@ def _callee_aliases(tree) -> dict:
     }
 
 
-def _passed_parameters() -> tuple[dict, dict]:
-    """Callee name -> most positional arguments, and callee name -> keyword
-    names, over the calls in ``src/`` and ``perfbench/``; a ``*args`` or
-    ``**kwargs`` call adds the keyword "*", which passes every parameter."""
-    most, keywords = {}, {}
+def _calls() -> dict:
+    """Callee name -> (positional count, keyword names) of each call in
+    ``src/`` and ``perfbench/``; a ``*args`` or ``**kwargs`` call adds the
+    keyword "*", which passes every parameter."""
+    calls = {}
     for path in MODULES + sorted(PERFBENCH.glob("*.py")):
         tree = _parse(path)
         aliases = _callee_aliases(tree)
@@ -246,21 +262,21 @@ def _passed_parameters() -> tuple[dict, dict]:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            name = aliases.get(name, name)
-            most[name] = max(most.get(name, 0), len(node.args))
-            names = keywords.setdefault(name, set())
-            names.update(k.arg or "*" for k in node.keywords)
+            names = {k.arg or "*" for k in node.keywords}
             if any(isinstance(a, ast.Starred) for a in node.args):
                 names.add("*")
-    return most, keywords
+            calls.setdefault(aliases.get(name, name), []).append((len(node.args), names))
+    return calls
 
 
-def _unset_defaults() -> list:
+def _defaults_by_callers() -> tuple[list, list]:
     """``module.function(parameter)`` for every defaulted parameter of a
-    ``def`` in ``src/densreg`` that no call in ``src/`` or ``perfbench/``
-    passes, by keyword, by position or through ``*args``/``**kwargs``."""
-    most, keywords = _passed_parameters()
-    unset = []
+    ``def`` in ``src/densreg``: those that no call in ``src/`` or
+    ``perfbench/`` passes, and those that every such call passes (of a
+    function that is called), by keyword, by position or through
+    ``*args``/``**kwargs``."""
+    calls = _calls()
+    unset, always = [], []
     for path in MODULES:
         for node in ast.walk(_parse(path)):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -270,14 +286,25 @@ def _unset_defaults() -> list:
             defaulted = positional[len(positional) - len(args.defaults):]
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
-            reach = most.get(node.name, 0) + bound
             for arg in defaulted:
-                by_position = arg in positional and positional.index(arg) < reach
-                if not by_position and not {arg.arg, "*"} & keywords.get(node.name, set()):
-                    unset.append(f"{path.stem}.{node.name}({arg.arg})")
-    return sorted(unset)
+                passed = [
+                    (arg in positional and positional.index(arg) < n_args + bound)
+                    or bool({arg.arg, "*"} & names)
+                    for n_args, names in calls.get(node.name, [])
+                ]
+                where = f"{path.stem}.{node.name}({arg.arg})"
+                if not any(passed):
+                    unset.append(where)
+                elif all(passed):
+                    always.append(where)
+    return sorted(unset), sorted(always)
 
 
 def test_every_default_is_set_by_some_caller():
-    unset = _unset_defaults()
+    unset, _ = _defaults_by_callers()
     assert not unset, f"{len(unset)} parameter(s) set only by tests: {unset}"
+
+
+def test_no_default_is_set_by_every_caller():
+    _, always = _defaults_by_callers()
+    assert not always, f"{len(always)} default(s) that only tests rely on: {always}"

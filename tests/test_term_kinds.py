@@ -22,13 +22,13 @@ from densreg.boosting import BoostConfig
 from densreg.model import EffectTerm, ModelSpec, build_designs, design_report, fit
 from densreg.synth import planted_problem
 
-from conftest import clr_stack
+from conftest import clr_stack, options
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "data" / "term_kinds.json"
 with open(FIXTURE) as fh:
     EXPECTED = json.load(fh)
 
-MEASURE, DATA, TRUTHS, _ = planted_problem(seed=0, grid_size=20, n_years=8)
+MEASURE, DATA, TRUTHS, _ = planted_problem(seed=0, grid_size=20, n_years=8, **options("planted_problem"))
 # a second numeric covariate for the two-spline kinds
 DATA = dict(DATA, age=np.random.default_rng(1).uniform(20.0, 60.0, len(DATA["year"])))
 
@@ -74,7 +74,7 @@ def digest(a):
 
 def record(kind, coding, orthogonal):
     frame, _, designs = build_designs(case_spec(kind, coding, orthogonal), DATA, MEASURE,
-                                      density_knots=4)
+                                      **options("model", density_knots=4))
     enc = frame.encoders[-1]
     x = designs["continuous"][-1].X
     np.testing.assert_array_equal(x, enc.design(DATA))
@@ -119,14 +119,15 @@ def test_varying_coefficient_on_one_covariate():
     # linear column in the first and the spline basis in the second
     term = EffectTerm("t", "varying_coefficient", ("year", "year"), df=2.0, knots=2)
     spec = ModelSpec((EffectTerm("intercept", "intercept"), term))
-    frame, _, designs = build_designs(spec, DATA, MEASURE, density_knots=4)
+    frame, _, designs = build_designs(spec, DATA, MEASURE, **options("model", density_knots=4))
     enc = frame.encoders[-1]
     year = np.asarray(DATA["year"])
     splines = bspline_eval(bspline_knots(year.min(), year.max(), 2, 3), 3, year)
     np.testing.assert_array_equal(enc.raw_design(DATA), year[:, None] * splines)
     assert enc.raw_penalty().shape == (6, 6)
     assert designs["continuous"][-1].n_cov == 5  # centered
-    model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5), density_knots=4)
+    model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5),
+                **options("model", density_knots=4))
     assert [r["columns"] for r in design_report(model)] == [1, 5]
 
 
@@ -139,7 +140,8 @@ def test_intercept_orthogonal_to_centered_year(coding):
          EffectTerm("intercept", "intercept", orthogonal_to=("year",))),
         coding, {"year": 0.0},
     )
-    model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5), density_knots=4)
+    model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5),
+                **options("model", density_knots=4))
     assert [r["columns"] for r in design_report(model)] == [5, 1]
 
 
@@ -153,5 +155,6 @@ def test_orthogonalization_independent_of_units(unit):
         EffectTerm("year", "flexible", ("year",), df=2.0, knots=2, orthogonal_to=("age",)),
     ))
     data = dict(DATA, age=DATA["age"] * unit)
-    model = fit(spec, data, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5), density_knots=4)
+    model = fit(spec, data, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5),
+                **options("model", density_knots=4))
     assert [r["columns"] for r in design_report(model)] == [1, 2, 3]
