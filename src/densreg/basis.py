@@ -174,9 +174,10 @@ def density_basis(
 class EffectDesign:
     """One partial effect ready for boosting.
 
-    Holds the constrained covariate design, the shared density basis, the
-    per-direction penalties and smoothing parameters, and the constraint
-    transform used to rebuild design rows for new covariate values.
+    Holds the constrained covariate design, the shared density basis, and
+    the per-direction penalties and smoothing parameters. Over the stacked
+    coefficients (design column outer, density basis function inner) the
+    penalty is lambda_cov (P_cov x I) + lambda_density (I x P_density).
     """
 
     name: str
@@ -193,14 +194,6 @@ class EffectDesign:
     @property
     def n_cov(self) -> int:
         return self.X.shape[1]
-
-    def penalty(self) -> np.ndarray:
-        """Combined penalty over the stacked coefficient vector,
-        lambda_cov (P_cov x I) + lambda_density (I x P_density)."""
-        p_den = self.density_basis.penalty
-        kron_cov = np.kron(self.cov_penalty, np.eye(p_den.shape[0]))
-        kron_den = np.kron(np.eye(self.n_cov), p_den)
-        return self.lambda_cov * kron_cov + self.lambda_density * kron_den
 
 
 def effective_df(gram: np.ndarray, penalty: np.ndarray, lam: float) -> float:

@@ -18,18 +18,24 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
   of coordinate descent (Friedman, Hastie & Tibshirani 2010, JSS 33(1),
   section 2.2) applied to the array model;
 * learner j's smoother G_j^-1, with G_j = kron(X_j' diag(n) X_j, C) +
-  penalty_j and C = B'WB, is factorized once per resample. Learners of one
-  block size d share one (F, L, d K_Y, d K_Y) stack, about 0.34 MB per
-  resample for the paper's model, so an iteration makes one batched solve
-  gamma_j = G_j^-1 rhs_j per block size: three for the paper's blocks of 1,
-  1, 2, 11 and 11 columns. Up to a constant, learner j's weighted residual
-  sum of squares is gamma_j * (Q_j gamma_j - 2 rhs_j) with
+  penalty_j and C = B'WB, is factorized once per resample, in density
+  coordinates rotated by the eigenvectors V of C = V diag(c) V'. There C
+  becomes the scaling diag(c), and without a density penalty G_j splits
+  into K_Y blocks c_k X_j' diag(n) X_j + lambda_j P_j of size d, the
+  learner's column count. Learners of one block size share one
+  (F, L, K_Y, d, d) stack, about 25 KB per resample for the paper's model,
+  and one batched solve per iteration: three for the paper's blocks of 1,
+  1, 2, 11 and 11 columns. A density penalty couples the rotated
+  directions, and the stack becomes (F, L, 1, d K_Y, d K_Y). Up to a
+  constant, learner j's weighted residual sum of squares is
+  gamma_j * (Q_j gamma_j - 2 rhs_j) with
   Q_j = kron(X_j' diag(n) X_j, C), and one argmin per resample picks its
   learner, the first of equal ones;
 * the pick, step = gamma_j in block j and zero elsewhere, moves rhs by
   2 kappa G step C and the in-bag risk in closed form. The held-out rows
   (mask t) keep rhs_t = X' diag(t) R and G_t = X' diag(t) X, and their risk
-  moves by -2 kappa <step, rhs_t> + kappa^2 <step, G_t step C>. Fitted N x P
+  moves by -2 kappa <step, rhs_t> + kappa^2 <step, G_t step C>. The
+  coefficients are rotated back to the density basis B, fitted N x P
   surfaces are built once, at the end, and their weighted SSE must match the
   in-bag risk path.
 
@@ -143,18 +149,58 @@ class EarlyStopResult:
     risk_curve: np.ndarray            # mean out-of-sample risk, index 0 .. M
 
 
-def _penalized_inverse(gram: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Inverse of one penalized normal matrix, and whether it needed ridge
-    jitter (degenerate designs, e.g. empty categories in small folds)."""
-    eye = np.eye(gram.shape[0])
+def _smoothers(systems: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Inverses of a stack of learner systems (..., B, s, s), each made of B
+    diagonal blocks of size s, and whether any needed ridge jitter.
+
+    A learner system whose Cholesky factorization fails (degenerate designs,
+    e.g. empty categories in small folds) gets a 1e-10 ridge on every block.
+    Each inverse is L^-T L^-1, with L^-1 by forward substitution.
+    """
+    jittered = False
     try:
-        lower = np.linalg.cholesky(gram)
-        jittered = False
+        lower = np.linalg.cholesky(systems)
     except np.linalg.LinAlgError:
-        lower = np.linalg.cholesky(gram + 1e-10 * eye)
-        jittered = True
-    inv_lower = np.linalg.solve(lower, eye)
-    return inv_lower.T @ inv_lower, jittered
+        lower = np.empty_like(systems)
+        ridge = 1e-10 * np.eye(systems.shape[-1])
+        per_learner = (-1, *systems.shape[-3:])
+        for system, factor in zip(systems.reshape(per_learner), lower.reshape(per_learner)):
+            try:
+                factor[...] = np.linalg.cholesky(system)
+            except np.linalg.LinAlgError:
+                factor[...] = np.linalg.cholesky(system + ridge)
+                jittered = True
+    inv_lower = np.zeros_like(lower)
+    for i in range(lower.shape[-1]):
+        row = -(lower[..., i:i + 1, :i] @ inv_lower[..., :i, :])
+        row[..., i] += 1.0
+        inv_lower[..., i:i + 1, :] = row / lower[..., i:i + 1, i:i + 1]
+    return inv_lower.swapaxes(-1, -2) @ inv_lower, jittered
+
+
+def _learner_systems(
+    diag_grams: np.ndarray,
+    cov_penalties: np.ndarray,
+    density_penalties: np.ndarray | None,
+    spectrum: np.ndarray,
+) -> np.ndarray:
+    """Penalized normal matrices of one group of learners, (F, L, B, s, s),
+    in the rotated density coordinates with the density index outermost.
+
+    From the diagonal Grams X_j' diag(n) X_j (F, L, d, d), the scaled
+    covariate penalties (L, d, d) and the eigenvalues c of C, learner j's
+    block k is c_k X_j' diag(n) X_j + lambda_j P_j. Without a density penalty
+    these K_Y blocks are the whole system (B = K_Y, s = d); the rotated,
+    scaled density penalties (L, K_Y, K_Y) couple them into one block of
+    size s = d K_Y.
+    """
+    blocks = spectrum[:, None, None] * diag_grams[:, :, None] + cov_penalties[:, None]
+    if density_penalties is None:
+        return blocks
+    n_resamples, n_learners, k_y, d, _ = blocks.shape
+    full = blocks[:, :, :, :, None, :] * np.eye(k_y)[:, None, :, None]
+    coupling = np.stack([np.kron(p, np.eye(d)) for p in density_penalties])
+    return full.reshape(n_resamples, n_learners, 1, k_y * d, k_y * d) + coupling[:, None]
 
 
 def _boost_paths(
@@ -171,16 +217,27 @@ def _boost_paths(
     ``counts`` (F x N integers) gives each resample's training rows as
     multiplicities over all N rows; ``test`` (F x N booleans), when given,
     marks the held-out rows whose risk is tracked alongside. The N rows are
-    read only while setting up; the iterations update D x K_Y arrays.
+    read only while setting up; the iterations update K_Y x D arrays.
 
-    Returns the offsets (F, P), coefficients (F, sum K_j, K_Y), selections
-    (F, n_iter), in-bag risks (F, n_iter + 1) and held-out risk sums
-    (F, n_iter + 1, or None). Raises FloatingPointError
-    when the in-bag risk of any resample increases.
+    The density coordinates are rotated once by the eigenvectors V of
+    C = B'WB = V diag(c) V': with coefficients theta V, learner j's system
+    carries diag(c) in place of C, so C acts as a scaling of each rotated
+    density direction. Without a density penalty the system splits into K_Y
+    independent d x d blocks c_k X_j' diag(n) X_j + lambda_j P_j, and a group
+    of learners of block size d holds an (F, L, K_Y, d, d) smoother stack;
+    with one, the rotated density penalty couples the directions, and the
+    stack is (F, L, 1, d K_Y, d K_Y). Per-learner arrays are held with the
+    density index outermost, so one batched product applies either form.
+
+    Returns the offsets (F, P), coefficients (F, sum K_j, K_Y) in the
+    original density basis, selections (F, n_iter), in-bag risks
+    (F, n_iter + 1) and held-out risk sums (F, n_iter + 1, or None). Raises
+    FloatingPointError when the in-bag risk of any resample increases.
     """
     basis = designs[0].density_basis.clr_matrix
     weighted_basis = basis * weights[:, None]
-    c = basis.T @ weighted_basis
+    spectrum, rotation = np.linalg.eigh(basis.T @ weighted_basis)
+    rotated_basis = weighted_basis @ rotation
     k_y = basis.shape[1]
     sizes = [d.n_cov for d in designs]
     ends = np.cumsum(sizes)
@@ -191,23 +248,17 @@ def _boost_paths(
 
     # Learners of one block size d, in learner order, form a group: their
     # indices (L,) and design columns (L, d). Per group and resample, each
-    # learner gets its smoother, gradient rows X_j' diag(2n) R, Gram rows
-    # X_j' diag(n) X and diagonal block X_j' diag(n) X_j from products of its
+    # learner gets its smoother, gradient rows R' diag(2n) X_j, Gram rows
+    # X' diag(n) X_j and diagonal block X_j' diag(n) X_j from products of its
     # own, so equal learners get bitwise equal values and tie exactly.
     by_size = {}
     for j, d in enumerate(sizes):
         by_size.setdefault(d, []).append(j)
     groups = [(np.array(js), starts[js][:, None] + np.arange(d)) for d, js in by_size.items()]
     x_groups = [x.T[cols] for _, cols in groups]
-    smoothers = [
-        np.empty((n_resamples, len(js), cols.shape[1] * k_y, cols.shape[1] * k_y))
-        for js, cols in groups
-    ]
-    grads = [np.empty((n_resamples, *cols.shape, k_y)) for _, cols in groups]
-    gram_rows = [np.empty((n_resamples, *cols.shape, n_cols)) for _, cols in groups]
+    grads = [np.empty((n_resamples, len(js), k_y, cols.shape[1])) for js, cols in groups]
+    gram_rows = [np.empty((n_resamples, len(js), n_cols, cols.shape[1])) for js, cols in groups]
     diag_grams = [np.empty((n_resamples, *cols.shape, cols.shape[1])) for _, cols in groups]
-    penalties = [d.penalty() for d in designs]
-    jittered = False
 
     offsets = np.empty((n_resamples, y_clr.shape[1]))
     risk = np.empty((n_resamples, n_iter + 1))
@@ -216,28 +267,38 @@ def _boost_paths(
     else:
         heldout = np.empty((n_resamples, n_iter + 1))
         gram_t = np.empty((n_resamples, n_cols, n_cols))
-        rhs_t = np.empty((n_resamples, n_cols, k_y))
+        rhs_t = np.empty((n_resamples, k_y, n_cols))
     for f in range(n_resamples):
         rows = np.repeat(np.arange(n), counts[f])
         offsets[f] = y_clr[rows].mean(axis=0)
         e = y_clr - offsets[f]
-        resid = e @ weighted_basis
+        resid_t = (e @ rotated_basis).T
         risk[f, 0] = float(((e[rows] ** 2) * weights).sum())
         if test is not None:
-            x_test = x.T * test[f]
+            x_test = x * test[f][:, None]
             heldout[f, 0] = float(((e[test[f]] ** 2) * weights).sum())
-            gram_t[f] = x_test @ x
-            rhs_t[f] = x_test @ resid
-        for k, (js, _) in enumerate(groups):
-            counted = x_groups[k] * counts[f]
-            grads[k][f] = 2.0 * (counted @ resid)
-            gram_rows[k][f] = counted @ x
-            diag_grams[k][f] = counted @ x_groups[k].transpose(0, 2, 1)
-            for i, j in enumerate(js):
-                smoothers[k][f, i], jit = _penalized_inverse(
-                    np.kron(diag_grams[k][f, i], c) + penalties[j]
-                )
-                jittered |= jit
+            gram_t[f] = x.T @ x_test
+            rhs_t[f] = resid_t @ x_test
+        for k, x_group in enumerate(x_groups):
+            counted = (x_group * counts[f]).transpose(0, 2, 1)
+            grads[k][f] = 2.0 * (resid_t @ counted)
+            gram_rows[k][f] = x.T @ counted
+            diag_grams[k][f] = x_group @ counted
+
+    coupled = any(d.lambda_density for d in designs)
+    density_penalty = rotation.T @ designs[0].density_basis.penalty @ rotation
+    smoothers, jittered = [], False
+    for (js, _), diag in zip(groups, diag_grams):
+        group = [designs[j] for j in js]
+        systems = _learner_systems(
+            diag,
+            np.stack([d.lambda_cov * d.cov_penalty for d in group]),
+            np.stack([d.lambda_density * density_penalty for d in group]) if coupled else None,
+            spectrum,
+        )
+        stack, jit = _smoothers(systems)
+        smoothers.append(stack)
+        jittered |= jit
     if jittered:
         warnings.warn(
             "singular base-learner system, adding ridge jitter", RuntimeWarning,
@@ -245,21 +306,21 @@ def _boost_paths(
         )
 
     # the mask picks the selected learner's block of every resample
-    block_mask = np.zeros((len(designs), n_cols, 1))
+    block_mask = np.zeros((len(designs), 1, n_cols))
     for j, (a, b) in enumerate(zip(starts, ends)):
-        block_mask[j, a:b] = 1.0
+        block_mask[j, :, a:b] = 1.0
     every = np.arange(n_resamples)
-    coefficients = np.zeros((n_resamples, n_cols, k_y))
+    coefficients = np.zeros((n_resamples, k_y, n_cols))
     gamma = np.empty_like(coefficients)
     fit_part = np.empty((n_resamples, len(designs)))
     size_part = np.empty_like(fit_part)
     selections = np.empty((n_resamples, n_iter), dtype=int)
     for m in range(1, n_iter + 1):
         for (js, cols), stack, r, diag in zip(groups, smoothers, grads, diag_grams):
-            g = (stack @ r.reshape(*stack.shape[:3], 1)).reshape(r.shape)
+            g = (stack @ r.reshape(*stack.shape[:-1], 1)).reshape(r.shape)
             fit_part[:, js] = (g * r).sum(axis=(2, 3))
-            size_part[:, js] = (g * (diag @ g @ c)).sum(axis=(2, 3))
-            gamma[:, cols] = g
+            size_part[:, js] = (g * (g @ diag) * spectrum[:, None]).sum(axis=(2, 3))
+            gamma[:, :, cols] = g.swapaxes(1, 2)
         sel = np.argmin(size_part - 2.0 * fit_part, axis=1)
         selections[:, m - 1] = sel
         step = gamma * block_mask[sel]
@@ -268,13 +329,13 @@ def _boost_paths(
             risk[:, m - 1] - kappa * fit_part[every, sel] + kappa ** 2 * size_part[every, sel]
         )
         # covariance updates: the step moves the residuals by X step B', so
-        # the gradient X' diag(2n) R by 2 kappa G step C and rhs_t by
-        # kappa G_t step C
-        step_c = step @ c
+        # the gradient rows by 2 kappa (step C) G and rhs_t by kappa (step C) G_t,
+        # where step C scales each rotated density direction by c_k
+        step_c = step * spectrum[:, None]
         for r, rows_x in zip(grads, gram_rows):
-            r -= 2.0 * kappa * (rows_x @ step_c[:, None])
+            r -= 2.0 * kappa * (step_c[:, None] @ rows_x)
         if test is not None:
-            moved = gram_t @ step_c
+            moved = step_c @ gram_t
             heldout[:, m] = (
                 heldout[:, m - 1]
                 - 2.0 * kappa * (step * rhs_t).sum(axis=(1, 2))
@@ -288,7 +349,7 @@ def _boost_paths(
             "in-bag risk increased during boosting at iteration "
             f"{np.flatnonzero(rises.any(axis=0))[0] + 1}"
         )
-    return offsets, coefficients, selections, risk, heldout
+    return offsets, coefficients.swapaxes(1, 2) @ rotation.T, selections, risk, heldout
 
 
 def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign]) -> None:

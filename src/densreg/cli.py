@@ -6,11 +6,14 @@ heatmaps), simulate (residual-driven replication study), and check (invariant
 suite for a density file). All inputs come from a JSON config plus
 tab-separated data files; all outputs are tab-separated tables, JSON model
 files, and optional SVG figures. Runs are deterministic for a fixed seed,
-and every command runs on one thread (the ``threads`` config key is accepted
-but not read). Densities are checked as elements when read; from there on
-the commands work on N x P clr or density rows.
+and every command runs on one thread: importing :mod:`densreg` pins the BLAS
+pool to one thread before numpy loads, so the outputs do not depend on the
+host's core count, and the ``threads`` config key is accepted but not read.
+Densities are checked as elements when read; from there on the commands
+work on N x P clr or density rows.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 config error (a model term or reference that the
+densities contradict included), 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ from .io import (
 )
 from .interpret import heatmap as build_heatmap
 from .interpret import did_effect, log_odds
-from .model import design_report, extract_effect, fit as fit_model, predict
+from .model import SpecMismatch, design_report, extract_effect, fit as fit_model, predict
 from .render import curve_svg, heatmap_svg
 from .simulate import fpca, rel_mse, selection_table, simulate_responses
 
@@ -102,9 +105,9 @@ def _densities_and_table(path, spec):
 
 
 def _write_fit_outputs(out, model):
+    # dumps runs the C encoder; dump would run the Python one
     with open(os.path.join(out, "model.json"), "w") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model)) + "\n")
     term_names = [t.name for t in model.spec.terms]
     for comp, state in model.component_states().items():
         write_table(
@@ -363,6 +366,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
+    except SpecMismatch as exc:
+        print(f"config error: config.model.{exc.item}: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -70,6 +70,7 @@ from .measure import ReferenceMeasure
 __all__ = [
     "EffectTerm",
     "ModelSpec",
+    "SpecMismatch",
     "FittedModel",
     "build_designs",
     "fit",
@@ -181,6 +182,18 @@ class ModelSpec:
         }
 
 
+class SpecMismatch(ValueError):
+    """The training table contradicts an item of the model spec: a term reads
+    a covariate the table lacks, or a reference is not one of the covariate's
+    levels or not a number. ``item`` locates the entry in the spec
+    (``terms[i]``, ``references.<name>``), as in the ``model`` section of a
+    run configuration."""
+
+    def __init__(self, item: str, message: str):
+        super().__init__(message)
+        self.item = item
+
+
 @dataclass(frozen=True)
 class _Covariate:
     """Per-covariate metadata inferred from the training table."""
@@ -200,13 +213,21 @@ class _Covariate:
                 raise ValueError(f"covariate {name!r} needs at least two levels")
             ref = str(reference) if reference is not None else levels[0]
             if ref not in levels:
-                raise ValueError(f"reference {ref!r} not a level of {name!r}")
+                raise SpecMismatch(
+                    f"references.{name}", f"reference {ref!r} not a level of {name!r}"
+                )
             return cls(name, kind, ref, levels=levels)
         vals = np.asarray(values, dtype=float)
         if np.ptp(vals) == 0.0:
             raise ValueError(f"covariate {name!r} is constant")
         lo, hi = float(vals.min()), float(vals.max())
-        return cls(name, kind, float(reference) if reference is not None else lo, lo=lo, hi=hi)
+        try:
+            ref = float(reference) if reference is not None else lo
+        except (TypeError, ValueError):
+            raise SpecMismatch(
+                f"references.{name}", f"reference {reference!r} of {name!r} is not a number"
+            ) from None
+        return cls(name, kind, ref, lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -351,11 +372,14 @@ def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
 
 def _infer_covariates(spec: ModelSpec, data) -> dict:
     covs = {}
-    for term in spec.terms:
+    for i, term in enumerate(spec.terms):
         for cname, ckind in zip(term.covariates, term.covariate_kinds):
-            if cname not in covs:
-                column = _column(data, cname, _table_length(data))
-                covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
+            if cname in covs:
+                continue
+            if cname not in data:
+                raise SpecMismatch(f"terms[{i}]", f"unknown covariate {cname!r}")
+            column = _column(data, cname, _table_length(data))
+            covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
     return covs
 
 

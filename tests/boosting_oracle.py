@@ -34,6 +34,16 @@ def negative_gradient(y: DensityElement, h_current: DensityElement) -> DensityEl
     return power(2.0, subtract(y, h_current))
 
 
+def stacked_penalty(effect: EffectDesign) -> np.ndarray:
+    """Combined penalty over an effect's stacked coefficient vector (design
+    column outer, density basis function inner),
+    lambda_cov (P_cov x I) + lambda_density (I x P_density)."""
+    p_den = effect.density_basis.penalty
+    kron_cov = np.kron(effect.cov_penalty, np.eye(p_den.shape[0]))
+    kron_den = np.kron(np.eye(effect.n_cov), p_den)
+    return effect.lambda_cov * kron_cov + effect.lambda_density * kron_den
+
+
 def _factor(gram: np.ndarray):
     """Cholesky factor of a penalized normal matrix, with ridge jitter for
     degenerate designs."""
@@ -51,7 +61,7 @@ class _EffectSolver:
         self.x = x
         self.basis = effect.density_basis.clr_matrix
         self.weighted_basis = self.basis * weights[:, None]
-        gram = np.kron(x.T @ x, self.basis.T @ self.weighted_basis) + effect.penalty()
+        gram = np.kron(x.T @ x, self.basis.T @ self.weighted_basis) + stacked_penalty(effect)
         self.factor = _factor(gram)
 
     def fit(self, u: np.ndarray) -> np.ndarray:
@@ -221,7 +231,7 @@ def boost_density_space(
         for a in range(k):
             for b in range(a, k):
                 g[a, b] = g[b, a] = inner(cols[a], cols[b])
-        grams.append(np.kron(d.X.T @ d.X, g) + d.penalty())
+        grams.append(np.kron(d.X.T @ d.X, g) + stacked_penalty(d))
     factors = [_factor(g) for g in grams]
 
     start = offset(responses)

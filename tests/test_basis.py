@@ -19,6 +19,7 @@ from densreg.measure import make_discrete, make_mixed
 from conftest import make_continuous, mixed_concatenated_basis
 
 from bayes_oracle import constant_density, perturb, power
+from boosting_oracle import stacked_penalty
 
 
 def cox_de_boor(knots, degree, i, x):
@@ -212,7 +213,7 @@ class TestAssembleEffect:
         eff = EffectDesign(
             "intercept", np.ones((10, 1)), np.zeros((1, 1)), basis, 1.7, 2.5
         )
-        np.testing.assert_allclose(eff.penalty(), 2.5 * basis.penalty, atol=1e-12)
+        np.testing.assert_allclose(stacked_penalty(eff), 2.5 * basis.penalty, atol=1e-12)
 
     def test_penalty_shape_checked(self):
         basis = density_basis(make_continuous(0, 1, 30), 6, 3, 2)
@@ -228,7 +229,7 @@ class TestAssembleEffect:
         )
         k_y = basis.n_basis
         np.testing.assert_allclose(
-            eff.penalty(), 3.0 * np.kron(p_cov, np.eye(k_y)), atol=1e-12
+            stacked_penalty(eff), 3.0 * np.kron(p_cov, np.eye(k_y)), atol=1e-12
         )
 
     def test_kronecker_row_matches_naive_double_sum(self):

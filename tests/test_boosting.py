@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr
 from densreg.boosting import (
     BoostConfig,
     _boost_paths,
-    _penalized_inverse,
+    _learner_systems,
+    _smoothers,
     boost,
     boost_from_clr,
     early_stop_from_clr,
@@ -41,6 +43,7 @@ from boosting_oracle import (
     offset,
     resample_splits,
     select_base_learner,
+    stacked_penalty,
 )
 from conftest import (
     clr_stack,
@@ -164,7 +167,7 @@ class TestBaseLearner:
             targets.append(u[i] * np.sqrt(w))
         big = np.vstack(rows)
         t = np.concatenate(targets)
-        expected = np.linalg.solve(big.T @ big + eff.penalty(), big.T @ t)
+        expected = np.linalg.solve(big.T @ big + stacked_penalty(eff), big.T @ t)
         np.testing.assert_allclose(gamma, expected, atol=1e-8)
 
 
@@ -420,6 +423,12 @@ def rank_deficient_effect(measure, rng, n):
     return EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0, 0.0)
 
 
+def one_system_inverse(gram):
+    """The kernel's smoother for a single learner system of one block."""
+    inverse, jittered = _smoothers(gram[None])
+    return inverse[0], jittered
+
+
 class TestSingularFallback:
     def test_inverse_matches_scipy_cholesky(self, continuous_measure):
         rng = np.random.default_rng(25)
@@ -427,8 +436,8 @@ class TestSingularFallback:
         c = basis.clr_matrix.T @ (basis.clr_matrix * continuous_measure.weights[:, None])
         bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
         eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
-        gram = np.kron(bx.T @ bx, c) + eff.penalty()
-        inverse, jittered = _penalized_inverse(gram)
+        gram = np.kron(bx.T @ bx, c) + stacked_penalty(eff)
+        inverse, jittered = one_system_inverse(gram)
         expected = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
         assert not jittered
         np.testing.assert_allclose(inverse, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -447,19 +456,69 @@ class TestSingularFallback:
         _, _, designs = build_designs(spec, data, m, **options("model", density_knots=6))
         for d in designs["continuous"] + designs["discrete"]:
             b, w = d.density_basis.clr_matrix, d.density_basis.measure.weights
-            gram = np.kron(d.X.T @ d.X, b.T @ (b * w[:, None])) + d.penalty()
+            gram = np.kron(d.X.T @ d.X, b.T @ (b * w[:, None])) + stacked_penalty(d)
             eye = np.eye(gram.shape[0])
-            inverse, jittered = _penalized_inverse(gram)
+            inverse, jittered = one_system_inverse(gram)
             expected = cho_solve(cho_factor(gram), eye)
             assert not jittered
             assert np.abs(gram @ inverse - eye).max() <= 4 * np.abs(gram @ expected - eye).max() + 1e-15
 
     def test_singular_gram_is_jittered(self):
         gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-        inverse, jittered = _penalized_inverse(gram)
+        inverse, jittered = one_system_inverse(gram)
         expected = cho_solve(cho_factor(gram + 1e-10 * np.eye(2)), np.eye(2))
         assert jittered
         np.testing.assert_allclose(inverse, expected, rtol=1e-6)
+
+    def test_jitter_reaches_only_the_failing_learner(self):
+        # two learners of two 2 x 2 blocks; one block of the first is singular
+        good = np.array([[2.0, 1.0], [1.0, 2.0]])
+        systems = np.stack([
+            np.stack([good, np.ones((2, 2))]),
+            np.stack([good, 3.0 * good]),
+        ])
+        inverse, jittered = _smoothers(systems)
+        assert jittered
+        ridge = 1e-10 * np.eye(2)
+        np.testing.assert_allclose(
+            inverse[0], [np.linalg.inv(good + ridge), cho_solve(cho_factor(np.ones((2, 2)) + ridge), np.eye(2))],
+            rtol=1e-6,
+        )
+        np.testing.assert_allclose(inverse[1], [np.linalg.inv(good), np.linalg.inv(3.0 * good)], rtol=1e-12)
+
+    @pytest.mark.parametrize("lambda_density", [0.0, 0.1])
+    def test_rotated_blocks_invert_the_learner_system(self, continuous_measure, lambda_density):
+        # the kernel's smoother, rotated back, is the inverse of
+        # kron(X'X, C) + penalty in the original density coordinates
+        rng = np.random.default_rng(28)
+        basis = density_basis(continuous_measure, 6, 3, 2)
+        c = basis.clr_matrix.T @ (basis.clr_matrix * continuous_measure.weights[:, None])
+        bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
+        eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, lambda_density)
+        spectrum, rotation = np.linalg.eigh(c)
+        density_penalty = rotation.T @ basis.penalty @ rotation
+        systems = _learner_systems(
+            (bx.T @ bx)[None, None],
+            (eff.lambda_cov * eff.cov_penalty)[None],
+            (lambda_density * density_penalty)[None] if lambda_density else None,
+            spectrum,
+        )
+        assert systems.shape[2] == (1 if lambda_density else basis.n_basis)
+        inverse, jittered = _smoothers(systems)
+        assert not jittered
+        d, k_y = bx.shape[1], basis.n_basis
+        # (block, row, column) with the density index outermost -> a-major
+        rotated = np.zeros((k_y, d, k_y, d))
+        if lambda_density:
+            rotated[...] = inverse[0, 0, 0].reshape(k_y, d, k_y, d)
+        else:
+            for k in range(k_y):
+                rotated[k, :, k, :] = inverse[0, 0, k]
+        back = np.kron(np.eye(d), rotation)
+        got = back @ rotated.transpose(1, 0, 3, 2).reshape(d * k_y, d * k_y) @ back.T
+        gram = np.kron(bx.T @ bx, c) + stacked_penalty(eff)
+        expected = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
     def test_rank_deficient_design_warns_and_solves(self, continuous_measure):
         rng = np.random.default_rng(26)
@@ -618,18 +677,31 @@ PAPER_TERMS = (
 )
 
 
-@pytest.fixture(scope="module")
-def paper_components():
+def planted_components(lambda_density):
     """clr responses, measure and designs per component of a small planted
     problem with the paper's model terms."""
     measure, data, truths, _ = planted_problem(seed=3, grid_size=30, n_years=5, noise_scale=0.5)
     spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
-    _, bases, designs = build_designs(spec, data, measure, **options("model", density_knots=6))
+    _, bases, designs = build_designs(
+        spec, data, measure, **options("model", density_knots=6, lambda_density=lambda_density)
+    )
     parts = [decompose_clr(clr(f)) for f in truths]
     return {
         comp: (np.stack([p[k].values for p in parts]), bases[comp].measure, designs[comp])
         for k, comp in enumerate(("continuous", "discrete"))
     }
+
+
+@pytest.fixture(scope="module")
+def paper_components():
+    return planted_components(0.0)
+
+
+@pytest.fixture(scope="module")
+def penalized_components():
+    """With a density penalty, which couples the rotated density directions:
+    each learner's system is one block of d K_Y."""
+    return planted_components(0.5)
 
 
 # learner orders of the fixture's terms, whose blocks are 1, 1, 2, 11 and 18
@@ -714,6 +786,73 @@ class TestKernelMatchesBruteForce:
             assert sorted(test.size for _, test in splits) == [7, 7, 8, 8]
         assert got.m_stop == want.m_stop
         np.testing.assert_allclose(got.risk_curve, want.risk_curve, rtol=1e-12, atol=0)
+
+
+class TestDensityPenaltyMatchesBruteForce:
+    """The kernel's coupled systems (lambda_density > 0) against the
+    brute-force N x P clr loop, at the tolerances of the uncoupled case."""
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    @pytest.mark.parametrize("order", ["paper", "duplicated"])
+    def test_in_bag_fit(self, penalized_components, component, order):
+        y, m, designs = penalized_components[component]
+        assert all(d.lambda_density > 0 for d in designs)
+        if order == "duplicated":
+            designs = [designs[j] for j in LEARNER_ORDERS[order]]
+        cfg = BoostConfig(max_iterations=60)
+        got = boost_from_clr(y, m, designs, cfg, m_stop=cfg.max_iterations)
+        assert_fit_matches(got, brute_force_boost(y, m, designs, cfg))
+        if order == "duplicated":
+            assert 0 in got.selections and 3 not in got.selections
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    @pytest.mark.parametrize("method", ["cv", "bootstrap"])
+    def test_resample_paths(self, penalized_components, component, method):
+        y, m, designs = penalized_components[component]
+        cfg = BoostConfig(max_iterations=40, stopping=method, folds=5, replicates=4, seed=11)
+        n = y.shape[0]
+        splits = resample_splits(n, cfg)
+        counts = np.stack([np.bincount(train, minlength=n) for train, _ in splits])
+        *_, selections, _, heldout = _boost_paths(
+            y, m.weights, designs, cfg.step_length, cfg.max_iterations, counts, counts == 0,
+        )
+        for f, (train, test) in enumerate(splits):
+            picks = []
+            curve = brute_force_heldout_curve(y, m.weights, designs, cfg, train, test, picks)
+            assert selections[f].tolist() == picks
+            np.testing.assert_allclose(heldout[f] / test.size, curve, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("component", ["continuous", "discrete"])
+    @pytest.mark.parametrize("method", ["cv", "bootstrap"])
+    def test_resampled_stopping(self, penalized_components, component, method):
+        y, m, designs = penalized_components[component]
+        cfg = BoostConfig(max_iterations=40, stopping=method, folds=5, replicates=4, seed=11)
+        got = early_stop_from_clr(y, m, designs, cfg)
+        want, _ = brute_force_early_stop(y, m, designs, cfg)
+        assert got.m_stop == want.m_stop
+        np.testing.assert_allclose(got.risk_curve, want.risk_curve, rtol=1e-12, atol=0)
+
+
+def test_paper_model_cv_stop_memory():
+    # the paper's model at paper scale: 180 densities, K_Y = 13, learner
+    # blocks of 1, 1, 2, 11 and 11 columns; 10-fold CV of the continuous
+    # component. Smoothers of the 11-column learners, dense, would take
+    # 10 folds x 2 x 143^2 doubles (3.3 MB) alone
+    measure, data, truths, _ = planted_problem(seed=3, grid_size=100, n_years=30, noise_scale=0.5)
+    spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
+    _, bases, designs = build_designs(spec, data, measure, **options("model"))
+    y = np.stack([decompose_clr(clr(f))[0].values for f in truths])
+    designs = designs["continuous"]
+    assert [d.n_cov for d in designs] == [1, 1, 2, 11, 11]
+    assert designs[0].density_basis.n_basis == 13
+    cfg = BoostConfig(stopping="cv", folds=10)
+    tracemalloc.start()
+    try:
+        early_stop_from_clr(y, bases["continuous"].measure, designs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 class TestThreadDeterminism:

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -504,6 +506,76 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: config.model: {message}\n"
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"terms": {3: {"covariates": ["x"]}}},
+             "config.model.terms[3]: unknown covariate 'x'"),
+            ({"terms": {1: {"covariates": ["x"]}}},
+             "config.model.terms[1]: unknown covariate 'x'"),
+            ({"references": {"c_age": "0"}},
+             "config.model.references.c_age: reference '0' not a level of 'c_age'"),
+            ({"references": {"year": "abc"}},
+             "config.model.references.year: reference 'abc' of 'year' is not a number"),
+        ],
+        ids=["unknown_spline_covariate", "unknown_categorical_covariate",
+             "reference_not_a_level", "reference_not_a_number"],
+    )
+    def test_spec_items_the_data_contradicts_exit_config(
+        self, tmp_path, capsys, densities_file, command, change, message
+    ):
+        model = copy.deepcopy(MODEL)
+        for i, term_changes in change.get("terms", {}).items():
+            model["terms"][i].update(term_changes)
+        model["references"].update(change.get("references", {}))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": densities_file},
+            model=model,
+            boosting={"max_iterations": 5},
+            simulation={"replicates": 2},
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("lambda_density", [0.0, 0.5])
+    def test_outputs_independent_of_blas_threads(self, tmp_path, lambda_density):
+        # the year term has 11 columns on a 13-column density basis, so with
+        # a density penalty the learner systems are 143 x 143, large enough
+        # for a threaded BLAS to split its work
+        m, data, truths, _ = planted_problem(seed=21, grid_size=40, n_years=12, **options("planted_problem"))
+        keys = [
+            (data["region"][i], data["c_age"][i], repr(float(data["year"][i])))
+            for i in range(len(truths))
+        ]
+        write_density_file(tmp_path / "dens.tsv", m, ["region", "c_age", "year"], keys, truths)
+        model = copy.deepcopy(MODEL)
+        model["density_basis"] = {"lambda_density": lambda_density}
+        del model["terms"][3]["knots"]
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": str(tmp_path / "dens.tsv")},
+            model=model,
+            boosting={"max_iterations": 30, "stopping": {"method": "cv", "folds": 5}},
+        )
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"o{threads}"
+            env = dict(
+                os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+            )
+            res = subprocess.run(
+                [sys.executable, "-m", "densreg.cli", "fit", "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert res.returncode == 0, res.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "stop_curve_continuous.tsv" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_missing_densities_exit_code(self, tmp_path):
         cfg = write_config(
