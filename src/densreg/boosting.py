@@ -122,12 +122,6 @@ class FitState:
     m_stop: int
     stop_curve: np.ndarray | None = None  # resampled out-of-sample risk per m
 
-    @property
-    def selected_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self.coefficients), dtype=bool)
-        mask[self.selections] = True
-        return mask
-
 
 @dataclass
 class MixedFit:

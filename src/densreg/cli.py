@@ -45,7 +45,7 @@ from .interpret import heatmap as build_heatmap
 from .interpret import did_effect, log_odds
 from .model import SpecMismatch, design_report, extract_effect, fit as fit_model, predict
 from .render import curve_svg, heatmap_svg
-from .simulate import fpca, rel_mse, selection_table, simulate_responses
+from .simulate import fpca, rel_mse, selection_counts, simulate_responses
 
 OK, CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 0, 2, 3, 4
 
@@ -281,29 +281,25 @@ def cmd_simulate(cfg, args) -> int:
     sim_cfg = cfg["simulation"]
     structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
     replicates = sim_cfg["replicates"]
-    results = []
+    errors, paths = [], []
     for seed in np.random.SeedSequence(cfg["seed"]).spawn(replicates):
         sim = simulate_responses(fitted, structure, seed=seed, noise_scale=sim_cfg["noise_scale"])
         refit = fit_model(spec, data, sim, measure, boost_cfg, **options)
         # the in-sample fit is the prediction at the training covariates
-        results.append((rel_mse(fitted, refit.fits.fitted_clr, measure), refit.selected_terms()))
+        errors.append(rel_mse(fitted, refit.fits.fitted_clr, measure))
+        paths.append({comp: s.selections for comp, s in refit.component_states().items()})
     write_table(
         os.path.join(out, "simulate_relmse.tsv"),
         ["replicate", "relmse_predictions"],
-        [[i, err] for i, (err, _) in enumerate(results)],
+        list(enumerate(errors)),
     )
-    table = selection_table([sel for _, sel in results])
-    rows = []
-    for term, comps in table.items():
-        for comp, counts in comps.items():
-            rows.append([term, comp, counts["selected"], counts["not_selected"]])
     write_table(
         os.path.join(out, "simulate_selection.tsv"),
         ["term", "component", "selected", "not_selected"],
-        rows,
+        selection_counts([t.name for t in spec.terms], paths),
     )
     if args.verbose:
-        med = float(np.median([err for err, _ in results]))
+        med = float(np.median(errors))
         print(f"median relMSE over {replicates} replicates: {med:.4f}", file=sys.stderr)
     return OK
 

@@ -1,12 +1,12 @@
 """Turn individual-level weighted observations into mixed densities.
 
-Shares live on [0, 1] with genuine point masses at the boundaries. Exact
-boundary values become atom probabilities; interior values feed a weighted
-kernel density estimate with boundary-respecting beta kernels, normalized on
-the evaluation grid. A positivity floor keeps every stored value strictly
-positive so the result is a valid element of the density space. All groups
-of one run share the bandwidth of :func:`shared_bandwidth`, the one place
-that decides it.
+Shares live on [0, 1] with genuine point masses at the boundaries
+(:func:`check_share_measure`). Exact boundary values become atom
+probabilities; interior values feed a weighted kernel density estimate with
+boundary-respecting beta kernels, normalized on the evaluation grid. A
+positivity floor keeps every stored value strictly positive so the result is
+a valid element of the density space. All groups of one run share the
+bandwidth of :func:`shared_bandwidth`, the one place that decides it.
 
 The estimators build each kernel matrix as one BLAS product: the beta
 parameters and log B of every evaluation point form an (n_t x 3) matrix, the
@@ -33,6 +33,7 @@ __all__ = [
     "ucv_score",
     "select_bandwidth",
     "shared_bandwidth",
+    "check_share_measure",
     "assemble_mixed",
     "group_table",
     "group_name",
@@ -250,6 +251,14 @@ def shared_bandwidth(
     return min(optima, default=DEFAULT_BANDWIDTH)
 
 
+def check_share_measure(measure: ReferenceMeasure) -> None:
+    """Shares need a mixed measure on [0, 1] with atoms at 0 and 1, of any
+    weights; raises ValueError on any other measure."""
+    if not (measure.is_mixed and measure.interval == (0.0, 1.0)
+            and measure.atom_locations.tolist() == [0.0, 1.0]):
+        raise ValueError("expected a mixed measure on [0, 1] with atoms at both boundaries")
+
+
 def assemble_mixed(
     group: ObservationGroup,
     measure: ReferenceMeasure,
@@ -263,8 +272,7 @@ def assemble_mixed(
     All values are floored at ``cfg.floor`` times the uniform level and the
     result is renormalized to integrate to one.
     """
-    if not measure.is_mixed or measure.n_atoms != 2:
-        raise ValueError("expected a mixed measure with atoms at both boundaries")
+    check_share_measure(measure)
     p0, p1, p_int = group.boundary_shares()
     if group.interior.any() and p_int > 0:
         grid_part = p_int * kde(group, measure, bandwidth)

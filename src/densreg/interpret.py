@@ -2,13 +2,13 @@
 
 Every quantity here is a function of clr values, so it is invariant to the
 representative chosen for a density: the functions take a
-:class:`~densreg.bayes.ClrElement`, and the difference-in-differences is
-one signed sum of clr prediction rows. Log odds compare an effect's density
-values at two support points. The heatmap assembles pairwise log odds in
-the band layout used for mixed supports: an inner point-vs-point quadrant,
-inner bands for atom-vs-point, and outer bands for atom-vs-continuous
-aggregate (a point mass against the geometric mean of the continuous
-component).
+:class:`~densreg.bayes.ClrElement`, and the difference-in-differences is one
+inclusion-exclusion contrast of the clr predictor. Log odds compare an
+effect's density values at two support points. The heatmap assembles
+pairwise log odds in the band layout used for mixed supports: an inner
+point-vs-point quadrant, inner bands for atom-vs-point, and outer bands for
+atom-vs-continuous aggregate (a point mass against the geometric mean of the
+continuous component).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .bayes import ClrElement, decompose_clr_rows
 from .measure import ReferenceMeasure
-from .model import FittedModel, _raw_clr_rows
+from .model import FittedModel, _contrast
 
 __all__ = [
     "value_at",
@@ -66,9 +66,10 @@ def did_effect(
 
     The clr image of (f[a1,b1] - f[a0,b1]) - (f[a1,b0] - f[a0,b0]), with
     Bayes-space differences and the remaining covariates held at ``fixed``:
-    one signed sum of the four clr prediction rows. The two factors must
-    differ, and so must the two levels of each contrast; otherwise the
-    result is zero by construction.
+    the inclusion-exclusion contrast of the predictor over the two factors,
+    the one :func:`~densreg.model.extract_effect` takes over a term's
+    covariates. The two factors must differ, and so must the two levels of
+    each contrast; otherwise the result is zero by construction.
     """
     covariates = model.frame.covariates
     for factor in (factor_a, factor_b):
@@ -82,13 +83,8 @@ def did_effect(
     missing = sorted(set(covariates) - set(fixed) - {factor_a, factor_b})
     if missing:
         raise ValueError(f"fixed values missing for covariate(s) {missing}")
-    a1, a0 = levels_a
-    b1, b0 = levels_b
-    cells = [(a1, b1), (a0, b1), (a1, b0), (a0, b0)]
-    table = {k: [v] * len(cells) for k, v in fixed.items()}
-    table[factor_a] = [a for a, _ in cells]
-    table[factor_b] = [b for _, b in cells]
-    return ClrElement(model.measure, np.array([1.0, -1.0, -1.0, 1.0]) @ _raw_clr_rows(model, table))
+    toggles = {factor_a: levels_a, factor_b: levels_b}
+    return ClrElement(model.measure, _contrast(model, toggles, fixed))
 
 
 @dataclass

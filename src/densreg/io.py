@@ -14,16 +14,18 @@ that span several keys: ``a < b`` and atoms inside the interval (measure),
 the term kind and its covariate count (``EffectTerm``), unique term names,
 at most one intercept, one kind (categorical or numeric) per covariate and
 ``orthogonal_to`` naming only earlier terms (``ModelSpec``, at
-``config.model``), an ascending bandwidth grid (``KdeConfig``). Every problem
-is a :class:`ConfigError` whose message starts with the path of the field,
-such as ``config.model.terms[2].knots``, or of its section. A command that
-needs more than the defaults (data paths, a measure, a model) checks that in
-:func:`run_objects`. An interpret item that does not fit the loaded model
-(an unknown term, covariate or level, a point off the support) is a config
-error at the item's path, such as ``config.interpret.did[0]``. The
-command-line front-end exits with 0 on success,
-2 on a config error, 3 on a data error (:class:`DataError` or another
-``ValueError`` from the input files) and 4 on a numeric failure.
+``config.model``), an ascending bandwidth grid (``KdeConfig``). Every
+problem is a :class:`ConfigError` whose message starts with the path of the
+field, such as ``config.model.terms[2].knots``, or of its section. A command
+that needs more than the defaults (data paths, a measure, a model) checks
+that in :func:`run_objects`, and ``estimate`` also that its measure is mixed
+on [0, 1] with atoms at 0 and 1, of any weights, as shares need
+(:func:`densreg.ingest.check_share_measure`). An interpret item that does
+not fit the loaded model (an unknown term, covariate or level, a point off
+the support) is a config error at the item's path, such as
+``config.interpret.did[0]``. The command-line front-end exits with 0 on
+success, 2 on a config error, 3 on a data error (:class:`DataError` or
+another ``ValueError`` from the input files) and 4 on a numeric failure.
 
 Model files are JSON objects with ``"format": "densreg-model"`` and
 ``"version": 1``; anything else is a :class:`DataError`. The version-1
@@ -61,7 +63,7 @@ import numpy as np
 
 from .bayes import DensityElement
 from .boosting import BoostConfig
-from .ingest import KdeConfig
+from .ingest import KdeConfig, check_share_measure
 from .measure import ReferenceMeasure
 from .model import EffectTerm, FittedModel, ModelSpec, dump_fields, load_fields
 
@@ -110,18 +112,26 @@ def write_table(path, header: list, rows) -> None:
             fh.write("\t".join(fmt(v) for v in row) + "\n")
 
 
+def _rows(path, lines, header: list, start: int):
+    """The (line number, fields) of each non-blank line, numbered from
+    ``start`` and split one at a time; each has as many fields as ``header``."""
+    for i, line in enumerate(lines, start=start):
+        row = line.rstrip("\n").split("\t")
+        if row == [""]:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
+        yield i, row
+
+
 def _numbered_rows(path) -> tuple[list, list]:
     """Header and the (line number, fields) of each non-blank row."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    rows = [(i, ln.split("\t")) for i, ln in enumerate(lines[1:], start=2) if ln]
-    for i, row in rows:
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
-    return header, rows
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: empty file")
+        header = first.rstrip("\n").split("\t")
+        return header, list(_rows(path, fh, header, 2))
 
 
 def read_table(path, numeric=()) -> tuple[list, list]:
@@ -216,28 +226,23 @@ def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densi
 def read_density_file(path, numeric=()):
     """(measure, key_columns, keys, densities); ``numeric`` keys must be finite numbers."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if len(lines) < 2:
-        raise DataError(f"{path}: missing header lines")
-    measure = parse_measure_header(lines[0])
-    header = lines[1].split("\t")
-    n_keys = len(header) - measure.size
-    if n_keys < 0:
-        raise DataError(f"{path}: header shorter than the measure layout")
-    # one row split at a time: holding every field as a string costs a
-    # megabyte at paper scale
-    keys, densities = [], []
-    for i, ln in enumerate(lines[2:], start=3):
-        if not ln:
-            continue
-        row = ln.split("\t")
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
-        keys.append((i, row[:n_keys]))
-        try:
-            densities.append(DensityElement(measure, np.array([float(v) for v in row[n_keys:]])))
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i}: {exc}") from exc
+        first, second = fh.readline(), fh.readline()
+        if not second:
+            raise DataError(f"{path}: missing header lines")
+        measure = parse_measure_header(first.rstrip("\n"))
+        header = second.rstrip("\n").split("\t")
+        n_keys = len(header) - measure.size
+        if n_keys < 0:
+            raise DataError(f"{path}: header shorter than the measure layout")
+        # one row split at a time: holding every field as a string costs a
+        # megabyte at paper scale
+        keys, densities = [], []
+        for i, row in _rows(path, fh, header, 3):
+            keys.append((i, row[:n_keys]))
+            try:
+                densities.append(DensityElement(measure, np.array([float(v) for v in row[n_keys:]])))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {i}: {exc}") from exc
     _numbers(path, header[:n_keys], keys, numeric)
     return measure, header[:n_keys], [tuple(key) for _, key in keys], densities
 
@@ -481,8 +486,8 @@ def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
     measure = cfg.get("measure") and _built(
         "config.measure", ReferenceMeasure.from_dict, cfg["measure"]
     )
-    if command == "estimate" and not (measure.is_mixed and measure.n_atoms == 2):
-        raise ConfigError("config.measure: estimate needs a mixed measure with two atoms")
+    if command == "estimate":
+        _built("config.measure", check_share_measure, measure)
     k = cfg["kde"]
     grid = {} if k["bandwidth_grid"] is None else {"bandwidth_grid": np.asarray(k["bandwidth_grid"], dtype=float)}
     kde = _built("config.kde", KdeConfig, bandwidth=k["bandwidth"], floor=k["floor"], **grid)

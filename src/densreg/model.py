@@ -16,7 +16,9 @@ Categorical terms are identified by their coding (effect coding by default);
 numeric and orthogonalized terms are centered over the training rows, and
 ``orthogonal_to`` adds orthogonality to the named earlier terms. Reported
 effects are always converted to reference coding: a term evaluated with any
-of its covariates at the reference contributes the neutral density.
+of its covariates at the reference contributes the neutral density. Effects
+and the difference-in-differences are one inclusion-exclusion contrast of
+the clr predictor (``_contrast``).
 
 A fitted model keeps one predictor state, which is also what a model file
 holds (:func:`dump_fields` writes it, :func:`load_fields` reads it; the
@@ -185,9 +187,9 @@ class ModelSpec:
 class SpecMismatch(ValueError):
     """The training table contradicts an item of the model spec: a term reads
     a covariate the table lacks, or a reference is not one of the covariate's
-    levels or not a number. ``item`` locates the entry in the spec
-    (``terms[i]``, ``references.<name>``), as in the ``model`` section of a
-    run configuration."""
+    levels, not a number, or off the training range of a spline block. ``item``
+    locates the entry in the spec (``terms[i]``, ``references.<name>``), as in
+    the ``model`` section of a run configuration."""
 
     def __init__(self, item: str, message: str):
         super().__init__(message)
@@ -373,13 +375,20 @@ def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
 def _infer_covariates(spec: ModelSpec, data) -> dict:
     covs = {}
     for i, term in enumerate(spec.terms):
-        for cname, ckind in zip(term.covariates, term.covariate_kinds):
-            if cname in covs:
-                continue
-            if cname not in data:
-                raise SpecMismatch(f"terms[{i}]", f"unknown covariate {cname!r}")
-            column = _column(data, cname, _table_length(data))
-            covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
+        for cname, ckind, letter in zip(term.covariates, term.covariate_kinds, term.blocks):
+            if cname not in covs:
+                if cname not in data:
+                    raise SpecMismatch(f"terms[{i}]", f"unknown covariate {cname!r}")
+                column = _column(data, cname, _table_length(data))
+                covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
+            cov = covs[cname]
+            # a spline basis spans only the training range
+            if letter == "s" and not cov.lo <= cov.reference <= cov.hi:
+                raise SpecMismatch(
+                    f"references.{cname}",
+                    f"reference {cov.reference!r} of {cname!r} lies outside the training "
+                    f"range [{cov.lo!r}, {cov.hi!r}] of its spline basis",
+                )
     return covs
 
 
@@ -456,16 +465,6 @@ class FittedModel:
         if self.measure.is_mixed:
             return {"continuous": self.fits.continuous, "discrete": self.fits.discrete}
         return {"single": self.fits}
-
-    def selected_terms(self) -> dict:
-        """Per-term selection indicator, per component and combined."""
-        out = {}
-        states = self.component_states()
-        for j, term in enumerate(self.spec.terms):
-            per = {name: bool(state.selected_mask[j]) for name, state in states.items()}
-            per["combined"] = any(per.values())
-            out[term.name] = per
-        return out
 
 
 # the density-basis options of fit, without their "density_" prefix
@@ -755,15 +754,21 @@ def predict(model: FittedModel, newdata) -> np.ndarray:
     return clr_inv_rows(z, model.measure)
 
 
-def _reference_table(model: FittedModel, values: dict, at_reference: list) -> dict:
-    """Covariate table with one row per entry of ``at_reference``: the
-    covariates named there sit at their reference, the others at ``values``."""
-    table = {}
-    for name, cov in model.frame.covariates.items():
-        if name not in values and not all(name in off for off in at_reference):
-            raise ValueError(f"missing covariate {name!r}")
-        table[name] = [cov.reference if name in off else values[name] for off in at_reference]
-    return table
+def _contrast(model: FittedModel, toggles: dict, values: dict) -> np.ndarray:
+    """Sum over the 2^k cells of the k covariates in ``toggles`` (name ->
+    (on, off)) of (-1)^(#off) times the clr prediction, every other covariate
+    at ``values``. The offsets cancel for k >= 1, so they are left out; for
+    k = 0 it is the prediction at ``values``."""
+    cells = range(2 ** len(toggles))
+    table = {name: [on if (bits >> k) & 1 else off for bits in cells]
+             for k, (name, (on, off)) in enumerate(toggles.items())}
+    for name in model.frame.covariates:
+        if name not in table:
+            if name not in values:
+                raise ValueError(f"missing covariate {name!r}")
+            table[name] = [values[name]] * len(cells)
+    signs = np.array([(-1.0) ** (len(toggles) - bin(bits).count("1")) for bits in cells])
+    return signs @ _raw_clr_rows(model, table, include_offset=not toggles)
 
 
 def extract_effect(
@@ -771,26 +776,19 @@ def extract_effect(
 ) -> tuple[DensityElement, ClrElement]:
     """Reference-coded view of one term at the given covariate values.
 
-    Computed as the inclusion-exclusion contrast of the full predictor over
-    the term's own covariates, so the result is the neutral density whenever
-    any of them sits at its reference. Summing the extracted views of every
-    term of a hierarchical model (intercept included) reproduces the
-    prediction.
+    The contrast of the predictor over the term's covariates, between their
+    values and their references, so the result is the neutral density
+    whenever any of them sits at its reference; the intercept is the
+    prediction at all references. Summing the extracted views of every term
+    of a hierarchical model (intercept included) reproduces the prediction.
     """
     term = model.spec.term(term_name)
+    covariates = model.frame.covariates
     if term.kind == "intercept":
-        table = _reference_table(model, values, [tuple(model.frame.covariates)])
-        z = _raw_clr_rows(model, table)[0]
-    else:
-        covs = term.covariates
-        offs = [
-            [c for k, c in enumerate(covs) if not (bits >> k) & 1]
-            for bits in range(2 ** len(covs))
-        ]
-        signs = np.array([(-1.0) ** len(off) for off in offs])
-        table = _reference_table(model, values, offs)
-        z = signs @ _raw_clr_rows(model, table, include_offset=False)
-    z_el = ClrElement(model.measure, z)
+        values = {name: cov.reference for name, cov in covariates.items()}
+    # a term covariate missing from ``values`` is reported by the contrast
+    toggles = {c: (values[c], covariates[c].reference) for c in term.covariates if c in values}
+    z_el = ClrElement(model.measure, _contrast(model, toggles, values))
     return clr_inv(z_el), z_el
 
 

@@ -23,7 +23,7 @@ __all__ = [
     "fpca",
     "simulate_responses",
     "rel_mse",
-    "selection_table",
+    "selection_counts",
 ]
 
 
@@ -133,19 +133,17 @@ def rel_mse(true_clr: np.ndarray, est_clr: np.ndarray, measure: ReferenceMeasure
     return float((((true_clr - est_clr) ** 2) @ measure.weights).sum()) / den
 
 
-def selection_table(runs: list[dict]) -> dict:
-    """Per-effect selection counts over replicated fits.
-
-    Each run is the selection summary of one fitted model
-    (:meth:`~densreg.model.FittedModel.selected_terms`): effect names mapped
-    to {component: selected}, "combined" included. Every effect and component
-    of the first run is counted over all runs.
-    """
-    if not runs:
+def selection_counts(term_names: list, paths: list[dict]) -> list[list]:
+    """Rows [term, component, selected, not selected] of per-term selection
+    counts over replicated fits, in term order, then the components, then
+    "combined". Each entry of ``paths`` maps the components of one fit to
+    their selection paths (the term index chosen at each iteration)."""
+    if not paths:
         raise ValueError("no runs given")
-    table: dict = {}
-    for name, per in runs[0].items():
-        counts = {comp: sum(bool(run[name][comp]) for run in runs) for comp in per}
-        table[name] = {comp: {"selected": k, "not_selected": len(runs) - k}
-                       for comp, k in counts.items()}
-    return table
+    rows = []
+    for j, name in enumerate(term_names):
+        hits = [{comp for comp, path in fit.items() if j in path} for fit in paths]
+        for comp in [*paths[0], "combined"]:
+            k = sum(bool(h) if comp == "combined" else comp in h for h in hits)
+            rows.append([name, comp, k, len(paths) - k])
+    return rows

@@ -205,6 +205,10 @@ PROBES = [
     ("estimate", "measure.atoms.0.weight", "x"),
     ("estimate", "measure.atoms", [{"location": 0.0}]),
     ("estimate", "kde.bandwidth", True),
+    # measures the shares cannot fill: atoms off the boundaries, or an
+    # interval other than [0, 1]
+    ("estimate", "measure.atoms.0.location", 0.3),
+    ("estimate", "measure.interval", [0.0, 2.0]),
     ("fit", "model.default_df", -3),
     ("simulate", "simulation.replicates", 2.5),
     ("interpret", "interpret.svg", "no"),
@@ -311,6 +315,20 @@ class TestEstimateCommand:
         # nearly all mass stays on the atoms
         atom_mass = float(f.values[:2] @ f.measure.atom_weights)
         assert atom_mass > 0.999
+
+    def test_atom_weights_are_free(self, tmp_path):
+        obs = write_observations(tmp_path / "obs.tsv", synthetic_observations(0, groups=2, n_per_group=40))
+        measure = dict(MEASURE, atoms=[{"location": 0.0, "weight": 2.0}, {"location": 1.0, "weight": 0.5}])
+        cfg = write_config(
+            tmp_path / "cfg.json", data={"observations": obs}, measure=measure,
+            kde={"bandwidth": 0.05},
+        )
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        m, _, _, densities = read_density_file(out / "densities.tsv")
+        assert m.atom_weights.tolist() == [2.0, 0.5]
+        for f in densities:
+            assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-8)
 
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "obs.tsv"
@@ -519,9 +537,12 @@ class TestFitCommand:
              "config.model.references.c_age: reference '0' not a level of 'c_age'"),
             ({"references": {"year": "abc"}},
              "config.model.references.year: reference 'abc' of 'year' is not a number"),
+            ({"references": {"year": 99.0}},
+             "config.model.references.year: reference 99.0 of 'year' lies outside the "
+             "training range [0.0, 5.0] of its spline basis"),
         ],
         ids=["unknown_spline_covariate", "unknown_categorical_covariate",
-             "reference_not_a_level", "reference_not_a_number"],
+             "reference_not_a_level", "reference_not_a_number", "spline_reference_off_range"],
     )
     def test_spec_items_the_data_contradicts_exit_config(
         self, tmp_path, capsys, densities_file, command, change, message
@@ -539,6 +560,22 @@ class TestFitCommand:
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_linear_covariate_keeps_off_range_reference(self, tmp_path, densities_file):
+        # a linear block is defined beyond the training range, so only a
+        # spline block bounds the reference of its covariate
+        model = copy.deepcopy(MODEL)
+        model["terms"][3] = {"name": "year", "kind": "linear", "covariates": ["year"]}
+        model["references"]["year"] = 99.0
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": densities_file},
+            model=model,
+            boosting={"max_iterations": 5},
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        saved = json.loads((tmp_path / "o" / "model.json").read_text())
+        assert saved["covariates"]["year"]["reference"] == 99.0
 
     @pytest.mark.parametrize("lambda_density", [0.0, 0.5])
     def test_outputs_independent_of_blas_threads(self, tmp_path, lambda_density):
@@ -720,10 +757,20 @@ class TestSimulateCommand:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        lines = (out / "simulate_selection.tsv").read_text().splitlines()[1:]
-        for ln in lines:
-            _, _, sel, unsel = ln.split("\t")
+        header, *lines = (out / "simulate_selection.tsv").read_text().splitlines()
+        assert header == "term\tcomponent\tselected\tnot_selected"
+        rows = [ln.split("\t") for ln in lines]
+        # term order, then continuous, discrete and combined; a term is
+        # selected combined when some component selected it
+        assert [r[:2] for r in rows] == [
+            [t["name"], comp] for t in MODEL["terms"]
+            for comp in ("continuous", "discrete", "combined")
+        ]
+        for _, _, sel, unsel in rows:
             assert int(sel) + int(unsel) == 4
+        for i in range(0, len(rows), 3):
+            cont, disc, comb = (int(r[2]) for r in rows[i:i + 3])
+            assert max(cont, disc) <= comb <= min(cont + disc, 4)
 
 
 class TestCheckCommand:

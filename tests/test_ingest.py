@@ -351,6 +351,18 @@ class TestAssembleMixed:
         assert np.ptp(grid_vals) < 1e-15
         assert np.all(grid_vals > 0)
 
+    @pytest.mark.parametrize(
+        "atoms, interval",
+        [([(0.3, 1.0), (0.8, 1.0)], (0.0, 1.0)), ([(0.0, 1.0), (2.0, 1.0)], (0.0, 2.0)),
+         ([(0.0, 1.0)], (0.0, 1.0))],
+        ids=["inner_atoms", "wide_interval", "one_atom"],
+    )
+    def test_measure_without_boundary_atoms_rejected(self, atoms, interval):
+        m = make_mixed(*interval, atoms, 20)
+        g = ObservationGroup([0.0, 0.25, 1.0, 0.5], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match=r"on \[0, 1\] with atoms at both boundaries"):
+            assemble_mixed(g, m, KdeConfig(), 0.05)
+
     def test_shares_sum_exactly_before_flooring(self):
         g = ObservationGroup([0.0, 0.25, 1.0, 0.5], [1, 2, 3, 4])
         p0, p1, p_int = g.boundary_shares()

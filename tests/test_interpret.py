@@ -238,6 +238,38 @@ class TestDidMatchesDensitySpace:
         np.testing.assert_allclose(did.values, clr(reference).values, rtol=0, atol=1e-12)
 
 
+class TestDidIsTermContrast:
+    """With the level pairs (value, reference), the DiD over two covariates is
+    the reference-coded effect of a term on those two covariates."""
+
+    @pytest.mark.parametrize(
+        "term, factor_b, levels_b, fixed",
+        [("region_x_c_age", "c_age", ("kids0_6", "other"), {"year": 2.0}),
+         ("region_year", "year", (3.0, 0.0), {"c_age": "kids7_18"})],
+    )
+    def test_did_equals_extracted_effect(self, term, factor_b, levels_b, fixed):
+        m, data, truths, _ = planted_problem(seed=4, grid_size=20, n_years=5, noise_scale=0.3)
+        spec = ModelSpec(
+            terms=(
+                EffectTerm("intercept", "intercept"),
+                EffectTerm("region", "group_intercept", ("region",), df=1.0),
+                EffectTerm("c_age", "group_intercept", ("c_age",), df=2.0),
+                EffectTerm("year", "flexible", ("year",), df=2.0, knots=3),
+                EffectTerm("region_x_c_age", "group_intercept", ("region", "c_age"), df=2.0,
+                           orthogonal_to=("region", "c_age")),
+                EffectTerm("region_year", "group_flexible", ("region", "year"), knots=3,
+                           orthogonal_to=("region", "year")),
+            ),
+            references={"region": "west", "c_age": "other", "year": 0.0},
+        )
+        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=50),
+                    **options("model", density_knots=5))
+        did = did_effect(model, "region", ("east", "west"), factor_b, levels_b, fixed)
+        _, effect = extract_effect(model, term, {"region": "east", factor_b: levels_b[0], **fixed})
+        assert np.max(np.abs(effect.values)) > 1e-3
+        np.testing.assert_allclose(did.values, effect.values, rtol=0, atol=1e-12)
+
+
 class TestHeatmap:
     def test_constant_effect_all_zero(self, mixed_measure):
         unnormalized = density(mixed_measure, np.full(mixed_measure.size, 3.0), normalize=False)

@@ -201,9 +201,10 @@ class TestFitAndPredict:
 
     def test_planted_main_effects_selected(self, planted_fit):
         *_, model = planted_fit
-        selected = model.selected_terms()
-        for name in ("region", "c_age", "year"):
-            assert selected[name]["combined"]
+        paths = [state.selections for state in model.component_states().values()]
+        for j, term in enumerate(model.spec.terms):
+            if term.name in ("region", "c_age", "year"):
+                assert any(j in path for path in paths)
 
     def test_two_stopping_values_for_mixed(self, planted_fit):
         *_, model = planted_fit
@@ -283,7 +284,7 @@ class TestExtractEffect:
                     **options("model", density_knots=6))
         states = model.component_states()
         for comp, state in states.items():
-            if not state.selected_mask[2]:
+            if 2 not in state.selections:
                 assert np.all(state.coefficients[2] == 0.0)
 
     def test_unknown_term_rejected(self, planted_fit):

@@ -3,7 +3,7 @@ import pytest
 
 from densreg.bayes import ClrElement, clr, clr_inv
 from densreg.measure import make_discrete, make_mixed
-from densreg.simulate import FpcaResult, fpca, rel_mse, selection_table, simulate_responses
+from densreg.simulate import FpcaResult, fpca, rel_mse, selection_counts, simulate_responses
 
 from bayes_oracle import constant_density, density
 from conftest import clr_stack, options, random_clr_direction, random_density
@@ -151,35 +151,31 @@ class TestRelMse:
 
 
 class TestSelectionTable:
+    """Rows of simulate_selection.tsv from the selection paths of the fits."""
+
     def test_combined_rule(self):
-        runs = [
-            {
-                "year": {"continuous": True, "discrete": False, "combined": True},
-                "region": {"continuous": False, "discrete": False, "combined": False},
-            },
-            {
-                "year": {"continuous": True, "discrete": True, "combined": True},
-                "region": {"continuous": False, "discrete": True, "combined": True},
-            },
+        # year: continuous in both runs, discrete in the second;
+        # region: discrete in the second run only
+        paths = [
+            {"continuous": [0, 0], "discrete": []},
+            {"continuous": [0], "discrete": [1, 0, 1]},
         ]
-        table = selection_table(runs)
-        assert table["year"]["combined"]["selected"] == 2
-        assert table["region"]["combined"]["selected"] == 1
-        assert table["region"]["continuous"]["selected"] == 0
-        assert table["region"]["discrete"]["not_selected"] == 1
+        rows = {(t, c): (k, n) for t, c, k, n in selection_counts(["year", "region"], paths)}
+        assert rows["year", "combined"][0] == 2
+        assert rows["region", "combined"][0] == 1
+        assert rows["region", "continuous"][0] == 0
+        assert rows["region", "discrete"][1] == 1
 
     def test_counts_sum_to_replicates(self):
-        runs = [
-            {"x": {"continuous": bool(i % 2), "discrete": False, "combined": bool(i % 2)}}
-            for i in range(7)
-        ]
-        table = selection_table(runs)
-        for comp, counts in table["x"].items():
-            assert counts["selected"] + counts["not_selected"] == 7
+        paths = [{"continuous": [0] * (i % 2), "discrete": []} for i in range(7)]
+        rows = selection_counts(["x"], paths)
+        assert [k for *_, k, _ in rows] == [3, 0, 3]
+        for *_, selected, not_selected in rows:
+            assert selected + not_selected == 7
 
     def test_empty_runs_rejected(self):
         with pytest.raises(ValueError, match="runs"):
-            selection_table([])
+            selection_counts(["x"], [])
 
 
 class TestNoiseScaleMonotonicity:

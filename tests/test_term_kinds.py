@@ -64,7 +64,7 @@ def case_spec(kind, coding, orthogonal):
                       orthogonal_to=others if orthogonal else ())
     head = () if kind == "intercept" else (EffectTerm("intercept", "intercept"),)
     return ModelSpec(head + MAINS + (term,), coding,
-                     {"region": "west", "c_age": "other", "year": 0.0, "age": 20.0})
+                     {"region": "west", "c_age": "other", "year": 0.0, "age": 40.0})
 
 
 def digest(a):
