@@ -17,27 +17,23 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
   G = X' diag(n) X; both are formed once. This is the covariance-update form
   of coordinate descent (Friedman, Hastie & Tibshirani 2010, JSS 33(1),
   section 2.2) applied to the array model;
-* learner j's smoother G_j^-1, with G_j = kron(X_j' diag(n) X_j, C) +
-  penalty_j and C = B'WB, is factorized once per resample, in density
-  coordinates rotated by the eigenvectors V of C = V diag(c) V'. There C
-  becomes the scaling diag(c), and without a density penalty G_j splits
-  into K_Y blocks c_k X_j' diag(n) X_j + lambda_j P_j of size d, the
-  learner's column count. Learners of one block size share one
-  (F, L, K_Y, d, d) stack, about 25 KB per resample for the paper's model,
-  and one batched solve per iteration: three for the paper's blocks of 1,
-  1, 2, 11 and 11 columns. A density penalty couples the rotated
-  directions, and the stack becomes (F, L, 1, d K_Y, d K_Y). Up to a
-  constant, learner j's weighted residual sum of squares is
-  gamma_j * (Q_j gamma_j - 2 rhs_j) with
-  Q_j = kron(X_j' diag(n) X_j, C), and one argmin per resample picks its
-  learner, the first of equal ones;
-* the pick, step = gamma_j in block j and zero elsewhere, moves rhs by
-  2 kappa G step C and the in-bag risk in closed form. The held-out rows
-  (mask t) keep rhs_t = X' diag(t) R and G_t = X' diag(t) X, and their risk
-  moves by -2 kappa <step, rhs_t> + kappa^2 <step, G_t step C>. The
-  coefficients are rotated back to the density basis B, fitted N x P
-  surfaces are built once, at the end, and their weighted SSE must match the
-  in-bag risk path.
+* in density coordinates rotated by the eigenvectors of C = B'WB =
+  V diag(c) V', learner j's system in direction k is c_k D_j + lambda_j P_j,
+  D_j = X_j' diag(n) X_j. Smoothers that differ only in a scalar share one
+  Demmler-Reinsch basis (Demmler & Reinsch 1975, Numer. Math. 24): W with
+  W' D_j W = diag(a) and W' (D_j + lambda_j P_j) W = I, one per resample and
+  learner, diagonalizes all K_Y systems. With u = rhs_j' W, the learner's
+  weighted residual sum of squares is, up to a constant,
+  sum u^2 (c a - 2 den) / den^2 with den = c a + b, and an argmin per
+  resample picks the first best learner. A density penalty couples the
+  directions into one system of size d K_Y, with c = 1;
+* only the pick forms its step, g = W (u / den) in block j and zero
+  elsewhere, which moves rhs by 2 kappa G g C and the in-bag risk in closed
+  form. The held-out rows (mask t) keep rhs_t = X' diag(t) R and
+  G_t = X' diag(t) X, and their risk moves by -2 kappa <g, rhs_t> +
+  kappa^2 <g, G_t g C>. The coefficients are rotated back to the density
+  basis B, fitted N x P surfaces are built once, at the end, and their
+  weighted SSE must match the in-bag risk path.
 
 Every entry point takes the responses as N x P clr rows. In-bag fits
 (:func:`boost_from_clr`) are the one-resample case; resampled stopping
@@ -143,58 +139,86 @@ class EarlyStopResult:
     risk_curve: np.ndarray            # mean out-of-sample risk, index 0 .. M
 
 
-def _smoothers(systems: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Inverses of a stack of learner systems (..., B, s, s), each made of B
-    diagonal blocks of size s, and whether any needed ridge jitter.
-
-    A learner system whose Cholesky factorization fails (degenerate designs,
-    e.g. empty categories in small folds) gets a 1e-10 ridge on every block.
-    Each inverse is L^-T L^-1, with L^-1 by forward substitution.
+def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
+    """Demmler-Reinsch bases W = L^-T U of a stack of pencils (..., s, s):
+    W' gram W = diag(a), W' penalty W = diag(b) and a + b = 1, from
+    gram + penalty = L L' and L^-1 penalty L^-T = U diag(b) U'. Returns W,
+    a, b and whether any system needed jitter: one not positive definite to
+    working precision (no Cholesky factor, or a squared pivot at most s eps
+    times its largest entry: degenerate designs, e.g. empty categories in
+    small folds) gets a 1e-10 ridge in its penalty. Decomposing the penalty
+    side leaves the factor's rounding on the gram, at the gram's scale; the
+    gram side would put it on a 1e-10 ridge, as a 1e-5 relative error that
+    makes a ridged learner's criterion noisy. An unpenalized learner gets
+    W = L^-T and a = 1 exactly.
     """
-    jittered = False
-    try:
-        lower = np.linalg.cholesky(systems)
-    except np.linalg.LinAlgError:
-        lower = np.empty_like(systems)
-        ridge = 1e-10 * np.eye(systems.shape[-1])
-        per_learner = (-1, *systems.shape[-3:])
-        for system, factor in zip(systems.reshape(per_learner), lower.reshape(per_learner)):
-            try:
-                factor[...] = np.linalg.cholesky(system)
-            except np.linalg.LinAlgError:
-                factor[...] = np.linalg.cholesky(system + ridge)
-                jittered = True
-    inv_lower = np.zeros_like(lower)
-    for i in range(lower.shape[-1]):
-        row = -(lower[..., i:i + 1, :i] @ inv_lower[..., :i, :])
-        row[..., i] += 1.0
-        inv_lower[..., i:i + 1, :] = row / lower[..., i:i + 1, i:i + 1]
-    return inv_lower.swapaxes(-1, -2) @ inv_lower, jittered
+    systems = grams + penalties
+    lower, ridged = np.empty_like(systems), np.zeros(systems.shape[:-2], dtype=bool)
+    size = systems.shape[-1]
+    tiny, ridge = size * np.finfo(float).eps, 1e-10 * np.eye(size)
+    for i in np.ndindex(ridged.shape):
+        try:
+            lower[i] = np.linalg.cholesky(systems[i])
+            ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny * np.abs(systems[i]).max()
+        except np.linalg.LinAlgError:
+            ridged[i] = True
+        if ridged[i]:
+            lower[i] = np.linalg.cholesky(systems[i] + ridge)
+    if ridged.any():
+        penalties = penalties + ridge * ridged[..., None, None]
+    inv_lower = np.linalg.inv(lower)
+    del systems, lower
+    b, u = np.linalg.eigh(inv_lower @ penalties @ inv_lower.swapaxes(-1, -2))
+    return inv_lower.swapaxes(-1, -2) @ u, 1.0 - b, b, bool(ridged.any())
 
 
-def _learner_systems(
+def _learner_bases(
     diag_grams: np.ndarray,
-    cov_penalties: np.ndarray,
-    density_penalties: np.ndarray | None,
+    designs: list[EffectDesign],
+    density_penalty: np.ndarray,
     spectrum: np.ndarray,
-) -> np.ndarray:
-    """Penalized normal matrices of one group of learners, (F, L, B, s, s),
-    in the rotated density coordinates with the density index outermost.
-
-    From the diagonal Grams X_j' diag(n) X_j (F, L, d, d), the scaled
-    covariate penalties (L, d, d) and the eigenvalues c of C, learner j's
-    block k is c_k X_j' diag(n) X_j + lambda_j P_j. Without a density penalty
-    these K_Y blocks are the whole system (B = K_Y, s = d); the rotated,
-    scaled density penalties (L, K_Y, K_Y) couple them into one block of
-    size s = d K_Y.
+):
+    """Every learner's Demmler-Reinsch basis W (F, J, s, s), 1/den and
+    c a / den^2 (F, J, B, s), zero-padded to the widest block d_max, and
+    whether any system needed ridge jitter; learners of one block size are
+    factorized together. With D = X_j' diag(n) X_j (``diag_grams``), learner
+    j's system in rotated density direction k is c_k D + lambda_j P_j, which
+    the basis of the pencil (D, lambda_j P_j) makes diag(c_k a + b) = diag(den):
+    B = K_Y blocks, s = d_max. A density penalty (rotated, unscaled) couples
+    the directions into one block (B = 1, s = d_max K_Y, indexed like the
+    flattened K_Y x d_max gradient), the pencil of kron(diag(c), D) and the
+    full system, with c = 1.
     """
-    blocks = spectrum[:, None, None] * diag_grams[:, :, None] + cov_penalties[:, None]
-    if density_penalties is None:
-        return blocks
-    n_resamples, n_learners, k_y, d, _ = blocks.shape
-    full = blocks[:, :, :, :, None, :] * np.eye(k_y)[:, None, :, None]
-    coupling = np.stack([np.kron(p, np.eye(d)) for p in density_penalties])
-    return full.reshape(n_resamples, n_learners, 1, k_y * d, k_y * d) + coupling[:, None]
+    n_resamples, n_learners, d_max, _ = diag_grams.shape
+    k_y = spectrum.size
+    coupled = any(d.lambda_density for d in designs)
+    blocks, width = (1, k_y * d_max) if coupled else (k_y, d_max)
+    bases = np.zeros((n_resamples, n_learners, width, width))
+    inv_den, size_w = np.zeros((2, n_resamples, n_learners, blocks, width))
+    by_size, jittered = {}, False
+    for j, design in enumerate(designs):
+        by_size.setdefault(design.n_cov, []).append(j)
+    for d, js in by_size.items():
+        grams, scale, pos = diag_grams[:, js, :d, :d], spectrum[:, None], np.arange(d)
+        penalties = np.stack([designs[j].lambda_cov * designs[j].cov_penalty for j in js])
+        if coupled:
+            eye = np.eye(k_y)
+            grams = np.einsum("k,kl,fjab->fjkalb", spectrum, eye, grams)
+            grams = grams.reshape(n_resamples, len(js), k_y * d, k_y * d)
+            penalties = np.stack([
+                np.kron(eye, p) + np.kron(designs[j].lambda_density * density_penalty, np.eye(d))
+                for j, p in zip(js, penalties)
+            ])
+            scale, pos = np.ones((1, 1)), (np.arange(k_y)[:, None] * d_max + pos).ravel()
+        w, a, b, jit = _pencil_bases(grams, penalties)
+        jittered |= jit
+        fitted = scale * a[:, :, None]
+        at = (slice(None), np.array(js)[:, None, None])
+        bases[(*at, pos[:, None], pos)] = w
+        at = (*at, np.arange(blocks)[:, None], pos)
+        inv_den[at] = 1.0 / (fitted + b[:, :, None])
+        size_w[at] = fitted * inv_den[at] ** 2
+    return bases, inv_den, size_w, jittered
 
 
 def _boost_paths(
@@ -213,15 +237,10 @@ def _boost_paths(
     marks the held-out rows whose risk is tracked alongside. The N rows are
     read only while setting up; the iterations update K_Y x D arrays.
 
-    The density coordinates are rotated once by the eigenvectors V of
-    C = B'WB = V diag(c) V': with coefficients theta V, learner j's system
-    carries diag(c) in place of C, so C acts as a scaling of each rotated
-    density direction. Without a density penalty the system splits into K_Y
-    independent d x d blocks c_k X_j' diag(n) X_j + lambda_j P_j, and a group
-    of learners of block size d holds an (F, L, K_Y, d, d) smoother stack;
-    with one, the rotated density penalty couples the directions, and the
-    stack is (F, L, 1, d K_Y, d K_Y). Per-learner arrays are held with the
-    density index outermost, so one batched product applies either form.
+    The density coordinates are rotated by the eigenvectors V of C = B'WB =
+    V diag(c) V'. Learner arrays are zero-padded to the widest block, so one
+    batched product per iteration scores every learner in its basis (see
+    :func:`_learner_bases`); padded coordinates stay zero in every product.
 
     Returns the offsets (F, P), coefficients (F, sum K_j, K_Y) in the
     original density basis, selections (F, n_iter), in-bag risks
@@ -234,25 +253,25 @@ def _boost_paths(
     rotated_basis = weighted_basis @ rotation
     k_y = basis.shape[1]
     sizes = [d.n_cov for d in designs]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    starts = np.cumsum(sizes) - sizes
     n_resamples, n = counts.shape
     x = np.hstack([d.X for d in designs])
     n_cols = x.shape[1]
 
-    # Learners of one block size d, in learner order, form a group: their
-    # indices (L,) and design columns (L, d). Per group and resample, each
-    # learner gets its smoother, gradient rows R' diag(2n) X_j, Gram rows
-    # X' diag(n) X_j and diagonal block X_j' diag(n) X_j from products of its
-    # own, so equal learners get bitwise equal values and tie exactly.
-    by_size = {}
-    for j, d in enumerate(sizes):
-        by_size.setdefault(d, []).append(j)
-    groups = [(np.array(js), starts[js][:, None] + np.arange(d)) for d, js in by_size.items()]
-    x_groups = [x.T[cols] for _, cols in groups]
-    grads = [np.empty((n_resamples, len(js), k_y, cols.shape[1])) for js, cols in groups]
-    gram_rows = [np.empty((n_resamples, len(js), n_cols, cols.shape[1])) for js, cols in groups]
-    diag_grams = [np.empty((n_resamples, *cols.shape, cols.shape[1])) for _, cols in groups]
+    # Each learner's padded columns (J, d_max, N) and the 0/1 matrices that
+    # scatter them back (J, d_max, D). Per resample, each learner gets its
+    # gradient rows R' diag(2n) X_j, Gram rows X' diag(n) X_j and diagonal
+    # block X_j' diag(n) X_j from products of its own, so equal learners get
+    # bitwise equal values and tie exactly.
+    n_learners, d_max = len(designs), max(sizes)
+    x_pad = np.zeros((n_learners, d_max, n))
+    scatter = np.zeros((n_learners, d_max, n_cols))
+    for j, (a, d) in enumerate(zip(starts, sizes)):
+        x_pad[j, :d] = x.T[a:a + d]
+        scatter[j, np.arange(d), a + np.arange(d)] = 1.0
+    grads = np.empty((n_resamples, n_learners, k_y, d_max))
+    gram_rows = np.empty((n_resamples, n_learners, n_cols, d_max))
+    diag_grams = np.empty((n_resamples, n_learners, d_max, d_max))
 
     offsets = np.empty((n_resamples, y_clr.shape[1]))
     risk = np.empty((n_resamples, n_iter + 1))
@@ -273,61 +292,41 @@ def _boost_paths(
             heldout[f, 0] = float(((e[test[f]] ** 2) * weights).sum())
             gram_t[f] = x.T @ x_test
             rhs_t[f] = resid_t @ x_test
-        for k, x_group in enumerate(x_groups):
-            counted = (x_group * counts[f]).transpose(0, 2, 1)
-            grads[k][f] = 2.0 * (resid_t @ counted)
-            gram_rows[k][f] = x.T @ counted
-            diag_grams[k][f] = x_group @ counted
+        counted = (x_pad * counts[f]).transpose(0, 2, 1)
+        grads[f] = 2.0 * (resid_t @ counted)
+        gram_rows[f] = x.T @ counted
+        diag_grams[f] = x_pad @ counted
 
-    coupled = any(d.lambda_density for d in designs)
-    density_penalty = rotation.T @ designs[0].density_basis.penalty @ rotation
-    smoothers, jittered = [], False
-    for (js, _), diag in zip(groups, diag_grams):
-        group = [designs[j] for j in js]
-        systems = _learner_systems(
-            diag,
-            np.stack([d.lambda_cov * d.cov_penalty for d in group]),
-            np.stack([d.lambda_density * density_penalty for d in group]) if coupled else None,
-            spectrum,
-        )
-        stack, jit = _smoothers(systems)
-        smoothers.append(stack)
-        jittered |= jit
+    bases, inv_den, size_w, jittered = _learner_bases(
+        diag_grams, designs, rotation.T @ designs[0].density_basis.penalty @ rotation, spectrum
+    )
+    # per learner coordinate: the weights of size - 2 fit, fit and size; a
+    # step moves the in-bag risk by -kappa fit + kappa^2 size
+    crit_w, fit_size_w = size_w - 2.0 * inv_den, np.stack([inv_den, size_w], axis=2)
     if jittered:
         warnings.warn(
             "singular base-learner system, adding ridge jitter", RuntimeWarning,
             stacklevel=3,
         )
 
-    # the mask picks the selected learner's block of every resample
-    block_mask = np.zeros((len(designs), 1, n_cols))
-    for j, (a, b) in enumerate(zip(starts, ends)):
-        block_mask[j, :, a:b] = 1.0
-    every = np.arange(n_resamples)
+    every, moves = np.arange(n_resamples), np.array([-kappa, kappa ** 2])
     coefficients = np.zeros((n_resamples, k_y, n_cols))
-    gamma = np.empty_like(coefficients)
-    fit_part = np.empty((n_resamples, len(designs)))
-    size_part = np.empty_like(fit_part)
     selections = np.empty((n_resamples, n_iter), dtype=int)
     for m in range(1, n_iter + 1):
-        for (js, cols), stack, r, diag in zip(groups, smoothers, grads, diag_grams):
-            g = (stack @ r.reshape(*stack.shape[:-1], 1)).reshape(r.shape)
-            fit_part[:, js] = (g * r).sum(axis=(2, 3))
-            size_part[:, js] = (g * (g @ diag) * spectrum[:, None]).sum(axis=(2, 3))
-            gamma[:, :, cols] = g.swapaxes(1, 2)
-        sel = np.argmin(size_part - 2.0 * fit_part, axis=1)
-        selections[:, m - 1] = sel
-        step = gamma * block_mask[sel]
+        # u = r W in every learner's basis; size - 2 fit = sum u^2 (c a - 2 den) / den^2
+        u = grads.reshape(crit_w.shape) @ bases
+        selections[:, m - 1] = sel = np.argmin((u * u * crit_w).sum(axis=(2, 3)), axis=1)
+        # the step g = W (u / den) of each resample's chosen learner only
+        u, chosen_w = u[every, sel], fit_size_w[every, sel]
+        g = (u * chosen_w[:, 0]) @ bases[every, sel].swapaxes(-1, -2)
+        step = g.reshape(n_resamples, k_y, d_max) @ scatter[sel]
         coefficients += kappa * step
-        risk[:, m] = (
-            risk[:, m - 1] - kappa * fit_part[every, sel] + kappa ** 2 * size_part[every, sel]
-        )
+        risk[:, m] = risk[:, m - 1] + ((u * u)[:, None] * chosen_w).sum(axis=(2, 3)) @ moves
         # covariance updates: the step moves the residuals by X step B', so
         # the gradient rows by 2 kappa (step C) G and rhs_t by kappa (step C) G_t,
         # where step C scales each rotated density direction by c_k
         step_c = step * spectrum[:, None]
-        for r, rows_x in zip(grads, gram_rows):
-            r -= 2.0 * kappa * (step_c[:, None] @ rows_x)
+        grads -= 2.0 * kappa * (step_c[:, None] @ gram_rows)
         if test is not None:
             moved = step_c @ gram_t
             heldout[:, m] = (

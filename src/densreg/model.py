@@ -293,18 +293,18 @@ class _TermEncoder:
             return x[:, None]
         return np.column_stack([np.ones_like(x), x])
 
-    def raw_design(self, data) -> np.ndarray:
-        """Row-wise tensor product of the blocks, from a column of ones."""
-        n = _table_length(data)
+    def raw_design(self, data, n: int) -> np.ndarray:
+        """Row-wise tensor product of the blocks, from a column of ones, for
+        the ``n`` rows of a covariate table."""
         out = np.ones((n, 1))
         for letter, cov in zip(self.term.blocks, self.covariates):
             block = self._block(letter, cov, _column(data, cov.name, n))
             out = (out[:, :, None] * block[:, None, :]).reshape(n, -1)
         return out
 
-    def design(self, data) -> np.ndarray:
-        """Constrained design rows for a covariate table."""
-        raw = self.raw_design(data)
+    def design(self, data, n: int) -> np.ndarray:
+        """Constrained design rows for the ``n`` rows of a covariate table."""
+        raw = self.raw_design(data, n)
         return raw @ self.transform if self.transform is not None else raw
 
     @property
@@ -412,7 +412,7 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
             for c, letter in zip(covs, term.blocks) if letter == "s"
         }
         encoder = _TermEncoder(term, covs, spec.coding, knots)
-        raw = encoder.raw_design(data)
+        raw = encoder.raw_design(data, _table_length(data))
         pen = encoder.raw_penalty()
         rows = []
         # categorical terms are identified by their coding; numeric and
@@ -576,6 +576,11 @@ def _load_encoder(i: int, d: dict, covariates: dict, coding: str) -> _TermEncode
                 f"terms[{i}].knot_vectors.{cov.name}: spans [{span[0]!r}, {span[1]!r}], "
                 f"not the range [{cov.lo!r}, {cov.hi!r}] of covariate {cov.name!r}"
             )
+        if not cov.lo <= cov.reference <= cov.hi:
+            raise ValueError(
+                f"covariates.{cov.name}.reference: {cov.reference!r} lies outside the "
+                f"training range [{cov.lo!r}, {cov.hi!r}] of term {term.name!r}'s spline basis"
+            )
     transform, width = encoder.transform, math.prod(encoder._widths())
     if transform is not None and (transform.ndim != 2 or len(transform) != width):
         raise ValueError(f"term {term.name!r}: transform must have {width} rows, "
@@ -724,10 +729,9 @@ def fit(
     )
 
 
-def _raw_clr_rows(model: FittedModel, data, include_offset=True) -> np.ndarray:
-    """N x P clr predictions on the response measure for the rows of ``data``."""
-    n = _table_length(data)
-    designs = [e.design(data) for e in model.frame.encoders]
+def _raw_clr_rows(model: FittedModel, data, n: int, include_offset=True) -> np.ndarray:
+    """n x P clr predictions on the response measure for the n rows of ``data``."""
+    designs = [e.design(data, n) for e in model.frame.encoders]
     out = np.zeros((n, model.measure.size))
     components = _components(model.measure)
     for component, state in model.component_states().items():
@@ -742,14 +746,14 @@ def _raw_clr_rows(model: FittedModel, data, include_offset=True) -> np.ndarray:
 
 
 def predict_clr(model: FittedModel, newdata) -> list[ClrElement]:
-    rows = _raw_clr_rows(model, newdata)
+    rows = _raw_clr_rows(model, newdata, _table_length(newdata))
     return [ClrElement(model.measure, row) for row in rows]
 
 
 def predict(model: FittedModel, newdata) -> np.ndarray:
     """N x P predicted density rows (probability representatives) for new
     covariates; a clr row off the zero integral is a FloatingPointError."""
-    z = _raw_clr_rows(model, newdata)
+    z = _raw_clr_rows(model, newdata, _table_length(newdata))
     check_clr_rows(z, model.measure, FloatingPointError)
     return clr_inv_rows(z, model.measure)
 
@@ -768,7 +772,7 @@ def _contrast(model: FittedModel, toggles: dict, values: dict) -> np.ndarray:
                 raise ValueError(f"missing covariate {name!r}")
             table[name] = [values[name]] * len(cells)
     signs = np.array([(-1.0) ** (len(toggles) - bin(bits).count("1")) for bits in cells])
-    return signs @ _raw_clr_rows(model, table, include_offset=not toggles)
+    return signs @ _raw_clr_rows(model, table, len(cells), include_offset=not toggles)
 
 
 def extract_effect(

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -22,8 +23,8 @@ from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr
 from densreg.boosting import (
     BoostConfig,
     _boost_paths,
-    _learner_systems,
-    _smoothers,
+    _learner_bases,
+    _pencil_bases,
     boost,
     boost_from_clr,
     early_stop_from_clr,
@@ -52,6 +53,9 @@ from conftest import (
     random_clr_direction,
     random_density,
 )
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def center_columns(design, penalty):
@@ -423,10 +427,15 @@ def rank_deficient_effect(measure, rng, n):
     return EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0, 0.0)
 
 
-def one_system_inverse(gram):
-    """The kernel's smoother for a single learner system of one block."""
-    inverse, jittered = _smoothers(gram[None])
-    return inverse[0], jittered
+def block_inverses(w, inv_den):
+    """Inverses W diag(1 / den_k) W' of every block k of a basis, (..., B, s, s)."""
+    return (w[..., None, :, :] * inv_den[..., None, :]) @ w[..., None, :, :].swapaxes(-1, -2)
+
+
+def one_system_inverse(gram, penalty):
+    """The inverse of gram + penalty from the basis of the pencil (gram, penalty)."""
+    w, a, b, jittered = _pencil_bases(gram[None], penalty[None])
+    return block_inverses(w, 1.0 / (a + b)[:, None])[0, 0], jittered
 
 
 class TestSingularFallback:
@@ -437,7 +446,7 @@ class TestSingularFallback:
         bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
         eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
         gram = np.kron(bx.T @ bx, c) + stacked_penalty(eff)
-        inverse, jittered = one_system_inverse(gram)
+        inverse, jittered = one_system_inverse(np.kron(bx.T @ bx, c), stacked_penalty(eff))
         expected = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
         assert not jittered
         np.testing.assert_allclose(inverse, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
@@ -456,39 +465,66 @@ class TestSingularFallback:
         _, _, designs = build_designs(spec, data, m, **options("model", density_knots=6))
         for d in designs["continuous"] + designs["discrete"]:
             b, w = d.density_basis.clr_matrix, d.density_basis.measure.weights
-            gram = np.kron(d.X.T @ d.X, b.T @ (b * w[:, None])) + stacked_penalty(d)
+            fit_gram = np.kron(d.X.T @ d.X, b.T @ (b * w[:, None]))
+            gram = fit_gram + stacked_penalty(d)
             eye = np.eye(gram.shape[0])
-            inverse, jittered = one_system_inverse(gram)
+            inverse, jittered = one_system_inverse(fit_gram, stacked_penalty(d))
             expected = cho_solve(cho_factor(gram), eye)
             assert not jittered
             assert np.abs(gram @ inverse - eye).max() <= 4 * np.abs(gram @ expected - eye).max() + 1e-15
 
     def test_singular_gram_is_jittered(self):
         gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-        inverse, jittered = one_system_inverse(gram)
+        inverse, jittered = one_system_inverse(gram, np.zeros((2, 2)))
         expected = cho_solve(cho_factor(gram + 1e-10 * np.eye(2)), np.eye(2))
         assert jittered
         np.testing.assert_allclose(inverse, expected, rtol=1e-6)
 
     def test_jitter_reaches_only_the_failing_learner(self):
-        # two learners of two 2 x 2 blocks; one block of the first is singular
+        # two learners in two rotated directions (c = 1, 3); the first's
+        # Gram is singular, so both of its blocks are
         good = np.array([[2.0, 1.0], [1.0, 2.0]])
-        systems = np.stack([
-            np.stack([good, np.ones((2, 2))]),
-            np.stack([good, 3.0 * good]),
-        ])
-        inverse, jittered = _smoothers(systems)
+        spectrum = np.array([1.0, 3.0])
+        grams = np.stack([np.ones((2, 2)), good])
+        w, a, b, jittered = _pencil_bases(grams, np.zeros((2, 2, 2)))
         assert jittered
-        ridge = 1e-10 * np.eye(2)
+        inverse = block_inverses(w, 1.0 / (spectrum[:, None] * a[:, None] + b[:, None]))
+        # (c 11' + 1e-10 I)^-1 by Sherman-Morrison: at condition 6e10,
+        # cho_solve itself is off by 4e-6 for c = 3
+        eps = 1e-10
         np.testing.assert_allclose(
-            inverse[0], [np.linalg.inv(good + ridge), cho_solve(cho_factor(np.ones((2, 2)) + ridge), np.eye(2))],
+            inverse[0], [(np.eye(2) - c * np.ones((2, 2)) / (eps + 2.0 * c)) / eps for c in spectrum],
             rtol=1e-6,
         )
-        np.testing.assert_allclose(inverse[1], [np.linalg.inv(good), np.linalg.inv(3.0 * good)], rtol=1e-12)
+        np.testing.assert_allclose(inverse[1], [np.linalg.inv(c * good) for c in spectrum], rtol=1e-12)
+        # the good learner's basis is the one it gets on its own
+        alone, *ab, alone_jittered = _pencil_bases(grams[1:], np.zeros((1, 2, 2)))
+        assert not alone_jittered
+        np.testing.assert_array_equal(w[1:], alone)
+        np.testing.assert_array_equal(np.stack([a[1:], b[1:]]), ab)
+
+    def test_fancy_indexed_stack_gets_its_own_bases(self):
+        # the kernel factorizes fancy-indexed slices of padded stacks, whose
+        # memory is not in the C order of their shape; each system must
+        # still get its own basis
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(3, 4, 9, 6))
+        grams = (x.swapaxes(-1, -2) @ x)[:, [3, 0], :5, :5]
+        penalties = np.broadcast_to(difference_penalty(5, 2), grams.shape)
+        assert not grams.flags.c_contiguous
+        w, a, b, jittered = _pencil_bases(grams, penalties)
+        assert not jittered
+        eye = np.broadcast_to(np.eye(5), grams.shape)
+        np.testing.assert_allclose(w.swapaxes(-1, -2) @ (grams + penalties) @ w, eye, atol=1e-10)
+        np.testing.assert_allclose(w.swapaxes(-1, -2) @ grams @ w, eye * a[..., None], atol=1e-10)
+        np.testing.assert_allclose(a + b, 1.0, rtol=1e-10)
+        again = _pencil_bases(np.ascontiguousarray(grams), penalties)
+        for got, want in zip((w, a, b), again):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("lambda_density", [0.0, 0.1])
     def test_rotated_blocks_invert_the_learner_system(self, continuous_measure, lambda_density):
-        # the kernel's smoother, rotated back, is the inverse of
+        # the kernel's learner basis, rotated back, inverts
         # kron(X'X, C) + penalty in the original density coordinates
         rng = np.random.default_rng(28)
         basis = density_basis(continuous_measure, 6, 3, 2)
@@ -497,14 +533,11 @@ class TestSingularFallback:
         eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, lambda_density)
         spectrum, rotation = np.linalg.eigh(c)
         density_penalty = rotation.T @ basis.penalty @ rotation
-        systems = _learner_systems(
-            (bx.T @ bx)[None, None],
-            (eff.lambda_cov * eff.cov_penalty)[None],
-            (lambda_density * density_penalty)[None] if lambda_density else None,
-            spectrum,
+        w, inv_den, _, jittered = _learner_bases(
+            (bx.T @ bx)[None, None], [eff], density_penalty, spectrum
         )
-        assert systems.shape[2] == (1 if lambda_density else basis.n_basis)
-        inverse, jittered = _smoothers(systems)
+        assert inv_den.shape[2] == (1 if lambda_density else basis.n_basis)
+        inverse = block_inverses(w, inv_den)
         assert not jittered
         d, k_y = bx.shape[1], basis.n_basis
         # (block, row, column) with the density index outermost -> a-major
@@ -836,8 +869,10 @@ class TestDensityPenaltyMatchesBruteForce:
 def test_paper_model_cv_stop_memory():
     # the paper's model at paper scale: 180 densities, K_Y = 13, learner
     # blocks of 1, 1, 2, 11 and 11 columns; 10-fold CV of the continuous
-    # component. Smoothers of the 11-column learners, dense, would take
-    # 10 folds x 2 x 143^2 doubles (3.3 MB) alone
+    # component. Dense smoothers of the 11-column learners would take
+    # 10 folds x 2 x 143^2 doubles (3.3 MB) alone; their Demmler-Reinsch
+    # bases, one per fold and learner padded to 11 columns, take
+    # 10 x 5 x 11^2 doubles (48 KB)
     measure, data, truths, _ = planted_problem(seed=3, grid_size=100, n_years=30, noise_scale=0.5)
     spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
     _, bases, designs = build_designs(spec, data, measure, **options("model"))
@@ -853,6 +888,20 @@ def test_paper_model_cv_stop_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6
+
+
+def test_paper_model_cv_paths():
+    # the paper's model at paper scale with 10-fold CV: m_stop and the in-bag
+    # selection paths of both components, as a change of the kernel must keep
+    with open(DATA / "paper_cv_paths.json") as fh:
+        expected = json.load(fh)
+    measure, data, truths, _ = planted_problem(seed=3, grid_size=100, n_years=30, noise_scale=0.5)
+    spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
+    model = fit(spec, data, clr_stack(truths), measure, BoostConfig(stopping="cv", folds=10, seed=3),
+                **options("model"))
+    assert list(model.m_stop) == expected["m_stop"] == [114, 49]
+    for comp, state in model.component_states().items():
+        assert state.selections == expected["selections"][comp], comp
 
 
 class TestThreadDeterminism:

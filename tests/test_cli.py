@@ -950,6 +950,42 @@ class TestModelFiles:
             "data error: covariate 'year': 99.0 lies outside the training range [0.0, 4.0]\n"
         )
 
+    def test_reference_off_spline_range_names_model_field(self, tmp_path, capsys):
+        with open(DATA / "model_v1.json") as fh:
+            doc = json.load(fh)
+        doc["covariates"]["year"]["reference"] = 99.0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"model": str(path), "newdata": str(DATA / "model_v1_newdata.tsv")},
+            interpret={"effects": [
+                {"term": "year", "at": {"region": "east", "c_age": "other", "year": 2.0}},
+            ]},
+        )
+        for command in ("predict", "interpret"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+            assert capsys.readouterr().err == (
+                "data error: model file: covariates.year.reference: 99.0 lies outside the "
+                "training range [0.0, 4.0] of term 'year''s spline basis\n"
+            )
+
+    def test_reference_off_range_of_linear_covariate_loads(self):
+        # a numeric covariate that only a linear block reads has no range to keep to
+        with open(DATA / "model_v1.json") as fh:
+            doc = json.load(fh)
+        doc["covariates"]["age"] = {"kind": "numeric", "lo": 20.0, "hi": 60.0, "reference": 99.0}
+        doc["terms"].append(dict(
+            doc["terms"][3], name="age", kind="linear", covariates=["age"], transform=None,
+            knot_vectors={},
+        ))
+        for comp, fd in doc["fits"].items():
+            k_y = len(fd["coefficients"][0])
+            fd["coefficients"].append([0.0] * 2 * k_y)
+        model = model_from_dict(doc)
+        assert model.frame.covariates["age"].reference == 99.0
+        assert model.frame.encoders[-1].n_columns == 2
+
     @pytest.mark.parametrize(
         "mutate, message",
         [

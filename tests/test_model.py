@@ -287,6 +287,18 @@ class TestExtractEffect:
             if 2 not in state.selections:
                 assert np.all(state.coefficients[2] == 0.0)
 
+    def test_intercept_of_model_without_covariates(self):
+        # the contrast builds a covariate table with no column at all; its one
+        # cell is the prediction, the same for every row
+        m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, noise_scale=0.5)
+        spec = ModelSpec((EffectTerm("intercept", "intercept"),))
+        model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=20),
+                    **options("model", density_knots=6))
+        dens, z = extract_effect(model, "intercept", {})
+        expected = predict_clr(model, data)
+        np.testing.assert_allclose(z.values, expected[0].values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dens.values, predict(model, data)[-1], rtol=1e-12, atol=0)
+
     def test_unknown_term_rejected(self, planted_fit):
         *_, model = planted_fit
         with pytest.raises(KeyError):

@@ -77,9 +77,9 @@ def record(kind, coding, orthogonal):
                                       **options("model", density_knots=4))
     enc = frame.encoders[-1]
     x = designs["continuous"][-1].X
-    np.testing.assert_array_equal(x, enc.design(DATA))
+    np.testing.assert_array_equal(x, enc.design(DATA, len(TRUTHS)))
     return enc, {
-        "raw_design": digest(enc.raw_design(DATA)),
+        "raw_design": digest(enc.raw_design(DATA, len(TRUTHS))),
         "raw_penalty": digest(enc.raw_penalty()),
         "design": digest(x),
         "n_columns": enc.n_columns,
@@ -123,7 +123,7 @@ def test_varying_coefficient_on_one_covariate():
     enc = frame.encoders[-1]
     year = np.asarray(DATA["year"])
     splines = bspline_eval(bspline_knots(year.min(), year.max(), 2, 3), 3, year)
-    np.testing.assert_array_equal(enc.raw_design(DATA), year[:, None] * splines)
+    np.testing.assert_array_equal(enc.raw_design(DATA, year.size), year[:, None] * splines)
     assert enc.raw_penalty().shape == (6, 6)
     assert designs["continuous"][-1].n_cov == 5  # centered
     model = fit(spec, DATA, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5),
