@@ -135,12 +135,8 @@ class DensityBasis:
 
     measure: ReferenceMeasure
     clr_matrix: np.ndarray      # (size, K_Y), columns integrate to zero
-    penalty: np.ndarray | None  # (K_Y, K_Y) transformed roughness penalty
+    penalty: np.ndarray         # (K_Y, K_Y) transformed roughness penalty
     transform: np.ndarray       # (K_Y+1 or more, K_Y) constraint transform
-
-    @property
-    def kind(self) -> str:
-        return "bspline" if self.measure.n_grid else "indicator"
 
     @property
     def n_basis(self) -> int:

@@ -109,7 +109,6 @@ class BoostConfig:
 class FitState:
     """Result of one boosting run in a single component space."""
 
-    measure: ReferenceMeasure
     offset_clr: np.ndarray            # (P,)
     coefficients: list                # theta_j, each (K_j * K_Y,)
     fitted_clr: np.ndarray | None     # (N, P) final fitted surfaces incl. offset
@@ -385,7 +384,6 @@ def boost_from_clr(
             f"risk_path[{m_stop}] {risk[0, m_stop]:.12g}"
         )
     return FitState(
-        measure=measure,
         offset_clr=offsets[0],
         coefficients=[c.ravel() for c in np.split(coefficients[0], ends[:-1])],
         fitted_clr=fitted,

@@ -28,11 +28,12 @@ success, 2 on a config error, 3 on a data error (:class:`DataError` or
 another ``ValueError`` from the input files) and 4 on a numeric failure.
 
 Model files are JSON objects with ``"format": "densreg-model"`` and
-``"version": 1``; anything else is a :class:`DataError`. The version-1
-fields below have one writer and one reader,
-:func:`densreg.model.dump_fields` and :func:`densreg.model.load_fields`; a
-field that does not fit the rest is a :class:`DataError` that names it,
-such as ``covariates.region.reference``:
+``"version": 2`` or ``1``; anything else is a :class:`DataError`. A model
+file keeps what fitting learned and what the training data fixed; load
+rebuilds knots and density bases from those. The version-2 fields below have
+one writer and one reader, :func:`densreg.model.dump_fields` and
+:func:`densreg.model.load_fields`; a field that does not fit the rest is a
+:class:`DataError` that names it, such as ``covariates.region.reference``:
 
 * ``measure``: ``interval`` (or null), ``atoms`` ([location, weight] pairs),
   ``grid_size``; then ``coding`` and ``references``;
@@ -42,13 +43,15 @@ such as ``covariates.region.reference``:
   ``covariates``, ``df``, ``knots``, ``degree``, ``penalty_order``,
   ``orthogonal_to``), then ``transform`` (raw to constrained columns, or
   null), ``lambda_cov``, ``target_df`` (absent in files of earlier writers,
-  read as ``df``), ``achieved_df`` and ``knot_vectors``;
+  read as ``df``) and ``achieved_df``;
 * ``density_basis``: ``knots``, ``degree``, ``penalty_order``, ``lambda_density``;
-* ``bases``: per component ("single", or "continuous" and "discrete"),
-  ``kind`` ("bspline" or "indicator"), sum-to-zero ``transform``, ``measure``;
-* ``fits``: per component, the clr ``offset``, one flat ``coefficients``
-  vector per term (covariate columns x density basis), ``selections``,
-  ``risk_path``, ``m_stop`` and ``stop_curve`` (or null).
+* ``fits``: per component ("single", or "continuous" and "discrete"), the
+  clr ``offset``, one flat ``coefficients`` vector per term (covariate
+  columns x density basis), ``selections``, ``risk_path``, ``m_stop`` and
+  ``stop_curve`` (or null).
+
+Version-1 files also hold ``terms[].knot_vectors`` and the density bases
+(``bases``); they load through the same reader, which ignores both.
 """
 from __future__ import annotations
 
@@ -253,18 +256,19 @@ def read_density_file(path, numeric=()):
 
 def model_to_dict(model) -> dict:
     """Serialize a fitted model with everything prediction needs."""
-    return {"format": "densreg-model", "version": 1, **dump_fields(model)}
+    return {"format": "densreg-model", "version": 2, **dump_fields(model)}
 
 
 def model_from_dict(d) -> FittedModel:
     """Rebuild a fitted model from its serialized form; raises DataError on a
-    file that is not a version-1 model file or does not hold a valid model."""
+    file that is not a version-1 or version-2 model file or does not hold a
+    valid model."""
     if not isinstance(d, dict):
         raise DataError("model file: expected a JSON object")
     if d.get("format") != "densreg-model":
         raise DataError("not a model file")
     version = d.get("version")
-    if type(version) is not int or version != 1:
+    if type(version) is not int or version not in (1, 2):
         raise DataError(f"model file: unsupported version {version!r}")
     try:
         return load_fields(d)

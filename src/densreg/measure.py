@@ -121,16 +121,6 @@ class ReferenceMeasure:
         a, b = d["interval"]
         return make_mixed(a, b, atoms, d["grid_size"])
 
-    def same_support(self, other: "ReferenceMeasure") -> bool:
-        if self.interval != other.interval:
-            return False
-        return (
-            np.array_equal(self.atom_locations, other.atom_locations)
-            and np.array_equal(self.atom_weights, other.atom_weights)
-            and np.array_equal(self.grid, other.grid)
-            and np.array_equal(self.grid_weights, other.grid_weights)
-        )
-
 
 def _atoms(points) -> tuple[np.ndarray, np.ndarray]:
     """Locations and weights of (location, weight) pairs, sorted by location,

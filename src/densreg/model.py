@@ -25,7 +25,10 @@ holds (:func:`dump_fields` writes it, :func:`load_fields` reads it; the
 format is in :mod:`densreg.io`): a ``_Covariate`` per covariate and a
 ``_TermEncoder`` per term, which turns covariate values into constrained
 design rows and records the term's smoothing parameter and degrees of
-freedom. The training designs live only in the boosting inputs
+freedom. Knots and density bases are not stored: the encoder derives a
+spline block's knots from its covariate's range, and ``_density_bases``
+builds the bases, for fit and load alike. The training designs live only in
+the boosting inputs
 (:class:`~densreg.basis.EffectDesign`). ``_components`` is the one table of
 a measure's components, each with its measure and the embedding of its clr
 rows: "continuous" (the grid) and "discrete" (the atoms plus a stand-in
@@ -44,14 +47,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .basis import (
-    DensityBasis,
     EffectDesign,
     bspline_eval,
     bspline_knots,
     calibrate_df,
     density_basis,
     difference_penalty,
-    raw_density_basis,
 )
 from .bayes import (
     ClrElement,
@@ -196,9 +197,18 @@ class SpecMismatch(ValueError):
         self.item = item
 
 
+class _BadCovariate(ValueError):
+    """A covariate's ``key`` breaks a rule of the predictor state; a reference
+    is a spec item in fit (``SpecMismatch``) and a model-file field on load."""
+
+    def __init__(self, name: str, key: str, message: str):
+        super().__init__(message)
+        self.name, self.key = name, key
+
+
 @dataclass(frozen=True)
 class _Covariate:
-    """Per-covariate metadata inferred from the training table."""
+    """Per-covariate metadata fixed by the training table."""
 
     name: str
     kind: str                   # "categorical" | "numeric"
@@ -207,21 +217,33 @@ class _Covariate:
     lo: float = 0.0             # numeric: training range
     hi: float = 0.0
 
+    def __post_init__(self):
+        name, ref, lo, hi = self.name, self.reference, self.lo, self.hi
+        if self.kind == "categorical":
+            rules = [
+                ("levels", len(set(self.levels)) != len(self.levels), "a level is listed twice"),
+                ("levels", len(self.levels) < 2, f"covariate {name!r} needs at least two levels"),
+                ("reference", ref not in self.levels, f"reference {ref!r} not a level of {name!r}"),
+            ]
+        elif self.kind == "numeric":
+            rules = [(key, not (isinstance(value, (int, float)) and math.isfinite(value)),
+                      f"must be a finite number, not {value!r}")
+                     for key, value in (("lo", lo), ("hi", hi), ("reference", ref))]
+            rules.append(("hi", not lo < hi, f"covariate {name!r} is constant" if lo == hi
+                          else f"covariate {name!r}: lo {lo!r} lies above hi {hi!r}"))
+        else:
+            raise ValueError(f"covariate {name!r}: unknown kind {self.kind!r}")
+        for key, broken, message in rules:
+            if broken:
+                raise _BadCovariate(name, key, message)
+
     @classmethod
     def infer(cls, name: str, kind: str, values, reference) -> "_Covariate":
         if kind == "categorical":
             levels = tuple(sorted({str(v) for v in values}))
-            if len(levels) < 2:
-                raise ValueError(f"covariate {name!r} needs at least two levels")
             ref = str(reference) if reference is not None else levels[0]
-            if ref not in levels:
-                raise SpecMismatch(
-                    f"references.{name}", f"reference {ref!r} not a level of {name!r}"
-                )
             return cls(name, kind, ref, levels=levels)
         vals = np.asarray(values, dtype=float)
-        if np.ptp(vals) == 0.0:
-            raise ValueError(f"covariate {name!r} is constant")
         lo, hi = float(vals.min()), float(vals.max())
         try:
             ref = float(reference) if reference is not None else lo
@@ -236,19 +258,36 @@ class _Covariate:
 class _TermEncoder:
     """Everything that turns covariate values into design rows of one term.
 
-    ``transform`` maps raw to constrained columns (None when the term is
-    unconstrained); ``lambda_cov``, ``target_df`` and ``achieved_df`` record
-    the degree-of-freedom calibration.
+    Spline knots follow from the covariate's range and the term's ``knots``
+    and ``degree``; ``transform`` maps raw to constrained columns (None when
+    the term is unconstrained); ``lambda_cov``, ``target_df`` and
+    ``achieved_df`` record the degree-of-freedom calibration.
     """
 
     term: EffectTerm
     covariates: tuple
     coding: str
-    knot_vectors: dict
     transform: np.ndarray | None = None
     lambda_cov: float = 0.0
     target_df: float | None = None
     achieved_df: float = 0.0
+
+    def __post_init__(self):
+        for letter, cov in zip(self.term.blocks, self.covariates):
+            if letter == "s" and not cov.lo <= cov.reference <= cov.hi:
+                raise _BadCovariate(
+                    cov.name, "reference",
+                    f"reference {cov.reference!r} of {cov.name!r} lies outside the training "
+                    f"range [{cov.lo!r}, {cov.hi!r}] of its spline basis",
+                )
+        width, t = math.prod(self._widths()), self.transform
+        if t is not None and (t.ndim != 2 or len(t) != width):
+            raise ValueError(f"term {self.term.name!r}: transform must have {width} rows, "
+                             "one per raw column")
+
+    def _knots(self, cov) -> np.ndarray:
+        """Knot vector of a spline block over ``cov``."""
+        return bspline_knots(cov.lo, cov.hi, self.term.knots, self.term.degree)
 
     def _contrast(self, cov) -> np.ndarray:
         """Level-by-column contrast of a categorical block: full dummies for an
@@ -267,7 +306,7 @@ class _TermEncoder:
             if letter == "c":
                 return self._contrast(cov).shape[1]
             if letter == "s":
-                return len(self.knot_vectors[cov.name]) - self.term.degree - 1
+                return len(self._knots(cov)) - self.term.degree - 1
             return {"x": 1, "a": 2}[letter]
         return [width(letter, cov) for letter, cov in zip(self.term.blocks, self.covariates)]
 
@@ -288,7 +327,7 @@ class _TermEncoder:
                     f"covariate {cov.name!r}: {float(outside[0])!r} lies outside "
                     f"the training range [{cov.lo!r}, {cov.hi!r}]"
                 )
-            return bspline_eval(self.knot_vectors[cov.name], self.term.degree, x)
+            return bspline_eval(self._knots(cov), self.term.degree, x)
         if letter == "x":
             return x[:, None]
         return np.column_stack([np.ones_like(x), x])
@@ -375,20 +414,12 @@ def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
 def _infer_covariates(spec: ModelSpec, data) -> dict:
     covs = {}
     for i, term in enumerate(spec.terms):
-        for cname, ckind, letter in zip(term.covariates, term.covariate_kinds, term.blocks):
+        for cname, ckind in zip(term.covariates, term.covariate_kinds):
             if cname not in covs:
                 if cname not in data:
                     raise SpecMismatch(f"terms[{i}]", f"unknown covariate {cname!r}")
                 column = _column(data, cname, _table_length(data))
                 covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
-            cov = covs[cname]
-            # a spline basis spans only the training range
-            if letter == "s" and not cov.lo <= cov.reference <= cov.hi:
-                raise SpecMismatch(
-                    f"references.{cname}",
-                    f"reference {cov.reference!r} of {cname!r} lies outside the training "
-                    f"range [{cov.lo!r}, {cov.hi!r}] of its spline basis",
-                )
     return covs
 
 
@@ -403,15 +434,17 @@ class _PredictorState:
 def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, list]:
     """Predictor state plus, per term, the constrained training design and
     covariate penalty."""
-    covariates = _infer_covariates(spec, data)
+    try:
+        covariates = _infer_covariates(spec, data)
+        plain = [_TermEncoder(t, tuple(covariates[c] for c in t.covariates), spec.coding)
+                 for t in spec.terms]
+    except _BadCovariate as exc:
+        if exc.key != "reference":
+            raise
+        raise SpecMismatch(f"references.{exc.name}", str(exc)) from None
     encoders, blocks, designs_by_name = [], [], {}
-    for term in spec.terms:
-        covs = tuple(covariates[c] for c in term.covariates)
-        knots = {
-            c.name: bspline_knots(c.lo, c.hi, term.knots, term.degree)
-            for c, letter in zip(covs, term.blocks) if letter == "s"
-        }
-        encoder = _TermEncoder(term, covs, spec.coding, knots)
+    for encoder in plain:
+        term = encoder.term
         raw = encoder.raw_design(data, _table_length(data))
         pen = encoder.raw_penalty()
         rows = []
@@ -513,18 +546,12 @@ def dump_fields(model: FittedModel) -> dict:
         "terms": [
             {**asdict(e.term),
              "transform": None if e.transform is None else e.transform.tolist(),
-             "lambda_cov": e.lambda_cov, "target_df": e.target_df, "achieved_df": e.achieved_df,
-             "knot_vectors": {k: v.tolist() for k, v in e.knot_vectors.items()}}
+             "lambda_cov": e.lambda_cov, "target_df": e.target_df, "achieved_df": e.achieved_df}
             for e in model.frame.encoders
         ],
         "density_basis": {
             **{k: options[f"density_{k}"] for k in _DENSITY_OPTIONS},
             "lambda_density": model.lambda_density,
-        },
-        "bases": {
-            comp: {"kind": b.kind, "transform": b.transform.tolist(),
-                   "measure": b.measure.to_dict()}
-            for comp, b in model.bases.items()
         },
         "fits": {
             comp: {"offset": s.offset_clr.tolist(),
@@ -538,85 +565,54 @@ def dump_fields(model: FittedModel) -> dict:
 
 
 def _load_covariate(name: str, d: dict) -> _Covariate:
-    path = f"covariates.{name}"
     if d["kind"] == "categorical":
         levels = d["levels"]
         if not (isinstance(levels, list) and all(isinstance(v, str) for v in levels)):
-            raise ValueError(f"{path}.levels: expected a list of strings")
-        if len(set(levels)) != len(levels):
-            raise ValueError(f"{path}.levels: a level is listed twice")
-        if d["reference"] not in levels:
-            raise ValueError(f"{path}.reference: {d['reference']!r} is not one of {levels}")
+            raise ValueError(f"covariates.{name}.levels: expected a list of strings")
         return _Covariate(name, "categorical", d["reference"], levels=tuple(levels))
-    if d["kind"] == "numeric":
-        _finite([d["lo"], d["hi"], d["reference"]], f"{path}: lo, hi and reference")
-        return _Covariate(name, "numeric", d["reference"], lo=d["lo"], hi=d["hi"])
-    raise ValueError(f"covariate {name!r}: unknown kind {d['kind']!r}")
+    return _Covariate(name, d["kind"], d["reference"], lo=d["lo"], hi=d["hi"])
 
 
 def _load_encoder(i: int, d: dict, covariates: dict, coding: str) -> _TermEncoder:
     term = EffectTerm(**{f.name: d[f.name] for f in fields(EffectTerm)})
-    for name, letter in zip(term.covariates, term.blocks):
-        kind = "categorical" if letter == "c" else "numeric"
+    for name, kind in zip(term.covariates, term.covariate_kinds):
         if name not in covariates or covariates[name].kind != kind:
             raise ValueError(f"terms[{i}].covariates: {name!r} is not a declared {kind} covariate")
-    what = f"term {term.name!r}: transform, knot vectors and lambda_cov"
-    encoder = _TermEncoder(
+    what = f"term {term.name!r}: transform and lambda_cov"
+    return _TermEncoder(
         term, tuple(covariates[c] for c in term.covariates), coding,
-        {k: _finite(v, what) for k, v in d["knot_vectors"].items()},
         None if d["transform"] is None else _finite(d["transform"], what),
         float(_finite(d["lambda_cov"], what)), d.get("target_df", d["df"]), d["achieved_df"],
     )
-    # bspline_knots clamps a spline's knots at its covariate's range
-    for cov in (c for c, letter in zip(encoder.covariates, term.blocks) if letter == "s"):
-        knots = encoder.knot_vectors[cov.name]
-        span = float(knots[0]), float(knots[-1])
-        if span != (cov.lo, cov.hi):
-            raise ValueError(
-                f"terms[{i}].knot_vectors.{cov.name}: spans [{span[0]!r}, {span[1]!r}], "
-                f"not the range [{cov.lo!r}, {cov.hi!r}] of covariate {cov.name!r}"
-            )
-        if not cov.lo <= cov.reference <= cov.hi:
-            raise ValueError(
-                f"covariates.{cov.name}.reference: {cov.reference!r} lies outside the "
-                f"training range [{cov.lo!r}, {cov.hi!r}] of term {term.name!r}'s spline basis"
-            )
-    transform, width = encoder.transform, math.prod(encoder._widths())
-    if transform is not None and (transform.ndim != 2 or len(transform) != width):
-        raise ValueError(f"term {term.name!r}: transform must have {width} rows, "
-                         "one per raw column")
-    return encoder
 
 
 def load_fields(d: dict) -> FittedModel:
     """Rebuild a model from the fields :func:`dump_fields` writes; raises
-    ValueError, naming the field, on one that does not fit the rest. The model
-    predicts and interprets like the fitted one, but keeps no training
-    surfaces, boosting settings or density-basis penalty (None)."""
+    ValueError, naming the field, on one that does not fit the rest. Knots
+    and density bases are rebuilt by the constructors that fit uses. The
+    model predicts and interprets like the fitted one, but keeps no training
+    surfaces or boosting settings."""
     measure = ReferenceMeasure.from_dict(d["measure"])
-    covariates = {name: _load_covariate(name, cd) for name, cd in d["covariates"].items()}
-    encoders = tuple(
-        _load_encoder(i, td, covariates, d["coding"]) for i, td in enumerate(d["terms"])
-    )
+    try:
+        covariates = {name: _load_covariate(name, cd) for name, cd in d["covariates"].items()}
+        encoders = tuple(
+            _load_encoder(i, td, covariates, d["coding"]) for i, td in enumerate(d["terms"])
+        )
+    except _BadCovariate as exc:
+        raise ValueError(f"covariates.{exc.name}.{exc.key}: {exc}") from None
     spec = ModelSpec(tuple(e.term for e in encoders), d["coding"], dict(d["references"]))
     db = d["density_basis"]
     _finite(db["lambda_density"], "density_basis.lambda_density")
-    components = _components(measure)
-    for key in ("bases", "fits"):
-        if set(d[key]) != set(components):
-            raise ValueError(f"{key}: expected the component(s) {list(components)}")
+    try:
+        bases = _density_bases(measure, db["knots"], db["degree"], db["penalty_order"])
+    except ValueError as exc:
+        raise ValueError(f"density_basis: {exc}") from None
+    if set(d["fits"]) != set(bases):
+        raise ValueError(f"fits: expected the component(s) {list(bases)}")
     columns = [e.n_columns for e in encoders]
-    bases, states = {}, {}
-    for comp, (m, _) in components.items():
-        bd, fd = d["bases"][comp], d["fits"][comp]
-        if not ReferenceMeasure.from_dict(bd["measure"]).same_support(m):
-            raise ValueError(f"bases.{comp}.measure: differs from the component of measure")
-        z = _finite(bd["transform"], "density basis transform")
-        raw = raw_density_basis(m, db["knots"], db["degree"])
-        bases[comp] = basis = DensityBasis(m, raw @ z, None, z)
-        if bd["kind"] != basis.kind:
-            raise ValueError(f"bases.{comp}.kind: density basis kind must be {basis.kind!r}")
-        check_clr_rows(basis.clr_matrix.T, m, lambda e: ValueError(f"bases.{comp}.transform: {e}"))
+    states = {}
+    for comp, basis in bases.items():
+        fd, m = d["fits"][comp], basis.measure
         offset = _finite(fd["offset"], "offset and coefficients")
         check_clr_rows(offset[None], m, lambda e: ValueError(f"fits.{comp}.offset: {e}"))
         coefficients = [_finite(c, "offset and coefficients") for c in fd["coefficients"]]
@@ -634,13 +630,19 @@ def load_fields(d: dict) -> FittedModel:
             )
         curve = fd["stop_curve"]
         states[comp] = FitState(
-            m, offset, coefficients, None, selections, risk_path,
+            offset, coefficients, None, selections, risk_path,
             m_stop, stop_curve=None if curve is None else np.asarray(curve, dtype=float),
         )
     return FittedModel(
         spec, measure, _PredictorState(covariates, encoders), _fits(states, measure, None), bases,
         db["lambda_density"], None, {f"density_{k}": db[k] for k in _DENSITY_OPTIONS},
     )
+
+
+def _density_bases(measure: ReferenceMeasure, knots: int, degree: int, penalty_order: int) -> dict:
+    """The density basis of each component of ``measure`` (see ``_components``)."""
+    comps = _components(measure)
+    return {c: density_basis(m, knots, degree, penalty_order) for c, (m, _) in comps.items()}
 
 
 def build_designs(
@@ -660,10 +662,7 @@ def build_designs(
     pure measures, "continuous" and "discrete" for mixed ones.
     """
     frame, blocks = _encode(spec, data, default_df)
-    bases = {
-        comp: density_basis(m, density_knots, density_degree, density_penalty_order)
-        for comp, (m, _) in _components(measure).items()
-    }
+    bases = _density_bases(measure, density_knots, density_degree, density_penalty_order)
     designs = {
         key: [
             EffectDesign(e.term.name, x, pen, basis, e.lambda_cov, lambda_density)

@@ -116,7 +116,8 @@ def rel_mse(true_clr: np.ndarray, est_clr: np.ndarray, measure: ReferenceMeasure
     """Relative mean squared error of estimated against true clr rows.
 
     Sum of squared distances divided by the sum of squared norms of the
-    truths; evaluation points enter with equal weight. Raises when the
+    truths, each evaluation point weighted by its ``measure.weights`` entry
+    (the measure-weighted clr norm). Raises when the
     truths are identically neutral, since the ratio is then undefined and
     the error would be reported as infinitely large.
     """

@@ -34,8 +34,20 @@ def constant_density(measure: ReferenceMeasure) -> DensityElement:
     return density(measure, np.ones(measure.size))
 
 
+def same_support(m: ReferenceMeasure, other: ReferenceMeasure) -> bool:
+    """Whether two measures have the same interval, atoms, grid and weights."""
+    if m.interval != other.interval:
+        return False
+    return (
+        np.array_equal(m.atom_locations, other.atom_locations)
+        and np.array_equal(m.atom_weights, other.atom_weights)
+        and np.array_equal(m.grid, other.grid)
+        and np.array_equal(m.grid_weights, other.grid_weights)
+    )
+
+
 def _require_same_measure(f: DensityElement, g: DensityElement):
-    if f.measure is not g.measure and not f.measure.same_support(g.measure):
+    if f.measure is not g.measure and not same_support(f.measure, g.measure):
         raise ValueError("operands live on different reference measures")
 
 

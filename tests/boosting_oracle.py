@@ -134,8 +134,7 @@ def brute_force_boost(y_clr, measure, designs, config: BoostConfig, m_stop=None)
         risk.append(float((((y_clr - fitted) ** 2) * weights).sum()))
 
     fitted = _clr_loop(y_clr, weights, solvers, config.step_length, m_stop, on_step)
-    return FitState(measure, offset_clr, theta, fitted, selections, np.asarray(risk),
-                    m_stop)
+    return FitState(offset_clr, theta, fitted, selections, np.asarray(risk), m_stop)
 
 
 def brute_force_heldout_curve(y_clr, weights, designs, config, train_idx, test_idx,
@@ -268,7 +267,6 @@ def boost_density_space(
         risk.append(sum(norm(subtract(y, h)) ** 2 for y, h in zip(responses, current)))
 
     return FitState(
-        measure=measure,
         offset_clr=clr(start).values,
         coefficients=theta,
         fitted_clr=np.stack([clr(h).values for h in current]),

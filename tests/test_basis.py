@@ -190,7 +190,10 @@ class TestDensityBases:
         m = make_continuous(0, 1, 40)
         basis = density_basis(m, 6, 2, order)
         z = basis.transform
-        assert basis.kind == "bspline" and basis.n_basis == 6 + 2
+        # the zero-integral combinations of the degree-2 B-splines on the grid
+        assert basis.n_basis == 6 + 2
+        splines = bspline_eval(bspline_knots(0, 1, 6, 2), 2, m.grid)
+        np.testing.assert_array_equal(basis.clr_matrix, splines @ z)
         np.testing.assert_array_equal(basis.penalty, z.T @ difference_penalty(9, order) @ z)
 
     @pytest.mark.parametrize("atoms", [2, 4])
@@ -198,7 +201,9 @@ class TestDensityBases:
         m = make_discrete([(float(i), 1.0 + i) for i in range(atoms)])
         basis = density_basis(m, 6, 2, 3)
         z = basis.transform
-        assert basis.kind == "indicator" and basis.n_basis == atoms - 1
+        # the zero-integral combinations of the atom indicators
+        assert basis.n_basis == atoms - 1
+        np.testing.assert_array_equal(basis.clr_matrix, z)
         np.testing.assert_array_equal(basis.penalty, z.T @ difference_penalty(atoms, 1) @ z)
 
     def test_mixed_measure_refused(self):

@@ -5,6 +5,8 @@ swap, an out-of-range number, a deleted key or list item, a wrong container
 or an extra key. The validator must accept the result or raise
 ``ConfigError``; the CLI must end a mutated run with a documented exit code
 (0 ok, 2 config, 3 data, 4 numeric) and never with an uncaught exception.
+A mutation outside the ``data`` section of a valid run is a config mistake,
+so it ends with 0 or 2 and never with 3.
 """
 import copy
 import json
@@ -126,6 +128,24 @@ def test_cli_ends_mutated_runs_with_exit_codes(tmp_path, capsys, runnable):
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), f"{command}, {what}: exit {code}: {err}"
         assert "Traceback" not in err, f"{command}, {what}"
+
+
+def test_config_only_mutations_never_exit_data_error(tmp_path, capsys, runnable):
+    """A mistake in the config is a config error (exit 2) with its path, not a
+    data error (exit 3), even where it names something the data lacks."""
+    rng = random.Random(7)
+    commands = sorted(READS)
+    sections = [name for name in runnable if name != "data"]
+    codes = []
+    for i in range(60):
+        command = commands[i % len(commands)]
+        cfg, what = mutate(runnable, rng, sections)
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        codes.append(main([command, "--config", str(path), "--out", str(tmp_path / f"o{i}")]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2), f"{command}, {what}: exit {codes[-1]}: {err}"
+    assert {0, 2} <= set(codes)
 
 
 # interpret items that do not fit tests/data/model_v1.json: (item path, the

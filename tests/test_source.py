@@ -13,7 +13,10 @@ The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
 ``to_dict``/``from_dict``; ``model`` alone splits responses into the
 components of their measure, so boosting imports no decompose or embed
-function and reads no ``is_mixed``; and no module starts a thread.
+function and reads no ``is_mixed``; and no module starts a thread. Fit and
+load build each basis object the same way: ``DensityBasis`` is constructed
+only in ``basis`` and ``bspline_knots`` called only there and in
+``model._TermEncoder``.
 
 The package holds only what the program runs: every top-level ``def`` and
 ``class`` is reached from ``cli.py`` or from a name that the benchmark
@@ -216,13 +219,9 @@ def test_every_definition_is_reached_from_cli_or_perfbench():
     assert not unreached, f"{len(unreached)} definition(s) reached only from tests: {unreached}"
 
 
-# where an element conversion may still be called: the inverse clr of an
-# element in bayes itself, in the element edge of the effect view, and in
-# the generator of synthetic densities; the clr predictions as elements nowhere
-ROUND_TRIP_CALLS = {"clr_inv": {"bayes", "model.extract_effect", "synth"}, "predict_clr": set()}
-
-
-def test_no_element_round_trips_inside_the_package():
+def _calls_outside(allowed: dict) -> list:
+    """``module.top-level name`` of each call to a key of ``allowed`` in the
+    package that is not in one of the modules or top-level names it lists."""
     found = set()
     for path in MODULES:
         mod = path.stem
@@ -233,9 +232,31 @@ def test_no_element_round_trips_inside_the_package():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 where = f"{mod}.{getattr(top, 'name', '<module>')}"
-                if name in ROUND_TRIP_CALLS and not {mod, where} & ROUND_TRIP_CALLS[name]:
+                if name in allowed and not {mod, where} & allowed[name]:
                     found.add(where)
-    assert not found, f"element round trip(s) in {sorted(found)}"
+    return sorted(found)
+
+
+# where an element conversion may still be called: the inverse clr of an
+# element in bayes itself, in the element edge of the effect view, and in
+# the generator of synthetic densities; the clr predictions as elements nowhere
+ROUND_TRIP_CALLS = {"clr_inv": {"bayes", "model.extract_effect", "synth"}, "predict_clr": set()}
+
+
+def test_no_element_round_trips_inside_the_package():
+    found = _calls_outside(ROUND_TRIP_CALLS)
+    assert not found, f"element round trip(s) in {found}"
+
+
+# the one builder of each basis object, which fit and load share: density
+# bases come from basis.density_basis, and spline knots from the term encoder,
+# which derives them from its covariates' ranges
+BUILDER_CALLS = {"DensityBasis": {"basis"}, "bspline_knots": {"basis", "model._TermEncoder"}}
+
+
+def test_one_builder_per_basis_object():
+    found = _calls_outside(BUILDER_CALLS)
+    assert not found, f"basis object(s) built in {found}"
 
 
 def _callee_aliases(tree) -> dict:
