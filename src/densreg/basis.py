@@ -11,7 +11,7 @@ ridge matrices, combined across directions as Kronecker sums by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def sum_to_zero_transform(
     return z, raw_basis @ z
 
 
-@dataclass(frozen=True)
-class DensityBasis:
+class DensityBasis(NamedTuple):
     """Zero-integral basis over the density support of one model component."""
 
     measure: ReferenceMeasure
@@ -166,26 +165,23 @@ def density_basis(
     return DensityBasis(m, constrained, z.T @ difference_penalty(raw.shape[1], order) @ z, z)
 
 
-@dataclass(frozen=True)
 class EffectDesign:
     """One partial effect ready for boosting.
 
-    Holds the constrained covariate design, the shared density basis, and
-    the per-direction penalties and smoothing parameters. Over the stacked
-    coefficients (design column outer, density basis function inner) the
-    penalty is lambda_cov (P_cov x I) + lambda_density (I x P_density).
+    Holds the constrained covariate design ``X`` (N, K_j), the shared
+    density basis, and the per-direction penalties and smoothing parameters.
+    Over the stacked coefficients (design column outer, density basis
+    function inner) the penalty is lambda_cov (P_cov x I) + lambda_density
+    (I x P_density), with ``cov_penalty`` P_cov of shape (K_j, K_j).
     """
 
-    name: str
-    X: np.ndarray                  # (N, K_j) constrained covariate design
-    cov_penalty: np.ndarray        # (K_j, K_j)
-    density_basis: DensityBasis
-    lambda_cov: float
-    lambda_density: float
-
-    def __post_init__(self):
-        if self.cov_penalty.shape != (self.n_cov,) * 2:
+    def __init__(self, name: str, X: np.ndarray, cov_penalty: np.ndarray,
+                 density_basis: DensityBasis, lambda_cov: float, lambda_density: float):
+        if cov_penalty.shape != (X.shape[1],) * 2:
             raise ValueError("covariate penalty must match the design columns")
+        self.name, self.X, self.cov_penalty = name, X, cov_penalty
+        self.density_basis = density_basis
+        self.lambda_cov, self.lambda_density = lambda_cov, lambda_density
 
     @property
     def n_cov(self) -> int:

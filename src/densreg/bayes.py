@@ -17,8 +17,6 @@ differ by a positive constant factor represent the same point of the space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .measure import ReferenceMeasure, make_discrete
@@ -43,37 +41,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DensityElement:
-    """A strictly positive density (atoms-then-grid layout)."""
+    """A strictly positive density (atoms-then-grid layout); ``values`` is a
+    read-only copy."""
 
-    measure: ReferenceMeasure
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = self.measure.check_values(self.values)
+    def __init__(self, measure: ReferenceMeasure, values):
+        values = measure.check_values(values)
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
         if np.any(values <= 0):
             raise ValueError("density values must be strictly positive")
         values = values.copy()
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.measure, self.values = measure, values
 
 
-@dataclass(frozen=True)
 class ClrElement:
-    """clr image of a density: a real sequence with zero measure-integral."""
+    """clr image of a density: a real sequence with zero measure-integral;
+    ``values`` is a read-only copy."""
 
-    measure: ReferenceMeasure
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = self.measure.check_values(self.values)
-        check_clr_rows(values[None, :], self.measure)
+    def __init__(self, measure: ReferenceMeasure, values):
+        values = measure.check_values(values)
+        check_clr_rows(values[None, :], measure)
         values = values.copy()
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.measure, self.values = measure, values
 
 
 def _check_rows(z: np.ndarray, m: ReferenceMeasure, error=ValueError) -> None:

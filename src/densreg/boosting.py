@@ -24,9 +24,9 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
   W' D_j W = diag(a) and W' (D_j + lambda_j P_j) W = I, one per resample and
   learner, diagonalizes all K_Y systems. With u = rhs_j' W, the learner's
   weighted residual sum of squares is, up to a constant,
-  sum u^2 (c a - 2 den) / den^2 with den = c a + b, and an argmin per
-  resample picks the first best learner. A density penalty couples the
-  directions into one system of size d K_Y, with c = 1;
+  sum u^2 (c a - 2 den) / den^2 with den = c a + b, and each resample picks
+  the first learner within a relative 1e-10 of the best. A density penalty
+  couples the directions into one system of size d K_Y, with c = 1;
 * only the pick forms its step, g = W (u / den) in block j and zero
   elsewhere, which moves rhs by 2 kappa G g C and the in-bag risk in closed
   form. The held-out rows (mask t) keep rhs_t = X' diag(t) R and
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +65,11 @@ __all__ = [
 ]
 
 _RISK_SLACK = 1e-9
+# learners whose criterion lies within this fraction of the best one's are
+# tied, and the first of them in term order is chosen: collinear learners in
+# degenerate resamples tie to rounding (about 1e-15), while distinct learners
+# on the benchmark workloads differ by at least 5.7e-8
+_TIE_TOLERANCE = 1e-10
 # bound on |SSE of the fitted surfaces - risk_path[m_stop]| relative to the
 # responses' weighted sum of squares; rounding keeps it near 1e-15
 _DRIFT_TOLERANCE = 1e-10
@@ -79,7 +85,10 @@ class BoostConfig:
 
     ``threads`` and ``target_df`` are accepted but not read by the library;
     they remain because the benchmark tracer (``perfbench/trace.py``) still
-    sets them.
+    sets them. The tracer also derives configs with ``dataclasses.replace``,
+    which is why this is the package's one dataclass: every other record is
+    a plain class or a NamedTuple, which generate no code when defined and
+    so keep start-up short.
     """
 
     step_length: float = 0.1
@@ -105,35 +114,36 @@ class BoostConfig:
             raise ValueError("m_stop exceeds max_iterations")
 
 
-@dataclass
 class FitState:
-    """Result of one boosting run in a single component space."""
+    """Result of one boosting run in a single component space: the offset
+    (P,), the coefficients theta_j (each K_j * K_Y), the final fitted
+    surfaces (N, P) incl. offset or None, the chosen effect index per
+    iteration, the in-bag SSE at m = 0 .. m_stop, and the resampled
+    out-of-sample risk per m (None for a fixed stop)."""
 
-    offset_clr: np.ndarray            # (P,)
-    coefficients: list                # theta_j, each (K_j * K_Y,)
-    fitted_clr: np.ndarray | None     # (N, P) final fitted surfaces incl. offset
-    selections: list                  # chosen effect index per iteration
-    risk_path: np.ndarray             # in-bag SSE, index m = 0 .. m_stop
-    m_stop: int
-    stop_curve: np.ndarray | None = None  # resampled out-of-sample risk per m
+    def __init__(self, offset_clr: np.ndarray, coefficients: list, fitted_clr: np.ndarray | None,
+                 selections: list, risk_path: np.ndarray, m_stop: int,
+                 stop_curve: np.ndarray | None = None):
+        self.offset_clr, self.coefficients, self.fitted_clr = offset_clr, coefficients, fitted_clr
+        self.selections, self.risk_path, self.m_stop = selections, risk_path, m_stop
+        self.stop_curve = stop_curve
 
 
-@dataclass
 class MixedFit:
-    """Separate continuous and discrete fits plus the recombined surfaces."""
+    """Separate continuous and discrete fits plus the recombined surfaces
+    (N, P) on the mixed measure, or None."""
 
-    continuous: FitState
-    discrete: FitState
-    measure: ReferenceMeasure
-    fitted_clr: np.ndarray | None     # (N, P) on the mixed measure
+    def __init__(self, continuous: FitState, discrete: FitState, measure: ReferenceMeasure,
+                 fitted_clr: np.ndarray | None):
+        self.continuous, self.discrete = continuous, discrete
+        self.measure, self.fitted_clr = measure, fitted_clr
 
     @property
     def m_stop(self) -> tuple[int, int]:
         return (self.continuous.m_stop, self.discrete.m_stop)
 
 
-@dataclass
-class EarlyStopResult:
+class EarlyStopResult(NamedTuple):
     m_stop: int
     risk_curve: np.ndarray            # mean out-of-sample risk, index 0 .. M
 
@@ -234,7 +244,9 @@ def _boost_paths(
     ``counts`` (F x N integers) gives each resample's training rows as
     multiplicities over all N rows; ``test`` (F x N booleans), when given,
     marks the held-out rows whose risk is tracked alongside. The N rows are
-    read only while setting up; the iterations update K_Y x D arrays.
+    read only while setting up; the iterations update K_Y x D arrays. Each
+    iteration picks, per resample, the learner that lowers the in-bag risk
+    most; learners within ``_TIE_TOLERANCE`` of it tie, and the first wins.
 
     The density coordinates are rotated by the eigenvectors V of C = B'WB =
     V diag(c) V'. Learner arrays are zero-padded to the widest block, so one
@@ -314,7 +326,10 @@ def _boost_paths(
     for m in range(1, n_iter + 1):
         # u = r W in every learner's basis; size - 2 fit = sum u^2 (c a - 2 den) / den^2
         u = grads.reshape(crit_w.shape) @ bases
-        selections[:, m - 1] = sel = np.argmin((u * u * crit_w).sum(axis=(2, 3)), axis=1)
+        crit = (u * u * crit_w).sum(axis=(2, 3))
+        # crit <= 0, so the tied learners lie at or below best (1 - tol)
+        tied = crit <= crit.min(axis=1, keepdims=True) * (1.0 - _TIE_TOLERANCE)
+        selections[:, m - 1] = sel = np.argmax(tied, axis=1)
         # the step g = W (u / den) of each resample's chosen learner only
         u, chosen_w = u[every, sel], fit_size_w[every, sel]
         g = (u * chosen_w[:, 0]) @ bases[every, sel].swapaxes(-1, -2)

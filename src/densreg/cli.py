@@ -13,7 +13,9 @@ Densities are checked as elements when read; from there on the commands
 work on N x P clr or density rows.
 
 Exit codes: 0 ok, 2 config error (a model term or reference that the
-densities contradict included), 3 data error, 4 numeric failure.
+densities contradict included, and a ``data.*`` path the command reads that
+names no file or a directory: the fix is in the config), 3 data error (a
+data file that exists but cannot be read or parsed), 4 numeric failure.
 """
 from __future__ import annotations
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,20 +43,16 @@ _BOUNDARY_TOL = 1e-12
 DEFAULT_BANDWIDTH = 0.02
 
 
-@dataclass
 class ObservationGroup:
-    """Weighted observations of one covariate combination.
+    """Weighted observations of one covariate combination ``key``.
 
     Weights are normalized to sum to one; values must lie in [0, 1].
     """
 
-    values: np.ndarray
-    weights: np.ndarray
-    key: tuple = ()
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+    def __init__(self, values, weights, key: tuple = ()):
+        self.values = np.asarray(values, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
+        self.key = key
         if self.values.size == 0:
             raise ValueError("a group needs at least one observation")
         if self.values.shape != self.weights.shape:
@@ -93,21 +88,17 @@ class ObservationGroup:
         return p0, p1, 1.0 - p0 - p1
 
 
-@dataclass
 class KdeConfig:
-    """Bandwidth policy and positivity floor for density estimation."""
+    """Bandwidth policy and positivity floor for density estimation; the
+    bandwidth grid, which "auto" searches, defaults to 16 geometric steps
+    from 0.005 to 0.2."""
 
-    bandwidth: float | str = "auto"
-    bandwidth_grid: np.ndarray = field(
-        default_factory=lambda: np.geomspace(0.005, 0.2, 16)
-    )
-    floor: float = 1e-6
-
-    def __post_init__(self):
-        self.bandwidth_grid = np.asarray(self.bandwidth_grid, dtype=float)
-        if np.any(self.bandwidth_grid <= 0) or np.any(
-            np.diff(self.bandwidth_grid) <= 0
-        ):
+    def __init__(self, bandwidth: float | str = "auto", bandwidth_grid=None,
+                 floor: float = 1e-6):
+        grid = np.geomspace(0.005, 0.2, 16) if bandwidth_grid is None else bandwidth_grid
+        self.bandwidth, self.floor = bandwidth, floor
+        self.bandwidth_grid = np.asarray(grid, dtype=float)
+        if np.any(self.bandwidth_grid <= 0) or np.any(np.diff(self.bandwidth_grid) <= 0):
             raise ValueError("bandwidth grid must be positive and ascending")
         if isinstance(self.bandwidth, (int, float)) and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")

@@ -12,7 +12,7 @@ continuous component).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ def did_effect(
     return ClrElement(model.measure, _contrast(model, toggles, fixed))
 
 
-@dataclass
-class HeatmapGrid:
+class HeatmapGrid(NamedTuple):
     """Pairwise log odds over ordered support points, with band metadata."""
 
     points: np.ndarray          # evaluation points, atoms flagged separately

@@ -18,7 +18,9 @@ at most one intercept, one kind (categorical or numeric) per covariate and
 problem is a :class:`ConfigError` whose message starts with the path of the
 field, such as ``config.model.terms[2].knots``, or of its section. A command
 that needs more than the defaults (data paths, a measure, a model) checks
-that in :func:`run_objects`, and ``estimate`` also that its measure is mixed
+that in :func:`run_objects`, where each data path it reads must name a file
+(a missing path or a directory is a config error at ``config.data.<key>``),
+and ``estimate`` also that its measure is mixed
 on [0, 1] with atoms at 0 and 1, of any weights, as shares need
 (:func:`densreg.ingest.check_share_measure`). An interpret item that does
 not fit the loaded model (an unknown term, covariate or level, a point off
@@ -58,8 +60,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -444,8 +446,7 @@ def _walk(value, key: _Key, path: str, row: str, scopes: tuple = ()):
     return float(value) if key.type == "float" else value
 
 
-@dataclass(frozen=True)
-class RunObjects:
+class RunObjects(NamedTuple):
     """The library objects a validated config describes. ``measure`` and
     ``spec`` are None when the config has no such section; ``fit_options``
     are the keyword options of :func:`densreg.model.fit`; ``effects`` and
@@ -487,14 +488,17 @@ def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
         section, _, key = need.partition(".")
         if not (cfg[section][key] if key else cfg.get(section)):
             raise ConfigError(f"config.{need}: required for {command}")
+        if key and not os.path.isfile(path := cfg[section][key]):
+            what = "is a directory" if os.path.isdir(path) else "no such file"
+            raise ConfigError(f"config.{need}: {what}: {path!r}")
     measure = cfg.get("measure") and _built(
         "config.measure", ReferenceMeasure.from_dict, cfg["measure"]
     )
     if command == "estimate":
         _built("config.measure", check_share_measure, measure)
     k = cfg["kde"]
-    grid = {} if k["bandwidth_grid"] is None else {"bandwidth_grid": np.asarray(k["bandwidth_grid"], dtype=float)}
-    kde = _built("config.kde", KdeConfig, bandwidth=k["bandwidth"], floor=k["floor"], **grid)
+    kde = _built("config.kde", KdeConfig, bandwidth=k["bandwidth"], floor=k["floor"],
+                 bandwidth_grid=k["bandwidth_grid"])
     spec, fit_options = None, {}
     model = cfg.get("model")
     if model is not None:

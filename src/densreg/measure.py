@@ -10,8 +10,6 @@ weight is positive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
 _GRID_COLLISION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class ReferenceMeasure:
     """Finite measure: sum of positive Dirac atoms plus an optional
     Lebesgue part on (a, b) discretized by a midpoint rule.
@@ -38,26 +35,21 @@ class ReferenceMeasure:
         Atom positions (sorted, distinct) and their positive weights.
     grid, grid_weights : ndarray
         Interior quadrature nodes and weights; empty iff interval is None.
+    total_mass : float
+        Sum of all weights.
     weights, locations : ndarray
         Atom and quadrature weights, atom locations and grid nodes, in the
-        layout of a value sequence (atoms first); read-only.
+        layout of a value sequence (atoms first).
+
+    Every array is read-only.
     """
 
-    interval: tuple[float, float] | None
-    atom_locations: np.ndarray
-    atom_weights: np.ndarray
-    grid: np.ndarray
-    grid_weights: np.ndarray
-    # derived once in __post_init__
-    total_mass: float = field(init=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    locations: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("atom_locations", "atom_weights", "grid", "grid_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, interval: tuple[float, float] | None, atom_locations, atom_weights,
+                 grid, grid_weights):
+        self.interval = interval
+        arrays = [np.asarray(a, dtype=float)
+                  for a in (atom_locations, atom_weights, grid, grid_weights)]
+        self.atom_locations, self.atom_weights, self.grid, self.grid_weights = arrays
         if self.atom_weights.size and np.any(self.atom_weights <= 0):
             raise ValueError("atom weights must be strictly positive")
         if self.grid_weights.size and np.any(self.grid_weights <= 0):
@@ -65,12 +57,11 @@ class ReferenceMeasure:
         mass = float(self.atom_weights.sum() + self.grid_weights.sum())
         if not np.isfinite(mass) or mass <= 0:
             raise ValueError("total mass must be finite and positive")
-        object.__setattr__(self, "total_mass", mass)
-        for name, parts in (("weights", (self.atom_weights, self.grid_weights)),
-                            ("locations", (self.atom_locations, self.grid))):
-            arr = np.concatenate(parts)
+        self.total_mass = mass
+        self.weights = np.concatenate((self.atom_weights, self.grid_weights))
+        self.locations = np.concatenate((self.atom_locations, self.grid))
+        for arr in arrays + [self.weights, self.locations]:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def n_atoms(self) -> int:

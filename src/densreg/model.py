@@ -42,7 +42,8 @@ return elements.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,32 +96,25 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
 class EffectTerm:
     """One partial effect of the additive predictor."""
 
-    name: str
-    kind: str
-    covariates: tuple = ()
-    df: float | None = None
-    knots: int = 8
-    degree: int = 3
-    penalty_order: int = 2
-    orthogonal_to: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown effect kind {self.kind!r}")
-        for name in ("knots", "degree", "penalty_order"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"term {self.name!r}: {name} must be nonnegative")
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(self, "orthogonal_to", tuple(self.orthogonal_to))
-        if _KINDS[self.kind] == "c+" and not self.covariates:
-            raise ValueError(f"term {self.name!r} needs at least one covariate")
+    def __init__(self, name: str, kind: str, covariates: tuple = (), df: float | None = None,
+                 knots: int = 8, degree: int = 3, penalty_order: int = 2,
+                 orthogonal_to: tuple = ()):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown effect kind {kind!r}")
+        for key, value in (("knots", knots), ("degree", degree), ("penalty_order", penalty_order)):
+            if value < 0:
+                raise ValueError(f"term {name!r}: {key} must be nonnegative")
+        self.name, self.kind, self.covariates, self.df = name, kind, tuple(covariates), df
+        self.knots, self.degree, self.penalty_order = knots, degree, penalty_order
+        self.orthogonal_to = tuple(orthogonal_to)
+        if _KINDS[kind] == "c+" and not self.covariates:
+            raise ValueError(f"term {name!r} needs at least one covariate")
         if len(self.covariates) != len(self.blocks):
             raise ValueError(
-                f"term {self.name!r} of kind {self.kind!r} needs "
+                f"term {name!r} of kind {kind!r} needs "
                 f"{len(self.blocks)} covariate(s)"
             )
 
@@ -136,18 +130,19 @@ class EffectTerm:
         return tuple("categorical" if letter == "c" else "numeric" for letter in self.blocks)
 
 
-@dataclass(frozen=True)
+# the parameters of EffectTerm, in the order the model file lists them
+_TERM_FIELDS = ("name", "kind", "covariates", "df", "knots", "degree", "penalty_order",
+                "orthogonal_to")
+
+
 class ModelSpec:
     """Ordered effect terms plus coding and reference declarations, checked
     for the rules that need no data."""
 
-    terms: tuple
-    coding: str = "effect"
-    references: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if self.coding not in ("effect", "reference"):
+    def __init__(self, terms, coding: str = "effect", references: dict | None = None):
+        self.terms, self.coding = tuple(terms), coding
+        self.references = {} if references is None else references
+        if coding not in ("effect", "reference"):
             raise ValueError("coding must be 'effect' or 'reference'")
         names = [t.name for t in self.terms]
         if len(set(names)) != len(names):
@@ -206,33 +201,30 @@ class _BadCovariate(ValueError):
         self.name, self.key = name, key
 
 
-@dataclass(frozen=True)
 class _Covariate:
-    """Per-covariate metadata fixed by the training table."""
+    """Per-covariate metadata fixed by the training table: ``kind``
+    "categorical" with its sorted level labels, or "numeric" with its
+    training range [lo, hi]."""
 
-    name: str
-    kind: str                   # "categorical" | "numeric"
-    reference: str | float
-    levels: tuple = ()          # categorical: sorted level labels
-    lo: float = 0.0             # numeric: training range
-    hi: float = 0.0
-
-    def __post_init__(self):
-        name, ref, lo, hi = self.name, self.reference, self.lo, self.hi
-        if self.kind == "categorical":
+    def __init__(self, name: str, kind: str, reference: str | float, levels: tuple = (),
+                 lo: float = 0.0, hi: float = 0.0):
+        self.name, self.kind, self.reference = name, kind, reference
+        self.levels, self.lo, self.hi = levels, lo, hi
+        if kind == "categorical":
             rules = [
-                ("levels", len(set(self.levels)) != len(self.levels), "a level is listed twice"),
-                ("levels", len(self.levels) < 2, f"covariate {name!r} needs at least two levels"),
-                ("reference", ref not in self.levels, f"reference {ref!r} not a level of {name!r}"),
+                ("levels", len(set(levels)) != len(levels), "a level is listed twice"),
+                ("levels", len(levels) < 2, f"covariate {name!r} needs at least two levels"),
+                ("reference", reference not in levels,
+                 f"reference {reference!r} not a level of {name!r}"),
             ]
-        elif self.kind == "numeric":
+        elif kind == "numeric":
             rules = [(key, not (isinstance(value, (int, float)) and math.isfinite(value)),
                       f"must be a finite number, not {value!r}")
-                     for key, value in (("lo", lo), ("hi", hi), ("reference", ref))]
+                     for key, value in (("lo", lo), ("hi", hi), ("reference", reference))]
             rules.append(("hi", not lo < hi, f"covariate {name!r} is constant" if lo == hi
                           else f"covariate {name!r}: lo {lo!r} lies above hi {hi!r}"))
         else:
-            raise ValueError(f"covariate {name!r}: unknown kind {self.kind!r}")
+            raise ValueError(f"covariate {name!r}: unknown kind {kind!r}")
         for key, broken, message in rules:
             if broken:
                 raise _BadCovariate(name, key, message)
@@ -254,7 +246,6 @@ class _Covariate:
         return cls(name, kind, ref, lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
 class _TermEncoder:
     """Everything that turns covariate values into design rows of one term.
 
@@ -264,25 +255,22 @@ class _TermEncoder:
     ``achieved_df`` record the degree-of-freedom calibration.
     """
 
-    term: EffectTerm
-    covariates: tuple
-    coding: str
-    transform: np.ndarray | None = None
-    lambda_cov: float = 0.0
-    target_df: float | None = None
-    achieved_df: float = 0.0
-
-    def __post_init__(self):
-        for letter, cov in zip(self.term.blocks, self.covariates):
+    def __init__(self, term: EffectTerm, covariates: tuple, coding: str,
+                 transform: np.ndarray | None = None, lambda_cov: float = 0.0,
+                 target_df: float | None = None, achieved_df: float = 0.0):
+        self.term, self.covariates, self.coding = term, covariates, coding
+        self.transform, self.lambda_cov = transform, lambda_cov
+        self.target_df, self.achieved_df = target_df, achieved_df
+        for letter, cov in zip(term.blocks, covariates):
             if letter == "s" and not cov.lo <= cov.reference <= cov.hi:
                 raise _BadCovariate(
                     cov.name, "reference",
                     f"reference {cov.reference!r} of {cov.name!r} lies outside the training "
                     f"range [{cov.lo!r}, {cov.hi!r}] of its spline basis",
                 )
-        width, t = math.prod(self._widths()), self.transform
-        if t is not None and (t.ndim != 2 or len(t) != width):
-            raise ValueError(f"term {self.term.name!r}: transform must have {width} rows, "
+        width = math.prod(self._widths())
+        if transform is not None and (transform.ndim != 2 or len(transform) != width):
+            raise ValueError(f"term {term.name!r}: transform must have {width} rows, "
                              "one per raw column")
 
     def _knots(self, cov) -> np.ndarray:
@@ -423,8 +411,7 @@ def _infer_covariates(spec: ModelSpec, data) -> dict:
     return covs
 
 
-@dataclass(frozen=True)
-class _PredictorState:
+class _PredictorState(NamedTuple):
     """Covariates by name and one encoder per term, in term order."""
 
     covariates: dict
@@ -468,27 +455,25 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
             x = raw
         target = term.df if term.df is not None else default_df
         lam, achieved = calibrate_df(x, pen, target)
-        encoders.append(
-            replace(encoder, transform=transform, lambda_cov=lam, target_df=target,
-                    achieved_df=achieved)
-        )
+        encoders.append(_TermEncoder(term, encoder.covariates, encoder.coding,
+                                     transform, lam, target, achieved))
         blocks.append((x, pen))
         designs_by_name[term.name] = x
     return _PredictorState(covariates, tuple(encoders)), blocks
 
 
-@dataclass
 class FittedModel:
-    """A fitted additive density regression ready for prediction."""
+    """A fitted additive density regression ready for prediction: the spec,
+    the response measure, the predictor state, the fit of each component,
+    the density bases by component, and the density-basis options of fit
+    (``config`` is the boosting config of a fit, None for a loaded model)."""
 
-    spec: ModelSpec
-    measure: ReferenceMeasure
-    frame: _PredictorState
-    fits: FitState | MixedFit
-    bases: dict
-    lambda_density: float
-    config: BoostConfig | None
-    density_options: dict = field(default_factory=dict)
+    def __init__(self, spec: ModelSpec, measure: ReferenceMeasure, frame: _PredictorState,
+                 fits: FitState | MixedFit, bases: dict, lambda_density: float,
+                 config: BoostConfig | None, density_options: dict):
+        self.spec, self.measure, self.frame, self.fits = spec, measure, frame, fits
+        self.bases, self.lambda_density = bases, lambda_density
+        self.config, self.density_options = config, density_options
 
     @property
     def m_stop(self):
@@ -544,7 +529,7 @@ def dump_fields(model: FittedModel) -> dict:
             for name, c in model.frame.covariates.items()
         },
         "terms": [
-            {**asdict(e.term),
+            {**{f: getattr(e.term, f) for f in _TERM_FIELDS},
              "transform": None if e.transform is None else e.transform.tolist(),
              "lambda_cov": e.lambda_cov, "target_df": e.target_df, "achieved_df": e.achieved_df}
             for e in model.frame.encoders
@@ -574,7 +559,7 @@ def _load_covariate(name: str, d: dict) -> _Covariate:
 
 
 def _load_encoder(i: int, d: dict, covariates: dict, coding: str) -> _TermEncoder:
-    term = EffectTerm(**{f.name: d[f.name] for f in fields(EffectTerm)})
+    term = EffectTerm(**{f: d[f] for f in _TERM_FIELDS})
     for name, kind in zip(term.covariates, term.covariate_kinds):
         if name not in covariates or covariates[name].kind != kind:
             raise ValueError(f"terms[{i}].covariates: {name!r} is not a declared {kind} covariate")

@@ -12,7 +12,7 @@ rows, and :func:`rel_mse` compares two row arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class FpcaResult:
+class FpcaResult(NamedTuple):
     """Eigenstructure of the empirical residual covariance.
 
     Eigenfunctions are orthonormal for the measure-weighted inner product;

@@ -691,9 +691,12 @@ class TestRiskCheck:
             raise FloatingPointError("in-bag risk increased during boosting at iteration 1")
 
         monkeypatch.setattr(cli, "fit_model", failing_fit)
+        # a data path must name a file, though this one is not read
+        unread = tmp_path / "unread.tsv"
+        unread.write_text("")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "data": {"densities": "unread.tsv"},
+            "data": {"densities": str(unread)},
             "model": {"terms": [{"name": "intercept", "kind": "intercept"}]},
         }))
         monkeypatch.setattr(cli, "_densities_and_table", lambda path, spec: (None,) * 3)
@@ -902,6 +905,61 @@ def test_paper_model_cv_paths():
     assert list(model.m_stop) == expected["m_stop"] == [114, 49]
     for comp, state in model.component_states().items():
         assert state.selections == expected["selections"][comp], comp
+
+
+@pytest.mark.parametrize("gap, winner", [(1e-12, 0), (1e-7, 1)])
+def test_near_tied_learners_go_to_the_first(continuous_measure, gap, winner):
+    # learner 1 is learner 0's column tilted by delta t, which fits the
+    # responses better by a relative gap linear in a small delta; within
+    # the tie tolerance (1e-10) the first learner wins
+    m, rng = continuous_measure, np.random.default_rng(8)
+    y = clr_stack([random_density(m, rng) for _ in range(6)])
+    basis, (x, tilt) = density_basis(m, 4, 3, 2), rng.uniform(size=(2, 6, 1))
+    every_row = np.ones((1, 6), dtype=int)
+
+    def learner(delta):
+        return EffectDesign("x", x + delta * tilt, np.zeros((1, 1)), basis, 0.0, 0.0)
+
+    def gain(delta):
+        """Relative gain in the first step's risk drop over the untilted learner."""
+        drops = [-np.diff(_boost_paths(y, m.weights, [learner(d)], 0.1, 1, every_row)[3][0])[0]
+                 for d in (0.0, delta)]
+        return drops[1] / drops[0] - 1.0
+
+    delta = 1e-6 * gap / gain(1e-6)
+    assert gain(delta) == pytest.approx(gap, rel=0.05)
+    *_, selections, _, _ = _boost_paths(
+        y, m.weights, [learner(0.0), learner(delta)], 0.1, 1, every_row
+    )
+    assert selections[0, 0] == winner
+
+
+def test_collinear_learners_tie_to_the_first():
+    # the layout of the ingest_auto benchmark (region x c_age, one density
+    # each) with in-bag rows of one c_age level only: there c_age fits the
+    # same constant as the intercept, which precedes it, though the two
+    # predict the held-out rows differently; so rounding must not choose
+    # between them. Seeds 20-39 include one (31) where the plain argmin of
+    # the criteria chose c_age in the discrete component
+    measure = make_mixed(0.0, 1.0, [(0.0, 1.0), (1.0, 1.0)], 100)
+    regions, ages = ["east", "west"], ["kids0_6", "kids7_17", "other"]
+    data = {"region": [r for r in regions for _ in ages], "c_age": ages * len(regions)}
+    spec = ModelSpec(PAPER_TERMS[:3], references={"region": "west", "c_age": "other"})
+    _, bases, designs = build_designs(spec, data, measure, **options("model"))
+    counts = np.array([[0, 0, 2, 0, 0, 4]])
+    for comp in ("continuous", "discrete"):
+        m, paths = bases[comp].measure, set()
+        for seed in range(20, 40):
+            y = np.random.default_rng(seed).uniform(size=(6, m.size))
+            y -= (y @ m.weights)[:, None] / m.total_mass
+            with pytest.warns(RuntimeWarning, match="singular"):
+                *_, selections, _, _ = _boost_paths(
+                    y, m.weights, designs[comp], 0.1, 100, counts, counts == 0
+                )
+            paths.add(tuple(selections[0].tolist()))
+        assert len(paths) == 1, (comp, paths)
+        (path,) = paths
+        assert 0 in path and 2 not in path, comp
 
 
 class TestThreadDeterminism:

@@ -616,13 +616,14 @@ class TestFitCommand:
         assert "stop_curve_continuous.tsv" in outputs[0]
         assert outputs[0] == outputs[1]
 
-    def test_missing_densities_exit_code(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            data={"densities": str(tmp_path / "absent.tsv")},
-            model=MODEL,
+    def test_missing_densities_exit_code(self, tmp_path, capsys):
+        # the path is a config mistake, named at its key
+        absent = str(tmp_path / "absent.tsv")
+        cfg = write_config(tmp_path / "cfg.json", data={"densities": absent}, model=MODEL)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config.data.densities: no such file: {absent!r}\n"
         )
-        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
 class TestPredictInterpret:
@@ -1125,6 +1126,27 @@ class TestModelFiles:
         assert "Traceback" not in err
         # rejected when read, before any arithmetic on the bad numbers
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# the data paths each command reads
+DATA_PATHS = [("estimate", "observations"), ("fit", "densities"), ("simulate", "densities"),
+              ("predict", "model"), ("predict", "newdata"), ("interpret", "model")]
+
+
+@pytest.mark.parametrize("command, key", DATA_PATHS)
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_data_path_that_names_no_file_is_config_error(tmp_path, capsys, command, key, kind):
+    present = tmp_path / "present.tsv"
+    present.write_text("")
+    bad = tmp_path / kind
+    if kind == "directory":
+        bad.mkdir()
+    data = dict.fromkeys(("observations", "densities", "model", "newdata"), str(present))
+    cfg = write_config(tmp_path / "cfg.json", data=dict(data, **{key: str(bad)}),
+                       measure=MEASURE, model=MODEL)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    what = "no such file" if kind == "missing" else "is a directory"
+    assert capsys.readouterr().err == f"config error: config.data.{key}: {what}: {str(bad)!r}\n"
 
 
 class TestExitCodes:

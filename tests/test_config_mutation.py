@@ -5,8 +5,9 @@ swap, an out-of-range number, a deleted key or list item, a wrong container
 or an extra key. The validator must accept the result or raise
 ``ConfigError``; the CLI must end a mutated run with a documented exit code
 (0 ok, 2 config, 3 data, 4 numeric) and never with an uncaught exception.
-A mutation outside the ``data`` section of a valid run is a config mistake,
-so it ends with 0 or 2 and never with 3.
+A mutation of a valid run's config is a config mistake, so it ends with 0
+or 2 and never with 3; in the ``data`` section too, where a path that names
+no file is a config error.
 """
 import copy
 import json
@@ -132,12 +133,13 @@ def test_cli_ends_mutated_runs_with_exit_codes(tmp_path, capsys, runnable):
 
 def test_config_only_mutations_never_exit_data_error(tmp_path, capsys, runnable):
     """A mistake in the config is a config error (exit 2) with its path, not a
-    data error (exit 3), even where it names something the data lacks."""
+    data error (exit 3), even where it names something the data lacks or a
+    data path that names no file."""
     rng = random.Random(7)
     commands = sorted(READS)
-    sections = [name for name in runnable if name != "data"]
     codes = []
-    for i in range(60):
+    # anywhere, then 20 more in the data section, whose paths the commands read
+    for i, sections in enumerate([None] * 60 + [("data",)] * 20):
         command = commands[i % len(commands)]
         cfg, what = mutate(runnable, rng, sections)
         path = tmp_path / f"cfg{i}.json"

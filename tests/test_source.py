@@ -4,7 +4,9 @@ Invariant checks must survive ``python -O``, so the package holds no
 ``assert`` statement; and every name a module imports at module level is
 used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
 its imports are the re-exports). The runtime needs numpy only: importing the
-command-line module loads no scipy module. Boosting and simulation work on
+command-line module loads no scipy module, and defines one dataclass
+(``BoostConfig``), since every other record is a plain class or a NamedTuple;
+no code treats a NamedTuple record as a tuple. Boosting and simulation work on
 N x P clr arrays, so they do not use the density and clr element classes;
 and no code turns rows into elements and back: ``predict_clr`` is called
 nowhere in the package, ``clr_inv`` only in ``bayes``, ``synth`` and the
@@ -24,11 +26,13 @@ The package holds only what the program runs: every top-level ``def`` and
 through the bodies of what is reached. Test oracles live in ``tests/``.
 Every defaulted parameter of a ``def`` in the package is passed by some call
 in ``src/`` or ``perfbench/`` (by keyword, by position, or through
-``*args``/``**kwargs``, resolving ``import … as`` aliases), so no option
-exists only for tests; and left out by some such call, so no default
+``*args``/``**kwargs``, resolving ``import … as`` aliases, and a record's
+``__init__`` through its class), so no option exists only for tests; and,
+outside record constructors, left out by some such call, so no default
 exists only for tests.
 """
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -100,6 +104,55 @@ def test_cli_import_loads_no_scipy():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_defines_one_dataclass():
+    # @dataclass generates and compiles methods for each class at import;
+    # BoostConfig stays one because the benchmark tracer calls
+    # dataclasses.replace on it
+    script = (
+        "import dataclasses, sys, densreg.cli; "
+        "print(sorted(f'{name}.{k}' for name, mod in list(sys.modules.items()) "
+        "if name.split('.')[0] == 'densreg' for k, v in vars(mod).items() "
+        "if isinstance(v, type) and v.__module__ == name and dataclasses.is_dataclass(v)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "['densreg.boosting.BoostConfig']"
+
+
+def _named_tuples(value) -> list:
+    """The NamedTuple instances inside nested dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        return []
+    found = [value] if hasattr(value, "_fields") else []
+    return found + [t for v in value for t in _named_tuples(v)]
+
+
+def test_named_tuple_records_are_not_used_as_tuples():
+    """A NamedTuple record is a tuple: ``isinstance(x, tuple)`` accepts it,
+    and ``json.dumps`` writes it as a list. The package tests for no tuple,
+    and its one ``json.dumps``, of the model file, gets no NamedTuple."""
+    tuple_tests = [
+        f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and any(isinstance(n, ast.Name) and n.id == "tuple" for n in ast.walk(node.args[1]))
+    ]
+    assert not tuple_tests
+    dumped = [
+        ast.unparse(node.args[0]) for path in MODULES for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps") and getattr(node.func.value, "id", None) == "json"
+    ]
+    assert dumped == ["model_to_dict(model)"]
+    from densreg.io import model_from_dict, model_to_dict
+
+    with open(PACKAGE.parents[1] / "tests" / "data" / "model_v1.json") as fh:
+        assert not _named_tuples(model_to_dict(model_from_dict(json.load(fh))))
 
 
 @pytest.mark.parametrize("name", ["boosting.py", "simulate.py"])
@@ -295,13 +348,21 @@ def _defaults_by_callers() -> tuple[list, list]:
     ``def`` in ``src/densreg``: those that no call in ``src/`` or
     ``perfbench/`` passes, and those that every such call passes (of a
     function that is called), by keyword, by position or through
-    ``*args``/``**kwargs``."""
+    ``*args``/``**kwargs``. A record's ``__init__`` is matched against calls
+    to its class and is listed only in the first group: its defaults are
+    the record's construction API (``KdeConfig()``, ``EffectTerm(name,
+    kind)``), which the package itself fills from config keys."""
     calls = _calls()
     unset, always = [], []
     for path in MODULES:
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        # a class's ``__init__`` is called through the class's name
+        callee = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            name = callee.get(id(node), node.name)
             args = node.args
             positional = args.posonlyargs + args.args
             defaulted = positional[len(positional) - len(args.defaults):]
@@ -311,12 +372,12 @@ def _defaults_by_callers() -> tuple[list, list]:
                 passed = [
                     (arg in positional and positional.index(arg) < n_args + bound)
                     or bool({arg.arg, "*"} & names)
-                    for n_args, names in calls.get(node.name, [])
+                    for n_args, names in calls.get(name, [])
                 ]
-                where = f"{path.stem}.{node.name}({arg.arg})"
+                where = f"{path.stem}.{name}({arg.arg})"
                 if not any(passed):
                     unset.append(where)
-                elif all(passed):
+                elif all(passed) and name == node.name:
                     always.append(where)
     return sorted(unset), sorted(always)
 
