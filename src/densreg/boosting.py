@@ -138,10 +138,6 @@ class MixedFit:
         self.continuous, self.discrete = continuous, discrete
         self.measure, self.fitted_clr = measure, fitted_clr
 
-    @property
-    def m_stop(self) -> tuple[int, int]:
-        return (self.continuous.m_stop, self.discrete.m_stop)
-
 
 class EarlyStopResult(NamedTuple):
     m_stop: int

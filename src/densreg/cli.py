@@ -12,10 +12,29 @@ host's core count, and the ``threads`` config key is accepted but not read.
 Densities are checked as elements when read; from there on the commands
 work on N x P clr or density rows.
 
-Exit codes: 0 ok, 2 config error (a model term or reference that the
-densities contradict included, and a ``data.*`` path the command reads that
-names no file or a directory: the fix is in the config), 3 data error (a
-data file that exists but cannot be read or parsed), 4 numeric failure.
+Exit codes, by the type of the error that ends a command:
+
+* 0: done (``check``: every invariant holds).
+* 2, :class:`~densreg.io.ConfigError`: the fix is in the config or the
+  command line, named at the start of the message: a key or a constructor
+  rule (``config.model.terms[2]``), a ``data.*`` path or the ``check``
+  ``target`` that names no file or a directory, an output directory that
+  cannot be made (``--out`` or ``config.out``), a model term or reference
+  that the densities contradict (``config.model.<item>``), an interpret item
+  that does not fit the model (``config.interpret.<item>``), and a
+  ``simulation.truncation`` above the rank bound of the residuals.
+* 3, :class:`~densreg.io.DataError`: the fix is in a data file that exists.
+  Each command reads its data input and runs the library on it inside one
+  data boundary (:func:`densreg.io.reported_as`), where a ValueError, KeyError
+  or OSError counts as a data error: ``estimate`` the observations, their
+  groups, bandwidths and densities; ``fit`` and ``simulate`` the densities and
+  the fit to them; ``check`` its target, and a failed invariant; ``predict``
+  the model file, the newdata and the prediction; ``interpret`` the model file.
+* 4: a numeric failure (numpy's LinAlgError, ZeroDivisionError,
+  FloatingPointError).
+
+Any other exception is a bug and ends with its traceback. A library warning
+is printed as one line, ``warning: <message>``.
 """
 from __future__ import annotations
 
@@ -23,6 +42,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -31,6 +51,7 @@ from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
 from .io import (
     ConfigError,
     DataError,
+    check_input_file,
     fmt,
     load_config,
     measure_header,
@@ -39,13 +60,14 @@ from .io import (
     read_density_file,
     read_observations,
     read_table,
+    reported_as,
     run_objects,
     write_density_file,
     write_table,
 )
 from .interpret import heatmap as build_heatmap
 from .interpret import did_effect, log_odds
-from .model import SpecMismatch, design_report, extract_effect, fit as fit_model, predict
+from .model import design_report, extract_effect, fit as fit_model, predict
 from .render import curve_svg, heatmap_svg
 from .simulate import fpca, rel_mse, selection_counts, simulate_responses
 
@@ -54,7 +76,8 @@ OK, CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 0, 2, 3, 4
 
 def _out_dir(cfg, args):
     out = args.out or cfg["out"] or "."
-    os.makedirs(out, exist_ok=True)
+    with reported_as(ConfigError, "--out" if args.out else "config.out"):
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -63,19 +86,20 @@ def cmd_estimate(cfg, args) -> int:
     measure, kde_cfg = run.measure, run.kde
     out = _out_dir(cfg, args)
     obs_path = cfg["data"]["observations"]
-    table, key_columns = read_observations(obs_path)
-    if not key_columns:
-        raise DataError(f"{obs_path}: no grouping columns found")
-    groups, skipped = group_table(table, key_columns)
-    if not groups:
-        raise DataError("no usable observation groups")
-    bandwidth = shared_bandwidth(groups, measure, kde_cfg, key_columns)
-    densities, report = [], []
-    for g in groups:
-        p0, p1, _ = g.boundary_shares()
-        with naming_group(key_columns, g.key):
-            densities.append(assemble_mixed(g, measure, kde_cfg, bandwidth=bandwidth))
-        report.append(list(g.key) + [g.values.size, p0, p1, bandwidth])
+    with reported_as(DataError):
+        table, key_columns = read_observations(obs_path)
+        if not key_columns:
+            raise DataError(f"{obs_path}: no grouping columns found")
+        groups, skipped = group_table(table, key_columns)
+        if not groups:
+            raise DataError("no usable observation groups")
+        bandwidth = shared_bandwidth(groups, measure, kde_cfg, key_columns)
+        densities, report = [], []
+        for g in groups:
+            p0, p1, _ = g.boundary_shares()
+            with naming_group(key_columns, g.key):
+                densities.append(assemble_mixed(g, measure, kde_cfg, bandwidth=bandwidth))
+            report.append(list(g.key) + [g.values.size, p0, p1, bandwidth])
     write_density_file(
         os.path.join(out, "densities.tsv"), measure, key_columns,
         [g.key for g in groups], densities,
@@ -142,11 +166,13 @@ def _write_fit_outputs(out, model):
 def cmd_fit(cfg, args) -> int:
     run = run_objects(cfg, "fit")
     out = _out_dir(cfg, args)
-    measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], run.spec)
-    model = fit_model(run.spec, data, y_clr, measure, run.boost, **run.fit_options)
+    with reported_as(DataError):
+        measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], run.spec)
+        model = fit_model(run.spec, data, y_clr, measure, run.boost, **run.fit_options)
     _write_fit_outputs(out, model)
     if args.verbose:
-        print(f"fitted model, stopping at {model.m_stop}", file=sys.stderr)
+        stops = ", ".join(f"{c} {s.m_stop}" for c, s in model.component_states().items())
+        print(f"fitted model, stopping at {stops}", file=sys.stderr)
     return OK
 
 
@@ -161,10 +187,11 @@ def _load_model(path):
 def cmd_predict(cfg, args) -> int:
     run_objects(cfg, "predict")
     out = _out_dir(cfg, args)
-    model = _load_model(cfg["data"]["model"])
-    header, rows = read_table(cfg["data"]["newdata"], model.spec.numeric_covariates)
-    data = {col: [row[i] for row in rows] for i, col in enumerate(header)}
-    preds = predict(model, data)
+    with reported_as(DataError):
+        model = _load_model(cfg["data"]["model"])
+        header, rows = read_table(cfg["data"]["newdata"], model.spec.numeric_covariates)
+        data = {col: [row[i] for row in rows] for i, col in enumerate(header)}
+        preds = predict(model, data)
     write_density_file(
         os.path.join(out, "predictions.tsv"), model.measure, header,
         [tuple(row) for row in rows], preds,
@@ -172,33 +199,20 @@ def cmd_predict(cfg, args) -> int:
     return OK
 
 
-def _interpret_item(path, compute):
-    """Evaluate one interpret item of the config against the loaded model.
-
-    The model file is checked when it is read, so a ValueError or KeyError
-    here comes from the item not fitting the model (an unknown term, level or
-    covariate, a point off the support); it becomes a ConfigError at ``path``.
-    """
-    try:
-        return compute()
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{path}: {exc.args[0] if isinstance(exc, KeyError) else exc}") from exc
-
-
 def cmd_interpret(cfg, args) -> int:
     run = run_objects(cfg, "interpret")
     out = _out_dir(cfg, args)
-    model = _load_model(cfg["data"]["model"])
+    with reported_as(DataError):
+        model = _load_model(cfg["data"]["model"])
     icfg = cfg["interpret"]
     m = model.measure
     want_svg = icfg["svg"]
 
     for i, spec in enumerate(run.effects):
         name = spec["name"]
-        dens, z = _interpret_item(
-            f"config.interpret.effects[{i}]",
-            lambda: extract_effect(model, spec["term"], spec["at"]),
-        )
+        # the model file is checked when read: an error here is the item's
+        with reported_as(ConfigError, f"config.interpret.effects[{i}]"):
+            dens, z = extract_effect(model, spec["term"], spec["at"])
         write_table(
             os.path.join(out, f"effect_{name}.tsv"),
             ["point", "is_atom", "clr", "density"],
@@ -222,10 +236,8 @@ def cmd_interpret(cfg, args) -> int:
 
     odds_rows = []
     for i, q in enumerate(icfg["odds"]):
-        lo = _interpret_item(
-            f"config.interpret.odds[{i}]",
-            lambda: log_odds(extract_effect(model, q["term"], q["at"])[1], q["t"], q["s"]),
-        )
+        with reported_as(ConfigError, f"config.interpret.odds[{i}]"):
+            lo = log_odds(extract_effect(model, q["term"], q["at"])[1], q["t"], q["s"])
         odds_rows.append([q["term"], q["t"], q["s"], lo, float(np.exp(lo))])
     if odds_rows:
         write_table(
@@ -235,15 +247,13 @@ def cmd_interpret(cfg, args) -> int:
         )
 
     for i, q in enumerate(run.did):
-        did = _interpret_item(
-            f"config.interpret.did[{i}]",
-            lambda: did_effect(
+        with reported_as(ConfigError, f"config.interpret.did[{i}]"):
+            did = did_effect(
                 model,
                 q["factor_a"], tuple(q["levels_a"]),
                 q["factor_b"], tuple(q["levels_b"]),
                 q["fixed"],
-            ),
-        )
+            )
         name = q["name"]
         grid = build_heatmap(did, icfg["heatmap_resolution"])
         write_table(
@@ -277,11 +287,13 @@ def cmd_simulate(cfg, args) -> int:
     run = run_objects(cfg, "simulate")
     spec, boost_cfg, options = run.spec, run.boost, run.fit_options
     out = _out_dir(cfg, args)
-    measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], spec)
-    base = fit_model(spec, data, y_clr, measure, boost_cfg, **options)
+    with reported_as(DataError):
+        measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], spec)
+        base = fit_model(spec, data, y_clr, measure, boost_cfg, **options)
     fitted = base.fits.fitted_clr
     sim_cfg = cfg["simulation"]
-    structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
+    with reported_as(ConfigError, "config.simulation.truncation"):
+        structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
     replicates = sim_cfg["replicates"]
     errors, paths = [], []
     for seed in np.random.SeedSequence(cfg["seed"]).spawn(replicates):
@@ -310,28 +322,30 @@ def cmd_check(cfg, args) -> int:
     path = args.target
     if not path:
         raise ConfigError("check needs a target file argument")
-    measure, key_columns, keys, densities = read_density_file(path)
-    problems = []
-    if measure.interval is not None:
-        length = measure.interval[1] - measure.interval[0]
-        # relative to the length: rounding in the weights grows with it
-        if abs(measure.grid_weights.sum() - length) > 1e-12 * max(1.0, length):
-            problems.append("quadrature weights do not reproduce the interval length")
-    values = np.reshape([f.values for f in densities], (-1, measure.size))
-    for i, total in enumerate(values @ measure.weights):
-        if abs(total - 1.0) > 1e-6:
-            problems.append(f"row {i + 1}: integral {float(total)!r} deviates from 1")
-    z = clr_rows(values, measure)
-    try:
-        check_clr_rows(z, measure)
-    except ValueError as exc:
-        problems.append(str(exc))
-    print(f"{path}: {len(densities)} densities on {measure_header(measure)[1:]}")
-    if measure.is_mixed:
-        deviation, tolerance = round_trip_deviation(z, decompose_clr_rows(z, measure), measure)
-        print(f"worst decompose/embed deviation {deviation:.3g} (tolerance {tolerance:.3g})")
-        if deviation > tolerance:
-            problems.append("mixed rows do not embed back to their clr rows")
+    check_input_file(path, "target")
+    with reported_as(DataError):
+        measure, key_columns, keys, densities = read_density_file(path)
+        problems = []
+        if measure.interval is not None:
+            length = measure.interval[1] - measure.interval[0]
+            # relative to the length: rounding in the weights grows with it
+            if abs(measure.grid_weights.sum() - length) > 1e-12 * max(1.0, length):
+                problems.append("quadrature weights do not reproduce the interval length")
+        values = np.reshape([f.values for f in densities], (-1, measure.size))
+        for i, total in enumerate(values @ measure.weights):
+            if abs(total - 1.0) > 1e-6:
+                problems.append(f"row {i + 1}: integral {float(total)!r} deviates from 1")
+        z = clr_rows(values, measure)
+        try:
+            check_clr_rows(z, measure)
+        except ValueError as exc:
+            problems.append(str(exc))
+        print(f"{path}: {len(densities)} densities on {measure_header(measure)[1:]}")
+        if measure.is_mixed:
+            deviation, tolerance = round_trip_deviation(z, decompose_clr_rows(z, measure), measure)
+            print(f"worst decompose/embed deviation {deviation:.3g} (tolerance {tolerance:.3g})")
+            if deviation > tolerance:
+                problems.append("mixed rows do not embed back to their clr rows")
     if problems:
         for p in problems:
             print(f"FAIL {p}")
@@ -350,6 +364,11 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, *_) -> str:
+    # without the library's file and line: stderr stays the same wherever it is installed
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="densreg", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
@@ -360,25 +379,22 @@ def main(argv=None) -> int:
     parser.add_argument("--verbose", action="store_true")
     # intermixed, so the check target may also follow the options
     args = parser.parse_intermixed_args(argv)
+    # the format, not showwarning: a caller that records warnings still receives them
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         cfg = load_config(args.config, {} if args.seed is None else {"seed": args.seed})
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except SpecMismatch as exc:
-        print(f"config error: config.model.{exc.item}: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    # before ValueError: numpy's LinAlgError subclasses it
     except (np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

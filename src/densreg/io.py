@@ -22,12 +22,13 @@ that in :func:`run_objects`, where each data path it reads must name a file
 (a missing path or a directory is a config error at ``config.data.<key>``),
 and ``estimate`` also that its measure is mixed
 on [0, 1] with atoms at 0 and 1, of any weights, as shares need
-(:func:`densreg.ingest.check_share_measure`). An interpret item that does
-not fit the loaded model (an unknown term, covariate or level, a point off
-the support) is a config error at the item's path, such as
-``config.interpret.did[0]``. The command-line front-end exits with 0 on
-success, 2 on a config error, 3 on a data error (:class:`DataError` or
-another ``ValueError`` from the input files) and 4 on a numeric failure.
+(:func:`densreg.ingest.check_share_measure`).
+
+A library error becomes a :class:`ConfigError` or a :class:`DataError` in
+one way, :func:`reported_as`: inside it, a ValueError, KeyError or OSError
+becomes the error its caller names, and a ``model.SpecMismatch`` a config
+error at ``config.model.<item>``. Which boundary each command draws, and the
+exit code of each error type, are stated in :mod:`densreg.cli`.
 
 Model files are JSON objects with ``"format": "densreg-model"`` and
 ``"version": 2`` or ``1``; anything else is a :class:`DataError`. A model
@@ -57,6 +58,7 @@ Version-1 files also hold ``terms[].knot_vectors`` and the density bases
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -70,11 +72,13 @@ from .bayes import DensityElement
 from .boosting import BoostConfig
 from .ingest import KdeConfig, check_share_measure
 from .measure import ReferenceMeasure
-from .model import EffectTerm, FittedModel, ModelSpec, dump_fields, load_fields
+from .model import EffectTerm, FittedModel, ModelSpec, SpecMismatch, dump_fields, load_fields
 
 __all__ = [
     "ConfigError",
     "DataError",
+    "reported_as",
+    "check_input_file",
     "fmt",
     "write_table",
     "read_table",
@@ -98,6 +102,31 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed input data file."""
+
+
+@contextlib.contextmanager
+def reported_as(error: type, path: str | None = None):
+    """Report a ValueError, KeyError or OSError raised inside as ``error``
+    (ConfigError or DataError), with ``path`` in front of its message when
+    given: a config error's field path (the commands' data boundaries give
+    none). ConfigError, DataError and numpy's LinAlgError pass unchanged,
+    and a ``SpecMismatch`` is a ConfigError at its item of ``config.model``."""
+    try:
+        yield
+    except (ConfigError, DataError, np.linalg.LinAlgError):
+        raise
+    except SpecMismatch as exc:
+        raise ConfigError(f"config.model.{exc.item}: {exc}") from exc
+    except (ValueError, KeyError, OSError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise error(f"{path}: {message}" if path else str(message)) from exc
+
+
+def check_input_file(path, where: str) -> None:
+    """A ConfigError at ``where`` unless ``path`` names a file."""
+    if not os.path.isfile(path):
+        what = "is a directory" if os.path.isdir(path) else "no such file"
+        raise ConfigError(f"{where}: {what}: {path!r}")
 
 
 def fmt(x) -> str:
@@ -196,7 +225,7 @@ def parse_measure_header(line: str) -> ReferenceMeasure:
             raise DataError(f"malformed measure field {part!r}")
         key, val = part.split("=", 1)
         fields[key] = val
-    try:
+    with reported_as(DataError, "malformed measure header"):
         atoms = []
         if fields.get("atoms", "none") != "none":
             for chunk in fields["atoms"].split(";"):
@@ -209,10 +238,6 @@ def parse_measure_header(line: str) -> ReferenceMeasure:
         elif grid:
             raise DataError("a grid requires an interval")
         return ReferenceMeasure.from_dict({"interval": interval, "atoms": atoms, "grid_size": grid})
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, DataError):
-            raise
-        raise DataError(f"malformed measure header: {exc}") from exc
 
 
 def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densities):
@@ -472,12 +497,9 @@ _NEEDS = {
 
 
 def _built(path: str, make, *args, **kwargs):
-    """Call a library constructor; its ValueError becomes a ConfigError at
-    ``path``."""
-    try:
+    """Call a library constructor; what it rejects is a ConfigError at ``path``."""
+    with reported_as(ConfigError, path):
         return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
@@ -488,9 +510,8 @@ def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
         section, _, key = need.partition(".")
         if not (cfg[section][key] if key else cfg.get(section)):
             raise ConfigError(f"config.{need}: required for {command}")
-        if key and not os.path.isfile(path := cfg[section][key]):
-            what = "is a directory" if os.path.isdir(path) else "no such file"
-            raise ConfigError(f"config.{need}: {what}: {path!r}")
+        if key:
+            check_input_file(cfg[section][key], f"config.{need}")
     measure = cfg.get("measure") and _built(
         "config.measure", ReferenceMeasure.from_dict, cfg["measure"]
     )
@@ -545,13 +566,12 @@ def validate_config(raw) -> dict:
 def load_config(path, overrides: dict | None = None) -> dict:
     """Read and validate a JSON run configuration; ``overrides`` (such as
     the CLI's ``--seed``) replace top-level keys before validation."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    with reported_as(ConfigError, path):
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
     return validate_config(raw)

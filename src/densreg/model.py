@@ -475,10 +475,6 @@ class FittedModel:
         self.bases, self.lambda_density = bases, lambda_density
         self.config, self.density_options = config, density_options
 
-    @property
-    def m_stop(self):
-        return self.fits.m_stop
-
     def component_states(self) -> dict:
         if self.measure.is_mixed:
             return {"continuous": self.fits.continuous, "discrete": self.fits.discrete}

@@ -30,17 +30,15 @@ __all__ = [
 class FpcaResult(NamedTuple):
     """Eigenstructure of the empirical residual covariance.
 
-    Eigenfunctions are orthonormal for the measure-weighted inner product;
-    scores are those of the centered residuals, so their per-component mean
-    is zero. The residual mean is kept so that reconstruction from stored
-    scores reproduces the inputs exactly.
+    Eigenfunctions are orthonormal for the measure-weighted inner product.
+    The residual mean is kept, so the scores of the centered residuals on the
+    eigenfunctions rebuild the inputs exactly.
     """
 
     measure: ReferenceMeasure
     mean: np.ndarray            # (P,) mean clr residual
     eigenvalues: np.ndarray     # (M,) descending, >= 0
     eigenfunctions: np.ndarray  # (M, P), rows orthonormal under the measure
-    scores: np.ndarray          # (N, M)
 
     @property
     def truncation(self) -> int:
@@ -87,8 +85,7 @@ def fpca(rows: np.ndarray, measure: ReferenceMeasure, truncation: int | None) ->
     eigvals[eigvals < 1e-12 * max(eigvals[0], 1e-300)] = 0.0
     funcs = (eigvecs[:, order] / sqrt_w[:, None]).T
     funcs = funcs - ((funcs @ w) / w.sum())[:, None]
-    scores = (centered * w) @ funcs.T
-    return FpcaResult(measure, mean, eigvals, funcs, scores)
+    return FpcaResult(measure, mean, eigvals, funcs)
 
 
 def simulate_responses(

@@ -414,7 +414,7 @@ class TestBoostMixed:
         fits = self._fits(
             rng, y, BoostConfig(max_iterations=20, stopping="bootstrap", replicates=5, seed=1)
         )
-        assert isinstance(fits.m_stop, tuple) and len(fits.m_stop) == 2
+        assert all(isinstance(s.m_stop, int) for s in (fits.continuous, fits.discrete))
         assert fits.continuous.m_stop >= 1 and fits.discrete.m_stop >= 1
 
 
@@ -902,7 +902,8 @@ def test_paper_model_cv_paths():
     spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
     model = fit(spec, data, clr_stack(truths), measure, BoostConfig(stopping="cv", folds=10, seed=3),
                 **options("model"))
-    assert list(model.m_stop) == expected["m_stop"] == [114, 49]
+    stops = [state.m_stop for state in model.component_states().values()]
+    assert stops == expected["m_stop"] == [114, 49]
     for comp, state in model.component_states().items():
         assert state.selections == expected["selections"][comp], comp
 

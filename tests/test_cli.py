@@ -15,15 +15,18 @@ from densreg.cli import main
 from densreg.basis import bspline_knots, density_basis
 from densreg.io import (
     ConfigError,
+    DataError,
     load_config,
     model_from_dict,
     model_to_dict,
     read_density_file,
+    reported_as,
     run_objects,
     validate_config,
     write_density_file,
 )
 from densreg.measure import ReferenceMeasure, integrate, make_mixed
+from densreg.model import SpecMismatch
 from densreg.synth import planted_problem, synthetic_observations
 
 from conftest import clr_stack, options
@@ -1158,3 +1161,148 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["fit", "--config", cfg]) == 4
         assert capsys.readouterr().err.startswith("numeric failure: singular matrix")
+
+
+def _with_column(path, out, column, value):
+    """A copy of density file ``path`` at ``out`` with every entry of key
+    ``column`` set to ``value``."""
+    lines = pathlib.Path(path).read_text().splitlines()
+    j = lines[1].split("\t").index(column)
+    rows = [line.split("\t") for line in lines[2:]]
+    for row in rows:
+        row[j] = value
+    out.write_text("\n".join(lines[:2] + ["\t".join(r) for r in rows]) + "\n")
+    return str(out)
+
+
+class TestErrorTable:
+    """Inputs that ``main`` once caught only by the type of their error: each
+    now ends at the boundary of what the user has to fix (see the ``cli``
+    docstring)."""
+
+    @pytest.mark.parametrize("raised, error, path, want", [
+        (ValueError("bad"), DataError, None, DataError("bad")),
+        (ValueError("bad"), ConfigError, "config.x", ConfigError("config.x: bad")),
+        (KeyError("no term named 'z'"), ConfigError, "config.x",
+         ConfigError("config.x: no term named 'z'")),
+        (FileNotFoundError(2, "No such file or directory"), DataError, None,
+         DataError("[Errno 2] No such file or directory")),
+        (SpecMismatch("terms[1]", "unknown covariate 'z'"), DataError, None,
+         ConfigError("config.model.terms[1]: unknown covariate 'z'")),
+        (ConfigError("config.y: no"), DataError, None, ConfigError("config.y: no")),
+        (DataError("f.tsv: line 3: no"), ConfigError, "config.x", DataError("f.tsv: line 3: no")),
+        (np.linalg.LinAlgError("singular"), DataError, None, np.linalg.LinAlgError("singular")),
+        (ZeroDivisionError("zero"), DataError, None, ZeroDivisionError("zero")),
+        (TypeError("a bug"), DataError, None, TypeError("a bug")),
+    ])
+    def test_reported_as(self, raised, error, path, want):
+        with pytest.raises(Exception) as info:
+            with reported_as(error, path):
+                raise raised
+        assert type(info.value) is type(want) and str(info.value) == str(want)
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize("case, message", [
+        ("one_level", "covariate 'region' needs at least two levels"),
+        ("constant", "covariate 'year' is constant"),
+        ("cv_on_one_density", "cross-validation needs at least two folds"),
+    ])
+    def test_densities_the_model_cannot_use_are_data_errors(
+        self, tmp_path, capsys, densities_file, command, case, message
+    ):
+        model, boosting = MODEL, {"max_iterations": 5}
+        if case == "one_level":
+            path = _with_column(densities_file, tmp_path / "d.tsv", "region", "east")
+        elif case == "constant":
+            path = _with_column(densities_file, tmp_path / "d.tsv", "year", "1.0")
+        else:
+            # the two header lines and one density
+            lines = pathlib.Path(densities_file).read_text().splitlines()
+            path = tmp_path / "d.tsv"
+            path.write_text("\n".join(lines[:3]) + "\n")
+            model = dict(MODEL, terms=MODEL["terms"][:1])
+            boosting = dict(boosting, stopping={"method": "cv", "folds": 2})
+        cfg = write_config(tmp_path / "cfg.json", data={"densities": str(path)}, model=model,
+                           boosting=boosting, simulation={"replicates": 2})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
+    def test_truncation_above_rank_bound_is_config_error(self, tmp_path, capsys, densities_file):
+        cfg = write_config(tmp_path / "cfg.json", data={"densities": densities_file}, model=MODEL,
+                           boosting={"max_iterations": 5},
+                           simulation={"replicates": 2, "truncation": 999})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # 36 densities on 42 points: the residual covariance has rank at most 36
+        assert capsys.readouterr().err == (
+            "config error: config.simulation.truncation: truncation 999 exceeds the rank bound 36\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_check_target_that_names_no_file_is_config_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / kind
+        if kind == "directory":
+            bad.mkdir()
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["check", str(bad), "--config", cfg]) == 2
+        what = "no such file" if kind == "missing" else "is a directory"
+        assert capsys.readouterr().err == f"config error: target: {what}: {str(bad)!r}\n"
+
+    @pytest.mark.parametrize("where", ["--out", "config.out"])
+    def test_output_directory_that_cannot_be_made_is_config_error(
+        self, tmp_path, capsys, densities_file, where
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = {"out": str(taken)} if where == "config.out" else {}
+        cfg = write_config(tmp_path / "cfg.json", data={"densities": densities_file}, model=MODEL,
+                           boosting={"max_iterations": 5}, **out)
+        argv = ["fit", "--config", cfg] + (["--out", str(taken)] if where == "--out" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {where}: [Errno 17] File exists: {str(taken)!r}\n"
+
+    def test_config_file_that_is_not_text_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["check", "x.tsv", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode")
+
+
+class TestWarnings:
+    """A library warning on stderr is one line without a file path; a caller
+    that records warnings around ``main`` still receives them."""
+
+    @pytest.fixture
+    def jitter_config(self, tmp_path):
+        # three distinct years under a cubic spline with two knots: a
+        # singular learner system, which the kernel solves with ridge jitter
+        m, data, truths, _ = planted_problem(seed=21, grid_size=20, n_years=3,
+                                             **options("planted_problem"))
+        keys = [(data["region"][i], data["c_age"][i], repr(float(data["year"][i])))
+                for i in range(len(truths))]
+        write_density_file(tmp_path / "dens.tsv", m, ["region", "c_age", "year"], keys, truths)
+        model = dict(MODEL, references={"region": "west", "c_age": "other"}, terms=[
+            {"name": "intercept", "kind": "intercept"},
+            {"name": "year", "kind": "flexible", "covariates": ["year"], "knots": 2},
+        ])
+        return write_config(tmp_path / "cfg.json", data={"densities": str(tmp_path / "dens.tsv")},
+                            model=model, boosting={"max_iterations": 5})
+
+    def test_warning_is_one_line_without_path(self, tmp_path, jitter_config):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        res = subprocess.run(
+            [sys.executable, "-m", "densreg.cli", "fit", "--config", jitter_config,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "warning: singular base-learner system, adding ridge jitter\n"
+
+    def test_recording_caller_receives_the_warning(self, tmp_path, capsys, jitter_config):
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--config", jitter_config, "--out", str(tmp_path / "o")]) == 0
+        assert "ridge jitter" in str(caught[0].message)
+        assert capsys.readouterr().err == ""
+        assert warnings.formatwarning is formatwarning

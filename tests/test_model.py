@@ -208,7 +208,9 @@ class TestFitAndPredict:
 
     def test_two_stopping_values_for_mixed(self, planted_fit):
         *_, model = planted_fit
-        assert isinstance(model.m_stop, tuple) and len(model.m_stop) == 2
+        states = model.component_states()
+        assert list(states) == ["continuous", "discrete"]
+        assert all(isinstance(s.m_stop, int) for s in states.values())
 
     def test_training_rows_reproduce_fitted(self, planted_fit):
         m, data, truths, effects, model = planted_fit
@@ -230,7 +232,8 @@ class TestFitAndPredict:
         b = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
         for ca, cb in zip(a.fits.continuous.coefficients, b.fits.continuous.coefficients):
             np.testing.assert_array_equal(ca, cb)
-        assert a.m_stop == b.m_stop
+        assert ([s.m_stop for s in a.component_states().values()]
+                == [s.m_stop for s in b.component_states().values()])
 
     def test_length_mismatch_rejected(self):
         m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
@@ -360,6 +363,6 @@ class TestSingleComponentDispatch:
                     **options("model"))
         assert list(model.component_states()) == ["single"]
         assert model.fits is model.component_states()["single"]
-        assert isinstance(model.m_stop, int)
+        assert isinstance(model.component_states()["single"].m_stop, int)
         preds = predict(model, data)
         assert len(preds) == n

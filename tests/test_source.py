@@ -6,7 +6,10 @@ used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
 its imports are the re-exports). The runtime needs numpy only: importing the
 command-line module loads no scipy module, and defines one dataclass
 (``BoostConfig``), since every other record is a plain class or a NamedTuple;
-no code treats a NamedTuple record as a tuple. Boosting and simulation work on
+no code treats a NamedTuple record as a tuple. The handlers of ``cli.main``
+name only the error table (ConfigError, DataError, LinAlgError,
+ZeroDivisionError, FloatingPointError), so no error type reaches an exit
+code without a boundary that owns it. Boosting and simulation work on
 N x P clr arrays, so they do not use the density and clr element classes;
 and no code turns rows into elements and back: ``predict_clr`` is called
 nowhere in the package, ``clr_inv`` only in ``bayes``, ``synth`` and the
@@ -121,6 +124,22 @@ def test_cli_import_defines_one_dataclass():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "['densreg.boosting.BoostConfig']"
+
+
+def test_cli_main_maps_only_the_error_table():
+    # a library error reaches an exit code through an io.reported_as
+    # boundary; a handler for ValueError, KeyError or OSError in main would
+    # give any such error an exit code, whatever raised it
+    tree = _parse(PACKAGE / "cli.py")
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    named = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            assert handler.type is not None, "bare except in cli.main"
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            named += [t.attr if isinstance(t, ast.Attribute) else t.id for t in types]
+    assert sorted(named) == sorted(["ConfigError", "DataError", "LinAlgError",
+                                    "ZeroDivisionError", "FloatingPointError"])
 
 
 def _named_tuples(value) -> list:
