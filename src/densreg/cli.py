@@ -18,11 +18,14 @@ Exit codes, by the type of the error that ends a command:
 * 2, :class:`~densreg.io.ConfigError`: the fix is in the config or the
   command line, named at the start of the message: a key or a constructor
   rule (``config.model.terms[2]``), a ``data.*`` path or the ``check``
-  ``target`` that names no file or a directory, an output directory that
-  cannot be made (``--out`` or ``config.out``), a model term or reference
+  ``target`` that names no file or a directory, a model term or reference
   that the densities contradict (``config.model.<item>``), an interpret item
-  that does not fit the model (``config.interpret.<item>``), and a
-  ``simulation.truncation`` above the rank bound of the residuals.
+  that does not fit the model (``config.interpret.<item>``), a
+  ``simulation.truncation`` above the rank bound of the residuals, and an
+  output directory that cannot be made or an output file that cannot be
+  written (``--out`` or ``config.out``). Each command writes its outputs
+  inside one output boundary, which makes the directory once the outputs
+  are computed.
 * 3, :class:`~densreg.io.DataError`: the fix is in a data file that exists.
   Each command reads its data input and runs the library on it inside one
   data boundary (:func:`densreg.io.reported_as`), where a ValueError, KeyError
@@ -39,6 +42,7 @@ is printed as one line, ``warning: <message>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -74,17 +78,20 @@ from .simulate import fpca, rel_mse, selection_counts, simulate_responses
 OK, CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 0, 2, 3, 4
 
 
-def _out_dir(cfg, args):
+@contextlib.contextmanager
+def _writing(cfg, args):
+    """The output boundary: it makes the output directory, and a directory
+    that cannot be made or a file in it that cannot be written is a config
+    error at ``--out`` or ``config.out``."""
     out = args.out or cfg["out"] or "."
     with reported_as(ConfigError, "--out" if args.out else "config.out"):
         os.makedirs(out, exist_ok=True)
-    return out
+        yield out
 
 
 def cmd_estimate(cfg, args) -> int:
     run = run_objects(cfg, "estimate")
     measure, kde_cfg = run.measure, run.kde
-    out = _out_dir(cfg, args)
     obs_path = cfg["data"]["observations"]
     with reported_as(DataError):
         table, key_columns = read_observations(obs_path)
@@ -100,20 +107,21 @@ def cmd_estimate(cfg, args) -> int:
             with naming_group(key_columns, g.key):
                 densities.append(assemble_mixed(g, measure, kde_cfg, bandwidth=bandwidth))
             report.append(list(g.key) + [g.values.size, p0, p1, bandwidth])
-    write_density_file(
-        os.path.join(out, "densities.tsv"), measure, key_columns,
-        [g.key for g in groups], densities,
-    )
-    write_table(
-        os.path.join(out, "estimate_report.tsv"),
-        key_columns + ["n", "p0", "p1", "bandwidth"],
-        report,
-    )
-    if skipped:
-        write_table(
-            os.path.join(out, "skipped_groups.tsv"), key_columns,
-            [list(k) for k in skipped],
+    with _writing(cfg, args) as out:
+        write_density_file(
+            os.path.join(out, "densities.tsv"), measure, key_columns,
+            [g.key for g in groups], densities,
         )
+        write_table(
+            os.path.join(out, "estimate_report.tsv"),
+            key_columns + ["n", "p0", "p1", "bandwidth"],
+            report,
+        )
+        if skipped:
+            write_table(
+                os.path.join(out, "skipped_groups.tsv"), key_columns,
+                [list(k) for k in skipped],
+            )
     if args.verbose:
         print(f"estimated {len(densities)} densities (bandwidth {bandwidth})", file=sys.stderr)
     return OK
@@ -165,11 +173,11 @@ def _write_fit_outputs(out, model):
 
 def cmd_fit(cfg, args) -> int:
     run = run_objects(cfg, "fit")
-    out = _out_dir(cfg, args)
     with reported_as(DataError):
         measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], run.spec)
         model = fit_model(run.spec, data, y_clr, measure, run.boost, **run.fit_options)
-    _write_fit_outputs(out, model)
+    with _writing(cfg, args) as out:
+        _write_fit_outputs(out, model)
     if args.verbose:
         stops = ", ".join(f"{c} {s.m_stop}" for c, s in model.component_states().items())
         print(f"fitted model, stopping at {stops}", file=sys.stderr)
@@ -186,107 +194,107 @@ def _load_model(path):
 
 def cmd_predict(cfg, args) -> int:
     run_objects(cfg, "predict")
-    out = _out_dir(cfg, args)
     with reported_as(DataError):
         model = _load_model(cfg["data"]["model"])
         header, rows = read_table(cfg["data"]["newdata"], model.spec.numeric_covariates)
         data = {col: [row[i] for row in rows] for i, col in enumerate(header)}
         preds = predict(model, data)
-    write_density_file(
-        os.path.join(out, "predictions.tsv"), model.measure, header,
-        [tuple(row) for row in rows], preds,
-    )
+    with _writing(cfg, args) as out:
+        write_density_file(
+            os.path.join(out, "predictions.tsv"), model.measure, header,
+            [tuple(row) for row in rows], preds,
+        )
     return OK
 
 
 def cmd_interpret(cfg, args) -> int:
     run = run_objects(cfg, "interpret")
-    out = _out_dir(cfg, args)
     with reported_as(DataError):
         model = _load_model(cfg["data"]["model"])
     icfg = cfg["interpret"]
     m = model.measure
     want_svg = icfg["svg"]
 
-    for i, spec in enumerate(run.effects):
-        name = spec["name"]
-        # the model file is checked when read: an error here is the item's
-        with reported_as(ConfigError, f"config.interpret.effects[{i}]"):
-            dens, z = extract_effect(model, spec["term"], spec["at"])
-        write_table(
-            os.path.join(out, f"effect_{name}.tsv"),
-            ["point", "is_atom", "clr", "density"],
-            [
-                [m.locations[i], i < m.n_atoms, z.values[i], dens.values[i]]
-                for i in range(m.size)
-            ],
-        )
-        if want_svg and m.n_grid:
-            markers = {
-                f"atom {fmt(loc)}": (float(loc), float(z.values[i]))
-                for i, loc in enumerate(m.atom_locations)
-            }
-            curve_svg(
-                os.path.join(out, f"effect_{name}.svg"),
-                m.grid,
-                {"clr effect": z.values[m.n_atoms:]},
-                markers,
-                title=f"clr effect: {name}",
+    # a config error of an item passes the output boundary unchanged
+    with _writing(cfg, args) as out:
+        for i, spec in enumerate(run.effects):
+            name = spec["name"]
+            # the model file is checked when read: an error here is the item's
+            with reported_as(ConfigError, f"config.interpret.effects[{i}]"):
+                dens, z = extract_effect(model, spec["term"], spec["at"])
+            write_table(
+                os.path.join(out, f"effect_{name}.tsv"),
+                ["point", "is_atom", "clr", "density"],
+                [
+                    [m.locations[i], i < m.n_atoms, z.values[i], dens.values[i]]
+                    for i in range(m.size)
+                ],
+            )
+            if want_svg and m.n_grid:
+                markers = {
+                    f"atom {fmt(loc)}": (float(loc), float(z.values[i]))
+                    for i, loc in enumerate(m.atom_locations)
+                }
+                curve_svg(
+                    os.path.join(out, f"effect_{name}.svg"),
+                    m.grid,
+                    {"clr effect": z.values[m.n_atoms:]},
+                    markers,
+                    title=f"clr effect: {name}",
+                )
+
+        odds_rows = []
+        for i, q in enumerate(icfg["odds"]):
+            with reported_as(ConfigError, f"config.interpret.odds[{i}]"):
+                lo = log_odds(extract_effect(model, q["term"], q["at"])[1], q["t"], q["s"])
+            odds_rows.append([q["term"], q["t"], q["s"], lo, float(np.exp(lo))])
+        if odds_rows:
+            write_table(
+                os.path.join(out, "odds_table.tsv"),
+                ["term", "t", "s", "log_odds", "odds"],
+                odds_rows,
             )
 
-    odds_rows = []
-    for i, q in enumerate(icfg["odds"]):
-        with reported_as(ConfigError, f"config.interpret.odds[{i}]"):
-            lo = log_odds(extract_effect(model, q["term"], q["at"])[1], q["t"], q["s"])
-        odds_rows.append([q["term"], q["t"], q["s"], lo, float(np.exp(lo))])
-    if odds_rows:
-        write_table(
-            os.path.join(out, "odds_table.tsv"),
-            ["term", "t", "s", "log_odds", "odds"],
-            odds_rows,
-        )
-
-    for i, q in enumerate(run.did):
-        with reported_as(ConfigError, f"config.interpret.did[{i}]"):
-            did = did_effect(
-                model,
-                q["factor_a"], tuple(q["levels_a"]),
-                q["factor_b"], tuple(q["levels_b"]),
-                q["fixed"],
+        for i, q in enumerate(run.did):
+            with reported_as(ConfigError, f"config.interpret.did[{i}]"):
+                did = did_effect(
+                    model,
+                    q["factor_a"], tuple(q["levels_a"]),
+                    q["factor_b"], tuple(q["levels_b"]),
+                    q["fixed"],
+                )
+            name = q["name"]
+            grid = build_heatmap(did, icfg["heatmap_resolution"])
+            write_table(
+                os.path.join(out, f"{name}_heatmap.tsv"),
+                ["t\\s"] + [fmt(p) for p in grid.points],
+                [
+                    [fmt(grid.points[r])] + [v for v in grid.values[r]]
+                    for r in range(len(grid.points))
+                ],
             )
-        name = q["name"]
-        grid = build_heatmap(did, icfg["heatmap_resolution"])
-        write_table(
-            os.path.join(out, f"{name}_heatmap.tsv"),
-            ["t\\s"] + [fmt(p) for p in grid.points],
-            [
-                [fmt(grid.points[r])] + [v for v in grid.values[r]]
-                for r in range(len(grid.points))
-            ],
-        )
-        write_table(
-            os.path.join(out, f"{name}_bands.tsv"),
-            ["point", "is_atom", "outer_band_log_odds"],
-            [
-                [grid.points[r], bool(grid.is_atom[r]),
-                 grid.outer_band[int(np.sum(grid.is_atom[:r]))] if grid.is_atom[r] else ""]
-                for r in range(len(grid.points))
-            ],
-        )
-        if want_svg:
-            heatmap_svg(
-                os.path.join(out, f"{name}_heatmap.svg"),
-                grid.values,
-                grid.is_atom,
-                title=f"log odds: {name}",
+            write_table(
+                os.path.join(out, f"{name}_bands.tsv"),
+                ["point", "is_atom", "outer_band_log_odds"],
+                [
+                    [grid.points[r], bool(grid.is_atom[r]),
+                     grid.outer_band[int(np.sum(grid.is_atom[:r]))] if grid.is_atom[r] else ""]
+                    for r in range(len(grid.points))
+                ],
             )
+            if want_svg:
+                heatmap_svg(
+                    os.path.join(out, f"{name}_heatmap.svg"),
+                    grid.values,
+                    grid.is_atom,
+                    title=f"log odds: {name}",
+                )
     return OK
 
 
 def cmd_simulate(cfg, args) -> int:
     run = run_objects(cfg, "simulate")
     spec, boost_cfg, options = run.spec, run.boost, run.fit_options
-    out = _out_dir(cfg, args)
     with reported_as(DataError):
         measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], spec)
         base = fit_model(spec, data, y_clr, measure, boost_cfg, **options)
@@ -302,16 +310,17 @@ def cmd_simulate(cfg, args) -> int:
         # the in-sample fit is the prediction at the training covariates
         errors.append(rel_mse(fitted, refit.fits.fitted_clr, measure))
         paths.append({comp: s.selections for comp, s in refit.component_states().items()})
-    write_table(
-        os.path.join(out, "simulate_relmse.tsv"),
-        ["replicate", "relmse_predictions"],
-        list(enumerate(errors)),
-    )
-    write_table(
-        os.path.join(out, "simulate_selection.tsv"),
-        ["term", "component", "selected", "not_selected"],
-        selection_counts([t.name for t in spec.terms], paths),
-    )
+    with _writing(cfg, args) as out:
+        write_table(
+            os.path.join(out, "simulate_relmse.tsv"),
+            ["replicate", "relmse_predictions"],
+            list(enumerate(errors)),
+        )
+        write_table(
+            os.path.join(out, "simulate_selection.tsv"),
+            ["term", "component", "selected", "not_selected"],
+            selection_counts([t.name for t in spec.terms], paths),
+        )
     if args.verbose:
         med = float(np.median(errors))
         print(f"median relMSE over {replicates} replicates: {med:.4f}", file=sys.stderr)

@@ -105,12 +105,13 @@ class DataError(ValueError):
 
 
 @contextlib.contextmanager
-def reported_as(error: type, path: str | None = None):
+def reported_as(error: type, prefix: str | None = None):
     """Report a ValueError, KeyError or OSError raised inside as ``error``
-    (ConfigError or DataError), with ``path`` in front of its message when
-    given: a config error's field path (the commands' data boundaries give
-    none). ConfigError, DataError and numpy's LinAlgError pass unchanged,
-    and a ``SpecMismatch`` is a ConfigError at its item of ``config.model``."""
+    (ConfigError or DataError), with ``prefix`` in front of its message when
+    given: a config error's field path, or the context of a data error (the
+    commands' data boundaries give none). ConfigError, DataError and numpy's
+    LinAlgError pass unchanged, and a ``SpecMismatch`` is a ConfigError at
+    its item of ``config.model``."""
     try:
         yield
     except (ConfigError, DataError, np.linalg.LinAlgError):
@@ -119,7 +120,7 @@ def reported_as(error: type, path: str | None = None):
         raise ConfigError(f"config.model.{exc.item}: {exc}") from exc
     except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
-        raise error(f"{path}: {message}" if path else str(message)) from exc
+        raise error(f"{prefix}: {message}" if prefix else str(message)) from exc
 
 
 def check_input_file(path, where: str) -> None:

@@ -1180,7 +1180,7 @@ class TestErrorTable:
     now ends at the boundary of what the user has to fix (see the ``cli``
     docstring)."""
 
-    @pytest.mark.parametrize("raised, error, path, want", [
+    @pytest.mark.parametrize("raised, error, prefix, want", [
         (ValueError("bad"), DataError, None, DataError("bad")),
         (ValueError("bad"), ConfigError, "config.x", ConfigError("config.x: bad")),
         (KeyError("no term named 'z'"), ConfigError, "config.x",
@@ -1195,9 +1195,9 @@ class TestErrorTable:
         (ZeroDivisionError("zero"), DataError, None, ZeroDivisionError("zero")),
         (TypeError("a bug"), DataError, None, TypeError("a bug")),
     ])
-    def test_reported_as(self, raised, error, path, want):
+    def test_reported_as(self, raised, error, prefix, want):
         with pytest.raises(Exception) as info:
-            with reported_as(error, path):
+            with reported_as(error, prefix):
                 raise raised
         assert type(info.value) is type(want) and str(info.value) == str(want)
 
@@ -1260,6 +1260,20 @@ class TestErrorTable:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {where}: [Errno 17] File exists: {str(taken)!r}\n"
+
+    @pytest.mark.parametrize("command, output", [
+        ("fit", "model.json"), ("simulate", "simulate_relmse.tsv"),
+    ])
+    def test_output_file_that_cannot_be_written_is_config_error(
+        self, tmp_path, capsys, densities_file, command, output
+    ):
+        out = tmp_path / "o"
+        (out / output).mkdir(parents=True)
+        cfg = write_config(tmp_path / "cfg.json", data={"densities": densities_file}, model=MODEL,
+                           boosting={"max_iterations": 5}, simulation={"replicates": 2})
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out: [Errno 21] Is a directory: {str(out / output)!r}\n"
 
     def test_config_file_that_is_not_text_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
