@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -1320,3 +1321,45 @@ class TestWarnings:
         assert "ridge jitter" in str(caught[0].message)
         assert capsys.readouterr().err == ""
         assert warnings.formatwarning is formatwarning
+
+
+def test_no_output_relies_on_a_finalizer(tmp_path, densities_file):
+    # at exit the CLI leaves cyclic garbage unfinalized (cli's exit hook), so
+    # a file left open would lose its buffered tail; every file is closed by
+    # the command that opened it
+    obs = write_observations(tmp_path / "obs.tsv", synthetic_observations(0, groups=3, n_per_group=60))
+    (tmp_path / "new.tsv").write_text("region\tc_age\tyear\neast\tother\t2.0\nwest\tkids0_6\t4.0\n")
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        data={
+            "observations": obs,
+            "densities": densities_file,
+            "model": str(out / "model.json"),
+            "newdata": str(tmp_path / "new.tsv"),
+        },
+        measure=MEASURE,
+        kde={"bandwidth": 0.05},
+        model=MODEL,
+        boosting={"max_iterations": 20},
+        interpret={
+            "effects": [{"term": "year", "at": {"region": "east", "c_age": "other", "year": 2.0}}],
+            "did": [{
+                "factor_a": "region", "levels_a": ["east", "west"],
+                "factor_b": "c_age", "levels_b": ["kids0_6", "other"],
+                "fixed": {"year": 2.0},
+            }],
+            "svg": True,
+        },
+        simulation={"replicates": 2},
+        out=str(out),
+    )
+    commands = [["estimate"], ["fit"], ["predict"], ["interpret"], ["simulate"],
+                ["check", str(out / "predictions.tsv")]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for command in commands:
+            assert main(command + ["--config", cfg]) == 0
+            gc.collect()
+    assert (out / "did_0_heatmap.svg").exists()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -6,14 +6,17 @@ used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
 its imports are the re-exports). The runtime needs numpy only: importing the
 command-line module loads no scipy module, and defines one dataclass
 (``BoostConfig``), since every other record is a plain class or a NamedTuple;
-no code treats a NamedTuple record as a tuple. The handlers of ``cli.main``
-name only the error table (ConfigError, DataError, LinAlgError,
-ZeroDivisionError, FloatingPointError), so no error type reaches an exit
-code without a boundary that owns it. Boosting and simulation work on
-N x P clr arrays, so they do not use the density and clr element classes;
-and no code turns rows into elements and back: ``predict_clr`` is called
-nowhere in the package, ``clr_inv`` only in ``bayes``, ``synth`` and the
-element edge ``model.extract_effect``.
+no code treats a NamedTuple record as a tuple. The command-line module's
+exit hook freezes what is alive when a command process exits, after the
+command's whole report, and leaves collection unchanged for a caller that
+runs ``main`` in process. The handlers of ``cli.main`` name only the error
+table (ConfigError, DataError, LinAlgError, ZeroDivisionError,
+FloatingPointError), so no error type reaches an exit code without a
+boundary that owns it. Boosting and simulation work on N x P clr arrays, so
+they do not use the density and clr element classes; and no code turns rows
+into elements and back: ``predict_clr`` is called nowhere in the package,
+``clr_inv`` only in ``bayes``, ``synth`` and the element edge
+``model.extract_effect``.
 The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
 ``to_dict``/``from_dict``; ``model`` alone splits responses into the
@@ -35,6 +38,7 @@ outside record constructors, left out by some such call, so no default
 exists only for tests.
 """
 import ast
+import gc
 import json
 import os
 import pathlib
@@ -45,6 +49,9 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "densreg"
 MODULES = sorted(PACKAGE.glob("*.py"))
+DATA = PACKAGE.parents[1] / "tests" / "data"
+CHECK_ARGV = ["check", str(DATA / "model_v1_predictions.tsv"),
+              "--config", str(DATA / "config_full.json")]
 
 
 def _parse(path):
@@ -124,6 +131,38 @@ def test_cli_import_defines_one_dataclass():
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "['densreg.boosting.BoostConfig']"
+
+
+def test_cli_exit_hook_freezes_what_is_alive_at_exit():
+    # the hook runs before the shutdown's collections; a probe registered
+    # before the import runs after it, since exit hooks run last-in, first-out
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "import densreg.cli\n"
+        f"raise SystemExit(densreg.cli.main({CHECK_ARGV!r}))\n"
+    )
+    # stdout to a pipe is block-buffered, so the report's tail is flushed at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == "frozen True\n"
+    first, deviation, last = res.stdout.splitlines()
+    assert first.endswith("model_v1_predictions.tsv: 5 densities on measure\t"
+                          "interval=0.0:1.0\tatoms=0.0:1.0;1.0:1.0\tgrid=16")
+    assert deviation.startswith("worst decompose/embed deviation ")
+    assert last == "OK all invariants hold for 5 rows"
+
+
+def test_cli_main_leaves_collection_unchanged_in_process(capsys):
+    from densreg.cli import main
+
+    assert main(CHECK_ARGV) == 0
+    assert capsys.readouterr().out.endswith("OK all invariants hold for 5 rows\n")
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
 
 
 def test_cli_main_maps_only_the_error_table():
