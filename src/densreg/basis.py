@@ -6,8 +6,8 @@ to zero measure-integral through a QR nullspace transform so that fitted
 surfaces stay inside the transformed density space. :func:`density_basis` is
 the one place that picks the density basis of a component measure: B-splines
 on the Lebesgue part, indicators on the atoms. Penalties are difference or
-ridge matrices, combined across directions as Kronecker sums by
-:meth:`EffectDesign.penalty`.
+ridge matrices; over an effect's coefficients they combine as a Kronecker
+sum (see :class:`EffectDesign`).
 """
 from __future__ import annotations
 
@@ -135,7 +135,6 @@ class DensityBasis(NamedTuple):
     measure: ReferenceMeasure
     clr_matrix: np.ndarray      # (size, K_Y), columns integrate to zero
     penalty: np.ndarray         # (K_Y, K_Y) transformed roughness penalty
-    transform: np.ndarray       # (K_Y+1 or more, K_Y) constraint transform
 
     @property
     def n_basis(self) -> int:
@@ -162,7 +161,7 @@ def density_basis(
     raw = raw_density_basis(m, n_interior, degree)
     order = penalty_order if m.n_grid else min(1, m.n_atoms - 1)
     z, constrained = sum_to_zero_transform(raw, m)
-    return DensityBasis(m, constrained, z.T @ difference_penalty(raw.shape[1], order) @ z, z)
+    return DensityBasis(m, constrained, z.T @ difference_penalty(raw.shape[1], order) @ z)
 
 
 class EffectDesign:

@@ -24,6 +24,7 @@ from .measure import ReferenceMeasure, make_discrete
 __all__ = [
     "DensityElement",
     "ClrElement",
+    "check_density_values",
     "clr",
     "clr_inv",
     "clr_rows",
@@ -47,10 +48,7 @@ class DensityElement:
 
     def __init__(self, measure: ReferenceMeasure, values):
         values = measure.check_values(values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
-        if np.any(values <= 0):
-            raise ValueError("density values must be strictly positive")
+        check_density_values(values)
         values = values.copy()
         values.setflags(write=False)
         self.measure, self.values = measure, values
@@ -66,6 +64,14 @@ class ClrElement:
         values = values.copy()
         values.setflags(write=False)
         self.measure, self.values = measure, values
+
+
+def check_density_values(values: np.ndarray) -> None:
+    """Raise ValueError unless every density value is finite and strictly positive."""
+    if not np.isfinite(values).all():
+        raise ValueError("density values must be finite")
+    if (values <= 0).any():
+        raise ValueError("density values must be strictly positive")
 
 
 def _check_rows(z: np.ndarray, m: ReferenceMeasure, error=ValueError) -> None:
@@ -96,8 +102,7 @@ def clr_rows(values: np.ndarray, m: ReferenceMeasure) -> np.ndarray:
 def clr_inv_rows(z: np.ndarray, m: ReferenceMeasure) -> np.ndarray:
     """Inverse clr of N x P rows: exponentiate, scale each row to unit integral."""
     values = np.exp(z)
-    if not np.all(np.isfinite(values) & (values > 0)):
-        raise ValueError("density values must be finite and strictly positive")
+    check_density_values(values)
     return values / (values @ m.weights)[:, None]
 
 

@@ -452,6 +452,9 @@ def early_stop_from_clr(
             test[i, rows] = True
         counts = (~test).astype(int)
     elif config.stopping == "bootstrap":
+        if n < 2:
+            # one density is drawn every time: none would ever be out of bag
+            raise ValueError("bootstrap stopping needs at least two densities")
         counts = np.ones((config.replicates, n), dtype=int)
         for row in counts:
             while row.all():  # redraw until some density is out of bag

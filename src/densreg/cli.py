@@ -9,8 +9,10 @@ files, and optional SVG figures. Runs are deterministic for a fixed seed,
 and every command runs on one thread: importing :mod:`densreg` pins the BLAS
 pool to one thread before numpy loads, so the outputs do not depend on the
 host's core count, and the ``threads`` config key is accepted but not read.
-Densities are checked as elements when read; from there on the commands
-work on N x P clr or density rows.
+Density files are read as N x P rows (:func:`densreg.io.read_density_rows`),
+each row checked to be finite and strictly positive, and ``fit``,
+``simulate`` and ``check`` take their clr rows from one transform of the
+whole matrix; from there on the commands work on N x P clr or density rows.
 
 Exit codes, by the type of the error that ends a command:
 
@@ -61,7 +63,7 @@ import warnings
 
 import numpy as np
 
-from .bayes import check_clr_rows, clr, clr_rows, decompose_clr_rows, round_trip_deviation
+from .bayes import check_clr_rows, clr_rows, decompose_clr_rows, round_trip_deviation
 from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
 from .io import (
     ConfigError,
@@ -72,7 +74,7 @@ from .io import (
     measure_header,
     model_from_dict,
     model_to_dict,
-    read_density_file,
+    read_density_rows,
     read_observations,
     read_table,
     reported_as,
@@ -142,15 +144,12 @@ def cmd_estimate(cfg, args) -> int:
     return OK
 
 
-def _densities_and_table(path, spec):
-    """The measure, clr rows and key columns of a density file."""
-    measure, key_columns, keys, densities = read_density_file(path, spec.numeric_covariates)
-    data = {
-        col: [key[i] for key in keys] for i, col in enumerate(key_columns)
-    }
-    # one clr per density: the rows keep the bits of the element transform
-    y_clr = np.reshape([clr(f).values for f in densities], (-1, measure.size))
-    return measure, y_clr, data
+def _read_densities(path, numeric):
+    """The measure, key table, density rows and clr rows of a density file;
+    the ``numeric`` key columns must hold finite numbers."""
+    measure, key_columns, keys, values = read_density_rows(path, numeric)
+    table = {col: [key[i] for key in keys] for i, col in enumerate(key_columns)}
+    return measure, table, values, clr_rows(values, measure)
 
 
 def _write_fit_outputs(out, model):
@@ -189,7 +188,8 @@ def _write_fit_outputs(out, model):
 def cmd_fit(cfg, args) -> int:
     run = run_objects(cfg, "fit")
     with reported_as(DataError):
-        measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], run.spec)
+        measure, data, _, y_clr = _read_densities(cfg["data"]["densities"],
+                                                  run.spec.numeric_covariates)
         model = fit_model(run.spec, data, y_clr, measure, run.boost, **run.fit_options)
     with _writing(cfg, args) as out:
         _write_fit_outputs(out, model)
@@ -311,7 +311,8 @@ def cmd_simulate(cfg, args) -> int:
     run = run_objects(cfg, "simulate")
     spec, boost_cfg, options = run.spec, run.boost, run.fit_options
     with reported_as(DataError):
-        measure, y_clr, data = _densities_and_table(cfg["data"]["densities"], spec)
+        measure, data, _, y_clr = _read_densities(cfg["data"]["densities"],
+                                                  spec.numeric_covariates)
         base = fit_model(spec, data, y_clr, measure, boost_cfg, **options)
     fitted = base.fits.fitted_clr
     sim_cfg = cfg["simulation"]
@@ -348,23 +349,21 @@ def cmd_check(cfg, args) -> int:
         raise ConfigError("check needs a target file argument")
     check_input_file(path, "target")
     with reported_as(DataError):
-        measure, key_columns, keys, densities = read_density_file(path)
+        measure, _, values, z = _read_densities(path, ())
         problems = []
         if measure.interval is not None:
             length = measure.interval[1] - measure.interval[0]
             # relative to the length: rounding in the weights grows with it
             if abs(measure.grid_weights.sum() - length) > 1e-12 * max(1.0, length):
                 problems.append("quadrature weights do not reproduce the interval length")
-        values = np.reshape([f.values for f in densities], (-1, measure.size))
         for i, total in enumerate(values @ measure.weights):
             if abs(total - 1.0) > 1e-6:
                 problems.append(f"row {i + 1}: integral {float(total)!r} deviates from 1")
-        z = clr_rows(values, measure)
         try:
             check_clr_rows(z, measure)
         except ValueError as exc:
             problems.append(str(exc))
-        print(f"{path}: {len(densities)} densities on {measure_header(measure)[1:]}")
+        print(f"{path}: {len(values)} densities on {measure_header(measure)[1:]}")
         if measure.is_mixed:
             deviation, tolerance = round_trip_deviation(z, decompose_clr_rows(z, measure), measure)
             print(f"worst decompose/embed deviation {deviation:.3g} (tolerance {tolerance:.3g})")
@@ -374,7 +373,7 @@ def cmd_check(cfg, args) -> int:
         for p in problems:
             print(f"FAIL {p}")
         return DATA_ERROR
-    print(f"OK all invariants hold for {len(densities)} rows")
+    print(f"OK all invariants hold for {len(values)} rows")
     return OK
 
 
@@ -394,7 +393,8 @@ def _warning_line(message, *_) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="densreg", description=__doc__)
+    # the first paragraph: the rest of the docstring is for readers of the code
+    parser = argparse.ArgumentParser(prog="densreg", description=(__doc__ or "").split("\n\n")[0])
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("target", nargs="?", help="input file for the check command")
     parser.add_argument("--config", required=True, help="JSON run configuration")

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bayes import DensityElement
+from .bayes import DensityElement, check_density_values
 from .boosting import BoostConfig
 from .ingest import KdeConfig, check_share_measure
 from .measure import ReferenceMeasure
@@ -86,6 +86,7 @@ __all__ = [
     "measure_header",
     "parse_measure_header",
     "write_density_file",
+    "read_density_rows",
     "read_density_file",
     "model_to_dict",
     "model_from_dict",
@@ -159,13 +160,22 @@ def _rows(path, lines, header: list, start: int):
         yield i, row
 
 
+def _header(path, line: str) -> list:
+    """Column names of a header line; a name may appear only once."""
+    header = line.rstrip("\n").split("\t")
+    if len(set(header)) < len(header):
+        name = next(c for i, c in enumerate(header) if c in header[:i])
+        raise DataError(f"{path}: column {name!r} appears more than once")
+    return header
+
+
 def _numbered_rows(path) -> tuple[list, list]:
     """Header and the (line number, fields) of each non-blank row."""
     with open(path) as fh:
         first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty file")
-        header = first.rstrip("\n").split("\t")
+        header = _header(path, first)
         return header, list(_rows(path, fh, header, 2))
 
 
@@ -254,28 +264,39 @@ def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densi
             fh.write("\t".join([*map(str, key), *map(repr, values.tolist())]) + "\n")
 
 
-def read_density_file(path, numeric=()):
-    """(measure, key_columns, keys, densities); ``numeric`` keys must be finite numbers."""
+def read_density_rows(path, numeric=()):
+    """(measure, key_columns, keys, values) of a density file, ``values``
+    the N x P density rows; each row must hold finite, strictly positive
+    numbers, and the ``numeric`` keys finite numbers."""
     with open(path) as fh:
         first, second = fh.readline(), fh.readline()
         if not second:
             raise DataError(f"{path}: missing header lines")
         measure = parse_measure_header(first.rstrip("\n"))
-        header = second.rstrip("\n").split("\t")
+        header = _header(path, second)
         n_keys = len(header) - measure.size
         if n_keys < 0:
             raise DataError(f"{path}: header shorter than the measure layout")
         # one row split at a time: holding every field as a string costs a
         # megabyte at paper scale
-        keys, densities = [], []
+        keys, values = [], []
         for i, row in _rows(path, fh, header, 3):
             keys.append((i, row[:n_keys]))
             try:
-                densities.append(DensityElement(measure, np.array([float(v) for v in row[n_keys:]])))
+                values.append(np.array([float(t) for t in row[n_keys:]]))
+                check_density_values(values[-1])
             except ValueError as exc:
                 raise DataError(f"{path}: line {i}: {exc}") from exc
     _numbers(path, header[:n_keys], keys, numeric)
-    return measure, header[:n_keys], [tuple(key) for _, key in keys], densities
+    return (measure, header[:n_keys], [tuple(key) for _, key in keys],
+            np.reshape(values, (-1, measure.size)))
+
+
+def read_density_file(path):
+    """(measure, key_columns, keys, densities): :func:`read_density_rows`
+    with each row as a :class:`~densreg.bayes.DensityElement`."""
+    measure, key_columns, keys, values = read_density_rows(path)
+    return measure, key_columns, keys, [DensityElement(measure, v) for v in values]
 
 
 # ---------------------------------------------------------------------------

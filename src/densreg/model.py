@@ -423,14 +423,14 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
     covariate penalty."""
     try:
         covariates = _infer_covariates(spec, data)
-        plain = [_TermEncoder(t, tuple(covariates[c] for c in t.covariates), spec.coding)
-                 for t in spec.terms]
+        encoders = [_TermEncoder(t, tuple(covariates[c] for c in t.covariates), spec.coding)
+                    for t in spec.terms]
     except _BadCovariate as exc:
         if exc.key != "reference":
             raise
         raise SpecMismatch(f"references.{exc.name}", str(exc)) from None
-    encoders, blocks, designs_by_name = [], [], {}
-    for encoder in plain:
+    blocks, designs_by_name = [], {}
+    for encoder in encoders:
         term = encoder.term
         raw = encoder.raw_design(data, _table_length(data))
         pen = encoder.raw_penalty()
@@ -445,18 +445,12 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
         for other in term.orthogonal_to:
             design = designs_by_name[other]
             rows.append(design.T @ raw * _per_unit_design(np.linalg.norm(design)))
-        transform = (
-            _nullspace_transform(np.vstack(rows), np.linalg.norm(raw)) if rows else None
-        )
-        if transform is not None:
-            x = raw @ transform
-            pen = transform.T @ pen @ transform
-        else:
-            x = raw
-        target = term.df if term.df is not None else default_df
-        lam, achieved = calibrate_df(x, pen, target)
-        encoders.append(_TermEncoder(term, encoder.covariates, encoder.coding,
-                                     transform, lam, target, achieved))
+        x = raw
+        if rows:
+            z = encoder.transform = _nullspace_transform(np.vstack(rows), np.linalg.norm(raw))
+            x, pen = raw @ z, z.T @ pen @ z
+        encoder.target_df = term.df if term.df is not None else default_df
+        encoder.lambda_cov, encoder.achieved_df = calibrate_df(x, pen, encoder.target_df)
         blocks.append((x, pen))
         designs_by_name[term.name] = x
     return _PredictorState(covariates, tuple(encoders)), blocks

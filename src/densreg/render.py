@@ -21,6 +21,20 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _write_svg(path, title: str, body: list) -> None:
+    """An SVG file: white canvas, centred title, then the ``body`` elements."""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        *body,
+        "</svg>",
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def curve_svg(
     path,
     x: np.ndarray,
@@ -42,10 +56,6 @@ def curve_svg(
         lo_y, hi_y = lo_y - 1.0, hi_y + 1.0
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>',
         f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{_H - _PAD}" stroke="black"/>',
         f'<text x="{_PAD}" y="{_H - _PAD + 16}" font-size="10">{_fmt(lo_x)}</text>',
@@ -72,9 +82,7 @@ def curve_svg(
         parts.append(
             f'<text x="{_fmt(px + 6)}" y="{_fmt(py - 6)}" font-size="10">{label}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, parts)
 
 
 def _diverging_color(v: float, vmax: float) -> str:
@@ -95,12 +103,7 @@ def heatmap_svg(path, values: np.ndarray, is_atom, title: str) -> None:
     n = values.shape[0]
     size = min((_W - 2 * _PAD) / n, (_H - 2 * _PAD) / n)
     vmax = float(np.max(np.abs(values))) if values.size else 1.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    parts = []
     for i in range(n):
         for j in range(n):
             x = _PAD + j * size
@@ -125,6 +128,4 @@ def heatmap_svg(path, values: np.ndarray, is_atom, title: str) -> None:
     parts.append(
         f'<text x="{_PAD}" y="{_H - 12}" font-size="10">scale: +/- {_fmt(vmax)}</text>'
     )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, parts)

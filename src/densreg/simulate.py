@@ -35,14 +35,9 @@ class FpcaResult(NamedTuple):
     eigenfunctions rebuild the inputs exactly.
     """
 
-    measure: ReferenceMeasure
     mean: np.ndarray            # (P,) mean clr residual
     eigenvalues: np.ndarray     # (M,) descending, >= 0
     eigenfunctions: np.ndarray  # (M, P), rows orthonormal under the measure
-
-    @property
-    def truncation(self) -> int:
-        return self.eigenvalues.size
 
 
 def fpca(rows: np.ndarray, measure: ReferenceMeasure, truncation: int | None) -> FpcaResult:
@@ -85,7 +80,7 @@ def fpca(rows: np.ndarray, measure: ReferenceMeasure, truncation: int | None) ->
     eigvals[eigvals < 1e-12 * max(eigvals[0], 1e-300)] = 0.0
     funcs = (eigvecs[:, order] / sqrt_w[:, None]).T
     funcs = funcs - ((funcs @ w) / w.sum())[:, None]
-    return FpcaResult(measure, mean, eigvals, funcs)
+    return FpcaResult(mean, eigvals, funcs)
 
 
 def simulate_responses(
@@ -104,7 +99,7 @@ def simulate_responses(
     mean_clr = np.asarray(mean_clr, dtype=float)
     rng = np.random.default_rng(seed)
     sd = noise_scale * np.sqrt(fpca_result.eigenvalues)
-    scores = rng.normal(size=(mean_clr.shape[0], fpca_result.truncation)) * sd
+    scores = rng.normal(size=(mean_clr.shape[0], sd.size)) * sd
     return mean_clr + (fpca_result.mean + scores @ fpca_result.eigenfunctions)
 
 

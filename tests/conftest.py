@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densreg.basis import DensityBasis, difference_penalty, raw_density_basis, sum_to_zero_transform
-from densreg.bayes import clr
+from densreg.bayes import clr_rows
 from densreg.measure import ReferenceMeasure, make_discrete, make_mixed
 
 from bayes_oracle import density
@@ -56,7 +56,7 @@ def mixed_concatenated_basis(
     )
     pen_raw[m.n_atoms :, m.n_atoms :] = difference_penalty(k_spline, penalty_order)
     z, constrained = sum_to_zero_transform(raw, m)
-    return DensityBasis(m, constrained, z.T @ pen_raw @ z, z)
+    return DensityBasis(m, constrained, z.T @ pen_raw @ z)
 
 
 @pytest.fixture
@@ -81,9 +81,10 @@ def random_density(measure, rng, spread=1.0):
 
 
 def clr_stack(densities):
-    """N x P clr rows of density elements, one clr per element, as the
-    command-line front-end passes them to ``model.fit``."""
-    return np.stack([clr(f).values for f in densities])
+    """N x P clr rows of density elements on one measure, one transform of
+    the stacked values, as the command-line front-end passes them to
+    ``model.fit``."""
+    return clr_rows(np.stack([f.values for f in densities]), densities[0].measure)
 
 
 def random_clr_direction(measure, rng):

@@ -699,7 +699,7 @@ class TestRiskCheck:
             "data": {"densities": str(unread)},
             "model": {"terms": [{"name": "intercept", "kind": "intercept"}]},
         }))
-        monkeypatch.setattr(cli, "_densities_and_table", lambda path, spec: (None,) * 3)
+        monkeypatch.setattr(cli, "_read_densities", lambda path, numeric: (None,) * 4)
         assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import pytest
 
 from densreg import cli
 from densreg.cli import main
-from densreg.basis import bspline_knots, density_basis
+from densreg.basis import bspline_knots, density_basis, raw_density_basis, sum_to_zero_transform
 from densreg.io import (
     ConfigError,
     DataError,
@@ -969,10 +970,10 @@ class TestModelFiles:
         loaded = model_from_dict(doc).bases
         for comp, stored in doc["bases"].items():
             m = ReferenceMeasure.from_dict(stored["measure"])
+            z, _ = sum_to_zero_transform(raw_density_basis(m, db["knots"], db["degree"]), m)
+            assert z.tobytes() == np.asarray(stored["transform"], dtype=float).tobytes()
             basis = density_basis(m, db["knots"], db["degree"], db["penalty_order"])
-            z = np.asarray(stored["transform"], dtype=float)
-            assert basis.transform.tobytes() == z.tobytes()
-            assert loaded[comp].transform.tobytes() == z.tobytes()
+            assert loaded[comp].clr_matrix.tobytes() == basis.clr_matrix.tobytes()
 
     def test_v1_file_is_rewritten_as_v2(self):
         with open(DATA / "model_v1.json") as fh:
@@ -1162,6 +1163,39 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["fit", "--config", cfg]) == 4
         assert capsys.readouterr().err.startswith("numeric failure: singular matrix")
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_bootstrap_stopping_on_one_density(self, tmp_path, densities_file, command):
+        # no bootstrap draw of one density leaves it out of bag; in a child
+        # process with a timeout, so that a redraw loop fails the test
+        # instead of stalling the suite
+        lines = pathlib.Path(densities_file).read_text().splitlines()
+        one = tmp_path / "one.tsv"
+        one.write_text("\n".join(lines[:3]) + "\n")
+        cfg = write_config(
+            tmp_path / "cfg.json", data={"densities": str(one)},
+            model={"terms": [{"name": "intercept", "kind": "intercept"}]},
+            boosting={"max_iterations": 5, "stopping": {"method": "bootstrap"}},
+        )
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        res = subprocess.run(
+            [sys.executable, "-m", "densreg.cli", command, "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 3, res.stderr
+        assert res.stderr == "data error: bootstrap stopping needs at least two densities\n"
+
+
+def test_help_is_the_usage_and_the_summary(capsys):
+    # the module docstring past its first paragraph is for readers of the code
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: densreg ")
+    assert len(out.splitlines()) < 20
+    assert not re.search(r":(func|class|mod|meth):", out)
 
 
 def _with_column(path, out, column, value):

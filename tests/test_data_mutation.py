@@ -265,3 +265,25 @@ def test_bad_field_names_its_group_or_line(tmp_path, capsys, inputs, which, colu
     assert code == 3, err
     named = f"group region={row[0]}, c_age={row[1]}" if where == "group" else f"{path}: line {first + 3}"
     assert err.strip() == f"data error: {named}: {message}"
+
+
+@pytest.mark.parametrize("which", ["densities", "newdata", "observations"])
+def test_repeated_column_name_exits_3(tmp_path, capsys, inputs, which):
+    """A name that appears twice in a header exits 3 naming the file and the
+    column: reading one column as the key and another as the covariate
+    would mislabel rows."""
+    config, originals, _ = inputs
+    lines = originals[which].splitlines()
+    first = 1 if which == "densities" else 0
+    # the region column once more, in front of the header and of every row
+    lines[first:] = [line and line.split("\t")[0] + "\t" + line for line in lines[first:]]
+    path = tmp_path / f"{which}.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    data = {which: str(path), "model": str(DATA / "model_v1.json")}
+    cfg.write_text(json.dumps(dict(config, data=data)))
+    command = {"densities": "fit", "newdata": "predict", "observations": "estimate"}[which]
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == f"data error: {path}: column 'region' appears more than once\n"

@@ -13,9 +13,10 @@ def residuals_from(measure, rng, n, rank=None):
     return np.stack([random_clr_direction(measure, rng) for _ in range(n)])
 
 
-def scores(result, residuals):
-    """Scores of the centered residuals on the eigenfunctions of ``result``."""
-    return ((residuals - result.mean) * result.measure.weights) @ result.eigenfunctions.T
+def scores(result, residuals, measure):
+    """Scores of the centered residuals on the eigenfunctions of ``result``,
+    the fpca of ``residuals`` on ``measure``."""
+    return ((residuals - result.mean) * measure.weights) @ result.eigenfunctions.T
 
 
 def densities_of(measure, rows):
@@ -56,7 +57,7 @@ class TestFpca:
         rng = np.random.default_rng(3)
         residuals = residuals_from(mixed_measure, rng, 25)
         result = fpca(residuals, mixed_measure, truncation=6)
-        np.testing.assert_allclose(scores(result, residuals).mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(scores(result, residuals, mixed_measure).mean(axis=0), 0.0, atol=1e-10)
 
     def test_truncation_bound(self, mixed_measure):
         rng = np.random.default_rng(4)
@@ -88,7 +89,7 @@ class TestSimulateResponses:
         responses = [random_density(mixed_measure, rng) for _ in range(10)]
         residuals = clr_stack(responses) - clr_stack(means)
         result = fpca(residuals, mixed_measure, truncation=None)
-        rows = clr_stack(means) + (result.mean + scores(result, residuals) @ result.eigenfunctions)
+        rows = clr_stack(means) + (result.mean + scores(result, residuals, mixed_measure) @ result.eigenfunctions)
         rebuilt = densities_of(mixed_measure, rows)
         for orig, out in zip(responses, rebuilt):
             assert np.max(np.abs(density(orig.measure, orig.values).values - out.values)) < 1e-8

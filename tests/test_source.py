@@ -16,7 +16,10 @@ boundary that owns it. Boosting and simulation work on N x P clr arrays, so
 they do not use the density and clr element classes; and no code turns rows
 into elements and back: ``predict_clr`` is called nowhere in the package,
 ``clr_inv`` only in ``bayes``, ``synth`` and the element edge
-``model.extract_effect``.
+``model.extract_effect``, and ``clr`` only in ``bayes``. Density files reach
+the commands as N x P rows: ``read_density_file`` is called nowhere in the
+package, and a ``DensityElement`` is built only in ``bayes``,
+``ingest.assemble_mixed`` and the reader's element edge.
 The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
 ``to_dict``/``from_dict``; ``model`` alone splits responses into the
@@ -350,13 +353,28 @@ def _calls_outside(allowed: dict) -> list:
 
 # where an element conversion may still be called: the inverse clr of an
 # element in bayes itself, in the element edge of the effect view, and in
-# the generator of synthetic densities; the clr predictions as elements nowhere
-ROUND_TRIP_CALLS = {"clr_inv": {"bayes", "model.extract_effect", "synth"}, "predict_clr": set()}
+# the generator of synthetic densities; the clr of an element only in bayes,
+# since the commands transform whole density matrices; the clr predictions
+# as elements nowhere
+ROUND_TRIP_CALLS = {"clr_inv": {"bayes", "model.extract_effect", "synth"}, "clr": {"bayes"},
+                    "predict_clr": set()}
 
 
 def test_no_element_round_trips_inside_the_package():
     found = _calls_outside(ROUND_TRIP_CALLS)
     assert not found, f"element round trip(s) in {found}"
+
+
+# where a density element may be built: in bayes, by the one-group density
+# of ``estimate``, and by the element edge of the density-file reader, which
+# the package itself does not call: density files reach it as N x P rows
+ELEMENT_CALLS = {"DensityElement": {"bayes", "ingest.assemble_mixed", "io.read_density_file"},
+                 "read_density_file": set()}
+
+
+def test_density_elements_only_at_the_edge():
+    found = _calls_outside(ELEMENT_CALLS)
+    assert not found, f"density element(s) built in {found}"
 
 
 # the one builder of each basis object, which fit and load share: density
