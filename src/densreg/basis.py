@@ -174,11 +174,11 @@ class EffectDesign:
     (I x P_density), with ``cov_penalty`` P_cov of shape (K_j, K_j).
     """
 
-    def __init__(self, name: str, X: np.ndarray, cov_penalty: np.ndarray,
-                 density_basis: DensityBasis, lambda_cov: float, lambda_density: float):
+    def __init__(self, X: np.ndarray, cov_penalty: np.ndarray, density_basis: DensityBasis,
+                 lambda_cov: float, lambda_density: float):
         if cov_penalty.shape != (X.shape[1],) * 2:
             raise ValueError("covariate penalty must match the design columns")
-        self.name, self.X, self.cov_penalty = name, X, cov_penalty
+        self.X, self.cov_penalty = X, cov_penalty
         self.density_basis = density_basis
         self.lambda_cov, self.lambda_density = lambda_cov, lambda_density
 

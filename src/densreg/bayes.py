@@ -8,18 +8,20 @@ powering of densities are sums and scalar multiples of clr rows.
 
 For a mixed measure, the clr rows split orthogonally into a continuous part
 on the grid and a discrete part on the atoms plus one stand-in point for the
-continuous component; embedding the two parts back and adding them recovers
-the rows. The library works on N x P arrays of rows: each rule (clr, its
-inverse, the zero integral, the stand-in value) has one ``*_rows``
-implementation, and the element classes and their one-row forms are the API
-edge. The inverse clr returns the probability representative; elements that
-differ by a positive constant factor represent the same point of the space.
+continuous component, which comes last, past the interval; embedding the two
+parts back and adding them recovers the rows, and each part integrates to
+zero under its own component measure (:func:`check_decomposition`). The
+library works on N x P arrays of rows: each rule (clr, its inverse, the zero
+integral, the stand-in value) has one ``*_rows`` implementation, and the
+element classes and their one-row forms are the API edge. The inverse clr
+returns the probability representative; elements that differ by a positive
+constant factor represent the same point of the space.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .measure import ReferenceMeasure, make_discrete
+from .measure import ReferenceMeasure
 
 __all__ = [
     "DensityElement",
@@ -36,7 +38,7 @@ __all__ = [
     "decompose_clr_rows",
     "embed_clr_continuous_rows",
     "embed_clr_discrete_rows",
-    "round_trip_deviation",
+    "check_decomposition",
     "continuous_submeasure",
     "discrete_star_measure",
 ]
@@ -129,29 +131,21 @@ def continuous_submeasure(m: ReferenceMeasure) -> ReferenceMeasure:
     """The Lebesgue part of a mixed measure as a measure in its own right."""
     if m.n_grid == 0:
         raise ValueError("measure has no continuous part")
-    return ReferenceMeasure(
-        interval=m.interval,
-        atom_locations=np.empty(0),
-        atom_weights=np.empty(0),
-        grid=m.grid,
-        grid_weights=m.grid_weights,
-    )
+    return ReferenceMeasure(m.interval, (), (), m.grid, m.grid_weights)
 
 
 def discrete_star_measure(m: ReferenceMeasure) -> ReferenceMeasure:
     """Atoms plus one extra point standing in for the continuous part.
 
-    The extra point sits at the interval midpoint (a label only, never used
-    in arithmetic) and carries the Lebesgue length as weight.
+    The measure follows the layout of the discrete part's values: the atoms'
+    weights in order, then the Lebesgue length last. The stand-in's location
+    b + (b - a) lies past the interval; it is there because a measure needs
+    one, and nothing reads it.
     """
     _require_mixed(m)
     a, b = m.interval
-    label = 0.5 * (a + b)
-    if np.any(np.abs(m.atom_locations - label) < 1e-12):
-        # midpoint already taken by an atom, nudge the label off it
-        label = label + 0.25 * (b - a)
-    points = list(zip(m.atom_locations, m.atom_weights)) + [(label, m.lebesgue_length)]
-    return make_discrete(points)
+    return ReferenceMeasure(None, np.append(m.atom_locations, b + (b - a)),
+                            np.append(m.atom_weights, m.lebesgue_length), (), ())
 
 
 def decompose_clr_rows(z: np.ndarray, m: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -179,14 +173,23 @@ def embed_clr_discrete_rows(z_d: np.ndarray, target: ReferenceMeasure) -> np.nda
     return np.concatenate([z_d[:, :-1], np.repeat(z_d[:, -1:], target.n_grid, axis=1)], axis=1)
 
 
-def round_trip_deviation(z: np.ndarray, parts: tuple, m: ReferenceMeasure) -> tuple[float, float]:
-    """How far the mixed clr rows ``z`` lie from the sum of the embeddings of
-    their ``parts`` (see :func:`decompose_clr_rows`): the worst absolute
-    deviation, and its tolerance 1e-12 * max(1, max |z|). Rounding keeps the
-    deviation near 1e-16."""
+def check_decomposition(z: np.ndarray, parts: tuple, m: ReferenceMeasure,
+                        error=ValueError) -> tuple[float, float]:
+    """Raise ``error(message)`` unless each of the ``parts`` of the mixed clr
+    rows ``z`` (see :func:`decompose_clr_rows`) integrates to zero under its
+    own component measure (:func:`check_clr_rows`) and their embeddings add
+    back up to ``z`` within 1e-12 * max(1, max |z|). Returns the worst
+    absolute deviation of that round trip and its tolerance; rounding keeps
+    the deviation near 1e-16."""
+    measures = (continuous_submeasure(m), discrete_star_measure(m))
+    for name, part, measure in zip(("continuous", "discrete"), parts, measures):
+        check_clr_rows(part, measure, lambda message: error(f"{name} part: {message}"))
     back = embed_clr_continuous_rows(parts[0], m) + embed_clr_discrete_rows(parts[1], m)
     deviation = float(np.max(np.abs(back - z), initial=0.0))
-    return deviation, 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+    tolerance = 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+    if not deviation <= tolerance:
+        raise error("mixed rows do not embed back to their clr rows")
+    return deviation, tolerance
 
 
 def decompose_clr(z: ClrElement) -> tuple[ClrElement, ClrElement]:

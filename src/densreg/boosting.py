@@ -252,7 +252,8 @@ def _boost_paths(
     Returns the offsets (F, P), coefficients (F, sum K_j, K_Y) in the
     original density basis, selections (F, n_iter), in-bag risks
     (F, n_iter + 1) and held-out risk sums (F, n_iter + 1, or None). Raises
-    FloatingPointError when the in-bag risk of any resample increases.
+    FloatingPointError when an in-bag or held-out risk is not finite, or the
+    in-bag risk of any resample increases.
     """
     basis = designs[0].density_basis.clr_matrix
     weighted_basis = basis * weights[:, None]
@@ -346,6 +347,9 @@ def _boost_paths(
             )
             rhs_t -= kappa * moved
 
+    for which, path in (("in-bag", risk), ("held-out", heldout)):
+        if path is not None and not np.isfinite(path).all():
+            raise FloatingPointError(f"{which} risk is not finite during boosting")
     rises = np.diff(risk, axis=1) > _RISK_SLACK * np.maximum(1.0, risk[:, :1])
     if rises.any():
         raise FloatingPointError(
@@ -389,7 +393,7 @@ def boost_from_clr(
     # the risk path was updated in coefficient space; the surfaces must agree
     sse = float((((y_clr - fitted) ** 2) * measure.weights).sum())
     scale = float(((y_clr ** 2) * measure.weights).sum())
-    if abs(sse - risk[0, m_stop]) > _DRIFT_TOLERANCE * scale:
+    if not abs(sse - risk[0, m_stop]) <= _DRIFT_TOLERANCE * scale:
         raise FloatingPointError(
             f"in-bag fit drifted from its risk path: weighted SSE {sse:.12g}, "
             f"risk_path[{m_stop}] {risk[0, m_stop]:.12g}"

@@ -10,9 +10,18 @@ and every command runs on one thread: importing :mod:`densreg` pins the BLAS
 pool to one thread before numpy loads, so the outputs do not depend on the
 host's core count, and the ``threads`` config key is accepted but not read.
 Density files are read as N x P rows (:func:`densreg.io.read_density_rows`),
-each row checked to be finite and strictly positive, and ``fit``,
-``simulate`` and ``check`` take their clr rows from one transform of the
-whole matrix; from there on the commands work on N x P clr or density rows.
+their value columns by name and each row checked to be finite and strictly
+positive, and ``fit``, ``simulate`` and ``check`` take their clr rows from
+one transform of the whole matrix; from there on the commands work on N x P
+clr or density rows. ``check`` reports one ``FAIL`` line per broken rule:
+the quadrature weights must sum to the interval length, every density must
+integrate to one and every clr row to zero, and on a mixed measure the rows
+must pass :func:`densreg.bayes.check_decomposition` (each part integrates to
+zero under its own component measure, and the parts embed back to the
+rows). For each difference-in-differences item ``interpret`` writes a
+heatmap and a bands table; the bands table's outer band compares each atom
+with the continuous component as a whole, so its cells are empty unless the
+measure is mixed.
 
 Exit codes, by the type of the error that ends a command:
 
@@ -36,7 +45,9 @@ Exit codes, by the type of the error that ends a command:
   the fit to them; ``check`` its target, and a failed invariant; ``predict``
   the model file, the newdata and the prediction; ``interpret`` the model file.
 * 4: a numeric failure (numpy's LinAlgError, ZeroDivisionError,
-  FloatingPointError).
+  FloatingPointError), among them a boosting risk that is not finite, as
+  when a huge ``simulation.noise_scale`` makes the squared residuals
+  overflow.
 
 Any other exception is a bug and ends with its traceback. A library warning
 is printed as one line, ``warning: <message>``.
@@ -63,7 +74,7 @@ import warnings
 
 import numpy as np
 
-from .bayes import check_clr_rows, clr_rows, decompose_clr_rows, round_trip_deviation
+from .bayes import check_clr_rows, check_decomposition, clr_rows, decompose_clr_rows
 from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
 from .io import (
     ConfigError,
@@ -288,14 +299,13 @@ def cmd_interpret(cfg, args) -> int:
                     for r in range(len(grid.points))
                 ],
             )
+            # the atoms in order take the outer band; it is empty unless m is mixed
+            band = iter(grid.outer_band)
             write_table(
                 os.path.join(out, f"{name}_bands.tsv"),
                 ["point", "is_atom", "outer_band_log_odds"],
-                [
-                    [grid.points[r], bool(grid.is_atom[r]),
-                     grid.outer_band[int(np.sum(grid.is_atom[:r]))] if grid.is_atom[r] else ""]
-                    for r in range(len(grid.points))
-                ],
+                [[point, bool(atom), next(band, "") if atom else ""]
+                 for point, atom in zip(grid.points, grid.is_atom)],
             )
             if want_svg:
                 heatmap_svg(
@@ -365,10 +375,11 @@ def cmd_check(cfg, args) -> int:
             problems.append(str(exc))
         print(f"{path}: {len(values)} densities on {measure_header(measure)[1:]}")
         if measure.is_mixed:
-            deviation, tolerance = round_trip_deviation(z, decompose_clr_rows(z, measure), measure)
-            print(f"worst decompose/embed deviation {deviation:.3g} (tolerance {tolerance:.3g})")
-            if deviation > tolerance:
-                problems.append("mixed rows do not embed back to their clr rows")
+            try:
+                dev, tol = check_decomposition(z, decompose_clr_rows(z, measure), measure)
+                print(f"worst decompose/embed deviation {dev:.3g} (tolerance {tol:.3g})")
+            except ValueError as exc:
+                problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"FAIL {p}")

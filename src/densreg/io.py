@@ -3,7 +3,11 @@
 All tabular output is tab-separated text with a one-line header. Density
 files are self-describing: the first line carries the reference measure
 (interval, atoms, grid size), so a file can be read back without external
-context. Floats are written with ``repr``, which round-trips exactly.
+context, and the column header names the key columns, then one value column
+per point of the measure's layout, ``atom:<location>`` and ``g:<i>``. The
+reader reads the value columns by these names: a header that does not end in
+them is a :class:`DataError` at line 2. Floats are written with ``repr``,
+which round-trips exactly.
 
 Run configurations are JSON objects checked in one place. The table
 ``_CONFIG`` is the reference: it gives every key its JSON type, its default,
@@ -251,11 +255,16 @@ def parse_measure_header(line: str) -> ReferenceMeasure:
         return ReferenceMeasure.from_dict({"interval": interval, "atoms": atoms, "grid_size": grid})
 
 
+def _value_columns(measure: ReferenceMeasure) -> list:
+    """The value-column names of a density file on ``measure``, in its
+    layout: ``atom:<location>`` per atom, then ``g:<i>`` per grid node."""
+    return ([f"atom:{fmt(l)}" for l in measure.atom_locations]
+            + [f"g:{i}" for i in range(measure.n_grid)])
+
+
 def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densities):
     """One row per group: key values, then density values (atoms, then grid)."""
-    cols = list(key_columns)
-    cols += [f"atom:{fmt(l)}" for l in measure.atom_locations]
-    cols += [f"g:{i}" for i in range(measure.n_grid)]
+    cols = list(key_columns) + _value_columns(measure)
     with open(path, "w") as fh:
         fh.write(measure_header(measure) + "\n")
         fh.write("\t".join(cols) + "\n")
@@ -266,8 +275,9 @@ def write_density_file(path, measure: ReferenceMeasure, key_columns, keys, densi
 
 def read_density_rows(path, numeric=()):
     """(measure, key_columns, keys, values) of a density file, ``values``
-    the N x P density rows; each row must hold finite, strictly positive
-    numbers, and the ``numeric`` keys finite numbers."""
+    the N x P density rows; the header must end in the measure's value
+    columns, each row must hold finite, strictly positive numbers, and the
+    ``numeric`` keys finite numbers."""
     with open(path) as fh:
         first, second = fh.readline(), fh.readline()
         if not second:
@@ -277,6 +287,9 @@ def read_density_rows(path, numeric=()):
         n_keys = len(header) - measure.size
         if n_keys < 0:
             raise DataError(f"{path}: header shorter than the measure layout")
+        for want, found in zip(_value_columns(measure), header[n_keys:]):
+            if want != found:
+                raise DataError(f"{path}: line 2: expected column {want!r}, found {found!r}")
         # one row split at a time: holding every field as a string costs a
         # megabyte at paper scale
         keys, values = [], []

@@ -32,10 +32,10 @@ the boosting inputs
 (:class:`~densreg.basis.EffectDesign`). ``_components`` is the one table of
 a measure's components, each with its measure and the embedding of its clr
 rows: "continuous" (the grid) and "discrete" (the atoms plus a stand-in
-point) for a mixed measure, else "single" (the identity). The layer works on
-N x P rows: :func:`fit` splits the clr rows of its responses into their
-components, boosts each with :func:`~densreg.boosting.boost` and sums the
-embedded fits, and :func:`predict` returns the density rows of sums of
+point, last) for a mixed measure, else "single" (the identity). The layer
+works on N x P rows: :func:`fit` splits the clr rows of its responses into
+their components, boosts each with :func:`~densreg.boosting.boost` and sums
+the embedded fits, and :func:`predict` returns the density rows of sums of
 embedded clr rows; only :func:`predict_clr` and :func:`extract_effect`
 return elements.
 """
@@ -59,6 +59,7 @@ from .bayes import (
     ClrElement,
     DensityElement,
     check_clr_rows,
+    check_decomposition,
     clr_inv,
     clr_inv_rows,
     continuous_submeasure,
@@ -66,7 +67,6 @@ from .bayes import (
     discrete_star_measure,
     embed_clr_continuous_rows,
     embed_clr_discrete_rows,
-    round_trip_deviation,
 )
 from .boosting import BoostConfig, FitState, MixedFit, boost
 from .measure import ReferenceMeasure
@@ -640,7 +640,7 @@ def build_designs(
     bases = _density_bases(measure, density_knots, density_degree, density_penalty_order)
     designs = {
         key: [
-            EffectDesign(e.term.name, x, pen, basis, e.lambda_cov, lambda_density)
+            EffectDesign(x, pen, basis, e.lambda_cov, lambda_density)
             for e, (x, pen) in zip(frame.encoders, blocks)
         ]
         for key, basis in bases.items()
@@ -664,8 +664,8 @@ def fit(
     """Fit the model to the N x P clr rows ``y_clr`` of the responses on
     ``measure``, one independent fit per component (see ``_components``).
 
-    A mixed measure's responses split by the orthogonal decomposition, which
-    must embed back to them within 1e-12 of max(1, max |y|) (else a
+    A mixed measure's responses split by the orthogonal decomposition, whose
+    parts must pass :func:`~densreg.bayes.check_decomposition` (else a
     FloatingPointError). Component i is boosted with seed ``config.seed + i``
     and its own stopping iteration. The keyword options are those of
     :func:`build_designs`.
@@ -686,11 +686,7 @@ def fit(
     parts = (y_clr,)
     if measure.is_mixed:
         parts = decompose_clr_rows(y_clr, measure)
-        deviation, tolerance = round_trip_deviation(y_clr, parts, measure)
-        if deviation > tolerance:
-            raise FloatingPointError(
-                f"mixed responses do not embed back to their clr rows: deviation {deviation:.3g}"
-            )
+        check_decomposition(y_clr, parts, measure, FloatingPointError)
     states, embedded = {}, []
     for i, ((comp, (_, embed)), y) in enumerate(zip(_components(measure).items(), parts)):
         states[comp] = boost(

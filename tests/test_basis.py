@@ -215,23 +215,19 @@ class TestAssembleEffect:
     def test_intercept_penalty_reduces_to_density_direction(self):
         m = make_continuous(0, 1, 30)
         basis = density_basis(m, 6, 3, 2)
-        eff = EffectDesign(
-            "intercept", np.ones((10, 1)), np.zeros((1, 1)), basis, 1.7, 2.5
-        )
+        eff = EffectDesign(np.ones((10, 1)), np.zeros((1, 1)), basis, 1.7, 2.5)
         np.testing.assert_allclose(stacked_penalty(eff), 2.5 * basis.penalty, atol=1e-12)
 
     def test_penalty_shape_checked(self):
         basis = density_basis(make_continuous(0, 1, 30), 6, 3, 2)
         with pytest.raises(ValueError, match="covariate penalty must match"):
-            EffectDesign("flex", np.ones((10, 4)), np.eye(3), basis, 1.0, 0.0)
+            EffectDesign(np.ones((10, 4)), np.eye(3), basis, 1.0, 0.0)
 
     def test_zero_density_smoothing(self):
         m = make_continuous(0, 1, 30)
         basis = density_basis(m, 6, 3, 2)
         p_cov = difference_penalty(4, 2)
-        eff = EffectDesign(
-            "flex", np.random.default_rng(4).normal(size=(10, 4)), p_cov, basis, 3.0, 0.0
-        )
+        eff = EffectDesign(np.random.default_rng(4).normal(size=(10, 4)), p_cov, basis, 3.0, 0.0)
         k_y = basis.n_basis
         np.testing.assert_allclose(
             stacked_penalty(eff), 3.0 * np.kron(p_cov, np.eye(k_y)), atol=1e-12

@@ -72,13 +72,13 @@ def simple_designs(measure, n, rng, n_effects=2, knots=4):
     else:
         basis = density_basis(measure, knots, 3, 2)
     designs = [
-        EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, 0.0)
+        EffectDesign(np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, 0.0)
     ]
     for j in range(1, n_effects):
         x = rng.uniform(0, 1, size=n)
         bx = bspline_eval(bspline_knots(0, 1, 3, 2), 2, x)
         bx, pen = center_columns(bx, difference_penalty(bx.shape[1], 2))
-        designs.append(EffectDesign(f"flex{j}", bx, pen, basis, 1.0, 0.0))
+        designs.append(EffectDesign(bx, pen, basis, 1.0, 0.0))
     return designs
 
 
@@ -146,7 +146,7 @@ class TestBaseLearner:
         basis = density_basis(m, 10, 3, 2)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 2)) + 2 * np.eye(2)
-        eff = EffectDesign("e", x, np.zeros((2, 2)), basis, 0.0, 0.0)
+        eff = EffectDesign(x, np.zeros((2, 2)), basis, 0.0, 0.0)
         # target surfaces built from the basis itself are recovered exactly
         coef = rng.normal(size=(2, basis.n_basis))
         u = x @ coef @ basis.clr_matrix.T
@@ -158,7 +158,7 @@ class TestBaseLearner:
         basis = mixed_concatenated_basis(mixed_measure, 4)
         x = rng.normal(size=(5, 2))
         pen = difference_penalty(2, 1)
-        eff = EffectDesign("e", x, pen, basis, 0.7, 0.3)
+        eff = EffectDesign(x, pen, basis, 0.7, 0.3)
         u = rng.normal(size=(5, mixed_measure.size))
         gamma = fit_base_learner(eff, u)
         # independent dense construction of the weighted least-squares system
@@ -309,8 +309,8 @@ class TestEarlyStop:
         bx = bspline_eval(bspline_knots(0, 1, 1, 2), 2, x)
         bxc, pen = center_columns(bx, difference_penalty(bx.shape[1], 2))
         designs = [
-            EffectDesign("intercept", np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, 0.0),
-            EffectDesign("flex", bxc, pen, basis, 1e-8, 0.0),
+            EffectDesign(np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, 0.0),
+            EffectDesign(bxc, pen, basis, 1e-8, 0.0),
         ]
         coef = 0.5 * rng.normal(size=(bxc.shape[1], basis.n_basis))
         y_clr = bxc @ coef @ basis.clr_matrix.T
@@ -340,7 +340,7 @@ class TestEarlyStop:
         responses = [random_density(m, rng) for _ in range(4)]
         basis = density_basis(m, 10, 3, 2)
         designs = [
-            EffectDesign("intercept", np.ones((4, 1)), np.zeros((1, 1)), basis, 0.0, 0.0)
+            EffectDesign(np.ones((4, 1)), np.zeros((1, 1)), basis, 0.0, 0.0)
         ]
         cfg = BoostConfig(max_iterations=6, stopping="cv", folds=2, seed=21)
         result = early_stop_from_clr(clr_stack(responses), m, designs, cfg)
@@ -424,7 +424,7 @@ def rank_deficient_effect(measure, rng, n):
     basis = density_basis(measure, 4, 3, 2)
     bx = bspline_eval(bspline_knots(0, 1, 2, 2), 2, rng.uniform(size=n))
     bx = bx - bx.mean(axis=0)
-    return EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 1.0, 0.0)
+    return EffectDesign(bx, difference_penalty(bx.shape[1], 2), basis, 1.0, 0.0)
 
 
 def block_inverses(w, inv_den):
@@ -444,7 +444,7 @@ class TestSingularFallback:
         basis = density_basis(continuous_measure, 6, 3, 2)
         c = basis.clr_matrix.T @ (basis.clr_matrix * continuous_measure.weights[:, None])
         bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
-        eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
+        eff = EffectDesign(bx, difference_penalty(bx.shape[1], 2), basis, 0.5, 0.1)
         gram = np.kron(bx.T @ bx, c) + stacked_penalty(eff)
         inverse, jittered = one_system_inverse(np.kron(bx.T @ bx, c), stacked_penalty(eff))
         expected = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
@@ -530,7 +530,7 @@ class TestSingularFallback:
         basis = density_basis(continuous_measure, 6, 3, 2)
         c = basis.clr_matrix.T @ (basis.clr_matrix * continuous_measure.weights[:, None])
         bx = bspline_eval(bspline_knots(0, 1, 3, 3), 3, rng.uniform(size=40))
-        eff = EffectDesign("flex", bx, difference_penalty(bx.shape[1], 2), basis, 0.5, lambda_density)
+        eff = EffectDesign(bx, difference_penalty(bx.shape[1], 2), basis, 0.5, lambda_density)
         spectrum, rotation = np.linalg.eigh(c)
         density_penalty = rotation.T @ basis.penalty @ rotation
         w, inv_den, _, jittered = _learner_bases(
@@ -600,14 +600,14 @@ class TestRiskCheck:
         x = np.linspace(-1.0, 1.0, 6)[:, None]
         # a negative penalty keeps the system positive definite but lets each
         # step overshoot, so the in-bag risk rises
-        eff = EffectDesign("slope", x, np.array([[-1.0]]), basis, 2.0, 0.0)
+        eff = EffectDesign(x, np.array([[-1.0]]), basis, 2.0, 0.0)
         try:
             boost_from_clr(y, m, [eff], BoostConfig(step_length=0.5), m_stop=3)
         except Exception as exc:
             print(type(exc).__name__, isinstance(exc, ValueError), exc)
         # every fold's system stays positive definite; the first fold's risk
         # falls, the other two overshoot
-        eff = EffectDesign("slope", x, np.array([[-1.0]]), basis, 1.0, 0.0)
+        eff = EffectDesign(x, np.array([[-1.0]]), basis, 1.0, 0.0)
         cv = BoostConfig(step_length=0.5, max_iterations=3, stopping="cv", folds=3)
         try:
             early_stop_from_clr(y, m, [eff], cv)
@@ -623,7 +623,7 @@ class TestRiskCheck:
             return out
 
         boosting._boost_paths = perturbed
-        eff = EffectDesign("slope", x, np.array([[1.0]]), basis, 1.0, 0.0)
+        eff = EffectDesign(x, np.array([[1.0]]), basis, 1.0, 0.0)
         try:
             boost_from_clr(y, m, [eff], BoostConfig(), m_stop=3)
         except Exception as exc:
@@ -680,7 +680,7 @@ class TestRiskCheck:
         assert all(line.startswith("FloatingPointError False in-bag risk increased") for line in lines[:2])
         assert lines[2].startswith("FloatingPointError False in-bag fit drifted from its risk path")
         assert lines[3].startswith(
-            "FloatingPointError False mixed responses do not embed back to their clr rows"
+            "FloatingPointError False mixed rows do not embed back to their clr rows"
         )
         assert lines[4] == "FloatingPointError False clr values must be finite and integrate to zero (rows 2)"
 
@@ -919,7 +919,7 @@ def test_near_tied_learners_go_to_the_first(continuous_measure, gap, winner):
     every_row = np.ones((1, 6), dtype=int)
 
     def learner(delta):
-        return EffectDesign("x", x + delta * tilt, np.zeros((1, 1)), basis, 0.0, 0.0)
+        return EffectDesign(x + delta * tilt, np.zeros((1, 1)), basis, 0.0, 0.0)
 
     def gain(delta):
         """Relative gain in the first step's risk drop over the untilted learner."""

@@ -864,6 +864,42 @@ class TestCheckCommand:
         assert main(["check", str(bad), "--config", cfg]) == 3
 
 
+class TestDensityColumns:
+    """The value columns of a density file are read by name: the header must
+    end in ``atom:<location>`` per atom, then ``g:<i>`` per grid node."""
+
+    @staticmethod
+    def atoms_last(lines):
+        # every value moves with its name, so the file still holds the
+        # densities, in another order of columns
+        rows = [line.split("\t") for line in lines[1:]]
+        return lines[:1] + ["\t".join(r[:3] + r[5:] + r[3:5]) for r in rows]
+
+    @staticmethod
+    def header_dropped(lines):
+        return lines[:1] + lines[2:]
+
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    @pytest.mark.parametrize("edit", ["atoms_last", "header_dropped"])
+    def test_misnamed_columns_exit_3(self, tmp_path, densities_file, capsys, command, edit):
+        lines = getattr(self, edit)(pathlib.Path(densities_file).read_text().splitlines())
+        path = tmp_path / "edited.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", data={"densities": str(path)}, model=MODEL,
+                           boosting={"max_iterations": 5})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "check":
+            argv.insert(1, str(path))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        # the fourth name of line 2 stands where the first atom's column belongs
+        found = lines[1].split("\t")[3]
+        assert captured.err == (
+            f"data error: {path}: line 2: expected column 'atom:0.0', found {found!r}\n"
+        )
+        assert captured.out == ""
+
+
 class TestModelRoundTrip:
     def test_saved_model_predicts_like_fresh_fit(self, tmp_path, densities_file):
         from densreg.io import model_from_dict, model_to_dict
@@ -1185,6 +1221,28 @@ class TestExitCodes:
         )
         assert res.returncode == 3, res.stderr
         assert res.stderr == "data error: bootstrap stopping needs at least two densities\n"
+
+    @pytest.mark.parametrize("noise_scale", [1e200, 1e308])
+    def test_non_finite_risk_exits_numeric(self, tmp_path, densities_file, noise_scale):
+        # the replicates' squared residuals overflow, and NaN compares False
+        # with every bound; in a child process, since numpy's overflow
+        # warnings are errors under pytest
+        cfg = write_config(
+            tmp_path / "cfg.json", data={"densities": densities_file}, model=MODEL,
+            boosting={"max_iterations": 5, "stopping": {"method": "cv", "folds": 3}},
+            simulation={"replicates": 2, "noise_scale": noise_scale},
+        )
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        res = subprocess.run(
+            [sys.executable, "-m", "densreg.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 4, res.stderr
+        *warned, last = res.stderr.splitlines()
+        assert last == "numeric failure: in-bag risk is not finite during boosting"
+        assert all(line.startswith("warning: ") for line in warned)
+        assert not (tmp_path / "o").exists()
 
 
 def test_help_is_the_usage_and_the_summary(capsys):

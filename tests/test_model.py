@@ -136,7 +136,7 @@ class TestBuildDesigns:
         m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6, **options("planted_problem"))
         spec = income_spec()
         _, _, designs = build_designs(spec, data, m, **options("model"))
-        by_name = {d.name: d for d in designs["continuous"]}
+        by_name = dict(zip((t.name for t in spec.terms), designs["continuous"]))
         inter = by_name["region_x_c_age"].X
         for main in ("region", "c_age"):
             cross = by_name[main].X.T @ inter
@@ -146,7 +146,7 @@ class TestBuildDesigns:
         m, data, truths, _ = planted_problem(seed=1, grid_size=30, n_years=6, **options("planted_problem"))
         spec = income_spec(coding="reference")
         _, _, designs = build_designs(spec, data, m, **options("model"))
-        by_name = {d.name: d for d in designs["continuous"]}
+        by_name = dict(zip((t.name for t in spec.terms), designs["continuous"]))
         region = np.asarray(data["region"])
         rows = by_name["region"].X[region == "west"]
         np.testing.assert_allclose(rows, 0.0, atol=1e-12)
