@@ -10,10 +10,13 @@ For a mixed measure, the clr rows split orthogonally into a continuous part
 on the grid and a discrete part on the atoms plus one stand-in point for the
 continuous component, which comes last, past the interval; embedding the two
 parts back and adding them recovers the rows, and each part integrates to
-zero under its own component measure (:func:`check_decomposition`). The
-library works on N x P arrays of rows: each rule (clr, its inverse, the zero
-integral, the stand-in value) has one ``*_rows`` implementation, and the
-element classes and their one-row forms are the API edge. The inverse clr
+zero under its own component measure (:func:`check_decomposition`).
+:func:`components` is the one table of a measure's components, each with its
+measure and the embedding of its clr rows: the model fits one component at a
+time from it, and the decomposition check reads it too. The library works on
+N x P arrays of rows: each rule (clr, its inverse, the zero integral, the
+stand-in value) has one ``*_rows`` implementation, and the element classes
+and their one-row forms are the API edge. The inverse clr
 returns the probability representative; elements that differ by a positive
 constant factor represent the same point of the space.
 """
@@ -38,6 +41,7 @@ __all__ = [
     "decompose_clr_rows",
     "embed_clr_continuous_rows",
     "embed_clr_discrete_rows",
+    "components",
     "check_decomposition",
     "continuous_submeasure",
     "discrete_star_measure",
@@ -173,19 +177,31 @@ def embed_clr_discrete_rows(z_d: np.ndarray, target: ReferenceMeasure) -> np.nda
     return np.concatenate([z_d[:, :-1], np.repeat(z_d[:, -1:], target.n_grid, axis=1)], axis=1)
 
 
+def components(m: ReferenceMeasure) -> dict:
+    """The one table of the components of ``m``: each one's measure and the
+    embedding of its clr rows back into ``m``, by name. A mixed measure has
+    "continuous" (the grid) and "discrete" (the atoms plus the stand-in,
+    last), in the order of :func:`decompose_clr_rows`; any other has
+    "single", embedded as it is."""
+    if m.is_mixed:
+        return {"continuous": (continuous_submeasure(m), embed_clr_continuous_rows),
+                "discrete": (discrete_star_measure(m), embed_clr_discrete_rows)}
+    return {"single": (m, lambda z, _: z)}
+
+
 def check_decomposition(z: np.ndarray, parts: tuple, m: ReferenceMeasure,
                         error=ValueError) -> tuple[float, float]:
     """Raise ``error(message)`` unless each of the ``parts`` of the mixed clr
     rows ``z`` (see :func:`decompose_clr_rows`) integrates to zero under its
     own component measure (:func:`check_clr_rows`) and their embeddings add
-    back up to ``z`` within 1e-12 * max(1, max |z|). Returns the worst
-    absolute deviation of that round trip and its tolerance; rounding keeps
-    the deviation near 1e-16."""
-    measures = (continuous_submeasure(m), discrete_star_measure(m))
-    for name, part, measure in zip(("continuous", "discrete"), parts, measures):
+    back up to ``z`` within 1e-12 * max(1, max |z|); the components are those
+    of :func:`components`. Returns the worst absolute deviation of that round
+    trip and its tolerance; rounding keeps the deviation near 1e-16."""
+    embedded = []
+    for (name, (measure, embed)), part in zip(components(m).items(), parts):
         check_clr_rows(part, measure, lambda message: error(f"{name} part: {message}"))
-    back = embed_clr_continuous_rows(parts[0], m) + embed_clr_discrete_rows(parts[1], m)
-    deviation = float(np.max(np.abs(back - z), initial=0.0))
+        embedded.append(embed(part, m))
+    deviation = float(np.max(np.abs(sum(embedded[1:], embedded[0]) - z), initial=0.0))
     tolerance = 1e-12 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
     if not deviation <= tolerance:
         raise error("mixed rows do not embed back to their clr rows")

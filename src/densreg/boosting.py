@@ -192,12 +192,16 @@ def _learner_bases(
     B = K_Y blocks, s = d_max. A density penalty (rotated, unscaled) couples
     the directions into one block (B = 1, s = d_max K_Y, indexed like the
     flattened K_Y x d_max gradient), the pencil of kron(diag(c), D) and the
-    full system, with c = 1.
+    full system, with c = 1. An uncoupled direction with c_k at most 1e-12 of
+    the largest is one the grid cannot see (a density basis finer than the
+    grid): its gradient is rounding noise, so it gets 1/den = 0 and takes no
+    step, the least-squares answer.
     """
     n_resamples, n_learners, d_max, _ = diag_grams.shape
     k_y = spectrum.size
     coupled = any(d.lambda_density for d in designs)
     blocks, width = (1, k_y * d_max) if coupled else (k_y, d_max)
+    seen = True if coupled else (spectrum > 1e-12 * spectrum.max(initial=0.0))[:, None]
     bases = np.zeros((n_resamples, n_learners, width, width))
     inv_den, size_w = np.zeros((2, n_resamples, n_learners, blocks, width))
     by_size, jittered = {}, False
@@ -221,7 +225,8 @@ def _learner_bases(
         at = (slice(None), np.array(js)[:, None, None])
         bases[(*at, pos[:, None], pos)] = w
         at = (*at, np.arange(blocks)[:, None], pos)
-        inv_den[at] = 1.0 / (fitted + b[:, :, None])
+        den = fitted + b[:, :, None]
+        inv_den[at] = np.divide(1.0, den, out=np.zeros_like(den), where=seen)
         size_w[at] = fitted * inv_den[at] ** 2
     return bases, inv_den, size_w, jittered
 

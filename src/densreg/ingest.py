@@ -3,10 +3,12 @@
 Shares live on [0, 1] with genuine point masses at the boundaries
 (:func:`check_share_measure`). Exact boundary values become atom
 probabilities; interior values feed a weighted kernel density estimate with
-boundary-respecting beta kernels, normalized on the evaluation grid. A
-positivity floor keeps every stored value strictly positive so the result is
-a valid element of the density space. All groups of one run share the
-bandwidth of :func:`shared_bandwidth`, the one place that decides it.
+boundary-respecting beta kernels, normalized on the evaluation grid. Each
+group's density is one row of values in the measure's layout (atoms, then
+grid), checked like every density row: a positivity floor keeps every value
+strictly positive, so the row is a valid point of the density space. All
+groups of one run share the bandwidth of :func:`shared_bandwidth`, the one
+place that decides it.
 
 The estimators build each kernel matrix as one BLAS product: the beta
 parameters and log B of every evaluation point form an (n_t x 3) matrix, the
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .bayes import DensityElement
+from .bayes import check_density_values
 from .measure import ReferenceMeasure, integrate
 
 __all__ = [
@@ -255,13 +257,13 @@ def assemble_mixed(
     measure: ReferenceMeasure,
     cfg: KdeConfig,
     bandwidth: float,
-) -> DensityElement:
-    """Build the mixed density for one group with the kernel ``bandwidth``.
+) -> np.ndarray:
+    """The mixed density row of one group with the kernel ``bandwidth``.
 
     Atom values carry the weighted boundary frequencies (scaled by the atom
     weights), the grid carries the interior share times the kernel estimate.
     All values are floored at ``cfg.floor`` times the uniform level and the
-    result is renormalized to integrate to one.
+    row is renormalized to integrate to one.
     """
     check_share_measure(measure)
     p0, p1, p_int = group.boundary_shares()
@@ -274,7 +276,9 @@ def assemble_mixed(
     )
     floor = cfg.floor / measure.total_mass
     values = np.maximum(values, floor)
-    return DensityElement(measure, values / integrate(measure, values))
+    row = values / integrate(measure, values)
+    check_density_values(row)
+    return row
 
 
 def group_table(table: dict, key_columns: list):

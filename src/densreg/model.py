@@ -28,20 +28,21 @@ design rows and records the term's smoothing parameter and degrees of
 freedom. Knots and density bases are not stored: the encoder derives a
 spline block's knots from its covariate's range, and ``_density_bases``
 builds the bases, for fit and load alike. The training designs live only in
-the boosting inputs
-(:class:`~densreg.basis.EffectDesign`). ``_components`` is the one table of
-a measure's components, each with its measure and the embedding of its clr
-rows: "continuous" (the grid) and "discrete" (the atoms plus a stand-in
-point, last) for a mixed measure, else "single" (the identity). The layer
-works on N x P rows: :func:`fit` splits the clr rows of its responses into
-their components, boosts each with :func:`~densreg.boosting.boost` and sums
-the embedded fits, and :func:`predict` returns the density rows of sums of
-embedded clr rows; only :func:`predict_clr` and :func:`extract_effect`
+the boosting inputs (:class:`~densreg.basis.EffectDesign`). The components
+of a measure, each with its measure and the embedding of its clr rows, come
+from the one table :func:`densreg.bayes.components`, which the decomposition
+check reads too: "continuous" and "discrete" for a mixed measure, else
+"single"; fit, load, prediction and the model file follow its order. The
+layer works on N x P rows: :func:`fit` splits the clr rows of its responses
+into their components, boosts each with :func:`~densreg.boosting.boost` and
+sums the embedded fits, and :func:`predict` returns the density rows of sums
+of embedded clr rows; only :func:`predict_clr` and :func:`extract_effect`
 return elements.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -62,11 +63,8 @@ from .bayes import (
     check_decomposition,
     clr_inv,
     clr_inv_rows,
-    continuous_submeasure,
+    components,
     decompose_clr_rows,
-    discrete_star_measure,
-    embed_clr_continuous_rows,
-    embed_clr_discrete_rows,
 )
 from .boosting import BoostConfig, FitState, MixedFit, boost
 from .measure import ReferenceMeasure
@@ -408,6 +406,10 @@ def _infer_covariates(spec: ModelSpec, data) -> dict:
                     raise SpecMismatch(f"terms[{i}]", f"unknown covariate {cname!r}")
                 column = _column(data, cname, _table_length(data))
                 covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
+    # the spec cannot refuse such a key: a config may set one for a term it leaves out
+    unread = sorted(set(spec.references) - set(covs))
+    if unread:
+        warnings.warn(f"references: no term reads {unread}", stacklevel=2)
     return covs
 
 
@@ -479,18 +481,9 @@ class FittedModel:
 _DENSITY_OPTIONS = ("knots", "degree", "penalty_order")
 
 
-def _components(measure: ReferenceMeasure) -> dict:
-    """Each model component's measure and the embedding of its clr rows into
-    ``measure``: "continuous" and "discrete" for a mixed measure (B-spline and
-    indicator bases), else "single"."""
-    if measure.is_mixed:
-        return {"continuous": (continuous_submeasure(measure), embed_clr_continuous_rows),
-                "discrete": (discrete_star_measure(measure), embed_clr_discrete_rows)}
-    return {"single": (measure, lambda z, _: z)}
-
-
 def _fits(states: dict, measure: ReferenceMeasure, fitted_clr) -> FitState | MixedFit:
-    """The fit of a model from its component states, in ``_components`` order."""
+    """The fit of a model from its component states, in the order of
+    :func:`~densreg.bayes.components`."""
     if measure.is_mixed:
         return MixedFit(*states.values(), measure, fitted_clr)
     return states["single"]
@@ -615,8 +608,9 @@ def load_fields(d: dict) -> FittedModel:
 
 
 def _density_bases(measure: ReferenceMeasure, knots: int, degree: int, penalty_order: int) -> dict:
-    """The density basis of each component of ``measure`` (see ``_components``)."""
-    comps = _components(measure)
+    """The density basis of each component of ``measure`` (see
+    :func:`~densreg.bayes.components`)."""
+    comps = components(measure)
     return {c: density_basis(m, knots, degree, penalty_order) for c, (m, _) in comps.items()}
 
 
@@ -662,7 +656,8 @@ def fit(
     lambda_density: float,
 ) -> FittedModel:
     """Fit the model to the N x P clr rows ``y_clr`` of the responses on
-    ``measure``, one independent fit per component (see ``_components``).
+    ``measure``, one independent fit per component (see
+    :func:`~densreg.bayes.components`).
 
     A mixed measure's responses split by the orthogonal decomposition, whose
     parts must pass :func:`~densreg.bayes.check_decomposition` (else a
@@ -688,7 +683,7 @@ def fit(
         parts = decompose_clr_rows(y_clr, measure)
         check_decomposition(y_clr, parts, measure, FloatingPointError)
     states, embedded = {}, []
-    for i, ((comp, (_, embed)), y) in enumerate(zip(_components(measure).items(), parts)):
+    for i, ((comp, (_, embed)), y) in enumerate(zip(components(measure).items(), parts)):
         states[comp] = boost(
             y, bases[comp].measure, designs[comp], replace(config, seed=config.seed + i)
         )
@@ -703,15 +698,15 @@ def _raw_clr_rows(model: FittedModel, data, n: int, include_offset=True) -> np.n
     """n x P clr predictions on the response measure for the n rows of ``data``."""
     designs = [e.design(data, n) for e in model.frame.encoders]
     out = np.zeros((n, model.measure.size))
-    components = _components(model.measure)
-    for component, state in model.component_states().items():
-        basis = model.bases[component]
+    states = model.component_states()
+    for component, (_, embed) in components(model.measure).items():
+        state, basis = states[component], model.bases[component]
         comp = np.zeros((n, state.offset_clr.size))
         if include_offset:
             comp += state.offset_clr
         for x, coef in zip(designs, state.coefficients):
             comp += x @ coef.reshape(x.shape[1], basis.n_basis) @ basis.clr_matrix.T
-        out += components[component][1](comp, model.measure)
+        out += embed(comp, model.measure)
     return out
 
 

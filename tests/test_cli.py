@@ -621,6 +621,31 @@ class TestFitCommand:
         assert "stop_curve_continuous.tsv" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_unread_reference_is_one_warning_line(self, tmp_path, densities_file):
+        # the spec cannot refuse a reference that no term reads, so a typo
+        # would go unseen: fit warns, names the key and fits as without it
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        fits = {}
+        for name, references in (("typo", {"regoin": "west", "c_age": "other", "year": 0.0}),
+                                 ("clean", {"c_age": "other", "year": 0.0})):
+            cfg = write_config(tmp_path / f"{name}.json", data={"densities": densities_file},
+                               model=dict(MODEL, references=references),
+                               boosting={"max_iterations": 20})
+            res = subprocess.run(
+                [sys.executable, "-m", "densreg.cli", "fit", "--config", cfg,
+                 "--out", str(tmp_path / name)],
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+                timeout=300,
+            )
+            assert res.returncode == 0, res.stderr
+            fits[name] = (res.stderr, json.loads((tmp_path / name / "model.json").read_text()))
+        assert fits["typo"][0] == "warning: references: no term reads ['regoin']\n"
+        assert fits["clean"][0] == ""
+        # the model file echoes the configured references; all else is the same
+        assert fits["typo"][1]["covariates"]["region"]["reference"] == "east"
+        del fits["typo"][1]["references"]["regoin"]
+        assert fits["typo"][1] == fits["clean"][1]
+
     def test_missing_densities_exit_code(self, tmp_path, capsys):
         # the path is a config mistake, named at its key
         absent = str(tmp_path / "absent.tsv")
@@ -1388,7 +1413,8 @@ class TestWarnings:
         keys = [(data["region"][i], data["c_age"][i], repr(float(data["year"][i])))
                 for i in range(len(truths))]
         write_density_file(tmp_path / "dens.tsv", m, ["region", "c_age", "year"], keys, truths)
-        model = dict(MODEL, references={"region": "west", "c_age": "other"}, terms=[
+        # no reference: no term reads region or c_age
+        model = dict(MODEL, references={}, terms=[
             {"name": "intercept", "kind": "intercept"},
             {"name": "year", "kind": "flexible", "covariates": ["year"], "knots": 2},
         ])

@@ -329,25 +329,25 @@ class TestAssembleMixed:
         g = ObservationGroup(values, weights)
         f = assemble_mixed(g, unit_mixed, KdeConfig(), 0.05)
         atom_mass = float(
-            f.values[:2] @ unit_mixed.atom_weights
+            f[:2] @ unit_mixed.atom_weights
         )
         # p0 = 50/275, p1 = 25/275
         assert atom_mass == pytest.approx(75.0 / 275.0, abs=1e-9)
-        assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-8)
-        assert np.all(f.values > 0)
+        assert integrate(unit_mixed, f) == pytest.approx(1.0, abs=1e-8)
+        assert np.all(f > 0)
 
     def test_all_mass_at_zero(self, unit_mixed):
         g = ObservationGroup(np.zeros(10), np.ones(10))
         f = assemble_mixed(g, unit_mixed, KdeConfig(), 0.05)
-        assert np.all(f.values > 0)
-        assert integrate(f.measure, f.values) == pytest.approx(1.0, abs=1e-10)
+        assert np.all(f > 0)
+        assert integrate(unit_mixed, f) == pytest.approx(1.0, abs=1e-10)
         # almost all mass stays on the zero atom after flooring
-        assert f.values[0] > 0.99
+        assert f[0] > 0.99
 
     def test_no_interior_observations_flooring(self, unit_mixed):
         g = ObservationGroup([0.0, 1.0], [3.0, 1.0])
         f = assemble_mixed(g, unit_mixed, KdeConfig(), 0.05)
-        grid_vals = f.values[2:]
+        grid_vals = f[2:]
         assert np.ptp(grid_vals) < 1e-15
         assert np.all(grid_vals > 0)
 

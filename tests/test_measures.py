@@ -8,8 +8,11 @@ orthogonal decomposition must integrate to zero under its own component
 weights, written out here as the atoms' weights followed by the Lebesgue
 length, and the squared norm must split between the parts. On every kind of
 measure the command chain must end with exit 0, without a traceback and
-without a RuntimeWarning. Hypothesis runs derandomized, without an example
-database and with a bounded number of examples, so a run is repeatable.
+without a RuntimeWarning; so must the chain from observations, which starts
+with ``estimate`` on [0, 1] with atoms at 0 and 1 of generated weights and
+grids as coarse as 4 nodes, below the 13 columns of the default density
+basis. Hypothesis runs derandomized, without an example database and with a
+bounded number of examples, so a run is repeatable.
 """
 import csv
 import json
@@ -17,7 +20,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from densreg.bayes import (
@@ -27,8 +30,9 @@ from densreg.bayes import (
     discrete_star_measure,
 )
 from densreg.cli import main
-from densreg.io import write_density_file
+from densreg.io import model_from_dict, write_density_file
 from densreg.measure import make_discrete, make_mixed
+from densreg.synth import synthetic_observations
 
 # capsys is read after every command, so it may serve every example
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
@@ -217,3 +221,84 @@ def test_bands_table_without_a_mixed_measure(tmp_path, capsys, m):
     assert [row[1] for row in rows[1:]].count("true") == m.n_atoms
     # no continuous aggregate to compare an atom with: every cell is empty
     assert all(row[2] == "" for row in rows[1:])
+
+
+# ---------------------------------------------------------------------------
+# The chain from observations: estimate on [0, 1] with atoms at 0 and 1
+# ---------------------------------------------------------------------------
+
+def write_estimate_inputs(tmp_path, weights, grid_size):
+    """Observations of 6 groups, a newdata table and a config that estimates
+    their densities on [0, 1] with atoms of ``weights`` at 0 and 1, then fits
+    them with the default density basis; returns the config path."""
+    table = synthetic_observations(seed=4, groups=6, n_per_group=40)
+    observations = tmp_path / "observations.tsv"
+    observations.write_text("region\tc_age\tvalue\tweight\n" + "".join(
+        f"{r}\t{c}\t{v!r}\t{w!r}\n"
+        for r, c, v, w in zip(table["region"], table["c_age"], table["value"], table["weight"])))
+    newdata = tmp_path / "newdata.tsv"
+    newdata.write_text("region\tc_age\n" + "".join(
+        f"{r}\t{c}\n" for r, c in sorted(set(zip(table["region"], table["c_age"])))))
+    at = {"region": "east", "c_age": "kids0_6"}
+    config = {
+        "seed": 3,
+        "out": str(tmp_path / "out"),
+        "data": {"observations": str(observations), "newdata": str(newdata),
+                 "densities": str(tmp_path / "out" / "densities.tsv"),
+                 "model": str(tmp_path / "out" / "model.json")},
+        "measure": {"interval": [0.0, 1.0], "grid_size": grid_size,
+                    "atoms": [{"location": 0.0, "weight": weights[0]},
+                              {"location": 1.0, "weight": weights[1]}]},
+        "kde": {"bandwidth": "auto"},
+        "model": {
+            "references": {"region": "west", "c_age": "other"},
+            "terms": [
+                {"name": "intercept", "kind": "intercept"},
+                {"name": "region", "kind": "group_intercept", "covariates": ["region"]},
+                {"name": "c_age", "kind": "group_intercept", "covariates": ["c_age"]},
+            ],
+        },
+        "boosting": {"max_iterations": 30, "stopping": {"method": "cv", "folds": 3}},
+        "interpret": {
+            "effects": [{"term": "region", "at": at}],
+            "did": [{"factor_a": "region", "levels_a": ["east", "west"], "factor_b": "c_age",
+                     "levels_b": ["kids0_6", "other"], "fixed": {}}],
+        },
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def run_estimate_chain(tmp_path, capsys, weights, grid_size):
+    """``estimate`` to ``check`` from observations; returns the output directory."""
+    cfg = write_estimate_inputs(tmp_path, weights, grid_size)
+    for command in ("estimate", "fit", "predict", "interpret"):
+        run_clean(capsys, [command, "--config", cfg])
+    run_clean(capsys, ["check", str(tmp_path / "out" / "predictions.tsv"), "--config", cfg])
+    return tmp_path / "out"
+
+
+@pytest.mark.parametrize("grid_size", [4, 5, 6, 13])
+def test_density_basis_finer_than_the_grid(tmp_path, capsys, grid_size):
+    # 13 basis columns against a grid of at most 13 nodes: C = B'WB is
+    # singular, and its null directions, which the grid cannot see, take no step
+    out = run_estimate_chain(tmp_path, capsys, (1.0, 1.0), grid_size)
+    model = model_from_dict(json.loads((out / "model.json").read_text()))
+    basis = model.bases["continuous"]
+    b = basis.clr_matrix
+    spectrum, vectors = np.linalg.eigh(b.T @ (b * basis.measure.weights[:, None]))
+    null = vectors[:, spectrum <= 1e-12 * spectrum.max()]
+    assert null.shape[1] == b.shape[1] - (grid_size - 1)
+    for coef in model.component_states()["continuous"].coefficients:
+        coef = coef.reshape(-1, basis.n_basis)
+        assert np.abs(coef @ null).max() <= 1e-12 * np.linalg.norm(coef)
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(weights=st.tuples(WEIGHTS, WEIGHTS), grid_size=st.integers(4, 300))
+@example(weights=(1.0, 1.0), grid_size=4)
+@example(weights=(1e-3, 1e3), grid_size=5)
+@example(weights=(1e3, 0.5), grid_size=6)
+def test_estimate_chain_on_generated_measures(tmp_path_factory, capsys, weights, grid_size):
+    run_estimate_chain(tmp_path_factory.mktemp("estimate"), capsys, weights, grid_size)

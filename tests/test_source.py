@@ -17,14 +17,16 @@ they do not use the density and clr element classes; and no code turns rows
 into elements and back: ``predict_clr`` is called nowhere in the package,
 ``clr_inv`` only in ``bayes``, ``synth`` and the element edge
 ``model.extract_effect``, and ``clr`` only in ``bayes``. Density files reach
-the commands as N x P rows: ``read_density_file`` is called nowhere in the
-package, and a ``DensityElement`` is built only in ``bayes``,
-``ingest.assemble_mixed`` and the reader's element edge.
+the commands as N x P rows, and ``estimate`` writes them as rows:
+``read_density_file`` is called nowhere in the package, and a
+``DensityElement`` is built only in ``bayes`` and the reader's element edge.
 The model file has one reader and one writer (``model.load_fields`` and
 ``model.dump_fields``), so the basis and boosting layers hold no
 ``to_dict``/``from_dict``; ``model`` alone splits responses into the
 components of their measure, so boosting imports no decompose or embed
-function and reads no ``is_mixed``; and no module starts a thread. Fit and
+function and reads no ``is_mixed``; a measure's components come from one
+table, ``bayes.components``, so its part measures and embeddings are called
+only in ``bayes``; and no module starts a thread. Fit and
 load build each basis object the same way: ``DensityBasis`` is constructed
 only in ``basis`` and ``bspline_knots`` called only there and in
 ``model._TermEncoder``.
@@ -365,10 +367,10 @@ def test_no_element_round_trips_inside_the_package():
     assert not found, f"element round trip(s) in {found}"
 
 
-# where a density element may be built: in bayes, by the one-group density
-# of ``estimate``, and by the element edge of the density-file reader, which
-# the package itself does not call: density files reach it as N x P rows
-ELEMENT_CALLS = {"DensityElement": {"bayes", "ingest.assemble_mixed", "io.read_density_file"},
+# where a density element may be built: in bayes, and by the element edge of
+# the density-file reader, which the package itself does not call: density
+# files reach it as N x P rows, and ``estimate`` writes rows
+ELEMENT_CALLS = {"DensityElement": {"bayes", "io.read_density_file"},
                  "read_density_file": set()}
 
 
@@ -386,6 +388,18 @@ BUILDER_CALLS = {"DensityBasis": {"basis"}, "bspline_knots": {"basis", "model._T
 def test_one_builder_per_basis_object():
     found = _calls_outside(BUILDER_CALLS)
     assert not found, f"basis object(s) built in {found}"
+
+
+# the one table of a measure's components: only bayes.components and the
+# element forms beside it name a component's measure or embedding
+COMPONENT_CALLS = dict.fromkeys(["continuous_submeasure", "discrete_star_measure",
+                                 "embed_clr_continuous_rows", "embed_clr_discrete_rows"],
+                                {"bayes"})
+
+
+def test_component_measures_and_embeddings_only_in_bayes():
+    found = _calls_outside(COMPONENT_CALLS)
+    assert not found, f"component measure(s) or embedding(s) named in {found}"
 
 
 def _callee_aliases(tree) -> dict:
