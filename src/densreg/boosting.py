@@ -46,13 +46,13 @@ where discrete, continuous, and mixed supports differ.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import EffectDesign
 from .measure import ReferenceMeasure
+from .records import BoostConfig, FitState, MixedFit
 
 __all__ = [
     "BoostConfig",
@@ -73,70 +73,6 @@ _TIE_TOLERANCE = 1e-10
 # bound on |SSE of the fitted surfaces - risk_path[m_stop]| relative to the
 # responses' weighted sum of squares; rounding keeps it near 1e-15
 _DRIFT_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class BoostConfig:
-    """Settings for one boosting run.
-
-    ``stopping`` selects how the number of iterations is chosen: "fixed" uses
-    ``m_stop`` (at most and by default ``max_iterations``), "cv" k-fold
-    cross-validation, "bootstrap" out-of-bag risk over resampled density sets.
-
-    ``threads`` and ``target_df`` are accepted but not read by the library;
-    they remain because the benchmark tracer (``perfbench/trace.py``) still
-    sets them. The tracer also derives configs with ``dataclasses.replace``,
-    which is why this is the package's one dataclass: every other record is
-    a plain class or a NamedTuple, which generate no code when defined and
-    so keep start-up short.
-    """
-
-    step_length: float = 0.1
-    max_iterations: int = 250
-    stopping: str = "fixed"
-    m_stop: int | None = None
-    folds: int = 10
-    replicates: int = 25
-    target_df: float | dict | None = 2.0
-    seed: int = 0
-    threads: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.step_length < 1.0:
-            raise ValueError("step length must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.stopping not in ("fixed", "cv", "bootstrap"):
-            raise ValueError(f"unknown stopping method {self.stopping!r}")
-        if self.m_stop is not None and self.m_stop < 0:
-            raise ValueError("m_stop must be nonnegative")
-        if self.m_stop is not None and self.m_stop > self.max_iterations:
-            raise ValueError("m_stop exceeds max_iterations")
-
-
-class FitState:
-    """Result of one boosting run in a single component space: the offset
-    (P,), the coefficients theta_j (each K_j * K_Y), the final fitted
-    surfaces (N, P) incl. offset or None, the chosen effect index per
-    iteration, the in-bag SSE at m = 0 .. m_stop, and the resampled
-    out-of-sample risk per m (None for a fixed stop)."""
-
-    def __init__(self, offset_clr: np.ndarray, coefficients: list, fitted_clr: np.ndarray | None,
-                 selections: list, risk_path: np.ndarray, m_stop: int,
-                 stop_curve: np.ndarray | None = None):
-        self.offset_clr, self.coefficients, self.fitted_clr = offset_clr, coefficients, fitted_clr
-        self.selections, self.risk_path, self.m_stop = selections, risk_path, m_stop
-        self.stop_curve = stop_curve
-
-
-class MixedFit:
-    """Separate continuous and discrete fits plus the recombined surfaces
-    (N, P) on the mixed measure, or None."""
-
-    def __init__(self, continuous: FitState, discrete: FitState, measure: ReferenceMeasure,
-                 fitted_clr: np.ndarray | None):
-        self.continuous, self.discrete = continuous, discrete
-        self.measure, self.fitted_clr = measure, fitted_clr
 
 
 class EarlyStopResult(NamedTuple):

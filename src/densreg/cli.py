@@ -42,8 +42,9 @@ Exit codes, by the type of the error that ends a command:
   data boundary (:func:`densreg.io.reported_as`), where a ValueError, KeyError
   or OSError counts as a data error: ``estimate`` the observations, their
   groups, bandwidths and densities; ``fit`` and ``simulate`` the densities and
-  the fit to them; ``check`` its target, and a failed invariant; ``predict``
-  the model file, the newdata and the prediction; ``interpret`` the model file.
+  the fit to them, and ``simulate`` its replicates; ``check`` its target, and
+  a failed invariant; ``predict`` the model file, the newdata and the
+  prediction; ``interpret`` the model file.
 * 4: a numeric failure (numpy's LinAlgError, ZeroDivisionError,
   FloatingPointError), among them a boosting risk that is not finite, as
   when a huge ``simulation.noise_scale`` makes the squared residuals
@@ -60,6 +61,13 @@ densreg keep, skip them. Standard output and standard error are still
 flushed, other exit hooks still run, and objects that no reference cycle
 holds are still freed by their reference counts. While the process lives,
 collection is unchanged, also for a caller that runs :func:`main` in process.
+
+Each command imports only the modules it runs: without a bytecode cache a
+process compiles every module it imports. Importing this module loads the
+config, file and model layers, all that ``predict`` and ``check`` run.
+``fit`` adds ``boosting`` (imported by :func:`densreg.model.fit`),
+``estimate`` ``ingest``, ``interpret`` ``interpret`` (and ``render`` to write
+SVG), and ``simulate`` ``simulate`` and ``boosting``.
 """
 from __future__ import annotations
 
@@ -75,7 +83,6 @@ import warnings
 import numpy as np
 
 from .bayes import check_clr_rows, check_decomposition, clr_rows, decompose_clr_rows
-from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
 from .io import (
     ConfigError,
     DataError,
@@ -93,11 +100,7 @@ from .io import (
     write_density_file,
     write_table,
 )
-from .interpret import heatmap as build_heatmap
-from .interpret import did_effect, log_odds
 from .model import design_report, extract_effect, fit as fit_model, predict
-from .render import curve_svg, heatmap_svg
-from .simulate import fpca, rel_mse, selection_counts, simulate_responses
 
 OK, CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 0, 2, 3, 4
 
@@ -118,6 +121,8 @@ def _writing(cfg, args):
 
 
 def cmd_estimate(cfg, args) -> int:
+    from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
+
     run = run_objects(cfg, "estimate")
     measure, kde_cfg = run.measure, run.kde
     obs_path = cfg["data"]["observations"]
@@ -234,12 +239,16 @@ def cmd_predict(cfg, args) -> int:
 
 
 def cmd_interpret(cfg, args) -> int:
+    from .interpret import did_effect, heatmap as build_heatmap, log_odds
+
     run = run_objects(cfg, "interpret")
     with reported_as(DataError):
         model = _load_model(cfg["data"]["model"])
     icfg = cfg["interpret"]
     m = model.measure
     want_svg = icfg["svg"]
+    if want_svg:
+        from .render import curve_svg, heatmap_svg
 
     # a config error of an item passes the output boundary unchanged
     with _writing(cfg, args) as out:
@@ -318,6 +327,8 @@ def cmd_interpret(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
+    from .simulate import fpca, rel_mse, selection_counts, simulate_responses
+
     run = run_objects(cfg, "simulate")
     spec, boost_cfg, options = run.spec, run.boost, run.fit_options
     with reported_as(DataError):
@@ -330,12 +341,14 @@ def cmd_simulate(cfg, args) -> int:
         structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
     replicates = sim_cfg["replicates"]
     errors, paths = [], []
-    for seed in np.random.SeedSequence(cfg["seed"]).spawn(replicates):
-        sim = simulate_responses(fitted, structure, seed=seed, noise_scale=sim_cfg["noise_scale"])
-        refit = fit_model(spec, data, sim, measure, boost_cfg, **options)
-        # the in-sample fit is the prediction at the training covariates
-        errors.append(rel_mse(fitted, refit.fits.fitted_clr, measure))
-        paths.append({comp: s.selections for comp, s in refit.component_states().items()})
+    with reported_as(DataError):
+        for seed in np.random.SeedSequence(cfg["seed"]).spawn(replicates):
+            sim = simulate_responses(fitted, structure, seed=seed,
+                                     noise_scale=sim_cfg["noise_scale"])
+            refit = fit_model(spec, data, sim, measure, boost_cfg, **options)
+            # the in-sample fit is the prediction at the training covariates
+            errors.append(rel_mse(fitted, refit.fits.fitted_clr, measure))
+            paths.append({comp: s.selections for comp, s in refit.component_states().items()})
     with _writing(cfg, args) as out:
         write_table(
             os.path.join(out, "simulate_relmse.tsv"),

@@ -1,8 +1,8 @@
 """Turn individual-level weighted observations into mixed densities.
 
 Shares live on [0, 1] with genuine point masses at the boundaries
-(:func:`check_share_measure`). Exact boundary values become atom
-probabilities; interior values feed a weighted kernel density estimate with
+(:func:`~densreg.records.check_share_measure`). Exact boundary values become
+atom probabilities; interior values feed a weighted kernel density estimate with
 boundary-respecting beta kernels, normalized on the evaluation grid. Each
 group's density is one row of values in the measure's layout (atoms, then
 grid), checked like every density row: a positivity floor keeps every value
@@ -26,6 +26,7 @@ import numpy as np
 
 from .bayes import check_density_values
 from .measure import ReferenceMeasure, integrate
+from .records import KdeConfig, check_share_measure
 
 __all__ = [
     "ObservationGroup",
@@ -88,24 +89,6 @@ class ObservationGroup:
         p0 = float(self.weights[self.at_zero].sum())
         p1 = float(self.weights[self.at_one].sum())
         return p0, p1, 1.0 - p0 - p1
-
-
-class KdeConfig:
-    """Bandwidth policy and positivity floor for density estimation; the
-    bandwidth grid, which "auto" searches, defaults to 16 geometric steps
-    from 0.005 to 0.2."""
-
-    def __init__(self, bandwidth: float | str = "auto", bandwidth_grid=None,
-                 floor: float = 1e-6):
-        grid = np.geomspace(0.005, 0.2, 16) if bandwidth_grid is None else bandwidth_grid
-        self.bandwidth, self.floor = bandwidth, floor
-        self.bandwidth_grid = np.asarray(grid, dtype=float)
-        if np.any(self.bandwidth_grid <= 0) or np.any(np.diff(self.bandwidth_grid) <= 0):
-            raise ValueError("bandwidth grid must be positive and ascending")
-        if isinstance(self.bandwidth, (int, float)) and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.floor <= 0:
-            raise ValueError("positivity floor must be positive")
 
 
 def _rho(t: np.ndarray, b: float) -> np.ndarray:
@@ -242,14 +225,6 @@ def shared_bandwidth(
             with naming_group(key_columns, g.key):
                 optima.append(select_bandwidth(g, measure, cfg))
     return min(optima, default=DEFAULT_BANDWIDTH)
-
-
-def check_share_measure(measure: ReferenceMeasure) -> None:
-    """Shares need a mixed measure on [0, 1] with atoms at 0 and 1, of any
-    weights; raises ValueError on any other measure."""
-    if not (measure.is_mixed and measure.interval == (0.0, 1.0)
-            and measure.atom_locations.tolist() == [0.0, 1.0]):
-        raise ValueError("expected a mixed measure on [0, 1] with atoms at both boundaries")
 
 
 def assemble_mixed(

@@ -26,7 +26,7 @@ that in :func:`run_objects`, where each data path it reads must name a file
 (a missing path or a directory is a config error at ``config.data.<key>``),
 and ``estimate`` also that its measure is mixed
 on [0, 1] with atoms at 0 and 1, of any weights, as shares need
-(:func:`densreg.ingest.check_share_measure`).
+(:func:`densreg.records.check_share_measure`).
 
 A library error becomes a :class:`ConfigError` or a :class:`DataError` in
 one way, :func:`reported_as`: inside it, a ValueError, KeyError or OSError
@@ -73,10 +73,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import DensityElement, check_density_values
-from .boosting import BoostConfig
-from .ingest import KdeConfig, check_share_measure
 from .measure import ReferenceMeasure
 from .model import EffectTerm, FittedModel, ModelSpec, SpecMismatch, dump_fields, load_fields
+from .records import BoostConfig, KdeConfig, check_share_measure
 
 __all__ = [
     "ConfigError",

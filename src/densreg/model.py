@@ -66,8 +66,8 @@ from .bayes import (
     components,
     decompose_clr_rows,
 )
-from .boosting import BoostConfig, FitState, MixedFit, boost
 from .measure import ReferenceMeasure
+from .records import BoostConfig, FitState, MixedFit
 
 __all__ = [
     "EffectTerm",
@@ -682,6 +682,9 @@ def fit(
     if measure.is_mixed:
         parts = decompose_clr_rows(y_clr, measure)
         check_decomposition(y_clr, parts, measure, FloatingPointError)
+    # imported here, so that loading a model and predicting compile no kernel
+    from .boosting import boost
+
     states, embedded = {}, []
     for i, ((comp, (_, embed)), y) in enumerate(zip(components(measure).items(), parts)):
         states[comp] = boost(

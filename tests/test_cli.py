@@ -805,6 +805,29 @@ class TestSimulateCommand:
             cont, disc, comb = (int(r[2]) for r in rows[i:i + 3])
             assert max(cont, disc) <= comb <= min(cont + disc, 4)
 
+    def test_replicate_error_is_data_error(self, tmp_path, capsys, densities_file, monkeypatch):
+        # the replicates run inside the data boundary; cmd_simulate imports
+        # the simulate module when it runs, so the patch goes on that module
+        import densreg.simulate as simulate
+
+        draw, calls = simulate.simulate_responses, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("replicate responses are not finite")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "simulate_responses", second_fails)
+        cfg = write_config(
+            tmp_path / "cfg.json", data={"densities": densities_file}, model=MODEL,
+            boosting={"max_iterations": 5}, simulation={"replicates": 3},
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert len(calls) == 2
+        assert capsys.readouterr().err == "data error: replicate responses are not finite\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestCheckCommand:
     def test_valid_file_passes(self, tmp_path, densities_file):

@@ -3,16 +3,19 @@
 Invariant checks must survive ``python -O``, so the package holds no
 ``assert`` statement; and every name a module imports at module level is
 used in it or re-exported through ``__all__`` (``__init__.py`` is exempt:
-its imports are the re-exports). The runtime needs numpy only: importing the
-command-line module loads no scipy module, and defines one dataclass
-(``BoostConfig``), since every other record is a plain class or a NamedTuple;
-no code treats a NamedTuple record as a tuple. The command-line module's
-exit hook freezes what is alive when a command process exits, after the
-command's whole report, and leaves collection unchanged for a caller that
-runs ``main`` in process. The handlers of ``cli.main`` name only the error
-table (ConfigError, DataError, LinAlgError, ZeroDivisionError,
-FloatingPointError), so no error type reaches an exit code without a
-boundary that owns it. Boosting and simulation work on N x P clr arrays, so
+its imports are the re-exports). The runtime needs numpy only: importing
+every module of the package loads no scipy module, and defines one dataclass
+(``BoostConfig``, in ``densreg.records``), since every other record is a
+plain class or a NamedTuple; no code treats a NamedTuple record as a tuple.
+Each command loads only the modules it runs, as a table pins: config
+validation and model loading build their records from ``densreg.records``,
+so ``predict`` and ``check`` load no kernel, estimator, simulation or
+renderer module. The command-line module's exit hook freezes what is alive
+when a command process exits, after the command's whole report, and leaves
+collection unchanged for a caller that runs ``main`` in process. The
+handlers of ``cli.main`` name only the error table (ConfigError, DataError,
+LinAlgError, ZeroDivisionError, FloatingPointError), so no error type
+reaches an exit code without a boundary that owns it. Boosting and simulation work on N x P clr arrays, so
 they do not use the density and clr element classes; and no code turns rows
 into elements and back: ``predict_clr`` is called nowhere in the package,
 ``clr_inv`` only in ``bayes``, ``synth`` and the element edge
@@ -109,9 +112,15 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: unused import(s) {unused}"
 
 
+# imports every module of the package: importing densreg.cli alone loads
+# only the layers that all commands share
+IMPORT_ALL = "import importlib, sys; " + "; ".join(
+    f"importlib.import_module('densreg.{p.stem}')" for p in MODULES if p.name != "__init__.py"
+) + "; "
+
+
 def test_cli_import_loads_no_scipy():
-    script = (
-        "import sys, densreg.cli; "
+    script = IMPORT_ALL + (
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -125,8 +134,8 @@ def test_cli_import_defines_one_dataclass():
     # @dataclass generates and compiles methods for each class at import;
     # BoostConfig stays one because the benchmark tracer calls
     # dataclasses.replace on it
-    script = (
-        "import dataclasses, sys, densreg.cli; "
+    script = IMPORT_ALL + (
+        "import dataclasses; "
         "print(sorted(f'{name}.{k}' for name, mod in list(sys.modules.items()) "
         "if name.split('.')[0] == 'densreg' for k, v in vars(mod).items() "
         "if isinstance(v, type) and v.__module__ == name and dataclasses.is_dataclass(v)))"
@@ -135,7 +144,73 @@ def test_cli_import_defines_one_dataclass():
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "['densreg.boosting.BoostConfig']"
+    assert res.stdout.strip() == "['densreg.records.BoostConfig']"
+
+
+# the densreg modules a command loads: importing densreg.cli loads the
+# config, file and model layers, all that predict and check run; each other
+# command adds what it runs, and interpret adds render only to write SVG
+SHARED_MODULES = ["densreg", "densreg.basis", "densreg.bayes", "densreg.cli", "densreg.io",
+                  "densreg.measure", "densreg.model", "densreg.records"]
+COMMAND_MODULES = {
+    "estimate": ["densreg.ingest"],
+    "fit": ["densreg.boosting"],
+    "predict": [],
+    "interpret": ["densreg.interpret"],
+    "interpret_svg": ["densreg.interpret", "densreg.render"],
+    "simulate": ["densreg.boosting", "densreg.simulate"],
+    "check": [],
+}
+
+
+def _command_config(tmp_path, command) -> dict:
+    """A config for ``command`` on the inputs in ``tests/data``; ``fit`` and
+    ``simulate`` fit two terms to the five predicted densities, and
+    ``estimate`` reads three groups of shares written here."""
+    with open(DATA / "config_full.json") as fh:
+        cfg = json.load(fh)
+    cfg["out"] = str(tmp_path / "out")
+    cfg["data"] = {"observations": str(tmp_path / "obs.tsv"),
+                   "densities": str(DATA / "model_v1_predictions.tsv"),
+                   "model": str(DATA / "model_v1.json"),
+                   "newdata": str(DATA / "model_v1_newdata.tsv")}
+    (tmp_path / "obs.tsv").write_text("region\tvalue\tweight\n" + "".join(
+        f"{r}\t{v}\t1.0\n" for r in ("east", "west", "north")
+        for v in (0.0, 0.1, 0.3, 0.45, 0.6, 0.8, 1.0)
+    ))
+    cfg["model"] = {"references": {"region": "west"}, "terms": [
+        {"name": "intercept", "kind": "intercept"},
+        {"name": "region", "kind": "group_intercept", "covariates": ["region"]},
+    ]}
+    cfg["boosting"] = {"max_iterations": 5}
+    cfg["simulation"] = {"replicates": 1, "truncation": 1}
+    cfg["interpret"]["svg"] = command == "interpret_svg"
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    # without a bytecode cache every loaded module is compiled on each run,
+    # so one stray module-level import would load a module for every command
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_command_config(tmp_path, command)))
+    argv = [command.removesuffix("_svg"), "--config", str(cfg_path)]
+    if command == "check":
+        argv.insert(1, str(DATA / "model_v1_predictions.tsv"))
+    script = (
+        "import sys, densreg.cli\n"
+        "code = densreg.cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'densreg'))\n"
+        "raise SystemExit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    res = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = res.stdout.splitlines()[-1]
+    assert loaded == str(sorted(SHARED_MODULES + COMMAND_MODULES[command]))
+    svgs = sorted(p.name for p in (tmp_path / "out").glob("*.svg"))
+    assert bool(svgs) == (command == "interpret_svg"), svgs
 
 
 def test_cli_exit_hook_freezes_what_is_alive_at_exit():
@@ -296,8 +371,8 @@ def _relative_imports(tree) -> dict:
 
 def _unreached() -> list:
     """Top-level defs and classes of ``src/densreg`` that neither ``cli.py``
-    nor ``perfbench/`` reaches, following names and relative-import aliases
-    through the bodies of what is reached."""
+    nor ``perfbench/`` reaches, following names, relative-import aliases and
+    re-exports through the bodies of what is reached."""
     trees = {p.stem: _parse(p) for p in MODULES if p.name != "__init__.py"}
     defs = {mod: _top_level(tree) for mod, tree in trees.items()}
     aliases = {mod: _relative_imports(tree) for mod, tree in trees.items()}
@@ -313,6 +388,10 @@ def _unreached() -> list:
     reached = set()
     while todo:
         mod, name = todo.pop()
+        if name not in defs.get(mod, {}) and name in aliases.get(mod, {}):
+            # a re-export, such as densreg.boosting.BoostConfig from records
+            todo.append(aliases[mod][name])
+            continue
         if (mod, name) in reached or name not in defs.get(mod, {}):
             continue
         reached.add((mod, name))
