@@ -12,36 +12,45 @@ FDboost uses for functional linear array models (Brockhaus, Scheipl, Hothorn
 the in-bag fit, 0/1 for a cross-validation fold, draw multiplicities for a
 bootstrap replicate; its held-out rows are a 0/1 mask.
 
-* the iterations never read the N rows. Each resample keeps its gradient in
-  coefficient space, rhs = X' diag(2n) R (D x K_Y), next to the cross-Gram
-  G = X' diag(n) X; both are formed once. This is the covariance-update form
-  of coordinate descent (Friedman, Hastie & Tibshirani 2010, JSS 33(1),
-  section 2.2) applied to the array model;
 * in density coordinates rotated by the eigenvectors of C = B'WB =
   V diag(c) V', learner j's system in direction k is c_k D_j + lambda_j P_j,
   D_j = X_j' diag(n) X_j. Smoothers that differ only in a scalar share one
   Demmler-Reinsch basis (Demmler & Reinsch 1975, Numer. Math. 24): W with
   W' D_j W = diag(a) and W' (D_j + lambda_j P_j) W = I, one per resample and
-  learner, diagonalizes all K_Y systems. With u = rhs_j' W, the learner's
-  weighted residual sum of squares is, up to a constant,
-  sum u^2 (c a - 2 den) / den^2 with den = c a + b, and each resample picks
-  the first learner within a relative 1e-10 of the best. A density penalty
-  couples the directions into one system of size d K_Y, with c = 1;
-* only the pick forms its step, g = W (u / den) in block j and zero
-  elsewhere, which moves rhs by 2 kappa G g C and the in-bag risk in closed
-  form. The held-out rows (mask t) keep rhs_t = X' diag(t) R and
-  G_t = X' diag(t) X, and their risk moves by -2 kappa <g, rhs_t> +
-  kappa^2 <g, G_t g C>. The coefficients are rotated back to the density
-  basis B, fitted N x P surfaces are built once, at the end, and their
-  weighted SSE must match the in-bag risk path.
+  learner, diagonalizes all K_Y systems. With the learner's scores
+  u = W' X_j' diag(2n) R, its weighted residual sum of squares is, up to a
+  constant, sum u^2 (c a - 2 den) / den^2 with den = c a + b, and each
+  resample picks the first learner within a relative 1e-10 of the best;
+* the iterations never read the N rows. Each resample carries every
+  learner's scores in that learner's own basis, next to the cross-Grams
+  rotated once into the bases, H_ij = W_i' X_i' diag(n) X_j W_j. The pick's
+  step is u / den in its basis, and one product, 2 kappa H_i' (step C),
+  moves the scores of every learner; the in-bag risk moves in closed form.
+  The held-out rows (mask t) keep their scores and cross-Grams with diag(t)
+  the same way: one more product per iteration, and their risk moves by
+  kappa <step, moved - 2 u_t>. This is the covariance-update form of
+  coordinate descent (Friedman, Hastie & Tibshirani 2010, JSS 33(1),
+  section 2.2) applied to the array model;
+* a density penalty couples the K_Y directions into one system of size
+  d K_Y per learner (with c = 1), whose cross-Grams in the bases would be
+  (d K_Y)^2 per pair of learners. Coupled resamples therefore carry the raw
+  gradient rows X_j' diag(2n) R, move them with the raw cross-Grams, and
+  score every learner in its basis at each iteration: a branch of the same
+  loop.
 
-Every entry point takes the responses as N x P clr rows. In-bag fits
-(:func:`boost_from_clr`) are the one-resample case; resampled stopping
-(:func:`early_stop_from_clr`) makes one call for all folds or replicates;
-:func:`boost` resolves the stopping iteration, then fits. A fit works on
-one component measure; splitting mixed responses into their components is
-:func:`densreg.model.fit`'s. Norms everywhere are measure-weighted, which is
-where discrete, continuous, and mixed supports differ.
+Every entry point takes the responses as N x P clr rows. :func:`boost`
+makes one kernel call per component: with resampled stopping, the in-bag
+fit rides along as one more all-ones resample of the folds or replicates,
+runs to ``max_iterations``, and keeps its steps; the first m_stop of them,
+summed per learner and rotated back to the density basis B, are the fit.
+Fixed stopping is the one-resample case, with no held-out arrays. The
+fitted N x P surfaces are built once, at the end, and their weighted SSE
+must match the in-bag risk path. :func:`boost_from_clr` (an in-bag fit of
+m_stop iterations) and :func:`early_stop_from_clr` (the stop alone) run the
+same kernel. A fit works on one component measure; splitting mixed
+responses into their components is :func:`densreg.model.fit`'s. Norms
+everywhere are measure-weighted, which is where discrete, continuous, and
+mixed supports differ.
 """
 from __future__ import annotations
 
@@ -94,15 +103,22 @@ def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
     W = L^-T and a = 1 exactly.
     """
     systems = grams + penalties
-    lower, ridged = np.empty_like(systems), np.zeros(systems.shape[:-2], dtype=bool)
     size = systems.shape[-1]
     tiny, ridge = size * np.finfo(float).eps, 1e-10 * np.eye(size)
+    try:
+        lower = np.linalg.cholesky(systems)
+        pivots = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2
+        ridged = pivots <= tiny * np.abs(systems).max(axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        # some system has no factor: find which, one at a time
+        lower, ridged = np.empty_like(systems), np.ones(systems.shape[:-2], dtype=bool)
+        for i in np.ndindex(ridged.shape):
+            try:
+                lower[i] = np.linalg.cholesky(systems[i])
+                ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny * np.abs(systems[i]).max()
+            except np.linalg.LinAlgError:
+                pass
     for i in np.ndindex(ridged.shape):
-        try:
-            lower[i] = np.linalg.cholesky(systems[i])
-            ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny * np.abs(systems[i]).max()
-        except np.linalg.LinAlgError:
-            ridged[i] = True
         if ridged[i]:
             lower[i] = np.linalg.cholesky(systems[i] + ridge)
     if ridged.any():
@@ -119,8 +135,8 @@ def _learner_bases(
     density_penalty: np.ndarray,
     spectrum: np.ndarray,
 ):
-    """Every learner's Demmler-Reinsch basis W (F, J, s, s), 1/den and
-    c a / den^2 (F, J, B, s), zero-padded to the widest block d_max, and
+    """Every learner's Demmler-Reinsch basis W (F, J, s, s), 1/den and the
+    criterion weights c a / den^2 - 2 / den (F, J, B, s), zero-padded to the widest block d_max, and
     whether any system needed ridge jitter; learners of one block size are
     factorized together. With D = X_j' diag(n) X_j (``diag_grams``), learner
     j's system in rotated density direction k is c_k D + lambda_j P_j, which
@@ -139,7 +155,7 @@ def _learner_bases(
     blocks, width = (1, k_y * d_max) if coupled else (k_y, d_max)
     seen = True if coupled else (spectrum > 1e-12 * spectrum.max(initial=0.0))[:, None]
     bases = np.zeros((n_resamples, n_learners, width, width))
-    inv_den, size_w = np.zeros((2, n_resamples, n_learners, blocks, width))
+    inv_den, crit_w = np.zeros((2, n_resamples, n_learners, blocks, width))
     by_size, jittered = {}, False
     for j, design in enumerate(designs):
         by_size.setdefault(design.n_cov, []).append(j)
@@ -163,8 +179,8 @@ def _learner_bases(
         at = (*at, np.arange(blocks)[:, None], pos)
         den = fitted + b[:, :, None]
         inv_den[at] = np.divide(1.0, den, out=np.zeros_like(den), where=seen)
-        size_w[at] = fitted * inv_den[at] ** 2
-    return bases, inv_den, size_w, jittered
+        crit_w[at] = fitted * inv_den[at] ** 2 - 2.0 * inv_den[at]
+    return bases, inv_den, crit_w, jittered
 
 
 def _boost_paths(
@@ -176,25 +192,29 @@ def _boost_paths(
     counts: np.ndarray,
     test: np.ndarray | None = None,
 ):
-    """The boosting loop in coefficient space, for F resamples at once.
+    """The boosting loop for F resamples at once (see the module docstring).
 
     ``counts`` (F x N integers) gives each resample's training rows as
-    multiplicities over all N rows; ``test`` (F x N booleans), when given,
-    marks the held-out rows whose risk is tracked alongside. The N rows are
-    read only while setting up; the iterations update K_Y x D arrays. Each
+    multiplicities over all N rows. ``test`` (T x N booleans), when given,
+    marks the held-out rows of the last T resamples, whose risk is tracked
+    alongside; the first resample, unless it is one of those, is a fit and
+    keeps its steps. The N rows are read only while setting up. Each
     iteration picks, per resample, the learner that lowers the in-bag risk
     most; learners within ``_TIE_TOLERANCE`` of it tie, and the first wins.
 
-    The density coordinates are rotated by the eigenvectors V of C = B'WB =
-    V diag(c) V'. Learner arrays are zero-padded to the widest block, so one
-    batched product per iteration scores every learner in its basis (see
-    :func:`_learner_bases`); padded coordinates stay zero in every product.
+    A resample's state has one row per coordinate of every learner (D =
+    sum K_j rows, by K_Y rotated density directions) and one zero row, which
+    the coordinates that pad a block to the widest, d_max, read (see
+    :func:`_learner_bases`). A step of learner i in the state's coordinates
+    moves the state by H_i' (step 2 kappa C), with H_i its rows of the
+    cross-Grams, and the held-out state by H_t,i' (step kappa C).
 
-    Returns the offsets (F, P), coefficients (F, sum K_j, K_Y) in the
-    original density basis, selections (F, n_iter), in-bag risks
-    (F, n_iter + 1) and held-out risk sums (F, n_iter + 1, or None). Raises
-    FloatingPointError when an in-bag or held-out risk is not finite, or the
-    in-bag risk of any resample increases.
+    Returns the first resample's offset (P,), a function of m that gives its
+    coefficients (sum K_j, K_Y) in the original density basis after m
+    iterations (None when the first resample has held-out rows), selections
+    (F, n_iter), in-bag risks (F, n_iter + 1) and held-out risk sums
+    (T, n_iter + 1, or None). Raises FloatingPointError when an in-bag or
+    held-out risk is not finite, or the in-bag risk of any resample increases.
     """
     basis = designs[0].density_basis.clr_matrix
     weighted_basis = basis * weights[:, None]
@@ -204,89 +224,126 @@ def _boost_paths(
     sizes = [d.n_cov for d in designs]
     starts = np.cumsum(sizes) - sizes
     n_resamples, n = counts.shape
-    x = np.hstack([d.X for d in designs])
-    n_cols = x.shape[1]
+    n_learners, d_max, n_cols = len(designs), max(sizes), sum(sizes)
+    n_test = 0 if test is None else test.shape[0]
+    lead = n_resamples - n_test     # resamples without held-out rows
+    coupled = any(d.lambda_density for d in designs)
 
-    # Each learner's padded columns (J, d_max, N) and the 0/1 matrices that
-    # scatter them back (J, d_max, D). Per resample, each learner gets its
-    # gradient rows R' diag(2n) X_j, Gram rows X' diag(n) X_j and diagonal
-    # block X_j' diag(n) X_j from products of its own, so equal learners get
-    # bitwise equal values and tie exactly.
-    n_learners, d_max = len(designs), max(sizes)
-    x_pad = np.zeros((n_learners, d_max, n))
-    scatter = np.zeros((n_learners, d_max, n_cols))
+    # each learner's columns zero-padded to d_max (J, N, d_max), the state
+    # row of each padded coordinate, the padded index of each state row, and
+    # the learner of each state entry (one-hot, (D + 1) K_Y x J)
+    columns = np.zeros((n_learners, n, d_max))
+    rows_of, real = np.full((n_learners, d_max), n_cols), []
+    member = np.zeros((n_cols + 1, k_y, n_learners))
     for j, (a, d) in enumerate(zip(starts, sizes)):
-        x_pad[j, :d] = x.T[a:a + d]
-        scatter[j, np.arange(d), a + np.arange(d)] = 1.0
-    grads = np.empty((n_resamples, n_learners, k_y, d_max))
-    gram_rows = np.empty((n_resamples, n_learners, n_cols, d_max))
+        columns[j, :, :d] = designs[j].X
+        rows_of[j, :d] = a + np.arange(d)
+        real += range(j * d_max, j * d_max + d)
+        member[a:a + d, :, j] = 1.0
+    member = member.reshape(-1, n_learners)
     diag_grams = np.empty((n_resamples, n_learners, d_max, d_max))
-
-    offsets = np.empty((n_resamples, y_clr.shape[1]))
-    risk = np.empty((n_resamples, n_iter + 1))
-    if test is None:
-        heldout = gram_t = rhs_t = None
-    else:
-        heldout = np.empty((n_resamples, n_iter + 1))
-        gram_t = np.empty((n_resamples, n_cols, n_cols))
-        rhs_t = np.empty((n_resamples, k_y, n_cols))
     for f in range(n_resamples):
-        rows = np.repeat(np.arange(n), counts[f])
-        offsets[f] = y_clr[rows].mean(axis=0)
-        e = y_clr - offsets[f]
-        resid_t = (e @ rotated_basis).T
-        risk[f, 0] = float(((e[rows] ** 2) * weights).sum())
-        if test is not None:
-            x_test = x * test[f][:, None]
-            heldout[f, 0] = float(((e[test[f]] ** 2) * weights).sum())
-            gram_t[f] = x.T @ x_test
-            rhs_t[f] = resid_t @ x_test
-        counted = (x_pad * counts[f]).transpose(0, 2, 1)
-        grads[f] = 2.0 * (resid_t @ counted)
-        gram_rows[f] = x.T @ counted
-        diag_grams[f] = x_pad @ counted
-
-    bases, inv_den, size_w, jittered = _learner_bases(
+        diag_grams[f] = columns.swapaxes(1, 2) @ (columns * counts[f][:, None])
+    bases, inv_den, crit_w, jittered = _learner_bases(
         diag_grams, designs, rotation.T @ designs[0].density_basis.penalty @ rotation, spectrum
     )
-    # per learner coordinate: the weights of size - 2 fit, fit and size; a
-    # step moves the in-bag risk by -kappa fit + kappa^2 size
-    crit_w, fit_size_w = size_w - 2.0 * inv_den, np.stack([inv_den, size_w], axis=2)
+    del diag_grams
     if jittered:
         warnings.warn(
             "singular base-learner system, adding ridge jitter", RuntimeWarning,
             stacklevel=3,
         )
+    # (F, J, s, B), like the chosen scores; uncoupled criterion weights per state row
+    inv_den, crit_w = inv_den.swapaxes(2, 3).copy(), crit_w.swapaxes(2, 3)
+    if not coupled:
+        unpadded = np.zeros((n_resamples, n_cols + 1, k_y))
+        unpadded[:, rows_of] = crit_w
+        crit_w = unpadded
 
-    every, moves = np.arange(n_resamples), np.array([-kappa, kappa ** 2])
-    coefficients = np.zeros((n_resamples, k_y, n_cols))
+    state = np.zeros((n_resamples, n_cols + 1, k_y))
+    cross = np.zeros((n_resamples, n_learners, n_cols + 1, d_max))
+    state_t = np.zeros((n_test, n_cols + 1, k_y))
+    cross_t = np.zeros((n_test, n_learners, n_cols + 1, d_max))
+    risk = np.empty((n_resamples, n_iter + 1))
+    heldout = None if test is None else np.empty((n_test, n_iter + 1))
+    for f in range(n_resamples):
+        rows = np.repeat(np.arange(n), counts[f])
+        mean = y_clr[rows].mean(axis=0)
+        if not f:
+            offset = mean
+        e = y_clr - mean
+        resid = e @ rotated_basis
+        # the weighted row sums of squares, squaring e in place: at most one
+        # N x P residual or N-row column array is alive at a time
+        sse = np.square(e, out=e) @ weights
+        del e
+        # the learners' columns in their bases, side by side (N, J d_max)
+        cols = (columns if coupled else columns @ bases[f]).swapaxes(0, 1).reshape(n, -1)
+        weighted = cols[:, real] * counts[f][:, None]
+        risk[f, 0] = counts[f] @ sse
+        state[f, :-1] = 2.0 * (weighted.T @ resid)
+        cross[f, :, :-1] = (weighted.T @ cols).reshape(n_cols, n_learners, d_max).swapaxes(0, 1)
+        if f >= lead:
+            t = f - lead
+            weighted = cols[:, real] * test[t][:, None]
+            heldout[t, 0] = test[t] @ sse
+            state_t[t, :-1] = weighted.T @ resid
+            cross_t[t, :, :-1] = (weighted.T @ cols).reshape(n_cols, n_learners, d_max).swapaxes(0, 1)
+        del cols, weighted
+    del columns
+
+    # a step moves the in-bag state by 2 kappa c_k, the held-out by kappa c_k
+    scale_by = 2.0 * kappa * spectrum
+    cross_t *= 0.5
+    every, every_t = np.arange(n_resamples), np.arange(n_test)
+    each, each_t = every[:, None], every_t[:, None]
+    steps = np.empty((n_iter, *inv_den.shape[2:])) if lead else None
     selections = np.empty((n_resamples, n_iter), dtype=int)
+    # per iteration, the chosen learner's criterion and fit (in-bag) and the
+    # held-out gain; the risk paths are their running sums
+    chosen, fits = np.empty((2, n_resamples, n_iter))
+    gains = np.empty((n_test, n_iter))
     for m in range(1, n_iter + 1):
-        # u = r W in every learner's basis; size - 2 fit = sum u^2 (c a - 2 den) / den^2
-        u = grads.reshape(crit_w.shape) @ bases
-        crit = (u * u * crit_w).sum(axis=(2, 3))
+        # per learner, the in-bag risk falls by kappa fit - kappa^2 size, and
+        # size - 2 fit = sum u^2 (c a - 2 den) / den^2 scores the learners
+        if coupled:
+            raw = state[:, rows_of].swapaxes(2, 3).reshape(n_resamples, n_learners, 1, -1)
+            scores = (raw @ bases).swapaxes(2, 3)   # (F, J, K_Y d_max, 1)
+            crit = (scores * scores * crit_w).reshape(n_resamples, n_learners, -1).sum(axis=2)
+        else:
+            crit = (state * state * crit_w).reshape(n_resamples, -1) @ member
         # crit <= 0, so the tied learners lie at or below best (1 - tol)
         tied = crit <= crit.min(axis=1, keepdims=True) * (1.0 - _TIE_TOLERANCE)
-        selections[:, m - 1] = sel = np.argmax(tied, axis=1)
-        # the step g = W (u / den) of each resample's chosen learner only
-        u, chosen_w = u[every, sel], fit_size_w[every, sel]
-        g = (u * chosen_w[:, 0]) @ bases[every, sel].swapaxes(-1, -2)
-        step = g.reshape(n_resamples, k_y, d_max) @ scatter[sel]
-        coefficients += kappa * step
-        risk[:, m] = risk[:, m - 1] + ((u * u)[:, None] * chosen_w).sum(axis=(2, 3)) @ moves
-        # covariance updates: the step moves the residuals by X step B', so
-        # the gradient rows by 2 kappa (step C) G and rhs_t by kappa (step C) G_t,
-        # where step C scales each rotated density direction by c_k
-        step_c = step * spectrum[:, None]
-        grads -= 2.0 * kappa * (step_c[:, None] @ gram_rows)
+        selections[:, m - 1] = sel = tied.argmax(axis=1)
+        # the chosen learner's step u / den in its basis, and fit = <u, u / den>
+        u = scores[every, sel] if coupled else state[each, rows_of[sel]]
+        step = u * inv_den[every, sel]
+        chosen[:, m - 1] = crit[every, sel]
+        fits[:, m - 1] = (u * step).reshape(n_resamples, -1).sum(axis=1)
+        if lead:
+            steps[m - 1] = step[0]
+        if coupled:
+            # raw step W (u / den), from the flattened K_Y x d_max layout; one
+            # product per resample reads its chosen basis in place
+            step = np.stack([bases[f, j] @ step[f] for f, j in enumerate(sel)])
+            step = step.reshape(n_resamples, k_y, d_max).swapaxes(1, 2)
+        scaled = step * scale_by
+        state -= cross[every, sel] @ scaled
         if test is not None:
-            moved = step_c @ gram_t
-            heldout[:, m] = (
-                heldout[:, m - 1]
-                - 2.0 * kappa * (step * rhs_t).sum(axis=(1, 2))
-                + kappa ** 2 * (step * moved).sum(axis=(1, 2))
-            )
-            rhs_t -= kappa * moved
+            # the held-out risk moves by kappa <g, moved - 2 u_t> for the
+            # step g, its held-out scores u_t and their move
+            step, sel = step[lead:], sel[lead:]
+            moved = cross_t[every_t, sel] @ scaled[lead:]
+            at = (each_t, rows_of[sel])
+            gains[:, m - 1] = (step * (moved[at] - 2.0 * state_t[at])).reshape(n_test, -1).sum(axis=1)
+            state_t -= moved
+
+    # the in-bag risk moves by kappa^2 crit + (2 kappa^2 - kappa) fit per step
+    risk[:, 1:] = kappa ** 2 * chosen + (2.0 * kappa ** 2 - kappa) * fits
+    np.cumsum(risk, axis=1, out=risk)
+    if test is not None:
+        heldout[:, 1:] = kappa * gains
+        np.cumsum(heldout, axis=1, out=heldout)
 
     for which, path in (("in-bag", risk), ("held-out", heldout)):
         if path is not None and not np.isfinite(path).all():
@@ -297,7 +354,20 @@ def _boost_paths(
             "in-bag risk increased during boosting at iteration "
             f"{np.flatnonzero(rises.any(axis=0))[0] + 1}"
         )
-    return offsets, coefficients.swapaxes(1, 2) @ rotation.T, selections, risk, heldout
+    if not lead:
+        return offset, None, selections, risk, heldout
+
+    def coefficients(m_stop: int) -> np.ndarray:
+        """The first resample's first ``m_stop`` steps, summed per learner,
+        taken out of its basis and rotated back to the density basis."""
+        summed = np.zeros((n_learners, *steps.shape[1:]))
+        np.add.at(summed, selections[0, :m_stop], steps[:m_stop])
+        raw = kappa * (bases[0] @ summed)
+        if coupled:
+            raw = raw.reshape(n_learners, k_y, d_max).swapaxes(1, 2)
+        return np.vstack([raw[j, :d] for j, d in enumerate(sizes)]) @ rotation.T
+
+    return offset, coefficients, selections, risk, heldout
 
 
 def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign]) -> None:
@@ -313,6 +383,36 @@ def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign])
         raise ValueError("all effects must share one density basis")
 
 
+def _fit_state(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign], paths,
+               m_stop: int) -> FitState:
+    """The in-bag fit after ``m_stop`` iterations of the first resample of
+    ``paths`` (what :func:`_boost_paths` returns); its fitted surfaces must
+    match its in-bag risk path."""
+    offset, coefficients, selections, risk, _ = paths
+    coefficients = coefficients(m_stop)
+    ends = np.cumsum([d.n_cov for d in designs])
+    x = np.hstack([d.X for d in designs])
+    fitted = x @ coefficients @ designs[0].density_basis.clr_matrix.T
+    fitted += offset
+    # the risk path was updated in coefficient space; the surfaces must agree
+    scale = float(((y_clr ** 2) @ measure.weights).sum())
+    resid = y_clr - fitted
+    sse = float((np.square(resid, out=resid) @ measure.weights).sum())
+    if not abs(sse - risk[0, m_stop]) <= _DRIFT_TOLERANCE * scale:
+        raise FloatingPointError(
+            f"in-bag fit drifted from its risk path: weighted SSE {sse:.12g}, "
+            f"risk_path[{m_stop}] {risk[0, m_stop]:.12g}"
+        )
+    return FitState(
+        offset_clr=offset,
+        coefficients=[c.ravel() for c in np.split(coefficients, ends[:-1])],
+        fitted_clr=fitted,
+        selections=selections[0, :m_stop].tolist(),
+        risk_path=risk[0, :m_stop + 1],
+        m_stop=m_stop,
+    )
+
+
 def boost_from_clr(
     y_clr: np.ndarray,
     measure: ReferenceMeasure,
@@ -324,29 +424,11 @@ def boost_from_clr(
     clr-transformed responses."""
     y_clr = np.asarray(y_clr, dtype=float)
     _check_inputs(y_clr, measure, designs)
-    offsets, coefficients, selections, risk, _ = _boost_paths(
+    paths = _boost_paths(
         y_clr, measure.weights, designs, config.step_length, m_stop,
         np.ones((1, y_clr.shape[0]), dtype=int),
     )
-    ends = np.cumsum([d.n_cov for d in designs])
-    x = np.hstack([d.X for d in designs])
-    fitted = offsets[0] + x @ coefficients[0] @ designs[0].density_basis.clr_matrix.T
-    # the risk path was updated in coefficient space; the surfaces must agree
-    sse = float((((y_clr - fitted) ** 2) * measure.weights).sum())
-    scale = float(((y_clr ** 2) * measure.weights).sum())
-    if not abs(sse - risk[0, m_stop]) <= _DRIFT_TOLERANCE * scale:
-        raise FloatingPointError(
-            f"in-bag fit drifted from its risk path: weighted SSE {sse:.12g}, "
-            f"risk_path[{m_stop}] {risk[0, m_stop]:.12g}"
-        )
-    return FitState(
-        offset_clr=offsets[0],
-        coefficients=[c.ravel() for c in np.split(coefficients[0], ends[:-1])],
-        fitted_clr=fitted,
-        selections=selections[0].tolist(),
-        risk_path=risk[0],
-        m_stop=m_stop,
-    )
+    return _fit_state(y_clr, measure, designs, paths, m_stop)
 
 
 def boost(
@@ -357,18 +439,55 @@ def boost(
 ) -> FitState:
     """Fit the additive model to N x P clr responses on one measure.
 
-    Resolves the stopping iteration first (resampling methods run the loop on
-    every fold or replicate at once), then fits on all responses.
+    One kernel call: fixed stopping runs the in-bag fit alone; resampled
+    stopping runs it as one more all-ones resample next to every fold or
+    replicate, to ``max_iterations``, and keeps its first m_stop steps.
     """
     if config.stopping == "fixed":
         m_stop = config.m_stop if config.m_stop is not None else config.max_iterations
-        curve = None
-    else:
-        stop = early_stop_from_clr(y_clr, measure, designs, config)
-        m_stop, curve = stop.m_stop, stop.risk_curve
-    state = boost_from_clr(y_clr, measure, designs, config, m_stop=m_stop)
-    state.stop_curve = curve
+        return boost_from_clr(y_clr, measure, designs, config, m_stop)
+    y_clr = np.asarray(y_clr, dtype=float)
+    _check_inputs(y_clr, measure, designs)
+    counts, test = _resamples(y_clr.shape[0], config)
+    paths = _boost_paths(
+        y_clr, measure.weights, designs, config.step_length, config.max_iterations,
+        np.vstack([np.ones((1, y_clr.shape[0]), dtype=int), counts]), test,
+    )
+    stop = _stop(paths[-1], test)
+    state = _fit_state(y_clr, measure, designs, paths, stop.m_stop)
+    state.stop_curve = stop.risk_curve
     return state
+
+
+def _resamples(n: int, config: BoostConfig):
+    """The training counts and held-out masks (F x N each) of the folds or
+    replicates of a resampled stop."""
+    rng = np.random.default_rng(config.seed)
+    if config.stopping == "cv":
+        k = min(config.folds, n)
+        if k < 2:
+            raise ValueError("cross-validation needs at least two folds")
+        test = np.zeros((k, n), dtype=bool)
+        for i, rows in enumerate(np.array_split(rng.permutation(n), k)):
+            test[i, rows] = True
+        return (~test).astype(int), test
+    if config.stopping == "bootstrap":
+        if n < 2:
+            # one density is drawn every time: none would ever be out of bag
+            raise ValueError("bootstrap stopping needs at least two densities")
+        counts = np.ones((config.replicates, n), dtype=int)
+        for row in counts:
+            while row.all():  # redraw until some density is out of bag
+                row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        return counts, counts == 0
+    raise ValueError(f"no resampling for stopping method {config.stopping!r}")
+
+
+def _stop(heldout: np.ndarray, test: np.ndarray) -> EarlyStopResult:
+    """Each resample's per-density held-out risk curve, averaged across
+    resamples, and its minimizer over m = 1 .. max_iterations."""
+    mean_curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
+    return EarlyStopResult(int(np.argmin(mean_curve[1:]) + 1), mean_curve)
 
 
 def early_stop_from_clr(
@@ -386,32 +505,9 @@ def early_stop_from_clr(
     """
     y_clr = np.asarray(y_clr, dtype=float)
     _check_inputs(y_clr, measure, designs)
-    n = y_clr.shape[0]
-    rng = np.random.default_rng(config.seed)
-    if config.stopping == "cv":
-        k = min(config.folds, n)
-        if k < 2:
-            raise ValueError("cross-validation needs at least two folds")
-        test = np.zeros((k, n), dtype=bool)
-        for i, rows in enumerate(np.array_split(rng.permutation(n), k)):
-            test[i, rows] = True
-        counts = (~test).astype(int)
-    elif config.stopping == "bootstrap":
-        if n < 2:
-            # one density is drawn every time: none would ever be out of bag
-            raise ValueError("bootstrap stopping needs at least two densities")
-        counts = np.ones((config.replicates, n), dtype=int)
-        for row in counts:
-            while row.all():  # redraw until some density is out of bag
-                row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        test = counts == 0
-    else:
-        raise ValueError(f"no resampling for stopping method {config.stopping!r}")
-
+    counts, test = _resamples(y_clr.shape[0], config)
     *_, heldout = _boost_paths(
         y_clr, measure.weights, designs, config.step_length, config.max_iterations,
         counts, test,
     )
-    mean_curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
-    m_stop = int(np.argmin(mean_curve[1:]) + 1)
-    return EarlyStopResult(m_stop, mean_curve)
+    return _stop(heldout, test)

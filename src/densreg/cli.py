@@ -18,10 +18,12 @@ the quadrature weights must sum to the interval length, every density must
 integrate to one and every clr row to zero, and on a mixed measure the rows
 must pass :func:`densreg.bayes.check_decomposition` (each part integrates to
 zero under its own component measure, and the parts embed back to the
-rows). For each difference-in-differences item ``interpret`` writes a
-heatmap and a bands table; the bands table's outer band compares each atom
-with the continuous component as a whole, so its cells are empty unless the
-measure is mixed.
+rows). A newdata file with a header and no rows is valid: ``predict``
+writes ``predictions.tsv`` with its two header lines and no row, which
+``check`` accepts. For each difference-in-differences item ``interpret``
+writes a heatmap and a bands table; the bands table's outer band compares
+each atom with the continuous component as a whole, so its cells are empty
+unless the measure is mixed.
 
 Exit codes, by the type of the error that ends a command:
 

@@ -220,6 +220,11 @@ def _number(path, line: int, text: str) -> float:
 # Density files
 # ---------------------------------------------------------------------------
 
+# density value tokens parsed per numpy call, at least: blocks of 21 rows of
+# the benchmark measure's 102 values
+_PARSE_TOKENS = 2048
+
+
 def measure_header(m: ReferenceMeasure) -> str:
     interval = "none" if m.interval is None else f"{fmt(m.interval[0])}:{fmt(m.interval[1])}"
     atoms = (
@@ -289,19 +294,43 @@ def read_density_rows(path, numeric=()):
         for want, found in zip(_value_columns(measure), header[n_keys:]):
             if want != found:
                 raise DataError(f"{path}: line 2: expected column {want!r}, found {found!r}")
-        # one row split at a time: holding every field as a string costs a
-        # megabyte at paper scale
-        keys, values = [], []
-        for i, row in _rows(path, fh, header, 3):
-            keys.append((i, row[:n_keys]))
-            try:
-                values.append(np.array([float(t) for t in row[n_keys:]]))
-                check_density_values(values[-1])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {i}: {exc}") from exc
+        # the value tokens of a block of rows are parsed at once: few numpy
+        # calls, and not every field held as a string (a megabyte at paper scale)
+        keys, tokens, blocks = [], [], []
+        try:
+            for i, row in _rows(path, fh, header, 3):
+                keys.append((i, row[:n_keys]))
+                tokens += row[n_keys:]
+                if len(tokens) >= _PARSE_TOKENS:
+                    blocks.append(_density_values(path, keys, tokens, measure.size))
+                    tokens = []
+        except DataError:
+            # a value error on an earlier line comes first
+            _density_values(path, keys, tokens, measure.size)
+            raise
+        blocks.append(_density_values(path, keys, tokens, measure.size))
     _numbers(path, header[:n_keys], keys, numeric)
-    return (measure, header[:n_keys], [tuple(key) for _, key in keys],
-            np.reshape(values, (-1, measure.size)))
+    return measure, header[:n_keys], [tuple(key) for _, key in keys], np.concatenate(blocks)
+
+
+def _density_values(path, keys: list, tokens: list, size: int) -> np.ndarray:
+    """The density values of the last rows of ``keys`` from their value
+    tokens, parsed and checked at once; when that fails, row by row, so that
+    the first failing line raises its own DataError."""
+    try:
+        values = np.array(tokens, dtype=float).reshape(-1, size)
+        check_density_values(values)
+        return values
+    except ValueError:
+        pass
+    rows = []
+    for k, (i, _) in enumerate(keys[len(keys) - len(tokens) // size:]):
+        try:
+            rows.append(np.array([float(t) for t in tokens[k * size:(k + 1) * size]]))
+            check_density_values(rows[-1])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {i}: {exc}") from exc
+    return np.reshape(rows, (-1, size))
 
 
 def read_density_file(path):

@@ -324,7 +324,7 @@ class _TermEncoder:
         out = np.ones((n, 1))
         for letter, cov in zip(self.term.blocks, self.covariates):
             block = self._block(letter, cov, _column(data, cov.name, n))
-            out = (out[:, :, None] * block[:, None, :]).reshape(n, -1)
+            out = (out[:, :, None] * block[:, None, :]).reshape(n, out.shape[1] * block.shape[1])
         return out
 
     def design(self, data, n: int) -> np.ndarray:

@@ -618,9 +618,14 @@ class TestRiskCheck:
         kernel = boosting._boost_paths
 
         def perturbed(*args, **kwargs):
-            out = kernel(*args, **kwargs)
-            out[1][0, 0, 0] += 1e-3
-            return out
+            offset, coefficients, *rest = kernel(*args, **kwargs)
+
+            def moved(m):
+                out = coefficients(m)
+                out[0, 0] += 1e-3
+                return out
+
+            return (offset, moved, *rest)
 
         boosting._boost_paths = perturbed
         eff = EffectDesign(x, np.array([[1.0]]), basis, 1.0, 0.0)
@@ -891,6 +896,58 @@ def test_paper_model_cv_stop_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.1, 0.5], ids=lambda v: f"lambda_density={v}")
+def each_penalty_components(request):
+    """The planted components uncoupled and with two density penalties."""
+    return planted_components(request.param)
+
+
+@pytest.mark.parametrize("method", ["cv", "bootstrap", "fixed"])
+@pytest.mark.parametrize("component", ["continuous", "discrete"])
+def test_riding_fit_equals_a_separate_fit(each_penalty_components, component, method):
+    # boost runs the in-bag fit as one more all-ones resample of the
+    # stopping call, to max_iterations, and keeps its first m_stop steps
+    y, m, designs = each_penalty_components[component]
+    cfg = BoostConfig(max_iterations=100, stopping=method, folds=5, replicates=4, seed=11)
+    got = boost(y, m, designs, cfg)
+    if method == "fixed":
+        assert got.m_stop == cfg.max_iterations and got.stop_curve is None
+    else:
+        stop = early_stop_from_clr(y, m, designs, cfg)
+        assert got.m_stop == stop.m_stop
+        np.testing.assert_allclose(got.stop_curve, stop.risk_curve, rtol=1e-12, atol=0)
+    # the test is void if the stop lands on the last iteration
+    assert method == "fixed" or got.m_stop < cfg.max_iterations
+    want = boost_from_clr(y, m, designs, cfg, m_stop=got.m_stop)
+    assert got.selections == want.selections
+    assert len(got.risk_path) == got.m_stop + 1
+    np.testing.assert_allclose(got.risk_path, want.risk_path, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.offset_clr, want.offset_clr, rtol=1e-12, atol=0)
+    for a, b in zip(got.coefficients, want.coefficients):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=1e-12, atol=0)
+
+
+def test_paper_model_boost_memory():
+    # boost on the paper's model at paper scale (see the test above), the
+    # in-bag fit riding the 10-fold stop: its step history and the rotated
+    # cross-Grams must not grow the memory of a fit. Run as a stop and then
+    # a separate in-bag fit, boost peaked at 1.47 MB here
+    measure, data, truths, _ = planted_problem(seed=3, grid_size=100, n_years=30, noise_scale=0.5)
+    spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
+    _, bases, designs = build_designs(spec, data, measure, **options("model"))
+    y = np.stack([decompose_clr(clr(f))[0].values for f in truths])
+    cfg = BoostConfig(stopping="cv", folds=10, seed=3)
+    tracemalloc.start()
+    try:
+        state = boost(y, bases["continuous"].measure, designs["continuous"], cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.m_stop == 114
+    assert peak < 1.47e6
 
 
 def test_paper_model_cv_paths():

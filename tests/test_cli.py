@@ -1032,6 +1032,22 @@ class TestModelFiles:
         for g, e in zip(got, expected):
             np.testing.assert_allclose(g.values, e.values, rtol=1e-12, atol=0)
 
+    def test_newdata_without_rows_predicts_no_rows(self, tmp_path, capsys):
+        # a header and no rows: predictions.tsv gets both header lines and
+        # no row, and check accepts it
+        newdata = tmp_path / "newdata.tsv"
+        newdata.write_text((DATA / "model_v1_newdata.tsv").read_text().splitlines()[0] + "\n")
+        cfg = write_config(tmp_path / "cfg.json",
+                           data={"model": str(DATA / "model_v1.json"), "newdata": str(newdata)})
+        out = tmp_path / "out"
+        assert main(["predict", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        written = (out / "predictions.tsv").read_text().splitlines()
+        expected = (DATA / "model_v1_predictions.tsv").read_text().splitlines()
+        assert written == expected[:2]
+        assert main(["check", str(out / "predictions.tsv"), "--config", cfg]) == 0
+        assert capsys.readouterr().out.endswith("OK all invariants hold for 0 rows\n")
+
     def test_v1_file_design_columns(self):
         from densreg.model import design_report
 

@@ -287,3 +287,73 @@ def test_repeated_column_name_exits_3(tmp_path, capsys, inputs, which):
     err = capsys.readouterr().err
     assert code == 3, err
     assert err == f"data error: {path}: column 'region' appears more than once\n"
+
+
+def _first_bad_line(path):
+    """The DataError message of the first failing line of a density file,
+    read one row at a time, or None: the reader's rule in file order."""
+    with open(path) as fh:
+        fh.readline()
+        header = fh.readline().rstrip("\n").split("\t")
+        for i, line in enumerate(fh, start=3):
+            row = line.rstrip("\n").split("\t")
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                return f"{path}: line {i} has {len(row)} fields, expected {len(header)}"
+            try:
+                values = [float(t) for t in row[1:]]
+            except ValueError as exc:
+                return f"{path}: line {i}: {exc}"
+            if not np.isfinite(values).all():
+                return f"{path}: line {i}: density values must be finite"
+            if min(values) <= 0:
+                return f"{path}: line {i}: density values must be strictly positive"
+    return None
+
+
+# data row -> (value column, text) or "short" (a field dropped); the reader
+# parses blocks of 21 rows of this measure's 102 values
+@pytest.mark.parametrize("changes", [
+    {30: (5, "abc")},
+    {45: (0, "-1")},
+    {25: (3, "nan"), 22: (7, "-0")},
+    {5: (2, "inf"), 12: "short"},
+    {5: "short", 12: (2, "abc")},
+    {19: (1, "0"), 21: "short"},
+    {39: "short", 40: (1, "")},
+    {3: (4, "1_0"), 33: (0, "١"), 47: (6, " 2")},
+], ids=str)
+def test_density_reader_fails_on_the_first_bad_line(tmp_path, changes):
+    """Values parsed a block of rows at a time fail, accept and report
+    exactly as a row-by-row read: the first failing line in file order,
+    also when a later line has the wrong number of fields."""
+    from densreg.io import DataError, read_density_rows
+    from densreg.measure import make_mixed
+
+    m = make_mixed(0.0, 1.0, [(0.0, 1.0), (1.0, 1.0)], 100)
+    rng = np.random.default_rng(5)
+    path = tmp_path / "dens.tsv"
+    write_density_file(path, m, ["region"], [(f"r{i}",) for i in range(50)],
+                       list(rng.uniform(0.5, 2.0, size=(50, m.size))))
+    lines = path.read_text().splitlines()
+    for k, change in changes.items():
+        row = lines[2 + k].split("\t")
+        if change == "short":
+            row.pop()
+        else:
+            row[1 + change[0]] = change[1]
+        lines[2 + k] = "\t".join(row)
+    # blank lines count in the line numbers and are skipped
+    lines[10:10] = ["", ""]
+    path.write_text("\n".join(lines) + "\n")
+    expected = _first_bad_line(path)
+    if expected is None:
+        _, _, keys, values = read_density_rows(path)
+        want = [[float(t) for t in line.split("\t")[1:]] for line in lines[2:] if line]
+        assert len(keys) == 50
+        assert values.tobytes() == np.array(want).tobytes()
+    else:
+        with pytest.raises(DataError) as info:
+            read_density_rows(path)
+        assert str(info.value) == expected
