@@ -21,29 +21,30 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
   u = W' X_j' diag(2n) R, its weighted residual sum of squares is, up to a
   constant, sum u^2 (c a - 2 den) / den^2 with den = c a + b, and each
   resample picks the first learner within a relative 1e-10 of the best;
-* the iterations never read the N rows. Each resample carries every
-  learner's scores in that learner's own basis, next to the cross-Grams
-  rotated once into the bases, H_ij = W_i' X_i' diag(n) X_j W_j. The pick's
-  step is u / den in its basis, and one product, 2 kappa H_i' (step C),
-  moves the scores of every learner; the in-bag risk moves in closed form.
-  The held-out rows (mask t) keep their scores and cross-Grams with diag(t)
-  the same way: one more product per iteration, and their risk moves by
-  kappa <step, moved - 2 u_t>. This is the covariance-update form of
-  coordinate descent (Friedman, Hastie & Tibshirani 2010, JSS 33(1),
-  section 2.2) applied to the array model;
+* the iterations never read the N rows. The kernel tracks weighted row
+  sets alike: each resample's training rows (weights n) and held-out rows
+  (weights t), every set owned by its resample and taking its steps. A set
+  carries every learner's scores in that learner's own basis,
+  u = W' X_j' diag(2w) R for weights w, next to the cross-Grams rotated
+  once into its owner's bases, H_ij = W_i' X_i' diag(w) X_j W_j. The
+  pick's step is g = u / den in its basis; one product, 2 kappa H_i' (g C),
+  moves the scores of every learner, and the set's risk moves by
+  (kappa / 2) <g, moved - 2 u_i>, in-bag and held-out alike. This is the
+  covariance-update form of coordinate descent (Friedman, Hastie &
+  Tibshirani 2010, JSS 33(1), section 2.2) applied to the array model;
 * a density penalty couples the K_Y directions into one system of size
   d K_Y per learner (with c = 1), whose cross-Grams in the bases would be
-  (d K_Y)^2 per pair of learners. Coupled resamples therefore carry the raw
-  gradient rows X_j' diag(2n) R, move them with the raw cross-Grams, and
-  score every learner in its basis at each iteration: a branch of the same
-  loop.
+  (d K_Y)^2 per pair of learners. Coupled row sets therefore carry the raw
+  gradient rows X_j' diag(2w) R and the raw cross-Grams, the training sets
+  score every learner in its basis at each iteration, and the raw step
+  W g moves every set by the same product: a branch of the same loop.
 
 Every entry point takes the responses as N x P clr rows. :func:`boost`
 makes one kernel call per component: with resampled stopping, the in-bag
 fit rides along as one more all-ones resample of the folds or replicates,
 runs to ``max_iterations``, and keeps its steps; the first m_stop of them,
 summed per learner and rotated back to the density basis B, are the fit.
-Fixed stopping is the one-resample case, with no held-out arrays. The
+Fixed stopping is the one-resample case, with no held-out rows. The
 fitted N x P surfaces are built once, at the end, and their weighted SSE
 must match the in-bag risk path. :func:`boost_from_clr` (an in-bag fit of
 m_stop iterations) and :func:`early_stop_from_clr` (the stop alone) run the
@@ -104,21 +105,15 @@ def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
     """
     systems = grams + penalties
     size = systems.shape[-1]
-    tiny, ridge = size * np.finfo(float).eps, 1e-10 * np.eye(size)
-    try:
-        lower = np.linalg.cholesky(systems)
-        pivots = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2
-        ridged = pivots <= tiny * np.abs(systems).max(axis=(-2, -1))
-    except np.linalg.LinAlgError:
-        # some system has no factor: find which, one at a time
-        lower, ridged = np.empty_like(systems), np.ones(systems.shape[:-2], dtype=bool)
-        for i in np.ndindex(ridged.shape):
-            try:
-                lower[i] = np.linalg.cholesky(systems[i])
-                ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny * np.abs(systems[i]).max()
-            except np.linalg.LinAlgError:
-                pass
+    tiny = size * np.finfo(float).eps * np.abs(systems).max(axis=(-2, -1))
+    ridge = 1e-10 * np.eye(size)
+    lower, ridged = np.empty_like(systems), np.zeros(systems.shape[:-2], dtype=bool)
     for i in np.ndindex(ridged.shape):
+        try:
+            lower[i] = np.linalg.cholesky(systems[i])
+            ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny[i]
+        except np.linalg.LinAlgError:
+            ridged[i] = True
         if ridged[i]:
             lower[i] = np.linalg.cholesky(systems[i] + ridge)
     if ridged.any():
@@ -196,18 +191,21 @@ def _boost_paths(
 
     ``counts`` (F x N integers) gives each resample's training rows as
     multiplicities over all N rows. ``test`` (T x N booleans), when given,
-    marks the held-out rows of the last T resamples, whose risk is tracked
-    alongside; the first resample, unless it is one of those, is a fit and
-    keeps its steps. The N rows are read only while setting up. Each
-    iteration picks, per resample, the learner that lowers the in-bag risk
-    most; learners within ``_TIE_TOLERANCE`` of it tie, and the first wins.
+    marks the held-out rows of the last T resamples; the first resample,
+    unless it is one of those, is a fit and keeps its steps. Each iteration
+    picks, per resample, the learner that lowers the in-bag risk most;
+    learners within ``_TIE_TOLERANCE`` of it tie, and the first wins.
 
-    A resample's state has one row per coordinate of every learner (D =
-    sum K_j rows, by K_Y rotated density directions) and one zero row, which
-    the coordinates that pad a block to the widest, d_max, read (see
-    :func:`_learner_bases`). A step of learner i in the state's coordinates
-    moves the state by H_i' (step 2 kappa C), with H_i its rows of the
-    cross-Grams, and the held-out state by H_t,i' (step kappa C).
+    The kernel tracks S = F + T weighted row sets alike: each resample's
+    training rows, then the held-out rows of the last T, each set owned by
+    its resample and taking that resample's steps. The N rows are read only
+    while setting up. A set's state has one row per coordinate of every
+    learner (D = sum K_j rows, by K_Y rotated density directions) and one
+    zero row, which the coordinates that pad a block to the widest, d_max,
+    read (see :func:`_learner_bases`). A step g of learner i in the state's
+    coordinates moves a set's state by H_i' (g 2 kappa C), with H_i its rows
+    of the set's cross-Grams, and the set's risk by (kappa / 2) <g, moved -
+    2 u> for u the state's rows of learner i before the move.
 
     Returns the first resample's offset (P,), a function of m that gives its
     coefficients (sum K_j, K_Y) in the original density basis after m
@@ -225,9 +223,12 @@ def _boost_paths(
     starts = np.cumsum(sizes) - sizes
     n_resamples, n = counts.shape
     n_learners, d_max, n_cols = len(designs), max(sizes), sum(sizes)
-    n_test = 0 if test is None else test.shape[0]
-    lead = n_resamples - n_test     # resamples without held-out rows
+    lead = n_resamples - (0 if test is None else test.shape[0])  # resamples without held-out rows
     coupled = any(d.lambda_density for d in designs)
+    # the row weights of each set (S x N) and the resample that owns it
+    in_set = counts if test is None else np.vstack([counts, test])
+    owner = np.concatenate([np.arange(n_resamples), np.arange(lead, n_resamples)])
+    n_sets = owner.size
 
     # each learner's columns zero-padded to d_max (J, N, d_max), the state
     # row of each padded coordinate, the padded index of each state row, and
@@ -260,15 +261,13 @@ def _boost_paths(
         unpadded[:, rows_of] = crit_w
         crit_w = unpadded
 
-    state = np.zeros((n_resamples, n_cols + 1, k_y))
-    cross = np.zeros((n_resamples, n_learners, n_cols + 1, d_max))
-    state_t = np.zeros((n_test, n_cols + 1, k_y))
-    cross_t = np.zeros((n_test, n_learners, n_cols + 1, d_max))
-    risk = np.empty((n_resamples, n_iter + 1))
-    heldout = None if test is None else np.empty((n_test, n_iter + 1))
+    state = np.zeros((n_sets, n_cols + 1, k_y))
+    cross = np.zeros((n_sets, n_learners, n_cols + 1, d_max))
+    # per set, its risk at the start and its change per iteration; the risk
+    # paths are their running sums
+    paths = np.empty((n_sets, n_iter + 1))
     for f in range(n_resamples):
-        rows = np.repeat(np.arange(n), counts[f])
-        mean = y_clr[rows].mean(axis=0)
+        mean = y_clr[np.repeat(np.arange(n), counts[f])].mean(axis=0)
         if not f:
             offset = mean
         e = y_clr - mean
@@ -279,47 +278,37 @@ def _boost_paths(
         del e
         # the learners' columns in their bases, side by side (N, J d_max)
         cols = (columns if coupled else columns @ bases[f]).swapaxes(0, 1).reshape(n, -1)
-        weighted = cols[:, real] * counts[f][:, None]
-        risk[f, 0] = counts[f] @ sse
-        state[f, :-1] = 2.0 * (weighted.T @ resid)
-        cross[f, :, :-1] = (weighted.T @ cols).reshape(n_cols, n_learners, d_max).swapaxes(0, 1)
-        if f >= lead:
-            t = f - lead
-            weighted = cols[:, real] * test[t][:, None]
-            heldout[t, 0] = test[t] @ sse
-            state_t[t, :-1] = weighted.T @ resid
-            cross_t[t, :, :-1] = (weighted.T @ cols).reshape(n_cols, n_learners, d_max).swapaxes(0, 1)
+        for s in np.flatnonzero(owner == f):
+            weighted = cols[:, real] * in_set[s][:, None]
+            paths[s, 0] = in_set[s] @ sse
+            state[s, :-1] = 2.0 * (weighted.T @ resid)
+            cross[s, :, :-1] = (weighted.T @ cols).reshape(n_cols, n_learners, d_max).swapaxes(0, 1)
         del cols, weighted
     del columns
 
-    # a step moves the in-bag state by 2 kappa c_k, the held-out by kappa c_k
     scale_by = 2.0 * kappa * spectrum
-    cross_t *= 0.5
-    every, every_t = np.arange(n_resamples), np.arange(n_test)
-    each, each_t = every[:, None], every_t[:, None]
+    every, sets = np.arange(n_resamples), np.arange(n_sets)
     steps = np.empty((n_iter, *inv_den.shape[2:])) if lead else None
     selections = np.empty((n_resamples, n_iter), dtype=int)
-    # per iteration, the chosen learner's criterion and fit (in-bag) and the
-    # held-out gain; the risk paths are their running sums
-    chosen, fits = np.empty((2, n_resamples, n_iter))
-    gains = np.empty((n_test, n_iter))
+    bag = state[:n_resamples]       # the training sets, which pick the learners
     for m in range(1, n_iter + 1):
-        # per learner, the in-bag risk falls by kappa fit - kappa^2 size, and
-        # size - 2 fit = sum u^2 (c a - 2 den) / den^2 scores the learners
+        # sum u^2 (c a - 2 den) / den^2 scores the learners
         if coupled:
-            raw = state[:, rows_of].swapaxes(2, 3).reshape(n_resamples, n_learners, 1, -1)
+            raw = bag[:, rows_of].swapaxes(2, 3).reshape(n_resamples, n_learners, 1, -1)
             scores = (raw @ bases).swapaxes(2, 3)   # (F, J, K_Y d_max, 1)
             crit = (scores * scores * crit_w).reshape(n_resamples, n_learners, -1).sum(axis=2)
         else:
-            crit = (state * state * crit_w).reshape(n_resamples, -1) @ member
+            crit = (bag * bag * crit_w).reshape(n_resamples, -1) @ member
         # crit <= 0, so the tied learners lie at or below best (1 - tol)
         tied = crit <= crit.min(axis=1, keepdims=True) * (1.0 - _TIE_TOLERANCE)
         selections[:, m - 1] = sel = tied.argmax(axis=1)
-        # the chosen learner's step u / den in its basis, and fit = <u, u / den>
-        u = scores[every, sel] if coupled else state[each, rows_of[sel]]
-        step = u * inv_den[every, sel]
-        chosen[:, m - 1] = crit[every, sel]
-        fits[:, m - 1] = (u * step).reshape(n_resamples, -1).sum(axis=1)
+        # each set moves by its owner's pick, and u is its state on the pick's
+        # rows; the step is the pick's scores / den in its basis, and the
+        # uncoupled scores are the training sets' u
+        picks = sel[owner]
+        at = (sets[:, None], rows_of[picks])
+        u = state[at]
+        step = (scores[every, sel] if coupled else u[:n_resamples]) * inv_den[every, sel]
         if lead:
             steps[m - 1] = step[0]
         if coupled:
@@ -327,24 +316,16 @@ def _boost_paths(
             # product per resample reads its chosen basis in place
             step = np.stack([bases[f, j] @ step[f] for f, j in enumerate(sel)])
             step = step.reshape(n_resamples, k_y, d_max).swapaxes(1, 2)
-        scaled = step * scale_by
-        state -= cross[every, sel] @ scaled
-        if test is not None:
-            # the held-out risk moves by kappa <g, moved - 2 u_t> for the
-            # step g, its held-out scores u_t and their move
-            step, sel = step[lead:], sel[lead:]
-            moved = cross_t[every_t, sel] @ scaled[lead:]
-            at = (each_t, rows_of[sel])
-            gains[:, m - 1] = (step * (moved[at] - 2.0 * state_t[at])).reshape(n_test, -1).sum(axis=1)
-            state_t -= moved
+        # each set takes its owner's step g, and its risk moves by
+        # (kappa / 2) <g, moved - 2 u>
+        g = step.take(owner, axis=0)
+        moved = cross[sets, picks] @ (g * scale_by)
+        paths[:, m] = (g * (moved[at] - 2.0 * u)).reshape(n_sets, -1).sum(axis=1)
+        state -= moved
 
-    # the in-bag risk moves by kappa^2 crit + (2 kappa^2 - kappa) fit per step
-    risk[:, 1:] = kappa ** 2 * chosen + (2.0 * kappa ** 2 - kappa) * fits
-    np.cumsum(risk, axis=1, out=risk)
-    if test is not None:
-        heldout[:, 1:] = kappa * gains
-        np.cumsum(heldout, axis=1, out=heldout)
-
+    paths[:, 1:] *= 0.5 * kappa
+    np.cumsum(paths, axis=1, out=paths)
+    risk, heldout = paths[:n_resamples], None if test is None else paths[n_resamples:]
     for which, path in (("in-bag", risk), ("held-out", heldout)):
         if path is not None and not np.isfinite(path).all():
             raise FloatingPointError(f"{which} risk is not finite during boosting")

@@ -30,10 +30,15 @@ Exit codes, by the type of the error that ends a command:
 * 0: done (``check``: every invariant holds).
 * 2, :class:`~densreg.io.ConfigError`: the fix is in the config or the
   command line, named at the start of the message: a key or a constructor
-  rule (``config.model.terms[2]``), a ``data.*`` path or the ``check``
-  ``target`` that names no file or a directory, a model term or reference
-  that the densities contradict (``config.model.<item>``), an interpret item
-  that does not fit the model (``config.interpret.<item>``), a
+  rule (``config.model.terms[2]``), among them a spline term whose
+  ``penalty_order`` exceeds its ``knots`` + ``degree``, a ``data.*`` path or
+  the ``check`` ``target`` that names no file or a directory, a model item
+  that the densities contradict (``config.model.<item>``: a term that reads
+  a covariate the table lacks or keeps no free column under its
+  constraints, a reference that is not a level, not a number or off a
+  spline's training range, and a ``density_basis`` whose ``penalty_order``
+  exceeds its ``knots`` + ``degree`` on a measure with a grid), an
+  interpret item that does not fit the model (``config.interpret.<item>``), a
   ``simulation.truncation`` above the rank bound of the residuals, and an
   output directory that cannot be made or an output file that cannot be
   written (``--out`` or ``config.out``). Each command writes its outputs

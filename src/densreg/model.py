@@ -115,6 +115,8 @@ class EffectTerm:
                 f"term {name!r} of kind {kind!r} needs "
                 f"{len(self.blocks)} covariate(s)"
             )
+        if "s" in self.blocks and penalty_order > knots + degree:
+            raise ValueError(f"term {name!r}: {_order_too_high(knots, degree, penalty_order)}")
 
     @property
     def blocks(self) -> str:
@@ -126,6 +128,14 @@ class EffectTerm:
     def covariate_kinds(self) -> tuple:
         """"categorical" or "numeric" per covariate slot."""
         return tuple("categorical" if letter == "c" else "numeric" for letter in self.blocks)
+
+
+def _order_too_high(knots: int, degree: int, penalty_order: int) -> str:
+    """Why a spline of ``knots`` interior knots and ``degree`` cannot take
+    ``penalty_order``: its knots + degree + 1 coefficients have differences of
+    order at most knots + degree."""
+    return (f"penalty_order {penalty_order} exceeds knots + degree ({knots} + {degree}), "
+            "the spline's highest difference order")
 
 
 # the parameters of EffectTerm, in the order the model file lists them
@@ -179,11 +189,14 @@ class ModelSpec:
 
 
 class SpecMismatch(ValueError):
-    """The training table contradicts an item of the model spec: a term reads
-    a covariate the table lacks, or a reference is not one of the covariate's
-    levels, not a number, or off the training range of a spline block. ``item``
-    locates the entry in the spec (``terms[i]``, ``references.<name>``), as in
-    the ``model`` section of a run configuration."""
+    """The training data contradict an item of the model spec: a term reads
+    a covariate the table lacks or keeps no free column under its
+    constraints, a reference is not one of the covariate's levels, not a
+    number, or off the training range of a spline block, or the density
+    basis asks, on a measure with a grid, for a penalty order its spline
+    cannot take. ``item`` locates the entry in the spec (``terms[i]``,
+    ``references.<name>``, ``density_basis``), as in the ``model`` section
+    of a run configuration."""
 
     def __init__(self, item: str, message: str):
         super().__init__(message)
@@ -383,8 +396,9 @@ def _per_unit_design(norm: float) -> float:
     return 2.0 ** -round(math.log2(norm)) if norm > 0 else 1.0
 
 
-def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
-    """Orthonormal basis of the nullspace of the stacked constraint rows.
+def _nullspace_transform(constraints: np.ndarray, scale: float, item: str) -> np.ndarray:
+    """Orthonormal basis of the nullspace of the stacked constraint rows of
+    the term at spec ``item``; a SpecMismatch there if it is empty.
 
     Rank is measured against ``scale``, the largest size a row can have, so
     that rows of pure rounding noise count as no constraint.
@@ -393,7 +407,7 @@ def _nullspace_transform(constraints: np.ndarray, scale: float) -> np.ndarray:
     tol = max(constraints.shape) * np.finfo(float).eps * scale
     rank = int((s > tol).sum())
     if rank == vt.shape[1]:
-        raise ValueError("identifiability constraints leave no free coefficients")
+        raise SpecMismatch(item, "identifiability constraints leave no free coefficients")
     return vt[rank:].T
 
 
@@ -432,7 +446,7 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
             raise
         raise SpecMismatch(f"references.{exc.name}", str(exc)) from None
     blocks, designs_by_name = [], {}
-    for encoder in encoders:
+    for i, encoder in enumerate(encoders):
         term = encoder.term
         raw = encoder.raw_design(data, _table_length(data))
         pen = encoder.raw_penalty()
@@ -449,7 +463,9 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
             rows.append(design.T @ raw * _per_unit_design(np.linalg.norm(design)))
         x = raw
         if rows:
-            z = encoder.transform = _nullspace_transform(np.vstack(rows), np.linalg.norm(raw))
+            z = encoder.transform = _nullspace_transform(
+                np.vstack(rows), np.linalg.norm(raw), f"terms[{i}]"
+            )
             x, pen = raw @ z, z.T @ pen @ z
         encoder.target_df = term.df if term.df is not None else default_df
         encoder.lambda_cov, encoder.achieved_df = calibrate_df(x, pen, encoder.target_df)
@@ -609,7 +625,10 @@ def load_fields(d: dict) -> FittedModel:
 
 def _density_bases(measure: ReferenceMeasure, knots: int, degree: int, penalty_order: int) -> dict:
     """The density basis of each component of ``measure`` (see
-    :func:`~densreg.bayes.components`)."""
+    :func:`~densreg.bayes.components`). Only a grid reads the options, so
+    only there can its penalty order be more than the spline takes."""
+    if measure.n_grid and penalty_order > knots + degree:
+        raise SpecMismatch("density_basis", _order_too_high(knots, degree, penalty_order))
     comps = components(measure)
     return {c: density_basis(m, knots, degree, penalty_order) for c, (m, _) in comps.items()}
 

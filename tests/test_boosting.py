@@ -930,6 +930,21 @@ def test_riding_fit_equals_a_separate_fit(each_penalty_components, component, me
     np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("lambda_density", [0.0, 0.1])
+@pytest.mark.parametrize("component", ["continuous", "discrete"])
+def test_heldout_rows_move_like_training_rows(component, lambda_density):
+    # every row set takes one update and one risk formula: held-out rows that
+    # are all N rows of the second resample follow its in-bag risk path to
+    # the bit
+    y, m, designs = planted_components(lambda_density)[component]
+    n = y.shape[0]
+    *_, selections, risk, heldout = _boost_paths(
+        y, m.weights, designs, 0.1, 60, np.ones((2, n), dtype=int), np.ones((1, n), dtype=bool),
+    )
+    np.testing.assert_array_equal(selections[0], selections[1])
+    np.testing.assert_array_equal(heldout[0], risk[1])
+
+
 def test_paper_model_boost_memory():
     # boost on the paper's model at paper scale (see the test above), the
     # in-bag fit riding the 10-fold stop: its step history and the rotated

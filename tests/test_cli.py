@@ -568,6 +568,45 @@ class TestFitCommand:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"terms": {3: {"knots": 0, "degree": 0}}},
+             "config.model.terms[3]: term 'year': penalty_order 2 exceeds knots + degree "
+             "(0 + 0), the spline's highest difference order"),
+            ({"terms": {3: {"penalty_order": 20}}},
+             "config.model.terms[3]: term 'year': penalty_order 20 exceeds knots + degree "
+             "(4 + 3), the spline's highest difference order"),
+            ({"terms": {3: {"knots": 0, "degree": 0, "penalty_order": 0}}},
+             "config.model.terms[3]: identifiability constraints leave no free coefficients"),
+            ({"density_basis": {"knots": 0, "degree": 0}},
+             "config.model.density_basis: penalty_order 2 exceeds knots + degree (0 + 0), "
+             "the spline's highest difference order"),
+            ({"density_basis": {"penalty_order": 20}},
+             "config.model.density_basis: penalty_order 20 exceeds knots + degree (10 + 3), "
+             "the spline's highest difference order"),
+        ],
+        ids=["term_without_knots", "term_order_too_high", "term_without_free_columns",
+             "density_basis_without_knots", "density_basis_order_too_high"],
+    )
+    def test_spline_sizes_the_basis_cannot_take_exit_config(
+        self, tmp_path, capsys, densities_file, command, change, message
+    ):
+        model = copy.deepcopy(MODEL)
+        for i, term_changes in change.get("terms", {}).items():
+            model["terms"][i].update(term_changes)
+        model["density_basis"] = change.get("density_basis", {})
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            data={"densities": densities_file},
+            model=model,
+            boosting={"max_iterations": 5},
+            simulation={"replicates": 2},
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_linear_covariate_keeps_off_range_reference(self, tmp_path, densities_file):
         # a linear block is defined beyond the training range, so only a
         # spline block bounds the reference of its covariate
@@ -1178,7 +1217,9 @@ class TestModelFiles:
             (_model_file_with(("covariates", "year", "reference"), "abc"),
              "model file: covariates.year.reference: must be a finite number, not 'abc'"),
             (_model_file_with(("density_basis", "penalty_order"), 40),
-             "model file: density_basis: difference order must be smaller than the dimension"),
+             "model file: density_basis: penalty_order 40 exceeds knots + degree (3 + 3)"),
+            (_model_file_with(("terms", 3, "penalty_order"), 9),
+             "model file: term 'year': penalty_order 9 exceeds knots + degree (2 + 3)"),
             (_model_file_with(("covariates", "year", "lo"), 5.0),
              "model file: covariates.year.hi: covariate 'year': lo 5.0 lies above hi 4.0"),
             (_model_file_with(("covariates", "c_age", "levels"), ["other"]),
@@ -1211,6 +1252,7 @@ class TestModelFiles:
             "offset_nan", "coefficient_infinite",
             "reference_not_a_level", "levels_not_a_list", "covariate_range_infinite",
             "covariate_reference_string", "density_penalty_order_too_large",
+            "term_penalty_order_too_large",
             "covariate_range_empty", "single_level",
             "unknown_term_covariate", "term_covariate_wrong_kind", "orthogonal_to_unknown_term",
             "missing_component_fit", "selection_too_large", "selection_negative",

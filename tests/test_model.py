@@ -8,6 +8,7 @@ from densreg.model import (
     EffectTerm,
     FittedModel,
     ModelSpec,
+    SpecMismatch,
     build_designs,
     design_report,
     extract_effect,
@@ -122,6 +123,51 @@ class TestBuildDesigns:
         # rejected when the term is declared, not when its design is built
         with pytest.raises(ValueError, match=f"{size} must be nonnegative"):
             EffectTerm("year", "flexible", ("year",), **{size: -1})
+
+    @pytest.mark.parametrize("kind, covariates", [
+        ("flexible", ("year",)), ("group_flexible", ("region", "year")),
+        ("interaction", ("year", "x")),
+    ])
+    @pytest.mark.parametrize("knots, degree, order", [(0, 0, 1), (0, 0, 2), (4, 3, 8)])
+    def test_spline_penalty_order_above_its_dimension_rejected(self, kind, covariates,
+                                                               knots, degree, order):
+        # a spline of knots + degree + 1 columns takes differences of order
+        # at most knots + degree
+        with pytest.raises(ValueError, match=(
+                f"^term 'year': penalty_order {order} exceeds knots \\+ degree "
+                f"\\({knots} \\+ {degree}\\)")):
+            EffectTerm("year", kind, covariates, knots=knots, degree=degree, penalty_order=order)
+        EffectTerm("year", kind, covariates, knots=knots, degree=degree,
+                   penalty_order=knots + degree)
+
+    def test_penalty_order_of_a_term_without_splines_is_not_read(self):
+        for kind, covariates in [("intercept", ()), ("group_intercept", ("region",)),
+                                 ("linear", ("year",))]:
+            EffectTerm("t", kind, covariates, knots=0, degree=0, penalty_order=5)
+
+    def test_term_without_free_columns_names_the_term(self):
+        # one constant column, centered away by the intercept
+        m, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
+        spec = ModelSpec(terms=(
+            EffectTerm("intercept", "intercept"),
+            EffectTerm("year", "flexible", ("year",), knots=0, degree=0, penalty_order=0),
+        ))
+        with pytest.raises(SpecMismatch, match="no free coefficients") as caught:
+            build_designs(spec, data, m, **options("model"))
+        assert caught.value.item == "terms[1]"
+
+    @pytest.mark.parametrize("knots, degree, order", [(0, 0, 2), (10, 3, 20)])
+    def test_density_penalty_order_above_its_dimension_names_the_basis(self, knots, degree, order):
+        m, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
+        spec = ModelSpec(terms=(EffectTerm("intercept", "intercept"),))
+        sizes = dict(density_knots=knots, density_degree=degree, density_penalty_order=order)
+        with pytest.raises(SpecMismatch, match=f"penalty_order {order} exceeds") as caught:
+            build_designs(spec, data, m, **options("model", **sizes))
+        assert caught.value.item == "density_basis"
+        # only a grid reads the density-basis options
+        atoms = make_discrete([(0, 1), (0.5, 1), (1, 1)])
+        _, bases, _ = build_designs(spec, data, atoms, **options("model", **sizes))
+        assert list(bases) == ["single"] and bases["single"].n_basis == 2
 
     def test_observation_centering(self):
         # under effect coding every non-intercept design is mean-centered, so
