@@ -37,7 +37,12 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
   (d K_Y)^2 per pair of learners. Coupled row sets therefore carry the raw
   gradient rows X_j' diag(2w) R and the raw cross-Grams, the training sets
   score every learner in its basis at each iteration, and the raw step
-  W g moves every set by the same product: a branch of the same loop.
+  W g moves every set by the same product: a branch of the same loop;
+* the loop reads flat views, so that each gather is one ``take``: the
+  states of the S sets as (S (D + 1), K_Y) rows, the cross-Grams as
+  (S J, D + 1, d_max) and 1/den as (F J, d_max, K_Y). Set s's cross-Grams
+  with learner j, and the offsets of its state rows of learner j's
+  coordinates (a precomputed (S J, d_max) table), sit at s J + j.
 
 Every entry point takes the responses as N x P clr rows. :func:`boost`
 makes one kernel call per component: with resampled stopping, the in-bag
@@ -101,21 +106,28 @@ def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
     side leaves the factor's rounding on the gram, at the gram's scale; the
     gram side would put it on a 1e-10 ridge, as a 1e-5 relative error that
     makes a ridged learner's criterion noisy. An unpenalized learner gets
-    W = L^-T and a = 1 exactly.
+    W = L^-T and a = 1 exactly. The stack is factorized in one call; when
+    some system has no factor, each is factorized alone, and only the
+    ridged systems are factorized again, with the ridge.
     """
     systems = grams + penalties
     size = systems.shape[-1]
     tiny = size * np.finfo(float).eps * np.abs(systems).max(axis=(-2, -1))
     ridge = 1e-10 * np.eye(size)
-    lower, ridged = np.empty_like(systems), np.zeros(systems.shape[:-2], dtype=bool)
-    for i in np.ndindex(ridged.shape):
-        try:
-            lower[i] = np.linalg.cholesky(systems[i])
-            ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny[i]
-        except np.linalg.LinAlgError:
-            ridged[i] = True
-        if ridged[i]:
-            lower[i] = np.linalg.cholesky(systems[i] + ridge)
+    try:
+        lower = np.linalg.cholesky(systems)
+        ridged = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2 <= tiny
+    except np.linalg.LinAlgError:
+        # some system has no factor: find which, one at a time
+        lower, ridged = np.empty_like(systems), np.ones(systems.shape[:-2], dtype=bool)
+        for i in np.ndindex(ridged.shape):
+            try:
+                lower[i] = np.linalg.cholesky(systems[i])
+                ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny[i]
+            except np.linalg.LinAlgError:
+                pass
+    for i in zip(*np.nonzero(ridged)):
+        lower[i] = np.linalg.cholesky(systems[i] + ridge)
     if ridged.any():
         penalties = penalties + ridge * ridged[..., None, None]
     inv_lower = np.linalg.inv(lower)
@@ -286,17 +298,27 @@ def _boost_paths(
         del cols, weighted
     del columns
 
+    # flat views, so that every gather in the loop is one take: the cross-Grams
+    # of set s with learner j, and its state rows of learner j's coordinates,
+    # sit at s J + j; resample f's 1/den of learner j sits at f J + j
+    flat = state.reshape(n_sets * (n_cols + 1), k_y)
+    cross = cross.reshape(n_sets * n_learners, n_cols + 1, d_max)
+    state_rows = (np.arange(n_sets)[:, None, None] * (n_cols + 1) + rows_of).reshape(-1, d_max)
+    inv_den = inv_den.reshape(n_resamples * n_learners, *inv_den.shape[2:])
+    set_base = np.arange(n_sets) * n_learners
     scale_by = 2.0 * kappa * spectrum
-    every, sets = np.arange(n_resamples), np.arange(n_sets)
-    steps = np.empty((n_iter, *inv_den.shape[2:])) if lead else None
+    steps = np.empty((n_iter, *inv_den.shape[1:])) if lead else None
     selections = np.empty((n_resamples, n_iter), dtype=int)
     bag = state[:n_resamples]       # the training sets, which pick the learners
+    bag_rows = state_rows[:n_resamples * n_learners].reshape(n_resamples, n_learners, d_max)
     for m in range(1, n_iter + 1):
         # sum u^2 (c a - 2 den) / den^2 scores the learners
         if coupled:
-            raw = bag[:, rows_of].swapaxes(2, 3).reshape(n_resamples, n_learners, 1, -1)
+            raw = flat.take(bag_rows, axis=0).swapaxes(2, 3)
+            raw = raw.reshape(n_resamples, n_learners, 1, -1)
             scores = (raw @ bases).swapaxes(2, 3)   # (F, J, K_Y d_max, 1)
             crit = (scores * scores * crit_w).reshape(n_resamples, n_learners, -1).sum(axis=2)
+            scores = scores.reshape(n_resamples * n_learners, -1, 1)
         else:
             crit = (bag * bag * crit_w).reshape(n_resamples, -1) @ member
         # crit <= 0, so the tied learners lie at or below best (1 - tol)
@@ -305,22 +327,26 @@ def _boost_paths(
         # each set moves by its owner's pick, and u is its state on the pick's
         # rows; the step is the pick's scores / den in its basis, and the
         # uncoupled scores are the training sets' u
-        picks = sel[owner]
-        at = (sets[:, None], rows_of[picks])
-        u = state[at]
-        step = (scores[every, sel] if coupled else u[:n_resamples]) * inv_den[every, sel]
+        pairs = set_base + sel.take(owner)
+        at = state_rows.take(pairs, axis=0)
+        u = flat.take(at, axis=0)
+        chosen = pairs[:n_resamples]     # the training sets are the resamples
+        picked = scores.take(chosen, axis=0) if coupled else u[:n_resamples]
+        step = picked * inv_den.take(chosen, axis=0)
         if lead:
             steps[m - 1] = step[0]
         if coupled:
             # raw step W (u / den), from the flattened K_Y x d_max layout; one
-            # product per resample reads its chosen basis in place
+            # product per resample reads its chosen basis in place, where a
+            # batched product would first copy F bases of (d_max K_Y)^2
             step = np.stack([bases[f, j] @ step[f] for f, j in enumerate(sel)])
             step = step.reshape(n_resamples, k_y, d_max).swapaxes(1, 2)
         # each set takes its owner's step g, and its risk moves by
         # (kappa / 2) <g, moved - 2 u>
         g = step.take(owner, axis=0)
-        moved = cross[sets, picks] @ (g * scale_by)
-        paths[:, m] = (g * (moved[at] - 2.0 * u)).reshape(n_sets, -1).sum(axis=1)
+        moved = cross.take(pairs, axis=0) @ (g * scale_by)
+        gap = moved.reshape(flat.shape).take(at, axis=0) - 2.0 * u
+        paths[:, m] = (g * gap).reshape(n_sets, -1).sum(axis=1)
         state -= moved
 
     paths[:, 1:] *= 0.5 * kappa

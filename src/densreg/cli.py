@@ -37,7 +37,8 @@ Exit codes, by the type of the error that ends a command:
   a covariate the table lacks or keeps no free column under its
   constraints, a reference that is not a level, not a number or off a
   spline's training range, and a ``density_basis`` whose ``penalty_order``
-  exceeds its ``knots`` + ``degree`` on a measure with a grid), an
+  exceeds its ``knots`` + ``degree``, or whose ``knots`` + ``degree`` is 0,
+  on a measure with a grid), an
   interpret item that does not fit the model (``config.interpret.<item>``), a
   ``simulation.truncation`` above the rank bound of the residuals, and an
   output directory that cannot be made or an output file that cannot be

@@ -194,7 +194,8 @@ class SpecMismatch(ValueError):
     constraints, a reference is not one of the covariate's levels, not a
     number, or off the training range of a spline block, or the density
     basis asks, on a measure with a grid, for a penalty order its spline
-    cannot take. ``item`` locates the entry in the spec (``terms[i]``,
+    cannot take or for a spline the sum-to-zero constraint leaves without a
+    column. ``item`` locates the entry in the spec (``terms[i]``,
     ``references.<name>``, ``density_basis``), as in the ``model`` section
     of a run configuration."""
 
@@ -626,9 +627,15 @@ def load_fields(d: dict) -> FittedModel:
 def _density_bases(measure: ReferenceMeasure, knots: int, degree: int, penalty_order: int) -> dict:
     """The density basis of each component of ``measure`` (see
     :func:`~densreg.bayes.components`). Only a grid reads the options, so
-    only there can its penalty order be more than the spline takes."""
+    only there can its penalty order be more than the spline takes, or its
+    knots + degree + 1 B-splines be one, which the sum-to-zero constraint
+    leaves with no column (K_Y = 0)."""
     if measure.n_grid and penalty_order > knots + degree:
         raise SpecMismatch("density_basis", _order_too_high(knots, degree, penalty_order))
+    if measure.n_grid and knots + degree == 0:
+        raise SpecMismatch("density_basis", "knots + degree (0 + 0) leave one B-spline, which "
+                           "the sum-to-zero constraint removes: the density basis needs "
+                           "knots + degree >= 1")
     comps = components(measure)
     return {c: density_basis(m, knots, degree, penalty_order) for c, (m, _) in comps.items()}
 

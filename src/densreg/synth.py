@@ -44,9 +44,11 @@ def planted_problem(seed: int, grid_size: int, n_years: int, noise_scale: float)
     """Planted mixed-density regression problem over region x child group x year.
 
     Returns (measure, data, truths, effects) where ``truths`` are the
-    noise-free densities, ``data`` is the covariate table, and ``effects``
-    maps term names to the planted clr surfaces per observation for direct
-    comparison with fitted effects.
+    observed densities: the planted additive clr surfaces, plus, when
+    ``noise_scale`` > 0, a random clr perturbation per observation (so they
+    carry the noise); ``data`` is the covariate table, and ``effects`` maps
+    term names to the noise-free planted clr surfaces per observation for
+    direct comparison with fitted effects.
     """
     rng = np.random.default_rng(seed)
     m = make_mixed(0.0, 1.0, [(0.0, 1.0), (1.0, 1.0)], grid_size)

@@ -503,6 +503,29 @@ class TestSingularFallback:
         np.testing.assert_array_equal(w[1:], alone)
         np.testing.assert_array_equal(np.stack([a[1:], b[1:]]), ab)
 
+    @pytest.mark.parametrize("with_unfactorable", [True, False])
+    def test_stack_factors_like_each_system_alone(self, with_unfactorable):
+        # a stack of healthy systems, one with a tiny pivot (a factor exists)
+        # and, in one case, one with no Cholesky factor at all, which sends
+        # the stack down the one-at-a-time path
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 3, 8, 4))
+        grams = x.swapaxes(-1, -2) @ x
+        penalties = np.broadcast_to(difference_penalty(4, 2), grams.shape).copy()
+        grams[1, 2], penalties[1, 2] = np.diag([1.0, 1.0, 1.0, 1e-17]), 0.0
+        bad = {(1, 2)}
+        if with_unfactorable:
+            grams[0, 1], penalties[0, 1] = 0.0, 0.0
+            bad.add((0, 1))
+        w, a, b, jittered = _pencil_bases(grams, penalties)
+        assert jittered
+        for i in np.ndindex(grams.shape[:2]):
+            alone_w, alone_a, alone_b, alone_jittered = _pencil_bases(grams[i][None], penalties[i][None])
+            assert alone_jittered == (i in bad)
+            np.testing.assert_array_equal(w[i], alone_w[0])
+            np.testing.assert_array_equal(a[i], alone_a[0])
+            np.testing.assert_array_equal(b[i], alone_b[0])
+
     def test_fancy_indexed_stack_gets_its_own_bases(self):
         # the kernel factorizes fancy-indexed slices of padded stacks, whose
         # memory is not in the C order of their shape; each system must
@@ -902,6 +925,22 @@ def test_paper_model_cv_stop_memory():
 def each_penalty_components(request):
     """The planted components uncoupled and with two density penalties."""
     return planted_components(request.param)
+
+
+@pytest.mark.parametrize("method", ["cv", "fixed"])
+def test_measure_without_density_directions_fits(method):
+    # one atom leaves no density direction (K_Y = 0): the kernel's state and
+    # its flat views are empty, and the fit is the offset alone
+    _, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
+    spec = ModelSpec((
+        EffectTerm("intercept", "intercept"),
+        EffectTerm("region", "group_intercept", ("region",)),
+    ))
+    y = np.zeros((len(data["year"]), 1))
+    cfg = BoostConfig(max_iterations=5, stopping=method, folds=3)
+    model = fit(spec, data, y, make_discrete([(0.5, 1.0)]), cfg, **options("model"))
+    assert [c.size for c in model.fits.coefficients] == [0, 0]
+    np.testing.assert_array_equal(model.fits.fitted_clr, y)
 
 
 @pytest.mark.parametrize("method", ["cv", "bootstrap", "fixed"])

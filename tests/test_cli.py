@@ -360,7 +360,8 @@ class TestEstimateCommand:
             data={"observations": obs, "densities": str(out / "densities.tsv")},
             measure=MEASURE,
             kde={"bandwidth": 0.05},
-            model=dict(MODEL, terms=MODEL["terms"][:3]),
+            model=dict(MODEL, references={"region": "west", "c_age": "other"},
+                       terms=MODEL["terms"][:3]),
             boosting={"max_iterations": 20},
         )
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
@@ -586,9 +587,13 @@ class TestFitCommand:
             ({"density_basis": {"penalty_order": 20}},
              "config.model.density_basis: penalty_order 20 exceeds knots + degree (10 + 3), "
              "the spline's highest difference order"),
+            ({"density_basis": {"knots": 0, "degree": 0, "penalty_order": 0}},
+             "config.model.density_basis: knots + degree (0 + 0) leave one B-spline, which the "
+             "sum-to-zero constraint removes: the density basis needs knots + degree >= 1"),
         ],
         ids=["term_without_knots", "term_order_too_high", "term_without_free_columns",
-             "density_basis_without_knots", "density_basis_order_too_high"],
+             "density_basis_without_knots", "density_basis_order_too_high",
+             "density_basis_without_free_columns"],
     )
     def test_spline_sizes_the_basis_cannot_take_exit_config(
         self, tmp_path, capsys, densities_file, command, change, message
@@ -1419,7 +1424,7 @@ class TestErrorTable:
             lines = pathlib.Path(densities_file).read_text().splitlines()
             path = tmp_path / "d.tsv"
             path.write_text("\n".join(lines[:3]) + "\n")
-            model = dict(MODEL, terms=MODEL["terms"][:1])
+            model = dict(MODEL, references={}, terms=MODEL["terms"][:1])
             boosting = dict(boosting, stopping={"method": "cv", "folds": 2})
         cfg = write_config(tmp_path / "cfg.json", data={"densities": str(path)}, model=model,
                            boosting=boosting, simulation={"replicates": 2})

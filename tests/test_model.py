@@ -156,18 +156,29 @@ class TestBuildDesigns:
             build_designs(spec, data, m, **options("model"))
         assert caught.value.item == "terms[1]"
 
-    @pytest.mark.parametrize("knots, degree, order", [(0, 0, 2), (10, 3, 20)])
-    def test_density_penalty_order_above_its_dimension_names_the_basis(self, knots, degree, order):
+    @pytest.mark.parametrize("knots, degree, order, message", [
+        (0, 0, 2, "penalty_order 2 exceeds"),
+        (10, 3, 20, "penalty_order 20 exceeds"),
+        # one B-spline on the grid, which the sum-to-zero constraint removes
+        (0, 0, 0, r"knots \+ degree \(0 \+ 0\) leave one B-spline"),
+    ], ids=["0-0-2", "10-3-20", "0-0-0"])
+    def test_density_penalty_order_above_its_dimension_names_the_basis(
+        self, knots, degree, order, message
+    ):
         m, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
         spec = ModelSpec(terms=(EffectTerm("intercept", "intercept"),))
         sizes = dict(density_knots=knots, density_degree=degree, density_penalty_order=order)
-        with pytest.raises(SpecMismatch, match=f"penalty_order {order} exceeds") as caught:
+        with pytest.raises(SpecMismatch, match=message) as caught:
             build_designs(spec, data, m, **options("model", **sizes))
         assert caught.value.item == "density_basis"
-        # only a grid reads the density-basis options
+        # only a grid reads the density-basis options: a discrete-only measure fits
         atoms = make_discrete([(0, 1), (0.5, 1), (1, 1)])
         _, bases, _ = build_designs(spec, data, atoms, **options("model", **sizes))
         assert list(bases) == ["single"] and bases["single"].n_basis == 2
+        y = np.random.default_rng(0).normal(size=(len(data["year"]), 3))
+        y_clr = y - (y @ atoms.weights / atoms.weights.sum())[:, None]
+        model = fit(spec, data, y_clr, atoms, BoostConfig(max_iterations=5), **options("model", **sizes))
+        assert model.fits.m_stop == 5
 
     def test_observation_centering(self):
         # under effect coding every non-intercept design is mean-centered, so
