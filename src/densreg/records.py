@@ -6,6 +6,7 @@ model file imports neither :mod:`densreg.boosting` nor :mod:`densreg.ingest`
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ class BoostConfig:
     ``stopping`` selects how the number of iterations is chosen: "fixed" uses
     ``m_stop`` (at most and by default ``max_iterations``), "cv" k-fold
     cross-validation, "bootstrap" out-of-bag risk over resampled density sets.
+
+    ``seed`` must be a nonnegative integer (numpy integers included), so that
+    resampled stopping draws the same folds or replicates on every run: a
+    seed of None would draw them from OS entropy, and a negative one would
+    fail only once resampling starts.
 
     ``threads`` and ``target_df`` are accepted but not read by the library;
     they remain because the benchmark tracer (``perfbench/trace.py``) still
@@ -53,6 +59,12 @@ class BoostConfig:
             raise ValueError("m_stop must be nonnegative")
         if self.m_stop is not None and self.m_stop > self.max_iterations:
             raise ValueError("m_stop exceeds max_iterations")
+        try:
+            seed = None if isinstance(self.seed, bool) else operator.index(self.seed)
+        except TypeError:
+            seed = None
+        if seed is None or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 class FitState:

@@ -24,7 +24,10 @@ from densreg.boosting import (
     BoostConfig,
     _boost_paths,
     _learner_bases,
+    _pcg64_words,
     _pencil_bases,
+    _permutation,
+    _resamples,
     boost,
     boost_from_clr,
     early_stop_from_clr,
@@ -1092,7 +1095,59 @@ class TestThreadDeterminism:
             np.testing.assert_array_equal(a, b)
 
 
+class TestFoldStream:
+    """The folds are numpy's ``default_rng(seed).permutation(n)``, drawn in
+    Python; numpy is the reference."""
+
+    SEEDS = [*range(64), 2**32 - 1, 2**32, 2**64 + 3, 10**30,
+             np.uint32(7), np.int64(2**40 + 1), np.uint64(2**64 - 1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 180, 1800])
+    def test_permutation_is_numpys(self, n):
+        for seed in self.SEEDS:
+            assert _permutation(n, seed) == np.random.default_rng(seed).permutation(n).tolist(), seed
+
+    @pytest.mark.parametrize("testset", [1, 2])
+    def test_raw_outputs_are_numpys(self, testset):
+        # numpy's own PCG64 test vectors: a seed line, then 1,000 64-bit outputs
+        path = pathlib.Path(np.__file__).parent / "random" / "tests" / "data"
+        lines = (path / f"pcg64-testset-{testset}.csv").read_text().split()
+        seed, outputs = int(lines[1], 16), [int(v, 16) for v in lines[3::2]]
+        assert len(outputs) == 1000
+        words = _pcg64_words(seed)
+        assert [next(words) | next(words) << 32 for _ in outputs] == outputs
+
+    @pytest.mark.parametrize("n", [7, 23, 180])
+    @pytest.mark.parametrize("folds", [2, 10, "n"])
+    def test_cv_masks_match_numpy_folds(self, n, folds):
+        config = BoostConfig(stopping="cv", folds=n if folds == "n" else folds, seed=n + 5)
+        counts, test = _resamples(n, config)
+        splits = resample_splits(n, config)
+        assert test.shape == (min(config.folds, n), n) == (len(splits), n)
+        for i, (train, held_out) in enumerate(splits):
+            assert np.flatnonzero(test[i]).tolist() == held_out.tolist()
+            assert np.flatnonzero(counts[i]).tolist() == train.tolist()
+        assert (counts == ~test).all()
+
+    def test_pinned_permutations(self):
+        # the folds stay where they are if a later numpy changes its Generator
+        assert _permutation(10, 0) == [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]
+        assert _permutation(17, 2**64 + 3) == [3, 7, 12, 6, 15, 14, 11, 16, 8, 13, 4, 9, 1, 2,
+                                               0, 10, 5]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("seed", [None, -1, 2.0, "3", True, np.int64(-2)])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # None would draw the folds from OS entropy, a negative seed would
+        # fail only once resampling starts
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            BoostConfig(stopping="cv", seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3, np.uint64(2**63), np.int32(4)])
+    def test_integer_seeds_are_kept(self, seed):
+        assert BoostConfig(seed=seed).seed == seed
+
     def test_step_length_bounds(self):
         with pytest.raises(ValueError, match="step"):
             BoostConfig(step_length=1.0)

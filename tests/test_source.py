@@ -155,6 +155,7 @@ SHARED_MODULES = ["densreg", "densreg.basis", "densreg.bayes", "densreg.cli", "d
 COMMAND_MODULES = {
     "estimate": ["densreg.ingest"],
     "fit": ["densreg.boosting"],
+    "fit_cv": ["densreg.boosting"],
     "predict": [],
     "interpret": ["densreg.interpret"],
     "interpret_svg": ["densreg.interpret", "densreg.render"],
@@ -165,8 +166,9 @@ COMMAND_MODULES = {
 
 def _command_config(tmp_path, command) -> dict:
     """A config for ``command`` on the inputs in ``tests/data``; ``fit`` and
-    ``simulate`` fit two terms to the five predicted densities, and
-    ``estimate`` reads three groups of shares written here."""
+    ``simulate`` fit two terms to the five predicted densities with a fixed
+    stop, ``fit_cv`` with one by 5-fold cross-validation, and ``estimate``
+    reads three groups of shares written here."""
     with open(DATA / "config_full.json") as fh:
         cfg = json.load(fh)
     cfg["out"] = str(tmp_path / "out")
@@ -183,6 +185,8 @@ def _command_config(tmp_path, command) -> dict:
         {"name": "region", "kind": "group_intercept", "covariates": ["region"]},
     ]}
     cfg["boosting"] = {"max_iterations": 5}
+    if command == "fit_cv":
+        cfg["boosting"]["stopping"] = {"method": "cv", "folds": 5}
     cfg["simulation"] = {"replicates": 1, "truncation": 1}
     cfg["interpret"]["svg"] = command == "interpret_svg"
     return cfg
@@ -194,12 +198,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     # so one stray module-level import would load a module for every command
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_command_config(tmp_path, command)))
-    argv = [command.removesuffix("_svg"), "--config", str(cfg_path)]
+    argv = [command.split("_")[0], "--config", str(cfg_path)]
     if command == "check":
         argv.insert(1, str(DATA / "model_v1_predictions.tsv"))
     script = (
         "import sys, densreg.cli\n"
         "code = densreg.cli.main(sys.argv[1:])\n"
+        "print('numpy.random' in sys.modules)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'densreg'))\n"
         "raise SystemExit(code)\n"
     )
@@ -207,8 +212,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     res = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    loaded = res.stdout.splitlines()[-1]
+    drew, loaded = res.stdout.splitlines()[-2:]
     assert loaded == str(sorted(SHARED_MODULES + COMMAND_MODULES[command]))
+    # cross-validation draws its folds in Python; only simulate's replicates
+    # (and bootstrap stopping) import numpy's generators
+    assert drew == str(command == "simulate")
     svgs = sorted(p.name for p in (tmp_path / "out").glob("*.svg"))
     assert bool(svgs) == (command == "interpret_svg"), svgs
 
