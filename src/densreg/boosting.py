@@ -44,16 +44,18 @@ bootstrap replicate; its held-out rows are a 0/1 mask.
   with learner j, and the offsets of its state rows of learner j's
   coordinates (a precomputed (S J, d_max) table), sit at s J + j.
 
-Every entry point takes the responses as N x P clr rows. :func:`boost`
-makes one kernel call per component: with resampled stopping, the in-bag
-fit rides along as one more all-ones resample of the folds or replicates,
-runs to ``max_iterations``, and keeps its steps; the first m_stop of them,
-summed per learner and rotated back to the density basis B, are the fit.
-Fixed stopping is the one-resample case, with no held-out rows. The
-fitted N x P surfaces are built once, at the end, and their weighted SSE
-must match the in-bag risk path. :func:`boost_from_clr` (an in-bag fit of
-m_stop iterations) and :func:`early_stop_from_clr` (the stop alone) run the
-same kernel. The cross-validation folds split
+Every fit and stop is one call of :func:`boost`, one kernel call per
+component: the in-bag fit is the kernel's resample 0, which weights every
+row once, has no held-out rows, and keeps its steps; the first m_stop of
+them, summed per learner and rotated back to the density basis B, are the
+fit. Resampled stopping adds the folds or replicates as resamples 1 .. R,
+each described, as in mboost's ``cvrisk``, by one count vector whose rows of
+count 0 are held out, and runs all of them to ``max_iterations``; fixed
+stopping is the case R = 0. The fitted N x P surfaces are built once, at the
+end, and their weighted SSE must match the in-bag risk path.
+:func:`boost_from_clr` (an in-bag fit of m_stop iterations) and
+:func:`early_stop_from_clr` (the stop alone) are views of :func:`boost`.
+The cross-validation folds split
 ``np.random.default_rng(seed).permutation(N)``, its PCG64 stream reproduced
 in Python (:func:`_permutation`): a CV fit then keeps numpy's folds without
 importing ``numpy.random`` (about 10 ms and 6 MB in a fresh process) for
@@ -69,6 +71,7 @@ from __future__ import annotations
 import itertools
 import operator
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -100,7 +103,7 @@ _DRIFT_TOLERANCE = 1e-10
 
 class EarlyStopResult(NamedTuple):
     m_stop: int
-    risk_curve: np.ndarray            # mean out-of-sample risk, index 0 .. M
+    risk_curve: np.ndarray | None     # mean out-of-sample risk, index 0 .. M
 
 
 def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
@@ -205,34 +208,36 @@ def _boost_paths(
     kappa: float,
     n_iter: int,
     counts: np.ndarray,
-    test: np.ndarray | None = None,
+    test: np.ndarray,
 ):
-    """The boosting loop for F resamples at once (see the module docstring).
+    """The boosting loop for F = R + 1 resamples at once (see the module
+    docstring).
 
-    ``counts`` (F x N integers) gives each resample's training rows as
-    multiplicities over all N rows. ``test`` (T x N booleans), when given,
-    marks the held-out rows of the last T resamples; the first resample,
-    unless it is one of those, is a fit and keeps its steps. Each iteration
-    picks, per resample, the learner that lowers the in-bag risk most;
-    learners within ``_TIE_TOLERANCE`` of it tie, and the first wins.
+    Resample 0 is the in-bag fit: it weights every row once, has no
+    held-out rows, and keeps its steps. ``counts`` (R x N integers, R >= 0)
+    gives the training rows of resamples 1 .. R as multiplicities over all N
+    rows, and row i of ``test`` (R x N booleans) the held-out rows of
+    resample i + 1. Each iteration picks, per resample, the learner that
+    lowers the in-bag risk most; learners within ``_TIE_TOLERANCE`` of it
+    tie, and the first wins.
 
-    The kernel tracks S = F + T weighted row sets alike: each resample's
-    training rows, then the held-out rows of the last T, each set owned by
-    its resample and taking that resample's steps. The N rows are read only
-    while setting up. A set's state has one row per coordinate of every
-    learner (D = sum K_j rows, by K_Y rotated density directions) and one
-    zero row, which the coordinates that pad a block to the widest, d_max,
-    read (see :func:`_learner_bases`). A step g of learner i in the state's
-    coordinates moves a set's state by H_i' (g 2 kappa C), with H_i its rows
-    of the set's cross-Grams, and the set's risk by (kappa / 2) <g, moved -
-    2 u> for u the state's rows of learner i before the move.
+    The kernel tracks S = F + R weighted row sets alike: each resample's
+    training rows, then the held-out rows of resamples 1 .. R, each set
+    owned by its resample and taking that resample's steps. The N rows are
+    read only while setting up. A set's state has one row per coordinate of
+    every learner (D = sum K_j rows, by K_Y rotated density directions) and
+    one zero row, which the coordinates that pad a block to the widest,
+    d_max, read (see :func:`_learner_bases`). A step g of learner i in the
+    state's coordinates moves a set's state by H_i' (g 2 kappa C), with H_i
+    its rows of the set's cross-Grams, and the set's risk by (kappa / 2)
+    <g, moved - 2 u> for u the state's rows of learner i before the move.
 
-    Returns the first resample's offset (P,), a function of m that gives its
+    Returns resample 0's offset (P,), a function of m that gives its
     coefficients (sum K_j, K_Y) in the original density basis after m
-    iterations (None when the first resample has held-out rows), selections
-    (F, n_iter), in-bag risks (F, n_iter + 1) and held-out risk sums
-    (T, n_iter + 1, or None). Raises FloatingPointError when an in-bag or
-    held-out risk is not finite, or the in-bag risk of any resample increases.
+    iterations, selections (F, n_iter), in-bag risks (F, n_iter + 1) and
+    held-out risk sums (R, n_iter + 1). Raises FloatingPointError when an
+    in-bag or held-out risk is not finite, or the in-bag risk of any
+    resample increases.
     """
     basis = designs[0].density_basis.clr_matrix
     weighted_basis = basis * weights[:, None]
@@ -241,13 +246,14 @@ def _boost_paths(
     k_y = basis.shape[1]
     sizes = [d.n_cov for d in designs]
     starts = np.cumsum(sizes) - sizes
-    n_resamples, n = counts.shape
+    n = y_clr.shape[0]
+    counts = np.vstack([np.ones((1, n), dtype=int), counts])
+    n_resamples = counts.shape[0]
     n_learners, d_max, n_cols = len(designs), max(sizes), sum(sizes)
-    lead = n_resamples - (0 if test is None else test.shape[0])  # resamples without held-out rows
     coupled = any(d.lambda_density for d in designs)
     # the row weights of each set (S x N) and the resample that owns it
-    in_set = counts if test is None else np.vstack([counts, test])
-    owner = np.concatenate([np.arange(n_resamples), np.arange(lead, n_resamples)])
+    in_set = np.vstack([counts, test])
+    owner = np.concatenate([np.arange(n_resamples), np.arange(1, n_resamples)])
     n_sets = owner.size
 
     # each learner's columns zero-padded to d_max (J, N, d_max), the state
@@ -315,7 +321,7 @@ def _boost_paths(
     inv_den = inv_den.reshape(n_resamples * n_learners, *inv_den.shape[2:])
     set_base = np.arange(n_sets) * n_learners
     scale_by = 2.0 * kappa * spectrum
-    steps = np.empty((n_iter, *inv_den.shape[1:])) if lead else None
+    steps = np.empty((n_iter, *inv_den.shape[1:]))
     selections = np.empty((n_resamples, n_iter), dtype=int)
     bag = state[:n_resamples]       # the training sets, which pick the learners
     bag_rows = state_rows[:n_resamples * n_learners].reshape(n_resamples, n_learners, d_max)
@@ -341,8 +347,7 @@ def _boost_paths(
         chosen = pairs[:n_resamples]     # the training sets are the resamples
         picked = scores.take(chosen, axis=0) if coupled else u[:n_resamples]
         step = picked * inv_den.take(chosen, axis=0)
-        if lead:
-            steps[m - 1] = step[0]
+        steps[m - 1] = step[0]
         if coupled:
             # raw step W (u / den), from the flattened K_Y x d_max layout; one
             # product per resample reads its chosen basis in place, where a
@@ -359,9 +364,9 @@ def _boost_paths(
 
     paths[:, 1:] *= 0.5 * kappa
     np.cumsum(paths, axis=1, out=paths)
-    risk, heldout = paths[:n_resamples], None if test is None else paths[n_resamples:]
+    risk, heldout = paths[:n_resamples], paths[n_resamples:]
     for which, path in (("in-bag", risk), ("held-out", heldout)):
-        if path is not None and not np.isfinite(path).all():
+        if not np.isfinite(path).all():
             raise FloatingPointError(f"{which} risk is not finite during boosting")
     rises = np.diff(risk, axis=1) > _RISK_SLACK * np.maximum(1.0, risk[:, :1])
     if rises.any():
@@ -369,11 +374,9 @@ def _boost_paths(
             "in-bag risk increased during boosting at iteration "
             f"{np.flatnonzero(rises.any(axis=0))[0] + 1}"
         )
-    if not lead:
-        return offset, None, selections, risk, heldout
 
     def coefficients(m_stop: int) -> np.ndarray:
-        """The first resample's first ``m_stop`` steps, summed per learner,
+        """Resample 0's first ``m_stop`` steps, summed per learner,
         taken out of its basis and rotated back to the density basis."""
         summed = np.zeros((n_learners, *steps.shape[1:]))
         np.add.at(summed, selections[0, :m_stop], steps[:m_stop])
@@ -385,7 +388,22 @@ def _boost_paths(
     return offset, coefficients, selections, risk, heldout
 
 
-def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign]) -> None:
+def boost(
+    y_clr: np.ndarray,
+    measure: ReferenceMeasure,
+    designs: list[EffectDesign],
+    config: BoostConfig,
+) -> FitState:
+    """Fit the additive model to N x P clr responses on one measure.
+
+    One kernel call: fixed stopping runs the in-bag fit alone, for m_stop
+    iterations; resampled stopping runs it next to every fold or replicate,
+    to ``max_iterations``, and keeps its first m_stop steps. There m_stop
+    minimizes, over m = 1 .. max_iterations, the held-out risk per density,
+    averaged first within and then across resamples. The fitted surfaces
+    must match the in-bag risk path.
+    """
+    y_clr = np.asarray(y_clr, dtype=float)
     if not designs:
         raise ValueError("no effects given")
     n = y_clr.shape[0]
@@ -396,18 +414,19 @@ def _check_inputs(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign])
     basis = designs[0].density_basis.clr_matrix
     if any(not np.array_equal(d.density_basis.clr_matrix, basis) for d in designs):
         raise ValueError("all effects must share one density basis")
-
-
-def _fit_state(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign], paths,
-               m_stop: int) -> FitState:
-    """The in-bag fit after ``m_stop`` iterations of the first resample of
-    ``paths`` (what :func:`_boost_paths` returns); its fitted surfaces must
-    match its in-bag risk path."""
-    offset, coefficients, selections, risk, _ = paths
+    fixed = config.stopping == "fixed"
+    m_stop = config.m_stop if fixed and config.m_stop is not None else config.max_iterations
+    counts = _resamples(n, config)
+    test = counts == 0
+    offset, coefficients, selections, risk, heldout = _boost_paths(
+        y_clr, measure.weights, designs, config.step_length, m_stop, counts, test,
+    )
+    curve = None
+    if not fixed:
+        curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
+        m_stop = int(np.argmin(curve[1:]) + 1)
     coefficients = coefficients(m_stop)
-    ends = np.cumsum([d.n_cov for d in designs])
-    x = np.hstack([d.X for d in designs])
-    fitted = x @ coefficients @ designs[0].density_basis.clr_matrix.T
+    fitted = np.hstack([d.X for d in designs]) @ coefficients @ basis.T
     fitted += offset
     # the risk path was updated in coefficient space; the surfaces must agree
     scale = float(((y_clr ** 2) @ measure.weights).sum())
@@ -418,6 +437,7 @@ def _fit_state(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign], pa
             f"in-bag fit drifted from its risk path: weighted SSE {sse:.12g}, "
             f"risk_path[{m_stop}] {risk[0, m_stop]:.12g}"
         )
+    ends = np.cumsum([d.n_cov for d in designs])
     return FitState(
         offset_clr=offset,
         coefficients=[c.ravel() for c in np.split(coefficients, ends[:-1])],
@@ -425,6 +445,7 @@ def _fit_state(y_clr, measure: ReferenceMeasure, designs: list[EffectDesign], pa
         selections=selections[0, :m_stop].tolist(),
         risk_path=risk[0, :m_stop + 1],
         m_stop=m_stop,
+        stop_curve=curve,
     )
 
 
@@ -435,48 +456,14 @@ def boost_from_clr(
     config: BoostConfig,
     m_stop: int,
 ) -> FitState:
-    """Run ``m_stop`` iterations of the boosting loop on a matrix of
-    clr-transformed responses."""
-    y_clr = np.asarray(y_clr, dtype=float)
-    _check_inputs(y_clr, measure, designs)
-    paths = _boost_paths(
-        y_clr, measure.weights, designs, config.step_length, m_stop,
-        np.ones((1, y_clr.shape[0]), dtype=int),
-    )
-    return _fit_state(y_clr, measure, designs, paths, m_stop)
+    """:func:`boost` stopped at ``m_stop`` iterations, at most
+    ``max_iterations``."""
+    return boost(y_clr, measure, designs, replace(config, stopping="fixed", m_stop=m_stop))
 
 
-def boost(
-    y_clr: np.ndarray,
-    measure: ReferenceMeasure,
-    designs: list[EffectDesign],
-    config: BoostConfig,
-) -> FitState:
-    """Fit the additive model to N x P clr responses on one measure.
-
-    One kernel call: fixed stopping runs the in-bag fit alone; resampled
-    stopping runs it as one more all-ones resample next to every fold or
-    replicate, to ``max_iterations``, and keeps its first m_stop steps.
-    """
-    if config.stopping == "fixed":
-        m_stop = config.m_stop if config.m_stop is not None else config.max_iterations
-        return boost_from_clr(y_clr, measure, designs, config, m_stop)
-    y_clr = np.asarray(y_clr, dtype=float)
-    _check_inputs(y_clr, measure, designs)
-    counts, test = _resamples(y_clr.shape[0], config)
-    paths = _boost_paths(
-        y_clr, measure.weights, designs, config.step_length, config.max_iterations,
-        np.vstack([np.ones((1, y_clr.shape[0]), dtype=int), counts]), test,
-    )
-    stop = _stop(paths[-1], test)
-    state = _fit_state(y_clr, measure, designs, paths, stop.m_stop)
-    state.stop_curve = stop.risk_curve
-    return state
-
-
-def _resamples(n: int, config: BoostConfig):
-    """The training counts and held-out masks (F x N each) of the folds or
-    replicates of a resampled stop.
+def _resamples(n: int, config: BoostConfig) -> np.ndarray:
+    """The training counts (R x N) of the folds or replicates of a resampled
+    stop, R = 0 for a fixed one; a resample holds out its rows of count 0.
 
     The folds split ``np.random.default_rng(seed).permutation(n)``, drawn by
     :func:`_permutation` in Python: its N - 1 draws cost about 0.1 ms at
@@ -489,10 +476,10 @@ def _resamples(n: int, config: BoostConfig):
         k = min(config.folds, n)
         if k < 2:
             raise ValueError("cross-validation needs at least two folds")
-        test = np.zeros((k, n), dtype=bool)
+        counts = np.ones((k, n), dtype=int)
         for i, rows in enumerate(np.array_split(np.array(_permutation(n, config.seed)), k)):
-            test[i, rows] = True
-        return (~test).astype(int), test
+            counts[i, rows] = 0
+        return counts
     if config.stopping == "bootstrap":
         if n < 2:
             # one density is drawn every time: none would ever be out of bag
@@ -502,8 +489,8 @@ def _resamples(n: int, config: BoostConfig):
         for row in counts:
             while row.all():  # redraw until some density is out of bag
                 row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        return counts, counts == 0
-    raise ValueError(f"no resampling for stopping method {config.stopping!r}")
+        return counts
+    return np.zeros((0, n), dtype=int)
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -567,13 +554,6 @@ def _permutation(n: int, seed: int) -> list:
     return perm
 
 
-def _stop(heldout: np.ndarray, test: np.ndarray) -> EarlyStopResult:
-    """Each resample's per-density held-out risk curve, averaged across
-    resamples, and its minimizer over m = 1 .. max_iterations."""
-    mean_curve = np.mean(heldout / test.sum(axis=1)[:, None], axis=0)
-    return EarlyStopResult(int(np.argmin(mean_curve[1:]) + 1), mean_curve)
-
-
 def early_stop_from_clr(
     y_clr: np.ndarray,
     measure: ReferenceMeasure,
@@ -583,15 +563,9 @@ def early_stop_from_clr(
     """Pick the stopping iteration by resampling the responses.
 
     Cross-validation splits the densities into folds; bootstrapping draws
-    them with replacement and scores on the out-of-bag densities. Each
-    resample's per-density risk curve is averaged first within, then across
-    resamples, and the minimizer over m = 1 .. max_iterations is returned.
+    them with replacement and scores on the out-of-bag densities. The stop
+    and its curve are those of :func:`boost` (for fixed stopping, m_stop and
+    None).
     """
-    y_clr = np.asarray(y_clr, dtype=float)
-    _check_inputs(y_clr, measure, designs)
-    counts, test = _resamples(y_clr.shape[0], config)
-    *_, heldout = _boost_paths(
-        y_clr, measure.weights, designs, config.step_length, config.max_iterations,
-        counts, test,
-    )
-    return _stop(heldout, test)
+    state = boost(y_clr, measure, designs, config)
+    return EarlyStopResult(state.m_stop, state.stop_curve)

@@ -39,7 +39,9 @@ Exit codes, by the type of the error that ends a command:
   spline's training range, and a ``density_basis`` whose ``penalty_order``
   exceeds its ``knots`` + ``degree``, or whose ``knots`` + ``degree`` is 0,
   on a measure with a grid), an
-  interpret item that does not fit the model (``config.interpret.<item>``), a
+  interpret item that does not fit the model (``config.interpret.<item>``)
+  or whose name holds a path separator or names an output file that an
+  earlier item writes (``config.interpret.<item>.name``), a
   ``simulation.truncation`` above the rank bound of the residuals, and an
   output directory that cannot be made or an output file that cannot be
   written (``--out`` or ``config.out``). Each command writes its outputs

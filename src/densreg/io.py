@@ -604,11 +604,22 @@ def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
         replicates=stop["replicates"], seed=cfg["seed"],
     )
     icfg = cfg["interpret"]
-    return RunObjects(
-        measure, kde, spec, boost, fit_options,
-        [{"name": e["term"], **e} for e in icfg["effects"]],
-        [{"name": f"did_{i}", "fixed": {}, **q} for i, q in enumerate(icfg["did"])],
-    )
+    effects = [{"name": e["term"], **e} for e in icfg["effects"]]
+    did = [{"name": f"did_{i}", "fixed": {}, **q} for i, q in enumerate(icfg["did"])]
+    # each item's files, as densreg.cli's interpret writes them, stay inside
+    # the output directory and apart from every other item's
+    written = {}
+    for kind, items, files in (("effects", effects, ("effect_{}.tsv", "effect_{}.svg")),
+                               ("did", did, ("{}_heatmap.tsv", "{}_bands.tsv", "{}_heatmap.svg"))):
+        for i, item in enumerate(items):
+            where, name = f"config.interpret.{kind}[{i}]", item["name"]
+            if any(sep and sep in name for sep in (os.sep, os.altsep)):
+                raise ConfigError(f"{where}.name: {name!r} contains a path separator")
+            for file in (f.format(name) for f in files):
+                if file in written:
+                    raise ConfigError(f"{where}.name: writes {file}, as {written[file]} does")
+                written[file] = where
+    return RunObjects(measure, kde, spec, boost, fit_options, effects, did)
 
 
 def validate_config(raw) -> dict:

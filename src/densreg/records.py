@@ -32,9 +32,11 @@ class BoostConfig:
     ``threads`` and ``target_df`` are accepted but not read by the library;
     they remain because the benchmark tracer (``perfbench/trace.py``) still
     sets them. The tracer also derives configs with ``dataclasses.replace``,
-    which is why this is the package's one dataclass: every other record is
-    a plain class or a NamedTuple, which generate no code when defined and
-    so keep start-up short. It lives in :mod:`densreg.records`, which
+    as do :func:`densreg.model.fit` (each component's seed) and
+    :func:`densreg.boosting.boost_from_clr` (a fixed stop), which is why
+    this is the package's one dataclass: every other record is a plain class
+    or a NamedTuple, which generate no code when defined and so keep
+    start-up short. It lives in :mod:`densreg.records`, which
     :mod:`densreg.boosting` re-exports it from.
     """
 

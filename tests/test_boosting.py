@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from densreg.basis import (
@@ -51,6 +53,7 @@ from boosting_oracle import (
 )
 from conftest import (
     clr_stack,
+    make_continuous,
     mixed_concatenated_basis,
     options,
     random_clr_direction,
@@ -826,7 +829,7 @@ class TestKernelMatchesBruteForce:
         for f, (train, test) in enumerate(splits):
             picks = []
             curve = brute_force_heldout_curve(y, m.weights, designs, cfg, train, test, picks)
-            assert selections[f].tolist() == picks
+            assert selections[f + 1].tolist() == picks
             np.testing.assert_allclose(heldout[f] / test.size, curve, rtol=1e-12, atol=0)
         if order == "duplicated":
             assert (selections == 0).any() and not (selections == 3).any()
@@ -886,7 +889,7 @@ class TestDensityPenaltyMatchesBruteForce:
         for f, (train, test) in enumerate(splits):
             picks = []
             curve = brute_force_heldout_curve(y, m.weights, designs, cfg, train, test, picks)
-            assert selections[f].tolist() == picks
+            assert selections[f + 1].tolist() == picks
             np.testing.assert_allclose(heldout[f] / test.size, curve, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("component", ["continuous", "discrete"])
@@ -957,7 +960,7 @@ def test_riding_fit_equals_a_separate_fit(each_penalty_components, component, me
     if method == "fixed":
         assert got.m_stop == cfg.max_iterations and got.stop_curve is None
     else:
-        stop = early_stop_from_clr(y, m, designs, cfg)
+        stop, _ = brute_force_early_stop(y, m, designs, cfg)
         assert got.m_stop == stop.m_stop
         np.testing.assert_allclose(got.stop_curve, stop.risk_curve, rtol=1e-12, atol=0)
     # the test is void if the stop lands on the last iteration
@@ -976,12 +979,11 @@ def test_riding_fit_equals_a_separate_fit(each_penalty_components, component, me
 @pytest.mark.parametrize("component", ["continuous", "discrete"])
 def test_heldout_rows_move_like_training_rows(component, lambda_density):
     # every row set takes one update and one risk formula: held-out rows that
-    # are all N rows of the second resample follow its in-bag risk path to
-    # the bit
+    # are all N rows of resample 1 follow its in-bag risk path to the bit
     y, m, designs = planted_components(lambda_density)[component]
     n = y.shape[0]
     *_, selections, risk, heldout = _boost_paths(
-        y, m.weights, designs, 0.1, 60, np.ones((2, n), dtype=int), np.ones((1, n), dtype=bool),
+        y, m.weights, designs, 0.1, 60, np.ones((1, n), dtype=int), np.ones((1, n), dtype=bool),
     )
     np.testing.assert_array_equal(selections[0], selections[1])
     np.testing.assert_array_equal(heldout[0], risk[1])
@@ -1030,21 +1032,21 @@ def test_near_tied_learners_go_to_the_first(continuous_measure, gap, winner):
     m, rng = continuous_measure, np.random.default_rng(8)
     y = clr_stack([random_density(m, rng) for _ in range(6)])
     basis, (x, tilt) = density_basis(m, 4, 3, 2), rng.uniform(size=(2, 6, 1))
-    every_row = np.ones((1, 6), dtype=int)
+    no_resample = np.zeros((0, 6), dtype=int), np.zeros((0, 6), dtype=bool)
 
     def learner(delta):
         return EffectDesign(x + delta * tilt, np.zeros((1, 1)), basis, 0.0, 0.0)
 
     def gain(delta):
         """Relative gain in the first step's risk drop over the untilted learner."""
-        drops = [-np.diff(_boost_paths(y, m.weights, [learner(d)], 0.1, 1, every_row)[3][0])[0]
+        drops = [-np.diff(_boost_paths(y, m.weights, [learner(d)], 0.1, 1, *no_resample)[3][0])[0]
                  for d in (0.0, delta)]
         return drops[1] / drops[0] - 1.0
 
     delta = 1e-6 * gap / gain(1e-6)
     assert gain(delta) == pytest.approx(gap, rel=0.05)
     *_, selections, _, _ = _boost_paths(
-        y, m.weights, [learner(0.0), learner(delta)], 0.1, 1, every_row
+        y, m.weights, [learner(0.0), learner(delta)], 0.1, 1, *no_resample
     )
     assert selections[0, 0] == winner
 
@@ -1071,10 +1073,103 @@ def test_collinear_learners_tie_to_the_first():
                 *_, selections, _, _ = _boost_paths(
                     y, m.weights, designs[comp], 0.1, 100, counts, counts == 0
                 )
-            paths.add(tuple(selections[0].tolist()))
+            paths.add(tuple(selections[1].tolist()))
         assert len(paths) == 1, (comp, paths)
         (path,) = paths
         assert 0 in path and 2 not in path, comp
+
+
+# measures with a density basis each, for generated kernel problems: a grid,
+# and atoms alone
+KERNEL_BASES = [
+    density_basis(make_continuous(0.0, 1.0, 12), 3, 3, 2),
+    density_basis(make_discrete([(0.0, 1.0), (0.3, 2.0), (0.5, 0.5), (1.0, 1.0)]), 10, 3, 2),
+]
+
+
+@st.composite
+def kernel_problems(draw):
+    """Arguments of a kernel call with R resamples of arbitrary counts, each
+    holding out some rows (count 0) and training on others, some more than
+    once: an intercept and ridge-penalized learners of random columns, whose
+    systems stay positive definite on every resample."""
+    basis = draw(st.sampled_from(KERNEL_BASES))
+    m, lambda_density = basis.measure, draw(st.sampled_from([0.0, 0.2]))
+    n = draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    designs = [EffectDesign(np.ones((n, 1)), np.zeros((1, 1)), basis, 0.0, lambda_density)]
+    for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        designs.append(EffectDesign(rng.normal(size=(n, d)), np.eye(d), basis,
+                                    draw(st.floats(0.1, 10.0)), lambda_density))
+    y = rng.normal(size=(n, m.size))
+    y -= (y @ m.weights)[:, None] / m.total_mass
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda c: 0 in c and any(c))
+    counts = np.array(draw(st.lists(row, min_size=1, max_size=3)))
+    return y, m.weights, designs, draw(st.floats(0.05, 0.9)), draw(st.integers(1, 15)), counts
+
+
+KERNEL_PROPERTY = dict(max_examples=50, derandomize=True, database=None, deadline=None)
+
+
+def with_rows(designs, rows):
+    """The designs on the given rows of their columns."""
+    return [EffectDesign(d.X[rows], d.cov_penalty, d.density_basis, d.lambda_cov, d.lambda_density)
+            for d in designs]
+
+
+def assert_paths_match(got, want, resamples=slice(None), scale=1.0):
+    """Equal selections of the kernel's resamples ``resamples``, and their
+    in-bag and held-out risks (resample f's are held-out row f - 1) within
+    1e-12 relative to ``want``'s times ``scale``. A path is a running sum
+    from its start, so its rounding scales with its largest value, against
+    which each of its risks is measured."""
+    np.testing.assert_array_equal(got[2][resamples], want[2][resamples])
+    for path, expected in ((got[3][resamples], want[3][resamples]), (got[4], want[4])):
+        expected = scale * expected
+        bound = 1e-12 * np.abs(expected).max(axis=1, keepdims=True)
+        assert (np.abs(path - expected) <= bound).all(), (path, expected)
+
+
+class TestKernelMetamorphic:
+    """Relations between kernel calls that need no oracle."""
+
+    @settings(**KERNEL_PROPERTY)
+    @given(kernel_problems())
+    def test_a_count_of_two_is_the_row_listed_twice(self, problem):
+        # every row listed twice, its count split in two: a count of 2 or 3
+        # becomes 1 + 1 or 1 + 2, and a held-out row is held out once. Only
+        # resamples 1 .. R compare: resample 0 weights each listed row once
+        y, weights, designs, kappa, n_iter, counts = problem
+        test = counts == 0
+        once = np.minimum(counts, 1)
+        rows = np.tile(np.arange(y.shape[0]), 2)
+        want = _boost_paths(y, weights, designs, kappa, n_iter, counts, test)
+        got = _boost_paths(y[rows], weights, with_rows(designs, rows), kappa, n_iter,
+                           np.hstack([once, counts - once]), np.hstack([test, 0 * test]))
+        assert_paths_match(got, want, slice(1, None))
+
+    @settings(**KERNEL_PROPERTY)
+    @given(kernel_problems(), st.randoms(use_true_random=False))
+    def test_permuting_rows_with_their_counts_changes_nothing(self, problem, random):
+        y, weights, designs, kappa, n_iter, counts = problem
+        rows = list(range(y.shape[0]))
+        random.shuffle(rows)
+        want = _boost_paths(y, weights, designs, kappa, n_iter, counts, counts == 0)
+        got = _boost_paths(y[rows], weights, with_rows(designs, rows), kappa, n_iter,
+                           counts[:, rows], counts[:, rows] == 0)
+        assert_paths_match(got, want)
+
+    @settings(**KERNEL_PROPERTY)
+    @given(kernel_problems(), st.floats(1e-6, 1e6))
+    def test_scaling_the_responses_scales_the_fit(self, problem, s):
+        y, weights, designs, kappa, n_iter, counts = problem
+        want = _boost_paths(y, weights, designs, kappa, n_iter, counts, counts == 0)
+        got = _boost_paths(s * y, weights, designs, kappa, n_iter, counts, counts == 0)
+        assert_paths_match(got, want, scale=s * s)
+        np.testing.assert_allclose(got[0], s * want[0], rtol=1e-12, atol=0)
+        coefficients = want[1](n_iter)
+        np.testing.assert_allclose(got[1](n_iter), s * coefficients, rtol=0,
+                                   atol=1e-12 * s * np.abs(coefficients).max())
 
 
 class TestThreadDeterminism:
@@ -1121,13 +1216,16 @@ class TestFoldStream:
     @pytest.mark.parametrize("folds", [2, 10, "n"])
     def test_cv_masks_match_numpy_folds(self, n, folds):
         config = BoostConfig(stopping="cv", folds=n if folds == "n" else folds, seed=n + 5)
-        counts, test = _resamples(n, config)
+        counts = _resamples(n, config)
         splits = resample_splits(n, config)
-        assert test.shape == (min(config.folds, n), n) == (len(splits), n)
+        assert counts.shape == (min(config.folds, n), n) == (len(splits), n)
         for i, (train, held_out) in enumerate(splits):
-            assert np.flatnonzero(test[i]).tolist() == held_out.tolist()
+            assert np.flatnonzero(counts[i] == 0).tolist() == held_out.tolist()
             assert np.flatnonzero(counts[i]).tolist() == train.tolist()
-        assert (counts == ~test).all()
+        # each fold trains on every row at most once, and holds each row out
+        # in exactly one fold
+        assert np.isin(counts, [0, 1]).all()
+        assert ((counts == 0).sum(axis=0) == 1).all()
 
     def test_pinned_permutations(self):
         # the folds stay where they are if a later numpy changes its Generator
@@ -1162,6 +1260,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^m_stop exceeds max_iterations$"):
             BoostConfig(max_iterations=10, m_stop=11, stopping=stopping)
         assert BoostConfig(max_iterations=10, m_stop=10, stopping=stopping).m_stop == 10
+
+    def test_views_of_boost_read_the_config_as_boost_does(self, continuous_measure):
+        # boost_from_clr is boost at a fixed stop, so BoostConfig bounds its
+        # m_stop; early_stop_from_clr reports a fixed stop without a curve
+        rng = np.random.default_rng(29)
+        y = clr_stack([random_density(continuous_measure, rng) for _ in range(5)])
+        designs = simple_designs(continuous_measure, 5, rng)
+        with pytest.raises(ValueError, match="^m_stop exceeds max_iterations$"):
+            boost_from_clr(y, continuous_measure, designs, BoostConfig(max_iterations=3), m_stop=4)
+        fixed = BoostConfig(max_iterations=3, m_stop=2)
+        assert early_stop_from_clr(y, continuous_measure, designs, fixed) == (2, None)
 
     def test_design_length_mismatch(self, continuous_measure):
         rng = np.random.default_rng(25)

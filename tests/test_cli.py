@@ -786,6 +786,39 @@ class TestPredictInterpret:
         assert err == f"config error: config.interpret.did[0]: {message}\n"
         assert not (out / "did_0_heatmap.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "item, index, change, message",
+        [
+            ("effects", 1, {"name": "region"},
+             "writes effect_region.tsv, as config.interpret.effects[0] does"),
+            ("effects", 1, {"name": "ref_heatmap"}, None),
+            ("did", 0, {"name": "../escaped"}, "'../escaped' contains a path separator"),
+            ("effects", 0, {"name": "../escaped"}, "'../escaped' contains a path separator"),
+        ],
+        ids=["same_effect_file", "effect_file_of_a_did", "did_outside_out", "effect_outside_out"],
+    )
+    def test_interpret_item_files_stay_apart_and_inside_out(self, fitted, capsys, item, index,
+                                                           change, message):
+        # without the check, the second effect overwrote the first's file, and
+        # a name with a separator wrote beside the output directory
+        cfg, out, tmp_path = fitted
+        with open(cfg) as fh:
+            config = json.load(fh)
+        config["interpret"][item][index].update(change)
+        if message is None:
+            # a DiD's heatmap named like the effect file "ref_heatmap" writes
+            config["interpret"]["did"][0]["name"] = "effect_ref"
+            item, index = "did", 0
+            message = "writes effect_ref_heatmap.tsv, as config.interpret.effects[1] does"
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(config))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["interpret", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config.interpret.{item}[{index}].name: {message}\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_interpret_rerun_byte_identical(self, fitted):
         cfg, out, tmp_path = fitted
         assert main(["interpret", "--config", cfg, "--out", str(out)]) == 0

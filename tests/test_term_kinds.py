@@ -7,7 +7,8 @@ the column count, smoothing parameter and achieved df, or the error the case
 raised. The block-string encoder must reproduce it bit for bit, except where
 the identification rule changed on purpose: effect-coded categorical terms
 without ``orthogonal_to`` are no longer centered over the training rows,
-which used to remove a real contrast.
+which used to remove a real contrast. Generated configs over every kind run
+the command chain and the model file's round trip.
 """
 import hashlib
 import json
@@ -16,10 +17,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from densreg.basis import bspline_eval, bspline_knots
+from densreg.bayes import clr_inv_rows
 from densreg.boosting import BoostConfig
-from densreg.model import EffectTerm, ModelSpec, build_designs, design_report, fit
+from densreg.cli import main
+from densreg.io import load_config, model_from_dict, model_to_dict, run_objects, write_density_file
+from densreg.model import EffectTerm, ModelSpec, build_designs, design_report, fit, predict
 from densreg.synth import planted_problem
 
 from conftest import clr_stack, options
@@ -158,3 +164,90 @@ def test_orthogonalization_independent_of_units(unit):
     model = fit(spec, data, clr_stack(TRUTHS), MEASURE, BoostConfig(max_iterations=5),
                 **options("model", density_knots=4))
     assert [r["columns"] for r in design_report(model)] == [1, 2, 3]
+
+
+# covariate values of the generated interpret items and references
+AT = {"region": "east", "c_age": "kids0_6", "year": 3.0, "age": 40.0}
+REFERENCES = {"region": "west", "c_age": "other", "year": 0.0, "age": 40.0}
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory):
+    """The planted densities with their covariates, and the same covariates
+    as newdata."""
+    root = tmp_path_factory.mktemp("configs")
+    cols = ["region", "c_age", "year", "age"]
+    keys = [tuple(str(v) if isinstance(v, str) else repr(float(v)) for v in row)
+            for row in zip(*(DATA[c] for c in cols))]
+    write_density_file(root / "densities.tsv", MEASURE, cols, keys, TRUTHS)
+    (root / "newdata.tsv").write_text("".join("\t".join(row) + "\n" for row in [cols, *keys]))
+    return root
+
+
+@st.composite
+def generated_configs(draw):
+    """A fit, predict and interpret config: one to three terms of any kind
+    with small spline bases, constrained against earlier terms, under
+    either coding, with or without a density penalty, and any stopping
+    rule; the interpret item is an effect of the first term."""
+    terms = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(sorted(CASES)), min_size=1, max_size=3))):
+        term = {"name": f"t{i}", "kind": kind, "covariates": list(CASES[kind][0]),
+                "knots": draw(st.integers(0, 3)), "degree": draw(st.integers(1, 3)),
+                "penalty_order": draw(st.integers(1, 2))}
+        if terms:
+            term["orthogonal_to"] = draw(st.lists(st.sampled_from([t["name"] for t in terms]),
+                                                  unique=True, max_size=2))
+        df = draw(st.sampled_from([None, 1.0, 3.0]))
+        if df is not None:
+            term["df"] = df
+        terms.append(term)
+    used = {c for t in terms for c in t["covariates"]}
+    method = draw(st.sampled_from(["fixed", "cv", "bootstrap"]))
+    max_iterations = draw(st.integers(1, 60))
+    stopping = {"method": method, "folds": draw(st.integers(2, 5)),
+                "replicates": draw(st.integers(2, 4))}
+    if method == "fixed":
+        stopping["m_stop"] = draw(st.one_of(st.none(), st.integers(0, max_iterations)))
+    return {
+        "seed": draw(st.integers(0, 10)),
+        "model": {
+            "coding": draw(st.sampled_from(["effect", "reference"])),
+            "references": {c: REFERENCES[c] for c in sorted(used)},
+            "density_basis": {"knots": draw(st.integers(2, 5)),
+                              "lambda_density": draw(st.sampled_from([0.0, 0.2]))},
+            "terms": terms,
+        },
+        "boosting": {"max_iterations": max_iterations, "stopping": stopping},
+        "interpret": {"effects": [{"term": "t0", "at": {c: AT[c] for c in sorted(used)}}]},
+    }
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(config=generated_configs())
+def test_generated_config_chain_and_model_round_trip(chain_inputs, tmp_path_factory, capsys, config):
+    # every command ends in an exit code, never a traceback; a fit that
+    # succeeds is one that predict and interpret read back, and its model
+    # file predicts its in-bag fit on the training covariates
+    out = tmp_path_factory.mktemp("chain")
+    config["data"] = {"densities": str(chain_inputs / "densities.tsv"),
+                      "newdata": str(chain_inputs / "newdata.tsv"),
+                      "model": str(out / "model.json")}
+    config["out"] = str(out)
+    path = out / "config.json"
+    path.write_text(json.dumps(config))
+    codes = []
+    for command in ("fit", "predict", "interpret"):
+        codes.append(main([command, "--config", str(path)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2, 3, 4) and "Traceback" not in err, (command, err)
+    if codes[0]:
+        return
+    assert codes == [0, 0, 0]
+    run = run_objects(load_config(path), "fit")
+    model = fit(run.spec, DATA, clr_stack(TRUTHS), MEASURE, run.boost, **run.fit_options)
+    fields = json.loads(json.dumps(model_to_dict(model)))
+    assert fields == json.loads((out / "model.json").read_text())
+    np.testing.assert_allclose(predict(model_from_dict(fields), DATA),
+                               clr_inv_rows(model.fits.fitted_clr, MEASURE), rtol=1e-9, atol=0)
