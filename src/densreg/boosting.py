@@ -54,7 +54,9 @@ count 0 are held out, and runs all of them to ``max_iterations``; fixed
 stopping is the case R = 0. The fitted N x P surfaces are built once, at the
 end, and their weighted SSE must match the in-bag risk path.
 :func:`boost_from_clr` (an in-bag fit of m_stop iterations) and
-:func:`early_stop_from_clr` (the stop alone) are views of :func:`boost`.
+:func:`early_stop_from_clr` (the stop alone) are views of :func:`boost`, and
+:func:`MixedFit` names the states of a mixed fit; the benchmark tracer
+(``perfbench/trace.py``) still calls these three.
 The cross-validation folds split
 ``np.random.default_rng(seed).permutation(N)``, its PCG64 stream reproduced
 in Python (:func:`_permutation`): a CV fit then keeps numpy's folds without
@@ -78,7 +80,7 @@ import numpy as np
 
 from .basis import EffectDesign
 from .measure import ReferenceMeasure
-from .records import BoostConfig, FitState, MixedFit
+from .records import BoostConfig, FitState
 
 __all__ = [
     "BoostConfig",
@@ -569,3 +571,14 @@ def early_stop_from_clr(
     """
     state = boost(y_clr, measure, designs, config)
     return EarlyStopResult(state.m_stop, state.stop_curve)
+
+
+def MixedFit(continuous: FitState, discrete: FitState, measure: ReferenceMeasure,
+             fitted_clr: np.ndarray | None) -> dict:
+    """The component states of a mixed fit by name, which
+    :class:`densreg.model.FittedModel` takes as its ``states``. A view kept
+    for the benchmark tracer (``perfbench/trace.py``), which builds its
+    model around ``MixedFit(continuous, discrete, measure, fitted_clr)``;
+    the model derives its fitted rows from the states, so ``measure`` and
+    ``fitted_clr`` are not read."""
+    return {"continuous": continuous, "discrete": discrete}

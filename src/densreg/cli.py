@@ -187,7 +187,7 @@ def _write_fit_outputs(out, model):
     with open(os.path.join(out, "model.json"), "w") as fh:
         fh.write(json.dumps(model_to_dict(model)) + "\n")
     term_names = [t.name for t in model.spec.terms]
-    for comp, state in model.component_states().items():
+    for comp, state in model.states.items():
         write_table(
             os.path.join(out, f"risk_{comp}.tsv"),
             ["iteration", "sse"],
@@ -224,7 +224,7 @@ def cmd_fit(cfg, args) -> int:
     with _writing(cfg, args) as out:
         _write_fit_outputs(out, model)
     if args.verbose:
-        stops = ", ".join(f"{c} {s.m_stop}" for c, s in model.component_states().items())
+        stops = ", ".join(f"{c} {s.m_stop}" for c, s in model.states.items())
         print(f"fitted model, stopping at {stops}", file=sys.stderr)
     return OK
 
@@ -349,7 +349,7 @@ def cmd_simulate(cfg, args) -> int:
         measure, data, _, y_clr = _read_densities(cfg["data"]["densities"],
                                                   spec.numeric_covariates)
         base = fit_model(spec, data, y_clr, measure, boost_cfg, **options)
-    fitted = base.fits.fitted_clr
+    fitted = base.fitted_clr
     sim_cfg = cfg["simulation"]
     with reported_as(ConfigError, "config.simulation.truncation"):
         structure = fpca(y_clr - fitted, measure, truncation=sim_cfg["truncation"])
@@ -361,8 +361,8 @@ def cmd_simulate(cfg, args) -> int:
                                      noise_scale=sim_cfg["noise_scale"])
             refit = fit_model(spec, data, sim, measure, boost_cfg, **options)
             # the in-sample fit is the prediction at the training covariates
-            errors.append(rel_mse(fitted, refit.fits.fitted_clr, measure))
-            paths.append({comp: s.selections for comp, s in refit.component_states().items()})
+            errors.append(rel_mse(fitted, refit.fitted_clr, measure))
+            paths.append({comp: s.selections for comp, s in refit.states.items()})
     with _writing(cfg, args) as out:
         write_table(
             os.path.join(out, "simulate_relmse.tsv"),

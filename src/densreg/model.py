@@ -32,12 +32,13 @@ the boosting inputs (:class:`~densreg.basis.EffectDesign`). The components
 of a measure, each with its measure and the embedding of its clr rows, come
 from the one table :func:`densreg.bayes.components`, which the decomposition
 check reads too: "continuous" and "discrete" for a mixed measure, else
-"single"; fit, load, prediction and the model file follow its order. The
-layer works on N x P rows: :func:`fit` splits the clr rows of its responses
-into their components, boosts each with :func:`~densreg.boosting.boost` and
-sums the embedded fits, and :func:`predict` returns the density rows of sums
-of embedded clr rows; only :func:`predict_clr` and :func:`extract_effect`
-return elements.
+"single"; fit, load, prediction and the model file follow its order. A
+model's fit is its component states by name, for every measure
+(``FittedModel.states``, as the model file's ``fits``). The layer works on
+N x P rows: :func:`fit` splits the clr rows of its responses into their
+components and boosts each with :func:`~densreg.boosting.boost`, and
+:func:`predict` returns the density rows of sums of embedded clr rows; only
+:func:`predict_clr` and :func:`extract_effect` return elements.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ from .bayes import (
     decompose_clr_rows,
 )
 from .measure import ReferenceMeasure
-from .records import BoostConfig, FitState, MixedFit
+from .records import BoostConfig, FitState
 
 __all__ = [
     "EffectTerm",
@@ -477,33 +478,37 @@ def _encode(spec: ModelSpec, data, default_df: float) -> tuple[_PredictorState, 
 
 class FittedModel:
     """A fitted additive density regression ready for prediction: the spec,
-    the response measure, the predictor state, the fit of each component,
-    the density bases by component, and the density-basis options of fit
-    (``config`` is the boosting config of a fit, None for a loaded model)."""
+    the response measure, the predictor state, the fit as ``states``, the
+    density bases by component, and the density-basis options of fit
+    (``config`` is the boosting config of a fit, None for a loaded model).
+
+    ``states`` holds one :class:`~densreg.records.FitState` per component of
+    the measure, by name and in the order of :func:`~densreg.bayes.components`
+    ("single", or "continuous" and "discrete"), the keys of the model file's
+    ``fits``.
+    """
 
     def __init__(self, spec: ModelSpec, measure: ReferenceMeasure, frame: _PredictorState,
-                 fits: FitState | MixedFit, bases: dict, lambda_density: float,
+                 states: dict, bases: dict, lambda_density: float,
                  config: BoostConfig | None, density_options: dict):
-        self.spec, self.measure, self.frame, self.fits = spec, measure, frame, fits
+        self.spec, self.measure, self.frame, self.states = spec, measure, frame, states
         self.bases, self.lambda_density = bases, lambda_density
         self.config, self.density_options = config, density_options
 
-    def component_states(self) -> dict:
-        if self.measure.is_mixed:
-            return {"continuous": self.fits.continuous, "discrete": self.fits.discrete}
-        return {"single": self.fits}
+    @property
+    def fitted_clr(self) -> np.ndarray | None:
+        """The N x P fitted clr rows on the response measure, the sum of the
+        embedded rows of the components; None for a loaded model, whose
+        states keep no rows."""
+        if any(s.fitted_clr is None for s in self.states.values()):
+            return None
+        embedded = [embed(self.states[c].fitted_clr, self.measure)
+                    for c, (_, embed) in components(self.measure).items()]
+        return sum(embedded[1:], embedded[0])
 
 
 # the density-basis options of fit, without their "density_" prefix
 _DENSITY_OPTIONS = ("knots", "degree", "penalty_order")
-
-
-def _fits(states: dict, measure: ReferenceMeasure, fitted_clr) -> FitState | MixedFit:
-    """The fit of a model from its component states, in the order of
-    :func:`~densreg.bayes.components`."""
-    if measure.is_mixed:
-        return MixedFit(*states.values(), measure, fitted_clr)
-    return states["single"]
 
 
 def _finite(value, what: str) -> np.ndarray:
@@ -544,7 +549,7 @@ def dump_fields(model: FittedModel) -> dict:
                    "selections": list(map(int, s.selections)), "risk_path": s.risk_path.tolist(),
                    "m_stop": int(s.m_stop),
                    "stop_curve": None if s.stop_curve is None else s.stop_curve.tolist()}
-            for comp, s in model.component_states().items()
+            for comp, s in model.states.items()
         },
     }
 
@@ -619,7 +624,7 @@ def load_fields(d: dict) -> FittedModel:
             m_stop, stop_curve=None if curve is None else np.asarray(curve, dtype=float),
         )
     return FittedModel(
-        spec, measure, _PredictorState(covariates, encoders), _fits(states, measure, None), bases,
+        spec, measure, _PredictorState(covariates, encoders), states, bases,
         db["lambda_density"], None, {f"density_{k}": db[k] for k in _DENSITY_OPTIONS},
     )
 
@@ -711,15 +716,12 @@ def fit(
     # imported here, so that loading a model and predicting compile no kernel
     from .boosting import boost
 
-    states, embedded = {}, []
-    for i, ((comp, (_, embed)), y) in enumerate(zip(components(measure).items(), parts)):
-        states[comp] = boost(
-            y, bases[comp].measure, designs[comp], replace(config, seed=config.seed + i)
-        )
-        embedded.append(embed(states[comp].fitted_clr, measure))
-    fits = _fits(states, measure, sum(embedded[1:], embedded[0]))
+    states = {
+        comp: boost(y, bases[comp].measure, designs[comp], replace(config, seed=config.seed + i))
+        for i, (comp, y) in enumerate(zip(components(measure), parts))
+    }
     return FittedModel(
-        spec, measure, frame, fits, bases, lambda_density, config, density_options
+        spec, measure, frame, states, bases, lambda_density, config, density_options
     )
 
 
@@ -727,9 +729,8 @@ def _raw_clr_rows(model: FittedModel, data, n: int, include_offset=True) -> np.n
     """n x P clr predictions on the response measure for the n rows of ``data``."""
     designs = [e.design(data, n) for e in model.frame.encoders]
     out = np.zeros((n, model.measure.size))
-    states = model.component_states()
     for component, (_, embed) in components(model.measure).items():
-        state, basis = states[component], model.bases[component]
+        state, basis = model.states[component], model.bases[component]
         comp = np.zeros((n, state.offset_clr.size))
         if include_offset:
             comp += state.offset_clr

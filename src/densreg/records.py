@@ -3,6 +3,10 @@ model loading (:func:`densreg.model.load_fields`) build. They live below the
 kernels that use them, which re-export them, so that reading a config or a
 model file imports neither :mod:`densreg.boosting` nor :mod:`densreg.ingest`
 (see :mod:`densreg.cli`). Only numpy and :mod:`densreg.measure` are imported.
+
+A fit is one :class:`FitState` per component of the response measure, by
+name (``FittedModel.states`` in :mod:`densreg.model`), for single and mixed
+measures alike; no record holds the components together.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 
 from .measure import ReferenceMeasure
 
-__all__ = ["BoostConfig", "FitState", "MixedFit", "KdeConfig", "check_share_measure"]
+__all__ = ["BoostConfig", "FitState", "KdeConfig", "check_share_measure"]
 
 
 @dataclass(frozen=True)
@@ -24,10 +28,13 @@ class BoostConfig:
     ``m_stop`` (at most and by default ``max_iterations``), "cv" k-fold
     cross-validation, "bootstrap" out-of-bag risk over resampled density sets.
 
-    ``seed`` must be a nonnegative integer (numpy integers included), so that
-    resampled stopping draws the same folds or replicates on every run: a
-    seed of None would draw them from OS entropy, and a negative one would
-    fail only once resampling starts.
+    The counts are integers (numpy integers included, bools refused), as the
+    run configuration's table requires of its keys: ``max_iterations`` and
+    ``replicates`` at least 1, ``folds`` at least 2, ``m_stop`` (or None)
+    and ``seed`` nonnegative. A non-integer count would fail only inside the
+    kernel, and too few folds or replicates would leave the stop curve
+    empty. The seed makes resampled stopping draw the same folds or
+    replicates on every run: a seed of None would draw them from OS entropy.
 
     ``threads`` and ``target_df`` are accepted but not read by the library;
     they remain because the benchmark tracer (``perfbench/trace.py``) still
@@ -53,20 +60,22 @@ class BoostConfig:
     def __post_init__(self):
         if not 0.0 < self.step_length < 1.0:
             raise ValueError("step length must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         if self.stopping not in ("fixed", "cv", "bootstrap"):
             raise ValueError(f"unknown stopping method {self.stopping!r}")
-        if self.m_stop is not None and self.m_stop < 0:
-            raise ValueError("m_stop must be nonnegative")
+        for key, least in (("max_iterations", 1), ("m_stop", 0), ("folds", 2),
+                           ("replicates", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if key == "m_stop" and value is None:
+                continue
+            try:
+                ok = not isinstance(value, bool) and operator.index(value) >= least
+            except TypeError:
+                ok = False
+            if not ok:
+                rule = "a nonnegative integer" if least == 0 else f"an integer of at least {least}"
+                raise ValueError(f"{key} must be {rule}, got {value!r}")
         if self.m_stop is not None and self.m_stop > self.max_iterations:
             raise ValueError("m_stop exceeds max_iterations")
-        try:
-            seed = None if isinstance(self.seed, bool) else operator.index(self.seed)
-        except TypeError:
-            seed = None
-        if seed is None or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 class FitState:
@@ -84,16 +93,6 @@ class FitState:
         self.stop_curve = stop_curve
 
 
-class MixedFit:
-    """Separate continuous and discrete fits plus the recombined surfaces
-    (N, P) on the mixed measure, or None."""
-
-    def __init__(self, continuous: FitState, discrete: FitState, measure: ReferenceMeasure,
-                 fitted_clr: np.ndarray | None):
-        self.continuous, self.discrete = continuous, discrete
-        self.measure, self.fitted_clr = measure, fitted_clr
-
-
 class KdeConfig:
     """Bandwidth policy and positivity floor for density estimation; the
     bandwidth grid, which "auto" searches, defaults to 16 geometric steps
@@ -103,9 +102,9 @@ class KdeConfig:
                  floor: float = 1e-6):
         grid = np.geomspace(0.005, 0.2, 16) if bandwidth_grid is None else bandwidth_grid
         self.bandwidth, self.floor = bandwidth, floor
-        self.bandwidth_grid = np.asarray(grid, dtype=float)
-        if np.any(self.bandwidth_grid <= 0) or np.any(np.diff(self.bandwidth_grid) <= 0):
-            raise ValueError("bandwidth grid must be positive and ascending")
+        self.bandwidth_grid = grid = np.asarray(grid, dtype=float)
+        if not grid.size or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+            raise ValueError("bandwidth grid must be nonempty, positive and ascending")
         if isinstance(self.bandwidth, (int, float)) and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if self.floor <= 0:

@@ -34,6 +34,7 @@ from densreg.boosting import (
     boost_from_clr,
     early_stop_from_clr,
 )
+from densreg.ingest import KdeConfig
 from densreg.measure import make_discrete, make_mixed
 from densreg.model import EffectTerm, ModelSpec, build_designs, fit
 from densreg.synth import planted_problem
@@ -391,7 +392,7 @@ class TestBoostMixed:
 
     def _fits(self, rng, y, config):
         data = {"x": rng.uniform(size=len(y))}
-        return fit(self.SPEC, data, y, self.MEASURE, config, **options("model", density_knots=5)).fits
+        return fit(self.SPEC, data, y, self.MEASURE, config, **options("model", density_knots=5))
 
     def test_constant_discrete_part(self, ):
         rng = np.random.default_rng(22)
@@ -403,7 +404,7 @@ class TestBoostMixed:
             values = np.concatenate([[gm, gm], grid_vals])
             responses.append(density(m, values))
         fits = self._fits(rng, clr_stack(responses), BoostConfig(max_iterations=30))
-        assert fits.discrete.risk_path[0] < 1e-16
+        assert fits.states["discrete"].risk_path[0] < 1e-16
 
     def test_sse_pythagoras(self):
         rng = np.random.default_rng(23)
@@ -411,7 +412,7 @@ class TestBoostMixed:
         y = clr_stack([random_density(m, rng) for _ in range(10)])
         fits = self._fits(rng, y, BoostConfig(max_iterations=25))
         total = float((((y - fits.fitted_clr) ** 2) * m.weights).sum())
-        comp = fits.continuous.risk_path[-1] + fits.discrete.risk_path[-1]
+        comp = fits.states["continuous"].risk_path[-1] + fits.states["discrete"].risk_path[-1]
         assert abs(total - comp) < 1e-9 * max(1.0, total)
 
     def test_two_stopping_iterations_reported(self):
@@ -420,8 +421,8 @@ class TestBoostMixed:
         fits = self._fits(
             rng, y, BoostConfig(max_iterations=20, stopping="bootstrap", replicates=5, seed=1)
         )
-        assert all(isinstance(s.m_stop, int) for s in (fits.continuous, fits.discrete))
-        assert fits.continuous.m_stop >= 1 and fits.discrete.m_stop >= 1
+        assert all(isinstance(s.m_stop, int) for s in fits.states.values())
+        assert fits.states["continuous"].m_stop >= 1 and fits.states["discrete"].m_stop >= 1
 
 
 def rank_deficient_effect(measure, rng, n):
@@ -945,8 +946,8 @@ def test_measure_without_density_directions_fits(method):
     y = np.zeros((len(data["year"]), 1))
     cfg = BoostConfig(max_iterations=5, stopping=method, folds=3)
     model = fit(spec, data, y, make_discrete([(0.5, 1.0)]), cfg, **options("model"))
-    assert [c.size for c in model.fits.coefficients] == [0, 0]
-    np.testing.assert_array_equal(model.fits.fitted_clr, y)
+    assert [c.size for c in model.states["single"].coefficients] == [0, 0]
+    np.testing.assert_array_equal(model.fitted_clr, y)
 
 
 @pytest.mark.parametrize("method", ["cv", "bootstrap", "fixed"])
@@ -1018,9 +1019,9 @@ def test_paper_model_cv_paths():
     spec = ModelSpec(PAPER_TERMS, references={"region": "west", "c_age": "other", "year": 0.0})
     model = fit(spec, data, clr_stack(truths), measure, BoostConfig(stopping="cv", folds=10, seed=3),
                 **options("model"))
-    stops = [state.m_stop for state in model.component_states().values()]
+    stops = [state.m_stop for state in model.states.values()]
     assert stops == expected["m_stop"] == [114, 49]
-    for comp, state in model.component_states().items():
+    for comp, state in model.states.items():
         assert state.selections == expected["selections"][comp], comp
 
 
@@ -1253,6 +1254,35 @@ class TestConfigValidation:
     def test_stopping_method(self):
         with pytest.raises(ValueError, match="stopping"):
             BoostConfig(stopping="magic")
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("max_iterations", 0, "an integer of at least 1"),
+        ("max_iterations", 2.5, "an integer of at least 1"),
+        ("max_iterations", True, "an integer of at least 1"),
+        ("m_stop", -1, "a nonnegative integer"),
+        ("m_stop", 2.0, "a nonnegative integer"),
+        ("folds", 1, "an integer of at least 2"),
+        ("folds", np.int64(0), "an integer of at least 2"),
+        ("replicates", 0, "an integer of at least 1"),
+        ("replicates", -3, "an integer of at least 1"),
+        ("replicates", 5.0, "an integer of at least 1"),
+    ])
+    def test_counts_must_be_integers_in_range(self, key, value, rule):
+        # the config table refuses these before a BoostConfig is built; a
+        # library caller would otherwise fit with an empty stop curve or
+        # fail inside the kernel
+        with pytest.raises(ValueError, match=f"^{key} must be {rule}, got "):
+            BoostConfig(**{"stopping": "bootstrap", "max_iterations": 5, key: value})
+
+    @pytest.mark.parametrize("key, value", [("max_iterations", np.int32(3)), ("m_stop", None),
+                                            ("folds", 2), ("replicates", np.uint8(1))])
+    def test_counts_at_their_bounds_are_kept(self, key, value):
+        assert getattr(BoostConfig(**{"max_iterations": 5, key: value}), key) == value
+
+    def test_bandwidth_grid_must_not_be_empty(self):
+        # select_bandwidth would take the argmin of no scores
+        with pytest.raises(ValueError, match="bandwidth grid must be nonempty"):
+            KdeConfig(bandwidth_grid=[])
 
     @pytest.mark.parametrize("stopping", ["fixed", "cv", "bootstrap"])
     def test_m_stop_beyond_max_iterations(self, stopping):

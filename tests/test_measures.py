@@ -214,7 +214,7 @@ def test_chain_on_generated_measures(tmp_path_factory, capsys, kind, data):
     make_mixed(0.0, 1.0, [], 30),
 ], ids=["discrete", "continuous"])
 def test_bands_table_without_a_mixed_measure(tmp_path, capsys, m):
-    out = run_chain(tmp_path, capsys, m)
+    out = run_chain(tmp_path, capsys, m, ("fit", "predict", "interpret", "simulate"))
     with open(out / "did_bands.tsv") as fh:
         rows = list(csv.reader(fh, delimiter="\t"))
     assert rows[0] == ["point", "is_atom", "outer_band_log_odds"]
@@ -290,7 +290,7 @@ def test_density_basis_finer_than_the_grid(tmp_path, capsys, grid_size):
     spectrum, vectors = np.linalg.eigh(b.T @ (b * basis.measure.weights[:, None]))
     null = vectors[:, spectrum <= 1e-12 * spectrum.max()]
     assert null.shape[1] == b.shape[1] - (grid_size - 1)
-    for coef in model.component_states()["continuous"].coefficients:
+    for coef in model.states["continuous"].coefficients:
         coef = coef.reshape(-1, basis.n_basis)
         assert np.abs(coef @ null).max() <= 1e-12 * np.linalg.norm(coef)
 

@@ -178,7 +178,7 @@ class TestBuildDesigns:
         y = np.random.default_rng(0).normal(size=(len(data["year"]), 3))
         y_clr = y - (y @ atoms.weights / atoms.weights.sum())[:, None]
         model = fit(spec, data, y_clr, atoms, BoostConfig(max_iterations=5), **options("model", **sizes))
-        assert model.fits.m_stop == 5
+        assert model.states["single"].m_stop == 5
 
     def test_observation_centering(self):
         # under effect coding every non-intercept design is mean-centered, so
@@ -258,21 +258,21 @@ class TestFitAndPredict:
 
     def test_planted_main_effects_selected(self, planted_fit):
         *_, model = planted_fit
-        paths = [state.selections for state in model.component_states().values()]
+        paths = [state.selections for state in model.states.values()]
         for j, term in enumerate(model.spec.terms):
             if term.name in ("region", "c_age", "year"):
                 assert any(j in path for path in paths)
 
     def test_two_stopping_values_for_mixed(self, planted_fit):
         *_, model = planted_fit
-        states = model.component_states()
+        states = model.states
         assert list(states) == ["continuous", "discrete"]
         assert all(isinstance(s.m_stop, int) for s in states.values())
 
     def test_training_rows_reproduce_fitted(self, planted_fit):
         m, data, truths, effects, model = planted_fit
         rows = np.stack([z.values for z in predict_clr(model, data)])
-        np.testing.assert_allclose(rows, model.fits.fitted_clr, atol=1e-9)
+        np.testing.assert_allclose(rows, model.fitted_clr, atol=1e-9)
 
     def test_predictions_positive_and_normalized(self, planted_fit):
         m, data, *_ , model = planted_fit
@@ -287,10 +287,10 @@ class TestFitAndPredict:
         cfg = BoostConfig(max_iterations=40, stopping="bootstrap", replicates=5, seed=9)
         a = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
         b = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
-        for ca, cb in zip(a.fits.continuous.coefficients, b.fits.continuous.coefficients):
+        for ca, cb in zip(a.states["continuous"].coefficients, b.states["continuous"].coefficients):
             np.testing.assert_array_equal(ca, cb)
-        assert ([s.m_stop for s in a.component_states().values()]
-                == [s.m_stop for s in b.component_states().values()])
+        assert ([s.m_stop for s in a.states.values()]
+                == [s.m_stop for s in b.states.values()])
 
     def test_length_mismatch_rejected(self):
         m, data, truths, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
@@ -342,7 +342,7 @@ class TestExtractEffect:
         )
         model = fit(spec, data, clr_stack(truths), m, BoostConfig(max_iterations=3),
                     **options("model", density_knots=6))
-        states = model.component_states()
+        states = model.states
         for comp, state in states.items():
             if 2 not in state.selections:
                 assert np.all(state.coefficients[2] == 0.0)
@@ -418,8 +418,8 @@ class TestSingleComponentDispatch:
         )
         model = fit(spec, data, clr_stack(responses), m, BoostConfig(max_iterations=20),
                     **options("model"))
-        assert list(model.component_states()) == ["single"]
-        assert model.fits is model.component_states()["single"]
-        assert isinstance(model.component_states()["single"].m_stop, int)
+        assert list(model.states) == ["single"]
+        assert model.fitted_clr is model.states["single"].fitted_clr
+        assert isinstance(model.states["single"].m_stop, int)
         preds = predict(model, data)
         assert len(preds) == n

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from densreg.bayes import decompose_clr_rows
+from densreg.bayes import components, decompose_clr_rows
 from densreg.boosting import BoostConfig, MixedFit, boost_from_clr, early_stop_from_clr
 from densreg.ingest import KdeConfig
 from densreg.interpret import did_effect, heatmap
@@ -90,7 +90,8 @@ def test_kde_config_by_keyword():
 
 def test_hand_built_model_dumps_like_the_fitted_one():
     # the tracer fits each component itself, sets the stop curves on the
-    # states and assembles FittedModel(8 arguments) around MixedFit(4)
+    # states and assembles FittedModel(8 arguments) around MixedFit(4),
+    # which names the states as fit does; the rows follow from the states
     measure, data, truths, _ = planted_problem(seed=2, grid_size=30, n_years=4, noise_scale=0.3)
     spec, config, options = tracer_spec(CONFIG), tracer_boost_config(CONFIG), tracer_design_options(CONFIG)
     y_clr = clr_stack(truths)
@@ -109,8 +110,11 @@ def test_hand_built_model_dumps_like_the_fitted_one():
         bases, options["lambda_density"], config,
         {k: options[k] for k in ("density_knots", "density_degree", "density_penalty_order")},
     )
-    assert ({c: s.m_stop for c, s in model.component_states().items()}
-            == {c: s.m_stop for c, s in want.component_states().items()})
+    assert list(model.states) == list(components(measure))
+    assert ({c: s.m_stop for c, s in model.states.items()}
+            == {c: s.m_stop for c, s in want.states.items()})
+    assert model.fitted_clr.shape == want.fitted_clr.shape
+    assert model.fitted_clr.tobytes() == want.fitted_clr.tobytes()
     assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(want))
 
     did = did_effect(model, "region", ("east", "west"), "c_age", ("kids0_6", "other"), {"year": 2.0})

@@ -205,7 +205,7 @@ class TestNoiseScaleMonotonicity:
         )
         cfg = BoostConfig(max_iterations=120, seed=0)
         base = fit(spec, data, clr_stack(truths), m, cfg, **options("model", density_knots=6))
-        fitted = base.fits.fitted_clr
+        fitted = base.fitted_clr
         structure = fpca(clr_stack(truths) - fitted, m, truncation=10)
         medians = []
         for scale in (0.0, 1.0, 3.0):

@@ -37,7 +37,8 @@ only in ``basis`` and ``bspline_knots`` called only there and in
 The package holds only what the program runs: every top-level ``def`` and
 ``class`` is reached from ``cli.py`` or from a name that the benchmark
 (``perfbench/*.py``) imports, following names and relative-import aliases
-through the bodies of what is reached. Test oracles live in ``tests/``.
+through the bodies of what is reached, and every name that the benchmark
+imports from ``densreg`` resolves. Test oracles live in ``tests/``.
 Every defaulted parameter of a ``def`` in the package is passed by some call
 in ``src/`` or ``perfbench/`` (by keyword, by position, or through
 ``*args``/``**kwargs``, resolving ``import … as`` aliases, and a record's
@@ -47,6 +48,7 @@ exists only for tests.
 """
 import ast
 import gc
+import importlib
 import json
 import os
 import pathlib
@@ -420,6 +422,23 @@ def _unreached() -> list:
 def test_every_definition_is_reached_from_cli_or_perfbench():
     unreached = _unreached()
     assert not unreached, f"{len(unreached)} definition(s) reached only from tests: {unreached}"
+
+
+def test_every_name_perfbench_imports_resolves():
+    # _unreached passes over a name that no module defines, so this imports
+    # the densreg modules that perfbench/*.py names, but not perfbench itself
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "densreg":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "densreg":
+                        importlib.import_module(alias.name)
+    assert not missing, f"perfbench imports names densreg lacks: {missing}"
 
 
 def _calls_outside(allowed: dict) -> list:

@@ -250,4 +250,4 @@ def test_generated_config_chain_and_model_round_trip(chain_inputs, tmp_path_fact
     fields = json.loads(json.dumps(model_to_dict(model)))
     assert fields == json.loads((out / "model.json").read_text())
     np.testing.assert_allclose(predict(model_from_dict(fields), DATA),
-                               clr_inv_rows(model.fits.fitted_clr, MEASURE), rtol=1e-9, atol=0)
+                               clr_inv_rows(model.fitted_clr, MEASURE), rtol=1e-9, atol=0)
