@@ -115,21 +115,24 @@ def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
     a, b and whether any system needed jitter: one not positive definite to
     working precision (no Cholesky factor, or a squared pivot at most s eps
     times its largest entry: degenerate designs, e.g. empty categories in
-    small folds) gets a 1e-10 ridge in its penalty. Decomposing the penalty
+    small folds) gets a ridge in its penalty: 1e-10, or s eps times its
+    largest entry where that is larger. Decomposing the penalty
     side leaves the factor's rounding on the gram, at the gram's scale; the
     gram side would put it on a 1e-10 ridge, as a 1e-5 relative error that
-    makes a ridged learner's criterion noisy. An unpenalized learner gets
+    makes a ridged learner's criterion noisy. A system whose penalty
+    outweighs its gram a millionfold (a smoothing parameter near its bound
+    of 1e12) decomposes the gram side: the penalty side's rounding would
+    pass 1e-10 of the gram. An unpenalized learner gets
     W = L^-T and a = 1 exactly. The stack is factorized in one call; when
     some system has no factor, each is factorized alone, and only the
     ridged systems are factorized again, with the ridge.
     """
     systems = grams + penalties
     size = systems.shape[-1]
-    tiny = size * np.finfo(float).eps * np.abs(systems).max(axis=(-2, -1))
-    ridge = 1e-10 * np.eye(size)
+    tiny = size * np.finfo(float).eps * np.abs(systems).max(axis=(-2, -1), initial=0.0)
     try:
         lower = np.linalg.cholesky(systems)
-        ridged = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2 <= tiny
+        ridged = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1, initial=np.inf) ** 2 <= tiny
     except np.linalg.LinAlgError:
         # some system has no factor: find which, one at a time
         lower, ridged = np.empty_like(systems), np.ones(systems.shape[:-2], dtype=bool)
@@ -139,14 +142,26 @@ def _pencil_bases(grams: np.ndarray, penalties: np.ndarray):
                 ridged[i] = np.diagonal(lower[i]).min() ** 2 <= tiny[i]
             except np.linalg.LinAlgError:
                 pass
+    # at least the system's rounding, which outweighs 1e-10 for entries
+    # above about 1e5 / s (a smoothing parameter near its bound of 1e12)
+    ridges = np.maximum(1e-10, tiny) * ridged
     for i in zip(*np.nonzero(ridged)):
-        lower[i] = np.linalg.cholesky(systems[i] + ridge)
+        lower[i] = np.linalg.cholesky(systems[i] + ridges[i] * np.eye(size))
     if ridged.any():
-        penalties = penalties + ridge * ridged[..., None, None]
+        penalties = penalties + ridges[..., None, None] * np.eye(size)
     inv_lower = np.linalg.inv(lower)
     del systems, lower
     b, u = np.linalg.eigh(inv_lower @ penalties @ inv_lower.swapaxes(-1, -2))
-    return inv_lower.swapaxes(-1, -2) @ u, 1.0 - b, b, bool(ridged.any())
+    a = 1.0 - b
+    # on the gram side, the factor's rounding may hide a direction in which
+    # the system is nearly singular, with a above 1; b = 0 there keeps the
+    # step the least-squares one
+    stiff = (np.abs(penalties).max(axis=(-2, -1), initial=0.0)
+             > 1e6 * np.abs(grams).max(axis=(-2, -1), initial=0.0))
+    for i in zip(*np.nonzero(np.broadcast_to(stiff, a.shape[:-1]))):
+        a[i], u[i] = np.linalg.eigh(inv_lower[i] @ grams[i] @ inv_lower[i].T)
+        b[i] = np.maximum(1.0 - a[i], 0.0)
+    return inv_lower.swapaxes(-1, -2) @ u, a, b, bool(ridged.any())
 
 
 def _learner_bases(

@@ -48,13 +48,15 @@ Exit codes, by the type of the error that ends a command:
   inside one output boundary, which makes the directory once the outputs
   are computed.
 * 3, :class:`~densreg.io.DataError`: the fix is in a data file that exists.
-  Each command reads its data input and runs the library on it inside one
-  data boundary (:func:`densreg.io.reported_as`), where a ValueError, KeyError
-  or OSError counts as a data error: ``estimate`` the observations, their
-  groups, bandwidths and densities; ``fit`` and ``simulate`` the densities and
-  the fit to them, and ``simulate`` its replicates; ``check`` its target, and
-  a failed invariant; ``predict`` the model file, the newdata and the
-  prediction; ``interpret`` the model file.
+  A malformed table names its file and its first bad line in file order
+  (:mod:`densreg.io`). Each command reads its data input and runs the
+  library on it inside one data boundary (:func:`densreg.io.reported_as`),
+  where a ValueError, KeyError or OSError counts as a data error:
+  ``estimate`` the observations, their groups, bandwidths and densities;
+  ``fit`` and ``simulate`` the densities and the fit to them, and
+  ``simulate`` its replicates; ``check`` its target, and a failed
+  invariant; ``predict`` the model file, the newdata and the prediction;
+  ``interpret`` the model file.
 * 4: a numeric failure (numpy's LinAlgError, ZeroDivisionError,
   FloatingPointError), among them a boosting risk that is not finite, as
   when a huge ``simulation.noise_scale`` makes the squared residuals
@@ -98,6 +100,7 @@ import numpy as np
 
 from .bayes import check_clr_rows, check_decomposition, clr_rows, decompose_clr_rows
 from .io import (
+    INTERPRET_FILES,
     ConfigError,
     DataError,
     check_input_file,
@@ -272,7 +275,7 @@ def cmd_interpret(cfg, args) -> int:
             with reported_as(ConfigError, f"config.interpret.effects[{i}]"):
                 dens, z = extract_effect(model, spec["term"], spec["at"])
             write_table(
-                os.path.join(out, f"effect_{name}.tsv"),
+                os.path.join(out, INTERPRET_FILES["effects"]["table"].format(name)),
                 ["point", "is_atom", "clr", "density"],
                 [
                     [m.locations[i], i < m.n_atoms, z.values[i], dens.values[i]]
@@ -285,9 +288,9 @@ def cmd_interpret(cfg, args) -> int:
                     for i, loc in enumerate(m.atom_locations)
                 }
                 curve_svg(
-                    os.path.join(out, f"effect_{name}.svg"),
+                    os.path.join(out, INTERPRET_FILES["effects"]["svg"].format(name)),
                     m.grid,
-                    {"clr effect": z.values[m.n_atoms:]},
+                    z.values[m.n_atoms:], "clr effect",
                     markers,
                     title=f"clr effect: {name}",
                 )
@@ -315,7 +318,7 @@ def cmd_interpret(cfg, args) -> int:
             name = q["name"]
             grid = build_heatmap(did, icfg["heatmap_resolution"])
             write_table(
-                os.path.join(out, f"{name}_heatmap.tsv"),
+                os.path.join(out, INTERPRET_FILES["did"]["heatmap"].format(name)),
                 ["t\\s"] + [fmt(p) for p in grid.points],
                 [
                     [fmt(grid.points[r])] + [v for v in grid.values[r]]
@@ -325,14 +328,14 @@ def cmd_interpret(cfg, args) -> int:
             # the atoms in order take the outer band; it is empty unless m is mixed
             band = iter(grid.outer_band)
             write_table(
-                os.path.join(out, f"{name}_bands.tsv"),
+                os.path.join(out, INTERPRET_FILES["did"]["bands"].format(name)),
                 ["point", "is_atom", "outer_band_log_odds"],
                 [[point, bool(atom), next(band, "") if atom else ""]
                  for point, atom in zip(grid.points, grid.is_atom)],
             )
             if want_svg:
                 heatmap_svg(
-                    os.path.join(out, f"{name}_heatmap.svg"),
+                    os.path.join(out, INTERPRET_FILES["did"]["svg"].format(name)),
                     grid.values,
                     grid.is_atom,
                     title=f"log odds: {name}",

@@ -9,6 +9,18 @@ reader reads the value columns by these names: a header that does not end in
 them is a :class:`DataError` at line 2. Floats are written with ``repr``,
 which round-trips exactly.
 
+Every input table goes through one row reader: observations (``estimate``),
+densities (``fit``, ``simulate``, ``check``) and newdata (``predict``). A
+header names each column once, and each row has as many fields as its
+header; blank lines are skipped but counted. The number columns (numeric
+keys, ``value`` and ``weight``: finite numbers; density values: also
+strictly positive) are parsed as Python's ``float`` parses them, a block of
+rows per numpy call, and a block that fails is read again row by row. So in
+every input the first bad line in file order wins, whatever is wrong with
+it, and its :class:`DataError` names the file and the line. An
+observations file without ``value`` and ``weight`` columns fails at its
+header.
+
 Run configurations are JSON objects checked in one place. The table
 ``_CONFIG`` is the reference: it gives every key its JSON type, its default,
 and its allowed strings or numeric bound; unknown keys are rejected.
@@ -18,7 +30,9 @@ that span several keys: ``a < b`` and atoms inside the interval (measure),
 the term kind and its covariate count (``EffectTerm``), unique term names,
 at most one intercept, one kind (categorical or numeric) per covariate and
 ``orthogonal_to`` naming only earlier terms (``ModelSpec``, at
-``config.model``), an ascending bandwidth grid (``KdeConfig``). Every
+``config.model``), an ascending bandwidth grid (``KdeConfig``), and
+interpret items whose output files, named once in ``INTERPRET_FILES``, stay
+apart. Every
 problem is a :class:`ConfigError` whose message starts with the path of the
 field, such as ``config.model.terms[2].knots``, or of its section. A command
 that needs more than the defaults (data paths, a measure, a model) checks
@@ -97,6 +111,7 @@ __all__ = [
     "validate_config",
     "RunObjects",
     "run_objects",
+    "INTERPRET_FILES",
 ]
 
 
@@ -151,20 +166,10 @@ def write_table(path, header: list, rows) -> None:
             fh.write("\t".join(fmt(v) for v in row) + "\n")
 
 
-def _rows(path, lines, header: list, start: int):
-    """The (line number, fields) of each non-blank line, numbered from
-    ``start`` and split one at a time; each has as many fields as ``header``."""
-    for i, line in enumerate(lines, start=start):
-        row = line.rstrip("\n").split("\t")
-        if row == [""]:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
-        yield i, row
-
-
 def _header(path, line: str) -> list:
     """Column names of a header line; a name may appear only once."""
+    if not line:
+        raise DataError(f"{path}: empty file")
     header = line.rstrip("\n").split("\t")
     if len(set(header)) < len(header):
         name = next(c for i, c in enumerate(header) if c in header[:i])
@@ -172,58 +177,98 @@ def _header(path, line: str) -> list:
     return header
 
 
-def _numbered_rows(path) -> tuple[list, list]:
-    """Header and the (line number, fields) of each non-blank row."""
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise DataError(f"{path}: empty file")
-        header = _header(path, first)
-        return header, list(_rows(path, fh, header, 2))
+# number tokens parsed per numpy call, at least: blocks of 21 rows of the
+# benchmark measure's 102 density values
+_PARSE_TOKENS = 2048
+
+
+def _read_rows(path, fh, header: list, start: int, numbers, n_values: int = 0):
+    """The rows of a table body, its lines numbered from ``start``: the
+    fields of each non-blank line but its last ``n_values``, as strings, and
+    an N x (k + ``n_values``) float array of its k ``numbers`` columns (in
+    header order), which must hold finite numbers, and of its last
+    ``n_values`` columns, which must hold density values
+    (:func:`~densreg.bayes.check_density_values`).
+
+    Each line must have as many fields as ``header``. The numbers of a block
+    of rows are parsed and checked in one numpy call, and a block that fails
+    is read again row by row, so that the first failing line in file order
+    raises its DataError, also when a later line has the wrong number of
+    fields."""
+    n_keys = len(header) - n_values
+    cols = [j for j, col in enumerate(header[:n_keys]) if col in numbers]
+    width = len(cols) + n_values
+    rows, lines, tokens, blocks = [], [], [], []
+    try:
+        for i, line in enumerate(fh, start=start):
+            row = line.rstrip("\n").split("\t")
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {i} has {len(row)} fields, expected {len(header)}")
+            rows.append(row[:n_keys])
+            lines.append(i)
+            tokens += [row[j] for j in cols] + row[n_keys:]
+            if len(tokens) >= _PARSE_TOKENS:
+                blocks.append(_parsed(path, lines, tokens, len(cols), width))
+                lines, tokens = [], []
+    except DataError:
+        # a number error on an earlier line comes first
+        _parsed(path, lines, tokens, len(cols), width)
+        raise
+    blocks.append(_parsed(path, lines, tokens, len(cols), width))
+    return rows, np.concatenate(blocks)
+
+
+def _parsed(path, lines: list, tokens: list, n_numbers: int, width: int) -> np.ndarray:
+    """The float rows of ``lines`` from their ``width`` tokens each, the
+    first ``n_numbers`` finite numbers and the others density values, parsed
+    and checked at once; when that fails, row by row, so that the first
+    failing line raises its own DataError."""
+    try:
+        block = np.array(tokens, dtype=float).reshape(len(lines), width)
+        if not np.isfinite(block[:, :n_numbers]).all():
+            raise ValueError("not finite")
+        check_density_values(block[:, n_numbers:])
+        return block
+    except ValueError:
+        pass
+    for k, i in enumerate(lines):
+        row = tokens[k * width:(k + 1) * width]
+        try:
+            for text in row[:n_numbers]:
+                if not math.isfinite(float(text)):
+                    raise ValueError(f"{text!r} is not a finite number")
+            check_density_values(np.array([float(t) for t in row[n_numbers:]]))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {i}: {exc}") from exc
+    return np.array([float(t) for t in tokens]).reshape(len(lines), width)
 
 
 def read_table(path, numeric=()) -> tuple[list, list]:
     """Header and rows of a table; the ``numeric`` columns must hold finite numbers."""
-    header, rows = _numbered_rows(path)
-    _numbers(path, header, rows, numeric)
-    return header, [row for _, row in rows]
+    with open(path) as fh:
+        header = _header(path, fh.readline())
+        rows, _ = _read_rows(path, fh, header, 2, numeric)
+    return header, rows
 
 
 def read_observations(path) -> tuple[dict, list]:
     """Observation table as columns, ``value`` and ``weight`` as finite floats, and
     its grouping columns (all others)."""
-    header, rows = _numbered_rows(path)
-    if "value" not in header or "weight" not in header:
-        raise DataError(f"{path}: needs 'value' and 'weight' columns")
-    table = {col: [row[j] for _, row in rows] for j, col in enumerate(header)}
-    table.update(_numbers(path, header, rows, ("value", "weight")))
+    with open(path) as fh:
+        header = _header(path, fh.readline())
+        if "value" not in header or "weight" not in header:
+            raise DataError(f"{path}: needs 'value' and 'weight' columns")
+        rows, numbers = _read_rows(path, fh, header, 2, ("value", "weight"))
+    table = {col: [row[j] for row in rows] for j, col in enumerate(header)}
+    table.update(zip([c for c in header if c in ("value", "weight")], numbers.T.tolist()))
     return table, [c for c in header if c not in ("value", "weight")]
-
-
-def _numbers(path, header, rows, names) -> dict:
-    """The ``names`` columns of numbered rows as finite floats, or a DataError at a line."""
-    return {col: [_number(path, i, row[j]) for i, row in rows]
-            for j, col in enumerate(header) if col in names}
-
-
-def _number(path, line: int, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise DataError(f"{path}: line {line}: {exc}") from exc
-    if not math.isfinite(value):
-        raise DataError(f"{path}: line {line}: {text!r} is not a finite number")
-    return value
 
 
 # ---------------------------------------------------------------------------
 # Density files
 # ---------------------------------------------------------------------------
-
-# density value tokens parsed per numpy call, at least: blocks of 21 rows of
-# the benchmark measure's 102 values
-_PARSE_TOKENS = 2048
-
 
 def measure_header(m: ReferenceMeasure) -> str:
     interval = "none" if m.interval is None else f"{fmt(m.interval[0])}:{fmt(m.interval[1])}"
@@ -294,43 +339,9 @@ def read_density_rows(path, numeric=()):
         for want, found in zip(_value_columns(measure), header[n_keys:]):
             if want != found:
                 raise DataError(f"{path}: line 2: expected column {want!r}, found {found!r}")
-        # the value tokens of a block of rows are parsed at once: few numpy
-        # calls, and not every field held as a string (a megabyte at paper scale)
-        keys, tokens, blocks = [], [], []
-        try:
-            for i, row in _rows(path, fh, header, 3):
-                keys.append((i, row[:n_keys]))
-                tokens += row[n_keys:]
-                if len(tokens) >= _PARSE_TOKENS:
-                    blocks.append(_density_values(path, keys, tokens, measure.size))
-                    tokens = []
-        except DataError:
-            # a value error on an earlier line comes first
-            _density_values(path, keys, tokens, measure.size)
-            raise
-        blocks.append(_density_values(path, keys, tokens, measure.size))
-    _numbers(path, header[:n_keys], keys, numeric)
-    return measure, header[:n_keys], [tuple(key) for _, key in keys], np.concatenate(blocks)
-
-
-def _density_values(path, keys: list, tokens: list, size: int) -> np.ndarray:
-    """The density values of the last rows of ``keys`` from their value
-    tokens, parsed and checked at once; when that fails, row by row, so that
-    the first failing line raises its own DataError."""
-    try:
-        values = np.array(tokens, dtype=float).reshape(-1, size)
-        check_density_values(values)
-        return values
-    except ValueError:
-        pass
-    rows = []
-    for k, (i, _) in enumerate(keys[len(keys) - len(tokens) // size:]):
-        try:
-            rows.append(np.array([float(t) for t in tokens[k * size:(k + 1) * size]]))
-            check_density_values(rows[-1])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i}: {exc}") from exc
-    return np.reshape(rows, (-1, size))
+        keys, numbers = _read_rows(path, fh, header, 3, numeric, measure.size)
+    values = np.ascontiguousarray(numbers[:, numbers.shape[1] - measure.size:])
+    return measure, header[:n_keys], [tuple(key) for key in keys], values
 
 
 def read_density_file(path):
@@ -549,6 +560,13 @@ class RunObjects(NamedTuple):
     did: list
 
 
+# the files that densreg.cli's interpret writes for each item of
+# ``config.interpret.effects`` and ``.did``, by role; "{}" is the item's name
+INTERPRET_FILES = {
+    "effects": {"table": "effect_{}.tsv", "svg": "effect_{}.svg"},
+    "did": {"heatmap": "{}_heatmap.tsv", "bands": "{}_bands.tsv", "svg": "{}_heatmap.svg"},
+}
+
 # what each command needs from the config beyond its defaults
 _NEEDS = {
     "estimate": ("data.observations", "measure"),
@@ -606,16 +624,15 @@ def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
     icfg = cfg["interpret"]
     effects = [{"name": e["term"], **e} for e in icfg["effects"]]
     did = [{"name": f"did_{i}", "fixed": {}, **q} for i, q in enumerate(icfg["did"])]
-    # each item's files, as densreg.cli's interpret writes them, stay inside
-    # the output directory and apart from every other item's
+    # each item's files stay inside the output directory and apart from
+    # every other item's
     written = {}
-    for kind, items, files in (("effects", effects, ("effect_{}.tsv", "effect_{}.svg")),
-                               ("did", did, ("{}_heatmap.tsv", "{}_bands.tsv", "{}_heatmap.svg"))):
+    for kind, items in (("effects", effects), ("did", did)):
         for i, item in enumerate(items):
             where, name = f"config.interpret.{kind}[{i}]", item["name"]
             if any(sep and sep in name for sep in (os.sep, os.altsep)):
                 raise ConfigError(f"{where}.name: {name!r} contains a path separator")
-            for file in (f.format(name) for f in files):
+            for file in (f.format(name) for f in INTERPRET_FILES[kind].values()):
                 if file in written:
                     raise ConfigError(f"{where}.name: writes {file}, as {written[file]} does")
                 written[file] = where

@@ -10,6 +10,7 @@ import numpy as np
 __all__ = ["curve_svg", "heatmap_svg"]
 
 _W, _H, _PAD = 640, 420, 48
+_CURVE = "#1f77b4"
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -35,26 +36,21 @@ def _write_svg(path, title: str, body: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def curve_svg(
-    path,
-    x: np.ndarray,
-    curves: dict,
-    markers: dict,
-    title: str,
-) -> None:
-    """Polyline plot of one or more named curves over a shared x axis.
+def curve_svg(path, x: np.ndarray, y: np.ndarray, label: str, markers: dict, title: str) -> None:
+    """Polyline plot of the curve ``y`` over ``x``, named ``label``.
 
     ``markers`` maps labels to (x, y) points drawn as circles, used for
     values sitting on atoms rather than the continuous grid.
     """
-    x = np.asarray(x, float)
-    ys = [np.asarray(v, float) for v in curves.values()]
-    all_y = np.concatenate(ys + [np.asarray([p[1] for p in markers.values()], float)])
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    all_y = np.concatenate([y, np.asarray([p[1] for p in markers.values()], float)])
     lo_x, hi_x = float(x.min()), float(x.max())
     lo_y, hi_y = float(all_y.min()), float(all_y.max())
     if lo_y == hi_y:
         lo_y, hi_y = lo_y - 1.0, hi_y + 1.0
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
+    px = _scale(x, lo_x, hi_x, _PAD, _W - _PAD)
+    py = _scale(y, lo_y, hi_y, _H - _PAD, _PAD)
+    pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
     parts = [
         f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>',
         f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{_H - _PAD}" stroke="black"/>',
@@ -62,19 +58,10 @@ def curve_svg(
         f'<text x="{_W - _PAD}" y="{_H - _PAD + 16}" text-anchor="end" font-size="10">{_fmt(hi_x)}</text>',
         f'<text x="{_PAD - 4}" y="{_H - _PAD}" text-anchor="end" font-size="10">{_fmt(lo_y)}</text>',
         f'<text x="{_PAD - 4}" y="{_PAD + 4}" text-anchor="end" font-size="10">{_fmt(hi_y)}</text>',
+        f'<polyline fill="none" stroke="{_CURVE}" stroke-width="1.5" points="{pts}"/>',
+        f'<text x="{_W - _PAD}" y="{_PAD + 14}" text-anchor="end" '
+        f'fill="{_CURVE}" font-size="11">{label}</text>',
     ]
-    for ci, (label, y) in enumerate(curves.items()):
-        px = _scale(x, lo_x, hi_x, _PAD, _W - _PAD)
-        py = _scale(y, lo_y, hi_y, _H - _PAD, _PAD)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-        color = palette[ci % len(palette)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-        )
-        parts.append(
-            f'<text x="{_W - _PAD}" y="{_PAD + 14 * (ci + 1)}" text-anchor="end" '
-            f'fill="{color}" font-size="11">{label}</text>'
-        )
     for label, (mx, my) in markers.items():
         px = float(_scale([mx], lo_x, hi_x, _PAD, _W - _PAD)[0])
         py = float(_scale([my], lo_y, hi_y, _H - _PAD, _PAD)[0])

@@ -6,8 +6,9 @@ Two oracles live here, both written for clarity rather than speed:
   representatives through perturbation and powering, with inner products from
   the density-space inner product;
 * the brute-force clr loop: every iteration refits every base-learner as an
-  N x P clr surface and scores it by its weighted residual sum of squares, for
-  in-bag fits and for each cross-validation or bootstrap resample.
+  N x P clr surface and scores it by how much it lowers the weighted
+  residual sum of squares, for in-bag fits and for each cross-validation or
+  bootstrap resample.
 """
 from __future__ import annotations
 
@@ -53,20 +54,61 @@ def _factor(gram: np.ndarray):
         return cho_factor(gram + 1e-10 * np.eye(gram.shape[0]))
 
 
+def _pseudo_inverse(data: np.ndarray, penalty: np.ndarray):
+    """Pseudo-inverse of a penalized normal matrix G = data + penalty, and
+    the projector onto the directions it determines. G is decomposed in the
+    penalty's eigenbasis, with each direction that the penalty weighs above
+    the data's largest entry scaled down to the data's scale, where an
+    eigenvalue within rounding (the matrix's size times eps times its
+    largest) counts as zero. The scaling keeps a penalty many orders above
+    the data (a smoothing parameter near its bound of 1e12) from rounding
+    away the directions it leaves to the data, as an eigenvalue cut
+    relative to G's largest would. Along the directions G does not
+    determine (a density direction that the grid cannot see, design columns
+    that the rows leave dependent and the penalty leaves free) any
+    coefficient fits the rows alike."""
+    weights, basis = np.linalg.eigh(penalty)
+    weights = np.maximum(weights, 0.0)
+    shrink = 1.0 / np.sqrt(1.0 + weights / (np.abs(data).max(initial=0.0) or 1.0))
+    scaled = basis * shrink
+    values, vectors = np.linalg.eigh(scaled.T @ data @ scaled + np.diag(weights * shrink**2))
+    keep = values > values.size * np.finfo(float).eps * values.max(initial=0.0)
+    null = np.linalg.qr(scaled @ vectors[:, ~keep])[0]
+    projector = np.eye(data.shape[0]) - null @ null.T
+    part = projector @ scaled @ vectors[:, keep]
+    return part @ (part.T / values[keep, None]), projector
+
+
+def determined_part(effect: EffectDesign, weights: np.ndarray,
+                    rows: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+    """Projector onto the coefficient directions of ``effect`` that its
+    penalized normal matrix on ``rows`` (all rows by default) determines
+    (see :func:`_pseudo_inverse`), and the matrix's largest eigenvalue and
+    its smallest on those directions (0 when it determines none)."""
+    solver = _EffectSolver(effect, weights, rows)
+    inverse_norm = np.linalg.eigvalsh(solver.inverse).max(initial=0.0)
+    return (solver.projector, float(np.linalg.eigvalsh(solver.gram).max(initial=0.0)),
+            1.0 / inverse_norm if inverse_norm else 0.0)
+
+
 class _EffectSolver:
-    """Per-effect Gram matrix and penalized Cholesky factor on the given rows."""
+    """Per-effect Gram matrix on the given rows, and its penalized
+    least-squares solve of least norm: no part along the directions that the
+    matrix does not determine."""
 
     def __init__(self, effect: EffectDesign, weights: np.ndarray, rows: np.ndarray | None = None):
         x = effect.X if rows is None else effect.X[rows]
         self.x = x
         self.basis = effect.density_basis.clr_matrix
         self.weighted_basis = self.basis * weights[:, None]
-        gram = np.kron(x.T @ x, self.basis.T @ self.weighted_basis) + stacked_penalty(effect)
-        self.factor = _factor(gram)
+        data = np.kron(x.T @ x, self.basis.T @ self.weighted_basis)
+        penalty = stacked_penalty(effect)
+        self.gram = data + penalty
+        self.inverse, self.projector = _pseudo_inverse(data, penalty)
 
     def fit(self, u: np.ndarray) -> np.ndarray:
         rhs = (self.x.T @ u @ self.weighted_basis).ravel()
-        return cho_solve(self.factor, rhs)
+        return self.inverse @ rhs
 
     def surface(self, gamma: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         x = self.x if x is None else x
@@ -99,26 +141,42 @@ def select_base_learner(
 # Brute-force clr loop
 # ---------------------------------------------------------------------------
 
-def _clr_loop(y_train, weights, solvers, kappa, n_iter, on_step):
-    """Refit every learner as an N x P surface each iteration; ``on_step``
-    receives (j, gamma, surface) of the selected learner."""
+def _clr_loop(y_train, weights, solvers, kappa, n_iter, on_step, margins=None):
+    """Refit every learner as an N x P surface s each iteration and choose
+    the first of those that lower the weighted residual sum of squares
+    |u - s|^2 most; ``on_step`` receives (j, gamma, fitted) of the chosen
+    learner. The drop is summed as 2 <u, s> - <s, s>: as |u|^2 - |u - s|^2
+    it would lose its digits to |u|^2 once the learners explain little of u.
+    ``margins``, when given, receives the relative gap between the two
+    largest drops of each iteration: inf with one learner, and 0 when no
+    drop exceeds 1e-12 |u|^2 of the first iteration's u: the residuals keep
+    the rounding of the responses' scale, so the drops of a fit that has
+    nearly reached the responses are rounding."""
     fitted = np.tile(y_train.mean(axis=0), (y_train.shape[0], 1))
+    floor = 1e-12 * float((4.0 * (y_train - fitted) ** 2 * weights).sum())
     for _ in range(n_iter):
         u = 2.0 * (y_train - fitted)
-        best_j, best_rss, best_gamma, best_surface = -1, np.inf, None, None
-        for j, solver in enumerate(solvers):
+        drops, fits = [], []
+        for solver in solvers:
             gamma = solver.fit(u)
             surface = solver.surface(gamma)
-            rss = float((((u - surface) ** 2) * weights).sum())
-            if rss < best_rss:
-                best_j, best_rss, best_gamma, best_surface = j, rss, gamma, surface
-        fitted = fitted + kappa * best_surface
-        on_step(best_j, best_gamma, fitted)
+            drops.append(float(((surface * (2.0 * u - surface)) * weights).sum()))
+            fits.append((gamma, surface))
+        best_j = int(np.argmax(drops))
+        if margins is not None:
+            second = max(drops[:best_j] + drops[best_j + 1:], default=-np.inf)
+            margins.append((drops[best_j] - second) / drops[best_j]
+                           if drops[best_j] > floor else 0.0)
+        gamma, surface = fits[best_j]
+        fitted = fitted + kappa * surface
+        on_step(best_j, gamma, fitted)
     return fitted
 
 
-def brute_force_boost(y_clr, measure, designs, config: BoostConfig, m_stop=None) -> FitState:
-    """In-bag boosting fit by the brute-force clr loop."""
+def brute_force_boost(y_clr, measure, designs, config: BoostConfig, m_stop=None,
+                      margins=None) -> FitState:
+    """In-bag boosting fit by the brute-force clr loop; ``margins`` as in
+    :func:`_clr_loop`."""
     y_clr = np.asarray(y_clr, dtype=float)
     weights = measure.weights
     m_stop = config.max_iterations if m_stop is None else m_stop
@@ -133,15 +191,16 @@ def brute_force_boost(y_clr, measure, designs, config: BoostConfig, m_stop=None)
         selections.append(j)
         risk.append(float((((y_clr - fitted) ** 2) * weights).sum()))
 
-    fitted = _clr_loop(y_clr, weights, solvers, config.step_length, m_stop, on_step)
+    fitted = _clr_loop(y_clr, weights, solvers, config.step_length, m_stop, on_step, margins)
     return FitState(offset_clr, theta, fitted, selections, np.asarray(risk), m_stop)
 
 
 def brute_force_heldout_curve(y_clr, weights, designs, config, train_idx, test_idx,
-                              selections=None):
+                              selections=None, margins=None):
     """Out-of-sample risk per test density after each iteration of a fit on
     ``train_idx`` (which may repeat rows); the chosen learners are appended
-    to ``selections`` when it is given."""
+    to ``selections`` when it is given, and ``margins`` as in
+    :func:`_clr_loop`."""
     y_train, y_test = y_clr[train_idx], y_clr[test_idx]
     solvers = [_EffectSolver(d, weights, rows=train_idx) for d in designs]
     fit_test = [np.tile(y_train.mean(axis=0), (len(test_idx), 1))]
@@ -154,7 +213,8 @@ def brute_force_heldout_curve(y_clr, weights, designs, config, train_idx, test_i
         fit_test[0] = fit_test[0] + config.step_length * surface
         curve.append(float((((y_test - fit_test[0]) ** 2) * weights).sum()) / len(test_idx))
 
-    _clr_loop(y_train, weights, solvers, config.step_length, config.max_iterations, on_step)
+    _clr_loop(y_train, weights, solvers, config.step_length, config.max_iterations, on_step,
+              margins)
     return np.asarray(curve)
 
 

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -23,6 +23,7 @@ from densreg.basis import (
 )
 from densreg.bayes import ClrElement, clr, clr_inv, decompose_clr
 from densreg.boosting import (
+    _TIE_TOLERANCE,
     BoostConfig,
     _boost_paths,
     _learner_bases,
@@ -36,7 +37,7 @@ from densreg.boosting import (
 )
 from densreg.ingest import KdeConfig
 from densreg.measure import make_discrete, make_mixed
-from densreg.model import EffectTerm, ModelSpec, build_designs, fit
+from densreg.model import EffectTerm, ModelSpec, build_designs, design_report, fit
 from densreg.synth import planted_problem
 
 from bayes_oracle import constant_density, density, equal_b, norm, perturb, subtract
@@ -45,6 +46,7 @@ from boosting_oracle import (
     brute_force_boost,
     brute_force_early_stop,
     brute_force_heldout_curve,
+    determined_part,
     fit_base_learner,
     negative_gradient,
     offset,
@@ -52,6 +54,7 @@ from boosting_oracle import (
     select_base_learner,
     stacked_penalty,
 )
+from test_measures import chain_measures, mixed_measures
 from conftest import (
     clr_stack,
     make_continuous,
@@ -510,6 +513,50 @@ class TestSingularFallback:
         np.testing.assert_array_equal(w[1:], alone)
         np.testing.assert_array_equal(np.stack([a[1:], b[1:]]), ab)
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_stiff_pencil_diagonalizes_its_gram(self, rows):
+        # a smoothing parameter near its bound of 1e12 on a few rows: the
+        # penalty side's rounding (eps times 1e12) left W'DW off diag(a) by
+        # up to 2e-3, which sent the in-bag risk up
+        x = bspline_eval(bspline_knots(0, 1, 2, 3), 3, np.random.default_rng(7).uniform(size=rows))
+        gram, penalty = x.T @ x, 1e12 * difference_penalty(x.shape[1], 2)
+        w, a, b, jittered = _pencil_bases(gram[None], penalty[None])
+        assert not jittered
+        np.testing.assert_allclose(w[0].T @ gram @ w[0], np.diag(a[0]), rtol=0, atol=1e-14)
+
+    def test_stiff_singular_pencil_gets_a_ridge_at_its_rounding(self):
+        # one row leaves the penalty's null space singular, and rounding at
+        # 1e12 outweighs a 1e-10 ridge: the factorization failed
+        x = bspline_eval(bspline_knots(0, 1, 2, 3), 3, np.array([0.3]))
+        gram, penalty = x.T @ x, 1e12 * difference_penalty(x.shape[1], 2)
+        w, a, b, jittered = _pencil_bases(gram[None], penalty[None])
+        assert jittered
+        np.testing.assert_allclose(w[0].T @ gram @ w[0], np.diag(a[0]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [23, 55])
+    def test_stiff_learner_on_four_rows_lowers_the_risk(self, seed):
+        # an interaction whose df is below its unpenalized dimension, so its
+        # smoothing parameter nears 1e12, on four densities: the fit failed
+        # with "Matrix is not positive definite" (seed 23) or "in-bag risk
+        # increased" (seed 55), both exit 4
+        rng = np.random.default_rng(seed)
+        data = {"year": np.r_[0.0, 10.0, rng.uniform(0.0, 10.0, 2)],
+                "age": np.r_[20.0, 60.0, rng.uniform(20.0, 60.0, 2)]}
+        spec = ModelSpec([EffectTerm("t", "interaction", ("year", "age"), df=1.0, knots=1,
+                                     degree=3, penalty_order=2)],
+                         references={"year": 0.0, "age": 40.0})
+        m = make_mixed(0.0, 10.0, [(0.0, 1.0)], 4)
+        y = rng.normal(size=(4, m.size))
+        y -= (y @ m.weights)[:, None] / m.total_mass
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "singular base-learner system", RuntimeWarning)
+            model = fit(spec, data, y, m, BoostConfig(step_length=0.5, max_iterations=3),
+                        **options("model", density_knots=1, density_degree=1,
+                                  density_penalty_order=1))
+        assert design_report(model)[0]["lambda"] > 1e10
+        for state in model.states.values():
+            assert (np.diff(state.risk_path) <= 0).all()
+
     @pytest.mark.parametrize("with_unfactorable", [True, False])
     def test_stack_factors_like_each_system_alone(self, with_unfactorable):
         # a stack of healthy systems, one with a tiny pivot (a factor exists)
@@ -950,6 +997,19 @@ def test_measure_without_density_directions_fits(method):
     np.testing.assert_array_equal(model.fitted_clr, y)
 
 
+def test_density_penalty_without_density_directions_fits():
+    # a density penalty on K_Y = 0 couples nothing; the coupled systems are
+    # empty, and factorizing them raised numpy's "zero-size array" (exit 3)
+    _, data, _, _ = planted_problem(seed=0, grid_size=20, n_years=4, **options("planted_problem"))
+    spec = ModelSpec((EffectTerm("region", "group_intercept", ("region",)),))
+    y = np.zeros((len(data["year"]), 1))
+    cfg = BoostConfig(max_iterations=5, stopping="cv", folds=3)
+    fits = [fit(spec, data, y, make_discrete([(0.5, 1.0)]), cfg,
+                **options("model", lambda_density=lam)).states["single"] for lam in (0.0, 0.2)]
+    assert fits[1].selections == fits[0].selections
+    np.testing.assert_array_equal(fits[1].risk_path, fits[0].risk_path)
+
+
 @pytest.mark.parametrize("method", ["cv", "bootstrap", "fixed"])
 @pytest.mark.parametrize("component", ["continuous", "discrete"])
 def test_riding_fit_equals_a_separate_fit(each_penalty_components, component, method):
@@ -1308,3 +1368,178 @@ class TestConfigValidation:
         designs = simple_designs(continuous_measure, 5, rng)
         with pytest.raises(ValueError, match="rows"):
             boost(clr_stack(responses), continuous_measure, designs, BoostConfig(max_iterations=2))
+
+
+# the covariates each term kind reads: categorical region and c_age, numeric
+# year and age
+ORACLE_COVARIATES = {
+    "intercept": (),
+    "linear": ("age",),
+    "flexible": ("year",),
+    "group_intercept": ("region", "c_age"),
+    "group_linear": ("c_age", "age"),
+    "group_flexible": ("region", "year"),
+    "varying_coefficient": ("age", "year"),
+    "interaction": ("year", "age"),
+}
+ORACLE_REFERENCES = {"region": "west", "c_age": "other", "year": 0.0, "age": 40.0}
+
+
+@st.composite
+def oracle_problems(draw):
+    """A model fit reduced to its kernel calls: N = 4 .. 60 densities with
+    covariates, the designs that ``build_designs`` makes for a generated
+    term list (any of the 8 kinds, constrained against earlier terms, under
+    either coding) on a generated measure and density basis, clr responses
+    per component, and R resamples as training counts: none, CV folds,
+    bootstrap multiplicities, or arbitrary counts with zeros."""
+    n = draw(st.integers(4, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # every level appears, and the numeric ranges hold the references
+    data = {"region": rng.permutation(np.arange(n) % 2).choose(["east", "west"]),
+            "c_age": rng.permutation(np.arange(n) % 3).choose(["kids0_6", "kids7_17", "other"]),
+            "year": np.r_[0.0, 10.0, rng.uniform(0.0, 10.0, n - 2)],
+            "age": np.r_[20.0, 60.0, rng.uniform(20.0, 60.0, n - 2)]}
+    measure = draw(st.one_of(mixed_measures(), chain_measures("mixed"),
+                             chain_measures("discrete"), chain_measures("continuous")))
+    terms = []
+    try:
+        for i, kind in enumerate(draw(st.lists(st.sampled_from(sorted(ORACLE_COVARIATES)),
+                                               min_size=1, max_size=4))):
+            others = [t.name for t in terms]
+            terms.append(EffectTerm(
+                f"t{i}", kind, ORACLE_COVARIATES[kind],
+                df=draw(st.sampled_from([None, 1.0, 3.0])), knots=draw(st.integers(0, 3)),
+                degree=draw(st.integers(1, 3)), penalty_order=draw(st.integers(1, 2)),
+                orthogonal_to=draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+                if others else (),
+            ))
+        spec = ModelSpec(terms, draw(st.sampled_from(["effect", "reference"])),
+                         {c: ORACLE_REFERENCES[c] for t in terms for c in t.covariates})
+        _, bases, designs = build_designs(
+            spec, data, measure, **options(
+                "model", density_knots=draw(st.integers(1, 5)),
+                density_degree=draw(st.integers(1, 3)),
+                density_penalty_order=draw(st.integers(1, 2)),
+                lambda_density=draw(st.sampled_from([0.0, 0.2]))))
+    except ValueError:
+        # a penalty order above a spline's, two intercepts, or a term that
+        # its constraints leave without a column: a config that fit rejects
+        # before any kernel call
+        reject()
+    components = {}
+    for comp, basis in bases.items():
+        m = basis.measure
+        y = rng.normal(size=(n, m.size))
+        components[comp] = (y - (y @ m.weights)[:, None] / m.total_mass, m, designs[comp])
+    scheme = draw(st.sampled_from(["ones", "cv", "bootstrap", "counts"]))
+    if scheme == "counts":
+        row = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+            lambda c: 0 in c and any(c))
+        counts = np.array(draw(st.lists(row, min_size=1, max_size=3)), dtype=int)
+    else:
+        counts = _resamples(n, BoostConfig(
+            stopping="fixed" if scheme == "ones" else scheme, folds=draw(st.integers(2, 4)),
+            replicates=draw(st.integers(1, 3)), seed=draw(st.integers(0, 100))))
+    return components, counts, draw(st.floats(0.05, 0.95)), draw(st.integers(1, 20))
+
+
+def rounding_scale(designs, weights, rows, ridged: bool, heldout: bool = False) -> float:
+    """How far the kernel may part from the oracle on a resample's ``rows``,
+    in units of 1e-12 of the responses' scale (1e-10 for risks and tie
+    margins), from each learner's system G in the directions the oracle
+    determines (eigenvalues v):
+
+    * its condition number max v / min v, the rounding of a solve of G;
+    * where the kernel ridges a singular system (it warns), its 1e-10 ridge
+      over min v, tenfold for the steps that add it up;
+    * and for ``heldout`` rows, which also see the directions that the
+      training rows leave free, the rounding that a ridged system keeps
+      there: eps max v over 1e-10, tenfold."""
+    scales = [1.0]
+    for d in designs:
+        _, largest, smallest = determined_part(d, weights, rows)
+        if not smallest:
+            continue
+        scales.append(largest / smallest)
+        if ridged:
+            scales.append(1e3 / smallest)
+        if ridged and heldout:
+            scales.append(10 * np.finfo(float).eps * largest / 1e-20)
+    return max(scales)
+
+
+def assert_path_near(got, want, condition):
+    """A risk path within 1e-10 times ``condition`` of the oracle's: a path
+    is a running sum from its start, so its rounding is measured against
+    its largest value."""
+    bound = 1e-10 * condition * np.abs(want).max(initial=0.0)
+    assert (np.abs(got - want) <= bound).all(), (got, want)
+
+
+def assert_near_oracle(got, want, condition, scale):
+    """``assert_fit_matches`` on a generated problem: equal selections, and
+    coefficients, risks and fitted rows within its tolerances times
+    ``condition``, the absolute ones relative to ``scale``."""
+    assert got.selections == want.selections
+    for a, b in zip(got.coefficients, want.coefficients):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * scale * condition)
+    assert_path_near(got.risk_path, want.risk_path, condition)
+    np.testing.assert_allclose(got.fitted_clr, want.fitted_clr, rtol=0,
+                               atol=1e-12 * scale * condition)
+
+
+def agreed(margins: list, condition: float) -> int:
+    """The iterations before the first where the oracle's two best learners
+    lie within the kernel's tie tolerance, widened by ``condition`` as the
+    other tolerances are: from there the kernel may choose either, and the
+    paths part."""
+    tolerance = _TIE_TOLERANCE * condition
+    return next((m for m, gap in enumerate(margins) if gap <= tolerance), len(margins))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(oracle_problems())
+def test_kernel_matches_brute_force_on_generated_problems(problem):
+    # every resample's selections up to its first oracle tie, its in-bag
+    # fit and coefficients there, and its held-out risks, within tolerances
+    # that grow with rounding_scale on the resample's rows
+    components, counts, kappa, n_iter = problem
+    config = BoostConfig(step_length=kappa, max_iterations=n_iter)
+    for y, m, designs in components.values():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            *_, selections, risk, heldout = _boost_paths(
+                y, m.weights, designs, kappa, n_iter, counts, counts == 0)
+        assert all("singular base-learner system" in str(w.message) for w in caught)
+        # coefficients along directions that the rows and penalties leave
+        # free fit alike: the kernel's ridge may leave rounding there, where
+        # the oracle leaves none
+        parts = [determined_part(d, m.weights)[0] for d in designs]
+        condition = rounding_scale(designs, m.weights, None, bool(caught))
+        margins = []
+        want = brute_force_boost(y, m, designs, config, margins=margins)
+        stop = agreed(margins, condition)
+        assert selections[0, :stop].tolist() == want.selections[:stop]
+        assert_path_near(risk[0, :stop + 1], want.risk_path[:stop + 1], condition)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "singular base-learner system", RuntimeWarning)
+            got = boost_from_clr(y, m, designs, config, m_stop=stop)
+        got.coefficients = [p @ c for p, c in zip(parts, got.coefficients)]
+        want = brute_force_boost(y, m, designs, config, m_stop=stop)
+        # rounding enters at the responses' scale: a learner that explains
+        # nothing has coefficients of rounding size
+        scale = max([np.abs(want.fitted_clr).max()]
+                    + [np.abs(c).max(initial=0.0) for c in want.coefficients])
+        assert_near_oracle(got, want, condition, scale)
+        for f, row in enumerate(counts):
+            picks, margins = [], []
+            train, test = np.repeat(np.arange(len(row)), row), np.flatnonzero(row == 0)
+            curve = brute_force_heldout_curve(y, m.weights, designs, config, train, test,
+                                              picks, margins)
+            condition = rounding_scale(designs, m.weights, train, bool(caught))
+            stop = agreed(margins, condition)
+            assert selections[f + 1, :stop].tolist() == picks[:stop]
+            condition = rounding_scale(designs, m.weights, train, bool(caught), heldout=True)
+            assert_path_near(heldout[f, :stop + 1] / test.size, curve[:stop + 1], condition)

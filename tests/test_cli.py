@@ -16,6 +16,7 @@ from densreg import cli
 from densreg.cli import main
 from densreg.basis import bspline_knots, density_basis, raw_density_basis, sum_to_zero_transform
 from densreg.io import (
+    INTERPRET_FILES,
     ConfigError,
     DataError,
     load_config,
@@ -818,6 +819,16 @@ class TestPredictInterpret:
             f"config error: config.interpret.{item}[{index}].name: {message}\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_interpret_writes_the_files_its_names_name(self, fitted):
+        # the collision check reads the same patterns as the writes
+        cfg, _, tmp_path = fitted
+        out = tmp_path / "interpret"
+        assert main(["interpret", "--config", cfg, "--out", str(out)]) == 0
+        items = {"effects": ["region", "ref"], "did": ["did_0"]}
+        named = {pattern.format(name) for kind, names in items.items() for name in names
+                 for pattern in INTERPRET_FILES[kind].values()}
+        assert {p.name for p in out.iterdir()} == named | {"odds_table.tsv"}
 
     def test_interpret_rerun_byte_identical(self, fitted):
         cfg, out, tmp_path = fitted

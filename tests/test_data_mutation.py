@@ -10,18 +10,33 @@ name their group or their file and line. The files are a densities file
 observations table (``estimate``) and a model file (``predict`` and
 ``interpret``). Every run must end with exit 0, 3 (data) or
 4 (numeric), never with a traceback, and without a ``RuntimeWarning`` other
-than the ridge-jitter warning.
+than the ridge-jitter warning. Every reader also meets a row-by-row
+reference on generated tables and density files: the first bad line in file
+order wins.
 """
 import json
+import math
 import pathlib
 import random
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from densreg.cli import main
-from densreg.io import read_density_file, write_density_file
+from densreg.io import (
+    DataError,
+    measure_header,
+    parse_measure_header,
+    read_density_file,
+    read_density_rows,
+    read_observations,
+    read_table,
+    write_density_file,
+)
+from densreg.measure import make_discrete, make_mixed
 from densreg.synth import planted_problem, synthetic_observations
 
 from conftest import options
@@ -357,3 +372,199 @@ def test_density_reader_fails_on_the_first_bad_line(tmp_path, changes):
         with pytest.raises(DataError) as info:
             read_density_rows(path)
         assert str(info.value) == expected
+
+
+def _numbered(path, lines: list, changes: dict) -> None:
+    """Write ``lines`` to ``path`` with the line of each key of ``changes``
+    (numbered from 1) replaced by its value."""
+    for i, line in changes.items():
+        lines[i - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_density_key_error_before_a_later_value_error(tmp_path):
+    """A bad numeric key on line 5 comes before a bad density value on line
+    21 of the same block of rows: keys and values are read in one pass."""
+    m = make_mixed(0.0, 1.0, [(0.0, 1.0), (1.0, 1.0)], 100)
+    path = tmp_path / "dens.tsv"
+    write_density_file(path, m, ["region", "year"], [(f"r{i}", str(i)) for i in range(30)],
+                       list(np.random.default_rng(2).uniform(0.5, 2.0, size=(30, m.size))))
+    lines = path.read_text().splitlines()
+    line_5, line_21 = lines[4].split("\t"), lines[20].split("\t")
+    line_5[1], line_21[7] = "abc", "nan"
+    _numbered(path, lines, {5: "\t".join(line_5), 21: "\t".join(line_21)})
+    with pytest.raises(DataError) as info:
+        read_density_rows(path, ("year",))
+    assert str(info.value) == f"{path}: line 5: could not convert string to float: 'abc'"
+
+
+def test_newdata_bad_number_before_a_later_short_row(tmp_path):
+    """A bad number on line 3 of a newdata table comes before a row with too
+    few fields on line 5."""
+    lines = (DATA / "model_v1_newdata.tsv").read_text().splitlines()
+    path = tmp_path / "newdata.tsv"
+    _numbered(path, lines, {3: lines[2].rsplit("\t", 1)[0] + "\tabc",
+                            5: lines[4].rsplit("\t", 1)[0]})
+    with pytest.raises(DataError) as info:
+        read_table(path, ("year",))
+    assert str(info.value) == f"{path}: line 3: could not convert string to float: 'abc'"
+
+
+def test_observations_without_weight_fail_at_the_header(tmp_path):
+    """An observations header without a ``weight`` column is the error, not
+    a short row below it."""
+    path = tmp_path / "obs.tsv"
+    path.write_text("region\tc_age\tvalue\neast\tother\t0.5\neast\tother\n")
+    with pytest.raises(DataError) as info:
+        read_observations(path)
+    assert str(info.value) == f"{path}: needs 'value' and 'weight' columns"
+
+
+# ---------------------------------------------------------------------------
+# Every reader against one row-by-row reference
+# ---------------------------------------------------------------------------
+
+# tokens that a bad field may hold: not numbers, not finite, not positive,
+# and numbers in forms that Python's float accepts
+BAD_TOKENS = ["abc", "", "nan", "NaN", "-inf", "1e400", "1e-400", "-1", "0", "-0",
+              "1_0", "١", " 2", "0x10", "1e", "."]
+NUMBER_COLUMNS = {"observations": ("value", "weight")}
+
+
+def _reference_read(path, kind: str, numeric=()):
+    """What ``read_table`` (kind "table"), ``read_observations`` or
+    ``read_density_rows`` returns, or the message of the DataError it
+    raises, read one row at a time: a row's field count first, then its
+    number columns in header order, each parsed and then checked to be
+    finite, then its density values, all parsed and then checked."""
+    with open(path) as fh:
+        measure = None
+        if kind == "densities":
+            measure = parse_measure_header(fh.readline().rstrip("\n"))
+        header = fh.readline().rstrip("\n").split("\t")
+        if kind == "observations" and not {"value", "weight"} <= set(header):
+            return f"{path}: needs 'value' and 'weight' columns"
+        n_keys = len(header) - (measure.size if measure else 0)
+        numbers = NUMBER_COLUMNS.get(kind, numeric)
+        rows, parsed = [], []
+        for i, line in enumerate(fh, start=3 if measure else 2):
+            row = line.rstrip("\n").split("\t")
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                return f"{path}: line {i} has {len(row)} fields, expected {len(header)}"
+            try:
+                found = []
+                for col, text in zip(header, row[:n_keys]):
+                    if col in numbers:
+                        found.append(float(text))
+                        if not math.isfinite(found[-1]):
+                            raise ValueError(f"{text!r} is not a finite number")
+                values = [float(text) for text in row[n_keys:]]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError("density values must be finite")
+                if any(v <= 0 for v in values):
+                    raise ValueError("density values must be strictly positive")
+            except ValueError as exc:
+                return f"{path}: line {i}: {exc}"
+            rows.append(row[:n_keys])
+            parsed.append(found + values)
+    if kind == "table":
+        return header, rows
+    if kind == "observations":
+        table = {col: [row[j] for row in rows] for j, col in enumerate(header)}
+        for k, col in enumerate(c for c in header if c in numbers):
+            table[col] = [p[k] for p in parsed]
+        return table, [c for c in header if c not in numbers]
+    values = np.array([p[len(p) - measure.size:] for p in parsed]).reshape(-1, measure.size)
+    return measure, header[:n_keys], [tuple(r) for r in rows], values
+
+
+def _comparable(outcome):
+    """An outcome with every float spelled out bit for bit, -0.0 apart from 0.0."""
+    if isinstance(outcome, str):
+        return outcome
+    if len(outcome) == 4:
+        measure, key_columns, keys, values = outcome
+        return key_columns, keys, values.shape, values.dtype, values.tobytes()
+    first, second = outcome
+    if isinstance(first, dict):
+        first = {col: [v.hex() if type(v) is float else v for v in vs] for col, vs in first.items()}
+    return first, second
+
+
+@st.composite
+def reader_files(draw):
+    """(kind, numeric, text) of a table, observations or density file whose
+    rows are valid but for up to four changes: a bad token in any field, a
+    row with a field too few or too many, and blank lines. The row count
+    reaches past two blocks of parsed numbers."""
+    kind = draw(st.sampled_from(["table", "observations", "densities"]))
+    measure = draw(st.sampled_from([
+        make_discrete([(0.0, 1.0), (1.0, 2.0), (3.0, 1.0)]),
+        make_mixed(0.0, 1.0, [(0.0, 1.0), (1.0, 1.0)], 5),
+        make_mixed(0.0, 1.0, [(0.0, 1.0), (1.0, 1.0)], 100),
+    ])) if kind == "densities" else None
+    names = [f"k{j}" for j in range(draw(st.integers(0 if measure else 1, 3)))]
+    numeric = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    if kind == "observations":
+        numeric = [c for c in draw(st.sampled_from(
+            [("value", "weight")] * 3 + [("weight", "value")] * 3 + [("value",), ("weight",)]))]
+        for col in numeric:
+            names.insert(draw(st.integers(0, len(names))), col)
+    n_values = measure.size if measure else 0
+    width = len(numeric) + n_values
+    # the readers parse at least 2048 tokens per numpy call
+    n = draw(st.integers(0, min(2 * -(-2048 // max(width, 1)) + 2, 2100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(n):
+        row = [repr(float(rng.uniform(0.0, 1.0))) if c in ("value", "weight")
+               else repr(float(rng.normal(0.0, 10.0))) if c in numeric
+               else f"g{rng.integers(4)}" for c in names]
+        rows.append(row + [repr(float(v)) for v in rng.uniform(0.5, 2.0, n_values)])
+    lines = ["\t".join(row) for row in rows]
+    changes = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                      st.sampled_from(["token", "short", "long", "blank"]),
+                                      st.integers(0, len(names) + n_values - 1),
+                                      st.sampled_from(BAD_TOKENS)), max_size=4)) if n else []
+    # from the last line up, so that each index still names its row
+    for i, change, col, token in sorted(changes, reverse=True):
+        if change == "blank":
+            lines.insert(i, "")
+        elif change == "long":
+            lines[i] += "\t1"
+        else:
+            fields = rows[i][:]
+            if change == "short":
+                fields.pop()
+            else:
+                fields[col] = token
+            lines[i] = "\t".join(fields)
+    head = [measure_header(measure)] if measure else []
+    if measure:
+        names += [f"atom:{float(v)!r}" for v in measure.atom_locations]
+        names += [f"g:{i}" for i in range(measure.n_grid)]
+    head.append("\t".join(names))
+    text = "\n".join(head + lines) + ("\n" if draw(st.booleans()) else "")
+    return kind, numeric, text
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(reader_files())
+def test_readers_match_a_row_by_row_reference(tmp_path, file):
+    """Each reader, parsing blocks of rows per numpy call, returns bit for
+    bit what a row-by-row read returns, or fails with its message: the
+    first failing line in file order."""
+    kind, numeric, text = file
+    path = tmp_path / "input.tsv"
+    path.write_text(text)
+    read = {"table": lambda: read_table(path, numeric),
+            "observations": lambda: read_observations(path),
+            "densities": lambda: read_density_rows(path, numeric)}[kind]
+    try:
+        got = read()
+    except DataError as exc:
+        got = str(exc)
+    assert _comparable(got) == _comparable(_reference_read(path, kind, numeric))
