@@ -208,8 +208,9 @@ def calibrate_df(design: np.ndarray, penalty: np.ndarray, target_df: float) -> t
     The degrees of freedom trace((M + lam P)^-1 M), M = design' design, are
     strictly decreasing in lam, so a bisection on log10(lam) converges. The
     target is capped to the range the bracket attains: at or above the df of
-    the smallest lam it gives lam 0 and that df. A zero penalty gives lam 0
-    and the column rank.
+    the smallest lam it gives lam 0. Lam 0, also from a zero penalty, comes
+    with the column rank, the df of the unpenalized fit, which the smallest
+    lam can miss by far when the penalty outweighs the Gram matrix.
     """
     if np.abs(penalty).max() < 1e-14:
         return 0.0, float(np.linalg.matrix_rank(design))
@@ -219,7 +220,7 @@ def calibrate_df(design: np.ndarray, penalty: np.ndarray, target_df: float) -> t
     df_min = effective_df(gram, penalty, 10.0 ** b)   # df with the penalty dominating
     target = float(np.clip(target_df, df_min + 1e-9, df_max))
     if target >= df_max - 1e-9:
-        return 0.0, df_max
+        return 0.0, float(np.linalg.matrix_rank(design))
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         df_mid = effective_df(gram, penalty, 10.0 ** mid)

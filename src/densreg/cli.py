@@ -25,6 +25,16 @@ writes a heatmap and a bands table; the bands table's outer band compares
 each atom with the continuous component as a whole, so its cells are empty
 unless the measure is mixed.
 
+Each command is one row of the table ``_COMMANDS``: its body and the config
+keys it needs beyond their defaults. :func:`main` loads the config, checks
+those needs in order (a needed key must be set, and a ``data.*`` path must
+name a file; otherwise it is a config error at ``config.<key>``), builds the
+run objects once (:func:`densreg.io.run_objects`) and hands them to the
+body. ``estimate`` also requires its measure to be mixed on [0, 1] with
+atoms at 0 and 1, of any weights, as shares need
+(:func:`densreg.ingest.check_share_measure`, a config error at
+``config.measure``).
+
 Exit codes, by the type of the error that ends a command:
 
 * 0: done (``check``: every invariant holds).
@@ -103,7 +113,6 @@ from .io import (
     INTERPRET_FILES,
     ConfigError,
     DataError,
-    check_input_file,
     fmt,
     load_config,
     measure_header,
@@ -126,6 +135,13 @@ OK, CONFIG_ERROR, DATA_ERROR, NUMERIC_ERROR = 0, 2, 3, 4
 atexit.register(gc.freeze)
 
 
+def check_input_file(path, where: str) -> None:
+    """A ConfigError at ``where`` unless ``path`` names a file."""
+    if not os.path.isfile(path):
+        what = "is a directory" if os.path.isdir(path) else "no such file"
+        raise ConfigError(f"{where}: {what}: {path!r}")
+
+
 @contextlib.contextmanager
 def _writing(cfg, args):
     """The output boundary: it makes the output directory, and a directory
@@ -137,11 +153,14 @@ def _writing(cfg, args):
         yield out
 
 
-def cmd_estimate(cfg, args) -> int:
-    from .ingest import assemble_mixed, group_table, naming_group, shared_bandwidth
+def cmd_estimate(cfg, run, args) -> int:
+    from .ingest import (
+        assemble_mixed, check_share_measure, group_table, naming_group, shared_bandwidth,
+    )
 
-    run = run_objects(cfg, "estimate")
     measure, kde_cfg = run.measure, run.kde
+    with reported_as(ConfigError, "config.measure"):
+        check_share_measure(measure)
     obs_path = cfg["data"]["observations"]
     with reported_as(DataError):
         table, key_columns = read_observations(obs_path)
@@ -218,8 +237,7 @@ def _write_fit_outputs(out, model):
     )
 
 
-def cmd_fit(cfg, args) -> int:
-    run = run_objects(cfg, "fit")
+def cmd_fit(cfg, run, args) -> int:
     with reported_as(DataError):
         measure, data, _, y_clr = _read_densities(cfg["data"]["densities"],
                                                   run.spec.numeric_covariates)
@@ -240,8 +258,7 @@ def _load_model(path):
         raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
 
 
-def cmd_predict(cfg, args) -> int:
-    run_objects(cfg, "predict")
+def cmd_predict(cfg, run, args) -> int:
     with reported_as(DataError):
         model = _load_model(cfg["data"]["model"])
         header, rows = read_table(cfg["data"]["newdata"], model.spec.numeric_covariates)
@@ -255,10 +272,9 @@ def cmd_predict(cfg, args) -> int:
     return OK
 
 
-def cmd_interpret(cfg, args) -> int:
+def cmd_interpret(cfg, run, args) -> int:
     from .interpret import did_effect, heatmap as build_heatmap, log_odds
 
-    run = run_objects(cfg, "interpret")
     with reported_as(DataError):
         model = _load_model(cfg["data"]["model"])
     icfg = cfg["interpret"]
@@ -343,10 +359,9 @@ def cmd_interpret(cfg, args) -> int:
     return OK
 
 
-def cmd_simulate(cfg, args) -> int:
+def cmd_simulate(cfg, run, args) -> int:
     from .simulate import fpca, rel_mse, selection_counts, simulate_responses
 
-    run = run_objects(cfg, "simulate")
     spec, boost_cfg, options = run.spec, run.boost, run.fit_options
     with reported_as(DataError):
         measure, data, _, y_clr = _read_densities(cfg["data"]["densities"],
@@ -383,7 +398,7 @@ def cmd_simulate(cfg, args) -> int:
     return OK
 
 
-def cmd_check(cfg, args) -> int:
+def cmd_check(cfg, run, args) -> int:
     path = args.target
     if not path:
         raise ConfigError("check needs a target file argument")
@@ -418,13 +433,15 @@ def cmd_check(cfg, args) -> int:
     return OK
 
 
+# each command's body, and the config keys it needs beyond their defaults,
+# in the order main checks them
 _COMMANDS = {
-    "estimate": cmd_estimate,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "interpret": cmd_interpret,
-    "simulate": cmd_simulate,
-    "check": cmd_check,
+    "estimate": (cmd_estimate, ("data.observations", "measure")),
+    "fit": (cmd_fit, ("data.densities", "model")),
+    "predict": (cmd_predict, ("data.model", "data.newdata")),
+    "interpret": (cmd_interpret, ("data.model",)),
+    "simulate": (cmd_simulate, ("data.densities", "model")),
+    "check": (cmd_check, ()),
 }
 
 
@@ -448,7 +465,14 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         cfg = load_config(args.config, {} if args.seed is None else {"seed": args.seed})
-        return _COMMANDS[args.command](cfg, args)
+        body, needs = _COMMANDS[args.command]
+        for need in needs:
+            section, _, key = need.partition(".")
+            if not (cfg[section][key] if key else cfg.get(section)):
+                raise ConfigError(f"config.{need}: required for {args.command}")
+            if key:
+                check_input_file(cfg[section][key], f"config.{need}")
+        return body(cfg, run_objects(cfg), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

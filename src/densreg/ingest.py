@@ -1,7 +1,9 @@
 """Turn individual-level weighted observations into mixed densities.
 
-Shares live on [0, 1] with genuine point masses at the boundaries
-(:func:`~densreg.records.check_share_measure`). Exact boundary values become
+Shares live on [0, 1] with genuine point masses at the boundaries: the
+measure must be mixed on [0, 1] with atoms at 0 and 1, of any weights
+(:func:`check_share_measure`, which the ``estimate`` command also calls on
+its configured measure). Exact boundary values become
 atom probabilities; interior values feed a weighted kernel density estimate with
 boundary-respecting beta kernels, normalized on the evaluation grid. Each
 group's density is one row of values in the measure's layout (atoms, then
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bayes import check_density_values
 from .measure import ReferenceMeasure, integrate
-from .records import KdeConfig, check_share_measure
+from .records import KdeConfig
 
 __all__ = [
     "ObservationGroup",
@@ -225,6 +227,14 @@ def shared_bandwidth(
             with naming_group(key_columns, g.key):
                 optima.append(select_bandwidth(g, measure, cfg))
     return min(optima, default=DEFAULT_BANDWIDTH)
+
+
+def check_share_measure(measure: ReferenceMeasure) -> None:
+    """Shares need a mixed measure on [0, 1] with atoms at 0 and 1, of any
+    weights; raises ValueError on any other measure."""
+    if not (measure.is_mixed and measure.interval == (0.0, 1.0)
+            and measure.atom_locations.tolist() == [0.0, 1.0]):
+        raise ValueError("expected a mixed measure on [0, 1] with atoms at both boundaries")
 
 
 def assemble_mixed(

@@ -9,8 +9,8 @@ reader reads the value columns by these names: a header that does not end in
 them is a :class:`DataError` at line 2. Floats are written with ``repr``,
 which round-trips exactly.
 
-Every input table goes through one row reader: observations (``estimate``),
-densities (``fit``, ``simulate``, ``check``) and newdata (``predict``). A
+Every input table goes through one row reader: observations, densities and
+new covariates (:mod:`densreg.cli` states which command reads which). A
 header names each column once, and each row has as many fields as its
 header; blank lines are skipped but counted. The number columns (numeric
 keys, ``value`` and ``weight``: finite numbers; density values: also
@@ -34,13 +34,10 @@ at most one intercept, one kind (categorical or numeric) per covariate and
 interpret items whose output files, named once in ``INTERPRET_FILES``, stay
 apart. Every
 problem is a :class:`ConfigError` whose message starts with the path of the
-field, such as ``config.model.terms[2].knots``, or of its section. A command
-that needs more than the defaults (data paths, a measure, a model) checks
-that in :func:`run_objects`, where each data path it reads must name a file
-(a missing path or a directory is a config error at ``config.data.<key>``),
-and ``estimate`` also that its measure is mixed
-on [0, 1] with atoms at 0 and 1, of any weights, as shares need
-(:func:`densreg.records.check_share_measure`).
+field, such as ``config.model.terms[2].knots``, or of its section. This
+module names no command: what each command needs beyond the defaults (data
+paths that name files, a measure, a model) is checked with the commands, in
+:mod:`densreg.cli`.
 
 A library error becomes a :class:`ConfigError` or a :class:`DataError` in
 one way, :func:`reported_as`: inside it, a ValueError, KeyError or OSError
@@ -49,17 +46,18 @@ error at ``config.model.<item>``. Which boundary each command draws, and the
 exit code of each error type, are stated in :mod:`densreg.cli`.
 
 Model files are JSON objects with ``"format": "densreg-model"`` and
-``"version": 2`` or ``1``; anything else is a :class:`DataError`. A model
+``"version"`` 3, 2 or 1; anything else is a :class:`DataError`. A model
 file keeps what fitting learned and what the training data fixed; load
-rebuilds knots and density bases from those. The version-2 fields below have
+rebuilds knots and density bases from those. The version-3 fields below have
 one writer and one reader, :func:`densreg.model.dump_fields` and
 :func:`densreg.model.load_fields`; a field that does not fit the rest is a
 :class:`DataError` that names it, such as ``covariates.region.reference``:
 
 * ``measure``: ``interval`` (or null), ``atoms`` ([location, weight] pairs),
-  ``grid_size``; then ``coding`` and ``references``;
+  ``grid_size``; then ``coding``;
 * ``covariates``: by name, ``kind`` "categorical" with sorted ``levels`` or
-  "numeric" with the training range ``lo``, ``hi``; each with ``reference``;
+  "numeric" with the training range ``lo``, ``hi``; each with ``reference``,
+  the one place a model file states it;
 * ``terms``: in order, the effect-term fields (``name``, ``kind``,
   ``covariates``, ``df``, ``knots``, ``degree``, ``penalty_order``,
   ``orthogonal_to``), then ``transform`` (raw to constrained columns, or
@@ -71,8 +69,10 @@ one writer and one reader, :func:`densreg.model.dump_fields` and
   columns x density basis), ``selections``, ``risk_path``, ``m_stop`` and
   ``stop_curve`` (or null).
 
-Version-1 files also hold ``terms[].knot_vectors`` and the density bases
-(``bases``); they load through the same reader, which ignores both.
+Version-1 and version-2 files also hold ``references``, the configured
+``model.references`` with any key that no term reads; version-1 files also
+hold ``terms[].knot_vectors`` and the density bases (``bases``). They load
+through the same reader, which ignores all three.
 """
 from __future__ import annotations
 
@@ -89,13 +89,12 @@ import numpy as np
 from .bayes import DensityElement, check_density_values
 from .measure import ReferenceMeasure
 from .model import EffectTerm, FittedModel, ModelSpec, SpecMismatch, dump_fields, load_fields
-from .records import BoostConfig, KdeConfig, check_share_measure
+from .records import BoostConfig, KdeConfig
 
 __all__ = [
     "ConfigError",
     "DataError",
     "reported_as",
-    "check_input_file",
     "fmt",
     "write_table",
     "read_table",
@@ -140,13 +139,6 @@ def reported_as(error: type, prefix: str | None = None):
     except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         raise error(f"{prefix}: {message}" if prefix else str(message)) from exc
-
-
-def check_input_file(path, where: str) -> None:
-    """A ConfigError at ``where`` unless ``path`` names a file."""
-    if not os.path.isfile(path):
-        what = "is a directory" if os.path.isdir(path) else "no such file"
-        raise ConfigError(f"{where}: {what}: {path!r}")
 
 
 def fmt(x) -> str:
@@ -357,19 +349,19 @@ def read_density_file(path):
 
 def model_to_dict(model) -> dict:
     """Serialize a fitted model with everything prediction needs."""
-    return {"format": "densreg-model", "version": 2, **dump_fields(model)}
+    return {"format": "densreg-model", "version": 3, **dump_fields(model)}
 
 
 def model_from_dict(d) -> FittedModel:
     """Rebuild a fitted model from its serialized form; raises DataError on a
-    file that is not a version-1 or version-2 model file or does not hold a
-    valid model."""
+    file that is not a model file of version 1 to 3 or does not hold a valid
+    model."""
     if not isinstance(d, dict):
         raise DataError("model file: expected a JSON object")
     if d.get("format") != "densreg-model":
         raise DataError("not a model file")
     version = d.get("version")
-    if type(version) is not int or version not in (1, 2):
+    if type(version) is not int or version not in (1, 2, 3):
         raise DataError(f"model file: unsupported version {version!r}")
     try:
         return load_fields(d)
@@ -560,20 +552,11 @@ class RunObjects(NamedTuple):
     did: list
 
 
-# the files that densreg.cli's interpret writes for each item of
-# ``config.interpret.effects`` and ``.did``, by role; "{}" is the item's name
+# the files written for each item of ``config.interpret.effects`` and
+# ``.did``, by role; "{}" is the item's name
 INTERPRET_FILES = {
     "effects": {"table": "effect_{}.tsv", "svg": "effect_{}.svg"},
     "did": {"heatmap": "{}_heatmap.tsv", "bands": "{}_bands.tsv", "svg": "{}_heatmap.svg"},
-}
-
-# what each command needs from the config beyond its defaults
-_NEEDS = {
-    "estimate": ("data.observations", "measure"),
-    "fit": ("data.densities", "model"),
-    "predict": ("data.model", "data.newdata"),
-    "interpret": ("data.model",),
-    "simulate": ("data.densities", "model"),
 }
 
 
@@ -583,21 +566,12 @@ def _built(path: str, make, *args, **kwargs):
         return make(*args, **kwargs)
 
 
-def run_objects(cfg: dict, command: str | None = None) -> RunObjects:
+def run_objects(cfg: dict) -> RunObjects:
     """Build the run objects from a normalized config (see
-    :func:`validate_config`); with ``command``, first check that the config
-    gives what that command needs."""
-    for need in _NEEDS.get(command, ()):
-        section, _, key = need.partition(".")
-        if not (cfg[section][key] if key else cfg.get(section)):
-            raise ConfigError(f"config.{need}: required for {command}")
-        if key:
-            check_input_file(cfg[section][key], f"config.{need}")
+    :func:`validate_config`)."""
     measure = cfg.get("measure") and _built(
         "config.measure", ReferenceMeasure.from_dict, cfg["measure"]
     )
-    if command == "estimate":
-        _built("config.measure", check_share_measure, measure)
     k = cfg["kde"]
     kde = _built("config.kde", KdeConfig, bandwidth=k["bandwidth"], floor=k["floor"],
                  bandwidth_grid=k["bandwidth_grid"])

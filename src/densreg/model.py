@@ -526,7 +526,6 @@ def dump_fields(model: FittedModel) -> dict:
     return {
         "measure": model.measure.to_dict(),
         "coding": model.spec.coding,
-        "references": model.spec.references,
         "covariates": {
             name: {"kind": c.kind, "levels": c.levels, "reference": c.reference}
             if c.kind == "categorical" else
@@ -581,7 +580,8 @@ def load_fields(d: dict) -> FittedModel:
     ValueError, naming the field, on one that does not fit the rest. Knots
     and density bases are rebuilt by the constructors that fit uses. The
     model predicts and interprets like the fitted one, but keeps no training
-    surfaces or boosting settings."""
+    surfaces or boosting settings, and its spec no references: the
+    covariates hold the ones it reads."""
     measure = ReferenceMeasure.from_dict(d["measure"])
     try:
         covariates = {name: _load_covariate(name, cd) for name, cd in d["covariates"].items()}
@@ -590,7 +590,7 @@ def load_fields(d: dict) -> FittedModel:
         )
     except _BadCovariate as exc:
         raise ValueError(f"covariates.{exc.name}.{exc.key}: {exc}") from None
-    spec = ModelSpec(tuple(e.term for e in encoders), d["coding"], dict(d["references"]))
+    spec = ModelSpec(tuple(e.term for e in encoders), d["coding"])
     db = d["density_basis"]
     _finite(db["lambda_density"], "density_basis.lambda_density")
     try:

@@ -2,7 +2,8 @@
 model loading (:func:`densreg.model.load_fields`) build. They live below the
 kernels that use them, which re-export them, so that reading a config or a
 model file imports neither :mod:`densreg.boosting` nor :mod:`densreg.ingest`
-(see :mod:`densreg.cli`). Only numpy and :mod:`densreg.measure` are imported.
+(see :mod:`densreg.cli`). Only numpy is imported; the measure check that
+shares need lives with the estimator, in :mod:`densreg.ingest`.
 
 A fit is one :class:`FitState` per component of the response measure, by
 name (``FittedModel.states`` in :mod:`densreg.model`), for single and mixed
@@ -15,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import ReferenceMeasure
-
-__all__ = ["BoostConfig", "FitState", "KdeConfig", "check_share_measure"]
+__all__ = ["BoostConfig", "FitState", "KdeConfig"]
 
 
 @dataclass(frozen=True)
@@ -109,11 +108,3 @@ class KdeConfig:
             raise ValueError("bandwidth must be positive")
         if self.floor <= 0:
             raise ValueError("positivity floor must be positive")
-
-
-def check_share_measure(measure: ReferenceMeasure) -> None:
-    """Shares need a mixed measure on [0, 1] with atoms at 0 and 1, of any
-    weights; raises ValueError on any other measure."""
-    if not (measure.is_mixed and measure.interval == (0.0, 1.0)
-            and measure.atom_locations.tolist() == [0.0, 1.0]):
-        raise ValueError("expected a mixed measure on [0, 1] with atoms at both boundaries")

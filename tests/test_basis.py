@@ -287,14 +287,26 @@ class TestCalibrateDf:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 4))
         gram = x.T @ x
-        # above the column count: no penalty, and the df of the smallest lam
-        assert calibrate_df(x, np.eye(4), 5.0) == (0.0, effective_df(gram, np.eye(4), 1e-8))
+        # above the column count: no penalty, and the column rank
+        assert calibrate_df(x, np.eye(4), 5.0) == (0.0, 4.0)
         pen = difference_penalty(4, 1)
         # below the nullspace dimension: the df of the penalty-dominated limit
         lam, df = calibrate_df(x, pen, 0.5)
         assert lam > 1.0
         assert df == pytest.approx(effective_df(gram, pen, 1e12), abs=2e-4)
         assert df == pytest.approx(1.0, abs=2e-4)
+
+    def test_unpenalized_df_is_rank_where_the_penalty_outweighs_the_gram(self):
+        # three rows of small numbers: the smallest lam of the bracket still
+        # shrinks the fit, so its df lies well below the two the fit has
+        x = 1e-4 * np.random.default_rng(10).normal(size=(3, 2))
+        pen = np.eye(2)
+        assert effective_df(x.T @ x, pen, 1e-8) < 1.9
+        assert calibrate_df(x, pen, 2.0) == (0.0, 2.0)
+        assert calibrate_df(x, pen, 50.0) == (0.0, 2.0)
+        # rank-deficient: the df is the rank, not the column count
+        x = np.column_stack([x, x[:, 0]])
+        assert calibrate_df(x, np.eye(3), 3.0) == (0.0, 2.0)
 
     def test_zero_penalty_gives_column_rank(self):
         x = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0)])

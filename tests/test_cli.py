@@ -686,9 +686,8 @@ class TestFitCommand:
             fits[name] = (res.stderr, json.loads((tmp_path / name / "model.json").read_text()))
         assert fits["typo"][0] == "warning: references: no term reads ['regoin']\n"
         assert fits["clean"][0] == ""
-        # the model file echoes the configured references; all else is the same
+        # the model file states each covariate's reference once, as fitted
         assert fits["typo"][1]["covariates"]["region"]["reference"] == "east"
-        del fits["typo"][1]["references"]["regoin"]
         assert fits["typo"][1] == fits["clean"][1]
 
     def test_missing_densities_exit_code(self, tmp_path, capsys):
@@ -1163,17 +1162,29 @@ class TestModelFiles:
             basis = density_basis(m, db["knots"], db["degree"], db["penalty_order"])
             assert loaded[comp].clr_matrix.tobytes() == basis.clr_matrix.tobytes()
 
-    def test_v1_file_is_rewritten_as_v2(self):
+    def test_v1_file_is_rewritten_as_v3(self):
         with open(DATA / "model_v1.json") as fh:
             doc = json.load(fh)
         rewritten = json.loads(json.dumps(model_to_dict(model_from_dict(doc))))
-        assert rewritten["version"] == 2
-        del doc["bases"]
+        assert rewritten["version"] == 3
+        # the references are stated once, under covariates
+        assert {name: c["reference"] for name, c in doc["covariates"].items()} \
+            == doc["references"]
+        del doc["bases"], doc["references"]
         for term in doc["terms"]:
             # this file's writer kept no target_df, which is read as df
             term["target_df"] = term["df"]
             del term["knot_vectors"]
-        assert rewritten == dict(doc, version=2)
+        assert rewritten == dict(doc, version=3)
+
+    def test_v2_references_are_ignored(self):
+        # a version-2 file echoed the configured references, unread keys
+        # included; the covariates state the references that load reads
+        with open(DATA / "model_v1.json") as fh:
+            current = json.loads(json.dumps(model_to_dict(model_from_dict(json.load(fh)))))
+        v2 = dict(current, version=2,
+                  references={"regoin": "west", "c_age": "kids0_6", "year": 3.0})
+        assert json.loads(json.dumps(model_to_dict(model_from_dict(v2)))) == current
 
     def test_edited_range_moves_the_knots(self):
         # knots follow the stored range, as predictions follow stored coefficients
@@ -1345,12 +1356,77 @@ def test_data_path_that_names_no_file_is_config_error(tmp_path, capsys, command,
     assert capsys.readouterr().err == f"config error: config.data.{key}: {what}: {str(bad)!r}\n"
 
 
+# what each command needs from the config beyond its defaults, in the order checked
+NEEDS = [("estimate", "data.observations"), ("estimate", "measure"),
+         ("fit", "data.densities"), ("fit", "model"),
+         ("predict", "data.model"), ("predict", "data.newdata"),
+         ("interpret", "data.model"),
+         ("simulate", "data.densities"), ("simulate", "model")]
+
+
+def _needs_config(path, present, **changes):
+    """A config that gives every command what it needs, each data path
+    naming ``present``; ``changes`` replace sections, and a None drops the
+    section or data key."""
+    sections = {"data": dict.fromkeys(("observations", "densities", "model", "newdata"),
+                                      str(present)),
+                "measure": copy.deepcopy(MEASURE), "model": copy.deepcopy(MODEL)}
+    for key, value in changes.items():
+        section, _, sub = key.partition(".")
+        where, key = (sections[section], sub) if sub else (sections, section)
+        if value is None:
+            del where[key]
+        else:
+            where[key] = value
+    return write_config(path, **sections)
+
+
+@pytest.mark.parametrize("command, need", NEEDS)
+def test_missing_need_is_config_error(tmp_path, capsys, command, need):
+    present = tmp_path / "present.tsv"
+    present.write_text("")
+    cfg = _needs_config(tmp_path / "cfg.json", present, **{need: None})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: config.{need}: required for {command}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("measure", [
+    dict(MEASURE, interval=[0.0, 2.0]),
+    dict(MEASURE, atoms=[{"location": 0.0}, {"location": 0.5}]),
+    dict(MEASURE, atoms=[{"location": 0.0}]),
+    {"interval": None, "atoms": [{"location": 0.0}, {"location": 1.0}], "grid_size": 0},
+])
+def test_estimate_needs_a_share_measure(tmp_path, capsys, measure):
+    present = tmp_path / "present.tsv"
+    present.write_text("")
+    cfg = _needs_config(tmp_path / "cfg.json", present, measure=measure)
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config.measure: expected a mixed measure on [0, 1] "
+        "with atoms at both boundaries\n"
+    )
+    # a missing need comes first; the other commands do not read the measure
+    cfg = _needs_config(tmp_path / "cfg.json", present, measure=measure,
+                        **{"data.observations": None})
+    assert main(["estimate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config.data.observations: required for estimate\n"
+    )
+    cfg = _needs_config(tmp_path / "cfg.json", present, measure=measure,
+                        **{"data.model": str(tmp_path)})
+    assert main(["predict", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config.data.model: is a directory: {str(tmp_path)!r}\n"
+    )
+
+
 class TestExitCodes:
     def test_linalg_error_exits_numeric(self, tmp_path, capsys, monkeypatch):
-        def singular(cfg, args):
+        def singular(cfg, run, args):
             raise np.linalg.LinAlgError("singular matrix")
 
-        monkeypatch.setitem(cli._COMMANDS, "fit", singular)
+        monkeypatch.setitem(cli._COMMANDS, "fit", (singular, ()))
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["fit", "--config", cfg]) == 4
         assert capsys.readouterr().err.startswith("numeric failure: singular matrix")

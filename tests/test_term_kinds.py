@@ -7,7 +7,10 @@ the column count, smoothing parameter and achieved df, or the error the case
 raised. The block-string encoder must reproduce it bit for bit, except where
 the identification rule changed on purpose: effect-coded categorical terms
 without ``orthogonal_to`` are no longer centered over the training rows,
-which used to remove a real contrast. Generated configs over every kind run
+which used to remove a real contrast. The achieved df of a term left
+unpenalized (lambda 0) is its design's rank, where the capture held the df
+of the bracket's smallest lambda, up to 3e-9 below it; the fixture holds the
+rank. Generated configs over every kind run
 the command chain and the model file's round trip.
 """
 import hashlib
@@ -245,7 +248,7 @@ def test_generated_config_chain_and_model_round_trip(chain_inputs, tmp_path_fact
     if codes[0]:
         return
     assert codes == [0, 0, 0]
-    run = run_objects(load_config(path), "fit")
+    run = run_objects(load_config(path))
     model = fit(run.spec, DATA, clr_stack(TRUTHS), MEASURE, run.boost, **run.fit_options)
     fields = json.loads(json.dumps(model_to_dict(model)))
     assert fields == json.loads((out / "model.json").read_text())
