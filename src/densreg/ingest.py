@@ -16,8 +16,12 @@ The estimators build each kernel matrix as one BLAS product: the beta
 parameters and log B of every evaluation point form an (n_t x 3) matrix, the
 logs of the data a (3 x n) one, and their product is exponentiated in place.
 What remains per matrix is linear in the evaluation points: three
-``math.lgamma`` calls each, for log B. A group whose interior values all have
-zero weight is treated like one without interior values.
+``math.lgamma`` calls each, for log B.
+
+An :class:`ObservationGroup` is split into its boundary and interior values
+once, when it is made, and its arrays are read-only, so every estimator reads
+the same split. A group whose interior values all have zero weight is treated
+like one without interior values.
 """
 from __future__ import annotations
 
@@ -49,42 +53,45 @@ DEFAULT_BANDWIDTH = 0.02
 
 
 class ObservationGroup:
-    """Weighted observations of one covariate combination ``key``.
+    """Weighted observations of one covariate combination ``key``, split once
+    into the boundary and the interior when the group is made.
 
     Weights are normalized to sum to one; values must lie in [0, 1].
+    ``at_zero``, ``at_one`` and ``interior`` mark the values at 0, at 1 and
+    strictly inside; an interior whose values all have zero weight counts as
+    none, so that such a group has no kernel part. ``interior_values`` and
+    ``interior_weights`` are the interior values and their weights,
+    renormalized to sum to one (empty without an interior). Every array is
+    read-only.
     """
 
     def __init__(self, values, weights, key: tuple = ()):
-        self.values = np.asarray(values, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
+        # copies, as the arrays are made read-only below
+        values = np.array(values, dtype=float)
+        weights = np.array(weights, dtype=float)
         self.key = key
-        if self.values.size == 0:
+        if values.size == 0:
             raise ValueError("a group needs at least one observation")
-        if self.values.shape != self.weights.shape:
+        if values.shape != weights.shape:
             raise ValueError("values and weights must align")
-        if np.any((self.values < 0) | (self.values > 1)):
+        if np.any((values < 0) | (values > 1)):
             raise ValueError("values must lie in [0, 1]")
-        if np.any(self.weights < 0):
+        if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        total = self.weights.sum()
+        total = weights.sum()
         if total <= 0:
             raise ValueError("total weight must be positive")
-        self.weights = self.weights / total
-
-    @property
-    def at_zero(self) -> np.ndarray:
-        return np.abs(self.values) < _BOUNDARY_TOL
-
-    @property
-    def at_one(self) -> np.ndarray:
-        return np.abs(self.values - 1.0) < _BOUNDARY_TOL
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Values strictly inside (0, 1); none when all of them have zero
-        weight, so that such a group has no kernel part."""
+        self.values, self.weights = values, weights / total
+        self.at_zero = np.abs(values) < _BOUNDARY_TOL
+        self.at_one = np.abs(values - 1.0) < _BOUNDARY_TOL
         inside = ~(self.at_zero | self.at_one)
-        return inside if self.weights[inside].sum() > 0 else np.zeros_like(inside)
+        self.interior = inside & (self.weights[inside].sum() > 0)
+        self.interior_values = values[self.interior]
+        w = self.weights[self.interior]
+        self.interior_weights = w / w.sum()
+        for arr in (self.values, self.weights, self.at_zero, self.at_one, self.interior,
+                    self.interior_values, self.interior_weights):
+            arr.setflags(write=False)
 
     def boundary_shares(self) -> tuple[float, float, float]:
         """(p0, p1, p_interior), summing to one exactly."""
@@ -151,13 +158,6 @@ def _raw_kde_matrix(points: np.ndarray, data: np.ndarray, b: float) -> np.ndarra
     return out
 
 
-def _interior(group: ObservationGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Interior values and their weights, renormalized to sum to one."""
-    interior = group.interior
-    w = group.weights[interior]
-    return group.values[interior], w / w.sum()
-
-
 def kde(
     group: ObservationGroup, measure: ReferenceMeasure, b: float
 ) -> np.ndarray:
@@ -168,8 +168,7 @@ def kde(
     """
     if not group.interior.any():
         raise ValueError("no interior observations to smooth")
-    data, w = _interior(group)
-    raw = _raw_kde_matrix(measure.grid, data, b) @ w
+    raw = _raw_kde_matrix(measure.grid, group.interior_values, b) @ group.interior_weights
     total = float(raw @ measure.grid_weights)
     if total <= 0:
         raise ValueError("kernel estimate vanished on the grid")
@@ -186,7 +185,7 @@ def ucv_score(group: ObservationGroup, measure: ReferenceMeasure, b: float) -> f
     terms; beyond its (G + n) x n product and exponential, the cost is one
     log B, three ``math.lgamma`` calls, per row.
     """
-    data, w = _interior(group)
+    data, w = group.interior_values, group.interior_weights
     if w.size < 2:
         raise ValueError("cross-validation needs at least two interior points")
     if w.max() >= 1.0:
@@ -223,7 +222,7 @@ def shared_bandwidth(
         return float(cfg.bandwidth)
     optima = []
     for g in groups:
-        if int(g.interior.sum()) >= 3:
+        if g.interior_values.size >= 3:
             with naming_group(key_columns, g.key):
                 optima.append(select_bandwidth(g, measure, cfg))
     return min(optima, default=DEFAULT_BANDWIDTH)
@@ -274,22 +273,18 @@ def group_table(table: dict, key_columns: list):
     reproducibility, and the keys of the groups with zero total weight,
     which are left out.
     """
-    n = len(table["value"])
     keys = {}
-    for i in range(n):
-        key = tuple(str(table[c][i]) for c in key_columns)
-        keys.setdefault(key, []).append(i)
-    out = []
-    skipped = []
+    for i in range(len(table["value"])):
+        keys.setdefault(tuple(str(table[c][i]) for c in key_columns), []).append(i)
+    values, weights = (np.asarray(table[c], dtype=float) for c in ("value", "weight"))
+    out, skipped = [], []
     for key in sorted(keys):
         idx = keys[key]
-        values = np.asarray([table["value"][i] for i in idx], dtype=float)
-        weights = np.asarray([table["weight"][i] for i in idx], dtype=float)
-        if weights.sum() <= 0:
+        if weights[idx].sum() <= 0:
             skipped.append(key)
             continue
         with naming_group(key_columns, key):
-            out.append(ObservationGroup(values, weights, key))
+            out.append(ObservationGroup(values[idx], weights[idx], key))
     return out, skipped
 
 

@@ -5,9 +5,12 @@ files are self-describing: the first line carries the reference measure
 (interval, atoms, grid size), so a file can be read back without external
 context, and the column header names the key columns, then one value column
 per point of the measure's layout, ``atom:<location>`` and ``g:<i>``. The
-reader reads the value columns by these names: a header that does not end in
-them is a :class:`DataError` at line 2. Floats are written with ``repr``,
-which round-trips exactly.
+reader checks the declared layout, whose fields may each appear once,
+against the header before it builds the measure, so a header with fewer
+columns than the layout declares points is a :class:`DataError` and no grid
+is allocated for it; it reads the value columns by these names: a header
+that does not end in them is a :class:`DataError` at line 2. Floats are
+written with ``repr``, which round-trips exactly.
 
 Every input table goes through one row reader: observations, densities and
 new covariates (:mod:`densreg.cli` states which command reads which). A
@@ -100,7 +103,6 @@ __all__ = [
     "read_table",
     "read_observations",
     "measure_header",
-    "parse_measure_header",
     "write_density_file",
     "read_density_rows",
     "read_density_file",
@@ -271,15 +273,19 @@ def measure_header(m: ReferenceMeasure) -> str:
     return f"#measure\tinterval={interval}\tatoms={atoms}\tgrid={m.n_grid}"
 
 
-def parse_measure_header(line: str) -> ReferenceMeasure:
+def _measure_fields(line: str) -> dict:
+    """The measure a ``#measure`` line declares, as the fields that
+    :meth:`ReferenceMeasure.from_dict` takes; each field may appear once."""
     parts = line.split("\t")
-    if not parts or parts[0] != "#measure":
+    if parts[0] != "#measure":
         raise DataError("density file must start with a #measure header line")
     fields = {}
     for part in parts[1:]:
         if "=" not in part:
             raise DataError(f"malformed measure field {part!r}")
         key, val = part.split("=", 1)
+        if key in fields:
+            raise DataError(f"measure field {key!r} appears more than once")
         fields[key] = val
     with reported_as(DataError, "malformed measure header"):
         atoms = []
@@ -293,7 +299,7 @@ def parse_measure_header(line: str) -> ReferenceMeasure:
             interval = [float(v) for v in fields["interval"].split(":")]
         elif grid:
             raise DataError("a grid requires an interval")
-        return ReferenceMeasure.from_dict({"interval": interval, "atoms": atoms, "grid_size": grid})
+        return {"interval": interval, "atoms": atoms, "grid_size": grid}
 
 
 def _value_columns(measure: ReferenceMeasure) -> list:
@@ -323,11 +329,14 @@ def read_density_rows(path, numeric=()):
         first, second = fh.readline(), fh.readline()
         if not second:
             raise DataError(f"{path}: missing header lines")
-        measure = parse_measure_header(first.rstrip("\n"))
+        # the declared layout against the header, before a grid is allocated
+        fields = _measure_fields(first.rstrip("\n"))
+        if len(fields["atoms"]) + fields["grid_size"] > len(second.split("\t")):
+            raise DataError(f"{path}: header shorter than the measure layout")
+        with reported_as(DataError, "malformed measure header"):
+            measure = ReferenceMeasure.from_dict(fields)
         header = _header(path, second)
         n_keys = len(header) - measure.size
-        if n_keys < 0:
-            raise DataError(f"{path}: header shorter than the measure layout")
         for want, found in zip(_value_columns(measure), header[n_keys:]):
             if want != found:
                 raise DataError(f"{path}: line 2: expected column {want!r}, found {found!r}")

@@ -5,8 +5,8 @@ represented by a midpoint quadrature rule. Every integral in the package is
 evaluated against one of these measures, with value sequences laid out as
 atoms first (in location order), then grid nodes. :func:`make_discrete` and
 :func:`make_mixed` read atoms through one parser, which sorts them and
-requires distinct locations; :class:`ReferenceMeasure` checks that every
-weight is positive.
+requires finite, distinct locations; :class:`ReferenceMeasure` checks that
+every weight is positive.
 """
 from __future__ import annotations
 
@@ -115,13 +115,13 @@ class ReferenceMeasure:
 
 def _atoms(points) -> tuple[np.ndarray, np.ndarray]:
     """Locations and weights of (location, weight) pairs, sorted by location,
-    which must be distinct."""
+    which must be finite and distinct."""
     locs = np.array([p[0] for p in points], dtype=float)
     weights = np.array([p[1] for p in points], dtype=float)
     order = np.argsort(locs, kind="stable")
     locs, weights = locs[order], weights[order]
-    if np.any(np.diff(locs) == 0):
-        raise ValueError("atom locations must be distinct")
+    if not np.isfinite(locs).all() or np.any(np.diff(locs) == 0):
+        raise ValueError("atom locations must be finite and distinct")
     return locs, weights
 
 
@@ -154,7 +154,10 @@ def make_mixed(a: float, b: float, atoms, grid_size: int) -> ReferenceMeasure:
     if np.any((locs < a) | (locs > b)):
         raise ValueError("atom locations must lie within [a, b]")
     h = (b - a) / grid_size
-    grid = a + h * (np.arange(grid_size) + 0.5)
+    try:
+        grid = a + h * (np.arange(grid_size) + 0.5)
+    except MemoryError:
+        raise ValueError(f"a grid of {grid_size} points cannot be allocated") from None
     if locs.size and np.min(np.abs(grid[:, None] - locs[None, :])) < _GRID_COLLISION_TOL:
         raise ValueError(
             "a quadrature node coincides with an interior atom; change grid_size"

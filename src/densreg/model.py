@@ -335,10 +335,13 @@ class _TermEncoder:
 
     def raw_design(self, data, n: int) -> np.ndarray:
         """Row-wise tensor product of the blocks, from a column of ones, for
-        the ``n`` rows of a covariate table."""
+        the ``n`` rows of a covariate table, whose columns the caller has
+        found to share that length (:func:`_table_length`)."""
         out = np.ones((n, 1))
         for letter, cov in zip(self.term.blocks, self.covariates):
-            block = self._block(letter, cov, _column(data, cov.name, n))
+            if cov.name not in data:
+                raise ValueError(f"unknown covariate {cov.name!r}")
+            block = self._block(letter, cov, data[cov.name])
             out = (out[:, :, None] * block[:, None, :]).reshape(n, out.shape[1] * block.shape[1])
         return out
 
@@ -379,15 +382,6 @@ def _table_length(data) -> int:
     return lengths.pop()
 
 
-def _column(data, name, n):
-    if name not in data:
-        raise ValueError(f"unknown covariate {name!r}")
-    col = data[name]
-    if len(col) != n:
-        raise ValueError(f"column {name!r} has wrong length")
-    return col
-
-
 def _per_unit_design(norm: float) -> float:
     """The power of two nearest 1/``norm`` (1 for a zero norm).
 
@@ -420,8 +414,8 @@ def _infer_covariates(spec: ModelSpec, data) -> dict:
             if cname not in covs:
                 if cname not in data:
                     raise SpecMismatch(f"terms[{i}]", f"unknown covariate {cname!r}")
-                column = _column(data, cname, _table_length(data))
-                covs[cname] = _Covariate.infer(cname, ckind, column, spec.references.get(cname))
+                covs[cname] = _Covariate.infer(cname, ckind, data[cname],
+                                               spec.references.get(cname))
     # the spec cannot refuse such a key: a config may set one for a term it leaves out
     unread = sorted(set(spec.references) - set(covs))
     if unread:
@@ -582,7 +576,14 @@ def load_fields(d: dict) -> FittedModel:
     model predicts and interprets like the fitted one, but keeps no training
     surfaces or boosting settings, and its spec no references: the
     covariates hold the ones it reads."""
-    measure = ReferenceMeasure.from_dict(d["measure"])
+    md = d["measure"]
+    # the offset on a grid holds one value per node: a grid size that it
+    # contradicts is refused before the grid is allocated
+    offset = md["interval"] and d["fits"]["continuous" if md["atoms"] else "single"]["offset"]
+    if isinstance(offset, list) and md["grid_size"] != len(offset):
+        raise ValueError(f"measure.grid_size: {md['grid_size']!r} differs from the "
+                         f"{len(offset)} grid values of the fits' offset")
+    measure = ReferenceMeasure.from_dict(md)
     try:
         covariates = {name: _load_covariate(name, cd) for name, cd in d["covariates"].items()}
         encoders = tuple(

@@ -149,6 +149,9 @@ class TestConfigValidation:
         "raw, path",
         [
             ({"measure": {"interval": [1.0, 0.0]}}, "config.measure: interval"),
+            # 10^13 nodes need 73 TiB, which numpy refuses at once
+            ({"measure": {"interval": [0.0, 1.0], "grid_size": 10**13}},
+             "config.measure: a grid of 10000000000000 points cannot be allocated"),
             ({"kde": {"bandwidth_grid": [0.2, 0.1]}}, "config.kde: bandwidth grid"),
             ({"model": {"terms": [{"name": "a", "kind": "bogus"}]}}, "config.model.terms[0]: unknown"),
             ({"model": {"terms": [{"name": "a", "kind": "intercept"}] * 2}}, "config.model: term names"),
@@ -212,6 +215,7 @@ PROBES = [
     ("estimate", "measure.interval", [1, 0]),
     ("estimate", "measure.atoms.0.weight", "x"),
     ("estimate", "measure.atoms", [{"location": 0.0}]),
+    ("estimate", "measure.grid_size", 10**13),
     ("estimate", "kde.bandwidth", True),
     # measures the shares cannot fill: atoms off the boundaries, or an
     # interval other than [0, 1]
@@ -1303,6 +1307,15 @@ class TestModelFiles:
              "model file: covariates.c_age.levels: a level is listed twice"),
             (_model_file_with(("fits", "continuous", "offset", 0), 5.0),
              "model file: fits.continuous.offset: clr values must be finite and integrate to zero"),
+            (_model_file_with(("coding",), "bogus"),
+             "model file: coding must be 'effect' or 'reference'"),
+            # checked against the fits' offsets before a grid of 10^13 nodes
+            # (73 TiB) is allocated
+            (_model_file_with(("measure", "grid_size"), 10**13),
+             "model file: measure.grid_size: 10000000000000 differs from the 16 grid values "
+             "of the fits' offset"),
+            (_model_file_with(("measure", "atoms", 0, 0), math.nan),
+             "model file: atom locations must be finite and distinct"),
         ],
         ids=[
             "json_list", "format", "version_99", "version_string", "missing_terms",
@@ -1317,6 +1330,7 @@ class TestModelFiles:
             "unknown_term_covariate", "term_covariate_wrong_kind", "orthogonal_to_unknown_term",
             "missing_component_fit", "selection_too_large", "selection_negative",
             "m_stop_not_selections", "duplicate_levels", "offset_off_zero_integral",
+            "coding_unknown", "grid_size_huge", "atom_location_nan",
         ],
     )
     def test_malformed_model_file_exits_data_error(self, tmp_path, capsys, mutate, message):
@@ -1419,6 +1433,100 @@ def test_estimate_needs_a_share_measure(tmp_path, capsys, measure):
     assert capsys.readouterr().err == (
         f"config error: config.data.model: is a directory: {str(tmp_path)!r}\n"
     )
+
+
+# whole input files that end a command as a data error (exit 3): an id, the
+# command, the data key that names the file, its text, and the one line of
+# stderr after "data error: ", with "{path}" for the file's path
+_HEADER = "#measure\tinterval=0:1\tatoms=0:1;1:1\tgrid=4"
+_COLUMNS = "region\tc_age\tyear\tatom:0.0\tatom:1.0\tg:0\tg:1\tg:2\tg:3"
+BAD_FILES = [
+    ("densities_empty", "check", "densities", "", "{path}: missing header lines"),
+    ("densities_one_line", "check", "densities", _HEADER + "\n", "{path}: missing header lines"),
+    ("no_measure_line", "check", "densities", f"{_COLUMNS}\n{_HEADER}\n",
+     "density file must start with a #measure header line"),
+    ("measure_field_without_value", "check", "densities", f"#measure\tinterval\n{_COLUMNS}\n",
+     "malformed measure field 'interval'"),
+    ("grid_without_interval", "check", "densities",
+     f"#measure\tinterval=none\tatoms=0:1;1:1\tgrid=4\n{_COLUMNS}\n",
+     "a grid requires an interval"),
+    ("header_short", "check", "densities", f"{_HEADER}\nregion\tatom:0.0\tg:0\n",
+     "{path}: header shorter than the measure layout"),
+    # the declared layout is checked against the header before a grid of
+    # 10^13 nodes (73 TiB) is allocated
+    ("header_short_of_huge_grid", "check", "densities",
+     f"#measure\tinterval=0:1\tatoms=0:1;1:1\tgrid=10000000000000\n{_COLUMNS}\n",
+     "{path}: header shorter than the measure layout"),
+    ("measure_field_twice", "check", "densities", f"{_HEADER}\tgrid=5\n{_COLUMNS}\n",
+     "measure field 'grid' appears more than once"),
+    # a valid density on its measure but for the location of its atom
+    ("nan_atom", "check", "densities",
+     "#measure\tinterval=0:1\tatoms=nan:1\tgrid=4\n"
+     "region\tatom:nan\tg:0\tg:1\tg:2\tg:3\neast\t0.5\t0.5\t0.5\t0.5\t0.5\n",
+     "malformed measure header: atom locations must be finite and distinct"),
+    ("densities_without_rows", "fit", "densities", f"{_HEADER}\n{_COLUMNS}\n", "no responses given"),
+    ("observations_empty", "estimate", "observations", "", "{path}: empty file"),
+    ("no_grouping_columns", "estimate", "observations", "value\tweight\n0.5\t1.0\n",
+     "{path}: no grouping columns found"),
+    ("every_group_weightless", "estimate", "observations",
+     "region\tvalue\tweight\neast\t0.5\t0.0\nwest\t0.0\t0.0\n", "no usable observation groups"),
+    ("model_not_json_predict", "predict", "model", "{not json",
+     "{path}: invalid JSON: Expecting property name enclosed in double quotes"),
+    ("model_not_json_interpret", "interpret", "model", "{not json",
+     "{path}: invalid JSON: Expecting property name enclosed in double quotes"),
+]
+
+
+@pytest.mark.parametrize("command, key, text, line", [case[1:] for case in BAD_FILES],
+                         ids=[case[0] for case in BAD_FILES])
+def test_bad_input_file_is_data_error(tmp_path, capsys, command, key, text, line):
+    path = tmp_path / "input"
+    path.write_text(text)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        data={"newdata": str(DATA / "model_v1_newdata.tsv"), key: str(path)},
+        measure=MEASURE, kde={"bandwidth": 0.05}, model=MODEL, boosting={"max_iterations": 5},
+    )
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    if command == "check":
+        argv.insert(1, str(path))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "data error: " + line.format(path=path)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("estimate", r"estimated 3 densities \(bandwidth 0\.05\)"),
+    ("fit", r"fitted model, stopping at continuous 5, discrete 5"),
+    ("simulate", r"median relMSE over 2 replicates: \d+\.\d{4}"),
+])
+def test_verbose_adds_one_line_and_changes_no_output(tmp_path, capsys, densities_file,
+                                                     command, line):
+    obs = write_observations(tmp_path / "obs.tsv", synthetic_observations(0, groups=3, n_per_group=60))
+    cfg = write_config(
+        tmp_path / "cfg.json", data={"observations": obs, "densities": densities_file},
+        measure=MEASURE, kde={"bandwidth": 0.05}, model=MODEL, boosting={"max_iterations": 5},
+        simulation={"replicates": 2},
+    )
+    runs = {}
+    for flags in ([], ["--verbose"]):
+        out = tmp_path / ("verbose" if flags else "quiet")
+        assert main([command, "--config", cfg, "--out", str(out)] + flags) == 0
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        runs[bool(flags)] = files, capsys.readouterr().err
+    assert runs[False][1] == ""
+    assert re.fullmatch(line + "\n", runs[True][1]), runs[True][1]
+    assert runs[True][0] == runs[False][0]
+
+
+def test_check_without_target_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["check", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "config error: check needs a target file argument"
+    assert "Traceback" not in err
 
 
 class TestExitCodes:

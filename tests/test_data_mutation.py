@@ -28,15 +28,15 @@ from hypothesis import strategies as st
 from densreg.cli import main
 from densreg.io import (
     DataError,
+    _measure_fields,
     measure_header,
-    parse_measure_header,
     read_density_file,
     read_density_rows,
     read_observations,
     read_table,
     write_density_file,
 )
-from densreg.measure import make_discrete, make_mixed
+from densreg.measure import ReferenceMeasure, make_discrete, make_mixed
 from densreg.synth import planted_problem, synthetic_observations
 
 from conftest import options
@@ -440,7 +440,7 @@ def _reference_read(path, kind: str, numeric=()):
     with open(path) as fh:
         measure = None
         if kind == "densities":
-            measure = parse_measure_header(fh.readline().rstrip("\n"))
+            measure = ReferenceMeasure.from_dict(_measure_fields(fh.readline().rstrip("\n")))
         header = fh.readline().rstrip("\n").split("\t")
         if kind == "observations" and not {"value", "weight"} <= set(header):
             return f"{path}: needs 'value' and 'weight' columns"

@@ -184,6 +184,23 @@ class TestObservationGroup:
         assert ObservationGroup([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 2.0, 1.0]).interior.sum() == 2
         g = ObservationGroup([0.0, 0.3, 0.6, 1.0], [1.0, 0.0, 0.0, 1.0])
         assert not g.interior.any()
+        assert g.interior_values.size == g.interior_weights.size == 0
+
+    def test_split_is_made_once_and_read_only(self):
+        values = np.array([0.0, 0.3, 0.6, 1.0, 0.9])
+        g = ObservationGroup(values, [2.0, 1.0, 3.0, 2.0, 0.0])
+        assert g.at_zero.tolist() == [True, False, False, False, False]
+        assert g.at_one.tolist() == [False, False, False, True, False]
+        assert g.interior.tolist() == [False, True, True, False, True]
+        assert g.interior_values.tolist() == [0.3, 0.6, 0.9]
+        assert g.interior_weights.tolist() == [0.25, 0.75, 0.0]
+        for name in ("values", "weights", "at_zero", "at_one", "interior",
+                     "interior_values", "interior_weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] = 0
+        # the caller's array is copied, not frozen
+        values[0] = 0.5
+        assert g.values[0] == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):

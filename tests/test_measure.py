@@ -25,6 +25,18 @@ class TestMakeDiscrete:
         with pytest.raises(ValueError, match="positive"):
             make_discrete([(0, 1), (1, 0.0)])
 
+    @pytest.mark.parametrize("make", [
+        lambda loc: make_discrete([(loc, 1), (loc, 1)]),
+        lambda loc: make_discrete([(0.0, 1), (loc, 1)]),
+        lambda loc: make_mixed(0, 1, [(0.0, 1), (loc, 1)], 4),
+    ], ids=["discrete_twice", "discrete", "mixed"])
+    @pytest.mark.parametrize("loc", [np.nan, np.inf, -np.inf])
+    def test_non_finite_location_rejected(self, make, loc):
+        # NaN compares unequal to everything, so neither the distinctness
+        # check nor the interval check would catch it
+        with pytest.raises(ValueError, match="^atom locations must be finite and distinct$"):
+            make(loc)
+
 
 class TestMakeMixed:
     def test_unit_interval_with_boundary_atoms(self):
@@ -36,6 +48,11 @@ class TestMakeMixed:
         m = make_mixed(0, 1, [], 50)
         assert m.n_atoms == 0
         assert m.total_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_that_cannot_be_allocated_rejected(self):
+        # 10^13 nodes need 73 TiB, which numpy refuses at once
+        with pytest.raises(ValueError, match="^a grid of 10000000000000 points cannot be allocated$"):
+            make_mixed(0, 1, [(0, 1), (1, 1)], 10**13)
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_size"):
